@@ -216,57 +216,11 @@ def _verdict_divergence(ratios, ci_lo, ci_hi, bound):
     return "inconclusive"
 
 
-def run_experiment(model: DependentModel, quantity, denominator: Denominator,
-                   x_grid=None, samples: int = 1_000_000, seed: int = 0,
-                   workers: int = 1, *, predicted: float = 1.0,
-                   semantics: str = "lim", tolerance: float = 0.05,
-                   experiment_id: str = "custom", numerator: str = "auto",
-                   weights=None, divergence_bound: float = 10.0,
-                   tau_cap: int = mc.TAU_CAP, extra_notes=()) -> RatioCurve:
-    """Assemble one ratio curve and grade it.
-
-    numerator: "auto" uses closed-form copula algebra when the quantity
-    admits it (max of up to three coordinates; comonotone identical sums)
-    and Monte Carlo otherwise; "mc" forces simulation; "exact" demands the
-    closed form and raises if there is none.
-    """
-    quantity = mc.parse_quantity(quantity)
-    if semantics not in SEMANTICS:
-        raise InvalidInput(f"semantics must be one of {SEMANTICS}")
-    if numerator not in ("auto", "mc", "exact"):
-        raise InvalidInput("numerator must be auto, mc, or exact")
-    if not (tolerance > 0.0):
-        raise InvalidInput("tolerance must be positive")
-    xs = np.atleast_1d(np.asarray(
-        x_grid if x_grid is not None else default_grid(model), dtype=float))
-    if np.any(~np.isfinite(xs)) or np.any(np.diff(xs) <= 0):
-        raise InvalidInput("x grid must be finite and strictly increasing")
-
-    den = denominator.values(model, xs)
-    if np.any(den <= 0):
-        raise InvalidInput("denominator vanishes on the grid")
-
-    notes = list(extra_notes)
-    exact = None if numerator == "mc" else _exact_numerator(model, quantity,
-                                                            xs)
-    if numerator == "exact" and exact is None:
-        raise InvalidInput(
-            f"no closed form for {quantity.token} on this model")
-    if exact is not None:
-        num = exact
-        se = np.zeros(len(xs))
-        used_samples = 0
-        notes.append("numerator computed exactly, stderr identically zero")
-    else:
-        ests = mc.estimate_tail(model, quantity, xs, samples, seed,
-                                workers=workers, weights=weights,
-                                tau_cap=tau_cap)
-        num = np.array([e.p_hat for e in ests])
-        se = np.array([e.stderr for e in ests])
-        used_samples = samples
-        if ests[0].notes:
-            notes.extend(ests[0].notes)
-
+def _grade(claim, experiment_id: str, xs, den, num, se, used_samples: int,
+           notes: list, tolerance: float, divergence_bound: float,
+           seed: int) -> RatioCurve:
+    """Ratio curve of one claim's numerator over its denominator, graded."""
+    predicted, semantics = claim.predicted, claim.semantics
     ratios = num / den
     ci_lo = np.maximum(num - Z95 * se, 0.0) / den
     ci_hi = np.minimum(num + Z95 * se, 1.0) / den
@@ -288,9 +242,84 @@ def run_experiment(model: DependentModel, quantity, denominator: Denominator,
                    float(lo), float(hi), float(rm))
         for x, n_, s, d, r_, lo, hi, rm
         in zip(xs, num, se, den, ratios, ci_lo, ci_hi, run))
-    return RatioCurve(experiment_id, quantity.token, denominator.describe(),
-                      points, float(predicted), semantics, float(tolerance),
-                      verdict, used_samples, int(seed), tuple(notes))
+    return RatioCurve(experiment_id, mc.parse_quantity(claim.quantity).token,
+                      claim.denominator.describe(), points, float(predicted),
+                      semantics, float(tolerance), verdict, used_samples,
+                      int(seed), tuple(notes))
+
+
+def _run_claims(model: DependentModel, claims, ids, x_grid, samples: int,
+                seed: int, workers: int, *, tolerance: float,
+                numerator: str = "auto", weights=None,
+                divergence_bound: float = 10.0, tau_cap: int = mc.TAU_CAP,
+                extra_notes=()) -> list:
+    """Ratio curves of several claims on one model: estimate, then grade.
+
+    The numerators without a closed form share one simulation pass.
+    """
+    if any(c.semantics not in SEMANTICS for c in claims):
+        raise InvalidInput(f"semantics must be one of {SEMANTICS}")
+    if numerator not in ("auto", "mc", "exact"):
+        raise InvalidInput("numerator must be auto, mc, or exact")
+    if not (tolerance > 0.0):
+        raise InvalidInput("tolerance must be positive")
+    xs = np.atleast_1d(np.asarray(
+        x_grid if x_grid is not None else default_grid(model), dtype=float))
+    if np.any(~np.isfinite(xs)) or np.any(np.diff(xs) <= 0):
+        raise InvalidInput("x grid must be finite and strictly increasing")
+
+    dens = [c.denominator.values(model, xs) for c in claims]
+    if any(np.any(den <= 0) for den in dens):
+        raise InvalidInput("denominator vanishes on the grid")
+
+    quantities = [mc.parse_quantity(c.quantity) for c in claims]
+    exacts = [None if numerator == "mc" else _exact_numerator(model, q, xs)
+              for q in quantities]
+    simulated = [q for q, e in zip(quantities, exacts) if e is None]
+    if numerator == "exact" and simulated:
+        raise InvalidInput(
+            f"no closed form for {simulated[0].token} on this model")
+    rows = iter(mc.estimate_tails(model, simulated, xs, samples, seed,
+                                  workers=workers, weights=weights,
+                                  tau_cap=tau_cap) if simulated else ())
+    curves = []
+    for claim, experiment_id, den, exact in zip(claims, ids, dens, exacts):
+        notes = list(extra_notes)
+        if exact is not None:
+            num, se, used_samples = exact, np.zeros(len(xs)), 0
+            notes.append("numerator computed exactly, stderr identically zero")
+        else:
+            ests = next(rows)
+            num = np.array([e.p_hat for e in ests])
+            se = np.array([e.stderr for e in ests])
+            used_samples = samples
+            notes.extend(ests[0].notes)
+        curves.append(_grade(claim, experiment_id, xs, den, num, se,
+                             used_samples, notes, tolerance, divergence_bound,
+                             seed))
+    return curves
+
+
+def run_experiment(model: DependentModel, quantity, denominator: Denominator,
+                   x_grid=None, samples: int = 1_000_000, seed: int = 0,
+                   workers: int = 1, *, predicted: float = 1.0,
+                   semantics: str = "lim", tolerance: float = 0.05,
+                   experiment_id: str = "custom", numerator: str = "auto",
+                   weights=None, divergence_bound: float = 10.0,
+                   tau_cap: int = mc.TAU_CAP, extra_notes=()) -> RatioCurve:
+    """Assemble one ratio curve and grade it.
+
+    numerator: "auto" uses closed-form copula algebra when the quantity
+    admits it (max of up to three coordinates; comonotone identical sums)
+    and Monte Carlo otherwise; "mc" forces simulation; "exact" demands the
+    closed form and raises if there is none.
+    """
+    claim = Claim(mc.parse_quantity(quantity).token, semantics, denominator,
+                  predicted)
+    return _run_claims(model, [claim], [experiment_id], x_grid, samples, seed,
+                       workers, tolerance=tolerance, numerator=numerator,
+                       weights=weights, divergence_bound=divergence_bound,
+                       tau_cap=tau_cap, extra_notes=extra_notes)[0]
 
 
 def divergence_certificate(tau: CountingLaw, bound: float,
@@ -535,14 +564,10 @@ def theorem_suite(theorem_id: str, model: DependentModel = None,
             f"preset {theorem_id} violates its own hypotheses: {issues}")
     if x_grid is None:
         x_grid = default_grid(model, preset.grid_n, hi_u=preset.grid_hi_u)
-    curves = []
     many = len(preset.claims) > 1
-    for claim in preset.claims:
-        exp_id = (f"{theorem_id}:{claim.quantity}" if many else theorem_id)
-        curves.append(run_experiment(
-            model, claim.quantity, claim.denominator, x_grid=x_grid,
-            samples=samples, seed=seed, workers=workers,
-            predicted=claim.predicted, semantics=claim.semantics,
-            tolerance=preset.tolerance, experiment_id=exp_id,
-            divergence_bound=preset.divergence_bound, extra_notes=notes))
-    return curves
+    ids = [f"{theorem_id}:{c.quantity}" if many else theorem_id
+           for c in preset.claims]
+    return _run_claims(model, preset.claims, ids, x_grid, samples, seed,
+                       workers, tolerance=preset.tolerance,
+                       divergence_bound=preset.divergence_bound,
+                       extra_notes=notes)

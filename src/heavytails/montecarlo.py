@@ -23,7 +23,12 @@ from .rng import BLOCK_SIZE, block_stream, check_seed
 
 TAU_CAP = 1 << 20      # per-replicate cap on the simulated sequence length
 _TAU_LANE = 1 << 49    # block-stream lane reserved for counting-law draws
-_CHUNK_VALUES = 1 << 22  # coordinate budget per simulation slice
+# Coordinate budget per simulation slice. A slice holds at most
+# max(_CHUNK_VALUES, tau_cap rounded up to dim) coordinates, since one
+# replicate may exceed the budget on its own. Live float64 data per slice is
+# about three times that: uniforms plus inverse-transform temporaries, then
+# the values plus their running sum. At the defaults that is ~96 MiB.
+_CHUNK_VALUES = 1 << 22
 
 _KINDS = ("sum", "max", "runmax")
 
@@ -90,72 +95,63 @@ class TailEstimate:
         return (lo, hi)
 
 
-def _ragged_arange(lengths: np.ndarray) -> np.ndarray:
-    total = int(lengths.sum())
-    ends = np.cumsum(lengths)
-    return np.arange(total, dtype=np.int64) - np.repeat(ends - lengths, lengths)
+def _reduce_rows(rect: np.ndarray, kinds: tuple) -> np.ndarray:
+    """Per-kind row statistics of rect; sum and runmax share one cumsum."""
+    cs = np.cumsum(rect, axis=1) if {"sum", "runmax"} & set(kinds) else None
+    return np.stack([rect.max(axis=1) if k == "max"
+                     else cs[:, -1] if k == "sum" else cs.max(axis=1)
+                     for k in kinds])
 
 
-def _stats_fixed(model: DependentModel, quantity: Quantity, weights,
-                 rng: np.random.Generator, count: int) -> np.ndarray:
-    vals = model.sample_vector(rng, count)
-    if weights is not None:
-        vals = vals * weights
-    if quantity.kind == "max":
-        return vals.max(axis=1)
-    cs = np.cumsum(vals, axis=1)
-    if quantity.kind == "sum":
-        return cs[:, -1]
-    return cs.max(axis=1)
-
-
-def _chunk_stats(model: DependentModel, quantity: Quantity,
+def _chunk_stats(model: DependentModel, kinds: tuple,
                  rng: np.random.Generator, eff: np.ndarray,
                  blocks: np.ndarray) -> np.ndarray:
     """Statistics for one slice of replicates with per-replicate lengths eff.
 
     Lengths are served in whole copula blocks; coordinates past a replicate's
     length are generated (to keep the stream layout a function of the counting
-    draws alone) but never enter its statistic.
+    draws alone) but never enter its statistic: they are overwritten in place
+    with -inf before the max and with 0.0 before the running sum, where
+    adding +0.0 is exact.
     """
     dim = model.dim
     count = len(eff)
     n_blocks = int(blocks.sum())
-    sentinel = -math.inf if quantity.kind == "max" else 0.0
+    out = np.empty((len(kinds), count))
+    out[:] = [[-math.inf if k == "max" else 0.0] for k in kinds]
     if n_blocks == 0:
-        return np.full(count, sentinel)
+        return out
     u = model.copula.sample(rng, n_blocks)
     flat = model.marginals[0].ppf_from_uniform(u.ravel())
+    del u
     if eff.min() == eff.max():
         # uniform lengths: plain reshape, same arithmetic order as the
         # fixed-length path, so a deterministic counting law reduces to it
         # bit for bit
-        rect = flat.reshape(count, -1)[:, : int(eff[0])]
-        if quantity.kind == "max":
-            return rect.max(axis=1)
-        cs = np.cumsum(rect, axis=1)
-        return cs[:, -1] if quantity.kind == "sum" else cs.max(axis=1)
-    region_starts = dim * np.concatenate(([0], np.cumsum(blocks[:-1])))
-    idx = np.repeat(region_starts, eff) + _ragged_arange(eff)
-    used = flat[idx]
-    ends = np.cumsum(eff)
-    starts = ends - eff
+        return _reduce_rows(flat.reshape(count, -1)[:, : int(eff[0])], kinds)
+    sizes = dim * blocks
+    ends = np.cumsum(sizes)
+    stops = ends - sizes + eff          # one past each replicate's last term
+    pos = stops[:, None] + np.arange(dim)
+    pad = pos[pos < ends[:, None]]
     nonempty = eff > 0
-    starts_ne = starts[nonempty]
-    out = np.full(count, sentinel)
-    if quantity.kind == "max":
-        out[nonempty] = np.maximum.reduceat(used, starts_ne)
-        return out
-    cs = np.cumsum(used)
-    base = np.where(starts_ne > 0, cs[np.maximum(starts_ne - 1, 0)], 0.0)
-    if quantity.kind == "sum":
-        out[nonempty] = cs[ends[nonempty] - 1] - base
-    else:
-        out[nonempty] = np.maximum.reduceat(cs, starts_ne) - base
+    first = (ends - sizes)[nonempty]
+    if "max" in kinds:
+        flat[pad] = -math.inf
+        out[kinds.index("max"), nonempty] = np.maximum.reduceat(flat, first)
+    if {"sum", "runmax"} & set(kinds):
+        flat[pad] = 0.0
+        cs = np.cumsum(flat)
+        base = np.where(first > 0, cs[np.maximum(first - 1, 0)], 0.0)
+        if "sum" in kinds:
+            out[kinds.index("sum"), nonempty] = cs[stops[nonempty] - 1] - base
+        if "runmax" in kinds:
+            out[kinds.index("runmax"), nonempty] = (
+                np.maximum.reduceat(cs, first) - base)
     return out
 
 
-def _stats_stopped(model: DependentModel, quantity: Quantity,
+def _stats_stopped(model: DependentModel, kinds: tuple,
                    rng: np.random.Generator, tau_rng: np.random.Generator,
                    count: int, cap: int) -> tuple:
     dim = model.dim
@@ -165,55 +161,64 @@ def _stats_stopped(model: DependentModel, quantity: Quantity,
     eff = np.minimum(taus, cap)
     capped = int(np.count_nonzero(taus > cap))
     blocks = (eff + dim - 1) // dim
-    stats = np.empty(count)
-    weight = blocks * dim
-    cum = np.cumsum(weight)
+    stats = np.empty((len(kinds), count))
+    cum = np.cumsum(blocks * dim)
     i = 0
     while i < count:
         prev = int(cum[i - 1]) if i else 0
         j = int(np.searchsorted(cum, prev + _CHUNK_VALUES, side="right"))
         j = max(j, i + 1)
-        stats[i:j] = _chunk_stats(model, quantity, rng, eff[i:j], blocks[i:j])
+        stats[:, i:j] = _chunk_stats(model, kinds, rng, eff[i:j], blocks[i:j])
         i = j
     return stats, capped
 
 
-def _simulate_block(model, quantity, weights, xs, seed, block_index, count,
-                    cap):
+def _simulate_block(model, kinds, stopped, weights, xs, seed, block_index,
+                    count, cap):
     rng = block_stream(seed, block_index)
-    if quantity.stopped:
+    if stopped:
         tau_rng = block_stream(seed, _TAU_LANE + block_index)
-        stats, capped = _stats_stopped(model, quantity, rng, tau_rng, count,
+        stats, capped = _stats_stopped(model, kinds, rng, tau_rng, count,
                                        cap)
     else:
-        stats = _stats_fixed(model, quantity, weights, rng, count)
-        capped = 0
-    hits = np.array([int(np.count_nonzero(stats > x)) for x in xs],
-                    dtype=np.int64)
+        vals = model.sample_vector(rng, count)
+        if weights is not None:
+            vals = vals * weights
+        stats, capped = _reduce_rows(vals, kinds), 0
+    hits = np.array([[int(np.count_nonzero(s > x)) for x in xs]
+                     for s in stats], dtype=np.int64)
     return hits, capped
 
 
 def _run_blocks(payload):
-    (model, quantity, weights, xs, seed, indices, counts, cap) = payload
-    hits = np.zeros(len(xs), dtype=np.int64)
+    (model, kinds, stopped, weights, xs, seed, indices, counts, cap) = payload
+    hits = np.zeros((len(kinds), len(xs)), dtype=np.int64)
     capped = 0
     for b, c in zip(indices, counts):
-        h, k = _simulate_block(model, quantity, weights, xs, seed, b, c, cap)
+        h, k = _simulate_block(model, kinds, stopped, weights, xs, seed, b, c,
+                               cap)
         hits += h
         capped += k
     return hits, capped
 
 
-def estimate_tail(model: DependentModel, quantity, xs, samples: int,
-                  seed: int, workers: int = 1, weights=None,
-                  tau_cap: int = TAU_CAP) -> list:
-    """Estimate P(stat > x) for every x in xs from `samples` replicates.
+def estimate_tails(model: DependentModel, quantities, xs, samples: int,
+                   seed: int, workers: int = 1, weights=None,
+                   tau_cap: int = TAU_CAP) -> list:
+    """Estimate P(stat > x) for several quantities from one shared pass.
 
-    Returns one TailEstimate per threshold. The result depends only on
-    (model, quantity, weights, xs, samples, seed): the worker count changes
-    the wall clock, never a single bit of the counts.
+    The quantities must be all stopped or all fixed-length. Each block is
+    drawn once, so the rows (one list of TailEstimate per quantity) equal
+    separate estimate_tail calls bit for bit. They depend only on (model,
+    quantities, weights, xs, samples, seed), never on the worker count.
     """
-    quantity = parse_quantity(quantity)
+    quantities = [parse_quantity(q) for q in quantities]
+    if not quantities:
+        raise InvalidInput("need at least one quantity")
+    stopped = quantities[0].stopped
+    if any(q.stopped != stopped for q in quantities):
+        raise InvalidInput("quantities sharing a pass must be all stopped or "
+                           "all fixed-length")
     seed = check_seed(seed)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.size == 0 or not np.all(np.isfinite(xs)):
@@ -224,7 +229,7 @@ def estimate_tail(model: DependentModel, quantity, xs, samples: int,
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise InvalidInput("workers must be a positive integer")
     workers = int(workers)
-    if quantity.stopped:
+    if stopped:
         if model.tau is None:
             raise ModelConfigError(
                 "stopped quantities need a counting law on the model")
@@ -242,21 +247,22 @@ def estimate_tail(model: DependentModel, quantity, xs, samples: int,
             raise InvalidInput(
                 f"weights must be {model.dim} finite values, one per coordinate")
 
+    kinds = tuple(dict.fromkeys(q.kind for q in quantities))
     n_blocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
     counts = np.full(n_blocks, BLOCK_SIZE, dtype=np.int64)
     counts[-1] = samples - BLOCK_SIZE * (n_blocks - 1)
     indices = np.arange(n_blocks)
 
     if workers == 1 or n_blocks == 1:
-        hits, capped = _run_blocks((model, quantity, weights, xs, seed,
+        hits, capped = _run_blocks((model, kinds, stopped, weights, xs, seed,
                                     indices, counts, int(tau_cap)))
     else:
         payloads = [
-            (model, quantity, weights, xs, seed, indices[w::workers],
+            (model, kinds, stopped, weights, xs, seed, indices[w::workers],
              counts[w::workers], int(tau_cap))
             for w in range(min(workers, n_blocks))
         ]
-        hits = np.zeros(len(xs), dtype=np.int64)
+        hits = np.zeros((len(kinds), len(xs)), dtype=np.int64)
         capped = 0
         with ProcessPoolExecutor(max_workers=len(payloads),
                                  mp_context=mp.get_context("fork")) as pool:
@@ -268,10 +274,21 @@ def estimate_tail(model: DependentModel, quantity, xs, samples: int,
     if capped:
         notes = (f"sequence length capped at {int(tau_cap)} in {capped} "
                  f"of {samples} replicates",)
-    out = []
-    for x, h in zip(xs, hits):
-        p = h / samples
-        se = math.sqrt(p * (1.0 - p) / samples)
-        out.append(TailEstimate(float(x), float(p), float(se), int(h),
-                                samples, seed, notes))
-    return out
+    p = hits / samples
+    se = np.sqrt(p * (1.0 - p) / samples)
+    return [[TailEstimate(float(x), float(p[k, i]), float(se[k, i]),
+                          int(hits[k, i]), samples, seed, notes)
+             for i, x in enumerate(xs)]
+            for k in (kinds.index(q.kind) for q in quantities)]
+
+
+def estimate_tail(model: DependentModel, quantity, xs, samples: int,
+                  seed: int, workers: int = 1, weights=None,
+                  tau_cap: int = TAU_CAP) -> list:
+    """Estimate P(stat > x) for every x in xs from `samples` replicates.
+
+    Returns one TailEstimate per threshold: the one-quantity case of
+    estimate_tails.
+    """
+    return estimate_tails(model, (quantity,), xs, samples, seed, workers,
+                          weights, tau_cap)[0]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from heavytails import experiments as ex
+from heavytails import montecarlo as mc
 from heavytails.copulas import Comonotone, DependentModel, FGM, Independence
 from heavytails.counting import Geometric1, Poisson, Zeta
 from heavytails.distributions import DiscreteAtoms, Pareto, ShiftedBy
@@ -297,6 +298,32 @@ class TestTheoremSuite:
         curves = ex.theorem_suite("T3.2", samples=50_000, seed=11)
         assert [c.experiment_id for c in curves] == ["T3.2:SumN",
                                                      "T3.2:RunMaxN"]
+
+    def test_claims_share_one_pass_and_match_single_runs(self, monkeypatch):
+        # comonotone identical marginals give SumN a closed form, so only
+        # RunMaxN is simulated, in one engine call for the whole suite
+        d = Pareto(0.8, 1.0)
+        model = DependentModel(Comonotone(2), (d, d))
+        calls = []
+        real = mc.estimate_tails
+
+        def spy(model, quantities, *args, **kwargs):
+            calls.append([q.token for q in quantities])
+            return real(model, quantities, *args, **kwargs)
+
+        monkeypatch.setattr(mc, "estimate_tails", spy)
+        curves = ex.theorem_suite("C3.1", model=model, samples=20_000, seed=4)
+        assert calls == [["RunMaxN"]]
+        assert [c.samples for c in curves] == [0, 20_000]
+        preset = ex.PRESETS["C3.1"]
+        for claim, curve in zip(preset.claims, curves):
+            alone = ex.run_experiment(
+                model, claim.quantity, claim.denominator,
+                x_grid=curve.grid, samples=20_000, seed=4,
+                semantics=claim.semantics, tolerance=preset.tolerance,
+                experiment_id=curve.experiment_id,
+                extra_notes=curve.notes[:1])
+            assert alone == curve
 
     def test_reduced_sample_run_consistent(self):
         c = ex.theorem_suite("T4.1", samples=200_000, seed=11)[0]

@@ -1,7 +1,11 @@
 """Monte Carlo engine tests: oracles, bitwise reproducibility, stream layout."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as ss
 
 from heavytails import montecarlo as mc
@@ -134,13 +138,20 @@ class TestBitwiseReproducibility:
     def test_ragged_segments_match_naive_loop(self):
         # white box: replay the exact block streams and recompute every
         # replicate's statistic with a plain python loop over its segment
-        d = Pareto(0.8, 1.0)
-        m = DependentModel(FGM.bivariate(0.5), (d, d), tau=Geometric1(0.3))
+        models = (
+            DependentModel(FGM.bivariate(0.5), (Pareto(0.8, 1.0),) * 2,
+                           tau=Geometric1(0.3)),
+            # negative summands, and tau = 0 in about three of four replicates
+            DependentModel(Independence(3),
+                           (ShiftedBy(Pareto(2.0, 1.0), -3.0),) * 3,
+                           tau=Poisson(0.3)),
+        )
         seed, count, cap = 19, 3000, mc.TAU_CAP
-        for q in (mc.SumTau, mc.MaxTau, mc.RunMaxTau):
+        kinds = ("sum", "max", "runmax")
+        for m in models:
             rng = mc.block_stream(seed, 0)
             tau_rng = mc.block_stream(seed, mc._TAU_LANE + 0)
-            stats, _ = mc._stats_stopped(m, q, rng, tau_rng, count, cap)
+            stats, _ = mc._stats_stopped(m, kinds, rng, tau_rng, count, cap)
 
             rng = mc.block_stream(seed, 0)
             tau_rng = mc.block_stream(seed, mc._TAU_LANE + 0)
@@ -148,7 +159,7 @@ class TestBitwiseReproducibility:
             blocks = (taus + m.dim - 1) // m.dim
             weight = blocks * m.dim
             cum = np.cumsum(weight)
-            naive = np.empty(count)
+            naive = np.empty((len(kinds), count))
             i = 0
             while i < count:
                 prev = int(cum[i - 1]) if i else 0
@@ -161,18 +172,100 @@ class TestBitwiseReproducibility:
                 for k in range(i, j):
                     seg = flat[pos:pos + int(taus[k])]
                     pos += int(blocks[k]) * m.dim
-                    if q.kind == "max":
-                        naive[k] = seg.max() if len(seg) else -np.inf
-                    elif q.kind == "sum":
-                        naive[k] = seg.sum() if len(seg) else 0.0
-                    else:
-                        naive[k] = max(np.maximum.accumulate(
-                            np.cumsum(seg)).max(), -np.inf) if len(seg) else 0.0
+                    empty = len(seg) == 0
+                    naive[0, k] = 0.0 if empty else seg.sum()
+                    naive[1, k] = -np.inf if empty else seg.max()
+                    naive[2, k] = 0.0 if empty else np.cumsum(seg).max()
                 i = j
             # the engine forms segment sums as differences of one running
             # cumsum, so tiny cancellation noise against the per-segment loop
             # is expected (heavy-tailed draws push the running total to ~1e6)
             np.testing.assert_allclose(stats, naive, rtol=1e-8, atol=1e-8)
+
+
+MARGINALS = (Pareto(0.8, 1.0), Pareto(1.5, 2.0), Exponential(1.0),
+             ShiftedBy(Pareto(2.0, 1.0), -3.0))
+COUNTING = (Poisson(2.0), Poisson(0.3), Geometric1(0.4), Zeta(1.5),
+            Deterministic(1), Deterministic(5))
+
+
+@st.composite
+def shared_pass_cases(draw):
+    dim = draw(st.integers(2, 3))
+    family = draw(st.sampled_from(("independence", "comonotone", "fgm")))
+    if family == "independence":
+        copula = Independence(dim)
+    elif family == "comonotone":
+        copula = Comonotone(dim)
+    else:   # |a_ij| <= 1/3 keeps every trivariate vertex density >= 0
+        pairs = dim * (dim - 1) // 2
+        copula = FGM(dim, tuple(draw(st.lists(st.floats(-1 / 3, 1 / 3),
+                                              min_size=pairs,
+                                              max_size=pairs))))
+    stopped = draw(st.booleans())
+    weights = None
+    if stopped:
+        model = DependentModel(copula, (draw(st.sampled_from(MARGINALS)),) * dim,
+                               tau=draw(st.sampled_from(COUNTING)))
+    else:
+        model = DependentModel(copula, tuple(
+            draw(st.sampled_from(MARGINALS)) for _ in range(dim)))
+        if draw(st.booleans()):
+            weights = draw(st.lists(st.floats(-2.0, 2.0), min_size=dim,
+                                    max_size=dim))
+    tokens = [t for t, q in mc.QUANTITIES.items() if q.stopped == stopped]
+    quantities = draw(st.lists(st.sampled_from(tokens), min_size=1,
+                               max_size=4))
+    return dict(model=model, quantities=quantities, weights=weights,
+                # the second range spans two blocks, so two workers split it
+                samples=draw(st.integers(1, 2000)
+                             | st.integers(mc.BLOCK_SIZE + 1,
+                                           2 * mc.BLOCK_SIZE + 50)),
+                seed=draw(st.integers(0, 2 ** 64 - 1)),
+                workers=draw(st.sampled_from((1, 2))),
+                tau_cap=draw(st.sampled_from((8, 64))))
+
+
+class TestSharedPass:
+    @settings(max_examples=40, deadline=None)
+    @given(case=shared_pass_cases())
+    def test_shared_pass_matches_separate_calls(self, case):
+        xs = [-1.0, 0.5, 3.0, 40.0]
+        shared = mc.estimate_tails(case["model"], case["quantities"], xs,
+                                   case["samples"], case["seed"],
+                                   workers=case["workers"],
+                                   weights=case["weights"],
+                                   tau_cap=case["tau_cap"])
+        assert len(shared) == len(case["quantities"])
+        for q, row in zip(case["quantities"], shared):
+            alone = mc.estimate_tail(case["model"], q, xs, case["samples"],
+                                     case["seed"], weights=case["weights"],
+                                     tau_cap=case["tau_cap"])
+            assert row == alone, q
+
+    def test_mixed_stopped_and_fixed_rejected(self):
+        d = Pareto(1.0, 1.0)
+        m = DependentModel(Independence(2), (d, d), tau=Poisson(2.0))
+        with pytest.raises(InvalidInput):
+            mc.estimate_tails(m, ["SumN", "SumTau"], [1.0], 100, seed=1)
+        with pytest.raises(InvalidInput):
+            mc.estimate_tails(m, [], [1.0], 100, seed=1)
+
+    def test_stopped_block_memory_is_bounded(self):
+        # one infinite-mean Zeta block (the T4.2 model) touches about 26M
+        # coordinates in slices of _CHUNK_VALUES; the live float64 data per
+        # slice stays near 3 x 8 x _CHUNK_VALUES bytes
+        d = Pareto(1.0, 1.0)
+        m = DependentModel(Independence(2), (d, d), tau=Zeta(1.5))
+        tracemalloc.start()
+        try:
+            mc._stats_stopped(m, ("max", "sum"), mc.block_stream(0, 0),
+                              mc.block_stream(0, mc._TAU_LANE),
+                              mc.BLOCK_SIZE, mc.TAU_CAP)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * mc._CHUNK_VALUES, peak / 2 ** 20
 
 
 class TestPathwiseOrderings:
