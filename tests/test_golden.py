@@ -1,4 +1,4 @@
-"""Golden CSV bytes: every preset's output is frozen by its sha256.
+"""Golden output bytes: every preset and every command is frozen by sha256.
 
 Each preset runs through cli.main at a small budget (two blocks, so the
 two-worker run really splits work) and a fixed seed. A refactor of the
@@ -8,6 +8,7 @@ x86-64 Linux; float formatting and libm are the platform-dependent parts.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -43,3 +44,139 @@ def test_preset_csv_bytes_are_frozen(capsys, preset_id, workers):
     out = capsys.readouterr().out
     assert code in (cli.EXIT_OK, cli.EXIT_INCONSISTENT), code
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[preset_id]
+
+
+# Every other command, in both output formats, at budgets small enough that
+# the whole table runs in well under a second.
+
+PARETO11 = {"family": "pareto", "alpha": 1.0, "scale": 1.0}
+
+CONFIGS = {
+    "rc": {"model": {"copula": {"family": "fgm", "coeffs": [1.0]},
+                     "marginals": [PARETO11, PARETO11]},
+           "quantity": "SumN", "denominator": {"kind": "n_tail", "n": 2},
+           "grid": {"lo": 5.0, "hi": 500.0, "points": 8},
+           "samples": 20_000, "seed": 13, "numerator": "mc"},
+    "class": {"dist": {"family": "weibull", "shape": 0.5},
+              "checks": "L,D,S",
+              "grid": {"lo": 2.0, "hi": 400.0, "points": 10}},
+    "dependence": {"model": {"copula": {"family": "fgm", "dim": 3,
+                                        "coeffs": [0.5, 0.5, 0.5]},
+                             "marginals": [PARETO11, PARETO11,
+                                           {"family": "pareto",
+                                            "alpha": 1.5}]},
+                   "checks": ["H1", "H2"], "pair": [0, 2]},
+    "discrete": {"risk": "discrete",
+                 "claims": {"copula": {"family": "independence", "dim": 2},
+                            "marginals": [PARETO11, PARETO11]},
+                 "rate": 0.02, "grid": {"lo": 5.0, "hi": 50.0, "points": 4},
+                 "samples": 20_000, "seed": 2},
+    "arrival": {"risk": "arrival",
+                "claim_size": {"family": "pareto", "alpha": 2.0},
+                "loading": 0.1, "intensity": 2.0, "horizon": 1.0,
+                "samples": 20_000, "seed": 4},
+    "ruin-preset": {"preset": "C5.2", "samples": 20_000, "seed": 1},
+}
+
+COMMANDS = {
+    "ratio-curve": ["ratio-curve", "--config", "{rc}"],
+    "class-token": ["diagnose-class", "--dist", "pareto(1.5,1)",
+                    "--check", "all"],
+    "class-config": ["diagnose-class", "--config", "{class}"],
+    "dependence-token": ["diagnose-dependence", "--model", "fgm-pareto",
+                         "--check", "both"],
+    "dependence-config": ["diagnose-dependence", "--config", "{dependence}"],
+    "convolve-exact": ["convolve", "--dist", "example11", "--nfold", "2"],
+    "convolve-bracket": ["convolve", "--dist", "pareto(1.5,1)",
+                         "--nfold", "3"],
+    "ruin-discrete": ["ruin", "--config", "{discrete}"],
+    "ruin-arrival": ["ruin", "--config", "{arrival}"],
+    "ruin-preset": ["ruin", "--preset", "C5.1", "--samples", "20000",
+                    "--seed", "3"],
+    "ruin-preset-config": ["ruin", "--config", "{ruin-preset}"],
+    "surplus-path": ["surplus-path", "--config", "{discrete}",
+                     "--surplus", "12", "--replicate", "1"],
+    "list-presets": ["list-presets"],
+}
+
+# (command, format) -> (exit code, sha256 of stdout)
+COMMAND_GOLDEN = {
+    ("ratio-curve", "csv"):
+        (0, "de5eea5c386fc47a2af9a485be02b17c1c4d108eb49fead8735e72da314cdb0e"),
+    ("ratio-curve", "records"):
+        (0, "7f67786a5a72e9b2de74726927a85c6dc7ca67daccfcaff398fc5be3e91a6bf7"),
+    ("class-token", "csv"):
+        (0, "c15ee3897d173e87e5366a301b12c4496dbbdf5994f4d973bc1c974bbe205860"),
+    ("class-token", "records"):
+        (0, "3580a544e62b31af38365ae52fd40de5d38ddb4ee82949bb72d52b1cf4e8a44f"),
+    ("class-config", "csv"):
+        (2, "9a9d94fd747f82a014ac3cf0f0c9625ae4207d75ec9e544b06357ba9a997c070"),
+    ("class-config", "records"):
+        (2, "f9006701949e9b0b5566c64343d097a8d5eb120b22b4db77341cf6f369766561"),
+    ("dependence-token", "csv"):
+        (0, "f1e768025ac2951780e1c3da05f77983ce1bc66c07887f163bfb670903ee5991"),
+    ("dependence-token", "records"):
+        (0, "4aebb7bbdaed54abe5843b7812eb4528608d5e9051e1fd79544b8375f7278d04"),
+    ("dependence-config", "csv"):
+        (0, "06fb15bde2b8a4d994f4f71c56faa49bb258697dad608f5adfe99a2027f6d70c"),
+    ("dependence-config", "records"):
+        (0, "29464adc29ef0a2697b1f1b0f31c62f55fc2b96dd143710b4e309b3047888f7d"),
+    ("convolve-exact", "csv"):
+        (0, "d12ac6a1ac006b0e603d44ffe1ee840e5f42b1099e198928954f5bada1c0dc8d"),
+    ("convolve-exact", "records"):
+        (0, "343c0f95a9b9d566161487997ac25640cb6c30a3ac06652e3808b58dda87fb8a"),
+    ("convolve-bracket", "csv"):
+        (0, "ec3b111e9b1e8792e06f48c3164c4a77798e06d8ba667d190f2f3b723ceaa67c"),
+    ("convolve-bracket", "records"):
+        (0, "187a2193643a89d2ba439416b4e018a4aaf7d72f6f62364c43ccb0950df48c4d"),
+    ("ruin-discrete", "csv"):
+        (0, "b6529bedf37ede65dc92ff31eab5c197166bec8c845509f69878b5baf60518e2"),
+    ("ruin-discrete", "records"):
+        (0, "58c536f5074db40d94da7e75a1cda747e7374fe65d9adbd4d27505c3f46fc72a"),
+    ("ruin-arrival", "csv"):
+        (0, "439b98b362fef514749aa101bf046c5d1419c27c02b838e694f5c99b1a0b5a40"),
+    ("ruin-arrival", "records"):
+        (0, "36ade651d4d6fea1cd8cf22d0ef0d74096a325320dc754003fabc7289b34f017"),
+    ("ruin-preset", "csv"):
+        (0, "3efd9abbeb57fd111efd3cb9be3ff5205e915b9c7f5273309060b206b28c3c45"),
+    ("ruin-preset", "records"):
+        (0, "178764df3deb65f309b04901ceae4b545ec1b86274cb2029fa40bb7f6c8fae1b"),
+    ("ruin-preset-config", "csv"):
+        (0, "dbf00016d1f3a9d8898a93b8b419095177072f923f994de793909d37c4ba40e7"),
+    ("ruin-preset-config", "records"):
+        (0, "4f0ab25186259012e7239ff9bed6e2c5a7f40a873615e728b1f6b747e77314fc"),
+    ("surplus-path", "csv"):
+        (0, "b12a7951fcea162c2c448ffd38ee1cf53cf2552b352b1fdedca8125913545cf2"),
+    ("surplus-path", "records"):
+        (0, "a4c030a20dfad2c6a2b84d004125e3f57cccfb2ce056538c145d1a37d63f41a3"),
+    ("list-presets", "csv"):
+        (0, "4044ac2c5334a71470b1b0280a303d969ba4480fad0413f7f41491f53eebe11d"),
+    ("list-presets", "records"):
+        (0, "3270dc678064bc625d72121d8eaeca16f2d2db9a8ed9680dd1ef5ee08a586348"),
+}
+
+
+@pytest.fixture(scope="module")
+def config_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden-configs")
+    paths = {}
+    for name, cfg in CONFIGS.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(cfg))
+    return {name: str(path) for name, path in paths.items()}
+
+
+def test_command_golden_covers_every_command():
+    assert sorted(COMMAND_GOLDEN) == sorted(
+        (name, fmt) for name in COMMANDS for fmt in ("csv", "records"))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "records"])
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_output_bytes_are_frozen(capsys, config_paths, name, fmt):
+    argv = [a.format(**config_paths) if a.startswith("{") else a
+            for a in COMMANDS[name]]
+    code = cli.main(argv + ["--format", fmt])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        COMMAND_GOLDEN[(name, fmt)]
