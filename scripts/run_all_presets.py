@@ -15,18 +15,13 @@ import argparse
 import sys
 import time
 
-from heavytails import experiments as ex
-from heavytails.risk import RISK_PRESETS
+from heavytails.risk import presets, run_preset
 
 
 def run_one(preset_id, samples, seed, workers):
     start = time.perf_counter()
-    if preset_id in ex.PRESETS:
-        curves = ex.theorem_suite(preset_id, samples=samples, seed=seed,
-                                  workers=workers)
-    else:
-        curves = [RISK_PRESETS[preset_id].run(samples=samples, seed=seed,
-                                              workers=workers)]
+    curves = run_preset(preset_id, samples=samples, seed=seed,
+                        workers=workers)
     elapsed = time.perf_counter() - start
     return curves, elapsed
 
@@ -41,7 +36,7 @@ def main(argv=None):
     parser.add_argument("--only", help="comma-separated preset ids")
     args = parser.parse_args(argv)
 
-    ids = list(ex.PRESETS) + list(RISK_PRESETS)
+    ids = list(presets())
     if args.only:
         wanted = [t.strip() for t in args.only.split(",") if t.strip()]
         unknown = [t for t in wanted if t not in ids]

@@ -11,9 +11,12 @@ usage and schema problems, 1 for unexpected failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
+from dataclasses import asdict
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -28,7 +31,7 @@ from .counting import Deterministic, Geometric1, Poisson, Zeta
 from .distributions import (DiscreteAtoms, Exponential, GeometricAtomMixture,
                             IntegratedTail, Lognormal, Pareto, ShiftedBy,
                             Weibull)
-from .errors import ConfigError, HeavyTailsError
+from .errors import ConfigError, HeavyTailsError, InvalidInput
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -93,92 +96,80 @@ def _json_fallback(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-# ----------------------------------------------------------------- builders --
-
-def build_marginal(cfg, context="marginal"):
-    cfg = _expect_mapping(cfg, context)
-    family = cfg.get("family")
-    if not isinstance(family, str):
-        raise ConfigError(f"{context}: needs a string 'family' field")
+@contextlib.contextmanager
+def _config_errors(context: str, *also):
+    """Re-raise library errors, and errors of the given types, as a
+    ConfigError naming context; schema errors pass through unchanged."""
     try:
-        if family == "pareto":
-            f = _take(cfg, context, ("family", "alpha"), {"scale": 1.0})
-            return Pareto(float(f["alpha"]), float(f["scale"]))
-        if family == "weibull":
-            f = _take(cfg, context, ("family", "shape"), {"scale": 1.0})
-            return Weibull(float(f["shape"]), float(f["scale"]))
-        if family == "lognormal":
-            f = _take(cfg, context, ("family",), {"mu": 0.0, "sigma": 1.0})
-            return Lognormal(float(f["mu"]), float(f["sigma"]))
-        if family == "exponential":
-            f = _take(cfg, context, ("family",), {"rate": 1.0})
-            return Exponential(float(f["rate"]))
-        if family == "example11":
-            f = _take(cfg, context, ("family",), {"q": 0.5})
-            return GeometricAtomMixture(q=float(f["q"]))
-        if family == "atoms":
-            f = _take(cfg, context, ("family", "atoms"))
-            atoms = tuple((float(l), float(m)) for l, m in f["atoms"])
-            return DiscreteAtoms(atoms)
-        if family == "shifted":
-            f = _take(cfg, context, ("family", "base", "offset"))
-            return ShiftedBy(build_marginal(f["base"], context + ".base"),
-                             float(f["offset"]))
-        if family == "integrated_tail":
-            f = _take(cfg, context, ("family", "base"))
-            return IntegratedTail(build_marginal(f["base"],
-                                                 context + ".base"))
+        yield
     except ConfigError:
         raise
-    except (HeavyTailsError, TypeError, ValueError) as err:
+    except (HeavyTailsError,) + also as err:
         raise ConfigError(f"{context}: {err}")
-    raise ConfigError(f"{context}: unknown family {family!r}")
+
+
+# ----------------------------------------------------------------- builders --
+
+# family -> (constructor, fields in constructor order, defaults)
+_MARGINALS = {
+    "pareto": (Pareto, ("alpha", "scale"), {"scale": 1.0}),
+    "weibull": (Weibull, ("shape", "scale"), {"scale": 1.0}),
+    "lognormal": (Lognormal, ("mu", "sigma"), {"mu": 0.0, "sigma": 1.0}),
+    "exponential": (Exponential, ("rate",), {"rate": 1.0}),
+    "example11": (GeometricAtomMixture, ("q",), {"q": 0.5}),
+    "atoms": (DiscreteAtoms, ("atoms",), {}),
+    "shifted": (ShiftedBy, ("base", "offset"), {}),
+    "integrated_tail": (IntegratedTail, ("base",), {}),
+}
+_COPULAS = {
+    "fgm": (FGM, ("dim", "coeffs"), {"dim": 2}),
+    "independence": (Independence, ("dim",), {"dim": 2}),
+    "comonotone": (Comonotone, ("dim",), {"dim": 2}),
+}
+_COUNTING = {
+    "poisson": (Poisson, ("mean",), {}),
+    "geometric1": (Geometric1, ("p",), {}),
+    "zeta": (Zeta, ("s",), {}),
+    "deterministic": (Deterministic, ("n",), {}),
+}
+
+
+def _field(key: str, value, context: str):
+    """Convert one family field; plain numeric fields are floats."""
+    if key == "base":
+        return build_marginal(value, context + ".base")
+    if key == "atoms":
+        return tuple((float(loc), float(mass)) for loc, mass in value)
+    if key == "coeffs":
+        return tuple(float(a) for a in ([value] if isinstance(
+            value, (int, float)) else value))
+    return int(value) if key in ("dim", "n") else float(value)
+
+
+def _build_family(table: dict, cfg, context: str):
+    cfg = _expect_mapping(cfg, context)
+    family = cfg.get("family")
+    if not (isinstance(family, str) and family in table):
+        raise ConfigError(f"{context}: unknown family {family!r}")
+    ctor, fields, defaults = table[family]
+    with _config_errors(context, TypeError, ValueError):
+        f = _take(cfg, context, ("family",) + tuple(
+            k for k in fields if k not in defaults), defaults)
+        return ctor(*(_field(k, f[k], context) for k in fields))
+
+
+def build_marginal(cfg, context="marginal"):
+    if not isinstance(_expect_mapping(cfg, context).get("family"), str):
+        raise ConfigError(f"{context}: needs a string 'family' field")
+    return _build_family(_MARGINALS, cfg, context)
 
 
 def build_copula(cfg, context="copula"):
-    cfg = _expect_mapping(cfg, context)
-    family = cfg.get("family")
-    try:
-        if family == "fgm":
-            f = _take(cfg, context, ("family", "coeffs"), {"dim": 2})
-            coeffs = f["coeffs"]
-            if isinstance(coeffs, (int, float)):
-                coeffs = [coeffs]
-            return FGM(int(f["dim"]), tuple(float(a) for a in coeffs))
-        if family == "independence":
-            f = _take(cfg, context, ("family",), {"dim": 2})
-            return Independence(int(f["dim"]))
-        if family == "comonotone":
-            f = _take(cfg, context, ("family",), {"dim": 2})
-            return Comonotone(int(f["dim"]))
-    except ConfigError:
-        raise
-    except (HeavyTailsError, TypeError, ValueError) as err:
-        raise ConfigError(f"{context}: {err}")
-    raise ConfigError(f"{context}: unknown family {family!r}")
+    return _build_family(_COPULAS, cfg, context)
 
 
 def build_counting(cfg, context="tau"):
-    cfg = _expect_mapping(cfg, context)
-    family = cfg.get("family")
-    try:
-        if family == "poisson":
-            f = _take(cfg, context, ("family", "mean"))
-            return Poisson(float(f["mean"]))
-        if family == "geometric1":
-            f = _take(cfg, context, ("family", "p"))
-            return Geometric1(float(f["p"]))
-        if family == "zeta":
-            f = _take(cfg, context, ("family", "s"))
-            return Zeta(float(f["s"]))
-        if family == "deterministic":
-            f = _take(cfg, context, ("family", "n"))
-            return Deterministic(int(f["n"]))
-    except ConfigError:
-        raise
-    except (HeavyTailsError, TypeError, ValueError) as err:
-        raise ConfigError(f"{context}: {err}")
-    raise ConfigError(f"{context}: unknown family {family!r}")
+    return _build_family(_COUNTING, cfg, context)
 
 
 def build_model(cfg, context="model"):
@@ -190,23 +181,16 @@ def build_model(cfg, context="model"):
                       for i, m in enumerate(f["marginals"]))
     tau = None if f["tau"] is None else build_counting(f["tau"],
                                                        context + ".tau")
-    try:
+    with _config_errors(context, TypeError, ValueError):
         return DependentModel(copula, marginals, tau=tau)
-    except (HeavyTailsError, TypeError, ValueError) as err:
-        raise ConfigError(f"{context}: {err}")
 
 
 def build_denominator(cfg, context="denominator"):
     f = _take(cfg, context, ("kind",), {"n": None, "rate": None})
-    kwargs = {}
-    if f["n"] is not None:
-        kwargs["n"] = int(f["n"])
-    if f["rate"] is not None:
-        kwargs["rate"] = float(f["rate"])
-    try:
-        return ex.Denominator(str(f["kind"]), **kwargs)
-    except (HeavyTailsError, TypeError, ValueError) as err:
-        raise ConfigError(f"{context}: {err}")
+    n = None if f["n"] is None else int(f["n"])
+    rate = None if f["rate"] is None else float(f["rate"])
+    with _config_errors(context, TypeError, ValueError):
+        return ex.Denominator(str(f["kind"]), n=n, rate=rate)
 
 
 def build_grid(cfg, context="grid"):
@@ -264,16 +248,11 @@ def parse_dist_token(token: str) -> dict:
 
 
 _MODEL_TOKENS = {
-    "comonotone-pareto": {
-        "copula": {"family": "comonotone", "dim": 2},
-        "marginals": [{"family": "pareto", "alpha": 1.0, "scale": 1.0}] * 2},
-    "independence-pareto": {
-        "copula": {"family": "independence", "dim": 2},
-        "marginals": [{"family": "pareto", "alpha": 1.0, "scale": 1.0}] * 2},
-    "fgm-pareto": {
-        "copula": {"family": "fgm", "dim": 2, "coeffs": [1.0]},
-        "marginals": [{"family": "pareto", "alpha": 1.0, "scale": 1.0}] * 2},
-}
+    f"{family}-pareto": {
+        "copula": {"family": family, "dim": 2, **extra},
+        "marginals": [{"family": "pareto", "alpha": 1.0, "scale": 1.0}] * 2}
+    for family, extra in (("comonotone", {}), ("independence", {}),
+                          ("fgm", {"coeffs": [1.0]}))}
 
 
 # ----------------------------------------------------------------- output --
@@ -282,71 +261,23 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _curves_csv(curves, config_line: str) -> str:
-    lines = [f"# config={config_line}", ",".join(CSV_COLUMNS)]
-    for curve in curves:
-        for p in curve.points:
-            lines.append(",".join((
-                curve.experiment_id, _fmt(p.x), _fmt(p.numerator),
-                _fmt(p.stderr), _fmt(p.denominator), _fmt(p.ratio),
-                _fmt(p.ci_low), _fmt(p.ci_high), _fmt(p.running_min))))
-    return "\n".join(lines) + "\n"
-
-
-def _finite_or_str(value: float):
-    return float(value) if math.isfinite(value) else str(value)
-
-
 def _curve_record(curve) -> dict:
+    limit = curve.predicted_limit
     return {
         "experiment_id": curve.experiment_id,
         "quantity": curve.quantity,
         "denominator": curve.denominator,
         "semantics": curve.semantics,
-        "predicted_limit": _finite_or_str(curve.predicted_limit),
+        "predicted_limit": (float(limit) if math.isfinite(limit)
+                            else str(limit)),
         "tolerance": curve.tolerance,
         "verdict": curve.verdict,
         "running_min": curve.running_min,
         "samples": curve.samples,
         "seed": curve.seed,
         "notes": list(curve.notes),
-        "points": [{
-            "x": p.x, "numerator": p.numerator, "stderr": p.stderr,
-            "denominator": p.denominator, "ratio": p.ratio,
-            "ci_low": p.ci_low, "ci_high": p.ci_high,
-            "running_min": p.running_min} for p in curve.points],
+        "points": [asdict(p) for p in curve.points],
     }
-
-
-def _curves_records(curves, config: dict) -> str:
-    payload = {"config": config,
-               "results": [_curve_record(c) for c in curves]}
-    return json.dumps(payload, indent=2, sort_keys=True,
-                      default=_json_fallback) + "\n"
-
-
-def _emit(text: str, out: str):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _write_curves(curves, config: dict, args) -> int:
-    config_line = canonical_json(config)
-    if args.format == "records":
-        text = _curves_records(curves, config)
-    else:
-        text = _curves_csv(curves, config_line)
-    _emit(text, args.out)
-    if args.out:
-        for c in curves:
-            print(f"{c.experiment_id}: {c.verdict} "
-                  f"(running min {c.running_min:.6g})")
-    if any(c.verdict == "inconsistent" for c in curves):
-        return EXIT_INCONSISTENT
-    return EXIT_OK
 
 
 def _report_rows(reports) -> list:
@@ -358,44 +289,120 @@ def _report_rows(reports) -> list:
                          "tolerance": math.nan, "running_min": None,
                          "notes": [rep]})
             continue
-        end = float(rep.statistics[-1]) if len(rep.statistics) else math.nan
         target = rep.target_value
         rows.append({
-            "check": name,
-            "verdict": rep.verdict,
-            "end_statistic": end,
+            "check": name, "verdict": rep.verdict,
+            "end_statistic": (float(rep.statistics[-1])
+                              if len(rep.statistics) else math.nan),
             "target": None if target is None else float(target),
-            "tolerance": rep.tolerance,
-            "running_min": rep.running_min,
-            "notes": list(rep.notes),
-        })
+            "tolerance": rep.tolerance, "running_min": rep.running_min,
+            "notes": list(rep.notes)})
     return rows
 
 
-def _write_reports(reports, config: dict, args) -> int:
-    rows = _report_rows(reports)
+def _emit(text: str, out: str):
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _write_table(args, config: dict, columns, rows, results=None):
+    """CSV rows under the echoed config, or a records document.
+
+    CSV cells that are not strings print as repr floats. The records
+    results default to one mapping of columns to cells per row.
+    """
     if args.format == "records":
-        text = json.dumps({"config": config, "results": rows}, indent=2,
+        if results is None:
+            results = [dict(zip(columns, row)) for row in rows]
+        text = json.dumps({"config": config, "results": results}, indent=2,
                           sort_keys=True, default=_json_fallback) + "\n"
     else:
-        lines = [f"# config={canonical_json(config)}",
-                 "check,verdict,end_statistic,target,tolerance"]
-        for row in rows:
-            target = "" if row["target"] is None else _fmt(row["target"])
-            lines.append(",".join((
-                row["check"], row["verdict"], _fmt(row["end_statistic"]),
-                target, _fmt(row["tolerance"]))))
+        lines = [f"# config={canonical_json(config)}", ",".join(columns)]
+        lines += [",".join(c if isinstance(c, str) else _fmt(c) for c in row)
+                  for row in rows]
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
+
+
+def _status(args, statuses) -> int:
+    """Print (line, verdict) pairs after an --out run; 2 if any failed."""
     if args.out:
-        for row in rows:
-            print(f"{row['check']}: {row['verdict']}")
-    if any(row["verdict"] == "inconsistent" for row in rows):
+        for line, _ in statuses:
+            print(line)
+    if any(verdict == "inconsistent" for _, verdict in statuses):
         return EXIT_INCONSISTENT
     return EXIT_OK
 
 
-# ----------------------------------------------------------------- commands --
+def _write_curves(args, config: dict, curves) -> int:
+    rows = [(c.experiment_id, p.x, p.numerator, p.stderr, p.denominator,
+             p.ratio, p.ci_low, p.ci_high, p.running_min)
+            for c in curves for p in c.points]
+    _write_table(args, config, CSV_COLUMNS, rows,
+                 [_curve_record(c) for c in curves])
+    return _status(args, [(f"{c.experiment_id}: {c.verdict} "
+                           f"(running min {c.running_min:.6g})", c.verdict)
+                          for c in curves])
+
+
+def _write_reports(args, config: dict, reports) -> int:
+    results = _report_rows(reports)
+    rows = [(r["check"], r["verdict"], r["end_statistic"],
+             "" if r["target"] is None else r["target"], r["tolerance"])
+            for r in results]
+    _write_table(args, config, ("check", "verdict", "end_statistic",
+                                "target", "tolerance"), rows, results)
+    return _status(args, [(f"{r['check']}: {r['verdict']}", r["verdict"])
+                          for r in results])
+
+
+# ----------------------------------------------------------------- schemas --
+
+# config kind -> (required fields, optional fields with their defaults)
+_SCHEMAS = {
+    "ratio-curve": (("model", "quantity", "denominator"),
+                    {"grid": None, "samples": None, "seed": None,
+                     "predicted": 1.0, "semantics": "lim", "tolerance": 0.05,
+                     "experiment_id": "custom", "numerator": "auto",
+                     "divergence_bound": 10.0, "weights": None}),
+    "theorem": ((), {"theorem_id": None, "model": None, "samples": None,
+                     "seed": None, "grid": None}),
+    "ruin": (("preset",), {"samples": None, "seed": None}),
+    "discrete": (("risk", "claims"),
+                 {"rate": 0.0, "grid": None, "samples": None, "seed": None,
+                  "tolerance": 0.15}),
+    "arrival": (("risk", "claim_size", "loading", "intensity", "horizon"),
+                {"grid": None, "samples": None, "seed": None,
+                 "tolerance": 0.15}),
+    "diagnose-class": (("dist",), {"checks": None, "grid": None}),
+    "diagnose-dependence": (("model",), {"checks": None, "pair": (0, 1)}),
+    "convolve": (("dist",), {"nfold": 2, "points": "auto"}),
+}
+
+
+class _Parsed(NamedTuple):
+    """A config checked and built: its echo, its work and its advisories."""
+
+    echo: dict
+    run: object                 # () -> what the command writes
+    warnings: tuple = ()
+
+
+def _fields(raw, kind: str) -> dict:
+    return _take(raw, f"{kind} config", *_SCHEMAS[kind])
+
+
+def _config(args, usage: str, flag: str = None, **flags) -> dict:
+    """The --config mapping, else the mapping the command's flags spell."""
+    if args.config:
+        return load_config(args.config)
+    if flag and getattr(args, flag):
+        return {flag: getattr(args, flag), **flags}
+    raise ConfigError(usage)
+
 
 def _resolve(args, config: dict, key: str, default):
     """Flag beats config beats default."""
@@ -407,16 +414,8 @@ def _resolve(args, config: dict, key: str, default):
     return default
 
 
-def cmd_ratio_curve(args) -> int:
-    if not args.config:
-        raise ConfigError("ratio-curve needs --config")
-    raw = load_config(args.config)
-    f = _take(raw, "ratio-curve config",
-              ("model", "quantity", "denominator"),
-              {"grid": None, "samples": None, "seed": None,
-               "predicted": 1.0, "semantics": "lim", "tolerance": 0.05,
-               "experiment_id": "custom", "numerator": "auto",
-               "divergence_bound": 10.0, "weights": None})
+def _parse_ratio_curve(raw, args) -> _Parsed:
+    f = _fields(raw, "ratio-curve")
     model = build_model(f["model"])
     denominator = build_denominator(f["denominator"])
     grid = build_grid(f["grid"])
@@ -424,70 +423,69 @@ def cmd_ratio_curve(args) -> int:
     seed = int(_resolve(args, f, "seed", 0))
     weights = None if f["weights"] is None else [float(w)
                                                  for w in f["weights"]]
-    try:
-        curve = ex.run_experiment(
-            model, str(f["quantity"]), denominator, x_grid=grid,
-            samples=samples, seed=seed, workers=args.workers,
-            predicted=float(f["predicted"]), semantics=str(f["semantics"]),
-            tolerance=float(f["tolerance"]),
-            experiment_id=str(f["experiment_id"]),
-            numerator=str(f["numerator"]),
-            divergence_bound=float(f["divergence_bound"]),
-            weights=weights)
-    except HeavyTailsError as err:
-        raise ConfigError(f"ratio-curve: {err}")
-    echo = {"model": f["model"], "quantity": f["quantity"],
-            "denominator": f["denominator"], "grid": f["grid"],
-            "samples": samples, "seed": seed, "predicted": f["predicted"],
-            "semantics": f["semantics"], "tolerance": f["tolerance"],
-            "experiment_id": f["experiment_id"],
-            "numerator": f["numerator"],
-            "divergence_bound": f["divergence_bound"],
-            "weights": f["weights"]}
-    return _write_curves([curve], echo, args)
+    with _config_errors("ratio-curve"):
+        claim = ex.Claim(mc.parse_quantity(str(f["quantity"])).token,
+                         str(f["semantics"]), denominator,
+                         float(f["predicted"]))
+        ex.check_run_options(str(f["numerator"]), float(f["tolerance"]))
+
+    def run():
+        with _config_errors("ratio-curve"):
+            return [ex.run_experiment(
+                model, claim.quantity, denominator, x_grid=grid,
+                samples=samples, seed=seed, workers=args.workers,
+                predicted=claim.predicted, semantics=claim.semantics,
+                tolerance=float(f["tolerance"]),
+                experiment_id=str(f["experiment_id"]),
+                numerator=str(f["numerator"]),
+                divergence_bound=float(f["divergence_bound"]),
+                weights=weights)]
+
+    warnings = ()
+    if (model.tau is not None and not math.isfinite(model.tau.mean())
+            and f["semantics"] != "divergence"):
+        warnings = (
+            "the counting law has infinite mean but the experiment uses "
+            "'%s' semantics; ratios against any finite denominator "
+            "diverge, switch to divergence semantics" % f["semantics"],)
+    return _Parsed({**f, "samples": samples, "seed": seed}, run, warnings)
 
 
 def _all_preset_ids() -> list:
-    return list(ex.PRESETS) + list(risk_mod.RISK_PRESETS)
+    return list(risk_mod.presets())
 
 
-def cmd_theorem(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    f = _take(config, "theorem config", (),
-              {"theorem_id": None, "model": None, "samples": None,
-               "seed": None, "grid": None})
-    tid = args.id or f["theorem_id"]
+def _parse_theorem(raw, args) -> _Parsed:
+    f = _fields(raw, "theorem")
+    tid = getattr(args, "id", None) or f["theorem_id"]
     if not tid:
         raise ConfigError("theorem needs --id or a theorem_id config field")
-    if args.preset not in (None, "default"):
-        raise ConfigError(f"unknown preset variant {args.preset!r}; "
-                          f"only 'default' exists")
+    return _preset_plan(args, f, "theorem_id", tid, risk_mod.presets(),
+                        "theorem id")
+
+
+def _preset_plan(args, f: dict, key: str, pid, registry: dict,
+                 noun: str) -> _Parsed:
+    """Run one named preset, for a theorem or a ruin preset config."""
     seed = int(_resolve(args, f, "seed", 0))
     samples = _resolve(args, f, "samples", None)
     samples = None if samples is None else int(samples)
-    grid = build_grid(f["grid"])
-    if tid in ex.PRESETS:
-        model = build_model(f["model"]) if f["model"] is not None else None
-        curves = ex.theorem_suite(tid, model=model, samples=samples,
-                                  seed=seed, workers=args.workers,
-                                  x_grid=grid)
-        resolved_samples = (samples if samples is not None
-                            else ex.PRESETS[tid].samples)
-    elif tid in risk_mod.RISK_PRESETS:
-        if f["model"] is not None:
-            raise ConfigError(f"preset {tid} does not take a custom model; "
+    grid = build_grid(f.get("grid"))
+    if pid not in registry:
+        raise ConfigError(f"unknown {noun} {pid!r}; have {list(registry)}")
+    model, warnings = None, ()
+    if f.get("model") is not None:
+        if pid not in ex.PRESETS:
+            raise ConfigError(f"preset {pid} does not take a custom model; "
                               f"use the ruin command with a config")
-        curve = risk_mod.RISK_PRESETS[tid].run(samples=samples, seed=seed,
-                                               workers=args.workers,
-                                               x_grid=grid)
-        curves = [curve]
-        resolved_samples = curve.samples
-    else:
-        raise ConfigError(f"unknown theorem id {tid!r}; have "
-                          f"{_all_preset_ids()}")
-    echo = {"theorem_id": tid, "model": f["model"],
-            "samples": resolved_samples, "seed": seed, "grid": f["grid"]}
-    return _write_curves(curves, echo, args)
+        model = build_model(f["model"])
+        warnings = tuple(f"{pid} hypotheses unverified: {issue}"
+                         for issue in registry[pid].hypothesis_issues(model))
+    echo = {**f, key: pid, "seed": seed,
+            "samples": registry[pid].samples if samples is None else samples}
+    return _Parsed(echo, lambda: risk_mod.run_preset(
+        pid, model=model, samples=samples, seed=seed, workers=args.workers,
+        x_grid=grid), warnings)
 
 
 _MIXTURE_ATOM_GRID = tuple(float(2 ** (n + 1)) - 1.5 for n in range(1, 11))
@@ -501,57 +499,22 @@ def _class_default_grid(dist, check: str):
     return None
 
 
-_CLASS_CHECKS = ("L", "D", "S", "Sstar", "SstarStrong")
+# class check -> diagnostics function
+_CLASS_CHECKS = {"L": "long_tail", "D": "dominated", "S": "subexponential",
+                 "Sstar": "sstar", "SstarStrong": "strong_subexponential"}
 
 
-def _run_class_check(dist, check: str, grid):
-    if check == "L":
-        return diag.long_tail(dist, grid=grid)
-    if check == "D":
-        return diag.dominated(dist, grid=grid)
-    if check == "S":
-        return diag.subexponential(dist, grid=grid)
-    if check == "Sstar":
-        return diag.sstar(dist, grid=grid)
-    return diag.strong_subexponential(dist, grid=grid)
-
-
-def cmd_diagnose_class(args) -> int:
-    if args.config:
-        raw = load_config(args.config)
-        f = _take(raw, "diagnose-class config", ("dist",),
-                  {"checks": None, "grid": None})
-        dist_cfg = (parse_dist_token(f["dist"])
-                    if isinstance(f["dist"], str) else f["dist"])
-        checks = f["checks"]
-        grid_cfg = f["grid"]
-    elif args.dist:
-        dist_cfg = parse_dist_token(args.dist)
-        checks = None
-        grid_cfg = None
-    else:
-        raise ConfigError("diagnose-class needs --dist or --config")
-    if args.check:
-        checks = args.check
-    checks = list(_CLASS_CHECKS) if checks in (None, "all") else (
-        checks.split(",") if isinstance(checks, str) else list(checks))
+def _checks(value, allowed, everything: str, kind: str, have: str) -> list:
+    checks = list(allowed) if value in (None, everything) else (
+        value.split(",") if isinstance(value, str) else list(value))
     for c in checks:
-        if c not in _CLASS_CHECKS:
-            raise ConfigError(f"unknown class check {c!r}; have "
-                              f"{_CLASS_CHECKS} or 'all'")
-    if args.grid:
-        grid_cfg = _parse_grid_flag(args.grid)
-    dist = build_marginal(dist_cfg, "dist")
-    grid = build_grid(grid_cfg)
-    reports = []
-    for check in checks:
-        use = grid if grid is not None else _class_default_grid(dist, check)
-        try:
-            reports.append((check, _run_class_check(dist, check, use)))
-        except HeavyTailsError as err:
-            reports.append((check, str(err)))
-    echo = {"dist": dist_cfg, "checks": checks, "grid": grid_cfg}
-    return _write_reports(reports, echo, args)
+        if c not in allowed:
+            raise ConfigError(f"unknown {kind} check {c!r}; have {have}")
+    return checks
+
+
+def _dist_config(dist):
+    return parse_dist_token(dist) if isinstance(dist, str) else dist
 
 
 def _parse_grid_flag(text: str):
@@ -567,40 +530,52 @@ def _parse_grid_flag(text: str):
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def cmd_diagnose_dependence(args) -> int:
-    if args.config:
-        raw = load_config(args.config)
-        f = _take(raw, "diagnose-dependence config", ("model",),
-                  {"checks": None, "pair": (0, 1)})
-        model_cfg = (dict(_MODEL_TOKENS[f["model"]])
-                     if isinstance(f["model"], str)
-                     and f["model"] in _MODEL_TOKENS else f["model"])
-        checks = f["checks"]
-        pair = tuple(int(i) for i in f["pair"])
-    elif args.model:
-        if args.model not in _MODEL_TOKENS:
-            raise ConfigError(f"unknown model token {args.model!r}; have "
+def _parse_class(raw, args) -> _Parsed:
+    f = _fields(raw, "diagnose-class")
+    dist_cfg = _dist_config(f["dist"])
+    checks = _checks(getattr(args, "check", None) or f["checks"],
+                     tuple(_CLASS_CHECKS), "all", "class",
+                     f"{tuple(_CLASS_CHECKS)} or 'all'")
+    grid_cfg = f["grid"]
+    if getattr(args, "grid", None):
+        grid_cfg = _parse_grid_flag(args.grid)
+    dist = build_marginal(dist_cfg, "dist")
+    grid = build_grid(grid_cfg)
+
+    def run():
+        reports = []
+        for check in checks:
+            use = grid if grid is not None else _class_default_grid(dist,
+                                                                    check)
+            try:
+                reports.append((check, getattr(diag, _CLASS_CHECKS[check])(
+                    dist, grid=use)))
+            except HeavyTailsError as err:
+                reports.append((check, str(err)))
+        return reports
+
+    return _Parsed({"dist": dist_cfg, "checks": checks, "grid": grid_cfg},
+                   run)
+
+
+def _parse_dependence(raw, args) -> _Parsed:
+    f = _fields(raw, "diagnose-dependence")
+    model_cfg = f["model"]
+    if isinstance(model_cfg, str):
+        if model_cfg not in _MODEL_TOKENS:
+            raise ConfigError(f"unknown model token {model_cfg!r}; have "
                               f"{sorted(_MODEL_TOKENS)}")
-        model_cfg = dict(_MODEL_TOKENS[args.model])
-        checks = None
-        pair = (0, 1)
-    else:
-        raise ConfigError("diagnose-dependence needs --model or --config")
-    if args.check:
-        checks = args.check
-    checks = ["H1", "H2"] if checks in (None, "both") else (
-        checks.split(",") if isinstance(checks, str) else list(checks))
-    for c in checks:
-        if c not in ("H1", "H2"):
-            raise ConfigError(f"unknown dependence check {c!r}; "
-                              f"have H1, H2, or both")
+        model_cfg = dict(_MODEL_TOKENS[model_cfg])
+    pair = tuple(int(i) for i in f["pair"])
+    checks = _checks(getattr(args, "check", None) or f["checks"],
+                     ("H1", "H2"), "both", "dependence", "H1, H2, or both")
     model = build_model(model_cfg)
-    reports = []
-    for check in checks:
-        fn = diag.h1_report if check == "H1" else diag.h2_report
-        reports.append((check, fn(model, pair=pair)))
-    echo = {"model": model_cfg, "checks": checks, "pair": list(pair)}
-    return _write_reports(reports, echo, args)
+    diag.check_pair(model, pair)
+    return _Parsed(
+        {"model": model_cfg, "checks": checks, "pair": list(pair)},
+        lambda: [(check, (diag.h1_report if check == "H1"
+                          else diag.h2_report)(model, pair=pair))
+                 for check in checks])
 
 
 def _convolve_auto_points(dist, nfold: int):
@@ -615,32 +590,24 @@ def _convolve_auto_points(dist, nfold: int):
     return {"lo": max(lo, 1e-9), "hi": max(hi, lo * 4), "points": 16}
 
 
-def cmd_convolve(args) -> int:
-    if args.config:
-        raw = load_config(args.config)
-        f = _take(raw, "convolve config", ("dist",),
-                  {"nfold": 2, "points": "auto"})
-        dist_cfg = (parse_dist_token(f["dist"])
-                    if isinstance(f["dist"], str) else f["dist"])
-        nfold = int(f["nfold"])
-        points = f["points"]
-    elif args.dist:
-        dist_cfg = parse_dist_token(args.dist)
-        nfold = args.nfold
-        points = args.points
-    else:
-        raise ConfigError("convolve needs --dist or --config")
+def _parse_convolve(raw, args) -> _Parsed:
+    f = _fields(raw, "convolve")
+    dist_cfg = _dist_config(f["dist"])
+    nfold = int(f["nfold"])
+    points = f["points"]
     if nfold < 2:
         raise ConfigError("nfold must be at least 2")
     dist = build_marginal(dist_cfg, "dist")
     if isinstance(points, str) and points != "auto":
         points = _parse_grid_flag(points)
-    echo = {"dist": dist_cfg, "nfold": nfold, "points": points}
+    return _Parsed({"dist": dist_cfg, "nfold": nfold, "points": points},
+                   lambda: _convolve_rows(dist, nfold, points))
 
-    atomic = (hasattr(dist, "truncated_atoms")
-              and dist.truncated_atoms(float("inf")) is not None)
-    try:
-        if atomic and nfold == 2:
+
+def _convolve_rows(dist, nfold: int, points) -> list:
+    """(x, lower, upper, single tail, ratio bounds, running min) rows."""
+    with _config_errors("convolve"):
+        if nfold == 2 and dist.truncated_atoms(float("inf")) is not None:
             if points == "auto":
                 rng = _convolve_auto_points(dist, nfold)
                 curve = conv.exact_twofold_ratio_curve(dist, lo=rng["lo"],
@@ -651,158 +618,157 @@ def cmd_convolve(args) -> int:
             else:
                 curve = conv.exact_twofold_ratio_curve(
                     dist, x_points=np.asarray(points, dtype=float))
-            rows = [(x, n, n, d, r, r, m) for x, n, d, r, m
-                    in zip(curve.xs, curve.numerators, curve.denominators,
-                           curve.ratios, curve.running_min)]
+            rows = zip(curve.xs, curve.numerators, curve.numerators,
+                       curve.denominators, curve.ratios, curve.ratios,
+                       curve.running_min)
         else:
             grid = build_grid(points if points != "auto"
                               else _convolve_auto_points(dist, nfold))
             brackets = conv.nfold_tail_bracket(dist, nfold, grid)
             tails = np.array([float(dist.tail(x)) for x in grid])
             if np.any(tails <= 0):
-                raise ConfigError("single tail vanishes on the grid; "
-                                  "shorten it")
+                raise InvalidInput("single tail vanishes on the grid; "
+                                   "shorten it")
             lo_r = np.array([b.lower for b in brackets]) / tails
             hi_r = np.array([b.upper for b in brackets]) / tails
             mid = np.array([b.midpoint for b in brackets]) / tails
-            run = np.minimum.accumulate(mid)
-            rows = [(x, b.lower, b.upper, t, lr, hr, m)
-                    for x, b, t, lr, hr, m
-                    in zip(grid, brackets, tails, lo_r, hi_r, run)]
-    except HeavyTailsError as err:
-        raise ConfigError(f"convolve: {err}")
-
-    if args.format == "records":
-        payload = {"config": echo, "results": [
-            {"x": float(x), "lower": float(lo), "upper": float(hi),
-             "single_tail": float(t), "ratio_low": float(lr),
-             "ratio_high": float(hr), "running_min": float(m)}
-            for x, lo, hi, t, lr, hr, m in rows]}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = [f"# config={canonical_json(echo)}",
-                 "x,lower,upper,single_tail,ratio_low,ratio_high,"
-                 "running_min"]
-        for x, lo, hi, t, lr, hr, m in rows:
-            lines.append(",".join(map(_fmt, (x, lo, hi, t, lr, hr, m))))
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    if args.out:
-        print(f"convolve: {len(rows)} points, "
-              f"running min {float(rows[-1][-1]):.6g}")
-    return EXIT_OK
+            rows = zip(grid, [b.lower for b in brackets],
+                       [b.upper for b in brackets], tails, lo_r, hi_r,
+                       np.minimum.accumulate(mid))
+        return [tuple(map(float, row)) for row in rows]
 
 
-def _build_risk(config: dict, context="ruin config"):
-    kind = config.get("risk")
+def _build_risk(raw: dict, context: str):
+    kind = raw.get("risk")
+    if kind not in ("discrete", "arrival"):
+        raise ConfigError(f"{context}: 'risk' must be 'discrete' or "
+                          f"'arrival'")
+    f = _take(raw, context, *_SCHEMAS[kind])
     if kind == "discrete":
-        f = _take(config, context, ("risk", "claims"),
-                  {"rate": 0.0, "grid": None, "samples": None, "seed": None,
-                   "tolerance": 0.15})
         claims = build_model(f["claims"], context + ".claims")
-        try:
-            model = risk_mod.DiscreteRiskModel(claims, rate=float(f["rate"]))
-        except (HeavyTailsError, TypeError, ValueError) as err:
-            raise ConfigError(f"{context}: {err}")
-        return model, f
-    if kind == "arrival":
-        f = _take(config, context,
-                  ("risk", "claim_size", "loading", "intensity", "horizon"),
-                  {"grid": None, "samples": None, "seed": None,
-                   "tolerance": 0.15})
-        claim = build_marginal(f["claim_size"], context + ".claim_size")
-        try:
-            model = risk_mod.ArrivalRiskModel(
-                claim, loading=float(f["loading"]),
-                intensity=float(f["intensity"]),
-                horizon=float(f["horizon"]))
-        except (HeavyTailsError, TypeError, ValueError) as err:
-            raise ConfigError(f"{context}: {err}")
-        return model, f
-    raise ConfigError(f"{context}: 'risk' must be 'discrete' or 'arrival'")
+        with _config_errors(context, TypeError, ValueError):
+            return risk_mod.DiscreteRiskModel(claims,
+                                              rate=float(f["rate"])), f
+    claim = build_marginal(f["claim_size"], context + ".claim_size")
+    with _config_errors(context, TypeError, ValueError):
+        return risk_mod.ArrivalRiskModel(
+            claim, loading=float(f["loading"]),
+            intensity=float(f["intensity"]), horizon=float(f["horizon"])), f
 
 
-def cmd_ruin(args) -> int:
-    if args.preset:
-        if args.preset not in risk_mod.RISK_PRESETS:
-            raise ConfigError(f"unknown ruin preset {args.preset!r}; have "
-                              f"{sorted(risk_mod.RISK_PRESETS)}")
-        preset = risk_mod.RISK_PRESETS[args.preset]
-        seed = int(args.seed if args.seed is not None else 0)
-        curve = preset.run(samples=args.samples, seed=seed,
-                           workers=args.workers)
-        echo = {"preset": args.preset, "samples": curve.samples,
-                "seed": seed}
-        return _write_curves([curve], echo, args)
-    if not args.config:
-        raise ConfigError("ruin needs --preset or --config")
-    raw = load_config(args.config)
+def _parse_ruin(raw, args) -> _Parsed:
     if "preset" in raw:
-        f = _take(raw, "ruin config", ("preset",),
-                  {"samples": None, "seed": None})
-        if f["preset"] not in risk_mod.RISK_PRESETS:
-            raise ConfigError(f"unknown ruin preset {f['preset']!r}")
-        preset = risk_mod.RISK_PRESETS[f["preset"]]
-        seed = int(_resolve(args, f, "seed", 0))
-        samples = _resolve(args, f, "samples", None)
-        curve = preset.run(samples=None if samples is None else int(samples),
-                           seed=seed, workers=args.workers)
-        echo = {"preset": f["preset"], "samples": curve.samples,
-                "seed": seed}
-        return _write_curves([curve], echo, args)
-    model, f = _build_risk(raw)
+        f = _fields(raw, "ruin")
+        return _preset_plan(args, f, "preset", f["preset"],
+                            risk_mod.RISK_PRESETS, "ruin preset")
+    model, f = _build_risk(raw, "ruin config")
     seed = int(_resolve(args, f, "seed", 0))
     samples = int(_resolve(args, f, "samples", 1_000_000))
     grid = build_grid(f["grid"])
-    try:
-        curve = model.ruin_curve(x_grid=grid, samples=samples, seed=seed,
-                                 workers=args.workers,
-                                 tolerance=float(f["tolerance"]))
-    except HeavyTailsError as err:
-        raise ConfigError(f"ruin: {err}")
-    echo = {k: v for k, v in f.items() if k not in ("samples", "seed")}
-    echo.update({"samples": samples, "seed": seed})
-    return _write_curves([curve], echo, args)
+    with _config_errors("ruin"):
+        ex.check_run_options("mc", float(f["tolerance"]))
+
+    def run():
+        with _config_errors("ruin"):
+            return [model.ruin_curve(x_grid=grid, samples=samples, seed=seed,
+                                     workers=args.workers,
+                                     tolerance=float(f["tolerance"]))]
+
+    return _Parsed({**f, "samples": samples, "seed": seed}, run)
+
+
+def _validate_warnings(raw: dict, args) -> tuple:
+    """Parse a config as the command its keys point to; its advisories."""
+    if "theorem_id" in raw:
+        parse = _parse_theorem
+    elif "risk" in raw or "preset" in raw:
+        parse = _parse_ruin
+    elif "model" in raw:
+        parse = _parse_ratio_curve if "quantity" in raw else _parse_dependence
+    elif "dist" in raw:
+        parse = (_parse_convolve if "nfold" in raw or "points" in raw
+                 else _parse_class)
+    else:
+        raise ConfigError("cannot tell what this config drives: expected "
+                          "theorem_id, risk/preset, model+quantity, model, "
+                          "or dist")
+    return parse(raw, args).warnings
+
+
+# ----------------------------------------------------------------- commands --
+
+def cmd_ratio_curve(args) -> int:
+    parsed = _parse_ratio_curve(_config(args, "ratio-curve needs --config"),
+                                args)
+    return _write_curves(args, parsed.echo, parsed.run())
+
+
+def cmd_theorem(args) -> int:
+    if args.preset not in (None, "default"):
+        raise ConfigError(f"unknown preset variant {args.preset!r}; "
+                          f"only 'default' exists")
+    parsed = _parse_theorem(load_config(args.config) if args.config else {},
+                            args)
+    return _write_curves(args, parsed.echo, parsed.run())
+
+
+def cmd_diagnose_class(args) -> int:
+    parsed = _parse_class(_config(
+        args, "diagnose-class needs --dist or --config", "dist"), args)
+    return _write_reports(args, parsed.echo, parsed.run())
+
+
+def cmd_diagnose_dependence(args) -> int:
+    parsed = _parse_dependence(_config(
+        args, "diagnose-dependence needs --model or --config", "model"),
+        args)
+    return _write_reports(args, parsed.echo, parsed.run())
+
+
+def cmd_convolve(args) -> int:
+    parsed = _parse_convolve(_config(
+        args, "convolve needs --dist or --config", "dist", nfold=args.nfold,
+        points=args.points), args)
+    rows = parsed.run()
+    _write_table(args, parsed.echo, ("x", "lower", "upper", "single_tail",
+                                     "ratio_low", "ratio_high",
+                                     "running_min"), rows)
+    return _status(args, [(f"convolve: {len(rows)} points, "
+                           f"running min {rows[-1][-1]:.6g}", None)])
+
+
+def cmd_ruin(args) -> int:
+    raw = ({"preset": args.preset} if args.preset
+           else _config(args, "ruin needs --preset or --config"))
+    parsed = _parse_ruin(raw, args)
+    return _write_curves(args, parsed.echo, parsed.run())
 
 
 def cmd_surplus_path(args) -> int:
-    if not args.config:
-        raise ConfigError("surplus-path needs --config")
-    raw = load_config(args.config)
-    model, f = _build_risk(raw, context="surplus-path config")
+    model, f = _build_risk(_config(args, "surplus-path needs --config"),
+                           "surplus-path config")
     if not isinstance(model, risk_mod.DiscreteRiskModel):
         raise ConfigError("surplus-path only applies to the discrete model")
     if args.surplus is None:
         raise ConfigError("surplus-path needs --surplus")
     seed = int(_resolve(args, f, "seed", 0))
-    try:
+    with _config_errors("surplus-path"):
         path = model.surplus_path(args.surplus, seed=seed,
                                   replicate=args.replicate)
-    except HeavyTailsError as err:
-        raise ConfigError(f"surplus-path: {err}")
     echo = {k: v for k, v in f.items()
             if k not in ("samples", "seed", "grid", "tolerance")}
     echo.update({"seed": seed, "surplus": float(args.surplus),
                  "replicate": args.replicate})
-    if args.format == "records":
-        text = json.dumps({"config": echo,
-                           "results": [{"period": k, "surplus": u}
-                                       for k, u in path]},
-                          indent=2, sort_keys=True) + "\n"
-    else:
-        lines = [f"# config={canonical_json(echo)}", "period,surplus"]
-        lines += [f"{k},{_fmt(u)}" for k, u in path]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _write_table(args, echo, ("period", "surplus"),
+                 [(str(k), u) for k, u in path],
+                 [{"period": k, "surplus": u} for k, u in path])
     ruined = min(u for _, u in path) < 0
-    if args.out:
-        print(f"surplus-path: {'ruined' if ruined else 'survived'}")
-    return EXIT_OK
+    return _status(args, [(f"surplus-path: "
+                           f"{'ruined' if ruined else 'survived'}", None)])
 
 
 def cmd_list_presets(args) -> int:
-    rows = [(tid, p.description) for tid, p in ex.PRESETS.items()]
-    rows += [(pid, p.description) for pid, p in risk_mod.RISK_PRESETS.items()]
+    rows = [(pid, p.description) for pid, p in risk_mod.presets().items()]
     if args.format == "records":
         text = json.dumps({"presets": [{"id": i, "description": d}
                                        for i, d in rows]},
@@ -815,67 +781,9 @@ def cmd_list_presets(args) -> int:
     return EXIT_OK
 
 
-def _validate_warnings(raw: dict) -> list:
-    """Hypothesis-level advisories for a config that already parsed."""
-    warnings = []
-    if "theorem_id" in raw:
-        f = _take(dict(raw), "theorem config", (),
-                  {"theorem_id": None, "model": None, "samples": None,
-                   "seed": None, "grid": None})
-        tid = f["theorem_id"]
-        if tid not in ex.PRESETS and tid not in risk_mod.RISK_PRESETS:
-            raise ConfigError(f"unknown theorem id {tid!r}")
-        if f["model"] is not None and tid in ex.PRESETS:
-            model = build_model(f["model"])
-            for issue in ex.PRESETS[tid].hypothesis_issues(model):
-                warnings.append(f"{tid} hypotheses unverified: {issue}")
-        build_grid(f["grid"])
-        return warnings
-    if "risk" in raw or "preset" in raw:
-        if "preset" in raw:
-            f = _take(dict(raw), "ruin config", ("preset",),
-                      {"samples": None, "seed": None})
-            if f["preset"] not in risk_mod.RISK_PRESETS:
-                raise ConfigError(f"unknown ruin preset {f['preset']!r}")
-        else:
-            _build_risk(dict(raw))
-        return warnings
-    if "model" in raw and "quantity" in raw:
-        f = _take(dict(raw), "ratio-curve config",
-                  ("model", "quantity", "denominator"),
-                  {"grid": None, "samples": None, "seed": None,
-                   "predicted": 1.0, "semantics": "lim", "tolerance": 0.05,
-                   "experiment_id": "custom", "numerator": "auto",
-                   "divergence_bound": 10.0, "weights": None})
-        model = build_model(f["model"])
-        mc.parse_quantity(str(f["quantity"]))
-        build_denominator(f["denominator"])
-        build_grid(f["grid"])
-        if (model.tau is not None and not math.isfinite(model.tau.mean())
-                and f["semantics"] != "divergence"):
-            warnings.append(
-                "the counting law has infinite mean but the experiment "
-                "uses '%s' semantics; ratios against any finite "
-                "denominator diverge, switch to divergence semantics"
-                % f["semantics"])
-        return warnings
-    if "dist" in raw:
-        f = _take(dict(raw), "diagnose-class config", ("dist",),
-                  {"checks": None, "grid": None})
-        cfg = (parse_dist_token(f["dist"]) if isinstance(f["dist"], str)
-               else f["dist"])
-        build_marginal(cfg, "dist")
-        build_grid(f["grid"])
-        return warnings
-    raise ConfigError("cannot tell what this config drives: expected "
-                      "theorem_id, risk/preset, model+quantity, or dist")
-
-
 def cmd_validate(args) -> int:
-    if not args.config:
-        raise ConfigError("validate needs --config")
-    raw = load_config(args.config)
-    warnings = _validate_warnings(raw)
+    warnings = _validate_warnings(_config(args, "validate needs --config"),
+                                  args)
     for w in warnings:
         print(f"warning: {w}")
     print(f"{args.config}: ok" + (f" ({len(warnings)} warning"
@@ -993,10 +901,7 @@ def main(argv=None) -> int:
         return 0 if err.code in (0, None) else EXIT_USAGE
     try:
         return args.fn(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except HeavyTailsError as err:
+    except HeavyTailsError as err:      # ConfigError included
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as err:        # noqa: BLE001 - last-resort boundary

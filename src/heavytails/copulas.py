@@ -11,8 +11,7 @@ admissibility region exact finite computations.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,9 +35,6 @@ class Copula:
 
     def density_bounds(self) -> tuple:
         """Exact (min, max) of the density over the cube."""
-        raise NotImplementedError
-
-    def is_absolutely_continuous(self) -> bool:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -85,9 +81,6 @@ class Independence(Copula):
     def density_bounds(self):
         return (1.0, 1.0)
 
-    def is_absolutely_continuous(self):
-        return True
-
     def sample(self, rng, count):
         return rng.random((int(count), self.dim))
 
@@ -117,9 +110,6 @@ class Comonotone(Copula):
             "the comonotone copula is not absolutely continuous; it has no density"
         )
 
-    def is_absolutely_continuous(self):
-        return False
-
     def sample(self, rng, count):
         one = rng.random(int(count))
         return np.repeat(one[:, None], self.dim, axis=1)
@@ -127,12 +117,6 @@ class Comonotone(Copula):
     def subset(self, idx):
         return Comonotone(len(idx))
 
-
-def _pairs_to_matrix(dim, pairs):
-    a = np.zeros((dim, dim))
-    for (i, j), v in pairs.items():
-        a[i, j] = a[j, i] = v
-    return a
 
 def _vertex_values(a: np.ndarray):
     """Density values 1 + sum a_ij e_i e_j over all sign vertices e."""
@@ -214,9 +198,6 @@ class FGM(Copula):
     def density_bounds(self):
         vals = [v for v, _ in _vertex_values(self._mat)]
         return (min(vals), max(vals))
-
-    def is_absolutely_continuous(self):
-        return True
 
     def sample(self, rng, count):
         """Rejection against the uniform proposal with the exact vertex envelope."""

@@ -10,6 +10,16 @@ tolerances, deterministic and re-runnable from the report fields alone.
 Convolution-backed statistics carry certified brackets, and a verdict is only
 issued when the whole bracket lands on one side of the band; a too-coarse grid
 therefore reads ``inconclusive``, never silently wrong.
+
+These graders differ on purpose from the ratio-curve graders in
+``experiments`` (``_verdict_lim`` and its siblings). A diagnostic statistic is
+a closed form or a certified bracket, so its error is bounded, not random: a
+point counts only when its whole bracket lies inside the band, and
+``consistent`` also asks that the error not drift outward. An experiment
+sees Monte Carlo estimates instead, and asks only that each binomial 95%
+interval near the grid end intersect the band, since a sampling interval can
+straddle a band edge by chance. One grader for both would either fail
+simulated curves on noise or pass brackets that do not certify the limit.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from scipy import integrate
 
 from . import convolution as cv
 from .copulas import DependentModel, joint_upper_survival
-from .distributions import IntegratedTail, Marginal
+from .distributions import IntegratedTail, Marginal, quantile_grid
 from .errors import AssumptionViolated, InvalidInput
 
 DEFAULT_TOL = 0.05
@@ -123,12 +133,6 @@ def bounded_verdict(statistics, tol: float, growth_factor: float = 1.5) -> str:
     return "inconclusive"
 
 
-def geometric_grid(lo: float, hi: float, n: int = 24) -> np.ndarray:
-    if not (0 < lo < hi):
-        raise InvalidInput("need 0 < lo < hi for a geometric grid")
-    return np.geomspace(lo, hi, int(n))
-
-
 def long_tail(d: Marginal, y: float = 1.0, grid=None,
               tol: float = DEFAULT_TOL) -> ClassReport:
     """Translation insensitivity: F̄(x+y)/F̄(x) -> 1."""
@@ -139,7 +143,7 @@ def long_tail(d: Marginal, y: float = 1.0, grid=None,
         # stretched-exponential shapes is still above a 5% band at the
         # quantile window the convolution checks use; this check costs two
         # tail evaluations per point, so probe much deeper by default
-        grid = geomspace_for(d, hi_u=1.0 - 1e-8)
+        grid = quantile_grid((d,), hi_u=1.0 - 1e-8)
     grid = np.asarray(grid, dtype=float)
     den = np.asarray(d.tail(grid), dtype=float)
     if np.any(den <= 0):
@@ -155,7 +159,7 @@ def dominated(d: Marginal, y: float = 0.5, grid=None,
     """Dominated variation: F̄(xy)/F̄(x) stays bounded as x grows (0 < y < 1)."""
     if not 0 < y < 1:
         raise InvalidInput("y must lie in (0, 1)")
-    grid = np.asarray(grid if grid is not None else geomspace_for(d), dtype=float)
+    grid = np.asarray(grid if grid is not None else quantile_grid((d,)), dtype=float)
     den = np.asarray(d.tail(grid), dtype=float)
     if np.any(den <= 0):
         raise InvalidInput("tail vanishes on the grid")
@@ -201,7 +205,7 @@ def subexponential(d: Marginal, grid=None, grid_step: float = None,
     non-long-tailed ones (the geometric atom mixture) it is the statistic
     whose running minimum witnesses the sub-2 dip.
     """
-    grid = np.asarray(grid if grid is not None else geomspace_for(d), dtype=float)
+    grid = np.asarray(grid if grid is not None else quantile_grid((d,)), dtype=float)
     if np.any(grid <= 0):
         raise InvalidInput("grid must be positive")
     grid, num_lo, num_hi = _twofold_brackets(d, grid, grid_step)
@@ -213,16 +217,6 @@ def subexponential(d: Marginal, grid=None, grid_step: float = None,
     return ClassReport("S", grid, mid, limit_verdict(r_lo, r_hi, 2.0, tol), tol,
                        target_value=2.0, stat_lower=r_lo, stat_upper=r_hi,
                        running_min=float(np.minimum.accumulate(mid)[-1]))
-
-
-def geomspace_for(d: Marginal, n: int = 24, lo_u: float = 0.9,
-                  hi_u: float = 1.0 - 1e-4) -> np.ndarray:
-    """Default diagnostic grid: geometric between two tail quantiles."""
-    lo = max(float(d.quantile(lo_u)), 1e-9)
-    hi = float(d.quantile(hi_u))
-    if hi <= lo:
-        hi = lo * 100.0
-    return np.geomspace(lo, hi, n)
 
 
 def _sstar_integral_atomic(d: Marginal, x: float, rep) -> float:
@@ -243,7 +237,7 @@ def sstar(d: Marginal, grid=None, tol: float = DEFAULT_TOL) -> ClassReport:
     m_plus = d.pos_mean()
     if not (0 < m_plus < math.inf):
         raise AssumptionViolated("positive-part mean must be finite and positive")
-    grid = np.asarray(grid if grid is not None else geomspace_for(d), dtype=float)
+    grid = np.asarray(grid if grid is not None else quantile_grid((d,)), dtype=float)
     den = 2.0 * m_plus * np.asarray(d.tail(grid), dtype=float)
     if np.any(den <= 0):
         raise InvalidInput("tail vanishes on the grid")
@@ -296,7 +290,7 @@ def strong_subexponential(d: Marginal, h_grid=(1.0, 10.0, 100.0), grid=None,
     h_grid = tuple(float(h) for h in h_grid)
     if any(h < 1.0 for h in h_grid) or not h_grid:
         raise InvalidInput("h_grid entries must be at least 1")
-    grid = np.asarray(grid if grid is not None else geomspace_for(d), dtype=float)
+    grid = np.asarray(grid if grid is not None else quantile_grid((d,)), dtype=float)
     if np.any(grid <= 0):
         raise InvalidInput("grid must be positive")
     curves = {}
@@ -334,7 +328,7 @@ def integrated_tail(d: Marginal) -> IntegratedTail:
     return IntegratedTail(d)
 
 
-def _check_pair(model: DependentModel, pair) -> tuple:
+def check_pair(model: DependentModel, pair) -> tuple:
     i, j = int(pair[0]), int(pair[1])
     if i == j or not (0 <= i < model.dim) or not (0 <= j < model.dim):
         raise InvalidInput(f"pair {pair} is not two distinct coordinates "
@@ -346,10 +340,10 @@ def h1_report(model: DependentModel, pair=(0, 1), grid=None,
               tol: float = DEFAULT_TOL) -> ClassReport:
     """Pairwise quasi-asymptotic independence:
     P(X_i>x, X_j>x) / (F̄_i(x)+F̄_j(x)) -> 0 along the diagonal."""
-    i, j = _check_pair(model, pair)
+    i, j = check_pair(model, pair)
     sub = model.subset((i, j))
     di, dj = sub.marginals
-    grid = np.asarray(grid if grid is not None else geomspace_for(di),
+    grid = np.asarray(grid if grid is not None else quantile_grid((di,)),
                       dtype=float)
     stats = np.empty(len(grid))
     for k, x in enumerate(grid):
@@ -373,10 +367,10 @@ def h2_report(model: DependentModel, pair=(0, 1), grid=None,
     The 2-d limit is probed along three rays (diagonal and both 2:1
     off-diagonals); the reported statistic at x is the worst ray.
     """
-    i, j = _check_pair(model, pair)
+    i, j = check_pair(model, pair)
     sub = model.subset((i, j))
     di, dj = sub.marginals
-    grid = np.asarray(grid if grid is not None else geomspace_for(di),
+    grid = np.asarray(grid if grid is not None else quantile_grid((di,)),
                       dtype=float)
     if np.any(grid <= 0):
         raise InvalidInput("grid must be positive")

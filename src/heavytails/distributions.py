@@ -551,6 +551,16 @@ class IntegratedTail(Marginal):
         return val
 
 
-def class_tags(d: Marginal) -> frozenset:
-    """Declared heavy-tail class tags of a family (not a proof of membership)."""
-    return d.tags
+def quantile_grid(marginals, n: int = 24, lo_u: float = 0.9,
+                  hi_u: float = 1.0 - 1e-4) -> np.ndarray:
+    """Geometric grid spanning the marginals' upper tail decades.
+
+    The low end is the largest lo_u-quantile across marginals, so every
+    coordinate is already in its tail; the high end is the largest
+    hi_u-quantile, so the heaviest tail reaches its deep-asymptotic regime.
+    """
+    lo = max(max(float(m.quantile(lo_u)) for m in marginals), 1e-9)
+    hi = max(float(m.quantile(hi_u)) for m in marginals)
+    if hi <= lo:
+        hi = lo * 100.0
+    return np.geomspace(lo, hi, int(n))

@@ -17,7 +17,7 @@ import numpy as np
 from . import montecarlo as mc
 from .copulas import Comonotone, DependentModel, FGM, Independence
 from .counting import CountingLaw, Geometric1, Poisson, Zeta
-from .distributions import Marginal, Pareto, ShiftedBy
+from .distributions import Marginal, Pareto, ShiftedBy, quantile_grid
 from .errors import AssumptionViolated, InvalidInput, ModelConfigError
 
 Z95 = 1.96
@@ -25,19 +25,19 @@ Z95 = 1.96
 SEMANTICS = ("lim", "liminf", "divergence")
 
 
-def denom_sum_tails(marginals, x) -> float:
-    """Sum of the marginal tails at a common threshold."""
-    return float(sum(float(m.tail(float(x))) for m in marginals))
+def denom_sum_tails(marginals, x):
+    """Sum of the marginal tails at a common threshold; x may be an array."""
+    return sum(m.tail(x) for m in marginals)
 
 
-def denom_n_tail(f: Marginal, n: int, x) -> float:
+def denom_n_tail(f: Marginal, n: int, x):
     """n times one tail; n = 1 gives the bare single-summand tail."""
     if int(n) != n or n < 1:
         raise InvalidInput("n must be a positive integer")
-    return float(n) * float(f.tail(float(x)))
+    return float(n) * f.tail(x)
 
 
-def denom_mean_tau_tail(f: Marginal, tau: CountingLaw, x) -> float:
+def denom_mean_tau_tail(f: Marginal, tau: CountingLaw, x):
     """Expected count times one tail; infinite counts have no finite scale."""
     et = tau.mean()
     if not math.isfinite(et):
@@ -45,16 +45,15 @@ def denom_mean_tau_tail(f: Marginal, tau: CountingLaw, x) -> float:
             "the counting law has infinite mean: ratios against its expected "
             "count diverge, use a divergence-mode experiment against the bare "
             "tail instead")
-    return et * float(f.tail(float(x)))
+    return et * f.tail(x)
 
 
-def denom_discounted(marginals, r: float, x) -> float:
+def denom_discounted(marginals, r: float, x):
     """Sum of tails at geometrically inflated thresholds x(1+r)^k, k >= 1."""
     if not r > -1.0:
         raise InvalidInput("rate must exceed -1")
-    g = 1.0 + r
-    return float(sum(float(m.tail(float(x) * g ** (k + 1)))
-                     for k, m in enumerate(marginals)))
+    x, g = np.asarray(x, dtype=float), 1.0 + r
+    return sum(m.tail(x * g ** (k + 1)) for k, m in enumerate(marginals))
 
 
 @dataclass(frozen=True)
@@ -86,19 +85,15 @@ class Denominator:
     def values(self, model: DependentModel, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if self.kind == "sum_tails":
-            return np.array([denom_sum_tails(model.marginals, x) for x in xs])
+            return denom_sum_tails(model.marginals, xs)
         if self.kind == "n_tail":
-            return np.array([denom_n_tail(model.marginals[0], self.n, x)
-                             for x in xs])
+            return denom_n_tail(model.marginals[0], self.n, xs)
         if self.kind == "mean_tau_tail":
             if model.tau is None:
                 raise ModelConfigError(
                     "mean_tau_tail denominator needs a counting law")
-            return np.array([
-                denom_mean_tau_tail(model.marginals[0], model.tau, x)
-                for x in xs])
-        return np.array([denom_discounted(model.marginals, self.rate, x)
-                         for x in xs])
+            return denom_mean_tau_tail(model.marginals[0], model.tau, xs)
+        return denom_discounted(model.marginals, self.rate, xs)
 
 
 @dataclass(frozen=True)
@@ -140,21 +135,6 @@ class RatioCurve:
         return np.array([p.x for p in self.points])
 
 
-def default_grid(model: DependentModel, n: int = 24, lo_u: float = 0.9,
-                 hi_u: float = 1.0 - 1e-4) -> np.ndarray:
-    """Geometric grid spanning the marginals' upper tail decades.
-
-    The low end is the largest lo_u-quantile across marginals, so every
-    coordinate is already in its tail; the high end is the largest
-    hi_u-quantile, so the heaviest tail reaches its deep-asymptotic regime.
-    """
-    lo = max(max(float(m.quantile(lo_u)) for m in model.marginals), 1e-9)
-    hi = max(float(m.quantile(hi_u)) for m in model.marginals)
-    if hi <= lo:
-        hi = lo * 100.0
-    return np.geomspace(lo, hi, int(n))
-
-
 def _exact_numerator(model: DependentModel, quantity: mc.Quantity, xs):
     """Closed-form tail of the statistic where copula algebra allows it."""
     if quantity.stopped:
@@ -171,6 +151,14 @@ def _exact_numerator(model: DependentModel, quantity: mc.Quantity, xs):
         d = model.marginals[0]
         return np.array([float(d.tail(float(x) / model.dim)) for x in xs])
     return None
+
+
+def check_run_options(numerator: str, tolerance: float) -> None:
+    """Reject a numerator mode or tolerance that no experiment can use."""
+    if numerator not in ("auto", "mc", "exact"):
+        raise InvalidInput("numerator must be auto, mc, or exact")
+    if not (tolerance > 0.0):
+        raise InvalidInput("tolerance must be positive")
 
 
 def _verdict_lim(ratios, ci_lo, ci_hi, predicted, tol, rel_err_end):
@@ -257,14 +245,10 @@ def _run_claims(model: DependentModel, claims, ids, x_grid, samples: int,
 
     The numerators without a closed form share one simulation pass.
     """
-    if any(c.semantics not in SEMANTICS for c in claims):
-        raise InvalidInput(f"semantics must be one of {SEMANTICS}")
-    if numerator not in ("auto", "mc", "exact"):
-        raise InvalidInput("numerator must be auto, mc, or exact")
-    if not (tolerance > 0.0):
-        raise InvalidInput("tolerance must be positive")
-    xs = np.atleast_1d(np.asarray(
-        x_grid if x_grid is not None else default_grid(model), dtype=float))
+    check_run_options(numerator, tolerance)
+    if x_grid is None:
+        x_grid = quantile_grid(model.marginals)
+    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if np.any(~np.isfinite(xs)) or np.any(np.diff(xs) <= 0):
         raise InvalidInput("x grid must be finite and strictly increasing")
 
@@ -355,6 +339,10 @@ class Claim:
     semantics: str
     denominator: Denominator
     predicted: float = 1.0
+
+    def __post_init__(self):
+        if self.semantics not in SEMANTICS:
+            raise InvalidInput(f"semantics must be one of {SEMANTICS}")
 
 
 @dataclass(frozen=True)
@@ -563,7 +551,8 @@ def theorem_suite(theorem_id: str, model: DependentModel = None,
         raise ModelConfigError(
             f"preset {theorem_id} violates its own hypotheses: {issues}")
     if x_grid is None:
-        x_grid = default_grid(model, preset.grid_n, hi_u=preset.grid_hi_u)
+        x_grid = quantile_grid(model.marginals, preset.grid_n,
+                               hi_u=preset.grid_hi_u)
     many = len(preset.claims) > 1
     ids = [f"{theorem_id}:{c.quantity}" if many else theorem_id
            for c in preset.claims]

@@ -4,6 +4,9 @@ Ruin by a finite horizon is a running maximum in disguise: the surplus goes
 negative exactly when the discounted claim sums climb past the initial
 capital, so both models here delegate to the running-max estimators and
 grade the result against the matching one-big-claim denominator.
+
+The module also serves the whole preset catalog, theorem and ruin presets
+alike, since it is the one module that sees both registries.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from . import experiments as ex
 from . import montecarlo as mc
 from .copulas import DependentModel, FGM, Independence
 from .counting import Poisson
-from .distributions import Marginal, Pareto, ShiftedBy
+from .distributions import Marginal, Pareto, ShiftedBy, quantile_grid
 from .errors import InvalidInput, ModelConfigError
 from .rng import block_stream, check_seed
 
@@ -154,9 +157,7 @@ class ArrivalRiskModel:
         the quantity an underwriter can read off the claim severity table.
         """
         if x_grid is None:
-            lo = float(self.claim_size.quantile(0.9))
-            hi = float(self.claim_size.quantile(1.0 - 1e-4))
-            x_grid = np.geomspace(max(lo, 1e-9), hi, 24)
+            x_grid = quantile_grid((self.claim_size,))
         return ex.run_experiment(
             self.dependence_model(), mc.RunMaxTau,
             _MeanCountClaimTail(self.claim_size, self.expected_count),
@@ -221,3 +222,22 @@ RISK_PRESETS = {
         samples=10_000_000, tolerance=0.15,
         x_grid=tuple(np.geomspace(3.1622776601683795, 100.0, 16))),
 }
+
+
+def presets() -> dict:
+    """Every named preset by id: the theorem presets, then the ruin ones."""
+    return {**ex.PRESETS, **RISK_PRESETS}
+
+
+def run_preset(preset_id: str, model: DependentModel = None,
+               samples: int = None, seed: int = 0, workers: int = 1,
+               x_grid=None) -> list:
+    """Ratio curves of any named preset; only theorem presets take a model."""
+    if preset_id not in RISK_PRESETS:
+        return ex.theorem_suite(preset_id, model=model, samples=samples,
+                                seed=seed, workers=workers, x_grid=x_grid)
+    if model is not None:
+        raise InvalidInput(f"preset {preset_id} does not take a custom model; "
+                           f"use the ruin command with a config")
+    return [RISK_PRESETS[preset_id].run(samples=samples, seed=seed,
+                                        workers=workers, x_grid=x_grid)]

@@ -23,7 +23,7 @@ from heavytails import montecarlo as mc
 from heavytails.copulas import Comonotone, DependentModel, Independence
 from heavytails.counting import Zeta
 from heavytails.distributions import (Exponential, GeometricAtomMixture,
-                                      Pareto, Weibull)
+                                      Pareto, Weibull, quantile_grid)
 from heavytails.risk import RISK_PRESETS, DiscreteRiskModel
 
 WORKERS = 8
@@ -274,7 +274,7 @@ def test_criterion_10_class_diagnostics_match_ground_truth():
 def test_criterion_11_worker_count_and_config_echo_reproducibility(tmp_path):
     # identical hit counts no matter how the blocks are distributed
     model = ex.PRESETS["C3.1"].build()
-    xs = ex.default_grid(model)
+    xs = quantile_grid(model.marginals)
     one = mc.estimate_tail(model, "SumN", xs, 10_000_000, seed=0, workers=1)
     eight = mc.estimate_tail(model, "SumN", xs, 10_000_000, seed=0,
                              workers=8)

@@ -289,6 +289,19 @@ class TestValidate:
         assert code == 64
         assert "cannot tell" in err
 
+    @pytest.mark.parametrize("command, config, code", [
+        ("diagnose-dependence", {"model": "fgm-pareto", "checks": "H1"}, 0),
+        ("convolve", {"dist": "pareto(1.5,1)", "nfold": 3}, 0),
+        ("ratio-curve", dict(RC_MC_CONFIG, semantics="bogus"), 64),
+        ("theorem", {"theorem_id": "C5.1", "model": FGM_PARETO_MODEL}, 64),
+    ], ids=["dependence-token", "convolve-nfold", "bad-semantics",
+            "ruin-preset-model"])
+    def test_validate_agrees_with_the_command(self, tmp_path, capsys,
+                                              command, config, code):
+        cfg = write_json(tmp_path, "cfg.json", config)
+        assert run(capsys, [command, "--config", cfg])[0] == code
+        assert run(capsys, ["validate", "--config", cfg])[0] == code
+
 
 class TestConvolve:
     HEADER = "x,lower,upper,single_tail,ratio_low,ratio_high,running_min"

@@ -9,7 +9,8 @@ from heavytails import experiments as ex
 from heavytails import montecarlo as mc
 from heavytails.copulas import Comonotone, DependentModel, FGM, Independence
 from heavytails.counting import Geometric1, Poisson, Zeta
-from heavytails.distributions import DiscreteAtoms, Pareto, ShiftedBy
+from heavytails.distributions import (DiscreteAtoms, Pareto, ShiftedBy,
+                                      quantile_grid)
 from heavytails.errors import AssumptionViolated, InvalidInput
 
 
@@ -66,6 +67,36 @@ class TestDenominators:
         got = ex.Denominator("sum_tails").values(model, xs)
         want = [sum(m.tail(x) for m in model.marginals) for x in xs]
         assert np.allclose(got, want, rtol=1e-15)
+
+    def test_values_equal_the_pointwise_helpers_bit_for_bit(self):
+        model = DependentModel(Independence(3),
+                               (Pareto(0.8, 1.0), Pareto(1.2, 1.5),
+                                ShiftedBy(Pareto(2.0, 1.0), -1.0)),
+                               tau=Geometric1(0.25))
+        xs = np.geomspace(0.5, 5e4, 37)
+        f, marginals = model.marginals[0], model.marginals
+        cases = [
+            (ex.Denominator("sum_tails"),
+             lambda x: ex.denom_sum_tails(marginals, x)),
+            (ex.Denominator("n_tail", n=3),
+             lambda x: ex.denom_n_tail(f, 3, x)),
+            (ex.Denominator("mean_tau_tail"),
+             lambda x: ex.denom_mean_tau_tail(f, model.tau, x)),
+            (ex.Denominator("discounted", rate=0.05),
+             lambda x: ex.denom_discounted(marginals, 0.05, x)),
+        ]
+        for den, pointwise in cases:
+            want = np.array([pointwise(float(x)) for x in xs])
+            assert np.array_equal(den.values(model, xs), want), den.kind
+
+    def test_claim_and_run_options_reject_bad_values(self):
+        with pytest.raises(InvalidInput, match="semantics"):
+            ex.Claim("SumN", "bogus", ex.Denominator("sum_tails"))
+        with pytest.raises(InvalidInput, match="numerator"):
+            ex.check_run_options("maybe", 0.05)
+        with pytest.raises(InvalidInput, match="tolerance"):
+            ex.check_run_options("auto", 0.0)
+        ex.check_run_options("mc", 0.05)
 
 
 class TestComonotoneSumExact:
@@ -371,7 +402,7 @@ class TestDefaultGrid:
     def test_spans_marginal_tail_quantiles(self):
         model = DependentModel(FGM.bivariate(1.0),
                                (Pareto(0.8, 1.0), Pareto(1.2, 1.0)))
-        xs = ex.default_grid(model)
+        xs = quantile_grid(model.marginals)
         assert len(xs) == 24
         assert xs[0] == pytest.approx(Pareto(0.8, 1.0).quantile(0.9),
                                       rel=1e-12)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from heavytails import experiments as ex
 from heavytails import montecarlo as mc
 from heavytails import risk
 from heavytails.copulas import DependentModel, FGM, Independence
@@ -200,3 +201,13 @@ class TestPresetCatalog:
         for pid, preset in risk.RISK_PRESETS.items():
             assert preset.preset_id == pid
             assert preset.description
+
+    def test_one_registry_and_runner_for_every_preset(self):
+        assert list(risk.presets()) == (list(ex.PRESETS)
+                                        + list(risk.RISK_PRESETS))
+        assert risk.run_preset("T3.3") == ex.theorem_suite("T3.3")
+        assert risk.run_preset("C5.2", samples=20_000, seed=3) == [
+            risk.RISK_PRESETS["C5.2"].run(samples=20_000, seed=3)]
+        model = risk.RISK_PRESETS["C5.1"].build().claims
+        with pytest.raises(InvalidInput, match="custom model"):
+            risk.run_preset("C5.1", model=model)
