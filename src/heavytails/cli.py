@@ -108,6 +108,17 @@ def _config_errors(context: str, *also):
         raise ConfigError(f"{context}: {err}")
 
 
+# what a value of the wrong type or form raises when it is converted
+_BAD_VALUE = (TypeError, ValueError, OverflowError)
+
+
+def _convert(kind, value, field: str):
+    """kind(value) for one config value; a bad value is a ConfigError
+    naming its field."""
+    with _config_errors(field, *_BAD_VALUE):
+        return kind(value)
+
+
 # ----------------------------------------------------------------- builders --
 
 # family -> (constructor, fields in constructor order, defaults)
@@ -138,12 +149,13 @@ def _field(key: str, value, context: str):
     """Convert one family field; plain numeric fields are floats."""
     if key == "base":
         return build_marginal(value, context + ".base")
-    if key == "atoms":
-        return tuple((float(loc), float(mass)) for loc, mass in value)
-    if key == "coeffs":
-        return tuple(float(a) for a in ([value] if isinstance(
-            value, (int, float)) else value))
-    return int(value) if key in ("dim", "n") else float(value)
+    with _config_errors(f"{context}.{key}", *_BAD_VALUE):
+        if key == "atoms":
+            return tuple((float(loc), float(mass)) for loc, mass in value)
+        if key == "coeffs":
+            return tuple(float(a) for a in ([value] if isinstance(
+                value, (int, float)) else value))
+        return int(value) if key in ("dim", "n") else float(value)
 
 
 def _build_family(table: dict, cfg, context: str):
@@ -152,7 +164,7 @@ def _build_family(table: dict, cfg, context: str):
     if not (isinstance(family, str) and family in table):
         raise ConfigError(f"{context}: unknown family {family!r}")
     ctor, fields, defaults = table[family]
-    with _config_errors(context, TypeError, ValueError):
+    with _config_errors(context, *_BAD_VALUE):
         f = _take(cfg, context, ("family",) + tuple(
             k for k in fields if k not in defaults), defaults)
         return ctor(*(_field(k, f[k], context) for k in fields))
@@ -181,15 +193,16 @@ def build_model(cfg, context="model"):
                       for i, m in enumerate(f["marginals"]))
     tau = None if f["tau"] is None else build_counting(f["tau"],
                                                        context + ".tau")
-    with _config_errors(context, TypeError, ValueError):
+    with _config_errors(context, *_BAD_VALUE):
         return DependentModel(copula, marginals, tau=tau)
 
 
 def build_denominator(cfg, context="denominator"):
     f = _take(cfg, context, ("kind",), {"n": None, "rate": None})
-    n = None if f["n"] is None else int(f["n"])
-    rate = None if f["rate"] is None else float(f["rate"])
-    with _config_errors(context, TypeError, ValueError):
+    n = None if f["n"] is None else _convert(int, f["n"], context + ".n")
+    rate = (None if f["rate"] is None
+            else _convert(float, f["rate"], context + ".rate"))
+    with _config_errors(context, *_BAD_VALUE):
         return ex.Denominator(str(f["kind"]), n=n, rate=rate)
 
 
@@ -199,15 +212,19 @@ def build_grid(cfg, context="grid"):
         return None
     if isinstance(cfg, dict):
         f = _take(cfg, context, ("lo", "hi"), {"points": 24})
-        lo, hi, n = float(f["lo"]), float(f["hi"]), int(f["points"])
-        if not (0 < lo < hi) or n < 1:
-            raise ConfigError(f"{context}: need 0 < lo < hi and points >= 1")
+        with _config_errors(context, *_BAD_VALUE):
+            lo, hi, n = float(f["lo"]), float(f["hi"]), int(f["points"])
+        if not (0 < lo < hi < math.inf) or n < 1:
+            raise ConfigError(f"{context}: need 0 < lo < hi < inf and "
+                              f"points >= 1")
         return np.geomspace(lo, hi, n)
     if isinstance(cfg, (list, tuple)):
-        xs = np.asarray([float(v) for v in cfg])
-        if len(xs) == 0 or np.any(np.diff(xs) <= 0):
-            raise ConfigError(f"{context}: explicit grid must be strictly "
-                              f"increasing and nonempty")
+        with _config_errors(context, *_BAD_VALUE):
+            xs = np.asarray([float(v) for v in cfg])
+        if (len(xs) == 0 or np.any(np.diff(xs) <= 0)
+                or not np.all(np.isfinite(xs))):
+            raise ConfigError(f"{context}: explicit grid must be finite, "
+                              f"strictly increasing and nonempty")
         return xs
     raise ConfigError(f"{context}: expected a mapping with lo/hi or a list")
 
@@ -228,7 +245,8 @@ def parse_dist_token(token: str) -> dict:
         family, rest = token.split("(", 1)
         if not rest.endswith(")"):
             raise ConfigError(f"distribution token {token!r}: missing ')'")
-        args = [float(v) for v in rest[:-1].split(",") if v.strip()]
+        with _config_errors(f"distribution token {token!r}", *_BAD_VALUE):
+            args = [float(v) for v in rest[:-1].split(",") if v.strip()]
     else:
         family, args = token, []
     family = family.strip().lower()
@@ -405,13 +423,11 @@ def _config(args, usage: str, flag: str = None, **flags) -> dict:
 
 
 def _resolve(args, config: dict, key: str, default):
-    """Flag beats config beats default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if config.get(key) is not None:
-        return config[key]
-    return default
+    """The integer a flag gives, else the config, else default."""
+    value = getattr(args, key, None)
+    if value is None:
+        value = config.get(key)
+    return default if value is None else _convert(int, value, key)
 
 
 def _parse_ratio_curve(raw, args) -> _Parsed:
@@ -419,15 +435,18 @@ def _parse_ratio_curve(raw, args) -> _Parsed:
     model = build_model(f["model"])
     denominator = build_denominator(f["denominator"])
     grid = build_grid(f["grid"])
-    samples = int(_resolve(args, f, "samples", 1_000_000))
-    seed = int(_resolve(args, f, "seed", 0))
-    weights = None if f["weights"] is None else [float(w)
-                                                 for w in f["weights"]]
+    samples = _resolve(args, f, "samples", 1_000_000)
+    seed = _resolve(args, f, "seed", 0)
+    with _config_errors("weights", *_BAD_VALUE):
+        weights = (None if f["weights"] is None
+                   else [float(w) for w in f["weights"]])
+    predicted, tolerance, divergence_bound = (
+        _convert(float, f[key], key)
+        for key in ("predicted", "tolerance", "divergence_bound"))
     with _config_errors("ratio-curve"):
         claim = ex.Claim(mc.parse_quantity(str(f["quantity"])).token,
-                         str(f["semantics"]), denominator,
-                         float(f["predicted"]))
-        ex.check_run_options(str(f["numerator"]), float(f["tolerance"]))
+                         str(f["semantics"]), denominator, predicted)
+        ex.check_run_options(str(f["numerator"]), tolerance, model, [claim])
 
     def run():
         with _config_errors("ratio-curve"):
@@ -435,11 +454,9 @@ def _parse_ratio_curve(raw, args) -> _Parsed:
                 model, claim.quantity, denominator, x_grid=grid,
                 samples=samples, seed=seed, workers=args.workers,
                 predicted=claim.predicted, semantics=claim.semantics,
-                tolerance=float(f["tolerance"]),
-                experiment_id=str(f["experiment_id"]),
+                tolerance=tolerance, experiment_id=str(f["experiment_id"]),
                 numerator=str(f["numerator"]),
-                divergence_bound=float(f["divergence_bound"]),
-                weights=weights)]
+                divergence_bound=divergence_bound, weights=weights)]
 
     warnings = ()
     if (model.tau is not None and not math.isfinite(model.tau.mean())
@@ -467,11 +484,10 @@ def _parse_theorem(raw, args) -> _Parsed:
 def _preset_plan(args, f: dict, key: str, pid, registry: dict,
                  noun: str) -> _Parsed:
     """Run one named preset, for a theorem or a ruin preset config."""
-    seed = int(_resolve(args, f, "seed", 0))
+    seed = _resolve(args, f, "seed", 0)
     samples = _resolve(args, f, "samples", None)
-    samples = None if samples is None else int(samples)
     grid = build_grid(f.get("grid"))
-    if pid not in registry:
+    if not isinstance(pid, str) or pid not in registry:
         raise ConfigError(f"unknown {noun} {pid!r}; have {list(registry)}")
     model, warnings = None, ()
     if f.get("model") is not None:
@@ -506,7 +522,8 @@ _CLASS_CHECKS = {"L": "long_tail", "D": "dominated", "S": "subexponential",
 
 def _checks(value, allowed, everything: str, kind: str, have: str) -> list:
     checks = list(allowed) if value in (None, everything) else (
-        value.split(",") if isinstance(value, str) else list(value))
+        value.split(",") if isinstance(value, str)
+        else _convert(list, value, "checks"))
     for c in checks:
         if c not in allowed:
             raise ConfigError(f"unknown {kind} check {c!r}; have {have}")
@@ -517,17 +534,19 @@ def _dist_config(dist):
     return parse_dist_token(dist) if isinstance(dist, str) else dist
 
 
-def _parse_grid_flag(text: str):
+def _parse_grid_flag(text: str, name: str):
+    """The grid that the string of flag or field name spells."""
     text = text.strip()
     if text == "auto":
         return None
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError("--grid takes lo:hi:n or x1,x2,...")
-        return {"lo": float(parts[0]), "hi": float(parts[1]),
-                "points": int(parts[2])}
-    return [float(v) for v in text.split(",") if v.strip()]
+    parts = text.split(":")
+    if ":" in text and len(parts) != 3:
+        raise ConfigError(f"{name} takes lo:hi:n or x1,x2,...")
+    with _config_errors(name, *_BAD_VALUE):
+        if ":" in text:
+            return {"lo": float(parts[0]), "hi": float(parts[1]),
+                    "points": int(parts[2])}
+        return [float(v) for v in text.split(",") if v.strip()]
 
 
 def _parse_class(raw, args) -> _Parsed:
@@ -538,7 +557,7 @@ def _parse_class(raw, args) -> _Parsed:
                      f"{tuple(_CLASS_CHECKS)} or 'all'")
     grid_cfg = f["grid"]
     if getattr(args, "grid", None):
-        grid_cfg = _parse_grid_flag(args.grid)
+        grid_cfg = _parse_grid_flag(args.grid, "--grid")
     dist = build_marginal(dist_cfg, "dist")
     grid = build_grid(grid_cfg)
 
@@ -566,7 +585,9 @@ def _parse_dependence(raw, args) -> _Parsed:
             raise ConfigError(f"unknown model token {model_cfg!r}; have "
                               f"{sorted(_MODEL_TOKENS)}")
         model_cfg = dict(_MODEL_TOKENS[model_cfg])
-    pair = tuple(int(i) for i in f["pair"])
+    with _config_errors("pair", *_BAD_VALUE):
+        i, j = (int(v) for v in f["pair"])
+    pair = (i, j)
     checks = _checks(getattr(args, "check", None) or f["checks"],
                      ("H1", "H2"), "both", "dependence", "H1, H2, or both")
     model = build_model(model_cfg)
@@ -578,7 +599,7 @@ def _parse_dependence(raw, args) -> _Parsed:
                  for check in checks])
 
 
-def _convolve_auto_points(dist, nfold: int):
+def _convolve_auto_points(dist):
     rep = dist.truncated_atoms(float("inf"))
     hi = float(dist.quantile(1.0 - 1e-3))
     if rep is not None:
@@ -593,48 +614,44 @@ def _convolve_auto_points(dist, nfold: int):
 def _parse_convolve(raw, args) -> _Parsed:
     f = _fields(raw, "convolve")
     dist_cfg = _dist_config(f["dist"])
-    nfold = int(f["nfold"])
-    points = f["points"]
+    nfold = _convert(int, f["nfold"], "nfold")
     if nfold < 2:
         raise ConfigError("nfold must be at least 2")
     dist = build_marginal(dist_cfg, "dist")
+    points = "auto" if f["points"] is None else f["points"]
     if isinstance(points, str) and points != "auto":
-        points = _parse_grid_flag(points)
+        points = _parse_grid_flag(points, "points" if args.config
+                                  else "--points")
+    probes = _convolve_auto_points(dist) if points == "auto" else points
+    grid = build_grid(probes, "points")
     return _Parsed({"dist": dist_cfg, "nfold": nfold, "points": points},
-                   lambda: _convolve_rows(dist, nfold, points))
+                   lambda: _convolve_rows(dist, nfold, probes, grid))
 
 
-def _convolve_rows(dist, nfold: int, points) -> list:
-    """(x, lower, upper, single tail, ratio bounds, running min) rows."""
+def _convolve_rows(dist, nfold: int, probes, grid) -> list:
+    """(x, lower, upper, single tail, ratio bounds, running min) rows.
+
+    The exact two-fold probes a lo/hi span at every jump of both tails.
+    """
     with _config_errors("convolve"):
         if nfold == 2 and dist.truncated_atoms(float("inf")) is not None:
-            if points == "auto":
-                rng = _convolve_auto_points(dist, nfold)
-                curve = conv.exact_twofold_ratio_curve(dist, lo=rng["lo"],
-                                                       hi=rng["hi"])
-            elif isinstance(points, dict):
-                curve = conv.exact_twofold_ratio_curve(
-                    dist, lo=float(points["lo"]), hi=float(points["hi"]))
-            else:
-                curve = conv.exact_twofold_ratio_curve(
-                    dist, x_points=np.asarray(points, dtype=float))
+            curve = conv.exact_twofold_ratio_curve(dist, **(
+                {"lo": float(probes["lo"]), "hi": float(probes["hi"])}
+                if isinstance(probes, dict) else {"x_points": grid}))
             rows = zip(curve.xs, curve.numerators, curve.numerators,
                        curve.denominators, curve.ratios, curve.ratios,
                        curve.running_min)
         else:
-            grid = build_grid(points if points != "auto"
-                              else _convolve_auto_points(dist, nfold))
             brackets = conv.nfold_tail_bracket(dist, nfold, grid)
+            lower = np.array([b.lower for b in brackets])
+            upper = np.array([b.upper for b in brackets])
             tails = np.array([float(dist.tail(x)) for x in grid])
             if np.any(tails <= 0):
                 raise InvalidInput("single tail vanishes on the grid; "
                                    "shorten it")
-            lo_r = np.array([b.lower for b in brackets]) / tails
-            hi_r = np.array([b.upper for b in brackets]) / tails
-            mid = np.array([b.midpoint for b in brackets]) / tails
-            rows = zip(grid, [b.lower for b in brackets],
-                       [b.upper for b in brackets], tails, lo_r, hi_r,
-                       np.minimum.accumulate(mid))
+            rows = zip(grid, lower, upper, tails, lower / tails,
+                       upper / tails,
+                       np.minimum.accumulate(0.5 * (lower + upper) / tails))
         return [tuple(map(float, row)) for row in rows]
 
 
@@ -646,14 +663,16 @@ def _build_risk(raw: dict, context: str):
     f = _take(raw, context, *_SCHEMAS[kind])
     if kind == "discrete":
         claims = build_model(f["claims"], context + ".claims")
-        with _config_errors(context, TypeError, ValueError):
-            return risk_mod.DiscreteRiskModel(claims,
-                                              rate=float(f["rate"])), f
+        rate = _convert(float, f["rate"], "rate")
+        with _config_errors(context, *_BAD_VALUE):
+            return risk_mod.DiscreteRiskModel(claims, rate=rate), f
     claim = build_marginal(f["claim_size"], context + ".claim_size")
-    with _config_errors(context, TypeError, ValueError):
-        return risk_mod.ArrivalRiskModel(
-            claim, loading=float(f["loading"]),
-            intensity=float(f["intensity"]), horizon=float(f["horizon"])), f
+    loading, intensity, horizon = (_convert(float, f[key], key) for key
+                                   in ("loading", "intensity", "horizon"))
+    with _config_errors(context, *_BAD_VALUE):
+        return risk_mod.ArrivalRiskModel(claim, loading=loading,
+                                         intensity=intensity,
+                                         horizon=horizon), f
 
 
 def _parse_ruin(raw, args) -> _Parsed:
@@ -662,17 +681,18 @@ def _parse_ruin(raw, args) -> _Parsed:
         return _preset_plan(args, f, "preset", f["preset"],
                             risk_mod.RISK_PRESETS, "ruin preset")
     model, f = _build_risk(raw, "ruin config")
-    seed = int(_resolve(args, f, "seed", 0))
-    samples = int(_resolve(args, f, "samples", 1_000_000))
+    seed = _resolve(args, f, "seed", 0)
+    samples = _resolve(args, f, "samples", 1_000_000)
     grid = build_grid(f["grid"])
+    tolerance = _convert(float, f["tolerance"], "tolerance")
     with _config_errors("ruin"):
-        ex.check_run_options("mc", float(f["tolerance"]))
+        ex.check_run_options("mc", tolerance)
 
     def run():
         with _config_errors("ruin"):
             return [model.ruin_curve(x_grid=grid, samples=samples, seed=seed,
                                      workers=args.workers,
-                                     tolerance=float(f["tolerance"]))]
+                                     tolerance=tolerance)]
 
     return _Parsed({**f, "samples": samples, "seed": seed}, run)
 
@@ -751,7 +771,7 @@ def cmd_surplus_path(args) -> int:
         raise ConfigError("surplus-path only applies to the discrete model")
     if args.surplus is None:
         raise ConfigError("surplus-path needs --surplus")
-    seed = int(_resolve(args, f, "seed", 0))
+    seed = _resolve(args, f, "seed", 0)
     with _config_errors("surplus-path"):
         path = model.surplus_path(args.surplus, seed=seed,
                                   replicate=args.replicate)

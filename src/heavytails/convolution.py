@@ -4,7 +4,10 @@ Two paths provide ground truth for the Monte Carlo engine:
 
 * purely atomic laws convolve exactly (direct product-sum enumeration, with an
   overflow bucket at +infinity standing in for the far tail, which is exact for
-  every probe below the truncation threshold);
+  every probe below the truncation threshold). ``_atom_measure`` is the one
+  place a law's atom table becomes a lattice measure. The n-fold path powers it
+  in ``nfold_atoms``; the two-fold with its jump probes lives only in
+  ``exact_twofold_ratio_curve``, which also serves the ``S`` class diagnostic;
 * continuous laws are bracketed between two lattice envelopes. Rounding every
   summand's location up to the grid produces a stochastically larger variable,
   hence an upper bound on P(S_n > x); rounding down gives the lower bound.
@@ -144,6 +147,21 @@ def _merge_close(sorted_locs, masses, tol):
     return sorted_locs[starts], np.add.reduceat(masses, starts)
 
 
+def _power(base, n: int, mul):
+    """base multiplied with itself n times under mul, by repeated squaring.
+
+    The order of the products is fixed, so every caller gets the same bits.
+    """
+    acc = None
+    while n:
+        if n & 1:
+            acc = base if acc is None else mul(acc, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return acc
+
+
 def nfold_atoms(m: LatticeMeasure, n: int, clamp_above: float = None) -> LatticeMeasure:
     """n-fold self-convolution; atoms above clamp_above move to the bucket."""
     if n < 1:
@@ -159,16 +177,7 @@ def nfold_atoms(m: LatticeMeasure, n: int, clamp_above: float = None) -> Lattice
         return LatticeMeasure(x.locs[:cut], x.masses[:cut],
                               inf_mass=x.inf_mass + extra, slack=x.slack)
 
-    result = None
-    base = clamp(m)
-    e = n
-    while e:
-        if e & 1:
-            result = base if result is None else clamp(convolve_atoms(result, base))
-        e >>= 1
-        if e:
-            base = clamp(convolve_atoms(base, base))
-    return result
+    return _power(clamp(m), n, lambda a, b: clamp(convolve_atoms(a, b)))
 
 
 @dataclass(frozen=True)
@@ -193,6 +202,11 @@ class TailBracket:
         return 0.5 * (self.lower + self.upper)
 
 
+def _brackets(xs, lows, highs) -> list:
+    return [TailBracket(float(x), float(min(lo, hi)), float(min(max(hi, lo), 1.0)))
+            for x, lo, hi in zip(xs, lows, highs)]
+
+
 @dataclass(frozen=True)
 class _Grid:
     """Lattice on multiples of step: index k carries location (k0 + k) * step."""
@@ -206,12 +220,8 @@ class _Grid:
     def locs(self):
         return (self.k0 + np.arange(len(self.masses))) * self.step
 
-    def tail(self, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        locs = self.locs
-        suffix = np.concatenate((np.cumsum(self.masses[::-1])[::-1], [0.0]))
-        idx = np.searchsorted(locs, xs, side="right")
-        return suffix[idx] + self.inf_mass
+    def measure(self) -> LatticeMeasure:
+        return LatticeMeasure(self.locs, self.masses, inf_mass=self.inf_mass)
 
 
 def _grid_convolve(a: _Grid, b: _Grid, clamp_k: int, side: str) -> _Grid:
@@ -272,10 +282,6 @@ def discretize_tail(tail_fn, lo: float, hi: float, step: float, side: str) -> _G
     return _Grid(k_lo, step, masses, right)
 
 
-def _auto_step(x_max: float) -> float:
-    return max(x_max, 1.0) / 4096.0
-
-
 def nfold_tail_bracket_from_tail(tail_fn, support_min: float, n: int, xs,
                                  grid_step: float = None) -> list:
     """Brackets for P(S_n > x) when S_n sums n i.i.d. copies of a law
@@ -284,37 +290,31 @@ def nfold_tail_bracket_from_tail(tail_fn, support_min: float, n: int, xs,
     if not math.isfinite(support_min):
         raise InvalidInput("support must be bounded below")
     x_max = float(np.max(xs))
-    step = float(grid_step) if grid_step else _auto_step(x_max)
+    step = float(grid_step) if grid_step else max(x_max, 1.0) / 4096.0
     clamp_val = x_max - (n - 1) * min(support_min, 0.0) + 2.0 * step
     clamp_k = math.ceil(clamp_val / step)
     hi = (clamp_k + 1) * step
 
-    out = []
-    envs = {}
+    tails = []
     for side in ("lower", "upper"):
-        g = discretize_tail(tail_fn, support_min, hi, step, side)
-        g = _grid_clamp(g, clamp_k, side)
-        acc = None
-        base = g
-        e = n
-        while e:
-            if e & 1:
-                acc = base if acc is None else _grid_convolve(acc, base, clamp_k, side)
-            e >>= 1
-            if e:
-                base = _grid_convolve(base, base, clamp_k, side)
-        envs[side] = acc
-    lows = envs["lower"].tail(xs)
-    highs = envs["upper"].tail(xs)
-    for x, lo_v, hi_v in zip(xs, lows, highs):
-        out.append(TailBracket(float(x), float(min(lo_v, hi_v)),
-                               float(min(max(hi_v, lo_v), 1.0))))
-    return out
+        g = _grid_clamp(discretize_tail(tail_fn, support_min, hi, step, side),
+                        clamp_k, side)
+        env = _power(g, n, lambda a, b: _grid_convolve(a, b, clamp_k, side))
+        tails.append(env.measure().tail_bounds(xs)[0])
+    return _brackets(xs, *tails)
 
 
-def _atomic_threshold(d: Marginal, x_max: float, n: int) -> float:
+def _atom_measure(d: Marginal, x_max: float, n: int):
+    """d's atoms as a lattice measure, exact for n-fold sums probed up to
+    x_max; None for a law that is not purely atomic."""
     s_min = d.support()[0]
-    return x_max - (n - 1) * min(s_min, 0.0) - min(s_min, 0.0) + 1.0
+    rep = d.truncated_atoms(x_max - (n - 1) * min(s_min, 0.0)
+                            - min(s_min, 0.0) + 1.0)
+    if rep is None:
+        return None
+    locs, masses, overflow = rep
+    return LatticeMeasure(np.asarray(locs, dtype=float),
+                          np.asarray(masses, dtype=float), inf_mass=overflow)
 
 
 def nfold_tail_bracket(d: Marginal, n: int, xs, grid_step: float = None) -> list:
@@ -327,19 +327,13 @@ def nfold_tail_bracket(d: Marginal, n: int, xs, grid_step: float = None) -> list
     if n < 1:
         raise InvalidInput("n must be at least 1")
     x_max = float(np.max(xs_arr))
-    rep = d.truncated_atoms(_atomic_threshold(d, x_max, n))
-    if rep is not None:
-        locs, masses, overflow = rep
-        base = LatticeMeasure(np.asarray(locs, dtype=float),
-                              np.asarray(masses, dtype=float), inf_mass=overflow)
-        clamp_above = x_max - (n - 1) * min(d.support()[0], 0.0) + 0.5
-        m = nfold_atoms(base, n, clamp_above=clamp_above)
-        lo_v, hi_v = m.tail_bounds(xs_arr)
-        return [TailBracket(float(x), float(l), float(h))
-                for x, l, h in zip(xs_arr, lo_v, hi_v)]
     s_min = d.support()[0]
-    return nfold_tail_bracket_from_tail(
-        lambda t: d.tail(t), s_min, n, xs_arr, grid_step=grid_step)
+    base = _atom_measure(d, x_max, n)
+    if base is None:
+        return nfold_tail_bracket_from_tail(d.tail, s_min, n, xs_arr,
+                                            grid_step=grid_step)
+    m = nfold_atoms(base, n, clamp_above=x_max - (n - 1) * min(s_min, 0.0) + 0.5)
+    return _brackets(xs_arr, *m.tail_bounds(xs_arr))
 
 
 @dataclass(frozen=True)
@@ -364,7 +358,8 @@ def exact_twofold_ratio_curve(d: Marginal, lo: float = None, hi: float = None,
     Give either a range [lo, hi] or explicit x_points. On a range, the curve
     is probed at every atom of the sum law and of the single law (plus lo
     itself): both tails are step functions jumping only there, so this
-    captures every value the ratio takes on the interval.
+    captures every value the ratio takes on the interval. No pair mass is
+    pruned, so the curve stays exact however deep the range reaches.
     """
     if x_points is not None:
         probes_in = np.unique(np.asarray(x_points, dtype=float))
@@ -373,13 +368,10 @@ def exact_twofold_ratio_curve(d: Marginal, lo: float = None, hi: float = None,
         hi = float(probes_in[-1])
     elif lo is None or hi is None:
         raise InvalidInput("give either x_points or both lo and hi")
-    rep = d.truncated_atoms(_atomic_threshold(d, hi, 2))
-    if rep is None:
+    base = _atom_measure(d, hi, 2)
+    if base is None:
         raise InvalidInput("exact ratio curve requires a purely atomic law")
-    locs, masses, overflow = rep
-    base = LatticeMeasure(np.asarray(locs, dtype=float),
-                          np.asarray(masses, dtype=float), inf_mass=overflow)
-    two = convolve_atoms(base, base)
+    two = convolve_atoms(base, base, prune_below=0.0)
     if x_points is not None:
         probes = probes_in
     else:

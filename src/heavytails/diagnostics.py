@@ -133,21 +133,38 @@ def bounded_verdict(statistics, tol: float, growth_factor: float = 1.5) -> str:
     return "inconclusive"
 
 
+def _probe_grid(d: Marginal, grid=None, positive: bool = False, **window):
+    """The given grid, else the quantile window of d's tail."""
+    grid = np.asarray(grid if grid is not None else quantile_grid((d,), **window),
+                      dtype=float)
+    if positive and np.any(grid <= 0):
+        raise InvalidInput("grid must be positive")
+    return grid
+
+
+def _nonvanishing(tail, message: str = "tail vanishes on the grid"):
+    tail = np.asarray(tail, dtype=float)
+    if np.any(tail <= 0):
+        raise InvalidInput(message)
+    return tail
+
+
+def _bracket_bounds(brackets):
+    return (np.array([b.lower for b in brackets]),
+            np.array([b.upper for b in brackets]))
+
+
 def long_tail(d: Marginal, y: float = 1.0, grid=None,
               tol: float = DEFAULT_TOL) -> ClassReport:
     """Translation insensitivity: F̄(x+y)/F̄(x) -> 1."""
     if y <= 0:
         raise InvalidInput("y must be positive")
-    if grid is None:
-        # the statistic converges at the hazard rate, which for
-        # stretched-exponential shapes is still above a 5% band at the
-        # quantile window the convolution checks use; this check costs two
-        # tail evaluations per point, so probe much deeper by default
-        grid = quantile_grid((d,), hi_u=1.0 - 1e-8)
-    grid = np.asarray(grid, dtype=float)
-    den = np.asarray(d.tail(grid), dtype=float)
-    if np.any(den <= 0):
-        raise InvalidInput("tail vanishes on the grid")
+    # the statistic converges at the hazard rate, which for
+    # stretched-exponential shapes is still above a 5% band at the
+    # quantile window the convolution checks use; this check costs two
+    # tail evaluations per point, so probe much deeper by default
+    grid = _probe_grid(d, grid, hi_u=1.0 - 1e-8)
+    den = _nonvanishing(d.tail(grid))
     ratios = np.asarray(d.tail(grid + y), dtype=float) / den
     return ClassReport("L", grid, ratios,
                        limit_verdict(ratios, ratios, 1.0, tol), tol,
@@ -159,41 +176,11 @@ def dominated(d: Marginal, y: float = 0.5, grid=None,
     """Dominated variation: F̄(xy)/F̄(x) stays bounded as x grows (0 < y < 1)."""
     if not 0 < y < 1:
         raise InvalidInput("y must lie in (0, 1)")
-    grid = np.asarray(grid if grid is not None else quantile_grid((d,)), dtype=float)
-    den = np.asarray(d.tail(grid), dtype=float)
-    if np.any(den <= 0):
-        raise InvalidInput("tail vanishes on the grid")
+    grid = _probe_grid(d, grid)
+    den = _nonvanishing(d.tail(grid))
     ratios = np.asarray(d.tail(grid * y), dtype=float) / den
     return ClassReport("D", grid, ratios, bounded_verdict(ratios, tol), tol,
                        mode="bounded")
-
-
-def _twofold_brackets(d: Marginal, grid: np.ndarray, grid_step):
-    """Grid and brackets for the two-fold tail of d (whole-line convolution).
-
-    Atomic laws get the grid augmented with every tail jump of both the single
-    and the pair law inside the probed range, so ratio dips confined to narrow
-    windows between round grid points are still observed.
-    """
-    x_max = float(np.max(grid))
-    s_min = d.support()[0]
-    rep = d.truncated_atoms(cv._atomic_threshold(d, x_max, 2))
-    if rep is not None:
-        locs, masses, overflow = rep
-        base = cv.LatticeMeasure(np.asarray(locs, dtype=float),
-                                 np.asarray(masses, dtype=float),
-                                 inf_mass=overflow)
-        two = cv.convolve_atoms(base, base)
-        x_min = float(np.min(grid))
-        jumps = np.concatenate((base.locs, two.locs))
-        jumps = jumps[(jumps >= x_min) & (jumps <= x_max)]
-        grid = np.unique(np.concatenate((grid, jumps)))
-        lo, hi = two.tail_bounds(grid)
-        return grid, lo, hi
-    brackets = cv.nfold_tail_bracket_from_tail(
-        lambda t: d.tail(t), s_min, 2, grid, grid_step=grid_step)
-    return (grid, np.array([b.lower for b in brackets]),
-            np.array([b.upper for b in brackets]))
 
 
 def subexponential(d: Marginal, grid=None, grid_step: float = None,
@@ -204,14 +191,23 @@ def subexponential(d: Marginal, grid=None, grid_step: float = None,
     long-tailed laws this agrees with the positive-part reduction, and for
     non-long-tailed ones (the geometric atom mixture) it is the statistic
     whose running minimum witnesses the sub-2 dip.
+
+    Atomic laws are convolved exactly, and the grid gains every tail jump of
+    both the single and the pair law inside the probed range, so ratio dips
+    confined to narrow windows between round grid points are still observed.
     """
-    grid = np.asarray(grid if grid is not None else quantile_grid((d,)), dtype=float)
-    if np.any(grid <= 0):
-        raise InvalidInput("grid must be positive")
-    grid, num_lo, num_hi = _twofold_brackets(d, grid, grid_step)
-    den = np.asarray(d.tail(grid), dtype=float)
-    if np.any(den <= 0):
-        raise InvalidInput("tail vanishes on the grid")
+    grid = _probe_grid(d, grid, positive=True)
+    den = _nonvanishing(d.tail(grid))
+    if d.truncated_atoms(math.inf) is None:
+        num_lo, num_hi = _bracket_bounds(
+            cv.nfold_tail_bracket(d, 2, grid, grid_step=grid_step))
+    else:
+        jumps = cv.exact_twofold_ratio_curve(
+            d, lo=float(np.min(grid)), hi=float(np.max(grid))).xs
+        curve = cv.exact_twofold_ratio_curve(
+            d, x_points=np.concatenate((grid, jumps)))
+        grid, den = curve.xs, curve.denominators
+        num_lo, num_hi = curve.numerators, np.minimum(curve.numerators, 1.0)
     r_lo, r_hi = num_lo / den, num_hi / den
     mid = 0.5 * (r_lo + r_hi)
     return ClassReport("S", grid, mid, limit_verdict(r_lo, r_hi, 2.0, tol), tol,
@@ -237,10 +233,8 @@ def sstar(d: Marginal, grid=None, tol: float = DEFAULT_TOL) -> ClassReport:
     m_plus = d.pos_mean()
     if not (0 < m_plus < math.inf):
         raise AssumptionViolated("positive-part mean must be finite and positive")
-    grid = np.asarray(grid if grid is not None else quantile_grid((d,)), dtype=float)
-    den = 2.0 * m_plus * np.asarray(d.tail(grid), dtype=float)
-    if np.any(den <= 0):
-        raise InvalidInput("tail vanishes on the grid")
+    grid = _probe_grid(d, grid)
+    den = _nonvanishing(2.0 * m_plus * np.asarray(d.tail(grid), dtype=float))
     x_max = float(np.max(grid))
     rep = d.truncated_atoms(x_max + 1.0)
     vals = np.empty(len(grid))
@@ -258,23 +252,17 @@ def sstar(d: Marginal, grid=None, tol: float = DEFAULT_TOL) -> ClassReport:
                        target_value=1.0)
 
 
-def fh_tail(d: Marginal, h: float, x: float) -> float:
-    """Tail of the h-window law: min(1, ∫_x^{x+h} F̄(t) dt)."""
+def fh_tail(d: Marginal, h: float, x):
+    """Tail of the h-window law: min(1, ∫_x^{x+h} F̄(t) dt), elementwise
+    over x > 0."""
     if h < 1.0:
         raise InvalidInput("window h must be at least 1")
-    if x <= 0.0:
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs <= 0.0):
         raise InvalidInput("x must be positive")
-    return min(1.0, float(d.tail_integral(float(x), float(x) + float(h))))
-
-
-def _fh_tail_curve(d: Marginal, h: float, ts: np.ndarray) -> np.ndarray:
-    out = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        if t <= 0.0:
-            out[i] = 1.0
-        else:
-            out[i] = min(1.0, float(d.tail_integral(float(t), float(t) + h)))
-    return out
+    vals = [min(1.0, float(d.tail_integral(t, t + float(h))))
+            for t in xs.ravel().tolist()]
+    return vals[0] if xs.ndim == 0 else np.array(vals).reshape(xs.shape)
 
 
 def strong_subexponential(d: Marginal, h_grid=(1.0, 10.0, 100.0), grid=None,
@@ -290,23 +278,23 @@ def strong_subexponential(d: Marginal, h_grid=(1.0, 10.0, 100.0), grid=None,
     h_grid = tuple(float(h) for h in h_grid)
     if any(h < 1.0 for h in h_grid) or not h_grid:
         raise InvalidInput("h_grid entries must be at least 1")
-    grid = np.asarray(grid if grid is not None else quantile_grid((d,)), dtype=float)
-    if np.any(grid <= 0):
-        raise InvalidInput("grid must be positive")
+    grid = _probe_grid(d, grid, positive=True)
     curves = {}
     worst_lo = None
     worst_hi = None
     worst_dev = None
     for h in h_grid:
-        tail_fn = lambda t, hh=h: _fh_tail_curve(d, hh, np.atleast_1d(
-            np.asarray(t, dtype=float)))
-        den = _fh_tail_curve(d, h, grid)
-        if np.any(den <= 0):
-            raise InvalidInput(f"window tail vanishes on the grid for h={h}")
-        brackets = cv.nfold_tail_bracket_from_tail(tail_fn, 0.0, 2, grid,
-                                                   grid_step=grid_step)
-        lo = np.array([b.lower for b in brackets]) / den
-        hi = np.array([b.upper for b in brackets]) / den
+        def window_tail(t, h=h):
+            # the window law lives on [0, inf): its tail is 1 at t <= 0
+            out = np.ones(len(t))
+            out[t > 0.0] = fh_tail(d, h, t[t > 0.0])
+            return out
+
+        den = _nonvanishing(fh_tail(d, h, grid),
+                            f"window tail vanishes on the grid for h={h}")
+        lo, hi = _bracket_bounds(cv.nfold_tail_bracket_from_tail(
+            window_tail, 0.0, 2, grid, grid_step=grid_step))
+        lo, hi = lo / den, hi / den
         curves[f"h={h:g}"] = 0.5 * (lo + hi)
         dev = np.abs(0.5 * (lo + hi) - 2.0)
         if worst_dev is None:
@@ -343,8 +331,7 @@ def h1_report(model: DependentModel, pair=(0, 1), grid=None,
     i, j = check_pair(model, pair)
     sub = model.subset((i, j))
     di, dj = sub.marginals
-    grid = np.asarray(grid if grid is not None else quantile_grid((di,)),
-                      dtype=float)
+    grid = _probe_grid(di, grid)
     stats = np.empty(len(grid))
     for k, x in enumerate(grid):
         joint = joint_upper_survival(sub, [float(x), float(x)])
@@ -370,10 +357,7 @@ def h2_report(model: DependentModel, pair=(0, 1), grid=None,
     i, j = check_pair(model, pair)
     sub = model.subset((i, j))
     di, dj = sub.marginals
-    grid = np.asarray(grid if grid is not None else quantile_grid((di,)),
-                      dtype=float)
-    if np.any(grid <= 0):
-        raise InvalidInput("grid must be positive")
+    grid = _probe_grid(di, grid, positive=True)
     curves = {}
     for a, b in _H2_RAYS:
         vals = np.empty(len(grid))

@@ -118,7 +118,6 @@ def _piecewise_const_integral(locs, suffix_tails, a, b):
     if b <= a:
         return 0.0
     pts = np.concatenate(([a], locs[(locs > a) & (locs < b)], [b]))
-    heights = np.empty(len(pts) - 1)
     idx = np.searchsorted(locs, pts[:-1], side="right") - 1
     heights = np.where(idx >= 0, suffix_tails[np.maximum(idx, 0)], 1.0)
     return float(np.sum(np.diff(pts) * heights))
@@ -298,8 +297,43 @@ def _normalize_atoms(atoms):
     return tuple(items)
 
 
+class _AtomTable(Marginal):
+    """Lookups shared by the purely atomic families.
+
+    A family provides _table = (locs, masses, cdf, suffix) with sorted
+    locations, suffix[i] being the tail just right of locs[i], and _beyond,
+    the mass its table leaves out above the last location.
+    """
+
+    _beyond = 0.0
+
+    def _tail_arr(self, x):
+        locs, _, _, suffix = self._table
+        idx = np.searchsorted(locs, x, side="right")
+        return np.where(idx == 0, 1.0, suffix[np.maximum(idx - 1, 0)])
+
+    def _ppf_arr(self, u):
+        locs, _, cdf, _ = self._table
+        idx = np.searchsorted(cdf, u, side="left")
+        return locs[np.minimum(idx, len(locs) - 1)]
+
+    def truncated_atoms(self, threshold):
+        locs, masses, _, _ = self._table
+        keep = locs <= threshold
+        return locs[keep], masses[keep], float(np.sum(masses[~keep])) + self._beyond
+
+    def tail_integral(self, a, b):
+        _require(b >= a, "need b >= a")
+        locs, _, _, suffix = self._table
+        if math.isinf(b):
+            if math.isinf(self.mean()):
+                return math.inf
+            b = max(a, float(locs[-1]))  # tail is 0 beyond the last atom
+        return _piecewise_const_integral(locs, suffix, a, b)
+
+
 @dataclass(frozen=True)
-class DiscreteAtoms(Marginal):
+class DiscreteAtoms(_AtomTable):
     """Finite atomic law given as (location, mass) pairs; masses sum to 1."""
 
     atoms: tuple
@@ -312,45 +346,18 @@ class DiscreteAtoms(Marginal):
     tags = frozenset()
 
     @cached_property
-    def _locs(self):
-        return np.array([l for l, _ in self.atoms])
-
-    @cached_property
-    def _masses(self):
-        return np.array([m for _, m in self.atoms])
-
-    @cached_property
-    def _cdf_table(self):
-        return np.cumsum(self._masses)
-
-    @cached_property
-    def _suffix_tails(self):
-        # tail just right of each atom
-        return np.concatenate((np.cumsum(self._masses[::-1])[::-1][1:], [0.0]))
-
-    def _tail_arr(self, x):
-        idx = np.searchsorted(self._locs, x, side="right")
-        return np.where(idx == 0, 1.0, self._suffix_tails[np.maximum(idx - 1, 0)])
-
-    def _ppf_arr(self, u):
-        idx = np.searchsorted(self._cdf_table, u, side="left")
-        return self._locs[np.minimum(idx, len(self.atoms) - 1)]
+    def _table(self):
+        locs = np.array([l for l, _ in self.atoms])
+        masses = np.array([m for _, m in self.atoms])
+        suffix = np.concatenate((np.cumsum(masses[::-1])[::-1][1:], [0.0]))
+        return locs, masses, np.cumsum(masses), suffix
 
     def mean(self):
-        return float(np.dot(self._locs, self._masses))
+        locs, masses, _, _ = self._table
+        return float(np.dot(locs, masses))
 
     def support(self):
-        return (float(self._locs[0]), float(self._locs[-1]))
-
-    def tail_integral(self, a, b):
-        _require(b >= a, "need b >= a")
-        if math.isinf(b):
-            b = max(a, float(self._locs[-1]))  # tail is 0 beyond the last atom
-        return _piecewise_const_integral(self._locs, self._suffix_tails, a, b)
-
-    def truncated_atoms(self, threshold):
-        keep = self._locs <= threshold
-        return self._locs[keep], self._masses[keep], float(np.sum(self._masses[~keep]))
+        return (self.atoms[0][0], self.atoms[-1][0])
 
 
 @dataclass(frozen=True)
@@ -396,7 +403,7 @@ _MIXTURE_DEPTH = 200  # atoms tabulated; the suffix beyond carries mass 2^-200
 
 
 @dataclass(frozen=True)
-class GeometricAtomMixture(Marginal):
+class GeometricAtomMixture(_AtomTable):
     """Mixture q*rho + (1-q)*sigma of a sparse unbounded atom law and a negative part.
 
     rho puts mass 2^-(n+1) on 2^(n+1)-1 for n >= 0, so its tail halves exactly
@@ -439,34 +446,15 @@ class GeometricAtomMixture(Marginal):
         suffix[:ns] = sig_suffix + self.q
         return locs, masses, cdf, suffix
 
-    def _tail_arr(self, x):
-        locs, _, _, suffix = self._table
-        idx = np.searchsorted(locs, x, side="right")
-        return np.where(idx == 0, 1.0, suffix[np.maximum(idx - 1, 0)])
-
-    def _ppf_arr(self, u):
-        locs, _, cdf, _ = self._table
-        idx = np.searchsorted(cdf, u, side="left")
-        return locs[np.minimum(idx, len(locs) - 1)]
-
     def mean(self):
         return math.inf  # the rho part has divergent mean
 
     def support(self):
         return (float(self.sigma_atoms[0][0]), math.inf)
 
-    def tail_integral(self, a, b):
-        _require(b >= a, "need b >= a")
-        if math.isinf(b):
-            return math.inf
-        locs, _, _, suffix = self._table
-        return _piecewise_const_integral(locs, suffix, a, b)
-
-    def truncated_atoms(self, threshold):
-        locs, masses, _, _ = self._table
-        keep = locs <= threshold
-        overflow = float(np.sum(masses[~keep])) + self.q * 2.0 ** (-_MIXTURE_DEPTH)
-        return locs[keep], masses[keep], overflow
+    @property
+    def _beyond(self):
+        return self.q * 2.0 ** (-_MIXTURE_DEPTH)
 
 
 @dataclass(frozen=True)

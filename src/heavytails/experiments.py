@@ -135,30 +135,46 @@ class RatioCurve:
         return np.array([p.x for p in self.points])
 
 
+def _has_closed_form(model: DependentModel, quantity: mc.Quantity) -> bool:
+    """Copula algebra gives the tail of a fixed-length max of up to three
+    coordinates and of a comonotone sum of identical marginals."""
+    return not quantity.stopped and (
+        (quantity.kind == "max" and model.dim <= 3)
+        or (quantity.kind == "sum" and isinstance(model.copula, Comonotone)
+            and model.identical_marginals()))
+
+
 def _exact_numerator(model: DependentModel, quantity: mc.Quantity, xs):
     """Closed-form tail of the statistic where copula algebra allows it."""
-    if quantity.stopped:
+    if not _has_closed_form(model, quantity):
         return None
-    if quantity.kind == "max" and model.dim <= 3:
+    if quantity.kind == "max":
         out = np.empty(len(xs))
         for i, x in enumerate(xs):
             u = np.array([1.0 - float(m.tail(float(x)))
                           for m in model.marginals])
             out[i] = 1.0 - float(model.copula.cdf(u))
         return np.clip(out, 0.0, 1.0)
-    if (quantity.kind == "sum" and isinstance(model.copula, Comonotone)
-            and model.identical_marginals()):
-        d = model.marginals[0]
-        return np.array([float(d.tail(float(x) / model.dim)) for x in xs])
-    return None
+    d = model.marginals[0]
+    return np.array([float(d.tail(float(x) / model.dim)) for x in xs])
 
 
-def check_run_options(numerator: str, tolerance: float) -> None:
-    """Reject a numerator mode or tolerance that no experiment can use."""
+def check_run_options(numerator: str, tolerance: float,
+                      model: DependentModel = None, claims=()) -> None:
+    """Reject a numerator mode or tolerance that no experiment can use, and
+    claims that cannot run on model: a denominator the model lacks the parts
+    for, or an exact numerator without a closed form."""
     if numerator not in ("auto", "mc", "exact"):
         raise InvalidInput("numerator must be auto, mc, or exact")
     if not (tolerance > 0.0):
         raise InvalidInput("tolerance must be positive")
+    for claim in claims:
+        # an empty grid runs the denominator's model checks, nothing more
+        claim.denominator.values(model, ())
+        quantity = mc.parse_quantity(claim.quantity)
+        if numerator == "exact" and not _has_closed_form(model, quantity):
+            raise InvalidInput(
+                f"no closed form for {quantity.token} on this model")
 
 
 def _verdict_lim(ratios, ci_lo, ci_hi, predicted, tol, rel_err_end):
@@ -245,7 +261,7 @@ def _run_claims(model: DependentModel, claims, ids, x_grid, samples: int,
 
     The numerators without a closed form share one simulation pass.
     """
-    check_run_options(numerator, tolerance)
+    check_run_options(numerator, tolerance, model, claims)
     if x_grid is None:
         x_grid = quantile_grid(model.marginals)
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
@@ -260,9 +276,6 @@ def _run_claims(model: DependentModel, claims, ids, x_grid, samples: int,
     exacts = [None if numerator == "mc" else _exact_numerator(model, q, xs)
               for q in quantities]
     simulated = [q for q, e in zip(quantities, exacts) if e is None]
-    if numerator == "exact" and simulated:
-        raise InvalidInput(
-            f"no closed form for {simulated[0].token} on this model")
     rows = iter(mc.estimate_tails(model, simulated, xs, samples, seed,
                                   workers=workers, weights=weights,
                                   tau_cap=tau_cap) if simulated else ())

@@ -7,10 +7,13 @@ and the output formats are tested exactly as a shell user would see them.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heavytails import cli
 from heavytails import experiments as ex
 from heavytails.risk import RISK_PRESETS
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
 PARETO11 = {"family": "pareto", "alpha": 1.0, "scale": 1.0}
@@ -294,13 +297,116 @@ class TestValidate:
         ("convolve", {"dist": "pareto(1.5,1)", "nfold": 3}, 0),
         ("ratio-curve", dict(RC_MC_CONFIG, semantics="bogus"), 64),
         ("theorem", {"theorem_id": "C5.1", "model": FGM_PARETO_MODEL}, 64),
+        ("ratio-curve",
+         dict(RC_MC_CONFIG, denominator={"kind": "mean_tau_tail"}), 64),
+        ("ratio-curve", dict(RC_MC_CONFIG, numerator="exact"), 64),
     ], ids=["dependence-token", "convolve-nfold", "bad-semantics",
-            "ruin-preset-model"])
+            "ruin-preset-model", "mean-tau-without-tau",
+            "exact-without-closed-form"])
     def test_validate_agrees_with_the_command(self, tmp_path, capsys,
                                               command, config, code):
         cfg = write_json(tmp_path, "cfg.json", config)
         assert run(capsys, [command, "--config", cfg])[0] == code
         assert run(capsys, ["validate", "--config", cfg])[0] == code
+
+
+def _leaves(node, path=()):
+    """Paths to every scalar inside nested mappings and lists."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else None)
+    if items is None:
+        yield path
+        return
+    for key, child in items:
+        yield from _leaves(child, path + (key,))
+
+
+GOLDEN_LEAVES = [(name, path) for name, cfg in GOLDEN_CONFIGS.items()
+                 for path in _leaves(cfg)]
+
+
+class TestBadValues:
+    """A value of the wrong type or form is a config error naming its
+    field, in the command and in validate alike."""
+
+    @pytest.mark.parametrize("command, config, field", [
+        ("ratio-curve", dict(RC_MC_CONFIG, samples="many"), "samples"),
+        ("ratio-curve", dict(RC_MC_CONFIG, tolerance="tight"), "tolerance"),
+        ("ratio-curve", dict(RC_MC_CONFIG, divergence_bound=[1]),
+         "divergence_bound"),
+        ("ratio-curve", dict(RC_MC_CONFIG, denominator={"kind": "n_tail",
+                                                        "n": 1e400}),
+         "denominator.n"),
+        ("ratio-curve", dict(RC_MC_CONFIG, grid={"lo": "x", "hi": 5.0}),
+         "grid"),
+        ("diagnose-class", {"dist": "pareto(x)"}, "pareto(x)"),
+        ("diagnose-class", {"dist": {"family": "pareto", "alpha": "x"}},
+         "dist.alpha"),
+        ("diagnose-class", {"dist": "pareto(1.5,1)", "checks": -1},
+         "checks"),
+        ("diagnose-dependence", {"model": "fgm-pareto", "pair": ["a", 1]},
+         "pair"),
+        ("convolve", {"dist": "example11", "nfold": 1e400}, "nfold"),
+        ("convolve", {"dist": "example11", "points": "1:x:4"}, "points"),
+        ("convolve", {"dist": "pareto(1.5,1)", "points": [1.0, 1e400]},
+         "points"),
+        ("diagnose-class", {"dist": "pareto(1.5,1)",
+                            "grid": {"lo": 1.0, "hi": 1e400}}, "grid"),
+        ("ruin", {"preset": ["C5.1"]}, "ruin preset"),
+        ("ruin", dict(DISCRETE_RUIN_CONFIG, seed="x"), "seed"),
+    ])
+    def test_config_value(self, tmp_path, capsys, command, config, field):
+        cfg = write_json(tmp_path, "bad.json", config)
+        for argv in ([command, "--config", cfg], ["validate", "--config", cfg]):
+            code, _, err = run(capsys, argv)
+            assert code == 64, (argv, err)
+            assert field in err
+
+    @pytest.mark.parametrize("argv, field", [
+        (["diagnose-class", "--dist", "pareto(x)"], "pareto(x)"),
+        (["diagnose-class", "--dist", "pareto(1.5,1)", "--grid", "1,x"],
+         "--grid"),
+        (["convolve", "--dist", "pareto(1,1)", "--points", "1:9:x"],
+         "--points"),
+    ])
+    def test_flag_value(self, capsys, argv, field):
+        code, _, err = run(capsys, argv)
+        assert code == 64
+        assert field in err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["convolve", "--dist", "pareto(1,1)", "--points", "1:2"],
+         "--points"),
+        (["convolve", "--config", {"dist": "pareto(1,1)", "points": "1:2"}],
+         "points"),
+        (["diagnose-class", "--dist", "pareto(1,1)", "--grid", "1:2"],
+         "--grid"),
+    ])
+    def test_grid_string_error_names_its_flag_or_field(self, tmp_path,
+                                                       capsys, argv, name):
+        argv = [write_json(tmp_path, "c.json", a) if isinstance(a, dict)
+                else a for a in argv]
+        code, _, err = run(capsys, argv)
+        assert code == 64
+        assert f"error: {name} takes lo:hi:n" in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(leaf=st.sampled_from(GOLDEN_LEAVES),
+           value=st.one_of(st.text(max_size=6), st.none(),
+                           st.lists(st.integers(-2, 2), max_size=3),
+                           st.floats(-1e6, -1e-6), st.just(1e400)))
+    def test_validate_never_fails_internally(self, tmp_path_factory, leaf,
+                                             value):
+        # validation only: the config is parsed and checked, never run
+        name, path = leaf
+        cfg = json.loads(json.dumps(GOLDEN_CONFIGS[name]))
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        target = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+        target.write_text(json.dumps(cfg))
+        assert cli.main(["validate", "--config", str(target)]) in (0, 64)
 
 
 class TestConvolve:

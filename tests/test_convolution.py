@@ -190,6 +190,13 @@ class TestFrozenMixtureCurve:
         assert 2.0 - curve.final_min == 0.75
         assert 2.0 - curve.final_min > 0.05
 
+    def test_deep_range_keeps_every_pair_mass(self):
+        # past 2^26 some pair masses fall below the n-fold pruning floor; the
+        # two-fold keeps them, so the curve stays exact that deep
+        d = GeometricAtomMixture()
+        curve = cv.exact_twofold_ratio_curve(d, 1.0, 2.0 ** 30)
+        assert curve.final_min == 1.25
+
     def test_late_window_minimum(self):
         d = GeometricAtomMixture()
         curve = cv.exact_twofold_ratio_curve(d, 205.0, 2047.0)

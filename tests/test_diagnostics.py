@@ -134,6 +134,11 @@ class TestSubexponential:
         assert r.running_min == 1.25
         assert 2.0 - r.running_min > 0.05
 
+    def test_mixture_brackets_stay_exact_deep_in_the_tail(self):
+        r = dg.subexponential(GeometricAtomMixture(), np.geomspace(1.0, 1e9, 24))
+        np.testing.assert_array_equal(r.stat_lower, r.stat_upper)
+        assert r.running_min == 1.25
+
     def test_rejects_nonpositive_grid(self):
         with pytest.raises(InvalidInput):
             dg.subexponential(Pareto(1.0, 1.0), np.array([-1.0, 2.0]))
@@ -194,6 +199,11 @@ class TestWindowLaw:
             for h in (1.0, 5.0, 50.0):
                 for x in (0.5, 3.0, 20.0):
                     assert dg.fh_tail(d, h, x) <= min(1.0, h * float(d.tail(x))) + 1e-15
+
+    def test_fh_elementwise(self):
+        d, xs = Weibull(0.5, 1.0), np.array([0.5, 3.0, 20.0])
+        assert dg.fh_tail(d, 5.0, xs).tolist() == [dg.fh_tail(d, 5.0, x)
+                                                   for x in xs]
 
     def test_fh_validation(self):
         with pytest.raises(InvalidInput):

@@ -76,6 +76,10 @@ CONFIGS = {
                 "loading": 0.1, "intensity": 2.0, "horizon": 1.0,
                 "samples": 20_000, "seed": 4},
     "ruin-preset": {"preset": "C5.2", "samples": 20_000, "seed": 1},
+    "class-atoms": {"dist": {"family": "atoms",
+                             "atoms": [[0.5, 0.4], [2.0, 0.3], [7.0, 0.2],
+                                       [40.0, 0.1]]},
+                    "grid": {"lo": 1.0, "hi": 30.0, "points": 8}},
 }
 
 COMMANDS = {
@@ -83,12 +87,21 @@ COMMANDS = {
     "class-token": ["diagnose-class", "--dist", "pareto(1.5,1)",
                     "--check", "all"],
     "class-config": ["diagnose-class", "--config", "{class}"],
+    "class-atom-mixture": ["diagnose-class", "--dist", "example11",
+                           "--check", "all"],
+    "class-atoms-config": ["diagnose-class", "--config", "{class-atoms}"],
     "dependence-token": ["diagnose-dependence", "--model", "fgm-pareto",
                          "--check", "both"],
     "dependence-config": ["diagnose-dependence", "--config", "{dependence}"],
     "convolve-exact": ["convolve", "--dist", "example11", "--nfold", "2"],
     "convolve-bracket": ["convolve", "--dist", "pareto(1.5,1)",
                          "--nfold", "3"],
+    "convolve-exact-points": ["convolve", "--dist", "example11",
+                              "--points", "1,7,63,500"],
+    "convolve-exact-range": ["convolve", "--dist", "example11",
+                             "--points", "1:2047:8"],
+    "convolve-bracket-fourfold": ["convolve", "--dist", "pareto(1,1)",
+                                  "--nfold", "4"],
     "ruin-discrete": ["ruin", "--config", "{discrete}"],
     "ruin-arrival": ["ruin", "--config", "{arrival}"],
     "ruin-preset": ["ruin", "--preset", "C5.1", "--samples", "20000",
@@ -113,6 +126,14 @@ COMMAND_GOLDEN = {
         (2, "9a9d94fd747f82a014ac3cf0f0c9625ae4207d75ec9e544b06357ba9a997c070"),
     ("class-config", "records"):
         (2, "f9006701949e9b0b5566c64343d097a8d5eb120b22b4db77341cf6f369766561"),
+    ("class-atom-mixture", "csv"):
+        (2, "d9965ad163072f8a163a9a5da5b3cf3101fc2e3b2f446b9b9b3b95de492b5bc1"),
+    ("class-atom-mixture", "records"):
+        (2, "498f86033b76567efaf88441d878f7b1681759d2a068bb9c8051ecb7ece3458f"),
+    ("class-atoms-config", "csv"):
+        (2, "31ef1db54c4eb7d467372e64192e19041eee45227b9cc11b79e6fe4c1f8c6839"),
+    ("class-atoms-config", "records"):
+        (2, "2d343acefe8ed0407cc31e88f5b4127d3e79eaad2d662a013f88ca76e490b447"),
     ("dependence-token", "csv"):
         (0, "f1e768025ac2951780e1c3da05f77983ce1bc66c07887f163bfb670903ee5991"),
     ("dependence-token", "records"):
@@ -129,6 +150,18 @@ COMMAND_GOLDEN = {
         (0, "ec3b111e9b1e8792e06f48c3164c4a77798e06d8ba667d190f2f3b723ceaa67c"),
     ("convolve-bracket", "records"):
         (0, "187a2193643a89d2ba439416b4e018a4aaf7d72f6f62364c43ccb0950df48c4d"),
+    ("convolve-exact-points", "csv"):
+        (0, "04efb1abc5e29b9d88604582affb9418fb07be047a5303497f9ab0111989ca56"),
+    ("convolve-exact-points", "records"):
+        (0, "a61fad0f3286ad20a50f0ae2803d76ca4f5f01554519d9f2cfb9b1a403dd59fb"),
+    ("convolve-exact-range", "csv"):
+        (0, "d6052fba36c2fc5cf778e1ebea512be2ffc50d58eee223756b1b64912afd600c"),
+    ("convolve-exact-range", "records"):
+        (0, "9aec99364017e9dce2310972933ed5445de2d24f77868c0b46c04db1dfc4f70f"),
+    ("convolve-bracket-fourfold", "csv"):
+        (0, "7c046156ce6aa2e4cd1792077232a2f81dc8def1223dcc8a405a83f24f3b3fbb"),
+    ("convolve-bracket-fourfold", "records"):
+        (0, "f5867170e5928bfc3acfe044ef357179a7146f7ff80e936af5a55f0937ac8e17"),
     ("ruin-discrete", "csv"):
         (0, "b6529bedf37ede65dc92ff31eab5c197166bec8c845509f69878b5baf60518e2"),
     ("ruin-discrete", "records"):
