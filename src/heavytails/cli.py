@@ -32,6 +32,7 @@ from .distributions import (DiscreteAtoms, Exponential, GeometricAtomMixture,
                             IntegratedTail, Lognormal, Pareto, ShiftedBy,
                             Weibull)
 from .errors import ConfigError, HeavyTailsError, InvalidInput
+from .rng import check_samples, check_seed
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -423,11 +424,18 @@ def _config(args, usage: str, flag: str = None, **flags) -> dict:
 
 
 def _resolve(args, config: dict, key: str, default):
-    """The integer a flag gives, else the config, else default."""
+    """The samples or seed a flag gives, else the config, else default,
+    checked against the range the engine accepts."""
     value = getattr(args, key, None)
     if value is None:
         value = config.get(key)
-    return default if value is None else _convert(int, value, key)
+    if value is None:
+        return default
+    check = check_seed if key == "seed" else check_samples
+    try:
+        return check(_convert(int, value, key))
+    except InvalidInput as err:
+        raise ConfigError(str(err)) from None
 
 
 def _parse_ratio_curve(raw, args) -> _Parsed:

@@ -5,7 +5,10 @@ Independence, Comonotone (perfect positive dependence, not absolutely
 continuous), and the FGM family with density
 1 + sum_{i<j} a_ij (1-2u_i)(1-2u_j). The density is multilinear in u, so its
 extrema sit at the 2^n cube vertices; that makes density bounds and the
-admissibility region exact finite computations.
+admissibility region exact finite computations. It also makes each
+conditional law of one coordinate given the earlier ones linear in u, so FGM
+vectors are drawn by sequential conditional inversion: one uniform per
+coordinate, no rejection and no data-dependent loop.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .distributions import Marginal
 from .errors import AssumptionViolated, InvalidInput, ModelConfigError
 
 _SURVIVAL_DIM_CAP = 16
+_TINY = np.finfo(float).tiny
+_BELOW_ONE = np.nextafter(1.0, 0.0)  # inverse transforms take u in [0, 1)
 
 
 class Copula:
@@ -200,20 +205,31 @@ class FGM(Copula):
         return (min(vals), max(vals))
 
     def sample(self, rng, count):
-        """Rejection against the uniform proposal with the exact vertex envelope."""
-        count = int(count)
-        _, m_max = self.density_bounds()
-        out = np.empty((count, self.dim))
-        filled = 0
-        while filled < count:
-            need = count - filled
-            u = rng.random((need, self.dim))
-            w = rng.random(need)
-            acc = w * m_max <= self._density_batch(u)
-            k = int(np.count_nonzero(acc))
-            out[filled:filled + k] = u[acc]
-            filled += k
-        return out
+        """Sequential conditional inversion: exactly dim uniforms per row.
+
+        Given U_1..U_{k-1}, U_k has density 1 + c (1 - 2u) on [0, 1] with
+        c = sum_{i<k} a_ik v_i / (1 + sum_{i<j<k} a_ij v_i v_j), v = 1 - 2u;
+        admissibility keeps |c| <= 1. Its cdf t + c t (1 - t) is inverted at
+        the row's k-th uniform w in the cancellation-free form
+        t = 2w / ((1 + c) + sqrt((1 + c)^2 - 4cw)). A zero prefix density
+        (a zero-density vertex) gives c = 0, and c = -1 with w = 0 gives 0.
+        """
+        u = rng.random((int(count), self.dim))
+        v = 1.0 - 2.0 * u
+        dens = np.ones(len(u))      # density of the coordinates drawn so far
+        for k in range(1, self.dim):
+            num = v[:, :k] @ self._mat[:k, k]
+            c = np.divide(num, dens, out=np.zeros_like(num), where=dens > 0.0)
+            np.clip(c, -1.0, 1.0, out=c)
+            w = u[:, k]
+            b = 1.0 + c
+            root = np.sqrt(b * b - 4.0 * c * w)
+            root += b
+            t = np.divide(2.0 * w, np.maximum(root, _TINY, out=root))
+            u[:, k] = np.minimum(t, _BELOW_ONE, out=t)
+            v[:, k] = 1.0 - 2.0 * t
+            dens += v[:, k] * num
+        return u
 
     def subset(self, idx):
         sub = self._mat[np.ix_(idx, idx)]

@@ -17,6 +17,7 @@ from scipy import special as sc
 from .errors import InvalidInput
 
 _ZETA_EXACT_BELOW = 512
+_ZETA_STEPS = 2       # unit corrections each way after the analytic guess
 _TAU_CLAMP = 1 << 62  # int64-representable guard for astronomically large draws
 
 
@@ -103,7 +104,9 @@ class Zeta(CountingLaw):
     """pmf proportional to k^(-s) on {1, 2, ...} with s in (1, 2]: infinite mean.
 
     Normalization and tails use an exact partial sum below 512 plus an
-    Euler-Maclaurin remainder, absolute error below 1e-13.
+    Euler-Maclaurin remainder, absolute error below 1e-13. Sampling inverts
+    that same tail: a table lookup up to 512, a closed-form guess with a
+    fixed number of unit corrections above.
     """
 
     s: float
@@ -157,31 +160,37 @@ class Zeta(CountingLaw):
         k = _check_count(k)
         return float(self._suffix(np.array(float(k + 1)))) / self._norm
 
+    @cached_property
+    def _table(self):
+        # -suffix(k + 1) for k = 1..512: nondecreasing, for searchsorted
+        return -self._suffix(np.arange(2.0, _ZETA_EXACT_BELOW + 2.0))
+
     def sample(self, rng, size):
+        """Inversion: tau = min{k >= 1 : suffix(k + 1) <= (1 - u) Z}.
+
+        Draws up to 512 come from a table lookup. Above that, the midpoint
+        form suffix(k + 1) ~ (k + 1/2)^(1-s) / (s - 1) of the leading
+        Euler-Maclaurin term is inverted, and _ZETA_STEPS unit steps up, then
+        down, against the same suffix settle the draw exactly wherever the
+        guess is off by at most that many. That holds for every draw below
+        2^40; far above it the float suffix is flat, and any such draw lies
+        far past TAU_CAP.
+        """
         u = rng.random(int(size))
-        # invert P(tau > k) = suffix(k+1)/Z at 1-u by bisection on k
         target = (1.0 - u) * self._norm
-        clamp = float(_TAU_CLAMP)
-        with np.errstate(over="ignore"):
-            lead = (target * (self.s - 1.0)) ** (1.0 / (1.0 - self.s))
-        hi = np.minimum(np.maximum(np.ceil(lead * 4.0 + 8.0), 8.0), clamp)
-        while True:  # grow until suffix(hi+1) <= target everywhere (or clamped)
-            bad = (self._suffix(hi + 1.0) > target) & (hi < clamp)
-            if not np.any(bad):
-                break
-            hi = np.minimum(np.where(bad, hi * 2.0, hi), clamp)
-        lo = np.zeros_like(hi)  # invariant: suffix(lo+1) > target >= suffix(hi+1)
-        # 128 rounds pin hi to integer resolution wherever float64 can represent
-        # it; beyond 2^53 adjacent floats differ by more than 1 and the residual
-        # slack is irrelevant (those draws are clamped and prefix-capped anyway).
-        for _ in range(128):
-            if not np.any(hi - lo > 0.5):
-                break
-            mid = np.floor((lo + hi) / 2.0)
-            take_hi = (self._suffix(mid + 1.0) <= target) & (mid > lo)
-            hi = np.where(take_hi, mid, hi)
-            lo = np.where(take_hi | (mid <= lo), lo, mid)
-        return np.maximum(np.minimum(hi, float(_TAU_CLAMP)), 1.0).astype(np.int64)
+        k = np.searchsorted(self._table, -target) + 1.0
+        far = np.flatnonzero(k > _ZETA_EXACT_BELOW)
+        if far.size:
+            t, s = target[far], self.s
+            with np.errstate(over="ignore"):
+                guess = np.ceil((t * (s - 1.0)) ** (1.0 / (1.0 - s)) - 0.5)
+            kf = np.clip(guess, _ZETA_EXACT_BELOW + 1.0, float(_TAU_CLAMP))
+            for _ in range(_ZETA_STEPS):
+                kf += self._suffix(kf + 1.0) > t
+            for _ in range(_ZETA_STEPS):
+                kf -= (kf > _ZETA_EXACT_BELOW + 1.0) & (self._suffix(kf) <= t)
+            k[far] = kf
+        return np.minimum(k, float(_TAU_CLAMP)).astype(np.int64)
 
 
 @dataclass(frozen=True)

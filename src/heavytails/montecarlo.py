@@ -19,15 +19,17 @@ import numpy as np
 
 from .copulas import DependentModel
 from .errors import InvalidInput, ModelConfigError
-from .rng import BLOCK_SIZE, block_stream, check_seed
+from .rng import BLOCK_SIZE, block_stream, check_samples, check_seed
 
 TAU_CAP = 1 << 20      # per-replicate cap on the simulated sequence length
 _TAU_LANE = 1 << 49    # block-stream lane reserved for counting-law draws
 # Coordinate budget per simulation slice. A slice holds at most
 # max(_CHUNK_VALUES, tau_cap rounded up to dim) coordinates, since one
-# replicate may exceed the budget on its own. Live float64 data per slice is
-# about three times that: uniforms plus inverse-transform temporaries, then
-# the values plus their running sum. At the defaults that is ~96 MiB.
+# replicate may exceed the budget on its own. Live float64 data per slice
+# peaks at about three times that, during the inverse transform: uniforms,
+# its temporaries and the values. The reductions then work on the values in
+# place; a running sum, when runmax asks for one, overwrites them. At the
+# defaults that is ~96 MiB.
 _CHUNK_VALUES = 1 << 22
 
 _KINDS = ("sum", "max", "runmax")
@@ -96,11 +98,23 @@ class TailEstimate:
 
 
 def _reduce_rows(rect: np.ndarray, kinds: tuple) -> np.ndarray:
-    """Per-kind row statistics of rect; sum and runmax share one cumsum."""
-    cs = np.cumsum(rect, axis=1) if {"sum", "runmax"} & set(kinds) else None
-    return np.stack([rect.max(axis=1) if k == "max"
-                     else cs[:, -1] if k == "sum" else cs.max(axis=1)
-                     for k in kinds])
+    """Per-kind row statistics of rect, one column at a time.
+
+    The running sum adds the columns left to right, exactly as a cumsum
+    along each row would, so a Deterministic(n) stopped sum (a reshaped
+    slice) and the fixed-n path agree bit for bit.
+    """
+    top, run, peak = (rect[:, 0].copy() for _ in range(3))
+    want_run = {"sum", "runmax"} & set(kinds)
+    for col in rect.T[1:]:
+        if "max" in kinds:
+            np.maximum(top, col, out=top)
+        if want_run:
+            run += col
+        if "runmax" in kinds:
+            np.maximum(peak, run, out=peak)
+    stat = {"max": top, "sum": run, "runmax": peak}
+    return np.stack([stat[k] for k in kinds])
 
 
 def _chunk_stats(model: DependentModel, kinds: tuple,
@@ -111,8 +125,9 @@ def _chunk_stats(model: DependentModel, kinds: tuple,
     Lengths are served in whole copula blocks; coordinates past a replicate's
     length are generated (to keep the stream layout a function of the counting
     draws alone) but never enter its statistic: they are overwritten in place
-    with -inf before the max and with 0.0 before the running sum, where
-    adding +0.0 is exact.
+    with -inf before the max and with 0.0 before the sums, where adding +0.0
+    is exact. Each replicate's sum is reduced over its own segment; only
+    runmax differences one chunk-wide running sum.
     """
     dim = model.dim
     count = len(eff)
@@ -141,13 +156,13 @@ def _chunk_stats(model: DependentModel, kinds: tuple,
         out[kinds.index("max"), nonempty] = np.maximum.reduceat(flat, first)
     if {"sum", "runmax"} & set(kinds):
         flat[pad] = 0.0
-        cs = np.cumsum(flat)
+    if "sum" in kinds:
+        out[kinds.index("sum"), nonempty] = np.add.reduceat(flat, first)
+    if "runmax" in kinds:
+        cs = np.cumsum(flat, out=flat)
         base = np.where(first > 0, cs[np.maximum(first - 1, 0)], 0.0)
-        if "sum" in kinds:
-            out[kinds.index("sum"), nonempty] = cs[stops[nonempty] - 1] - base
-        if "runmax" in kinds:
-            out[kinds.index("runmax"), nonempty] = (
-                np.maximum.reduceat(cs, first) - base)
+        out[kinds.index("runmax"), nonempty] = (
+            np.maximum.reduceat(cs, first) - base)
     return out
 
 
@@ -223,9 +238,7 @@ def estimate_tails(model: DependentModel, quantities, xs, samples: int,
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.size == 0 or not np.all(np.isfinite(xs)):
         raise InvalidInput("xs must be a nonempty array of finite thresholds")
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise InvalidInput("samples must be a positive integer")
-    samples = int(samples)
+    samples = check_samples(samples)
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise InvalidInput("workers must be a positive integer")
     workers = int(workers)

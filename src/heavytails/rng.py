@@ -26,6 +26,12 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
+def check_samples(samples: int) -> int:
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise InvalidInput("samples must be a positive integer")
+    return int(samples)
+
+
 def block_stream(seed: int, block_index: int) -> np.random.Generator:
     """Generator for one replicate block, keyed by (seed, block index)."""
     key = np.array([check_seed(seed), int(block_index)], dtype=np.uint64)

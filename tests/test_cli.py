@@ -300,9 +300,12 @@ class TestValidate:
         ("ratio-curve",
          dict(RC_MC_CONFIG, denominator={"kind": "mean_tau_tail"}), 64),
         ("ratio-curve", dict(RC_MC_CONFIG, numerator="exact"), 64),
+        ("ratio-curve", dict(RC_MC_CONFIG, samples=-5), 64),
+        ("ratio-curve", dict(RC_MC_CONFIG, seed=-3), 64),
     ], ids=["dependence-token", "convolve-nfold", "bad-semantics",
             "ruin-preset-model", "mean-tau-without-tau",
-            "exact-without-closed-form"])
+            "exact-without-closed-form", "negative-samples",
+            "negative-seed"])
     def test_validate_agrees_with_the_command(self, tmp_path, capsys,
                                               command, config, code):
         cfg = write_json(tmp_path, "cfg.json", config)

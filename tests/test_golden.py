@@ -18,16 +18,16 @@ SAMPLES = 16_400
 SEED = 5
 
 GOLDEN = {
-    "T3.1": "8a9d65694bb87fd5f453db81df517a8fa72ff10b8d5d8de1754e5bdad7b18090",
-    "T3.2": "76b9ab4e89e159b6777b985e58283b023d6759570a2a98ffa02a275c84b0e04c",
+    "T3.1": "c9cdae6b50156ddda2cd6a0c01152dd33501bc542db9962048194f0707541587",
+    "T3.2": "5d6df27a4081e3fb96710eb61c1560cca838e661e7dd9df75fbcf631d914c455",
     "T3.3": "976da7ddeddf90129dba22c2c14472768c73d0c7c65674a335f2cab06874c6b9",
-    "C3.1": "38d1b5ba06df6ec34e881b00c6d607b4ca6cf0a76d84dc92e73c04b7bc768ebf",
+    "C3.1": "ec2e252cf24474e703869fc68adab8ee73e48b212b1ba64aa271096280fdeed5",
     "T4.1": "cbb1af950a7ac28eeb849249510a8483a8eb889fa4bb0777f376eb492b8cc46d",
     "T4.2": "71e6ad7c58a25090334bffa9276fb9e7f9340fcd4e48e2d42903ba5c48696bef",
-    "T4.3": "8e1a5f1284d20e870665d114b144d68f170b7b37eaa5e8c6f464606b742e8ecc",
+    "T4.3": "0a3ba017b8f3093e47d558b3ad15defd82c9b996bad958b670ef66684c0c6699",
     "T4.4i": "936e4dd2a88cdf5f67b0ecdf6863683463c0a0fcb1ee54bc5df4bc63f65ee71e",
     "T4.4ii": "6b012334e06654b1e288a35c8216063df1107230170d58b28b5460cfa8f84c21",
-    "C5.1": "a64f5dd206173c165e9024082fc1321a3f1e9e0e17d8ca434ca8e6bdac3b85eb",
+    "C5.1": "3fc6b4cc0700fa14d3a48303ff2ac4a5764ebb7f3f7fe28a113e3f3d9328d15a",
     "C5.2": "82d7f86d6214cef23ca2683a569d0076f50a10d05da95b2f15b8348ff69d6445",
 }
 
@@ -115,9 +115,9 @@ COMMANDS = {
 # (command, format) -> (exit code, sha256 of stdout)
 COMMAND_GOLDEN = {
     ("ratio-curve", "csv"):
-        (0, "de5eea5c386fc47a2af9a485be02b17c1c4d108eb49fead8735e72da314cdb0e"),
+        (0, "42be9312a028ff5a6541adf1d39b23857a7248ff5c0ccace01e276b8caeb8bd0"),
     ("ratio-curve", "records"):
-        (0, "7f67786a5a72e9b2de74726927a85c6dc7ca67daccfcaff398fc5be3e91a6bf7"),
+        (0, "1a78a1286e2f3710c53582498bf0b1c90bf3a48b182481d99855dee4b3fb2a4c"),
     ("class-token", "csv"):
         (0, "c15ee3897d173e87e5366a301b12c4496dbbdf5994f4d973bc1c974bbe205860"),
     ("class-token", "records"):
@@ -171,9 +171,9 @@ COMMAND_GOLDEN = {
     ("ruin-arrival", "records"):
         (0, "36ade651d4d6fea1cd8cf22d0ef0d74096a325320dc754003fabc7289b34f017"),
     ("ruin-preset", "csv"):
-        (0, "3efd9abbeb57fd111efd3cb9be3ff5205e915b9c7f5273309060b206b28c3c45"),
+        (0, "09a0c3c5a0ad71cccb597ad37c73ec70ea0d3cceff5ad9674fd2fe5542a945d2"),
     ("ruin-preset", "records"):
-        (0, "178764df3deb65f309b04901ceae4b545ec1b86274cb2029fa40bb7f6c8fae1b"),
+        (0, "8238673bd9bc2f355eaf4a5080a8276af3cde2b992106ed4b14aa837e41754a5"),
     ("ruin-preset-config", "csv"):
         (0, "dbf00016d1f3a9d8898a93b8b419095177072f923f994de793909d37c4ba40e7"),
     ("ruin-preset-config", "records"):
