@@ -203,7 +203,9 @@ class TailBracket:
 
 
 def _brackets(xs, lows, highs) -> list:
-    return [TailBracket(float(x), float(min(lo, hi)), float(min(max(hi, lo), 1.0)))
+    # both ends clamped to 1: an envelope tail can round a few ulps above it
+    return [TailBracket(float(x), float(min(lo, hi, 1.0)),
+                        float(min(max(hi, lo), 1.0)))
             for x, lo, hi in zip(xs, lows, highs)]
 
 
@@ -247,31 +249,33 @@ def _grid_clamp(g: _Grid, clamp_k: int, side: str) -> _Grid:
     return _Grid(g.k0, g.step, head, g.inf_mass)
 
 
-def discretize_tail(tail_fn, lo: float, hi: float, step: float, side: str) -> _Grid:
-    """Lattice envelope of a law given by its tail function.
-
-    The caller warrants that no mass sits strictly below lo. side='lower'
-    rounds interval mass down (stochastically smaller), side='upper' rounds it
-    up and parks mass beyond hi in the overflow bucket.
-    """
-    if side not in ("lower", "upper"):
-        raise InvalidInput("side must be 'lower' or 'upper'")
+def lattice_tails(tail_fn, lo: float, hi: float, step: float) -> tuple:
+    """(k_lo, tails): a law's tail, clipped to [0, 1], at the lattice bounds
+    k * step for k_lo <= k <= ceil(hi / step), with k_lo = floor(lo / step)."""
     if step <= 0:
         raise InvalidInput("step must be positive")
     k_lo = math.floor(lo / step)
-    k_hi = math.ceil(hi / step)
-    if k_hi <= k_lo:
-        k_hi = k_lo + 1
+    k_hi = max(math.ceil(hi / step), k_lo + 1)
     if k_hi - k_lo + 1 > ATOM_CAP:
         raise ResourceLimit("grid would exceed the atom cap; increase step")
-    ks = np.arange(k_lo, k_hi + 1)
-    bounds = ks * step
-    tails = np.asarray(tail_fn(bounds), dtype=float)
-    tails = np.clip(tails, 0.0, 1.0)
+    bounds = np.arange(k_lo, k_hi + 1) * step
+    return k_lo, np.clip(np.asarray(tail_fn(bounds), dtype=float), 0.0, 1.0)
+
+
+def discretize_tail(k_lo: int, step: float, tails, side: str) -> _Grid:
+    """Lattice envelope of a law given by its lattice_tails.
+
+    The caller warrants that no mass sits strictly below the first bound.
+    side='lower' rounds interval mass down (stochastically smaller),
+    side='upper' rounds it up and parks mass beyond the last bound in the
+    overflow bucket.
+    """
+    if side not in ("lower", "upper"):
+        raise InvalidInput("side must be 'lower' or 'upper'")
     interval = np.maximum(tails[:-1] - tails[1:], 0.0)  # mass in (g_k, g_{k+1}]
     left = max(0.0, 1.0 - float(tails[0]))              # mass at or below g_klo
     right = float(tails[-1])                            # mass above g_khi
-    masses = np.zeros(len(ks))
+    masses = np.zeros(len(tails))
     if side == "lower":
         masses[:-1] += interval
         masses[0] += left
@@ -295,9 +299,11 @@ def nfold_tail_bracket_from_tail(tail_fn, support_min: float, n: int, xs,
     clamp_k = math.ceil(clamp_val / step)
     hi = (clamp_k + 1) * step
 
+    # one tail evaluation serves both envelopes
+    k_lo, lattice = lattice_tails(tail_fn, support_min, hi, step)
     tails = []
     for side in ("lower", "upper"):
-        g = _grid_clamp(discretize_tail(tail_fn, support_min, hi, step, side),
+        g = _grid_clamp(discretize_tail(k_lo, step, lattice, side),
                         clamp_k, side)
         env = _power(g, n, lambda a, b: _grid_convolve(a, b, clamp_k, side))
         tails.append(env.measure().tail_bounds(xs)[0])

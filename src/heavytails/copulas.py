@@ -4,8 +4,8 @@ Three copula kinds cover the dependence range the experiments need:
 Independence, Comonotone (perfect positive dependence, not absolutely
 continuous), and the FGM family with density
 1 + sum_{i<j} a_ij (1-2u_i)(1-2u_j). The density is multilinear in u, so its
-extrema sit at the 2^n cube vertices; that makes density bounds and the
-admissibility region exact finite computations. It also makes each
+extrema sit at the 2^n cube vertices; that makes the admissibility region an
+exact finite computation. It also makes each
 conditional law of one coordinate given the earlier ones linear in u, so FGM
 vectors are drawn by sequential conditional inversion: one uniform per
 coordinate, no rejection and no data-dependent loop.
@@ -36,10 +36,6 @@ class Copula:
         raise NotImplementedError
 
     def density(self, u):
-        raise NotImplementedError
-
-    def density_bounds(self) -> tuple:
-        """Exact (min, max) of the density over the cube."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -83,9 +79,6 @@ class Independence(Copula):
         arr = self._check_u(u)
         return self._ret(u, np.ones(arr.shape[0]))
 
-    def density_bounds(self):
-        return (1.0, 1.0)
-
     def sample(self, rng, count):
         return rng.random((int(count), self.dim))
 
@@ -106,11 +99,6 @@ class Comonotone(Copula):
         return self._ret(u, np.min(arr, axis=1))
 
     def density(self, u):
-        raise AssumptionViolated(
-            "the comonotone copula is not absolutely continuous; it has no density"
-        )
-
-    def density_bounds(self):
         raise AssumptionViolated(
             "the comonotone copula is not absolutely continuous; it has no density"
         )
@@ -200,10 +188,6 @@ class FGM(Copula):
         v = 1.0 - 2.0 * arr
         return 1.0 + 0.5 * np.einsum("bi,ij,bj->b", v, self._mat, v)
 
-    def density_bounds(self):
-        vals = [v for v, _ in _vertex_values(self._mat)]
-        return (min(vals), max(vals))
-
     def sample(self, rng, count):
         """Sequential conditional inversion: exactly dim uniforms per row.
 
@@ -272,12 +256,13 @@ class DependentModel:
                               tuple(self.marginals[i] for i in idx), self.tau)
 
     def sample_vector(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """(count, dim) draws assembled by inverse transform on copula uniforms."""
+        """(count, dim) draws by inverse transform, written over the copula
+        uniforms. Each column is transformed as a contiguous copy, which the
+        vector kernels run faster than a strided view."""
         u = self.copula.sample(rng, count)
-        out = np.empty_like(u)
         for k, m in enumerate(self.marginals):
-            out[:, k] = m.ppf_from_uniform(u[:, k])
-        return out
+            u[:, k] = m.ppf_from_uniform(u[:, k].copy())
+        return u
 
 
 def _subset_cdf(copula: Copula, subset: tuple, u: np.ndarray) -> float:

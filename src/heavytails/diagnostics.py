@@ -242,9 +242,13 @@ def sstar(d: Marginal, grid=None, tol: float = DEFAULT_TOL) -> ClassReport:
         if rep is not None:
             vals[i] = _sstar_integral_atomic(d, float(x), rep)
         else:
-            half, _ = integrate.quad(
-                lambda y, xx=float(x): float(d.tail(xx - y)) * float(d.tail(y)),
-                0.0, float(x) / 2.0, epsabs=0.0, epsrel=1e-10, limit=300)
+            def integrand(y, xx=float(x)):
+                # one kernel call on the pair: F̄(x - y) and F̄(y)
+                t = d._tail_arr(np.array([xx - y, y]))
+                return float(t[0]) * float(t[1])
+
+            half, _ = integrate.quad(integrand, 0.0, float(x) / 2.0,
+                                     epsabs=0.0, epsrel=1e-10, limit=300)
             vals[i] = 2.0 * half
     ratios = vals / den
     return ClassReport("Sstar", grid, ratios,
@@ -254,15 +258,14 @@ def sstar(d: Marginal, grid=None, tol: float = DEFAULT_TOL) -> ClassReport:
 
 def fh_tail(d: Marginal, h: float, x):
     """Tail of the h-window law: min(1, ∫_x^{x+h} F̄(t) dt), elementwise
-    over x > 0."""
+    over x > 0 in one tail_integral call; a scalar x gives a float."""
     if h < 1.0:
         raise InvalidInput("window h must be at least 1")
     xs = np.asarray(x, dtype=float)
     if np.any(xs <= 0.0):
         raise InvalidInput("x must be positive")
-    vals = [min(1.0, float(d.tail_integral(t, t + float(h))))
-            for t in xs.ravel().tolist()]
-    return vals[0] if xs.ndim == 0 else np.array(vals).reshape(xs.shape)
+    vals = np.minimum(1.0, d.tail_integral(xs, xs + float(h)))
+    return float(vals) if xs.ndim == 0 else vals
 
 
 def strong_subexponential(d: Marginal, h_grid=(1.0, 10.0, 100.0), grid=None,

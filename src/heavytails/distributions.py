@@ -6,7 +6,7 @@ Every family exposes the same small surface:
 * ``quantile(u)``    generalized inverse inf{x : F(x) >= u} on 0 < u < 1,
 * ``mean()``         extended-real mean (math.inf for infinite-mean laws),
 * ``pos_mean()``     integral of the tail over [0, inf), the positive-part mean,
-* ``tail_integral(a, b)``  exact partial integral of the tail,
+* ``tail_integral(a, b)``  exact partial integral of the tail, vectorized,
 * ``sample(rng, size)``    inverse-transform draws from a numpy Generator,
 * ``truncated_atoms(threshold)``  exact atomic representation when one exists.
 
@@ -55,11 +55,17 @@ class Marginal:
 
     tags: frozenset = frozenset()
 
-    # families implement _tail_arr and _ppf_arr on 1-d float arrays
+    # families implement _tail_arr, _ppf_arr and _tail_integral_arr on 1-d
+    # float arrays
     def _tail_arr(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _ppf_arr(self, u: np.ndarray) -> np.ndarray:
+        """Inverse transform that overwrites u, which the caller owns."""
+        raise NotImplementedError
+
+    def _tail_integral_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """tail_integral on 1-d arrays with b >= a elementwise."""
         raise NotImplementedError
 
     def tail(self, x):
@@ -74,10 +80,11 @@ class Marginal:
         arr = np.asarray(u, dtype=float)
         if not np.all((arr > 0.0) & (arr < 1.0)):
             raise InvalidInput("quantile requires 0 < u < 1")
-        return _apply(self._ppf_arr, u)
+        return _apply(self._ppf_arr, arr.copy())
 
     def ppf_from_uniform(self, u: np.ndarray) -> np.ndarray:
-        """Engine hook: inverse transform on u in [0, 1) without the open-interval check."""
+        """Engine hook: inverse transform on u in [0, 1) without the
+        open-interval check. It overwrites a float array u and returns it."""
         return self._ppf_arr(np.asarray(u, dtype=float))
 
     def mean(self) -> float:
@@ -87,9 +94,14 @@ class Marginal:
         """Positive-part mean, the tail integrated over [0, inf)."""
         return self.tail_integral(0.0, math.inf)
 
-    def tail_integral(self, a: float, b: float) -> float:
-        """Integral of tail(t) dt over [a, b]; b may be math.inf."""
-        raise NotImplementedError
+    def tail_integral(self, a, b):
+        """Integral of tail(t) dt over [a, b], elementwise over a and b
+        broadcast together; b may be inf. Scalar bounds give a float."""
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                                   np.asarray(b, dtype=float))
+        _require(bool(np.all(b >= a)), "need b >= a")
+        out = self._tail_integral_arr(a.ravel(), b.ravel())
+        return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """i.i.d. draws by inverse transform; same stream state, same output."""
@@ -107,20 +119,6 @@ class Marginal:
         continuous ones. The overflow bucket carries P(X > threshold) exactly.
         """
         return None
-
-
-def _piecewise_const_integral(locs, suffix_tails, a, b):
-    """Integral over [a, b] of a right-continuous step tail.
-
-    locs: sorted atom locations. suffix_tails[i] = tail just right of locs[i];
-    the tail left of locs[0] is 1. b must be finite.
-    """
-    if b <= a:
-        return 0.0
-    pts = np.concatenate(([a], locs[(locs > a) & (locs < b)], [b]))
-    idx = np.searchsorted(locs, pts[:-1], side="right") - 1
-    heights = np.where(idx >= 0, suffix_tails[np.maximum(idx, 0)], 1.0)
-    return float(np.sum(np.diff(pts) * heights))
 
 
 @dataclass(frozen=True)
@@ -142,12 +140,14 @@ class Pareto(Marginal):
         return frozenset(base)
 
     def _tail_arr(self, x):
-        with np.errstate(divide="ignore"):
-            t = np.where(x <= self.scale, 1.0, (self.scale / np.maximum(x, self.scale)) ** self.alpha)
-        return t
+        return np.where(x <= self.scale, 1.0,
+                        (self.scale / np.maximum(x, self.scale)) ** self.alpha)
 
     def _ppf_arr(self, u):
-        return self.scale * (1.0 - u) ** (-1.0 / self.alpha)
+        np.subtract(1.0, u, out=u)
+        u **= -1.0 / self.alpha
+        u *= self.scale
+        return u
 
     def mean(self):
         if self.alpha <= 1:
@@ -157,21 +157,17 @@ class Pareto(Marginal):
     def support(self):
         return (self.scale, math.inf)
 
-    def tail_integral(self, a, b):
-        _require(b >= a, "need b >= a")
+    def _tail_integral_arr(self, a, b):
         s, al = self.scale, self.alpha
-        lo, hi = max(a, s), b
-        out = max(0.0, min(b, s) - a)  # region where the tail is 1
-        if hi > lo:
-            if math.isinf(hi):
-                if al <= 1:
-                    return math.inf
-                out += s**al * lo ** (1.0 - al) / (al - 1.0)
-            elif al == 1.0:
-                out += s * math.log(hi / lo)
-            else:
-                out += s**al * (lo ** (1.0 - al) - hi ** (1.0 - al)) / (al - 1.0)
-        return out
+        lo = np.maximum(a, s)
+        hi = np.maximum(b, lo)
+        with np.errstate(invalid="ignore"):  # inf - inf on empty windows
+            if al == 1.0:
+                power = s * np.log(hi / lo)
+            else:  # hi = inf gives inf for al < 1 and drops out for al > 1
+                power = s**al * (lo ** (1.0 - al) - hi ** (1.0 - al)) / (al - 1.0)
+        flat = np.maximum(0.0, np.minimum(b, s) - a)  # where the tail is 1
+        return flat + np.where(hi > lo, power, 0.0)
 
 
 @dataclass(frozen=True)
@@ -191,7 +187,12 @@ class Weibull(Marginal):
         return np.where(x <= 0, 1.0, np.exp(-np.maximum(x, 0.0) ** self.shape / self.scale**self.shape))
 
     def _ppf_arr(self, u):
-        return self.scale * (-np.log1p(-u)) ** (1.0 / self.shape)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.negative(u, out=u)
+        u **= 1.0 / self.shape
+        u *= self.scale
+        return u
 
     def mean(self):
         return self.scale * math.gamma(1.0 + 1.0 / self.shape)
@@ -199,17 +200,15 @@ class Weibull(Marginal):
     def support(self):
         return (0.0, math.inf)
 
-    def tail_integral(self, a, b):
-        _require(b >= a, "need b >= a")
-        out = max(0.0, min(b, 0.0) - a)
-        lo = max(a, 0.0)
-        if b > lo:
-            c, lam = self.shape, self.scale
-            k = 1.0 / c
-            hi_reg = 1.0 if math.isinf(b) else float(sc.gammainc(k, (b / lam) ** c))
-            lo_reg = float(sc.gammainc(k, (lo / lam) ** c))
-            out += lam * k * math.gamma(k) * (hi_reg - lo_reg)
-        return out
+    def _tail_integral_arr(self, a, b):
+        c, lam = self.shape, self.scale
+        k = 1.0 / c
+        lo = np.maximum(a, 0.0)
+        hi = np.maximum(b, lo)
+        # regularized lower incomplete gamma; it is 1 at hi = inf
+        reg = sc.gammainc(k, (hi / lam) ** c) - sc.gammainc(k, (lo / lam) ** c)
+        flat = np.maximum(0.0, np.minimum(b, 0.0) - a)
+        return flat + np.where(hi > lo, lam * k * math.gamma(k) * reg, 0.0)
 
 
 @dataclass(frozen=True)
@@ -232,7 +231,10 @@ class Lognormal(Marginal):
         return out
 
     def _ppf_arr(self, u):
-        return np.exp(self.mu + self.sigma * sc.ndtri(u))
+        sc.ndtri(u, out=u)
+        u *= self.sigma
+        u += self.mu
+        return np.exp(u, out=u)
 
     def mean(self):
         return math.exp(self.mu + 0.5 * self.sigma**2)
@@ -241,16 +243,14 @@ class Lognormal(Marginal):
         return (0.0, math.inf)
 
     def _upper_integral(self, x):
-        # integral of the tail from x to infinity
-        if x <= 0:
-            return self.mean() - x
-        z = (math.log(x) - self.mu) / self.sigma
-        return self.mean() * sc.ndtr(self.sigma - z) - x * sc.ndtr(-z)
+        # integral of the tail from x to infinity; 0 at x = inf
+        pos = x > 0
+        z = (np.log(np.where(pos, x, 1.0)) - self.mu) / self.sigma
+        with np.errstate(invalid="ignore"):  # inf * 0 at x = inf
+            upper = self.mean() * sc.ndtr(self.sigma - z) - x * sc.ndtr(-z)
+        return np.where(pos, np.where(np.isinf(x), 0.0, upper), self.mean() - x)
 
-    def tail_integral(self, a, b):
-        _require(b >= a, "need b >= a")
-        if math.isinf(b):
-            return self._upper_integral(a)
+    def _tail_integral_arr(self, a, b):
         return self._upper_integral(a) - self._upper_integral(b)
 
 
@@ -269,7 +269,11 @@ class Exponential(Marginal):
         return np.where(x <= 0, 1.0, np.exp(-self.rate * np.maximum(x, 0.0)))
 
     def _ppf_arr(self, u):
-        return -np.log1p(-u) / self.rate
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.negative(u, out=u)
+        u /= self.rate
+        return u
 
     def mean(self):
         return 1.0 / self.rate
@@ -277,14 +281,12 @@ class Exponential(Marginal):
     def support(self):
         return (0.0, math.inf)
 
-    def tail_integral(self, a, b):
-        _require(b >= a, "need b >= a")
-        out = max(0.0, min(b, 0.0) - a)
-        lo = max(a, 0.0)
-        if b > lo:
-            hi_term = 0.0 if math.isinf(b) else math.exp(-self.rate * b)
-            out += (math.exp(-self.rate * lo) - hi_term) / self.rate
-        return out
+    def _tail_integral_arr(self, a, b):
+        lo = np.maximum(a, 0.0)
+        hi = np.maximum(b, lo)
+        decay = (np.exp(-self.rate * lo) - np.exp(-self.rate * hi)) / self.rate
+        flat = np.maximum(0.0, np.minimum(b, 0.0) - a)
+        return flat + np.where(hi > lo, decay, 0.0)
 
 
 def _normalize_atoms(atoms):
@@ -314,22 +316,43 @@ class _AtomTable(Marginal):
 
     def _ppf_arr(self, u):
         locs, _, cdf, _ = self._table
-        idx = np.searchsorted(cdf, u, side="left")
-        return locs[np.minimum(idx, len(locs) - 1)]
+        return np.take(locs, np.searchsorted(cdf, u, side="left"), mode="clip",
+                       out=u)
 
     def truncated_atoms(self, threshold):
         locs, masses, _, _ = self._table
         keep = locs <= threshold
         return locs[keep], masses[keep], float(np.sum(masses[~keep])) + self._beyond
 
-    def tail_integral(self, a, b):
-        _require(b >= a, "need b >= a")
+    def _tail_integral_arr(self, a, b):
+        """Sum of width times height over the steps of the tail in [a, b].
+
+        The windows are grouped by their number of steps and each group is
+        summed along its rows, which is the order of one np.sum per window.
+        """
         locs, _, _, suffix = self._table
-        if math.isinf(b):
-            if math.isinf(self.mean()):
-                return math.inf
-            b = max(a, float(locs[-1]))  # tail is 0 beyond the last atom
-        return _piecewise_const_integral(locs, suffix, a, b)
+        unbounded = np.isinf(b)
+        if math.isinf(self.mean()):
+            out = np.where(unbounded, math.inf, 0.0)
+            b = np.where(unbounded, a, b)
+        else:
+            out = np.zeros(len(a))
+            # the tail is 0 beyond the last atom
+            b = np.where(unbounded, np.maximum(a, locs[-1]), b)
+        first = np.searchsorted(locs, a, side="right")   # first atom above a
+        inner = np.searchsorted(locs, b, side="left") - first
+        # heights[first + j]: the tail right of a for j = 0, then right of
+        # each atom inside the window
+        heights = np.concatenate(([1.0], suffix))
+        live = b > a
+        for m in np.unique(inner[live]):
+            rows = np.flatnonzero(live & (inner == m))
+            steps = first[rows, None] + np.arange(m + 1)
+            pts = np.empty((len(rows), m + 2))
+            pts[:, 0], pts[:, -1] = a[rows], b[rows]
+            pts[:, 1:-1] = locs[steps[:, :-1]]
+            out[rows] = np.sum(np.diff(pts, axis=1) * heights[steps], axis=1)
+        return out
 
 
 @dataclass(frozen=True)
@@ -378,7 +401,9 @@ class ShiftedBy(Marginal):
         return self.base._tail_arr(x - self.shift)
 
     def _ppf_arr(self, u):
-        return self.base._ppf_arr(u) + self.shift
+        out = self.base._ppf_arr(u)
+        out += self.shift
+        return out
 
     def mean(self):
         m = self.base.mean()
@@ -388,8 +413,8 @@ class ShiftedBy(Marginal):
         lo, hi = self.base.support()
         return (lo + self.shift, hi + self.shift)
 
-    def tail_integral(self, a, b):
-        return self.base.tail_integral(a - self.shift, b if math.isinf(b) else b - self.shift)
+    def _tail_integral_arr(self, a, b):
+        return self.base._tail_integral_arr(a - self.shift, b - self.shift)
 
     def truncated_atoms(self, threshold):
         rep = self.base.truncated_atoms(threshold - self.shift)
@@ -473,18 +498,14 @@ class IntegratedTail(Marginal):
     tags = frozenset()
 
     def _tail_arr(self, x):
-        flat = np.atleast_1d(x).astype(float)
-        vals = np.array([min(1.0, self.base.tail_integral(t, math.inf)) for t in flat])
-        return vals.reshape(np.shape(x))
+        return np.minimum(1.0, self.base.tail_integral(x, math.inf))
 
     def _ppf_arr(self, u):
         from scipy.optimize import brentq
 
-        flat = np.atleast_1d(u).astype(float)
         lo0, _ = self.base.support()
-        out = np.empty_like(flat)
-        for i, ui in enumerate(flat):
-            target = 1.0 - ui
+        for i in np.ndindex(u.shape):
+            target = 1.0 - float(u[i])
 
             def g(t):
                 return min(1.0, self.base.tail_integral(t, math.inf)) - target
@@ -494,8 +515,8 @@ class IntegratedTail(Marginal):
                 hi *= 2.0
             while g(lo) < 0:
                 lo = lo * 2.0 - 1.0
-            out[i] = brentq(g, lo, hi, xtol=1e-12, rtol=1e-14)
-        return out.reshape(np.shape(u))
+            u[i] = brentq(g, lo, hi, xtol=1e-12, rtol=1e-14)
+        return u
 
     def mean(self):
         from scipy.integrate import quad
@@ -531,12 +552,13 @@ class IntegratedTail(Marginal):
     def support(self):
         return (self._support_lo, math.inf)
 
-    def tail_integral(self, a, b):
+    def _tail_integral_arr(self, a, b):
         from scipy.integrate import quad
 
-        val, _ = quad(lambda t: min(1.0, self.base.tail_integral(t, math.inf)),
-                      a, b, limit=200)
-        return val
+        return np.array([
+            quad(lambda t: min(1.0, self.base.tail_integral(t, math.inf)),
+                 lo, hi, limit=200)[0]
+            for lo, hi in zip(a.tolist(), b.tolist())])
 
 
 def quantile_grid(marginals, n: int = 24, lo_u: float = 0.9,

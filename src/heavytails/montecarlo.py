@@ -25,11 +25,11 @@ TAU_CAP = 1 << 20      # per-replicate cap on the simulated sequence length
 _TAU_LANE = 1 << 49    # block-stream lane reserved for counting-law draws
 # Coordinate budget per simulation slice. A slice holds at most
 # max(_CHUNK_VALUES, tau_cap rounded up to dim) coordinates, since one
-# replicate may exceed the budget on its own. Live float64 data per slice
-# peaks at about three times that, during the inverse transform: uniforms,
-# its temporaries and the values. The reductions then work on the values in
-# place; a running sum, when runmax asks for one, overwrites them. At the
-# defaults that is ~96 MiB.
+# replicate may exceed the budget on its own. The inverse transform
+# overwrites the uniforms, so live float64 data per slice stays near one
+# array of that many values; the reductions then work on the values in
+# place, and a running sum, when runmax asks for one, overwrites them. At the
+# defaults that is ~32 MiB.
 _CHUNK_VALUES = 1 << 22
 
 _KINDS = ("sum", "max", "runmax")
@@ -136,9 +136,9 @@ def _chunk_stats(model: DependentModel, kinds: tuple,
     out[:] = [[-math.inf if k == "max" else 0.0] for k in kinds]
     if n_blocks == 0:
         return out
-    u = model.copula.sample(rng, n_blocks)
-    flat = model.marginals[0].ppf_from_uniform(u.ravel())
-    del u
+    # the inverse transform overwrites the uniforms: one array per slice
+    flat = model.marginals[0].ppf_from_uniform(
+        model.copula.sample(rng, n_blocks).ravel())
     if eff.min() == eff.max():
         # uniform lengths: plain reshape, same arithmetic order as the
         # fixed-length path, so a deterministic counting law reduces to it

@@ -242,13 +242,53 @@ class TestTailBracket:
         with pytest.raises(InvalidInput):
             cv.TailBracket(1.0, 0.5, 0.4)
 
+    def test_envelope_tails_rounding_above_one_are_clamped(self):
+        above = 1.0 + 2.0 ** -52
+        (b,) = cv._brackets([4.64], [above], [above])
+        assert (b.lower, b.upper) == (1.0, 1.0)
+
     def test_width_and_midpoint(self):
         b = cv.TailBracket(1.0, 0.2, 0.4)
         assert b.width == pytest.approx(0.2)
         assert b.midpoint == pytest.approx(0.3)
 
 
+def two_call_bracket(tail_fn, support_min, n, xs, step):
+    """nfold_tail_bracket_from_tail with the tails evaluated once per
+    envelope, as first written."""
+    x_max = float(np.max(xs))
+    clamp_k = math.ceil((x_max - (n - 1) * min(support_min, 0.0)
+                         + 2.0 * step) / step)
+    hi = (clamp_k + 1) * step
+    tails = []
+    for side in ("lower", "upper"):
+        k_lo, lattice = cv.lattice_tails(tail_fn, support_min, hi, step)
+        g = cv._grid_clamp(cv.discretize_tail(k_lo, step, lattice, side),
+                           clamp_k, side)
+        env = cv._power(g, n, lambda a, b: cv._grid_convolve(a, b, clamp_k, side))
+        tails.append(env.measure().tail_bounds(xs)[0])
+    return cv._brackets(xs, *tails)
+
+
 class TestNfoldBracket:
+    @pytest.mark.parametrize("d,n", [(Pareto(1.5, 1.0), 2), (Pareto(1.0, 1.0), 4),
+                                     (Weibull(0.5, 1.0), 2),
+                                     (ShiftedBy(Lognormal(0.0, 1.0), -1.0), 3)],
+                             ids=repr)
+    def test_one_tail_evaluation_serves_both_envelopes(self, d, n):
+        xs = np.geomspace(2.0, 200.0, 12)
+        calls = []
+
+        def tail_fn(t):
+            calls.append(len(t))
+            return d.tail(t)
+
+        got = cv.nfold_tail_bracket_from_tail(tail_fn, d.support()[0], n, xs)
+        assert len(calls) == 1
+        want = two_call_bracket(d.tail, d.support()[0], n, xs, 200.0 / 4096.0)
+        assert [(b.lower, b.upper) for b in got] == \
+            [(b.lower, b.upper) for b in want]
+
     def test_exponential_twofold_contains_gamma(self):
         # Gamma(2,1) tail at 9 is (1+9)e^-9
         truth = 10.0 * math.exp(-9.0)

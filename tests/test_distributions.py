@@ -1,0 +1,239 @@
+"""Marginal kernels: array tail integrals and in-place inverse transforms
+against scalar references written out from the closed forms."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import special as sc
+
+from heavytails.distributions import (
+    DiscreteAtoms,
+    Exponential,
+    GeometricAtomMixture,
+    IntegratedTail,
+    Lognormal,
+    Pareto,
+    ShiftedBy,
+    Weibull,
+)
+from heavytails.errors import InvalidInput
+
+
+# Scalar references: one window at a time, with math's libm.
+
+def ref_pareto(d, a, b):
+    s, al = d.scale, d.alpha
+    lo, hi = max(a, s), b
+    out = max(0.0, min(b, s) - a)
+    if hi > lo:
+        if math.isinf(hi):
+            if al <= 1:
+                return math.inf
+            out += s**al * lo ** (1.0 - al) / (al - 1.0)
+        elif al == 1.0:
+            out += s * math.log(hi / lo)
+        else:
+            out += s**al * (lo ** (1.0 - al) - hi ** (1.0 - al)) / (al - 1.0)
+    return out
+
+
+def ref_weibull(d, a, b):
+    out = max(0.0, min(b, 0.0) - a)
+    lo = max(a, 0.0)
+    if b > lo:
+        c, lam = d.shape, d.scale
+        k = 1.0 / c
+        hi_reg = 1.0 if math.isinf(b) else float(sc.gammainc(k, (b / lam) ** c))
+        lo_reg = float(sc.gammainc(k, (lo / lam) ** c))
+        out += lam * k * math.gamma(k) * (hi_reg - lo_reg)
+    return out
+
+
+def ref_lognormal(d, a, b):
+    def upper(x):
+        if x <= 0:
+            return d.mean() - x
+        z = (math.log(x) - d.mu) / d.sigma
+        return d.mean() * sc.ndtr(d.sigma - z) - x * sc.ndtr(-z)
+    return upper(a) if math.isinf(b) else upper(a) - upper(b)
+
+
+def ref_exponential(d, a, b):
+    out = max(0.0, min(b, 0.0) - a)
+    lo = max(a, 0.0)
+    if b > lo:
+        hi_term = 0.0 if math.isinf(b) else math.exp(-d.rate * b)
+        out += (math.exp(-d.rate * lo) - hi_term) / d.rate
+    return out
+
+
+def ref_atoms(d, a, b):
+    # the per-window step integral the array kernel replaced
+    locs, _, _, suffix = d._table
+    if math.isinf(b):
+        if math.isinf(d.mean()):
+            return math.inf
+        b = max(a, float(locs[-1]))
+    if b <= a:
+        return 0.0
+    pts = np.concatenate(([a], locs[(locs > a) & (locs < b)], [b]))
+    idx = np.searchsorted(locs, pts[:-1], side="right") - 1
+    heights = np.where(idx >= 0, suffix[np.maximum(idx, 0)], 1.0)
+    return float(np.sum(np.diff(pts) * heights))
+
+
+def ref_shifted(ref, base, shift):
+    return lambda d, a, b: ref(base, a - shift, b - shift)
+
+
+def windows(rng, start, n=400):
+    """Random windows: across the support start, deep and narrow, zero
+    width, and unbounded.
+
+    Deep windows are at least 1e-5 of their depth wide: a closed form that
+    subtracts two nearly equal terms turns a one-ulp difference into about
+    depth / width ulps, in the reference as much as in the kernel.
+    """
+    a = np.concatenate((
+        start + rng.uniform(-3.0, 3.0, n),
+        start + np.exp(rng.uniform(0.0, 12.0, n))))
+    width = np.concatenate((
+        np.exp(rng.uniform(-8.0, 6.0, n)),
+        np.abs(a[n:]) * np.exp(rng.uniform(-11.5, 2.0, n))))
+    b = a + width
+    b[::7] = a[::7]
+    b[3::11] = np.inf
+    return a, b
+
+
+DENSE = DiscreteAtoms(tuple((k / 10, 0.005) for k in range(1, 201)))
+
+CLOSED = [
+    (Pareto(1.5, 1.0), ref_pareto, 1.0),
+    (Pareto(0.7, 2.0), ref_pareto, 2.0),
+    (Pareto(1.0, 1.0), ref_pareto, 1.0),
+    (Pareto(3.0, 0.5), ref_pareto, 0.5),
+    (Weibull(0.5, 1.0), ref_weibull, 0.0),
+    (Weibull(0.3, 2.0), ref_weibull, 0.0),
+    (Lognormal(0.0, 1.0), ref_lognormal, 0.0),
+    (Lognormal(1.0, 0.5), ref_lognormal, 0.0),
+    (Exponential(1.0), ref_exponential, 0.0),
+    (Exponential(3.0), ref_exponential, 0.0),
+    (ShiftedBy(Pareto(1.5, 1.0), -0.5), ref_shifted(ref_pareto, Pareto(1.5, 1.0), -0.5), 0.5),
+    (ShiftedBy(Weibull(0.5, 1.0), 2.0), ref_shifted(ref_weibull, Weibull(0.5, 1.0), 2.0), 2.0),
+]
+
+ATOMIC = [
+    (DiscreteAtoms(((0.5, 0.4), (2.0, 0.3), (7.0, 0.2), (40.0, 0.1))), 0.5),
+    (DENSE, 0.1),
+    (GeometricAtomMixture(), -2.5),
+    (ShiftedBy(DENSE, -1.0), -0.9),
+]
+
+
+class TestTailIntegral:
+    @pytest.mark.parametrize("d,ref,start", CLOSED, ids=lambda v: repr(v)[:40])
+    def test_closed_forms_match_the_scalar_reference(self, d, ref, start):
+        # numpy's vector pow, exp and log may differ from libm by an ulp, and
+        # lo^(1-a) - hi^(1-a) amplifies that on deep, narrow windows
+        a, b = windows(np.random.default_rng(7), start)
+        got = d.tail_integral(a, b)
+        want = np.array([ref(d, x, y) for x, y in zip(a.tolist(), b.tolist())])
+        assert got.shape == a.shape
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        assert np.all(got[b == a] == 0.0)
+
+    @pytest.mark.parametrize("d,start", ATOMIC, ids=lambda v: repr(v)[:40])
+    def test_atom_tables_match_the_per_window_sum_bit_for_bit(self, d, start):
+        a, b = windows(np.random.default_rng(8), start)
+        base, shift = (d.base, d.shift) if isinstance(d, ShiftedBy) else (d, 0.0)
+        want = [ref_atoms(base, x - shift, y - shift)
+                for x, y in zip(a.tolist(), b.tolist())]
+        assert d.tail_integral(a, b).tolist() == want
+
+    def test_scalar_call_is_the_zero_dimensional_case(self):
+        for d, _, _ in CLOSED:
+            got = d.tail_integral(3.0, 7.5)
+            assert isinstance(got, float)
+            assert got == d.tail_integral(np.array([3.0]), np.array([7.5]))[0]
+        assert DENSE.tail_integral(0.0, math.inf) == pytest.approx(DENSE.mean())
+
+    def test_bounds_broadcast(self):
+        d = Pareto(2.0, 1.0)
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        got = d.tail_integral(a, math.inf)
+        assert got.shape == (2, 2)
+        np.testing.assert_allclose(got, 1.0 / a, rtol=1e-14)
+
+    def test_rejects_reversed_bounds(self):
+        for d in (Pareto(2.0, 1.0), DENSE):
+            with pytest.raises(InvalidInput):
+                d.tail_integral(np.array([1.0, 3.0]), np.array([2.0, 2.0]))
+            with pytest.raises(InvalidInput):
+                d.tail_integral(1.0, math.nan)
+
+    def test_integrated_tail_matches_its_base(self):
+        base = Pareto(2.5, 1.0)
+        it = IntegratedTail(base)
+        xs = np.array([-1.0, 0.5, 1.0, 2.0, 10.0, 300.0])
+        want = [min(1.0, ref_pareto(base, x, math.inf)) for x in xs.tolist()]
+        np.testing.assert_allclose(it.tail(xs), want, rtol=1e-12)
+        a, b = np.array([0.0, 1.0, 2.0]), np.array([1.0, 4.0, 2.0])
+        got = it.tail_integral(a, b)
+        assert got.tolist() == [it.tail_integral(x, y)
+                                for x, y in zip(a.tolist(), b.tolist())]
+        assert got[2] == 0.0
+        # from x >= 1 the tail is 1 / (1.5 x^1.5), its integral 1 / (0.75 sqrt x)
+        assert got[1] == pytest.approx((1.0 - 0.5) / 0.75, rel=1e-8)
+
+
+# Out-of-place inverse transforms, as they were written before the kernels
+# overwrote their input.
+OLD_PPF = [
+    (Pareto(1.5, 2.0), lambda d, u: d.scale * (1.0 - u) ** (-1.0 / d.alpha)),
+    (Pareto(1.0, 1.0), lambda d, u: d.scale * (1.0 - u) ** (-1.0 / d.alpha)),
+    (Weibull(0.5, 1.5), lambda d, u: d.scale * (-np.log1p(-u)) ** (1.0 / d.shape)),
+    (Lognormal(0.3, 1.2), lambda d, u: np.exp(d.mu + d.sigma * sc.ndtri(u))),
+    (Exponential(2.0), lambda d, u: -np.log1p(-u) / d.rate),
+    (GeometricAtomMixture(), lambda d, u: d._table[0][np.minimum(
+        np.searchsorted(d._table[2], u, side="left"), len(d._table[0]) - 1)]),
+    (ShiftedBy(Pareto(1.5, 1.0), -0.5),
+     lambda d, u: d.base.scale * (1.0 - u) ** (-1.0 / d.base.alpha) + d.shift),
+]
+
+
+class TestInPlaceInverseTransform:
+    @pytest.mark.parametrize("d,old", OLD_PPF, ids=lambda v: repr(v)[:40])
+    def test_engine_hook_overwrites_the_uniforms_with_the_old_bits(self, d, old):
+        u = np.random.default_rng(3).random(50_000)
+        u[:3] = (0.0, 0.5, np.nextafter(1.0, 0.0))
+        want = old(d, u.copy())
+        got = d.ppf_from_uniform(u)
+        assert got is u
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d,old", OLD_PPF, ids=lambda v: repr(v)[:40])
+    def test_strided_column_is_overwritten_in_place(self, d, old):
+        u = np.random.default_rng(4).random((1000, 3))
+        want = old(d, u[:, 1].copy())
+        d.ppf_from_uniform(u[:, 1])
+        assert np.array_equal(u[:, 1], want)
+
+    @pytest.mark.parametrize("d,old", OLD_PPF, ids=lambda v: repr(v)[:40])
+    def test_quantile_and_sample_keep_the_caller_data(self, d, old):
+        u = np.array([0.1, 0.5, 0.99])
+        kept = u.copy()
+        assert np.array_equal(d.quantile(u), old(d, kept.copy()))
+        assert np.array_equal(u, kept)
+        assert d.quantile(0.5) == float(old(d, np.array([0.5]))[0])
+        draws = d.sample(np.random.default_rng(9), 1000)
+        assert np.array_equal(draws,
+                              old(d, np.random.default_rng(9).random(1000)))
+
+    def test_integrated_tail_quantile_inverts_its_tail(self):
+        it = IntegratedTail(Exponential(1.0))
+        u = np.array([0.2, 0.7])
+        x = it.quantile(u)
+        np.testing.assert_allclose(1.0 - it.tail(x), u, rtol=1e-9)
+        assert u.tolist() == [0.2, 0.7]

@@ -80,6 +80,11 @@ CONFIGS = {
                              "atoms": [[0.5, 0.4], [2.0, 0.3], [7.0, 0.2],
                                        [40.0, 0.1]]},
                     "grid": {"lo": 1.0, "hi": 30.0, "points": 8}},
+    # 200 atoms 0.1 apart: the window laws of SstarStrong integrate over up
+    # to 200 steps, past numpy's 8-term unrolled and 128-term pairwise sums
+    "dense-atoms": {"dist": {"family": "atoms",
+                             "atoms": [[k / 10, 0.005] for k in range(1, 201)]},
+                    "grid": {"lo": 1.0, "hi": 15.0, "points": 8}},
 }
 
 COMMANDS = {
@@ -90,6 +95,12 @@ COMMANDS = {
     "class-atom-mixture": ["diagnose-class", "--dist", "example11",
                            "--check", "all"],
     "class-atoms-config": ["diagnose-class", "--config", "{class-atoms}"],
+    "class-weibull": ["diagnose-class", "--dist", "weibull(0.5,1)",
+                      "--check", "all"],
+    "class-lognormal": ["diagnose-class", "--dist", "lognormal(0,1)",
+                        "--check", "all"],
+    "class-dense-atoms": ["diagnose-class", "--config", "{dense-atoms}",
+                          "--check", "SstarStrong"],
     "dependence-token": ["diagnose-dependence", "--model", "fgm-pareto",
                          "--check", "both"],
     "dependence-config": ["diagnose-dependence", "--config", "{dependence}"],
@@ -119,9 +130,9 @@ COMMAND_GOLDEN = {
     ("ratio-curve", "records"):
         (0, "1a78a1286e2f3710c53582498bf0b1c90bf3a48b182481d99855dee4b3fb2a4c"),
     ("class-token", "csv"):
-        (0, "c15ee3897d173e87e5366a301b12c4496dbbdf5994f4d973bc1c974bbe205860"),
+        (0, "a37b875415d1f3b7aa0ec2682106d17252958710634fad353ab33459d0a0b4b0"),
     ("class-token", "records"):
-        (0, "3580a544e62b31af38365ae52fd40de5d38ddb4ee82949bb72d52b1cf4e8a44f"),
+        (0, "391c9ded851c271a09252424f5852e95c1224f3d8877c8c6ce502ac9960f26cd"),
     ("class-config", "csv"):
         (2, "9a9d94fd747f82a014ac3cf0f0c9625ae4207d75ec9e544b06357ba9a997c070"),
     ("class-config", "records"):
@@ -134,6 +145,18 @@ COMMAND_GOLDEN = {
         (2, "31ef1db54c4eb7d467372e64192e19041eee45227b9cc11b79e6fe4c1f8c6839"),
     ("class-atoms-config", "records"):
         (2, "2d343acefe8ed0407cc31e88f5b4127d3e79eaad2d662a013f88ca76e490b447"),
+    ("class-weibull", "csv"):
+        (2, "9126308ec804e90a007348c0c46feac9b4971c1c51467b5773b477c753ab4431"),
+    ("class-weibull", "records"):
+        (2, "5b71c4ccde2894547b45b6ececd478fcf619eff937ccce38a97407a6317915e9"),
+    ("class-lognormal", "csv"):
+        (2, "5370cb3d4bc7323c83061772f5bc84c2b6c923615023384e66335fa55792e1e1"),
+    ("class-lognormal", "records"):
+        (2, "3e2b02712a7e144928776050bb57ffba3e9ea8d17ae20853f625f61ee2d35148"),
+    ("class-dense-atoms", "csv"):
+        (2, "136adae47d26dd760ebfa4d7ccad486f3214daa47f0398fac094ddb6c00d32eb"),
+    ("class-dense-atoms", "records"):
+        (2, "0bad05516a6a975f3fb7ab9c6701e90659d53159004882d9d134305bd7d6b29a"),
     ("dependence-token", "csv"):
         (0, "f1e768025ac2951780e1c3da05f77983ce1bc66c07887f163bfb670903ee5991"),
     ("dependence-token", "records"):

@@ -277,8 +277,10 @@ class TestSharedPass:
 
     def test_stopped_block_memory_is_bounded(self):
         # one infinite-mean Zeta block (the T4.2 model) touches about 26M
-        # coordinates in slices of _CHUNK_VALUES; the live float64 data per
-        # slice stays near 3 x 8 x _CHUNK_VALUES bytes
+        # coordinates in slices of _CHUNK_VALUES; the inverse transform
+        # overwrites the uniforms, so the live float64 data per slice stays
+        # near one 8 x _CHUNK_VALUES byte array (measured: 32.9 MiB, 1.03x);
+        # the bound leaves 25% for the per-replicate index arrays
         d = Pareto(1.0, 1.0)
         m = DependentModel(Independence(2), (d, d), tau=Zeta(1.5))
         tracemalloc.start()
@@ -289,7 +291,7 @@ class TestSharedPass:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 8 * mc._CHUNK_VALUES, peak / 2 ** 20
+        assert peak <= 1.25 * 8 * mc._CHUNK_VALUES, peak / 2 ** 20
 
 
 class TestPathwiseOrderings:
