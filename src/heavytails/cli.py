@@ -120,6 +120,15 @@ def _convert(kind, value, field: str):
         return kind(value)
 
 
+def _integer(value, field: str) -> int:
+    """int(value) for one config value; a boolean, or a number with a
+    fractional part, is a ConfigError naming its field."""
+    n = _convert(int, value, field)
+    if isinstance(value, bool) or (isinstance(value, float) and value != n):
+        raise ConfigError(f"{field}: expected an integer, got {value!r}")
+    return n
+
+
 # ----------------------------------------------------------------- builders --
 
 # family -> (constructor, fields in constructor order, defaults)
@@ -156,7 +165,9 @@ def _field(key: str, value, context: str):
         if key == "coeffs":
             return tuple(float(a) for a in ([value] if isinstance(
                 value, (int, float)) else value))
-        return int(value) if key in ("dim", "n") else float(value)
+        if key in ("dim", "n"):
+            return _integer(value, f"{context}.{key}")
+        return float(value)
 
 
 def _build_family(table: dict, cfg, context: str):
@@ -200,7 +211,7 @@ def build_model(cfg, context="model"):
 
 def build_denominator(cfg, context="denominator"):
     f = _take(cfg, context, ("kind",), {"n": None, "rate": None})
-    n = None if f["n"] is None else _convert(int, f["n"], context + ".n")
+    n = None if f["n"] is None else _integer(f["n"], context + ".n")
     rate = (None if f["rate"] is None
             else _convert(float, f["rate"], context + ".rate"))
     with _config_errors(context, *_BAD_VALUE):
@@ -214,7 +225,8 @@ def build_grid(cfg, context="grid"):
     if isinstance(cfg, dict):
         f = _take(cfg, context, ("lo", "hi"), {"points": 24})
         with _config_errors(context, *_BAD_VALUE):
-            lo, hi, n = float(f["lo"]), float(f["hi"]), int(f["points"])
+            lo, hi = float(f["lo"]), float(f["hi"])
+        n = _integer(f["points"], context + ".points")
         if not (0 < lo < hi < math.inf) or n < 1:
             raise ConfigError(f"{context}: need 0 < lo < hi < inf and "
                               f"points >= 1")
@@ -433,7 +445,7 @@ def _resolve(args, config: dict, key: str, default):
         return default
     check = check_seed if key == "seed" else check_samples
     try:
-        return check(_convert(int, value, key))
+        return check(_integer(value, key))
     except InvalidInput as err:
         raise ConfigError(str(err)) from None
 
@@ -594,7 +606,7 @@ def _parse_dependence(raw, args) -> _Parsed:
                               f"{sorted(_MODEL_TOKENS)}")
         model_cfg = dict(_MODEL_TOKENS[model_cfg])
     with _config_errors("pair", *_BAD_VALUE):
-        i, j = (int(v) for v in f["pair"])
+        i, j = (_integer(v, "pair") for v in f["pair"])
     pair = (i, j)
     checks = _checks(getattr(args, "check", None) or f["checks"],
                      ("H1", "H2"), "both", "dependence", "H1, H2, or both")
@@ -622,7 +634,7 @@ def _convolve_auto_points(dist):
 def _parse_convolve(raw, args) -> _Parsed:
     f = _fields(raw, "convolve")
     dist_cfg = _dist_config(f["dist"])
-    nfold = _convert(int, f["nfold"], "nfold")
+    nfold = _integer(f["nfold"], "nfold")
     if nfold < 2:
         raise ConfigError("nfold must be at least 2")
     dist = build_marginal(dist_cfg, "dist")
@@ -650,10 +662,9 @@ def _convolve_rows(dist, nfold: int, probes, grid) -> list:
                        curve.denominators, curve.ratios, curve.ratios,
                        curve.running_min)
         else:
-            brackets = conv.nfold_tail_bracket(dist, nfold, grid)
-            lower = np.array([b.lower for b in brackets])
-            upper = np.array([b.upper for b in brackets])
-            tails = np.array([float(dist.tail(x)) for x in grid])
+            lower, upper = conv.bracket_bounds(
+                conv.nfold_tail_bracket(dist, nfold, grid))
+            tails = dist.tail(grid)
             if np.any(tails <= 0):
                 raise InvalidInput("single tail vanishes on the grid; "
                                    "shorten it")

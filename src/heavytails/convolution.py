@@ -64,12 +64,6 @@ class LatticeMeasure:
         if not np.all(np.isfinite(locs)):
             raise InvalidInput("locations must be finite (use inf_mass for the bucket)")
 
-    @classmethod
-    def from_atoms(cls, atoms, inf_mass=0.0):
-        items = sorted(atoms)
-        return cls(np.array([l for l, _ in items]), np.array([m for _, m in items]),
-                   inf_mass=inf_mass)
-
     def total(self) -> float:
         return math.fsum(self.masses.tolist()) + self.inf_mass + self.slack
 
@@ -200,6 +194,12 @@ class TailBracket:
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.lower + self.upper)
+
+
+def bracket_bounds(brackets) -> tuple:
+    """(lower, upper) arrays of a list of brackets."""
+    return (np.array([b.lower for b in brackets]),
+            np.array([b.upper for b in brackets]))
 
 
 def _brackets(xs, lows, highs) -> list:

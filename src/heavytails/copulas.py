@@ -21,7 +21,7 @@ import numpy as np
 
 from .counting import CountingLaw
 from .distributions import Marginal
-from .errors import AssumptionViolated, InvalidInput, ModelConfigError
+from .errors import InvalidInput, ModelConfigError
 
 _SURVIVAL_DIM_CAP = 16
 _TINY = np.finfo(float).tiny
@@ -35,18 +35,12 @@ class Copula:
         """C(u) for u in [0,1]^dim; accepts a vector or a batch (m, dim)."""
         raise NotImplementedError
 
-    def density(self, u):
-        raise NotImplementedError
-
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         raise NotImplementedError
 
     def subset(self, idx: tuple) -> "Copula":
         """Marginal copula of the coordinates idx (order preserved)."""
         raise NotImplementedError
-
-    def head(self, k: int) -> "Copula":
-        return self.subset(tuple(range(k)))
 
     def _check_u(self, u):
         arr = np.asarray(u, dtype=float)
@@ -75,10 +69,6 @@ class Independence(Copula):
         arr = self._check_u(u)
         return self._ret(u, np.prod(arr, axis=1))
 
-    def density(self, u):
-        arr = self._check_u(u)
-        return self._ret(u, np.ones(arr.shape[0]))
-
     def sample(self, rng, count):
         return rng.random((int(count), self.dim))
 
@@ -97,11 +87,6 @@ class Comonotone(Copula):
     def cdf(self, u):
         arr = self._check_u(u)
         return self._ret(u, np.min(arr, axis=1))
-
-    def density(self, u):
-        raise AssumptionViolated(
-            "the comonotone copula is not absolutely continuous; it has no density"
-        )
 
     def sample(self, rng, count):
         one = rng.random(int(count))
@@ -180,14 +165,6 @@ class FGM(Copula):
         quad = 0.5 * np.einsum("bi,ij,bj->b", w, self._mat, w)
         return self._ret(u, np.prod(arr, axis=1) * (1.0 + quad))
 
-    def density(self, u):
-        arr = self._check_u(u)
-        return self._ret(u, self._density_batch(arr))
-
-    def _density_batch(self, arr):
-        v = 1.0 - 2.0 * arr
-        return 1.0 + 0.5 * np.einsum("bi,ij,bj->b", v, self._mat, v)
-
     def sample(self, rng, count):
         """Sequential conditional inversion: exactly dim uniforms per row.
 
@@ -265,33 +242,23 @@ class DependentModel:
         return u
 
 
-def _subset_cdf(copula: Copula, subset: tuple, u: np.ndarray) -> float:
-    """Marginal copula cdf on a coordinate subset, evaluated without rebuilding."""
-    us = u[list(subset)]
-    if isinstance(copula, Comonotone):
-        return float(np.min(us))
-    prod = float(np.prod(us))
-    if isinstance(copula, FGM):
-        w = 1.0 - us
-        a = copula._mat[np.ix_(subset, subset)]
-        return prod * (1.0 + 0.5 * float(w @ a @ w))
-    if isinstance(copula, Independence):
-        return prod
-    return float(copula.subset(subset).cdf(us))
-
-
-def joint_upper_survival(model: DependentModel, xs) -> float:
-    """P(X_1 > x_1, ..., X_n > x_n) by inclusion-exclusion over copula marginals."""
+def joint_upper_survival(model: DependentModel, xs):
+    """P(X_1 > x_1, ..., X_n > x_n) by inclusion-exclusion over copula
+    marginals. xs is one threshold vector, giving a float, or a batch
+    (m, n), giving m values; each subset's own copula cdf serves the batch."""
     xs = np.asarray(xs, dtype=float)
     n = model.dim
-    if xs.shape != (n,):
+    if xs.ndim not in (1, 2) or xs.shape[-1] != n:
         raise InvalidInput(f"need one threshold per coordinate, got shape {xs.shape}")
     if n > _SURVIVAL_DIM_CAP:
         raise InvalidInput(f"survival algebra capped at {_SURVIVAL_DIM_CAP} dimensions")
-    u = np.array([m.cdf(x) for m, x in zip(model.marginals, xs)])
-    total = 1.0
+    rows = np.atleast_2d(xs)
+    u = np.column_stack([m.cdf(rows[:, k]) for k, m in enumerate(model.marginals)])
+    total = np.ones(len(rows))
     for r in range(1, n + 1):
         sign = (-1.0) ** r
         for subset in itertools.combinations(range(n), r):
-            total += sign * _subset_cdf(model.copula, subset, u)
-    return min(max(total, 0.0), 1.0)
+            # a copula's one-dimensional marginals are uniform
+            total += sign * (u[:, subset[0]] if r == 1
+                             else model.copula.subset(subset).cdf(u[:, subset]))
+    return Copula._ret(xs, np.clip(total, 0.0, 1.0))

@@ -133,15 +133,9 @@ class Zeta(CountingLaw):
         if np.any(small):
             idx = np.clip(k.astype(np.int64), 1, _ZETA_EXACT_BELOW)
             head_part = self._head[_ZETA_EXACT_BELOW - 1] - self._head[idx - 1]
-            em = np.where(small, head_part + self._em_at_cut, em)
+            # below the cut, big is the cut and em its remainder
+            em = np.where(small, head_part + em, em)
         return em
-
-    @cached_property
-    def _em_at_cut(self):
-        s, big = self.s, float(_ZETA_EXACT_BELOW)
-        return (big ** (1.0 - s) / (s - 1.0) + 0.5 * big ** (-s)
-                + s / 12.0 * big ** (-s - 1.0)
-                - s * (s + 1.0) * (s + 2.0) / 720.0 * big ** (-s - 3.0))
 
     @cached_property
     def _norm(self):

@@ -32,7 +32,7 @@ from scipy import integrate
 
 from . import convolution as cv
 from .copulas import DependentModel, joint_upper_survival
-from .distributions import IntegratedTail, Marginal, quantile_grid
+from .distributions import Marginal, quantile_grid
 from .errors import AssumptionViolated, InvalidInput
 
 DEFAULT_TOL = 0.05
@@ -117,7 +117,10 @@ def limit_verdict(stat_lower, stat_upper, target: float, tol: float) -> str:
     return "inconclusive"
 
 
-def bounded_verdict(statistics, tol: float, growth_factor: float = 1.5) -> str:
+_GROWTH_FACTOR = 1.5    # end over the 60% point that refutes boundedness
+
+
+def bounded_verdict(statistics, tol: float) -> str:
     """Grade a boundedness claim: compare the grid end against the 60% point."""
     stats = np.asarray(statistics, dtype=float)
     n = len(stats)
@@ -128,7 +131,7 @@ def bounded_verdict(statistics, tol: float, growth_factor: float = 1.5) -> str:
         return "inconclusive"
     if stats[-1] <= base * (1.0 + tol):
         return "consistent"
-    if stats[-1] >= growth_factor * base:
+    if stats[-1] >= _GROWTH_FACTOR * base:
         return "inconsistent"
     return "inconclusive"
 
@@ -147,11 +150,6 @@ def _nonvanishing(tail, message: str = "tail vanishes on the grid"):
     if np.any(tail <= 0):
         raise InvalidInput(message)
     return tail
-
-
-def _bracket_bounds(brackets):
-    return (np.array([b.lower for b in brackets]),
-            np.array([b.upper for b in brackets]))
 
 
 def long_tail(d: Marginal, y: float = 1.0, grid=None,
@@ -199,7 +197,7 @@ def subexponential(d: Marginal, grid=None, grid_step: float = None,
     grid = _probe_grid(d, grid, positive=True)
     den = _nonvanishing(d.tail(grid))
     if d.truncated_atoms(math.inf) is None:
-        num_lo, num_hi = _bracket_bounds(
+        num_lo, num_hi = cv.bracket_bounds(
             cv.nfold_tail_bracket(d, 2, grid, grid_step=grid_step))
     else:
         jumps = cv.exact_twofold_ratio_curve(
@@ -295,7 +293,7 @@ def strong_subexponential(d: Marginal, h_grid=(1.0, 10.0, 100.0), grid=None,
 
         den = _nonvanishing(fh_tail(d, h, grid),
                             f"window tail vanishes on the grid for h={h}")
-        lo, hi = _bracket_bounds(cv.nfold_tail_bracket_from_tail(
+        lo, hi = cv.bracket_bounds(cv.nfold_tail_bracket_from_tail(
             window_tail, 0.0, 2, grid, grid_step=grid_step))
         lo, hi = lo / den, hi / den
         curves[f"h={h:g}"] = 0.5 * (lo + hi)
@@ -314,11 +312,6 @@ def strong_subexponential(d: Marginal, h_grid=(1.0, 10.0, 100.0), grid=None,
                        stat_upper=worst_hi, curves=curves)
 
 
-def integrated_tail(d: Marginal) -> IntegratedTail:
-    """The law with tail min(1, ∫_x^∞ F̄); rejects infinite positive-part mean."""
-    return IntegratedTail(d)
-
-
 def check_pair(model: DependentModel, pair) -> tuple:
     i, j = int(pair[0]), int(pair[1])
     if i == j or not (0 <= i < model.dim) or not (0 <= j < model.dim):
@@ -335,13 +328,9 @@ def h1_report(model: DependentModel, pair=(0, 1), grid=None,
     sub = model.subset((i, j))
     di, dj = sub.marginals
     grid = _probe_grid(di, grid)
-    stats = np.empty(len(grid))
-    for k, x in enumerate(grid):
-        joint = joint_upper_survival(sub, [float(x), float(x)])
-        den = float(di.tail(float(x))) + float(dj.tail(float(x)))
-        if den <= 0:
-            raise InvalidInput("both tails vanish on the grid")
-        stats[k] = joint / den
+    joint = joint_upper_survival(sub, np.column_stack((grid, grid)))
+    stats = joint / _nonvanishing(di.tail(grid) + dj.tail(grid),
+                                  "both tails vanish on the grid")
     return ClassReport("H1", grid, stats, limit_verdict(stats, stats, 0.0, tol),
                        tol, target_value=0.0)
 
@@ -363,17 +352,14 @@ def h2_report(model: DependentModel, pair=(0, 1), grid=None,
     grid = _probe_grid(di, grid, positive=True)
     curves = {}
     for a, b in _H2_RAYS:
-        vals = np.empty(len(grid))
-        for k, x in enumerate(grid):
-            s, t = a * float(x), b * float(x)
-            tail_j = float(dj.tail(t))
-            if tail_j <= 0:
-                raise InvalidInput("conditioning tail vanishes on the grid")
-            upper_both = joint_upper_survival(sub, [s, t])
-            upper_mixed = joint_upper_survival(sub, [-s, t])
-            # P(X_i <= -s, X_j > t) = F̄_j(t) - P(X_i > -s, X_j > t)
-            vals[k] = (upper_both + (tail_j - upper_mixed)) / tail_j
-        curves[f"ray={a:g}:{b:g}"] = vals
+        s, t = a * grid, b * grid
+        tail_j = _nonvanishing(dj.tail(t),
+                               "conditioning tail vanishes on the grid")
+        upper_both = joint_upper_survival(sub, np.column_stack((s, t)))
+        upper_mixed = joint_upper_survival(sub, np.column_stack((-s, t)))
+        # P(X_i <= -s, X_j > t) = F̄_j(t) - P(X_i > -s, X_j > t)
+        curves[f"ray={a:g}:{b:g}"] = (
+            upper_both + (tail_j - upper_mixed)) / tail_j
     stats = np.maximum.reduce(list(curves.values()))
     return ClassReport("H2", grid, stats, limit_verdict(stats, stats, 0.0, tol),
                        tol, target_value=0.0, curves=curves)

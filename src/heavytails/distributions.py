@@ -33,10 +33,6 @@ TAG_SSTAR = "Sstar"
 TAG_SSTAR_STRONG = "SstarStrong"
 TAG_HEAVY = "HeavyK"
 
-ALL_TAGS = frozenset(
-    {TAG_LONG, TAG_DOMINATED, TAG_SUBEXP, TAG_SSTAR, TAG_SSTAR_STRONG, TAG_HEAVY}
-)
-
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
@@ -561,15 +557,15 @@ class IntegratedTail(Marginal):
             for lo, hi in zip(a.tolist(), b.tolist())])
 
 
-def quantile_grid(marginals, n: int = 24, lo_u: float = 0.9,
+def quantile_grid(marginals, n: int = 24,
                   hi_u: float = 1.0 - 1e-4) -> np.ndarray:
     """Geometric grid spanning the marginals' upper tail decades.
 
-    The low end is the largest lo_u-quantile across marginals, so every
+    The low end is the largest 0.9-quantile across marginals, so every
     coordinate is already in its tail; the high end is the largest
     hi_u-quantile, so the heaviest tail reaches its deep-asymptotic regime.
     """
-    lo = max(max(float(m.quantile(lo_u)) for m in marginals), 1e-9)
+    lo = max(max(float(m.quantile(0.9)) for m in marginals), 1e-9)
     hi = max(float(m.quantile(hi_u)) for m in marginals)
     if hi <= lo:
         hi = lo * 100.0

@@ -2,9 +2,9 @@
 
 Invalid arguments (bad numbers, malformed atom lists) raise InvalidInput.
 Structurally valid requests that fall outside an operation's hypotheses
-(density of a non-absolutely-continuous copula, S* diagnostics on an
-infinite-mean law) raise AssumptionViolated, so callers can tell user error
-from model error.
+(an expected-count denominator for an infinite-mean counting law, S*
+diagnostics on an infinite-mean law) raise AssumptionViolated, so callers
+can tell user error from model error.
 """
 
 

@@ -17,43 +17,10 @@ import numpy as np
 from . import montecarlo as mc
 from .copulas import Comonotone, DependentModel, FGM, Independence
 from .counting import CountingLaw, Geometric1, Poisson, Zeta
-from .distributions import Marginal, Pareto, ShiftedBy, quantile_grid
+from .distributions import Pareto, ShiftedBy, quantile_grid
 from .errors import AssumptionViolated, InvalidInput, ModelConfigError
 
-Z95 = 1.96
-
 SEMANTICS = ("lim", "liminf", "divergence")
-
-
-def denom_sum_tails(marginals, x):
-    """Sum of the marginal tails at a common threshold; x may be an array."""
-    return sum(m.tail(x) for m in marginals)
-
-
-def denom_n_tail(f: Marginal, n: int, x):
-    """n times one tail; n = 1 gives the bare single-summand tail."""
-    if int(n) != n or n < 1:
-        raise InvalidInput("n must be a positive integer")
-    return float(n) * f.tail(x)
-
-
-def denom_mean_tau_tail(f: Marginal, tau: CountingLaw, x):
-    """Expected count times one tail; infinite counts have no finite scale."""
-    et = tau.mean()
-    if not math.isfinite(et):
-        raise AssumptionViolated(
-            "the counting law has infinite mean: ratios against its expected "
-            "count diverge, use a divergence-mode experiment against the bare "
-            "tail instead")
-    return et * f.tail(x)
-
-
-def denom_discounted(marginals, r: float, x):
-    """Sum of tails at geometrically inflated thresholds x(1+r)^k, k >= 1."""
-    if not r > -1.0:
-        raise InvalidInput("rate must exceed -1")
-    x, g = np.asarray(x, dtype=float), 1.0 + r
-    return sum(m.tail(x * g ** (k + 1)) for k, m in enumerate(marginals))
 
 
 @dataclass(frozen=True)
@@ -69,8 +36,9 @@ class Denominator:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise InvalidInput(f"denominator kind must be one of {self._KINDS}")
-        if self.kind == "n_tail" and (self.n is None or int(self.n) < 1):
-            raise InvalidInput("n_tail needs a positive n")
+        if self.kind == "n_tail" and (self.n is None or int(self.n) != self.n
+                                      or self.n < 1):
+            raise InvalidInput("n_tail needs a positive integer n")
         if self.kind == "discounted" and (self.rate is None
                                           or not self.rate > -1.0):
             raise InvalidInput("discounted needs a rate above -1")
@@ -83,17 +51,29 @@ class Denominator:
         return self.kind
 
     def values(self, model: DependentModel, xs) -> np.ndarray:
+        """The denominator on the grid xs: the sum of the marginal tails,
+        n times the first tail, the expected count times the first tail, or
+        the sum of the tails at inflated thresholds x(1+rate)^k, k >= 1."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        first = model.marginals[0]
         if self.kind == "sum_tails":
-            return denom_sum_tails(model.marginals, xs)
+            return sum(m.tail(xs) for m in model.marginals)
         if self.kind == "n_tail":
-            return denom_n_tail(model.marginals[0], self.n, xs)
+            return float(self.n) * first.tail(xs)
         if self.kind == "mean_tau_tail":
             if model.tau is None:
                 raise ModelConfigError(
                     "mean_tau_tail denominator needs a counting law")
-            return denom_mean_tau_tail(model.marginals[0], model.tau, xs)
-        return denom_discounted(model.marginals, self.rate, xs)
+            et = model.tau.mean()
+            if not math.isfinite(et):
+                raise AssumptionViolated(
+                    "the counting law has infinite mean: ratios against its "
+                    "expected count diverge, use a divergence-mode experiment "
+                    "against the bare tail instead")
+            return et * first.tail(xs)
+        g = 1.0 + self.rate
+        return sum(m.tail(xs * g ** (k + 1))
+                   for k, m in enumerate(model.marginals))
 
 
 @dataclass(frozen=True)
@@ -149,14 +129,9 @@ def _exact_numerator(model: DependentModel, quantity: mc.Quantity, xs):
     if not _has_closed_form(model, quantity):
         return None
     if quantity.kind == "max":
-        out = np.empty(len(xs))
-        for i, x in enumerate(xs):
-            u = np.array([1.0 - float(m.tail(float(x)))
-                          for m in model.marginals])
-            out[i] = 1.0 - float(model.copula.cdf(u))
-        return np.clip(out, 0.0, 1.0)
-    d = model.marginals[0]
-    return np.array([float(d.tail(float(x) / model.dim)) for x in xs])
+        u = np.column_stack([1.0 - m.tail(xs) for m in model.marginals])
+        return np.clip(1.0 - model.copula.cdf(u), 0.0, 1.0)
+    return model.marginals[0].tail(xs / model.dim)
 
 
 def check_run_options(numerator: str, tolerance: float,
@@ -203,10 +178,10 @@ def _verdict_liminf(ratios, stderrs_rel, predicted, tol):
     band_lo, band_hi = predicted * (1.0 - tol), predicted * (1.0 + tol)
     run = np.minimum.accumulate(ratios)
     i_min = int(np.argmin(ratios))
-    noise_min = Z95 * stderrs_rel[i_min] * max(ratios[i_min], 0.0)
+    noise_min = mc.Z95 * stderrs_rel[i_min] * max(ratios[i_min], 0.0)
     if run[-1] + noise_min < band_lo:
         return "inconsistent"
-    witness = ratios - Z95 * stderrs_rel * np.abs(ratios)
+    witness = ratios - mc.Z95 * stderrs_rel * np.abs(ratios)
     if run[-1] >= band_lo - noise_min and np.any(witness <= band_hi):
         return "consistent"
     return "inconclusive"
@@ -226,8 +201,8 @@ def _grade(claim, experiment_id: str, xs, den, num, se, used_samples: int,
     """Ratio curve of one claim's numerator over its denominator, graded."""
     predicted, semantics = claim.predicted, claim.semantics
     ratios = num / den
-    ci_lo = np.maximum(num - Z95 * se, 0.0) / den
-    ci_hi = np.minimum(num + Z95 * se, 1.0) / den
+    lo, hi = mc.wald_interval(num, se)
+    ci_lo, ci_hi = lo / den, hi / den
     run = np.minimum.accumulate(ratios)
     rel = np.where(num > 0, se / np.maximum(num, 1e-300), np.inf)
 
@@ -366,9 +341,7 @@ class Preset:
     claims: tuple
     tolerance: float
     samples: int
-    divergence_bound: float = 10.0
     check: object = None       # (model) -> tuple of hypothesis issues
-    grid_n: int = 24
     grid_hi_u: float = 1.0 - 1e-4
 
     def hypothesis_issues(self, model) -> tuple:
@@ -506,8 +479,7 @@ PRESETS = {
                                tau=Zeta(1.5)),
         (Claim("MaxTau", "divergence", _BARE_TAIL),
          Claim("SumTau", "divergence", _BARE_TAIL)),
-        tolerance=0.15, samples=200_000, divergence_bound=10.0,
-        check=_check_t42),
+        tolerance=0.15, samples=200_000, check=_check_t42),
     "T4.3": Preset(
         "T4.3",
         "randomly stopped maximum with a finite-mean count: ratio to "
@@ -564,12 +536,10 @@ def theorem_suite(theorem_id: str, model: DependentModel = None,
         raise ModelConfigError(
             f"preset {theorem_id} violates its own hypotheses: {issues}")
     if x_grid is None:
-        x_grid = quantile_grid(model.marginals, preset.grid_n,
-                               hi_u=preset.grid_hi_u)
+        x_grid = quantile_grid(model.marginals, hi_u=preset.grid_hi_u)
     many = len(preset.claims) > 1
     ids = [f"{theorem_id}:{c.quantity}" if many else theorem_id
            for c in preset.claims]
     return _run_claims(model, preset.claims, ids, x_grid, samples, seed,
                        workers, tolerance=preset.tolerance,
-                       divergence_bound=preset.divergence_bound,
                        extra_notes=notes)

@@ -33,6 +33,7 @@ _TAU_LANE = 1 << 49    # block-stream lane reserved for counting-law draws
 _CHUNK_VALUES = 1 << 22
 
 _KINDS = ("sum", "max", "runmax")
+Z95 = 1.96             # two-sided 95% standard normal quantile
 
 
 @dataclass(frozen=True)
@@ -91,10 +92,15 @@ class TailEstimate:
     seed: int
     notes: tuple = ()
 
-    def ci(self, z: float = 1.96) -> tuple:
-        lo = max(0.0, self.p_hat - z * self.stderr)
-        hi = min(1.0, self.p_hat + z * self.stderr)
-        return (lo, hi)
+    def ci(self) -> tuple:
+        return tuple(map(float, wald_interval(self.p_hat, self.stderr)))
+
+
+def wald_interval(p_hat, stderr) -> tuple:
+    """The 95% Wald interval p_hat -/+ Z95 stderr clipped to [0, 1],
+    elementwise."""
+    return (np.maximum(p_hat - Z95 * stderr, 0.0),
+            np.minimum(p_hat + Z95 * stderr, 1.0))
 
 
 def _reduce_rows(rect: np.ndarray, kinds: tuple) -> np.ndarray:

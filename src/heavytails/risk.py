@@ -178,8 +178,7 @@ class _MeanCountClaimTail:
 
     def values(self, model, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        return self.expected_count * np.array(
-            [float(self.claim_size.tail(x)) for x in xs])
+        return self.expected_count * self.claim_size.tail(xs)
 
 
 @dataclass(frozen=True)

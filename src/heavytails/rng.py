@@ -36,8 +36,3 @@ def block_stream(seed: int, block_index: int) -> np.random.Generator:
     """Generator for one replicate block, keyed by (seed, block index)."""
     key = np.array([check_seed(seed), int(block_index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def substream(seed: int, label: int = 0) -> np.random.Generator:
-    """One-off stream for non-engine sampling helpers; label picks a lane."""
-    return block_stream(seed, (1 << 48) + int(label))

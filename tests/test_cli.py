@@ -357,6 +357,27 @@ class TestBadValues:
                             "grid": {"lo": 1.0, "hi": 1e400}}, "grid"),
         ("ruin", {"preset": ["C5.1"]}, "ruin preset"),
         ("ruin", dict(DISCRETE_RUIN_CONFIG, seed="x"), "seed"),
+        # integer fields take integral numbers only, never a boolean
+        ("ratio-curve", dict(RC_MC_CONFIG, samples=20000.7), "samples"),
+        ("ratio-curve", dict(RC_MC_CONFIG, samples=True), "samples"),
+        ("ratio-curve", dict(RC_MC_CONFIG, seed=13.9), "seed"),
+        ("ratio-curve", dict(RC_MC_CONFIG, denominator={"kind": "n_tail",
+                                                        "n": 2.9}),
+         "denominator.n"),
+        ("ratio-curve", dict(RC_MC_CONFIG, grid={"lo": 5.0, "hi": 500.0,
+                                                 "points": 8.5}),
+         "grid.points"),
+        ("ratio-curve", dict(RC_MC_CONFIG, model=dict(
+            FGM_PARETO_MODEL, copula={"family": "fgm", "dim": 2.5,
+                                      "coeffs": [1.0]})),
+         "model.copula.dim"),
+        ("ratio-curve", dict(RC_MC_CONFIG, quantity="SumTau", model=dict(
+            FGM_PARETO_MODEL, tau={"family": "deterministic", "n": 2.5})),
+         "model.tau.n"),
+        ("ruin", dict(DISCRETE_RUIN_CONFIG, seed=False), "seed"),
+        ("diagnose-dependence", {"model": "fgm-pareto", "pair": [0, 1.5]},
+         "pair"),
+        ("convolve", {"dist": "example11", "nfold": 2.6}, "nfold"),
     ])
     def test_config_value(self, tmp_path, capsys, command, config, field):
         cfg = write_json(tmp_path, "bad.json", config)

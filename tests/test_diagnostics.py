@@ -7,10 +7,12 @@ import pytest
 from scipy import integrate
 
 from heavytails import diagnostics as dg
-from heavytails.copulas import FGM, Comonotone, DependentModel, Independence
+from heavytails.copulas import (FGM, Comonotone, DependentModel, Independence,
+                                joint_upper_survival)
 from heavytails.distributions import (
     Exponential,
     GeometricAtomMixture,
+    IntegratedTail,
     Lognormal,
     Pareto,
     ShiftedBy,
@@ -269,19 +271,19 @@ class TestWindowLaw:
 
 class TestIntegratedTail:
     def test_exponential_fixed_point(self):
-        it = dg.integrated_tail(Exponential(1.0))
+        it = IntegratedTail(Exponential(1.0))
         for x in (0.5, 2.0, 5.0):
             assert it.tail(x) == pytest.approx(math.exp(-x), rel=1e-12)
 
     def test_pareto_reciprocal(self):
-        it = dg.integrated_tail(Pareto(2.0, 1.0))
+        it = IntegratedTail(Pareto(2.0, 1.0))
         assert it.tail(5.0) == pytest.approx(0.2, rel=1e-12)
         assert it.tail(0.5) == 1.0
 
     def test_tail_convex_on_tail_region(self):
         # start past the min(1, .) cap so the pure integral region is probed
         for base in (Pareto(2.0, 1.0), Weibull(0.5, 1.0)):
-            it = dg.integrated_tail(base)
+            it = IntegratedTail(base)
             xs = np.linspace(5.0, 50.0, 25)
             vals = np.asarray(it.tail(xs), dtype=float)
             second = np.diff(vals, 2)
@@ -290,7 +292,71 @@ class TestIntegratedTail:
 
     def test_infinite_mean_rejected(self):
         with pytest.raises(AssumptionViolated):
-            dg.integrated_tail(Pareto(1.0, 1.0))
+            IntegratedTail(Pareto(1.0, 1.0))
+
+
+class TestJointUpperSurvival:
+    # thresholds below, inside and above the bulk of both marginals; the
+    # shifted law puts mass on negative values, the Pareto law does not
+    MARGINALS = (Pareto(1.5, 1.0), ShiftedBy(Pareto(2.0, 1.0), -2.0))
+    LEVELS = (-5.0, -1.5, -0.5, 0.0, 0.7, 1.0, 2.5, 10.0, 300.0)
+
+    @staticmethod
+    def batch(dim):
+        levels = TestJointUpperSurvival.LEVELS
+        return np.array(np.meshgrid(*[levels] * dim)).reshape(dim, -1).T
+
+    def model(self, copula):
+        margs = tuple(self.MARGINALS[k % 2] for k in range(copula.dim))
+        return DependentModel(copula, margs)
+
+    def cases(self):
+        a = (0.5, -0.3, 0.2)
+        amat = np.array([[0.0, a[0], a[1]], [a[0], 0.0, a[2]],
+                         [a[1], a[2], 0.0]])
+
+        def fgm3(u):
+            quad = sum(amat[i, j] * u[:, i] * u[:, j]
+                       for i in range(3) for j in range(i + 1, 3))
+            return np.prod(1.0 - u, axis=1) * (1.0 + quad)
+
+        return [
+            (FGM.bivariate(0.8), lambda u: (1.0 - u[:, 0]) * (1.0 - u[:, 1])
+             * (1.0 + 0.8 * u[:, 0] * u[:, 1])),
+            (FGM.bivariate(-1.0), lambda u: (1.0 - u[:, 0]) * (1.0 - u[:, 1])
+             * (1.0 - u[:, 0] * u[:, 1])),
+            # the survival copula of an FGM copula is the same FGM copula
+            (FGM(3, a), fgm3),
+            (Independence(2), lambda u: (1.0 - u[:, 0]) * (1.0 - u[:, 1])),
+            (Comonotone(2), lambda u: np.minimum(1.0 - u[:, 0],
+                                                 1.0 - u[:, 1])),
+        ]
+
+    def test_batch_equals_row_by_row_bit_for_bit(self):
+        for copula, _ in self.cases():
+            model = self.model(copula)
+            xs = self.batch(copula.dim)
+            got = joint_upper_survival(model, xs)
+            assert isinstance(got, np.ndarray) and got.shape == (len(xs),)
+            rows = [joint_upper_survival(model, x) for x in xs]
+            assert all(isinstance(r, float) for r in rows)
+            assert np.array_equal(got, np.array(rows)), copula
+
+    def test_batch_matches_closed_forms(self):
+        for copula, closed in self.cases():
+            model = self.model(copula)
+            xs = self.batch(copula.dim)
+            u = np.column_stack([m.cdf(xs[:, k])
+                                 for k, m in enumerate(model.marginals)])
+            assert np.any(xs < 0) and np.any((u > 0) & (u < 1))
+            np.testing.assert_allclose(joint_upper_survival(model, xs),
+                                       closed(u), rtol=0, atol=1e-12)
+
+    def test_rejects_a_threshold_shape_that_does_not_fit(self):
+        model = self.model(Independence(2))
+        for xs in ([1.0], np.ones((4, 3)), np.ones((2, 2, 2))):
+            with pytest.raises(InvalidInput):
+                joint_upper_survival(model, xs)
 
 
 class TestDependenceDiagnostics:

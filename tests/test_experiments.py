@@ -19,37 +19,47 @@ def pareto_pair(alpha, copula=None):
     return DependentModel(cop, (Pareto(alpha, 1.0), Pareto(alpha, 1.0)))
 
 
+def single(f, tau=None):
+    return DependentModel(Independence(1), (f,), tau=tau)
+
+
 class TestDenominators:
     def test_n_tail_three_copies(self):
         # 3 * (1/10) for a unit-scale power tail with index one
-        assert ex.denom_n_tail(Pareto(1.0, 1.0), 3, 10.0) == pytest.approx(
-            0.3, rel=1e-15)
+        got = ex.Denominator("n_tail", n=3).values(single(Pareto(1.0, 1.0)),
+                                                   10.0)
+        assert got[0] == pytest.approx(0.3, rel=1e-15)
 
     def test_n_tail_rejects_bad_n(self):
-        with pytest.raises(InvalidInput):
-            ex.denom_n_tail(Pareto(1.0, 1.0), 0, 10.0)
+        for n in (0, 2.5):
+            with pytest.raises(InvalidInput):
+                ex.Denominator("n_tail", n=n)
 
     def test_discounted_geometric_thresholds(self):
         # Five identical unit-index tails at thresholds x*1.05^k telescope
         # into x^{-1} * sum of 1.05^{-k}; check against the explicit sum.
-        marginals = tuple(Pareto(1.0, 1.0) for _ in range(5))
+        model = DependentModel(Independence(5),
+                               tuple(Pareto(1.0, 1.0) for _ in range(5)))
+        den = ex.Denominator("discounted", rate=0.05)
         for x in (5.0, 50.0, 500.0):
             want = sum(1.05 ** -k for k in range(1, 6)) / x
-            got = ex.denom_discounted(marginals, 0.05, x)
-            assert got == pytest.approx(want, rel=1e-14)
+            assert den.values(model, x)[0] == pytest.approx(want, rel=1e-14)
 
     def test_discounted_rejects_rate_at_minus_one(self):
         with pytest.raises(InvalidInput):
-            ex.denom_discounted((Pareto(1.0, 1.0),), -1.0, 5.0)
+            ex.Denominator("discounted", rate=-1.0)
 
     def test_mean_tau_tail_geometric(self):
         f = Pareto(0.8, 1.0)
         x = 25.0
-        assert ex.denom_mean_tau_tail(f, Geometric1(0.5), x) == 2.0 * f.tail(x)
+        got = ex.Denominator("mean_tau_tail").values(
+            single(f, Geometric1(0.5)), x)
+        assert got[0] == 2.0 * f.tail(x)
 
     def test_mean_tau_tail_infinite_mean_flagged(self):
         with pytest.raises(AssumptionViolated):
-            ex.denom_mean_tau_tail(Pareto(1.0, 1.0), Zeta(1.5), 10.0)
+            ex.Denominator("mean_tau_tail").values(
+                single(Pareto(1.0, 1.0), Zeta(1.5)), 10.0)
 
     def test_denominator_kind_validation(self):
         with pytest.raises(InvalidInput):
@@ -68,25 +78,16 @@ class TestDenominators:
         want = [sum(m.tail(x) for m in model.marginals) for x in xs]
         assert np.allclose(got, want, rtol=1e-15)
 
-    def test_values_equal_the_pointwise_helpers_bit_for_bit(self):
+    def test_grid_values_equal_pointwise_values_bit_for_bit(self):
         model = DependentModel(Independence(3),
                                (Pareto(0.8, 1.0), Pareto(1.2, 1.5),
                                 ShiftedBy(Pareto(2.0, 1.0), -1.0)),
                                tau=Geometric1(0.25))
         xs = np.geomspace(0.5, 5e4, 37)
-        f, marginals = model.marginals[0], model.marginals
-        cases = [
-            (ex.Denominator("sum_tails"),
-             lambda x: ex.denom_sum_tails(marginals, x)),
-            (ex.Denominator("n_tail", n=3),
-             lambda x: ex.denom_n_tail(f, 3, x)),
-            (ex.Denominator("mean_tau_tail"),
-             lambda x: ex.denom_mean_tau_tail(f, model.tau, x)),
-            (ex.Denominator("discounted", rate=0.05),
-             lambda x: ex.denom_discounted(marginals, 0.05, x)),
-        ]
-        for den, pointwise in cases:
-            want = np.array([pointwise(float(x)) for x in xs])
+        for den in (ex.Denominator("sum_tails"), ex.Denominator("n_tail", n=3),
+                    ex.Denominator("mean_tau_tail"),
+                    ex.Denominator("discounted", rate=0.05)):
+            want = np.array([den.values(model, float(x))[0] for x in xs])
             assert np.array_equal(den.values(model, xs), want), den.kind
 
     def test_claim_and_run_options_reject_bad_values(self):
