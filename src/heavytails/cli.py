@@ -488,10 +488,6 @@ def _parse_ratio_curve(raw, args) -> _Parsed:
     return _Parsed({**f, "samples": samples, "seed": seed}, run, warnings)
 
 
-def _all_preset_ids() -> list:
-    return list(risk_mod.presets())
-
-
 def _parse_theorem(raw, args) -> _Parsed:
     f = _fields(raw, "theorem")
     tid = getattr(args, "id", None) or f["theorem_id"]
@@ -509,18 +505,17 @@ def _preset_plan(args, f: dict, key: str, pid, registry: dict,
     grid = build_grid(f.get("grid"))
     if not isinstance(pid, str) or pid not in registry:
         raise ConfigError(f"unknown {noun} {pid!r}; have {list(registry)}")
+    preset = registry[pid]
     model, warnings = None, ()
     if f.get("model") is not None:
-        if pid not in ex.PRESETS:
-            raise ConfigError(f"preset {pid} does not take a custom model; "
-                              f"use the ruin command with a config")
+        preset.check_custom_model()
         model = build_model(f["model"])
         warnings = tuple(f"{pid} hypotheses unverified: {issue}"
-                         for issue in registry[pid].hypothesis_issues(model))
+                         for issue in preset.hypothesis_issues(model))
     echo = {**f, key: pid, "seed": seed,
-            "samples": registry[pid].samples if samples is None else samples}
-    return _Parsed(echo, lambda: risk_mod.run_preset(
-        pid, model=model, samples=samples, seed=seed, workers=args.workers,
+            "samples": preset.samples if samples is None else samples}
+    return _Parsed(echo, lambda: preset.run(
+        model=model, samples=samples, seed=seed, workers=args.workers,
         x_grid=grid), warnings)
 
 

@@ -96,14 +96,13 @@ class Comonotone(Copula):
         return Comonotone(len(idx))
 
 
-def _vertex_values(a: np.ndarray):
-    """Density values 1 + sum a_ij e_i e_j over all sign vertices e."""
+def _vertex_values(a: np.ndarray) -> tuple:
+    """(values, signs): the density 1 + sum_{i<j} a_ij e_i e_j at every sign
+    vertex e, the rows of signs in itertools.product((-1, 1), ...) order."""
     dim = a.shape[0]
-    vals = []
-    for eps in itertools.product((-1.0, 1.0), repeat=dim):
-        e = np.array(eps)
-        vals.append((1.0 + 0.5 * e @ a @ e, eps))
-    return vals
+    bits = (np.arange(2 ** dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1
+    signs = 2.0 * bits - 1.0
+    return 1.0 + 0.5 * ((signs @ a) * signs).sum(axis=1), signs
 
 
 def fgm_admissible(a) -> tuple:
@@ -115,9 +114,10 @@ def fgm_admissible(a) -> tuple:
         raise InvalidInput("coefficient matrix must be symmetric")
     if np.any(np.diag(a) != 0.0):
         raise InvalidInput("coefficient matrix must have zero diagonal")
-    worst = min(_vertex_values(a), key=lambda t: t[0])
-    if worst[0] < 0.0:
-        return False, worst[1]
+    vals, signs = _vertex_values(a)
+    k = int(np.argmin(vals))
+    if vals[k] < 0.0:
+        return False, tuple(signs[k].tolist())
     return True, None
 
 

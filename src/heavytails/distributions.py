@@ -478,6 +478,17 @@ class GeometricAtomMixture(_AtomTable):
         return self.q * 2.0 ** (-_MIXTURE_DEPTH)
 
 
+def _doubling_bracket(g, support_lo: float) -> tuple:
+    """(lo, hi) with g(lo) >= 0 >= g(hi) for a nonincreasing g: doubling out
+    from [min(support_lo, 0) - 1, 1]."""
+    lo, hi = min(support_lo, 0.0) - 1.0, 1.0
+    while g(hi) > 0:
+        hi *= 2.0
+    while g(lo) < 0:
+        lo = lo * 2.0 - 1.0
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class IntegratedTail(Marginal):
     """Law with tail min(1, integral of base tail from x to infinity).
@@ -506,11 +517,7 @@ class IntegratedTail(Marginal):
             def g(t):
                 return min(1.0, self.base.tail_integral(t, math.inf)) - target
 
-            lo, hi = min(lo0, 0.0) - 1.0, 1.0
-            while g(hi) > 0:
-                hi *= 2.0
-            while g(lo) < 0:
-                lo = lo * 2.0 - 1.0
+            lo, hi = _doubling_bracket(g, lo0)
             u[i] = brentq(g, lo, hi, xtol=1e-12, rtol=1e-14)
         return u
 
@@ -535,12 +542,7 @@ class IntegratedTail(Marginal):
         def g(t):
             return self.base.tail_integral(t, math.inf) - 1.0
 
-        lo = min(self.base.support()[0], 0.0) - 1.0
-        hi = 1.0
-        while g(hi) > 0:
-            hi *= 2.0
-        while g(lo) < 0:
-            lo = lo * 2.0 - 1.0
+        lo, hi = _doubling_bracket(g, self.base.support()[0])
         if g(lo) == 0.0:
             return lo
         return brentq(g, lo, hi, xtol=1e-12)

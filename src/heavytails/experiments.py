@@ -335,7 +335,9 @@ class Claim:
 
 @dataclass(frozen=True)
 class Preset:
-    theorem_id: str
+    """A named set of claims on one model: the unit every preset runs as."""
+
+    preset_id: str
     description: str
     build: object              # () -> DependentModel
     claims: tuple
@@ -343,11 +345,47 @@ class Preset:
     samples: int
     check: object = None       # (model) -> tuple of hypothesis issues
     grid_hi_u: float = 1.0 - 1e-4
+    x_grid: tuple = None       # fixed grid, used as given when set
+    weights: tuple = None      # per-coordinate weights of the fixed-length sums
 
     def hypothesis_issues(self, model) -> tuple:
         if self.check is None:
             return ()
         return tuple(self.check(model))
+
+    def check_custom_model(self) -> None:
+        """Reject a custom model: without hypotheses there is nothing to
+        check it against."""
+        if self.check is None:
+            raise InvalidInput(
+                f"preset {self.preset_id} does not take a custom model; "
+                f"use the ruin command with a config")
+
+    def run(self, model: DependentModel = None, samples: int = None,
+            seed: int = 0, workers: int = 1, x_grid=None) -> list:
+        """All ratio curves of this preset (or of a custom model on it)."""
+        custom = model is not None
+        if custom:
+            self.check_custom_model()
+        else:
+            model = self.build()
+        samples = self.samples if samples is None else int(samples)
+        issues = self.hypothesis_issues(model)
+        if issues and not custom:
+            raise ModelConfigError(
+                f"preset {self.preset_id} violates its own hypotheses: "
+                f"{issues}")
+        notes = (("hypotheses unverified: " + "; ".join(issues),) if issues
+                 else ())
+        if x_grid is None:
+            x_grid = (self.x_grid if self.x_grid is not None else
+                      quantile_grid(model.marginals, hi_u=self.grid_hi_u))
+        many = len(self.claims) > 1
+        ids = [f"{self.preset_id}:{c.quantity}" if many else self.preset_id
+               for c in self.claims]
+        return _run_claims(model, self.claims, ids, x_grid, samples, seed,
+                           workers, tolerance=self.tolerance,
+                           weights=self.weights, extra_notes=notes)
 
 
 def _check_fgm_long(model):
@@ -516,30 +554,3 @@ PRESETS = {
         grid_hi_u=1.0 - 1e-5),
 }
 
-
-def theorem_suite(theorem_id: str, model: DependentModel = None,
-                  samples: int = None, seed: int = 0, workers: int = 1,
-                  x_grid=None) -> list:
-    """All ratio curves for one theorem preset (or a custom model on it)."""
-    if theorem_id not in PRESETS:
-        raise InvalidInput(
-            f"unknown theorem id {theorem_id!r}; have {sorted(PRESETS)}")
-    preset = PRESETS[theorem_id]
-    custom = model is not None
-    model = model if custom else preset.build()
-    samples = preset.samples if samples is None else int(samples)
-    notes = ()
-    issues = preset.hypothesis_issues(model)
-    if custom and issues:
-        notes = ("hypotheses unverified: " + "; ".join(issues),)
-    elif not custom and issues:
-        raise ModelConfigError(
-            f"preset {theorem_id} violates its own hypotheses: {issues}")
-    if x_grid is None:
-        x_grid = quantile_grid(model.marginals, hi_u=preset.grid_hi_u)
-    many = len(preset.claims) > 1
-    ids = [f"{theorem_id}:{c.quantity}" if many else theorem_id
-           for c in preset.claims]
-    return _run_claims(model, preset.claims, ids, x_grid, samples, seed,
-                       workers, tolerance=preset.tolerance,
-                       extra_notes=notes)

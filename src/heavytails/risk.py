@@ -3,10 +3,12 @@
 Ruin by a finite horizon is a running maximum in disguise: the surplus goes
 negative exactly when the discounted claim sums climb past the initial
 capital, so both models here delegate to the running-max estimators and
-grade the result against the matching one-big-claim denominator.
+grade the result against the matching one-big-claim denominator. Each
+model states that claim once, as an experiments.Preset: its ruin curve and
+the named ruin presets run through the same Preset.run as the theorems.
 
 The module also serves the whole preset catalog, theorem and ruin presets
-alike, since it is the one module that sees both registries.
+alike, since it is the one module that sees both id namespaces.
 """
 
 from __future__ import annotations
@@ -59,17 +61,22 @@ class DiscreteRiskModel:
                                 workers=workers,
                                 weights=self.discount_weights())
 
+    def preset(self, preset_id: str = "ruin", description: str = "",
+               samples: int = 1_000_000, tolerance: float = 0.15,
+               x_grid=None) -> ex.Preset:
+        """Ruin probability over the sum of discounted claim tails."""
+        claim = ex.Claim("RunMaxN", "lim",
+                         ex.Denominator("discounted", rate=self.rate))
+        return ex.Preset(preset_id, description, lambda: self.claims,
+                         (claim,), tolerance, samples, x_grid=x_grid,
+                         weights=tuple(self.discount_weights()))
+
     def ruin_curve(self, x_grid=None, samples: int = 1_000_000, seed: int = 0,
                    workers: int = 1, tolerance: float = 0.15,
                    experiment_id: str = "ruin") -> ex.RatioCurve:
-        """Ruin probability over the sum of discounted claim tails."""
-        return ex.run_experiment(
-            self.claims, mc.RunMaxN, ex.Denominator("discounted",
-                                                    rate=self.rate),
-            x_grid=x_grid, samples=samples, seed=seed, workers=workers,
-            predicted=1.0, semantics="lim", tolerance=tolerance,
-            experiment_id=experiment_id, numerator="mc",
-            weights=self.discount_weights())
+        """The curve of this model's ruin preset."""
+        return self.preset(experiment_id, samples=samples, tolerance=tolerance,
+                           x_grid=x_grid).run(seed=seed, workers=workers)[0]
 
     def surplus_path(self, initial_surplus: float, seed: int,
                      replicate: int = 0) -> list:
@@ -146,24 +153,30 @@ class ArrivalRiskModel:
         return mc.estimate_tail(self.dependence_model(), mc.RunMaxTau, xs,
                                 samples, seed, workers=workers)
 
-    def ruin_curve(self, x_grid=None, samples: int = 1_000_000, seed: int = 0,
-                   workers: int = 1, tolerance: float = 0.15,
-                   experiment_id: str = "ruin-arrival") -> ex.RatioCurve:
+    def preset(self, preset_id: str = "ruin-arrival", description: str = "",
+               samples: int = 1_000_000, tolerance: float = 0.15,
+               x_grid=None) -> ex.Preset:
         """Ruin probability over (expected claim count) x (claim-size tail).
 
         The denominator uses the tail of the claim size itself, not the
         premium-shifted net cost: for long-tailed claims the constant
         premium offset washes out of the tail, and the unshifted form is
         the quantity an underwriter can read off the claim severity table.
+        The default grid spans the claim-size tail for the same reason.
         """
         if x_grid is None:
-            x_grid = quantile_grid((self.claim_size,))
-        return ex.run_experiment(
-            self.dependence_model(), mc.RunMaxTau,
-            _MeanCountClaimTail(self.claim_size, self.expected_count),
-            x_grid=x_grid, samples=samples, seed=seed, workers=workers,
-            predicted=1.0, semantics="lim", tolerance=tolerance,
-            experiment_id=experiment_id, numerator="mc")
+            x_grid = tuple(quantile_grid((self.claim_size,)))
+        claim = ex.Claim("RunMaxTau", "lim", _MeanCountClaimTail(
+            self.claim_size, self.expected_count))
+        return ex.Preset(preset_id, description, self.dependence_model,
+                         (claim,), tolerance, samples, x_grid=x_grid)
+
+    def ruin_curve(self, x_grid=None, samples: int = 1_000_000, seed: int = 0,
+                   workers: int = 1, tolerance: float = 0.15,
+                   experiment_id: str = "ruin-arrival") -> ex.RatioCurve:
+        """The curve of this model's ruin preset."""
+        return self.preset(experiment_id, samples=samples, tolerance=tolerance,
+                           x_grid=x_grid).run(seed=seed, workers=workers)[0]
 
 
 @dataclass(frozen=True)
@@ -181,43 +194,21 @@ class _MeanCountClaimTail:
         return self.expected_count * self.claim_size.tail(xs)
 
 
-@dataclass(frozen=True)
-class RiskPreset:
-    preset_id: str
-    description: str
-    build: object
-    samples: int
-    tolerance: float
-    x_grid: tuple
-
-    def run(self, samples: int = None, seed: int = 0,
-            workers: int = 1, x_grid=None) -> ex.RatioCurve:
-        model = self.build()
-        return model.ruin_curve(
-            x_grid=np.asarray(x_grid if x_grid is not None else self.x_grid,
-                              dtype=float),
-            samples=self.samples if samples is None else int(samples),
-            seed=seed, workers=workers, tolerance=self.tolerance,
-            experiment_id=self.preset_id)
-
-
 RISK_PRESETS = {
-    "C5.1": RiskPreset(
+    "C5.1": DiscreteRiskModel(
+        DependentModel(FGM.bivariate(1.0),
+                       (Pareto(1.0, 1.0), Pareto(1.0, 1.0))),
+        rate=0.05).preset(
         "C5.1",
         "two-period discounted ruin with positively dependent unit-index "
         "claims: ruin over the discounted tail sum tends to one",
-        lambda: DiscreteRiskModel(
-            DependentModel(FGM.bivariate(1.0),
-                           (Pareto(1.0, 1.0), Pareto(1.0, 1.0))),
-            rate=0.05),
         samples=10_000_000, tolerance=0.15,
         x_grid=tuple(np.geomspace(10.0, 1e3, 16))),
-    "C5.2": RiskPreset(
+    "C5.2": ArrivalRiskModel(Pareto(2.0, 1.0), loading=0.1, intensity=2.0,
+                             horizon=1.0).preset(
         "C5.2",
         "Poisson-arrival ruin with square-tailed claims and 10% loading: "
         "ruin over (expected count) x (claim tail) tends to one",
-        lambda: ArrivalRiskModel(Pareto(2.0, 1.0), loading=0.1,
-                                 intensity=2.0, horizon=1.0),
         samples=10_000_000, tolerance=0.15,
         x_grid=tuple(np.geomspace(3.1622776601683795, 100.0, 16))),
 }
@@ -232,11 +223,9 @@ def run_preset(preset_id: str, model: DependentModel = None,
                samples: int = None, seed: int = 0, workers: int = 1,
                x_grid=None) -> list:
     """Ratio curves of any named preset; only theorem presets take a model."""
-    if preset_id not in RISK_PRESETS:
-        return ex.theorem_suite(preset_id, model=model, samples=samples,
-                                seed=seed, workers=workers, x_grid=x_grid)
-    if model is not None:
-        raise InvalidInput(f"preset {preset_id} does not take a custom model; "
-                           f"use the ruin command with a config")
-    return [RISK_PRESETS[preset_id].run(samples=samples, seed=seed,
-                                        workers=workers, x_grid=x_grid)]
+    catalog = presets()
+    if preset_id not in catalog:
+        raise InvalidInput(
+            f"unknown preset id {preset_id!r}; have {list(catalog)}")
+    return catalog[preset_id].run(model=model, samples=samples, seed=seed,
+                                  workers=workers, x_grid=x_grid)

@@ -12,6 +12,7 @@ from heavytails.counting import Geometric1, Poisson, Zeta
 from heavytails.distributions import (DiscreteAtoms, Pareto, ShiftedBy,
                                       quantile_grid)
 from heavytails.errors import AssumptionViolated, InvalidInput
+from heavytails.risk import run_preset
 
 
 def pareto_pair(alpha, copula=None):
@@ -138,7 +139,7 @@ class TestExactMaxCurve:
     def test_bivariate_fgm_matches_closed_form(self):
         # 1 - C(u,u) over 2(1-u) with C(u,u) = u^2(1 + a(1-u)^2) reduces
         # to (1+u)/2 - a u^2 (1-u)/2. Verify the copula algebra path.
-        curves = ex.theorem_suite("T3.3", seed=0)
+        curves = run_preset("T3.3", seed=0)
         assert len(curves) == 1
         c = curves[0]
         f = Pareto(1.5, 1.0)
@@ -149,7 +150,7 @@ class TestExactMaxCurve:
         assert abs(c.ratios[-1] - 1.0) <= 6e-4
 
     def test_monotone_approach_over_last_decade(self):
-        c = ex.theorem_suite("T3.3", seed=0)[0]
+        c = run_preset("T3.3", seed=0)[0]
         xs = c.grid
         tail_idx = xs >= xs[-1] / 10.0
         assert np.all(np.diff(c.ratios[tail_idx]) >= 0.0)
@@ -243,7 +244,7 @@ class TestVerdictSemantics:
         assert c.verdict == "inconsistent"
 
     def test_running_min_tracks_cumulative_minimum(self):
-        curves = ex.theorem_suite("T3.3", seed=0)
+        curves = run_preset("T3.3", seed=0)
         c = curves[0]
         rm = np.minimum.accumulate(c.ratios)
         assert np.allclose([p.running_min for p in c.points], rm, rtol=0)
@@ -316,18 +317,18 @@ class TestTheoremSuite:
 
     def test_unknown_id_rejected(self):
         with pytest.raises(InvalidInput):
-            ex.theorem_suite("T9.9")
+            run_preset("T9.9")
 
     def test_presets_satisfy_their_own_hypotheses(self):
         for tid, preset in ex.PRESETS.items():
             assert preset.hypothesis_issues(preset.build()) == (), tid
 
     def test_single_claim_uses_bare_id(self):
-        c = ex.theorem_suite("T4.1", samples=50_000, seed=11)
+        c = run_preset("T4.1", samples=50_000, seed=11)
         assert len(c) == 1 and c[0].experiment_id == "T4.1"
 
     def test_multi_claim_ids_carry_quantity(self):
-        curves = ex.theorem_suite("T3.2", samples=50_000, seed=11)
+        curves = run_preset("T3.2", samples=50_000, seed=11)
         assert [c.experiment_id for c in curves] == ["T3.2:SumN",
                                                      "T3.2:RunMaxN"]
 
@@ -344,7 +345,7 @@ class TestTheoremSuite:
             return real(model, quantities, *args, **kwargs)
 
         monkeypatch.setattr(mc, "estimate_tails", spy)
-        curves = ex.theorem_suite("C3.1", model=model, samples=20_000, seed=4)
+        curves = run_preset("C3.1", model=model, samples=20_000, seed=4)
         assert calls == [["RunMaxN"]]
         assert [c.samples for c in curves] == [0, 20_000]
         preset = ex.PRESETS["C3.1"]
@@ -358,7 +359,7 @@ class TestTheoremSuite:
             assert alone == curve
 
     def test_reduced_sample_run_consistent(self):
-        c = ex.theorem_suite("T4.1", samples=200_000, seed=11)[0]
+        c = run_preset("T4.1", samples=200_000, seed=11)[0]
         assert c.verdict == "consistent"
         assert c.semantics == "lim"
         assert c.denominator == "mean_tau_tail"
@@ -367,7 +368,7 @@ class TestTheoremSuite:
         bad = DependentModel(Independence(2),
                              (Pareto(2.0, 1.0), Pareto(2.0, 1.0)),
                              tau=Poisson(2.0))
-        curves = ex.theorem_suite("T4.4i", model=bad, samples=20_000, seed=2)
+        curves = run_preset("T4.4i", model=bad, samples=20_000, seed=2)
         for c in curves:
             assert any(n.startswith("hypotheses unverified") for n in c.notes)
             assert any("mean" in n for n in c.notes)
@@ -376,7 +377,7 @@ class TestTheoremSuite:
         ok = DependentModel(Independence(2),
                             (Pareto(0.8, 1.0), Pareto(0.8, 1.0)),
                             tau=Geometric1(0.7))
-        c = ex.theorem_suite("T4.1", model=ok, samples=20_000, seed=2)[0]
+        c = run_preset("T4.1", model=ok, samples=20_000, seed=2)[0]
         assert not any(n.startswith("hypotheses unverified") for n in c.notes)
 
 

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from heavytails import cli
+from heavytails import cli, risk
 
 SAMPLES = 16_400
 SEED = 5
@@ -33,7 +33,7 @@ GOLDEN = {
 
 
 def test_golden_covers_every_preset():
-    assert sorted(GOLDEN) == sorted(cli._all_preset_ids())
+    assert sorted(GOLDEN) == sorted(risk.presets())
 
 
 @pytest.mark.parametrize("workers", [1, 2])

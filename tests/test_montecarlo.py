@@ -14,6 +14,7 @@ from heavytails.copulas import Comonotone, DependentModel, FGM, Independence
 from heavytails.counting import Deterministic, Geometric1, Poisson, Zeta
 from heavytails.distributions import Exponential, Pareto, ShiftedBy
 from heavytails.errors import InvalidInput, ModelConfigError
+from heavytails.rng import BLOCK_SIZE
 
 
 def indep_pair(d):
@@ -79,6 +80,25 @@ class TestBitwiseReproducibility:
             got = [e.hits for e in
                    mc.estimate_tail(m, "SumN", xs, 120_000, seed=5, workers=w)]
             assert got == base, w
+
+    def test_huge_worker_count_starts_one_process_per_block(self,
+                                                            monkeypatch):
+        real = mc.ProcessPoolExecutor
+        pools = []
+
+        def recording(max_workers, **kwargs):
+            pools.append(max_workers)
+            # fail before a pool that size could start
+            assert max_workers <= 2, max_workers
+            return real(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", recording)
+        m = indep_pair(Pareto(0.8, 1.0))
+        args = (m, ["SumN", "RunMaxN"], [10.0, 100.0], 2 * BLOCK_SIZE, 9)
+        one = mc.estimate_tails(*args, workers=1)
+        assert pools == []
+        assert mc.estimate_tails(*args, workers=10 ** 9) == one
+        assert pools == [2]
 
     def test_worker_invariance_stopped(self):
         d = Pareto(0.8, 1.0)

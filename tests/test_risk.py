@@ -125,7 +125,7 @@ class TestDiscreteRuinCurve:
             assert p.denominator == pytest.approx(want, rel=1e-14)
 
     def test_reduced_sample_preset_consistent(self):
-        curve = risk.RISK_PRESETS["C5.1"].run(samples=500_000, seed=11)
+        [curve] = risk.RISK_PRESETS["C5.1"].run(samples=500_000, seed=11)
         assert curve.verdict == "consistent"
         assert curve.experiment_id == "C5.1"
 
@@ -190,7 +190,7 @@ class TestArrivalRuinCurve:
             assert p.denominator == pytest.approx(2.0 / p.x ** 2, rel=1e-14)
 
     def test_reduced_sample_preset_consistent(self):
-        curve = risk.RISK_PRESETS["C5.2"].run(samples=500_000, seed=11)
+        [curve] = risk.RISK_PRESETS["C5.2"].run(samples=500_000, seed=11)
         assert curve.verdict == "consistent"
         assert curve.denominator.startswith("mean_count_x_claim_tail")
 
@@ -205,9 +205,9 @@ class TestPresetCatalog:
     def test_one_registry_and_runner_for_every_preset(self):
         assert list(risk.presets()) == (list(ex.PRESETS)
                                         + list(risk.RISK_PRESETS))
-        assert risk.run_preset("T3.3") == ex.theorem_suite("T3.3")
-        assert risk.run_preset("C5.2", samples=20_000, seed=3) == [
-            risk.RISK_PRESETS["C5.2"].run(samples=20_000, seed=3)]
-        model = risk.RISK_PRESETS["C5.1"].build().claims
+        assert risk.run_preset("T3.3") == ex.PRESETS["T3.3"].run()
+        assert risk.run_preset("C5.2", samples=20_000, seed=3) == (
+            risk.RISK_PRESETS["C5.2"].run(samples=20_000, seed=3))
+        model = risk.RISK_PRESETS["C5.1"].build()
         with pytest.raises(InvalidInput, match="custom model"):
             risk.run_preset("C5.1", model=model)

@@ -1,12 +1,14 @@
 """Sampler tests: FGM conditional inversion and Zeta table-plus-analytic
-inversion, against closed forms, the stream layout and a bisection."""
+inversion, against closed forms, the stream layout and a bisection; and the
+FGM admissibility check against a vertex-by-vertex loop."""
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
-from heavytails.copulas import FGM
+from heavytails.copulas import FGM, _vertex_values, fgm_admissible
 from heavytails.counting import _TAU_CLAMP, Zeta
 from heavytails.montecarlo import TAU_CAP
 from heavytails.rng import block_stream
@@ -127,3 +129,52 @@ def test_zeta_sample_is_seeded_and_in_range():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         Zeta(1.01).sample(block_stream(4, 1), 10_000)
+
+
+def admissible_by_loop(a):
+    """Vertex values and (admissible, witness), one sign vertex at a time."""
+    vals = []
+    for eps in itertools.product((-1.0, 1.0), repeat=a.shape[0]):
+        e = np.array(eps)
+        vals.append((1.0 + 0.5 * e @ a @ e, eps))
+    worst = min(vals, key=lambda t: t[0])
+    verdict = (False, worst[1]) if worst[0] < 0.0 else (True, None)
+    return np.array([v for v, _ in vals]), verdict
+
+
+def symmetric(dim, upper):
+    a = np.zeros((dim, dim))
+    a[np.triu_indices(dim, 1)] = upper
+    return a + a.T
+
+
+def admissibility_cases():
+    rng = np.random.default_rng(8)
+    cases = [symmetric(2, [1.0]), symmetric(2, [-1.0]), np.zeros((4, 4)),
+             # a zero-density vertex at (1, 1, 1), and one below zero
+             symmetric(3, [-0.5, -0.5, 0.0]),
+             symmetric(3, [-0.5, -0.5, -0.25])]
+    for dim in range(2, 7):
+        pairs = dim * (dim - 1) // 2
+        for scale in (0.3, 1.0):
+            cases += [symmetric(dim, scale * rng.uniform(-1.0, 1.0, pairs))
+                      for _ in range(4)]
+        # every coefficient on the boundary a = +-1
+        cases += [symmetric(dim, rng.choice([-1.0, 1.0], pairs))
+                  for _ in range(3)]
+    return cases
+
+
+@pytest.mark.parametrize("a", admissibility_cases(),
+                         ids=lambda a: f"d{a.shape[0]}")
+def test_vertex_check_matches_the_loop(a):
+    want_vals, want = admissible_by_loop(a)
+    vals, _ = _vertex_values(a)
+    np.testing.assert_allclose(vals, want_vals, rtol=0.0, atol=1e-12)
+    assert fgm_admissible(a) == want
+
+
+def test_vertex_cases_cover_both_verdicts_and_zero_density():
+    verdicts = [admissible_by_loop(a) for a in admissibility_cases()]
+    assert {ok for _, (ok, _) in verdicts} == {True, False}
+    assert any(ok and vals.min() == 0.0 for vals, (ok, _) in verdicts)
