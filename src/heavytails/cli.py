@@ -455,29 +455,19 @@ def _parse_ratio_curve(raw, args) -> _Parsed:
     model = build_model(f["model"])
     denominator = build_denominator(f["denominator"])
     grid = build_grid(f["grid"])
-    samples = _resolve(args, f, "samples", 1_000_000)
-    seed = _resolve(args, f, "seed", 0)
     with _config_errors("weights", *_BAD_VALUE):
         weights = (None if f["weights"] is None
-                   else [float(w) for w in f["weights"]])
+                   else tuple(float(w) for w in f["weights"]))
     predicted, tolerance, divergence_bound = (
         _convert(float, f[key], key)
         for key in ("predicted", "tolerance", "divergence_bound"))
     with _config_errors("ratio-curve"):
         claim = ex.Claim(mc.parse_quantity(str(f["quantity"])).token,
                          str(f["semantics"]), denominator, predicted)
-        ex.check_run_options(str(f["numerator"]), tolerance, model, [claim])
-
-    def run():
-        with _config_errors("ratio-curve"):
-            return [ex.run_experiment(
-                model, claim.quantity, denominator, x_grid=grid,
-                samples=samples, seed=seed, workers=args.workers,
-                predicted=claim.predicted, semantics=claim.semantics,
-                tolerance=tolerance, experiment_id=str(f["experiment_id"]),
-                numerator=str(f["numerator"]),
-                divergence_bound=divergence_bound, weights=weights)]
-
+        preset = ex.Preset(
+            str(f["experiment_id"]), "", lambda: model, (claim,), tolerance,
+            1_000_000, x_grid=grid, weights=weights,
+            numerator=str(f["numerator"]), divergence_bound=divergence_bound)
     warnings = ()
     if (model.tau is not None and not math.isfinite(model.tau.mean())
             and f["semantics"] != "divergence"):
@@ -485,7 +475,27 @@ def _parse_ratio_curve(raw, args) -> _Parsed:
             "the counting law has infinite mean but the experiment uses "
             "'%s' semantics; ratios against any finite denominator "
             "diverge, switch to divergence semantics" % f["semantics"],)
-    return _Parsed({**f, "samples": samples, "seed": seed}, run, warnings)
+    return _curve_plan(args, f, preset, "ratio-curve", warnings=warnings)
+
+
+def _curve_plan(args, f: dict, preset, context: str = None, model=None,
+                warnings=(), x_grid=None) -> _Parsed:
+    """Run a preset's curves at the config's seed and samples, checked now
+    on the model they run on; library errors of the check and of the run
+    name context when one is given."""
+    seed = _resolve(args, f, "seed", 0)
+    samples = _resolve(args, f, "samples", preset.samples)
+    errors = ((lambda: _config_errors(context)) if context
+              else contextlib.nullcontext)
+    with errors():
+        preset.check(preset.build() if model is None else model)
+
+    def run():
+        with errors():
+            return preset.run(model=model, samples=samples, seed=seed,
+                              workers=args.workers, x_grid=x_grid)
+
+    return _Parsed({**f, "seed": seed, "samples": samples}, run, warnings)
 
 
 def _parse_theorem(raw, args) -> _Parsed:
@@ -500,8 +510,6 @@ def _parse_theorem(raw, args) -> _Parsed:
 def _preset_plan(args, f: dict, key: str, pid, registry: dict,
                  noun: str) -> _Parsed:
     """Run one named preset, for a theorem or a ruin preset config."""
-    seed = _resolve(args, f, "seed", 0)
-    samples = _resolve(args, f, "samples", None)
     grid = build_grid(f.get("grid"))
     if not isinstance(pid, str) or pid not in registry:
         raise ConfigError(f"unknown {noun} {pid!r}; have {list(registry)}")
@@ -512,11 +520,8 @@ def _preset_plan(args, f: dict, key: str, pid, registry: dict,
         model = build_model(f["model"])
         warnings = tuple(f"{pid} hypotheses unverified: {issue}"
                          for issue in preset.hypothesis_issues(model))
-    echo = {**f, key: pid, "seed": seed,
-            "samples": preset.samples if samples is None else samples}
-    return _Parsed(echo, lambda: preset.run(
-        model=model, samples=samples, seed=seed, workers=args.workers,
-        x_grid=grid), warnings)
+    return _curve_plan(args, {**f, key: pid}, preset, model=model,
+                       warnings=warnings, x_grid=grid)
 
 
 _MIXTURE_ATOM_GRID = tuple(float(2 ** (n + 1)) - 1.5 for n in range(1, 11))
@@ -695,20 +700,11 @@ def _parse_ruin(raw, args) -> _Parsed:
         return _preset_plan(args, f, "preset", f["preset"],
                             risk_mod.RISK_PRESETS, "ruin preset")
     model, f = _build_risk(raw, "ruin config")
-    seed = _resolve(args, f, "seed", 0)
-    samples = _resolve(args, f, "samples", 1_000_000)
     grid = build_grid(f["grid"])
     tolerance = _convert(float, f["tolerance"], "tolerance")
     with _config_errors("ruin"):
-        ex.check_run_options("mc", tolerance)
-
-    def run():
-        with _config_errors("ruin"):
-            return [model.ruin_curve(x_grid=grid, samples=samples, seed=seed,
-                                     workers=args.workers,
-                                     tolerance=tolerance)]
-
-    return _Parsed({**f, "samples": samples, "seed": seed}, run)
+        preset = model.preset(tolerance=tolerance, x_grid=grid)
+    return _curve_plan(args, f, preset, "ruin")
 
 
 def _validate_warnings(raw: dict, args) -> tuple:

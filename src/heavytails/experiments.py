@@ -115,19 +115,18 @@ class RatioCurve:
         return np.array([p.x for p in self.points])
 
 
-def _has_closed_form(model: DependentModel, quantity: mc.Quantity) -> bool:
-    """Copula algebra gives the tail of a fixed-length max of up to three
-    coordinates and of a comonotone sum of identical marginals."""
-    return not quantity.stopped and (
+def _has_closed_form(model: DependentModel, quantity: mc.Quantity,
+                     weights=None) -> bool:
+    """Copula algebra gives the tail of an unweighted fixed-length max of up
+    to three coordinates and of a comonotone sum of identical marginals."""
+    return weights is None and not quantity.stopped and (
         (quantity.kind == "max" and model.dim <= 3)
         or (quantity.kind == "sum" and isinstance(model.copula, Comonotone)
             and model.identical_marginals()))
 
 
 def _exact_numerator(model: DependentModel, quantity: mc.Quantity, xs):
-    """Closed-form tail of the statistic where copula algebra allows it."""
-    if not _has_closed_form(model, quantity):
-        return None
+    """Closed-form tail of a statistic that _has_closed_form admits."""
     if quantity.kind == "max":
         u = np.column_stack([1.0 - m.tail(xs) for m in model.marginals])
         return np.clip(1.0 - model.copula.cdf(u), 0.0, 1.0)
@@ -135,21 +134,31 @@ def _exact_numerator(model: DependentModel, quantity: mc.Quantity, xs):
 
 
 def check_run_options(numerator: str, tolerance: float,
-                      model: DependentModel = None, claims=()) -> None:
+                      model: DependentModel = None, claims=(),
+                      weights=None) -> list:
     """Reject a numerator mode or tolerance that no experiment can use, and
     claims that cannot run on model: a denominator the model lacks the parts
-    for, or an exact numerator without a closed form."""
+    for, an exact numerator without a closed form, or simulated claims that
+    break the engine's pass rule (mc.check_pass). Returns, per claim,
+    whether the numerator mode leaves it to simulation."""
     if numerator not in ("auto", "mc", "exact"):
         raise InvalidInput("numerator must be auto, mc, or exact")
     if not (tolerance > 0.0):
         raise InvalidInput("tolerance must be positive")
+    simulated = []
     for claim in claims:
         # an empty grid runs the denominator's model checks, nothing more
         claim.denominator.values(model, ())
         quantity = mc.parse_quantity(claim.quantity)
-        if numerator == "exact" and not _has_closed_form(model, quantity):
+        closed = _has_closed_form(model, quantity, weights)
+        if numerator == "exact" and not closed:
             raise InvalidInput(
                 f"no closed form for {quantity.token} on this model")
+        simulated.append(numerator == "mc" or not closed)
+    if any(simulated):
+        mc.check_pass(model, [c.quantity for c, sim in zip(claims, simulated)
+                              if sim], weights)
+    return simulated
 
 
 def _verdict_lim(ratios, ci_lo, ci_hi, predicted, tol, rel_err_end):
@@ -227,71 +236,25 @@ def _grade(claim, experiment_id: str, xs, den, num, se, used_samples: int,
                       int(seed), tuple(notes))
 
 
-def _run_claims(model: DependentModel, claims, ids, x_grid, samples: int,
-                seed: int, workers: int, *, tolerance: float,
-                numerator: str = "auto", weights=None,
-                divergence_bound: float = 10.0, tau_cap: int = mc.TAU_CAP,
-                extra_notes=()) -> list:
-    """Ratio curves of several claims on one model: estimate, then grade.
-
-    The numerators without a closed form share one simulation pass.
-    """
-    check_run_options(numerator, tolerance, model, claims)
-    if x_grid is None:
-        x_grid = quantile_grid(model.marginals)
-    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    if np.any(~np.isfinite(xs)) or np.any(np.diff(xs) <= 0):
-        raise InvalidInput("x grid must be finite and strictly increasing")
-
-    dens = [c.denominator.values(model, xs) for c in claims]
-    if any(np.any(den <= 0) for den in dens):
-        raise InvalidInput("denominator vanishes on the grid")
-
-    quantities = [mc.parse_quantity(c.quantity) for c in claims]
-    exacts = [None if numerator == "mc" else _exact_numerator(model, q, xs)
-              for q in quantities]
-    simulated = [q for q, e in zip(quantities, exacts) if e is None]
-    rows = iter(mc.estimate_tails(model, simulated, xs, samples, seed,
-                                  workers=workers, weights=weights,
-                                  tau_cap=tau_cap) if simulated else ())
-    curves = []
-    for claim, experiment_id, den, exact in zip(claims, ids, dens, exacts):
-        notes = list(extra_notes)
-        if exact is not None:
-            num, se, used_samples = exact, np.zeros(len(xs)), 0
-            notes.append("numerator computed exactly, stderr identically zero")
-        else:
-            ests = next(rows)
-            num = np.array([e.p_hat for e in ests])
-            se = np.array([e.stderr for e in ests])
-            used_samples = samples
-            notes.extend(ests[0].notes)
-        curves.append(_grade(claim, experiment_id, xs, den, num, se,
-                             used_samples, notes, tolerance, divergence_bound,
-                             seed))
-    return curves
-
-
 def run_experiment(model: DependentModel, quantity, denominator: Denominator,
                    x_grid=None, samples: int = 1_000_000, seed: int = 0,
                    workers: int = 1, *, predicted: float = 1.0,
                    semantics: str = "lim", tolerance: float = 0.05,
                    experiment_id: str = "custom", numerator: str = "auto",
-                   weights=None, divergence_bound: float = 10.0,
-                   tau_cap: int = mc.TAU_CAP, extra_notes=()) -> RatioCurve:
-    """Assemble one ratio curve and grade it.
+                   weights=None, divergence_bound: float = 10.0) -> RatioCurve:
+    """Assemble one ratio curve and grade it: the run of a one-claim Preset.
 
     numerator: "auto" uses closed-form copula algebra when the quantity
-    admits it (max of up to three coordinates; comonotone identical sums)
-    and Monte Carlo otherwise; "mc" forces simulation; "exact" demands the
-    closed form and raises if there is none.
+    admits it (unweighted max of up to three coordinates; comonotone
+    identical sums) and Monte Carlo otherwise; "mc" forces simulation;
+    "exact" demands the closed form and raises if there is none.
     """
     claim = Claim(mc.parse_quantity(quantity).token, semantics, denominator,
                   predicted)
-    return _run_claims(model, [claim], [experiment_id], x_grid, samples, seed,
-                       workers, tolerance=tolerance, numerator=numerator,
-                       weights=weights, divergence_bound=divergence_bound,
-                       tau_cap=tau_cap, extra_notes=extra_notes)[0]
+    preset = Preset(experiment_id, "", lambda: model, (claim,), tolerance,
+                    samples, x_grid=x_grid, weights=weights,
+                    numerator=numerator, divergence_bound=divergence_bound)
+    return preset.run(seed=seed, workers=workers)[0]
 
 
 def divergence_certificate(tau: CountingLaw, bound: float,
@@ -335,7 +298,8 @@ class Claim:
 
 @dataclass(frozen=True)
 class Preset:
-    """A named set of claims on one model: the unit every preset runs as."""
+    """A named set of claims on one model: the unit every ratio curve runs
+    as, from a theorem preset to a one-off experiment."""
 
     preset_id: str
     description: str
@@ -343,27 +307,39 @@ class Preset:
     claims: tuple
     tolerance: float
     samples: int
-    check: object = None       # (model) -> tuple of hypothesis issues
+    hypotheses: object = None  # (model) -> tuple of hypothesis issues
     grid_hi_u: float = 1.0 - 1e-4
     x_grid: tuple = None       # fixed grid, used as given when set
     weights: tuple = None      # per-coordinate weights of the fixed-length sums
+    numerator: str = "auto"    # "auto", "mc" or "exact"; see run_experiment
+    divergence_bound: float = 10.0
 
     def hypothesis_issues(self, model) -> tuple:
-        if self.check is None:
+        if self.hypotheses is None:
             return ()
-        return tuple(self.check(model))
+        return tuple(self.hypotheses(model))
 
     def check_custom_model(self) -> None:
         """Reject a custom model: without hypotheses there is nothing to
         check it against."""
-        if self.check is None:
+        if self.hypotheses is None:
             raise InvalidInput(
                 f"preset {self.preset_id} does not take a custom model; "
                 f"use the ruin command with a config")
 
+    def check(self, model: DependentModel) -> list:
+        """Reject options and claims that cannot run on model, as the run
+        does, so a config can be checked without running it. Returns, per
+        claim, whether it is simulated."""
+        return check_run_options(self.numerator, self.tolerance, model,
+                                 self.claims, self.weights)
+
     def run(self, model: DependentModel = None, samples: int = None,
             seed: int = 0, workers: int = 1, x_grid=None) -> list:
-        """All ratio curves of this preset (or of a custom model on it)."""
+        """All ratio curves of this preset (or of a custom model on it).
+
+        The numerators without a closed form share one simulation pass.
+        """
         custom = model is not None
         if custom:
             self.check_custom_model()
@@ -375,17 +351,44 @@ class Preset:
             raise ModelConfigError(
                 f"preset {self.preset_id} violates its own hypotheses: "
                 f"{issues}")
-        notes = (("hypotheses unverified: " + "; ".join(issues),) if issues
-                 else ())
+        simulated = self.check(model)
         if x_grid is None:
             x_grid = (self.x_grid if self.x_grid is not None else
                       quantile_grid(model.marginals, hi_u=self.grid_hi_u))
+        xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
+        if np.any(~np.isfinite(xs)) or np.any(np.diff(xs) <= 0):
+            raise InvalidInput("x grid must be finite and strictly increasing")
+        dens = [c.denominator.values(model, xs) for c in self.claims]
+        if any(np.any(den <= 0) for den in dens):
+            raise InvalidInput("denominator vanishes on the grid")
+
+        quantities = [mc.parse_quantity(c.quantity) for c in self.claims]
+        rows = iter(mc.estimate_tails(
+            model, [q for q, sim in zip(quantities, simulated) if sim], xs,
+            samples, seed, workers=workers, weights=self.weights)
+            if any(simulated) else ())
         many = len(self.claims) > 1
-        ids = [f"{self.preset_id}:{c.quantity}" if many else self.preset_id
-               for c in self.claims]
-        return _run_claims(model, self.claims, ids, x_grid, samples, seed,
-                           workers, tolerance=self.tolerance,
-                           weights=self.weights, extra_notes=notes)
+        curves = []
+        for claim, quantity, sim, den in zip(self.claims, quantities,
+                                             simulated, dens):
+            notes = (["hypotheses unverified: " + "; ".join(issues)]
+                     if issues else [])
+            if sim:
+                ests = next(rows)
+                num = np.array([e.p_hat for e in ests])
+                se = np.array([e.stderr for e in ests])
+                used_samples = samples
+                notes.extend(ests[0].notes)
+            else:
+                num, se, used_samples = (_exact_numerator(model, quantity, xs),
+                                         np.zeros(len(xs)), 0)
+                notes.append(
+                    "numerator computed exactly, stderr identically zero")
+            curves.append(_grade(
+                claim, f"{self.preset_id}:{claim.quantity}" if many
+                else self.preset_id, xs, den, num, se, used_samples, notes,
+                self.tolerance, self.divergence_bound, seed))
+        return curves
 
 
 def _check_fgm_long(model):
@@ -472,7 +475,7 @@ PRESETS = {
             (Pareto(0.8, 1.0), Pareto(0.8, 1.5), Pareto(0.8, 2.0))),
         (Claim("SumN", "lim", _SUM_TAILS), Claim("RunMaxN", "lim",
                                                  _SUM_TAILS)),
-        tolerance=0.10, samples=2_000_000, check=_check_fgm_long),
+        tolerance=0.10, samples=2_000_000, hypotheses=_check_fgm_long),
     "T3.2": Preset(
         "T3.2",
         "bivariate dependent sum with mixed power indices: the running "
@@ -481,7 +484,7 @@ PRESETS = {
                                (Pareto(0.8, 1.0), Pareto(1.2, 1.0))),
         (Claim("SumN", "liminf", _SUM_TAILS), Claim("RunMaxN", "liminf",
                                                     _SUM_TAILS)),
-        tolerance=0.10, samples=1_000_000, check=_check_dominated),
+        tolerance=0.10, samples=1_000_000, hypotheses=_check_dominated),
     "T3.3": Preset(
         "T3.3",
         "bivariate dependent maximum, exact copula algebra: ratio to the "
@@ -489,7 +492,7 @@ PRESETS = {
         lambda: DependentModel(FGM.bivariate(1.0),
                                (Pareto(1.5, 1.0), Pareto(1.5, 1.0))),
         (Claim("MaxN", "lim", _SUM_TAILS),),
-        tolerance=0.05, samples=1_000_000, check=_check_fgm_long),
+        tolerance=0.05, samples=1_000_000, hypotheses=_check_fgm_long),
     "C3.1": Preset(
         "C3.1",
         "identical heavy marginals under positive dependence: sum and "
@@ -498,7 +501,7 @@ PRESETS = {
                                (Pareto(0.8, 1.0), Pareto(0.8, 1.0))),
         (Claim("SumN", "lim", Denominator("n_tail", n=2)),
          Claim("RunMaxN", "lim", Denominator("n_tail", n=2))),
-        tolerance=0.075, samples=10_000_000, check=_check_fgm_long),
+        tolerance=0.075, samples=10_000_000, hypotheses=_check_fgm_long),
     "T4.1": Preset(
         "T4.1",
         "geometrically stopped sum of independent blocks: ratio to "
@@ -507,7 +510,7 @@ PRESETS = {
                                (Pareto(0.8, 1.0), Pareto(0.8, 1.0)),
                                tau=Geometric1(0.5)),
         (Claim("SumTau", "lim", _MEAN_TAU),),
-        tolerance=0.15, samples=10_000_000, check=_check_stopped_light),
+        tolerance=0.15, samples=10_000_000, hypotheses=_check_stopped_light),
     "T4.2": Preset(
         "T4.2",
         "infinite-mean stopping: ratios to the bare tail climb past any "
@@ -517,7 +520,7 @@ PRESETS = {
                                tau=Zeta(1.5)),
         (Claim("MaxTau", "divergence", _BARE_TAIL),
          Claim("SumTau", "divergence", _BARE_TAIL)),
-        tolerance=0.15, samples=200_000, check=_check_t42),
+        tolerance=0.15, samples=200_000, hypotheses=_check_t42),
     "T4.3": Preset(
         "T4.3",
         "randomly stopped maximum with a finite-mean count: ratio to "
@@ -526,7 +529,7 @@ PRESETS = {
                                (Pareto(1.5, 1.0), Pareto(1.5, 1.0)),
                                tau=Poisson(2.0)),
         (Claim("MaxTau", "lim", _MEAN_TAU),),
-        tolerance=0.10, samples=1_000_000, check=_check_stopped_light),
+        tolerance=0.10, samples=1_000_000, hypotheses=_check_stopped_light),
     "T4.4i": Preset(
         "T4.4i",
         "negative-drift random walk stopped at an independent count: the "
@@ -540,7 +543,7 @@ PRESETS = {
             tau=Poisson(2.0)),
         (Claim("RunMaxTau", "lim", _MEAN_TAU),
          Claim("SumTau", "lim", _MEAN_TAU)),
-        tolerance=0.20, samples=10_000_000, check=_check_t44i),
+        tolerance=0.20, samples=10_000_000, hypotheses=_check_t44i),
     "T4.4ii": Preset(
         "T4.4ii",
         "nonnegative-mean summands with a light-tailed count: same "
@@ -550,7 +553,7 @@ PRESETS = {
                                tau=Poisson(2.0)),
         (Claim("RunMaxTau", "lim", _MEAN_TAU),
          Claim("SumTau", "lim", _MEAN_TAU)),
-        tolerance=0.15, samples=4_000_000, check=_check_t44ii,
+        tolerance=0.15, samples=4_000_000, hypotheses=_check_t44ii,
         grid_hi_u=1.0 - 1e-5),
 }
 

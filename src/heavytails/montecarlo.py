@@ -10,6 +10,7 @@ assignment.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing as mp
 from concurrent.futures import ProcessPoolExecutor
@@ -223,15 +224,13 @@ def _run_blocks(payload):
     return hits, capped
 
 
-def estimate_tails(model: DependentModel, quantities, xs, samples: int,
-                   seed: int, workers: int = 1, weights=None,
-                   tau_cap: int = TAU_CAP) -> list:
-    """Estimate P(stat > x) for several quantities from one shared pass.
+def check_pass(model: DependentModel, quantities, weights=None) -> tuple:
+    """The engine's rule for quantities sharing one simulation pass on model.
 
-    The quantities must be all stopped or all fixed-length. Each block is
-    drawn once, so the rows (one list of TailEstimate per quantity) equal
-    separate estimate_tail calls bit for bit. They depend only on (model,
-    quantities, weights, xs, samples, seed), never on the worker count.
+    They must be all stopped or all fixed-length. Stopped ones need a
+    counting law and identical marginals, and take no weights; weights give
+    one finite value per coordinate. Returns the parsed quantities and the
+    weights as an array (or None).
     """
     quantities = [parse_quantity(q) for q in quantities]
     if not quantities:
@@ -240,14 +239,6 @@ def estimate_tails(model: DependentModel, quantities, xs, samples: int,
     if any(q.stopped != stopped for q in quantities):
         raise InvalidInput("quantities sharing a pass must be all stopped or "
                            "all fixed-length")
-    seed = check_seed(seed)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if xs.size == 0 or not np.all(np.isfinite(xs)):
-        raise InvalidInput("xs must be a nonempty array of finite thresholds")
-    samples = check_samples(samples)
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise InvalidInput("workers must be a positive integer")
-    workers = int(workers)
     if stopped:
         if model.tau is None:
             raise ModelConfigError(
@@ -258,36 +249,57 @@ def estimate_tails(model: DependentModel, quantities, xs, samples: int,
                 "extends past the copula dimension with fresh blocks")
         if weights is not None:
             raise InvalidInput("weights apply to fixed-length quantities only")
-        if not isinstance(tau_cap, (int, np.integer)) or tau_cap < 1:
-            raise InvalidInput("tau_cap must be a positive integer")
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (model.dim,) or not np.all(np.isfinite(weights)):
             raise InvalidInput(
                 f"weights must be {model.dim} finite values, one per coordinate")
+    return quantities, weights
+
+
+def estimate_tails(model: DependentModel, quantities, xs, samples: int,
+                   seed: int, workers: int = 1, weights=None,
+                   tau_cap: int = TAU_CAP) -> list:
+    """Estimate P(stat > x) for several quantities from one shared pass.
+
+    The quantities must pass check_pass. Each block is drawn once, so the
+    rows (one list of TailEstimate per quantity) equal separate
+    estimate_tail calls bit for bit. They depend only on (model, quantities,
+    weights, xs, samples, seed), never on the worker count.
+    """
+    quantities, weights = check_pass(model, quantities, weights)
+    stopped = quantities[0].stopped
+    seed = check_seed(seed)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if xs.size == 0 or not np.all(np.isfinite(xs)):
+        raise InvalidInput("xs must be a nonempty array of finite thresholds")
+    samples = check_samples(samples)
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise InvalidInput("workers must be a positive integer")
+    if stopped and (not isinstance(tau_cap, (int, np.integer)) or tau_cap < 1):
+        raise InvalidInput("tau_cap must be a positive integer")
 
     kinds = tuple(dict.fromkeys(q.kind for q in quantities))
     n_blocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
     counts = np.full(n_blocks, BLOCK_SIZE, dtype=np.int64)
     counts[-1] = samples - BLOCK_SIZE * (n_blocks - 1)
     indices = np.arange(n_blocks)
+    n_payloads = min(int(workers), n_blocks)
+    payloads = [
+        (model, kinds, stopped, weights, xs, seed, indices[w::n_payloads],
+         counts[w::n_payloads], int(tau_cap))
+        for w in range(n_payloads)
+    ]
 
-    if workers == 1 or n_blocks == 1:
-        hits, capped = _run_blocks((model, kinds, stopped, weights, xs, seed,
-                                    indices, counts, int(tau_cap)))
-    else:
-        payloads = [
-            (model, kinds, stopped, weights, xs, seed, indices[w::workers],
-             counts[w::workers], int(tau_cap))
-            for w in range(min(workers, n_blocks))
-        ]
-        hits = np.zeros((len(kinds), len(xs)), dtype=np.int64)
-        capped = 0
-        with ProcessPoolExecutor(max_workers=len(payloads),
-                                 mp_context=mp.get_context("fork")) as pool:
-            for h, k in pool.map(_run_blocks, payloads):
-                hits += h
-                capped += k
+    # one payload runs in process; more share a pool, one process each
+    pool = (ProcessPoolExecutor(max_workers=n_payloads,
+                                mp_context=mp.get_context("fork"))
+            if n_payloads > 1 else None)
+    hits, capped = np.zeros((len(kinds), len(xs)), dtype=np.int64), 0
+    with pool or contextlib.nullcontext():
+        for h, k in (pool.map if pool else map)(_run_blocks, payloads):
+            hits += h
+            capped += k
 
     notes = ()
     if capped:

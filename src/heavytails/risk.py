@@ -4,8 +4,9 @@ Ruin by a finite horizon is a running maximum in disguise: the surplus goes
 negative exactly when the discounted claim sums climb past the initial
 capital, so both models here delegate to the running-max estimators and
 grade the result against the matching one-big-claim denominator. Each
-model states that claim once, as an experiments.Preset: its ruin curve and
-the named ruin presets run through the same Preset.run as the theorems.
+model states that claim once, as an experiments.Preset (its preset method):
+a ruin config and the named ruin presets run through the same Preset.run as
+the theorems.
 
 The module also serves the whole preset catalog, theorem and ruin presets
 alike, since it is the one module that sees both id namespaces.
@@ -70,13 +71,6 @@ class DiscreteRiskModel:
         return ex.Preset(preset_id, description, lambda: self.claims,
                          (claim,), tolerance, samples, x_grid=x_grid,
                          weights=tuple(self.discount_weights()))
-
-    def ruin_curve(self, x_grid=None, samples: int = 1_000_000, seed: int = 0,
-                   workers: int = 1, tolerance: float = 0.15,
-                   experiment_id: str = "ruin") -> ex.RatioCurve:
-        """The curve of this model's ruin preset."""
-        return self.preset(experiment_id, samples=samples, tolerance=tolerance,
-                           x_grid=x_grid).run(seed=seed, workers=workers)[0]
 
     def surplus_path(self, initial_surplus: float, seed: int,
                      replicate: int = 0) -> list:
@@ -170,13 +164,6 @@ class ArrivalRiskModel:
             self.claim_size, self.expected_count))
         return ex.Preset(preset_id, description, self.dependence_model,
                          (claim,), tolerance, samples, x_grid=x_grid)
-
-    def ruin_curve(self, x_grid=None, samples: int = 1_000_000, seed: int = 0,
-                   workers: int = 1, tolerance: float = 0.15,
-                   experiment_id: str = "ruin-arrival") -> ex.RatioCurve:
-        """The curve of this model's ruin preset."""
-        return self.preset(experiment_id, samples=samples, tolerance=tolerance,
-                           x_grid=x_grid).run(seed=seed, workers=workers)[0]
 
 
 @dataclass(frozen=True)

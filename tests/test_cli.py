@@ -23,6 +23,15 @@ FGM_PARETO_MODEL = {
     "marginals": [PARETO11, PARETO11],
 }
 
+STOPPED_MODEL = {
+    "copula": {"family": "independence", "dim": 2},
+    "marginals": [PARETO11, PARETO11],
+    "tau": {"family": "geometric1", "p": 0.5},
+}
+
+MIXED_STOPPED_MODEL = dict(STOPPED_MODEL, marginals=[
+    {"family": "pareto", "alpha": 0.8}, {"family": "pareto", "alpha": 1.2}])
+
 RC_MC_CONFIG = {
     "model": FGM_PARETO_MODEL,
     "quantity": "SumN",
@@ -302,15 +311,29 @@ class TestValidate:
         ("ratio-curve", dict(RC_MC_CONFIG, numerator="exact"), 64),
         ("ratio-curve", dict(RC_MC_CONFIG, samples=-5), 64),
         ("ratio-curve", dict(RC_MC_CONFIG, seed=-3), 64),
+        ("theorem", {"theorem_id": "T4.1", "model": FGM_PARETO_MODEL}, 64),
+        ("theorem", {"theorem_id": "T4.1", "model": MIXED_STOPPED_MODEL},
+         64),
+        ("ratio-curve", dict(RC_MC_CONFIG, model=MIXED_STOPPED_MODEL,
+                             quantity="SumTau"), 64),
+        ("ratio-curve", dict(RC_MC_CONFIG, model=STOPPED_MODEL,
+                             quantity="SumTau", weights=[1.0, 1.0]), 64),
+        ("ratio-curve", dict(RC_MC_CONFIG, weights=[1.0, 1.0, 1.0]), 64),
+        ("ratio-curve", dict(RC_MC_CONFIG, quantity="SumTau"), 64),
     ], ids=["dependence-token", "convolve-nfold", "bad-semantics",
             "ruin-preset-model", "mean-tau-without-tau",
             "exact-without-closed-form", "negative-samples",
-            "negative-seed"])
+            "negative-seed", "theorem-model-without-tau",
+            "theorem-model-mixed-marginals", "stopped-mixed-marginals",
+            "stopped-with-weights", "weights-wrong-length",
+            "stopped-without-tau"])
     def test_validate_agrees_with_the_command(self, tmp_path, capsys,
                                               command, config, code):
         cfg = write_json(tmp_path, "cfg.json", config)
-        assert run(capsys, [command, "--config", cfg])[0] == code
-        assert run(capsys, ["validate", "--config", cfg])[0] == code
+        code_run, _, err_run = run(capsys, [command, "--config", cfg])
+        code_check, _, err_check = run(capsys, ["validate", "--config", cfg])
+        assert code_run == code_check == code
+        assert err_run == err_check
 
 
 def _leaves(node, path=()):

@@ -1,5 +1,6 @@
 """Ratio-curve experiments: denominators, exact paths, verdicts, presets."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -196,6 +197,24 @@ class TestExactVersusMonteCarlo:
             assert abs(pm.numerator - pe.numerator) <= 4.0 * max(pm.stderr,
                                                                  1e-12)
 
+    @pytest.mark.parametrize("copula, quantity", [
+        (FGM.bivariate(1.0), "MaxN"), (Comonotone(2), "SumN")])
+    def test_weights_leave_no_closed_form(self, copula, quantity):
+        # the closed forms are of the unweighted statistics: with weights
+        # [3, 3] auto must simulate, and exact has nothing to compute
+        model = pareto_pair(1.5, copula)
+        den = ex.Denominator("sum_tails")
+        kw = dict(x_grid=[5.0], samples=20_000, seed=1, weights=(3.0, 3.0))
+        auto = ex.run_experiment(model, quantity, den, **kw)
+        assert auto.samples == 20_000
+        assert auto == ex.run_experiment(model, quantity, den, numerator="mc",
+                                         **kw)
+        # 3 X_1 + 3 X_2 > 5 always, since Pareto(1.5, 1) draws exceed one
+        if quantity == "SumN":
+            assert auto.points[0].numerator == 1.0
+        with pytest.raises(InvalidInput, match="no closed form"):
+            ex.run_experiment(model, quantity, den, numerator="exact", **kw)
+
 
 class TestVerdictSemantics:
     """Graded on exact constant curves, so the outcomes are deterministic."""
@@ -350,12 +369,9 @@ class TestTheoremSuite:
         assert [c.samples for c in curves] == [0, 20_000]
         preset = ex.PRESETS["C3.1"]
         for claim, curve in zip(preset.claims, curves):
-            alone = ex.run_experiment(
-                model, claim.quantity, claim.denominator,
-                x_grid=curve.grid, samples=20_000, seed=4,
-                semantics=claim.semantics, tolerance=preset.tolerance,
-                experiment_id=curve.experiment_id,
-                extra_notes=curve.notes[:1])
+            [alone] = dataclasses.replace(
+                preset, preset_id=curve.experiment_id, claims=(claim,)).run(
+                model=model, x_grid=curve.grid, samples=20_000, seed=4)
             assert alone == curve
 
     def test_reduced_sample_run_consistent(self):

@@ -57,6 +57,23 @@ CONFIGS = {
            "quantity": "SumN", "denominator": {"kind": "n_tail", "n": 2},
            "grid": {"lo": 5.0, "hi": 500.0, "points": 8},
            "samples": 20_000, "seed": 13, "numerator": "mc"},
+    # weights leave no closed form, so auto simulates
+    "rc-weighted": {"model": {"copula": {"family": "fgm", "coeffs": [1.0]},
+                              "marginals": [PARETO11, PARETO11]},
+                    "quantity": "SumN", "denominator": {"kind": "sum_tails"},
+                    "weights": [1.0, 0.5],
+                    "grid": {"lo": 5.0, "hi": 500.0, "points": 8},
+                    "samples": 20_000, "seed": 13},
+    # the bound sits above the grid-end ratio: at the default bound of 10
+    # the verdict would read consistent, so the exit code shows which ran
+    "rc-divergence": {"model": {"copula": {"family": "independence"},
+                                "marginals": [PARETO11, PARETO11],
+                                "tau": {"family": "zeta", "s": 1.5}},
+                      "quantity": "SumTau",
+                      "denominator": {"kind": "n_tail", "n": 1},
+                      "semantics": "divergence", "divergence_bound": 60.0,
+                      "grid": {"lo": 5.0, "hi": 500.0, "points": 6},
+                      "samples": 20_000, "seed": 7},
     "class": {"dist": {"family": "weibull", "shape": 0.5},
               "checks": "L,D,S",
               "grid": {"lo": 2.0, "hi": 400.0, "points": 10}},
@@ -89,6 +106,9 @@ CONFIGS = {
 
 COMMANDS = {
     "ratio-curve": ["ratio-curve", "--config", "{rc}"],
+    "ratio-curve-weighted": ["ratio-curve", "--config", "{rc-weighted}"],
+    "ratio-curve-divergence": ["ratio-curve", "--config",
+                               "{rc-divergence}"],
     "class-token": ["diagnose-class", "--dist", "pareto(1.5,1)",
                     "--check", "all"],
     "class-config": ["diagnose-class", "--config", "{class}"],
@@ -129,6 +149,14 @@ COMMAND_GOLDEN = {
         (0, "42be9312a028ff5a6541adf1d39b23857a7248ff5c0ccace01e276b8caeb8bd0"),
     ("ratio-curve", "records"):
         (0, "1a78a1286e2f3710c53582498bf0b1c90bf3a48b182481d99855dee4b3fb2a4c"),
+    ("ratio-curve-weighted", "csv"):
+        (0, "5d47e28429eb038b607a89d116d44d19cebc7152d414eec1626696b8f7de5930"),
+    ("ratio-curve-weighted", "records"):
+        (0, "ef335fed6f51785ee86fc03559c5510e602730c0b6279a3a1a8f8b50dba661a3"),
+    ("ratio-curve-divergence", "csv"):
+        (2, "f1f93797052c1dc7f67cbf74ef894f1e86e27c8836b953c3978f6ad25072ae72"),
+    ("ratio-curve-divergence", "records"):
+        (2, "a5aaf55f6301414418e6cb1b409130c11d0aec3e1fba6fadaadcd300f5657d3b"),
     ("class-token", "csv"):
         (0, "a37b875415d1f3b7aa0ec2682106d17252958710634fad353ab33459d0a0b4b0"),
     ("class-token", "records"):

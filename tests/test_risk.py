@@ -117,8 +117,8 @@ class TestSurplusPath:
 class TestDiscreteRuinCurve:
     def test_denominator_is_discounted_tail_sum(self):
         m = risk.DiscreteRiskModel(fgm_claims(), rate=0.05)
-        curve = m.ruin_curve(x_grid=np.geomspace(10.0, 1e3, 6),
-                             samples=50_000, seed=11)
+        curve = m.preset(x_grid=np.geomspace(10.0, 1e3, 6),
+                         samples=50_000).run(seed=11)[0]
         assert curve.denominator == "discounted(rate=0.05)"
         for p in curve.points:
             want = 1.0 / (1.05 * p.x) + 1.0 / (1.1025 * p.x)
@@ -184,8 +184,8 @@ class TestArrivalRuinCurve:
     def test_denominator_uses_unshifted_claim_tail(self):
         m = risk.ArrivalRiskModel(Pareto(2.0, 1.0), loading=0.1,
                                   intensity=2.0, horizon=1.0)
-        curve = m.ruin_curve(x_grid=np.geomspace(5.0, 100.0, 5),
-                             samples=50_000, seed=11)
+        curve = m.preset(x_grid=np.geomspace(5.0, 100.0, 5),
+                         samples=50_000).run(seed=11)[0]
         for p in curve.points:
             assert p.denominator == pytest.approx(2.0 / p.x ** 2, rel=1e-14)
 
