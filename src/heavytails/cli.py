@@ -71,7 +71,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path!r}: {err}")
     try:
         data = json.loads(text)
@@ -218,6 +218,10 @@ def build_denominator(cfg, context="denominator"):
         return ex.Denominator(str(f["kind"]), n=n, rate=rate)
 
 
+# the most points a lo/hi grid spans; the presets use at most 101
+MAX_GRID_POINTS = 10_000
+
+
 def build_grid(cfg, context="grid"):
     """None passes through (caller default); mapping or list build arrays."""
     if cfg is None:
@@ -227,6 +231,9 @@ def build_grid(cfg, context="grid"):
         with _config_errors(context, *_BAD_VALUE):
             lo, hi = float(f["lo"]), float(f["hi"])
         n = _integer(f["points"], context + ".points")
+        if n > MAX_GRID_POINTS:
+            raise ConfigError(f"{context}.points: at most {MAX_GRID_POINTS}, "
+                              f"got {n}")
         if not (0 < lo < hi < math.inf) or n < 1:
             raise ConfigError(f"{context}: need 0 < lo < hi < inf and "
                               f"points >= 1")
@@ -242,17 +249,14 @@ def build_grid(cfg, context="grid"):
     raise ConfigError(f"{context}: expected a mapping with lo/hi or a list")
 
 
-_DIST_TOKENS = {
-    "pareto": (("alpha",), {"scale": 1.0}),
-    "weibull": (("shape",), {"scale": 1.0}),
-    "exponential": ((), {"rate": 1.0}),
-    "lognormal": ((), {"mu": 0.0, "sigma": 1.0}),
-    "example11": ((), {}),
-}
+# the families a short token spells: every field a plain number
+_TOKEN_FAMILIES = tuple(family for family, (_, fields, _) in _MARGINALS.items()
+                        if not {"atoms", "base"} & set(fields))
 
 
 def parse_dist_token(token: str) -> dict:
-    """Turn 'pareto(1.5,1)' or 'example11' into a marginal config mapping."""
+    """Turn 'pareto(1.5,1)' or 'example11' into a marginal config mapping
+    of the fields the token spells, in constructor order."""
     token = token.strip()
     if "(" in token:
         family, rest = token.split("(", 1)
@@ -263,19 +267,15 @@ def parse_dist_token(token: str) -> dict:
     else:
         family, args = token, []
     family = family.strip().lower()
-    if family not in _DIST_TOKENS:
+    if family not in _TOKEN_FAMILIES:
         raise ConfigError(f"unknown distribution token {family!r}; have "
-                          f"{sorted(_DIST_TOKENS)}")
-    required, defaults = _DIST_TOKENS[family]
-    names = list(required) + list(defaults)
-    if len(args) < len(required) or len(args) > len(names):
+                          f"{sorted(_TOKEN_FAMILIES)}")
+    _, names, defaults = _MARGINALS[family]
+    required = [k for k in names if k not in defaults]
+    if not len(required) <= len(args) <= len(names):
         raise ConfigError(f"{family} takes {len(required)}..{len(names)} "
                           f"arguments, got {len(args)}")
-    cfg = {"family": family}
-    cfg.update(defaults)
-    for name, value in zip(names, args):
-        cfg[name] = value
-    return cfg
+    return {"family": family, **dict(zip(names, args))}
 
 
 _MODEL_TOKENS = {
@@ -333,8 +333,11 @@ def _report_rows(reports) -> list:
 
 def _emit(text: str, out: str):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ConfigError(f"cannot write output {out!r}: {err}")
     else:
         sys.stdout.write(text)
 
@@ -390,6 +393,14 @@ def _write_reports(args, config: dict, reports) -> int:
                           for r in results])
 
 
+def _write_convolve(args, config: dict, rows) -> int:
+    _write_table(args, config, ("x", "lower", "upper", "single_tail",
+                                "ratio_low", "ratio_high", "running_min"),
+                 rows)
+    return _status(args, [(f"convolve: {len(rows)} points, "
+                           f"running min {rows[-1][-1]:.6g}", None)])
+
+
 # ----------------------------------------------------------------- schemas --
 
 # config kind -> (required fields, optional fields with their defaults)
@@ -415,10 +426,12 @@ _SCHEMAS = {
 
 
 class _Parsed(NamedTuple):
-    """A config checked and built: its echo, its work and its advisories."""
+    """A config checked and built: its echo, its work, its writer and its
+    advisories."""
 
     echo: dict
-    run: object                 # () -> what the command writes
+    run: object                 # (workers) -> what the command writes
+    write: object               # (args, echo, result) -> exit code
     warnings: tuple = ()
 
 
@@ -426,21 +439,30 @@ def _fields(raw, kind: str) -> dict:
     return _take(raw, f"{kind} config", *_SCHEMAS[kind])
 
 
-def _config(args, usage: str, flag: str = None, **flags) -> dict:
-    """The --config mapping, else the mapping the command's flags spell."""
-    if args.config:
-        return load_config(args.config)
-    if flag and getattr(args, flag):
-        return {flag: getattr(args, flag), **flags}
-    raise ConfigError(usage)
+# flag dest -> the config field it overrides; every other flag is run-only
+_FLAG_FIELDS = {"id": "theorem_id", "preset": "preset", "dist": "dist",
+                "model": "model", "nfold": "nfold", "points": "points",
+                "check": "checks", "grid": "grid", "seed": "seed",
+                "samples": "samples"}
 
 
-def _resolve(args, config: dict, key: str, default):
-    """The samples or seed a flag gives, else the config, else default,
-    checked against the range the engine accepts."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key)
+def _overlay(args) -> dict:
+    """The --config mapping (or {}) with every given flag laid over the
+    field it names; a grid string is parsed here, its errors naming the
+    flag."""
+    cfg = load_config(args.config) if args.config else {}
+    for dest, field in _FLAG_FIELDS.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            cfg[field] = (_parse_grid_flag(value, "--" + dest)
+                          if dest in ("grid", "points") else value)
+    return cfg
+
+
+def _resolve(config: dict, key: str, default):
+    """The config's samples or seed, else default, checked against the
+    range the engine accepts."""
+    value = config.get(key)
     if value is None:
         return default
     check = check_seed if key == "seed" else check_samples
@@ -450,7 +472,7 @@ def _resolve(args, config: dict, key: str, default):
         raise ConfigError(str(err)) from None
 
 
-def _parse_ratio_curve(raw, args) -> _Parsed:
+def _parse_ratio_curve(raw) -> _Parsed:
     f = _fields(raw, "ratio-curve")
     model = build_model(f["model"])
     denominator = build_denominator(f["denominator"])
@@ -475,42 +497,41 @@ def _parse_ratio_curve(raw, args) -> _Parsed:
             "the counting law has infinite mean but the experiment uses "
             "'%s' semantics; ratios against any finite denominator "
             "diverge, switch to divergence semantics" % f["semantics"],)
-    return _curve_plan(args, f, preset, "ratio-curve", warnings=warnings)
+    return _curve_plan(f, preset, "ratio-curve", warnings=warnings)
 
 
-def _curve_plan(args, f: dict, preset, context: str = None, model=None,
+def _curve_plan(f: dict, preset, context: str = None, model=None,
                 warnings=(), x_grid=None) -> _Parsed:
     """Run a preset's curves at the config's seed and samples, checked now
-    on the model they run on; library errors of the check and of the run
-    name context when one is given."""
-    seed = _resolve(args, f, "seed", 0)
-    samples = _resolve(args, f, "samples", preset.samples)
+    on the model and grid they run on; library errors of the check and of
+    the run name context when one is given."""
+    seed = _resolve(f, "seed", 0)
+    samples = _resolve(f, "samples", preset.samples)
     errors = ((lambda: _config_errors(context)) if context
               else contextlib.nullcontext)
     with errors():
-        preset.check(preset.build() if model is None else model)
+        preset.check(preset.build() if model is None else model, x_grid)
 
-    def run():
+    def run(workers):
         with errors():
             return preset.run(model=model, samples=samples, seed=seed,
-                              workers=args.workers, x_grid=x_grid)
+                              workers=workers, x_grid=x_grid)
 
-    return _Parsed({**f, "seed": seed, "samples": samples}, run, warnings)
+    return _Parsed({**f, "seed": seed, "samples": samples}, run,
+                   _write_curves, warnings)
 
 
-def _parse_theorem(raw, args) -> _Parsed:
+def _parse_theorem(raw) -> _Parsed:
     f = _fields(raw, "theorem")
-    tid = getattr(args, "id", None) or f["theorem_id"]
-    if not tid:
+    if not f["theorem_id"]:
         raise ConfigError("theorem needs --id or a theorem_id config field")
-    return _preset_plan(args, f, "theorem_id", tid, risk_mod.presets(),
-                        "theorem id")
+    return _preset_plan(f, "theorem_id", risk_mod.presets(), "theorem id")
 
 
-def _preset_plan(args, f: dict, key: str, pid, registry: dict,
-                 noun: str) -> _Parsed:
+def _preset_plan(f: dict, key: str, registry: dict, noun: str) -> _Parsed:
     """Run one named preset, for a theorem or a ruin preset config."""
     grid = build_grid(f.get("grid"))
+    pid = f[key]
     if not isinstance(pid, str) or pid not in registry:
         raise ConfigError(f"unknown {noun} {pid!r}; have {list(registry)}")
     preset = registry[pid]
@@ -520,8 +541,7 @@ def _preset_plan(args, f: dict, key: str, pid, registry: dict,
         model = build_model(f["model"])
         warnings = tuple(f"{pid} hypotheses unverified: {issue}"
                          for issue in preset.hypothesis_issues(model))
-    return _curve_plan(args, {**f, key: pid}, preset, model=model,
-                       warnings=warnings, x_grid=grid)
+    return _curve_plan(f, preset, model=model, warnings=warnings, x_grid=grid)
 
 
 _MIXTURE_ATOM_GRID = tuple(float(2 ** (n + 1)) - 1.5 for n in range(1, 11))
@@ -569,19 +589,15 @@ def _parse_grid_flag(text: str, name: str):
         return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _parse_class(raw, args) -> _Parsed:
+def _parse_class(raw) -> _Parsed:
     f = _fields(raw, "diagnose-class")
     dist_cfg = _dist_config(f["dist"])
-    checks = _checks(getattr(args, "check", None) or f["checks"],
-                     tuple(_CLASS_CHECKS), "all", "class",
+    checks = _checks(f["checks"], tuple(_CLASS_CHECKS), "all", "class",
                      f"{tuple(_CLASS_CHECKS)} or 'all'")
-    grid_cfg = f["grid"]
-    if getattr(args, "grid", None):
-        grid_cfg = _parse_grid_flag(args.grid, "--grid")
     dist = build_marginal(dist_cfg, "dist")
-    grid = build_grid(grid_cfg)
+    grid = build_grid(f["grid"])
 
-    def run():
+    def run(workers):
         reports = []
         for check in checks:
             use = grid if grid is not None else _class_default_grid(dist,
@@ -593,11 +609,11 @@ def _parse_class(raw, args) -> _Parsed:
                 reports.append((check, str(err)))
         return reports
 
-    return _Parsed({"dist": dist_cfg, "checks": checks, "grid": grid_cfg},
-                   run)
+    return _Parsed({"dist": dist_cfg, "checks": checks, "grid": f["grid"]},
+                   run, _write_reports)
 
 
-def _parse_dependence(raw, args) -> _Parsed:
+def _parse_dependence(raw) -> _Parsed:
     f = _fields(raw, "diagnose-dependence")
     model_cfg = f["model"]
     if isinstance(model_cfg, str):
@@ -608,15 +624,15 @@ def _parse_dependence(raw, args) -> _Parsed:
     with _config_errors("pair", *_BAD_VALUE):
         i, j = (_integer(v, "pair") for v in f["pair"])
     pair = (i, j)
-    checks = _checks(getattr(args, "check", None) or f["checks"],
-                     ("H1", "H2"), "both", "dependence", "H1, H2, or both")
+    checks = _checks(f["checks"], ("H1", "H2"), "both", "dependence",
+                     "H1, H2, or both")
     model = build_model(model_cfg)
     diag.check_pair(model, pair)
     return _Parsed(
         {"model": model_cfg, "checks": checks, "pair": list(pair)},
-        lambda: [(check, (diag.h1_report if check == "H1"
-                          else diag.h2_report)(model, pair=pair))
-                 for check in checks])
+        lambda workers: [(check, (diag.h1_report if check == "H1"
+                                  else diag.h2_report)(model, pair=pair))
+                         for check in checks], _write_reports)
 
 
 def _convolve_auto_points(dist):
@@ -631,7 +647,7 @@ def _convolve_auto_points(dist):
     return {"lo": max(lo, 1e-9), "hi": max(hi, lo * 4), "points": 16}
 
 
-def _parse_convolve(raw, args) -> _Parsed:
+def _parse_convolve(raw) -> _Parsed:
     f = _fields(raw, "convolve")
     dist_cfg = _dist_config(f["dist"])
     nfold = _integer(f["nfold"], "nfold")
@@ -640,12 +656,12 @@ def _parse_convolve(raw, args) -> _Parsed:
     dist = build_marginal(dist_cfg, "dist")
     points = "auto" if f["points"] is None else f["points"]
     if isinstance(points, str) and points != "auto":
-        points = _parse_grid_flag(points, "points" if args.config
-                                  else "--points")
+        points = _parse_grid_flag(points, "points")
     probes = _convolve_auto_points(dist) if points == "auto" else points
     grid = build_grid(probes, "points")
     return _Parsed({"dist": dist_cfg, "nfold": nfold, "points": points},
-                   lambda: _convolve_rows(dist, nfold, probes, grid))
+                   lambda workers: _convolve_rows(dist, nfold, probes, grid),
+                   _write_convolve)
 
 
 def _convolve_rows(dist, nfold: int, probes, grid) -> list:
@@ -694,20 +710,19 @@ def _build_risk(raw: dict, context: str):
                                          horizon=horizon), f
 
 
-def _parse_ruin(raw, args) -> _Parsed:
+def _parse_ruin(raw) -> _Parsed:
     if "preset" in raw:
-        f = _fields(raw, "ruin")
-        return _preset_plan(args, f, "preset", f["preset"],
+        return _preset_plan(_fields(raw, "ruin"), "preset",
                             risk_mod.RISK_PRESETS, "ruin preset")
     model, f = _build_risk(raw, "ruin config")
     grid = build_grid(f["grid"])
     tolerance = _convert(float, f["tolerance"], "tolerance")
     with _config_errors("ruin"):
         preset = model.preset(tolerance=tolerance, x_grid=grid)
-    return _curve_plan(args, f, preset, "ruin")
+    return _curve_plan(f, preset, "ruin")
 
 
-def _validate_warnings(raw: dict, args) -> tuple:
+def _validate_warnings(raw: dict) -> tuple:
     """Parse a config as the command its keys point to; its advisories."""
     if "theorem_id" in raw:
         parse = _parse_theorem
@@ -722,66 +737,30 @@ def _validate_warnings(raw: dict, args) -> tuple:
         raise ConfigError("cannot tell what this config drives: expected "
                           "theorem_id, risk/preset, model+quantity, model, "
                           "or dist")
-    return parse(raw, args).warnings
+    return parse(raw).warnings
 
 
 # ----------------------------------------------------------------- commands --
 
-def cmd_ratio_curve(args) -> int:
-    parsed = _parse_ratio_curve(_config(args, "ratio-curve needs --config"),
-                                args)
-    return _write_curves(args, parsed.echo, parsed.run())
-
-
-def cmd_theorem(args) -> int:
-    if args.preset not in (None, "default"):
-        raise ConfigError(f"unknown preset variant {args.preset!r}; "
-                          f"only 'default' exists")
-    parsed = _parse_theorem(load_config(args.config) if args.config else {},
-                            args)
-    return _write_curves(args, parsed.echo, parsed.run())
-
-
-def cmd_diagnose_class(args) -> int:
-    parsed = _parse_class(_config(
-        args, "diagnose-class needs --dist or --config", "dist"), args)
-    return _write_reports(args, parsed.echo, parsed.run())
-
-
-def cmd_diagnose_dependence(args) -> int:
-    parsed = _parse_dependence(_config(
-        args, "diagnose-dependence needs --model or --config", "model"),
-        args)
-    return _write_reports(args, parsed.echo, parsed.run())
-
-
-def cmd_convolve(args) -> int:
-    parsed = _parse_convolve(_config(
-        args, "convolve needs --dist or --config", "dist", nfold=args.nfold,
-        points=args.points), args)
-    rows = parsed.run()
-    _write_table(args, parsed.echo, ("x", "lower", "upper", "single_tail",
-                                     "ratio_low", "ratio_high",
-                                     "running_min"), rows)
-    return _status(args, [(f"convolve: {len(rows)} points, "
-                           f"running min {rows[-1][-1]:.6g}", None)])
-
-
-def cmd_ruin(args) -> int:
-    raw = ({"preset": args.preset} if args.preset
-           else _config(args, "ruin needs --preset or --config"))
-    parsed = _parse_ruin(raw, args)
-    return _write_curves(args, parsed.echo, parsed.run())
+def cmd_run(args) -> int:
+    """Parse the command's config and flags as one mapping, run it, and
+    write what it returns."""
+    cfg = _overlay(args)
+    if not cfg:
+        raise ConfigError(f"{args.command} needs --config or the flags "
+                          f"that name its fields; see --help")
+    parsed = args.parse(cfg)
+    return parsed.write(args, parsed.echo,
+                        parsed.run(getattr(args, "workers", 1)))
 
 
 def cmd_surplus_path(args) -> int:
-    model, f = _build_risk(_config(args, "surplus-path needs --config"),
-                           "surplus-path config")
+    model, f = _build_risk(_overlay(args), "surplus-path config")
     if not isinstance(model, risk_mod.DiscreteRiskModel):
         raise ConfigError("surplus-path only applies to the discrete model")
     if args.surplus is None:
         raise ConfigError("surplus-path needs --surplus")
-    seed = _resolve(args, f, "seed", 0)
+    seed = _resolve(f, "seed", 0)
     with _config_errors("surplus-path"):
         path = model.surplus_path(args.surplus, seed=seed,
                                   replicate=args.replicate)
@@ -812,8 +791,7 @@ def cmd_list_presets(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    warnings = _validate_warnings(_config(args, "validate needs --config"),
-                                  args)
+    warnings = _validate_warnings(load_config(args.config))
     for w in warnings:
         print(f"warning: {w}")
     print(f"{args.config}: ok" + (f" ({len(warnings)} warning"
@@ -841,6 +819,13 @@ def _add_common(sub, seed=True, samples=True, workers=True):
         sub.add_argument("--workers", type=int, default=1)
 
 
+def _variant(name: str) -> str:
+    if name != "default":
+        raise argparse.ArgumentTypeError(
+            f"unknown preset variant {name!r}; only 'default' exists")
+    return name
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="heavytails",
@@ -848,22 +833,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "sums, maxima, and ruin probabilities.",
         epilog="exit status: 0 unless a verdict is inconsistent (2); "
                "64 on usage or config errors, 1 on unexpected failure. "
-               "Inconclusive verdicts exit 0; read them from the output.")
+               "Inconclusive verdicts exit 0; read them from the output. "
+               "A flag overrides the config field it names.")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("ratio-curve",
                         help="run one configured ratio experiment")
     p.add_argument("--config", required=True)
     _add_common(p)
-    p.set_defaults(fn=cmd_ratio_curve)
+    p.set_defaults(fn=cmd_run, parse=_parse_ratio_curve)
 
     p = subs.add_parser("theorem", help="run a named preset experiment")
     p.add_argument("--id", help="preset id, e.g. T4.1 or C5.2")
-    p.add_argument("--preset", help="preset variant (only 'default')")
+    p.add_argument("--preset", dest="variant", type=_variant,
+                   help="preset variant (only 'default')")
     p.add_argument("--config",
                    help="optional config with theorem_id/model overrides")
     _add_common(p)
-    p.set_defaults(fn=cmd_theorem)
+    p.set_defaults(fn=cmd_run, parse=_parse_theorem)
 
     p = subs.add_parser("diagnose-class",
                         help="closed-form heavy-tail class checks")
@@ -873,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list from L,D,S,Sstar,SstarStrong or 'all'")
     p.add_argument("--grid", help="lo:hi:n, x1,x2,..., or auto")
     _add_common(p, seed=False, samples=False, workers=False)
-    p.set_defaults(fn=cmd_diagnose_class)
+    p.set_defaults(fn=cmd_run, parse=_parse_class)
 
     p = subs.add_parser("diagnose-dependence",
                         help="tail-dependence hypothesis checks")
@@ -882,23 +869,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--check", help="H1, H2, or both")
     _add_common(p, seed=False, samples=False, workers=False)
-    p.set_defaults(fn=cmd_diagnose_dependence)
+    p.set_defaults(fn=cmd_run, parse=_parse_dependence)
 
     p = subs.add_parser("convolve",
                         help="n-fold tail against the single tail")
     p.add_argument("--dist", help="e.g. example11 or pareto(1,1)")
     p.add_argument("--config")
-    p.add_argument("--nfold", type=int, default=2)
-    p.add_argument("--points", default="auto",
-                   help="auto, lo:hi:n, or x1,x2,...")
+    p.add_argument("--nfold", type=int, help="default 2")
+    p.add_argument("--points", help="auto (default), lo:hi:n, or x1,x2,...")
     _add_common(p, seed=False, samples=False, workers=False)
-    p.set_defaults(fn=cmd_convolve)
+    p.set_defaults(fn=cmd_run, parse=_parse_convolve)
 
     p = subs.add_parser("ruin", help="finite-horizon ruin ratio curve")
     p.add_argument("--preset", help="C5.1 or C5.2")
     p.add_argument("--config")
     _add_common(p)
-    p.set_defaults(fn=cmd_ruin)
+    p.set_defaults(fn=cmd_run, parse=_parse_ruin)
 
     p = subs.add_parser("surplus-path",
                         help="one simulated surplus trajectory")

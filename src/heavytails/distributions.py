@@ -126,7 +126,7 @@ class Pareto(Marginal):
 
     def __post_init__(self):
         _require(self.alpha > 0, "alpha must be positive")
-        _require(self.scale > 0, "scale must be positive")
+        _require(0 < self.scale < math.inf, "scale must be positive and finite")
 
     @property
     def tags(self):
@@ -175,7 +175,7 @@ class Weibull(Marginal):
 
     def __post_init__(self):
         _require(0 < self.shape < 1, "shape must lie in (0, 1)")
-        _require(self.scale > 0, "scale must be positive")
+        _require(0 < self.scale < math.inf, "scale must be positive and finite")
 
     tags = frozenset({TAG_LONG, TAG_SUBEXP, TAG_SSTAR, TAG_SSTAR_STRONG, TAG_HEAVY})
 

@@ -327,12 +327,26 @@ class Preset:
                 f"preset {self.preset_id} does not take a custom model; "
                 f"use the ruin command with a config")
 
-    def check(self, model: DependentModel) -> list:
-        """Reject options and claims that cannot run on model, as the run
-        does, so a config can be checked without running it. Returns, per
-        claim, whether it is simulated."""
-        return check_run_options(self.numerator, self.tolerance, model,
-                                 self.claims, self.weights)
+    def check(self, model: DependentModel, x_grid=None) -> tuple:
+        """Reject options, claims and grids that cannot run on model, as the
+        run does, so a config can be checked without running it.
+
+        The grid is x_grid, else the preset's own, else the quantile grid
+        of the marginals. Returns, per claim, whether it is simulated, then
+        the grid and, per claim, the denominators on it.
+        """
+        simulated = check_run_options(self.numerator, self.tolerance, model,
+                                      self.claims, self.weights)
+        if x_grid is None:
+            x_grid = (self.x_grid if self.x_grid is not None else
+                      quantile_grid(model.marginals, hi_u=self.grid_hi_u))
+        xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
+        if np.any(~np.isfinite(xs)) or np.any(np.diff(xs) <= 0):
+            raise InvalidInput("x grid must be finite and strictly increasing")
+        dens = [c.denominator.values(model, xs) for c in self.claims]
+        if any(np.any(den <= 0) for den in dens):
+            raise InvalidInput("denominator vanishes on the grid")
+        return simulated, xs, dens
 
     def run(self, model: DependentModel = None, samples: int = None,
             seed: int = 0, workers: int = 1, x_grid=None) -> list:
@@ -351,16 +365,7 @@ class Preset:
             raise ModelConfigError(
                 f"preset {self.preset_id} violates its own hypotheses: "
                 f"{issues}")
-        simulated = self.check(model)
-        if x_grid is None:
-            x_grid = (self.x_grid if self.x_grid is not None else
-                      quantile_grid(model.marginals, hi_u=self.grid_hi_u))
-        xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-        if np.any(~np.isfinite(xs)) or np.any(np.diff(xs) <= 0):
-            raise InvalidInput("x grid must be finite and strictly increasing")
-        dens = [c.denominator.values(model, xs) for c in self.claims]
-        if any(np.any(den <= 0) for den in dens):
-            raise InvalidInput("denominator vanishes on the grid")
+        simulated, xs, dens = self.check(model, x_grid)
 
         quantities = [mc.parse_quantity(c.quantity) for c in self.claims]
         rows = iter(mc.estimate_tails(

@@ -4,6 +4,7 @@ Everything goes through cli.main(argv) so the exit codes, the config echo,
 and the output formats are tested exactly as a shell user would see them.
 """
 
+import argparse
 import json
 
 import pytest
@@ -53,6 +54,27 @@ DISCRETE_RUIN_CONFIG = {
     "samples": 20_000,
     "seed": 2,
 }
+
+
+ARRIVAL_RUIN_CONFIG = {
+    "risk": "arrival",
+    "claim_size": {"family": "pareto", "alpha": 2.0, "scale": 1.0},
+    "loading": 0.1, "intensity": 2.0, "horizon": 1.0, "samples": 2_000,
+}
+
+# command -> the config kinds its parser reads
+COMMAND_SCHEMAS = {
+    "ratio-curve": ("ratio-curve",), "theorem": ("theorem",),
+    "diagnose-class": ("diagnose-class",),
+    "diagnose-dependence": ("diagnose-dependence",),
+    "convolve": ("convolve",), "ruin": ("ruin", "discrete", "arrival"),
+    "surplus-path": ("discrete", "arrival"), "list-presets": (),
+    "validate": (),
+}
+
+# flag dests that steer a run but name no config field
+RUN_ONLY = {"help", "config", "out", "format", "workers", "surplus",
+            "replicate", "variant"}
 
 
 def write_json(tmp_path, name, payload):
@@ -170,8 +192,10 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["ratio-curve"])
         assert code == 64
 
-    def test_help_exits_zero(self, capsys):
-        assert run(capsys, ["--help"])[0] == 0
+    @pytest.mark.parametrize("argv", [[]] + [[c] for c in COMMAND_SCHEMAS],
+                             ids=["top"] + list(COMMAND_SCHEMAS))
+    def test_help_exits_zero(self, capsys, argv):
+        assert run(capsys, argv + ["--help"])[0] == 0
 
     def test_nfold_below_two_rejected(self, capsys):
         code, _, err = run(capsys, ["convolve", "--dist", "pareto(1,1)",
@@ -320,13 +344,19 @@ class TestValidate:
                              quantity="SumTau", weights=[1.0, 1.0]), 64),
         ("ratio-curve", dict(RC_MC_CONFIG, weights=[1.0, 1.0, 1.0]), 64),
         ("ratio-curve", dict(RC_MC_CONFIG, quantity="SumTau"), 64),
+        # the denominators vanish on the grid the run would use
+        ("ratio-curve", dict(RC_MC_CONFIG, model=dict(
+            FGM_PARETO_MODEL, marginals=[{"family": "pareto",
+                                          "alpha": 1e400}] * 2)), 64),
+        ("ruin", dict(ARRIVAL_RUIN_CONFIG, horizon=0), 64),
     ], ids=["dependence-token", "convolve-nfold", "bad-semantics",
             "ruin-preset-model", "mean-tau-without-tau",
             "exact-without-closed-form", "negative-samples",
             "negative-seed", "theorem-model-without-tau",
             "theorem-model-mixed-marginals", "stopped-mixed-marginals",
             "stopped-with-weights", "weights-wrong-length",
-            "stopped-without-tau"])
+            "stopped-without-tau", "marginal-alpha-overflow",
+            "arrival-zero-horizon"])
     def test_validate_agrees_with_the_command(self, tmp_path, capsys,
                                               command, config, code):
         cfg = write_json(tmp_path, "cfg.json", config)
@@ -454,6 +484,93 @@ class TestBadValues:
         target = tmp_path_factory.mktemp("fuzz") / "cfg.json"
         target.write_text(json.dumps(cfg))
         assert cli.main(["validate", "--config", str(target)]) in (0, 64)
+
+
+class TestOverlay:
+    """Each flag overrides the config field it names."""
+
+    @pytest.mark.parametrize("config, flags, field, echoed", [
+        ({"dist": "pareto(1.5,1)", "checks": "L"},
+         ["diagnose-class", "--dist", "weibull(0.5,1)"], "dist",
+         {"family": "weibull", "shape": 0.5, "scale": 1.0}),
+        ({"dist": "pareto(1.5,1)", "nfold": 3}, ["convolve", "--nfold", "4"],
+         "nfold", 4),
+        ({"dist": "pareto(1.5,1)", "nfold": 3},
+         ["convolve", "--points", "10,20"], "points", [10.0, 20.0]),
+    ], ids=["class-dist", "convolve-nfold", "convolve-points"])
+    def test_flag_overrides_config_field(self, tmp_path, capsys, config,
+                                         flags, field, echoed):
+        cfg = write_json(tmp_path, "c.json", config)
+        code, out, err = run(capsys, flags + ["--config", cfg])
+        assert code in (0, 2), err
+        assert echoed_config(out)[field] == echoed
+
+    def test_ruin_preset_flag_keeps_the_config_seed(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "r.json", {"preset": "C5.2", "seed": 9})
+        code, out, err = run(capsys, ["ruin", "--config", cfg, "--preset",
+                                      "C5.1", "--samples", "2000"])
+        assert code == 0, err
+        assert echoed_config(out) == {"preset": "C5.1", "seed": 9,
+                                      "samples": 2000}
+        assert out.splitlines()[2].startswith("C5.1,")
+
+    def test_every_flag_overrides_a_schema_field_or_is_run_only(self):
+        subs = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        assert sorted(subs.choices) == sorted(COMMAND_SCHEMAS)
+        for command, sub in subs.choices.items():
+            fields = {key for kind in COMMAND_SCHEMAS[command]
+                      for key in (cli._SCHEMAS[kind][0]
+                                  + tuple(cli._SCHEMAS[kind][1]))}
+            for action in sub._actions:
+                if action.dest not in RUN_ONLY:
+                    assert cli._FLAG_FIELDS[action.dest] in fields, (
+                        command, action.option_strings)
+
+    def test_short_token_echoes_only_what_it_spells(self, capsys):
+        _, out, _ = run(capsys, ["diagnose-class", "--dist", "pareto(1.5)",
+                                 "--check", "L"])
+        assert echoed_config(out)["dist"] == {"family": "pareto",
+                                              "alpha": 1.5}
+        code, out, _ = run(capsys, ["diagnose-class", "--dist",
+                                    "example11(0.3)", "--check", "L"])
+        assert code == 2
+        assert echoed_config(out)["dist"] == {"family": "example11",
+                                              "q": 0.3}
+
+
+class TestInputOutputPaths:
+    """A path that cannot be read or written, and a grid too large to
+    build, exit 64 with the path or field named."""
+
+    def test_missing_output_directory(self, tmp_path, capsys):
+        target = str(tmp_path / "missing" / "x.csv")
+        code, _, err = run(capsys, ["list-presets", "--out", target])
+        assert code == 64
+        assert "cannot write output" in err and target in err
+
+    def test_output_is_a_directory(self, tmp_path, capsys):
+        code, _, err = run(capsys, ["list-presets", "--out", str(tmp_path)])
+        assert code == 64
+        assert str(tmp_path) in err
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, _, err = run(capsys, ["validate", "--config", str(path)])
+        assert code == 64
+        assert "cannot read config" in err and str(path) in err
+
+    def test_grid_points_above_the_cap(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "cap.json", {
+            "dist": "pareto(1.5,1)", "checks": "L",
+            "grid": {"lo": 1.0, "hi": 10.0,
+                     "points": cli.MAX_GRID_POINTS + 1}})
+        for argv in (["diagnose-class", "--config", cfg],
+                     ["validate", "--config", cfg]):
+            code, _, err = run(capsys, argv)
+            assert code == 64
+            assert "grid.points" in err
 
 
 class TestConvolve:

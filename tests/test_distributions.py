@@ -132,6 +132,12 @@ ATOMIC = [
 ]
 
 
+def test_scale_must_be_finite():
+    for family in (lambda s: Pareto(1.5, s), lambda s: Weibull(0.5, s)):
+        with pytest.raises(InvalidInput):
+            family(math.inf)
+
+
 class TestTailIntegral:
     @pytest.mark.parametrize("d,ref,start", CLOSED, ids=lambda v: repr(v)[:40])
     def test_closed_forms_match_the_scalar_reference(self, d, ref, start):
