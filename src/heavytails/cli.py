@@ -31,7 +31,7 @@ from .counting import Deterministic, Geometric1, Poisson, Zeta
 from .distributions import (DiscreteAtoms, Exponential, GeometricAtomMixture,
                             IntegratedTail, Lognormal, Pareto, ShiftedBy,
                             Weibull)
-from .errors import ConfigError, HeavyTailsError, InvalidInput
+from .errors import ConfigError, HeavyTailsError, InvalidInput, WorkerCrashed
 from .rng import check_samples, check_seed
 
 EXIT_OK = 0
@@ -100,10 +100,11 @@ def _json_fallback(value):
 @contextlib.contextmanager
 def _config_errors(context: str, *also):
     """Re-raise library errors, and errors of the given types, as a
-    ConfigError naming context; schema errors pass through unchanged."""
+    ConfigError naming context; schema errors and worker crashes pass
+    through unchanged."""
     try:
         yield
-    except ConfigError:
+    except (ConfigError, WorkerCrashed):
         raise
     except (HeavyTailsError,) + also as err:
         raise ConfigError(f"{context}: {err}")
@@ -222,17 +223,20 @@ def build_denominator(cfg, context="denominator"):
 MAX_GRID_POINTS = 10_000
 
 
-def build_grid(cfg, context="grid"):
-    """None passes through (caller default); mapping or list build arrays."""
+def build_grid(cfg, context="grid", points_context=None):
+    """None passes through (caller default); mapping or list build arrays.
+    Errors name context, and its points field points_context (by default
+    context.points)."""
     if cfg is None:
         return None
     if isinstance(cfg, dict):
+        points_context = points_context or context + ".points"
         f = _take(cfg, context, ("lo", "hi"), {"points": 24})
         with _config_errors(context, *_BAD_VALUE):
             lo, hi = float(f["lo"]), float(f["hi"])
-        n = _integer(f["points"], context + ".points")
+        n = _integer(f["points"], points_context)
         if n > MAX_GRID_POINTS:
-            raise ConfigError(f"{context}.points: at most {MAX_GRID_POINTS}, "
+            raise ConfigError(f"{points_context}: at most {MAX_GRID_POINTS}, "
                               f"got {n}")
         if not (0 < lo < hi < math.inf) or n < 1:
             raise ConfigError(f"{context}: need 0 < lo < hi < inf and "
@@ -448,14 +452,18 @@ _FLAG_FIELDS = {"id": "theorem_id", "preset": "preset", "dist": "dist",
 
 def _overlay(args) -> dict:
     """The --config mapping (or {}) with every given flag laid over the
-    field it names; a grid string is parsed here, its errors naming the
-    flag."""
+    field it names; a grid string is parsed and checked here, its errors
+    naming the flag."""
     cfg = load_config(args.config) if args.config else {}
     for dest, field in _FLAG_FIELDS.items():
         value = getattr(args, dest, None)
-        if value is not None:
-            cfg[field] = (_parse_grid_flag(value, "--" + dest)
-                          if dest in ("grid", "points") else value)
+        if value is None:
+            continue
+        if dest in ("grid", "points"):
+            flag = "--" + dest
+            value = _parse_grid_flag(value, flag)
+            build_grid(value, flag, flag)   # its value errors name the flag
+        cfg[field] = value
     return cfg
 
 
@@ -917,6 +925,9 @@ def main(argv=None) -> int:
         return 0 if err.code in (0, None) else EXIT_USAGE
     try:
         return args.fn(args)
+    except WorkerCrashed as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_ERROR
     except HeavyTailsError as err:      # ConfigError included
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

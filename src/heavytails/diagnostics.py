@@ -28,11 +28,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import convolution as cv
 from .copulas import DependentModel, joint_upper_survival
-from .distributions import Marginal, quantile_grid
+from .distributions import IntegratedTail, Marginal, ShiftedBy, quantile_grid
 from .errors import AssumptionViolated, InvalidInput
 
 DEFAULT_TOL = 0.05
@@ -224,6 +223,74 @@ def _sstar_integral_atomic(d: Marginal, x: float, rep) -> float:
     return float(np.sum(np.diff(pts) * vals))
 
 
+def _tail_kinks(d: Marginal) -> list:
+    """Points where d's tail is not smooth: its support minimum, and the
+    kinks of the law it is built from, mapped through the construction."""
+    kinks = [d.support()[0]]
+    if isinstance(d, ShiftedBy):
+        kinks += [k + d.shift for k in _tail_kinks(d.base)]
+    elif isinstance(d, IntegratedTail):
+        kinks += _tail_kinks(d.base)
+    return sorted({k for k in kinks if math.isfinite(k)})
+
+
+def _graded_half_rule() -> tuple:
+    """10-node Gauss-Legendre panels on [0, 1/2] graded toward 0 by halving.
+
+    The panel edges are 0, 2^-36, 2^-35, ..., 2^-2, 2^-1, so a tail kink or
+    an infinite slope at the end of a piece sits in ever smaller panels.
+    Returns the nodes and weights of all panels, as offsets from the end in
+    units of the piece width.
+    """
+    t, w = np.polynomial.legendre.leggauss(10)
+    edges = np.concatenate(([0.0], 0.5 ** np.arange(36, 0, -1)))
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    return ((lo + 0.5 * width * (t + 1.0)).ravel(),
+            (0.5 * width * w).ravel())
+
+
+_HALF_NODES, _HALF_WEIGHTS = _graded_half_rule()
+# nodes in one pass of the pair integral, so each tail call takes at most
+# this many values (8 MiB of float64)
+_PASS_VALUES = 1 << 20
+
+
+def _sstar_half_integrals(d: Marginal, grid: np.ndarray) -> np.ndarray:
+    """∫₀^{x/2} F̄(x-y)F̄(y)dy for every x in grid, in array passes.
+
+    [0, x/2] is split where either factor has a kink (y = k and y = x - k
+    for each tail kink k), and each piece is integrated by the composite
+    rule graded toward both of its ends. A pass holds at most _PASS_VALUES
+    nodes and makes two tail calls, one per factor.
+    """
+    kinks = np.asarray(_tail_kinks(d))
+    xs = grid[:, None]
+    # a negative x integrates over [x/2, 0] and counts with a minus sign
+    lo, hi = np.minimum(xs / 2.0, 0.0), np.maximum(xs / 2.0, 0.0)
+    cuts = np.concatenate((lo, hi, np.tile(kinks, (len(grid), 1)),
+                           xs - kinks), axis=1)
+    cuts = np.sort(np.clip(cuts, lo, hi), axis=1)
+    a, b = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+    owner = np.repeat(np.arange(len(grid)), cuts.shape[1] - 1)
+    keep = b > a
+    a, b, owner = a[keep], b[keep], owner[keep]
+    x = grid[owner]
+    weights = np.concatenate((_HALF_WEIGHTS, _HALF_WEIGHTS))
+    step = max(1, _PASS_VALUES // len(weights))
+    half = np.zeros(len(grid))
+    for s in range(0, len(a), step):
+        pa, pb, px = (v[s:s + step, None] for v in (a, b, x))
+        width = pb - pa
+        y = np.concatenate((pa + width * _HALF_NODES,
+                            pb - width * _HALF_NODES), axis=1)
+        vals = d._tail_arr(y.ravel())
+        np.subtract(px, y, out=y)
+        vals *= d._tail_arr(y.ravel())
+        sums = vals.reshape(y.shape) @ weights * width[:, 0]
+        half += np.bincount(owner[s:s + step], sums, minlength=len(grid))
+    return np.sign(grid) * half
+
+
 def sstar(d: Marginal, grid=None, tol: float = DEFAULT_TOL) -> ClassReport:
     """Self-neighborhood integral: ∫₀ˣ F̄(x-y)F̄(y)dy / (2 m⁺ F̄(x)) -> 1."""
     if not math.isfinite(d.mean()):
@@ -235,19 +302,11 @@ def sstar(d: Marginal, grid=None, tol: float = DEFAULT_TOL) -> ClassReport:
     den = _nonvanishing(2.0 * m_plus * np.asarray(d.tail(grid), dtype=float))
     x_max = float(np.max(grid))
     rep = d.truncated_atoms(x_max + 1.0)
-    vals = np.empty(len(grid))
-    for i, x in enumerate(grid):
-        if rep is not None:
-            vals[i] = _sstar_integral_atomic(d, float(x), rep)
-        else:
-            def integrand(y, xx=float(x)):
-                # one kernel call on the pair: F̄(x - y) and F̄(y)
-                t = d._tail_arr(np.array([xx - y, y]))
-                return float(t[0]) * float(t[1])
-
-            half, _ = integrate.quad(integrand, 0.0, float(x) / 2.0,
-                                     epsabs=0.0, epsrel=1e-10, limit=300)
-            vals[i] = 2.0 * half
+    if rep is not None:
+        vals = np.array([_sstar_integral_atomic(d, float(x), rep)
+                         for x in grid])
+    else:
+        vals = 2.0 * _sstar_half_integrals(d, grid)
     ratios = vals / den
     return ClassReport("Sstar", grid, ratios,
                        limit_verdict(ratios, ratios, 1.0, tol), tol,

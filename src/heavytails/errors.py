@@ -4,7 +4,8 @@ Invalid arguments (bad numbers, malformed atom lists) raise InvalidInput.
 Structurally valid requests that fall outside an operation's hypotheses
 (an expected-count denominator for an infinite-mean counting law, S*
 diagnostics on an infinite-mean law) raise AssumptionViolated, so callers
-can tell user error from model error.
+can tell user error from model error. A simulation worker process that dies
+raises WorkerCrashed, the one error that is not the caller's input.
 """
 
 
@@ -30,3 +31,7 @@ class ResourceLimit(HeavyTailsError):
 
 class ConfigError(HeavyTailsError):
     """A config file or CLI invocation violates the schema."""
+
+
+class WorkerCrashed(HeavyTailsError):
+    """A simulation worker process died before returning its blocks."""

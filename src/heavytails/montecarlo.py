@@ -10,16 +10,16 @@ assignment.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import multiprocessing as mp
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
 
 from .copulas import DependentModel
-from .errors import InvalidInput, ModelConfigError
+from .errors import InvalidInput, ModelConfigError, WorkerCrashed
 from .rng import BLOCK_SIZE, block_stream, check_samples, check_seed
 
 TAU_CAP = 1 << 20      # per-replicate cap on the simulated sequence length
@@ -224,6 +224,32 @@ def _run_blocks(payload):
     return hits, capped
 
 
+def _block_span(indices) -> str:
+    """'blocks 1-7 step 2' for an arithmetic run of block indices."""
+    first, last = int(indices[0]), int(indices[-1])
+    if first == last:
+        return f"block {first}"
+    step = int(indices[1] - indices[0])
+    return f"blocks {first}-{last}" + (f" step {step}" if step > 1 else "")
+
+
+def _pool_results(payloads, n_blocks: int) -> list:
+    """_run_blocks on each payload in its own forked process, in payload
+    order. A process that dies breaks the pool, and the pool does not say
+    which one died; WorkerCrashed names the blocks of every payload left
+    without a result, the dead worker's among them."""
+    with ProcessPoolExecutor(max_workers=len(payloads),
+                             mp_context=mp.get_context("fork")) as pool:
+        futures = [pool.submit(_run_blocks, p) for p in payloads]
+    lost = [_block_span(p[6]) for p, f in zip(payloads, futures)
+            if isinstance(f.exception(), BrokenProcessPool)]
+    if lost:
+        raise WorkerCrashed(
+            f"a worker process died; {' and '.join(lost)} of {n_blocks} "
+            f"(seed {payloads[0][5]}) returned no result")
+    return [f.result() for f in futures]
+
+
 def check_pass(model: DependentModel, quantities, weights=None) -> tuple:
     """The engine's rule for quantities sharing one simulation pass on model.
 
@@ -292,14 +318,11 @@ def estimate_tails(model: DependentModel, quantities, xs, samples: int,
     ]
 
     # one payload runs in process; more share a pool, one process each
-    pool = (ProcessPoolExecutor(max_workers=n_payloads,
-                                mp_context=mp.get_context("fork"))
-            if n_payloads > 1 else None)
     hits, capped = np.zeros((len(kinds), len(xs)), dtype=np.int64), 0
-    with pool or contextlib.nullcontext():
-        for h, k in (pool.map if pool else map)(_run_blocks, payloads):
-            hits += h
-            capped += k
+    for h, k in (_pool_results(payloads, n_blocks) if n_payloads > 1
+                 else map(_run_blocks, payloads)):
+        hits += h
+        capped += k
 
     notes = ()
     if capped:

@@ -6,6 +6,10 @@ and the output formats are tested exactly as a shell user would see them.
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +17,9 @@ from hypothesis import strategies as st
 
 from heavytails import cli
 from heavytails import experiments as ex
+from heavytails import montecarlo as mc
 from heavytails.risk import RISK_PRESETS
+from heavytails.rng import BLOCK_SIZE
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
@@ -145,7 +151,40 @@ class TestRoundTrip:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_import_loads_no_quadrature_or_root_finder():
+    # scipy.integrate and scipy.optimize (and the sparse and linalg
+    # packages they pull in) cost every command setup time and memory;
+    # only IntegratedTail uses them, and it imports them on first use
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = ("import sys, heavytails.cli; print(sorted(m for m in "
+             "('scipy.integrate', 'scipy.optimize', 'scipy.sparse', "
+             "'scipy.linalg') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 class TestExitCodes:
+    def test_worker_crash_exits_one_naming_its_blocks(self, tmp_path,
+                                                      capsys, monkeypatch):
+        real = mc._simulate_block
+
+        def crash_on_block_one(*args):
+            if args[6] == 1:        # the forked worker dies mid-run
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(mc, "_simulate_block", crash_on_block_one)
+        cfg = write_json(tmp_path, "rc.json",
+                         dict(RC_MC_CONFIG, samples=4 * BLOCK_SIZE))
+        code, out, err = run(capsys, ["ratio-curve", "--config", cfg,
+                                      "--workers", "2"])
+        assert code == 1
+        assert err.startswith("error: a worker process died")
+        assert "blocks 1-3 step 2" in err and "internal error" not in err
+        assert out == ""
+
     def test_exact_preset_runs_clean(self, capsys):
         code, out, err = run(capsys, ["theorem", "--id", "T3.3"])
         assert code == 0
@@ -466,6 +505,32 @@ class TestBadValues:
         code, _, err = run(capsys, argv)
         assert code == 64
         assert f"error: {name} takes lo:hi:n" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["convolve", "--dist", "pareto(1,1)", "--points", "10:1:5"],
+         "--points: need 0 < lo < hi < inf"),
+        (["convolve", "--dist", "pareto(1,1)", "--points", "1:10:10001"],
+         "--points: at most 10000, got 10001"),
+        (["diagnose-class", "--dist", "pareto(1,1)", "--grid", "10:1:5"],
+         "--grid: need 0 < lo < hi < inf"),
+        (["diagnose-class", "--dist", "pareto(1,1)", "--grid", "5,4"],
+         "--grid: explicit grid must be"),
+        (["convolve", "--config", {"dist": "pareto(1,1)",
+                                   "points": "10:1:5"}],
+         "points: need 0 < lo < hi < inf"),
+        (["convolve", "--config", {"dist": "pareto(1,1)",
+                                   "points": {"lo": 1, "hi": 10,
+                                              "points": 10001}}],
+         "points.points: at most 10000, got 10001"),
+    ], ids=["points-order", "points-cap", "grid-order", "grid-list",
+            "config-points-order", "config-points-cap"])
+    def test_grid_value_error_names_its_flag_or_field(self, tmp_path, capsys,
+                                                      argv, message):
+        argv = [write_json(tmp_path, "c.json", a) if isinstance(a, dict)
+                else a for a in argv]
+        code, _, err = run(capsys, argv)
+        assert code == 64
+        assert f"error: {message}" in err
 
     @settings(max_examples=150, deadline=None)
     @given(leaf=st.sampled_from(GOLDEN_LEAVES),

@@ -1,6 +1,7 @@
 """Diagnostics tests: closed forms, independent quadrature oracles, verdict logic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ class TestSstar:
         r = dg.sstar(Exponential(1.0), grid)
         assert r.verdict == "inconsistent"
         # integral is exactly x e^{-x}, so the statistic is x/2
-        np.testing.assert_allclose(r.statistics, grid / 2.0, rtol=1e-8)
+        np.testing.assert_allclose(r.statistics, grid / 2.0, rtol=1e-13)
 
     def test_infinite_mean_rejected(self):
         with pytest.raises(AssumptionViolated):
@@ -191,24 +192,58 @@ class TestSstar:
         assert integral == pytest.approx(riemann, abs=2e-4)
 
 
-def two_call_sstar(d, grid):
-    """The continuous-law sstar statistic with one scalar tail call per
-    factor, as the integrand was first written."""
+def kink_aware_sstar(d, kinks, grid):
+    """Reference sstar statistic: adaptive quadrature of the half-integral
+    told every point where a factor of F̄(x-y)F̄(y) has a kink."""
     den = 2.0 * d.pos_mean() * np.asarray(d.tail(grid), dtype=float)
-    vals = [2.0 * integrate.quad(
-        lambda y, xx=float(x): float(d.tail(xx - y)) * float(d.tail(y)),
-        0.0, float(x) / 2.0, epsabs=0.0, epsrel=1e-10, limit=300)[0]
-        for x in grid]
+    vals = []
+    for x in grid.tolist():
+        points = sorted({p for k in kinks for p in (k, x - k)
+                         if 0.0 < p < x / 2.0})
+        half, _ = integrate.quad(
+            lambda y: float(d.tail(x - y)) * float(d.tail(y)), 0.0, x / 2.0,
+            points=points or None, epsabs=0.0, epsrel=1e-13, limit=500)
+        vals.append(2.0 * half)
     return np.array(vals) / den
 
 
-@pytest.mark.parametrize("d", [Pareto(1.5, 1.0), Weibull(0.5, 1.0),
-                               Lognormal(0.0, 1.0),
-                               ShiftedBy(Pareto(2.0, 1.0), -0.5)],
-                         ids=repr)
-def test_sstar_pair_integrand_keeps_the_bits(d):
+# each law with the points where its tail is not smooth
+KINKED_LAWS = [
+    (Pareto(1.5, 1.0), [1.0]),
+    (Pareto(1.05, 1.0), [1.0]),
+    (Pareto(3.0, 0.2), [0.2]),
+    (Weibull(0.2, 1.0), [0.0]),
+    (Weibull(0.5, 1.0), [0.0]),
+    (Lognormal(0.0, 1.0), [0.0]),
+    (Lognormal(0.0, 2.0), [0.0]),
+    (ShiftedBy(Pareto(2.0, 1.0), -0.5), [0.5]),
+    # support starts where the integrated Pareto tail reaches 1, at 2/3;
+    # the base law's kink at 1 stays a kink of the second derivative
+    (IntegratedTail(Pareto(2.5, 1.0)), [2.0 / 3.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize("d,kinks", KINKED_LAWS, ids=[repr(d) for d, _ in
+                                                      KINKED_LAWS])
+def test_sstar_matches_the_kink_aware_reference(d, kinks):
     r = dg.sstar(d)
-    assert np.array_equal(r.statistics, two_call_sstar(d, r.probe_grid))
+    np.testing.assert_allclose(r.statistics,
+                               kink_aware_sstar(d, kinks, r.probe_grid),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_sstar_memory_is_bounded_on_the_largest_grid():
+    # 10,000 points is the most a lo/hi config grid spans; the pair
+    # integral runs in passes of at most 2^20 nodes, 8 MiB per array
+    grid = np.geomspace(2.0, 1e6, 10_000)
+    tracemalloc.start()
+    try:
+        r = dg.sstar(Lognormal(0.0, 1.0), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(r.statistics))
+    assert peak < 64 * 2 ** 20, peak / 2 ** 20
 
 
 class TestWindowLaw:

@@ -158,9 +158,9 @@ COMMAND_GOLDEN = {
     ("ratio-curve-divergence", "records"):
         (2, "a5aaf55f6301414418e6cb1b409130c11d0aec3e1fba6fadaadcd300f5657d3b"),
     ("class-token", "csv"):
-        (0, "a37b875415d1f3b7aa0ec2682106d17252958710634fad353ab33459d0a0b4b0"),
+        (0, "93df7fa1100ea69026e84c42a8f1e4a38898363e5a8bc3194320e20a12289e85"),
     ("class-token", "records"):
-        (0, "391c9ded851c271a09252424f5852e95c1224f3d8877c8c6ce502ac9960f26cd"),
+        (0, "7aaf35100dc237e0bbea727aa9e604059ec92fe68807b0527559b9bfc015c2b3"),
     ("class-config", "csv"):
         (2, "9a9d94fd747f82a014ac3cf0f0c9625ae4207d75ec9e544b06357ba9a997c070"),
     ("class-config", "records"):
@@ -174,13 +174,13 @@ COMMAND_GOLDEN = {
     ("class-atoms-config", "records"):
         (2, "2d343acefe8ed0407cc31e88f5b4127d3e79eaad2d662a013f88ca76e490b447"),
     ("class-weibull", "csv"):
-        (2, "9126308ec804e90a007348c0c46feac9b4971c1c51467b5773b477c753ab4431"),
+        (2, "9cfedd5bb6b65416e0578413f8ff275d6fcc09215dac45a56e38b2c78e0a625b"),
     ("class-weibull", "records"):
-        (2, "5b71c4ccde2894547b45b6ececd478fcf619eff937ccce38a97407a6317915e9"),
+        (2, "e7e2c227cd0f52239e55107a67905c92a5fe454bd66835f9fe94dfe1acf5b5fc"),
     ("class-lognormal", "csv"):
-        (2, "5370cb3d4bc7323c83061772f5bc84c2b6c923615023384e66335fa55792e1e1"),
+        (2, "fd0b35478d4f470c3c449ab3211d6f4111c7c2a4001ec36eb5c93456e028aadb"),
     ("class-lognormal", "records"):
-        (2, "3e2b02712a7e144928776050bb57ffba3e9ea8d17ae20853f625f61ee2d35148"),
+        (2, "b273a5376aea8ec8301566ec05648af61f114836acc44a5a815ded5dccd65124"),
     ("class-dense-atoms", "csv"):
         (2, "136adae47d26dd760ebfa4d7ccad486f3214daa47f0398fac094ddb6c00d32eb"),
     ("class-dense-atoms", "records"):
