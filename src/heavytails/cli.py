@@ -19,7 +19,6 @@ from dataclasses import asdict
 from typing import NamedTuple
 
 import numpy as np
-import yaml
 
 from . import convolution as conv
 from . import diagnostics as diag
@@ -76,6 +75,7 @@ def load_config(path: str) -> dict:
     try:
         data = json.loads(text)
     except ValueError:
+        import yaml     # only a config that is not JSON needs the parser
         try:
             data = yaml.safe_load(text)
         except yaml.YAMLError as err:

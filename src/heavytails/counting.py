@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special as sc
 
+from .distributions import _special
 from .errors import InvalidInput
 
 _ZETA_EXACT_BELOW = 512
@@ -62,7 +62,7 @@ class Poisson(CountingLaw):
 
     def tail(self, k):
         k = _check_count(k)
-        return float(sc.gammainc(k + 1, self.lam))
+        return float(_special().gammainc(k + 1, self.lam))
 
     def sample(self, rng, size):
         return rng.poisson(self.lam, int(size)).astype(np.int64)

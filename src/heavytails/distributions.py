@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special as sc
 
 from .errors import AssumptionViolated, InvalidInput
 
@@ -32,6 +31,14 @@ TAG_SUBEXP = "S"
 TAG_SSTAR = "Sstar"
 TAG_SSTAR_STRONG = "SstarStrong"
 TAG_HEAVY = "HeavyK"
+
+
+def _special():
+    """scipy.special, imported on first use: only Lognormal, the Weibull
+    tail integral and Poisson.tail need it, so the import path stays
+    numpy-only."""
+    from scipy import special
+    return special
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -202,7 +209,8 @@ class Weibull(Marginal):
         lo = np.maximum(a, 0.0)
         hi = np.maximum(b, lo)
         # regularized lower incomplete gamma; it is 1 at hi = inf
-        reg = sc.gammainc(k, (hi / lam) ** c) - sc.gammainc(k, (lo / lam) ** c)
+        gammainc = _special().gammainc
+        reg = gammainc(k, (hi / lam) ** c) - gammainc(k, (lo / lam) ** c)
         flat = np.maximum(0.0, np.minimum(b, 0.0) - a)
         return flat + np.where(hi > lo, lam * k * math.gamma(k) * reg, 0.0)
 
@@ -216,6 +224,9 @@ class Lognormal(Marginal):
 
     def __post_init__(self):
         _require(self.sigma > 0, "sigma must be positive")
+        # load scipy.special here, so a forked worker inherits it rather
+        # than importing it in every process
+        _special()
 
     tags = frozenset({TAG_LONG, TAG_SUBEXP, TAG_SSTAR, TAG_SSTAR_STRONG, TAG_HEAVY})
 
@@ -223,11 +234,11 @@ class Lognormal(Marginal):
         out = np.ones_like(x)
         pos = x > 0
         z = (np.log(x, where=pos, out=np.ones_like(x)) - self.mu) / self.sigma
-        out[pos] = sc.ndtr(-z[pos])
+        out[pos] = _special().ndtr(-z[pos])
         return out
 
     def _ppf_arr(self, u):
-        sc.ndtri(u, out=u)
+        _special().ndtri(u, out=u)
         u *= self.sigma
         u += self.mu
         return np.exp(u, out=u)
@@ -242,8 +253,9 @@ class Lognormal(Marginal):
         # integral of the tail from x to infinity; 0 at x = inf
         pos = x > 0
         z = (np.log(np.where(pos, x, 1.0)) - self.mu) / self.sigma
+        ndtr = _special().ndtr
         with np.errstate(invalid="ignore"):  # inf * 0 at x = inf
-            upper = self.mean() * sc.ndtr(self.sigma - z) - x * sc.ndtr(-z)
+            upper = self.mean() * ndtr(self.sigma - z) - x * ndtr(-z)
         return np.where(pos, np.where(np.isinf(x), 0.0, upper), self.mean() - x)
 
     def _tail_integral_arr(self, a, b):
@@ -501,6 +513,9 @@ class IntegratedTail(Marginal):
     def __post_init__(self):
         if not math.isfinite(self.base.pos_mean()):
             raise AssumptionViolated("integrated tail requires a finite positive-part mean")
+        # the sampler's root finder loads here, so a forked worker inherits
+        # it rather than importing it in every process
+        import scipy.optimize  # noqa: F401
 
     tags = frozenset()
 

@@ -11,9 +11,6 @@ assignment.
 from __future__ import annotations
 
 import math
-import multiprocessing as mp
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,21 +230,54 @@ def _block_span(indices) -> str:
     return f"blocks {first}-{last}" + (f" step {step}" if step > 1 else "")
 
 
+def _worker(payload, conn) -> None:
+    """Send _run_blocks(payload), or the exception it raised, to conn."""
+    try:
+        reply = _run_blocks(payload)
+    except Exception as err:
+        reply = err
+    conn.send(reply)
+
+
 def _pool_results(payloads, n_blocks: int) -> list:
     """_run_blocks on each payload in its own forked process, in payload
-    order. A process that dies breaks the pool, and the pool does not say
-    which one died; WorkerCrashed names the blocks of every payload left
-    without a result, the dead worker's among them."""
-    with ProcessPoolExecutor(max_workers=len(payloads),
-                             mp_context=mp.get_context("fork")) as pool:
-        futures = [pool.submit(_run_blocks, p) for p in payloads]
-    lost = [_block_span(p[6]) for p, f in zip(payloads, futures)
-            if isinstance(f.exception(), BrokenProcessPool)]
+    order. A payload whose process sends nothing or exits non-zero is lost,
+    and WorkerCrashed names the blocks of each lost payload. An exception
+    raised in a worker is raised here, the first in payload order."""
+    import multiprocessing as mp
+    ctx = mp.get_context("fork")
+    jobs, replies = [], []
+    try:
+        for p in payloads:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker, args=(p, send), daemon=True)
+            proc.start()
+            # with no write end left here, a dead worker's pipe reads EOF,
+            # and the workers forked later do not inherit one either
+            send.close()
+            jobs.append((proc, recv))
+        for proc, recv in jobs:
+            try:
+                reply = recv.recv()
+            except EOFError:
+                reply = None
+            proc.join()
+            replies.append(reply if proc.exitcode == 0 else None)
+    finally:
+        for proc, recv in jobs:
+            recv.close()
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+    lost = [_block_span(p[6]) for p, r in zip(payloads, replies) if r is None]
     if lost:
         raise WorkerCrashed(
             f"a worker process died; {' and '.join(lost)} of {n_blocks} "
             f"(seed {payloads[0][5]}) returned no result")
-    return [f.result() for f in futures]
+    for reply in replies:
+        if isinstance(reply, Exception):
+            raise reply
+    return replies
 
 
 def check_pass(model: DependentModel, quantities, weights=None) -> tuple:

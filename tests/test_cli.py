@@ -151,18 +151,51 @@ class TestRoundTrip:
         assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_import_loads_no_quadrature_or_root_finder():
-    # scipy.integrate and scipy.optimize (and the sparse and linalg
-    # packages they pull in) cost every command setup time and memory;
-    # only IntegratedTail uses them, and it imports them on first use
-    src = str(Path(cli.__file__).resolve().parents[1])
-    probe = ("import sys, heavytails.cli; print(sorted(m for m in "
-             "('scipy.integrate', 'scipy.optimize', 'scipy.sparse', "
-             "'scipy.linalg') if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+LAZY_ROOTS = ("scipy", "yaml", "multiprocessing", "concurrent")
+# a fresh interpreter that imports this checkout of the package
+FRESH_ENV = dict(os.environ,
+                 PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+
+def _loaded_after(code):
+    """Run code in a fresh interpreter, then list the loaded modules under
+    LAZY_ROOTS."""
+    probe = (code + "\nimport sys; print(sorted(m for m in sys.modules "
+             f"if m.split('.')[0] in {LAZY_ROOTS!r}))")
+    done = subprocess.run([sys.executable, "-c", probe], env=FRESH_ENV,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.splitlines()[-1]
+
+
+def test_import_loads_no_quadrature_or_root_finder():
+    # scipy, PyYAML and the process pool cost every command setup time and
+    # memory; each loads on the one path that needs it
+    assert _loaded_after("import heavytails.cli") == "[]"
+
+
+def test_pareto_runs_load_no_scipy():
+    # the paper's Pareto sums and Poisson ruin need numpy alone
+    code = ("import contextlib, io\n"
+            "from heavytails import cli\n"
+            "for argv in (['theorem', '--id', 'C3.1', '--samples', '256'],\n"
+            "             ['ruin', '--preset', 'C5.2', '--samples', '256']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv")
+    assert _loaded_after(code) == "[]"
+
+
+def test_lognormal_curve_bytes_do_not_depend_on_workers(tmp_path):
+    # scipy.special loads when the law is built, before any worker forks
+    cfg = write_json(tmp_path, "ln.json", dict(RC_MC_CONFIG, model=dict(
+        FGM_PARETO_MODEL, marginals=[{"family": "lognormal", "mu": 0.0,
+                                      "sigma": 1.0}] * 2),
+        samples=4 * BLOCK_SIZE))
+    outs = [subprocess.run([sys.executable, "-m", "heavytails.cli",
+                            "ratio-curve", "--config", cfg, "--workers", w],
+                           env=FRESH_ENV, capture_output=True,
+                           check=True).stdout
+            for w in ("1", "2")]
+    assert outs[0] == outs[1] and b"lognormal" in outs[0]
 
 
 class TestExitCodes:
@@ -178,12 +211,16 @@ class TestExitCodes:
         monkeypatch.setattr(mc, "_simulate_block", crash_on_block_one)
         cfg = write_json(tmp_path, "rc.json",
                          dict(RC_MC_CONFIG, samples=4 * BLOCK_SIZE))
-        code, out, err = run(capsys, ["ratio-curve", "--config", cfg,
-                                      "--workers", "2"])
-        assert code == 1
-        assert err.startswith("error: a worker process died")
-        assert "blocks 1-3 step 2" in err and "internal error" not in err
-        assert out == ""
+        # the healthy worker's blocks are never named, however the two
+        # processes interleave
+        for _ in range(10):
+            code, out, err = run(capsys, ["ratio-curve", "--config", cfg,
+                                          "--workers", "2"])
+            assert code == 1
+            assert err.startswith("error: a worker process died")
+            assert "blocks 1-3 step 2" in err and "internal error" not in err
+            assert "blocks 0-2" not in err
+            assert out == ""
 
     def test_exact_preset_runs_clean(self, capsys):
         code, out, err = run(capsys, ["theorem", "--id", "T3.3"])
@@ -419,6 +456,13 @@ def _leaves(node, path=()):
 GOLDEN_LEAVES = [(name, path) for name, cfg in GOLDEN_CONFIGS.items()
                  for path in _leaves(cfg)]
 
+# the golden configs that run the engine, by the command that reads them
+RUNNING_CONFIGS = {"rc": "ratio-curve", "rc-weighted": "ratio-curve",
+                   "rc-divergence": "ratio-curve", "discrete": "ruin",
+                   "arrival": "ruin", "ruin-preset": "ruin"}
+BAD_VALUES = ["x", "", None, True, [1, 2], {}, -1, 0, 0.5, 1e400,
+              float("nan")]
+
 
 class TestBadValues:
     """A value of the wrong type or form is a config error naming its
@@ -549,6 +593,32 @@ class TestBadValues:
         target = tmp_path_factory.mktemp("fuzz") / "cfg.json"
         target.write_text(json.dumps(cfg))
         assert cli.main(["validate", "--config", str(target)]) in (0, 64)
+
+    @pytest.mark.parametrize("name", sorted(RUNNING_CONFIGS))
+    def test_bad_leaf_runs_or_exits_64_as_validate_says(self, tmp_path,
+                                                        capsys, name):
+        # every leaf under every bad value, at a 256-sample budget and one
+        # worker; a null samples means the default budget, so it is skipped
+        command = RUNNING_CONFIGS[name]
+        disagree = []
+        for i, (path, value) in enumerate(
+                (p, v) for p in _leaves(GOLDEN_CONFIGS[name])
+                for v in BAD_VALUES if (p, v) != (("samples",), None)):
+            cfg = json.loads(json.dumps(GOLDEN_CONFIGS[name]))
+            cfg["samples"] = 256
+            node = cfg
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            target = write_json(tmp_path, f"cfg{i}.json", cfg)
+            code_run, _, err_run = run(capsys, [command, "--config", target])
+            code_check, _, err_check = run(capsys,
+                                           ["validate", "--config", target])
+            if (code_run not in (0, 2, 64)
+                    or code_check != (64 if code_run == 64 else 0)
+                    or (code_run == 64 and err_run != err_check)):
+                disagree.append((path, value, code_run, code_check, err_run))
+        assert disagree == []
 
 
 class TestOverlay:

@@ -2,11 +2,16 @@
 against scalar references written out from the closed forms."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special as sc
 
+from heavytails import distributions
 from heavytails.distributions import (
     DiscreteAtoms,
     Exponential,
@@ -136,6 +141,21 @@ def test_scale_must_be_finite():
     for family in (lambda s: Pareto(1.5, s), lambda s: Weibull(0.5, s)):
         with pytest.raises(InvalidInput):
             family(math.inf)
+
+
+def test_building_a_lognormal_loads_scipy_special():
+    # the module loads with the law, so a forked worker inherits it
+    probe = ("import sys\n"
+             "from heavytails.distributions import Lognormal, Pareto\n"
+             "Pareto(1.5, 1.0)\n"
+             "before = 'scipy.special' in sys.modules\n"
+             "Lognormal(0, 1)\n"
+             "print(before, 'scipy.special' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(distributions.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "True"]
 
 
 class TestTailIntegral:

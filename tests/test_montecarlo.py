@@ -83,22 +83,36 @@ class TestBitwiseReproducibility:
 
     def test_huge_worker_count_starts_one_process_per_block(self,
                                                             monkeypatch):
-        real = mc.ProcessPoolExecutor
-        pools = []
+        from multiprocessing.context import ForkProcess
+        real = ForkProcess.start
+        started = []
 
-        def recording(max_workers, **kwargs):
-            pools.append(max_workers)
-            # fail before a pool that size could start
-            assert max_workers <= 2, max_workers
-            return real(max_workers=max_workers, **kwargs)
+        def recording(proc):
+            started.append(proc)
+            # fail before that many processes could start
+            assert len(started) <= 2, len(started)
+            return real(proc)
 
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", recording)
+        monkeypatch.setattr(ForkProcess, "start", recording)
         m = indep_pair(Pareto(0.8, 1.0))
         args = (m, ["SumN", "RunMaxN"], [10.0, 100.0], 2 * BLOCK_SIZE, 9)
         one = mc.estimate_tails(*args, workers=1)
-        assert pools == []
+        assert started == []
         assert mc.estimate_tails(*args, workers=10 ** 9) == one
-        assert pools == [2]
+        assert len(started) == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_error_reaches_the_caller(self, workers):
+        class NegativeLength(Geometric1):
+            def sample(self, rng, size):
+                return -super().sample(rng, size)
+
+        d = Pareto(0.8, 1.0)
+        m = DependentModel(Independence(2), (d, d), tau=NegativeLength(0.5))
+        with pytest.raises(ModelConfigError,
+                           match="^counting law produced a negative length$"):
+            mc.estimate_tail(m, "SumTau", [1.0], 2 * BLOCK_SIZE, seed=3,
+                             workers=workers)
 
     def test_worker_invariance_stopped(self):
         d = Pareto(0.8, 1.0)
