@@ -12,7 +12,10 @@ Two paths provide ground truth for the Monte Carlo engine:
   summand's location up to the grid produces a stochastically larger variable,
   hence an upper bound on P(S_n > x); rounding down gives the lower bound.
   Domination survives convolution, so the bracket provably contains the truth,
-  and halving the step refines both envelopes monotonically.
+  and halving the step refines both envelopes monotonically. Each envelope
+  of S_n is built only as far as its two halves, S_floor(n/2) and
+  S_ceil(n/2); the last product is read at the probes alone, off the two
+  factors, and never formed.
 
 Supports must be bounded below. Mass above x_max - (n-1) * min(support, 0)
 is clamped to the top of the grid (lower envelope) or to the overflow bucket
@@ -24,9 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .distributions import Marginal
 from .errors import HeavyTailsError, InvalidInput, ResourceLimit
@@ -35,6 +39,8 @@ ATOM_CAP = 1 << 22
 MERGE_TOL = 1e-12
 PRUNE_BELOW = 1e-16
 MASS_TOL = 1e-15
+# values per gathered block when the last product is read at the probes
+_PROBE_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -227,11 +233,17 @@ class _Grid:
 
 
 def _grid_convolve(a: _Grid, b: _Grid, clamp_k: int, side: str) -> _Grid:
-    masses = np.convolve(a.masses, b.masses)
-    fa, fb = float(np.sum(a.masses)), float(np.sum(b.masses))
-    inf_mass = a.inf_mass * (fb + b.inf_mass) + b.inf_mass * fa
-    g = _Grid(a.k0 + b.k0, a.step, masses, inf_mass)
+    # an upper envelope clamped whole into the overflow has no finite atoms
+    masses = (np.convolve(a.masses, b.masses) if len(a.masses) and len(b.masses)
+              else np.zeros(0))
+    g = _Grid(a.k0 + b.k0, a.step, masses, _overflow(a, b))
     return _grid_clamp(g, clamp_k, side)
+
+
+def _overflow(a: _Grid, b: _Grid) -> float:
+    """Overflow mass of A + B: a bucket plus anything stays in the bucket."""
+    fa, fb = float(np.sum(a.masses)), float(np.sum(b.masses))
+    return a.inf_mass * (fb + b.inf_mass) + b.inf_mass * fa
 
 
 def _grid_clamp(g: _Grid, clamp_k: int, side: str) -> _Grid:
@@ -247,6 +259,41 @@ def _grid_clamp(g: _Grid, clamp_k: int, side: str) -> _Grid:
     head = g.masses[:cut + 1].copy()
     head[cut] += extra
     return _Grid(g.k0, g.step, head, g.inf_mass)
+
+
+def _product_tails(a: _Grid, b: _Grid, xs) -> np.ndarray:
+    """P(A + B > x) at each probe, read off the two factors without forming
+    their product.
+
+    K is the index the product's tail_bounds would find for x, and the tail
+    there is sum_i a_i S_B(K - i) plus the overflow, where S_B(j) is B's mass
+    at index j or above. All terms are nonnegative, so the rounding stays
+    relative. Each distinct K takes one row of a sliding window over the
+    padded S_B, and the rows are gathered in blocks of at most _PROBE_CHUNK
+    values, one matrix-vector product per block.
+    """
+    inf_mass = _overflow(a, b)
+    la, lb = len(a.masses), len(b.masses)
+    if la == 0 or lb == 0:
+        return np.full(len(xs), inf_mass)
+    locs = (a.k0 + b.k0 + np.arange(la + lb - 1)) * a.step
+    ks, where = np.unique(np.searchsorted(locs, xs, side="right"),
+                          return_inverse=True)
+    suffix = np.cumsum(b.masses[::-1])[::-1]
+    # padded[p] = S_B(p - la + 1): B's total below index 0, nothing past its end
+    padded = np.concatenate((np.full(la - 1, suffix[0]), suffix, np.zeros(la)))
+    rows = sliding_window_view(padded, la)
+    reverse = a.masses[::-1].copy()  # contiguous, so the product runs in BLAS
+    # heads[c]: A's mass at indices la - c and above, where S_B is B's total
+    # for every K up to la - c
+    heads = np.concatenate(([0.0], np.cumsum(reverse))) * suffix[0]
+    per_block = max(1, _PROBE_CHUNK // la)
+    tails = np.empty(len(ks))
+    for i in range(0, len(ks), per_block):
+        block = ks[i:i + per_block]
+        c = max(0, la - int(block[-1]))
+        tails[i:i + per_block] = rows[block, c:] @ reverse[c:] + heads[c]
+    return tails[where] + inf_mass
 
 
 def lattice_tails(tail_fn, lo: float, hi: float, step: float) -> tuple:
@@ -305,8 +352,15 @@ def nfold_tail_bracket_from_tail(tail_fn, support_min: float, n: int, xs,
     for side in ("lower", "upper"):
         g = _grid_clamp(discretize_tail(k_lo, step, lattice, side),
                         clamp_k, side)
-        env = _power(g, n, lambda a, b: _grid_convolve(a, b, clamp_k, side))
-        tails.append(env.measure().tail_bounds(xs)[0])
+        if n == 1:
+            tails.append(g.measure().tail_bounds(xs)[0])
+            continue
+        mul = partial(_grid_convolve, clamp_k=clamp_k, side=side)
+        half = _power(g, n // 2, mul)
+        rest = half if n % 2 == 0 else mul(half, g)
+        # the clamp moves mass only above every probe: the last product
+        # needs none
+        tails.append(_product_tails(half, rest, xs))
     return _brackets(xs, *tails)
 
 

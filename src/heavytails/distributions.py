@@ -165,10 +165,14 @@ class Pareto(Marginal):
         lo = np.maximum(a, s)
         hi = np.maximum(b, lo)
         with np.errstate(invalid="ignore"):  # inf - inf on empty windows
+            # the window as lo * (1 + w / lo) keeps full precision however
+            # narrow it is against its depth
+            grow = np.log1p((hi - lo) / lo)
             if al == 1.0:
-                power = s * np.log(hi / lo)
+                power = s * grow
             else:  # hi = inf gives inf for al < 1 and drops out for al > 1
-                power = s**al * (lo ** (1.0 - al) - hi ** (1.0 - al)) / (al - 1.0)
+                power = (-s**al * lo ** (1.0 - al) * np.expm1((1.0 - al) * grow)
+                         / (al - 1.0))
         flat = np.maximum(0.0, np.minimum(b, s) - a)  # where the tail is 1
         return flat + np.where(hi > lo, power, 0.0)
 
@@ -208,9 +212,15 @@ class Weibull(Marginal):
         k = 1.0 / c
         lo = np.maximum(a, 0.0)
         hi = np.maximum(b, lo)
+        u_lo, u_hi = (lo / lam) ** c, (hi / lam) ** c
+        # past the mean of Gamma(k), the lower incomplete gammas of a finite
+        # window both round toward 1: take the difference of the upper ones
+        deep = np.isfinite(hi) & (u_lo >= k)
+        sc = _special()
+        reg = np.empty_like(lo)
+        reg[deep] = sc.gammaincc(k, u_lo[deep]) - sc.gammaincc(k, u_hi[deep])
         # regularized lower incomplete gamma; it is 1 at hi = inf
-        gammainc = _special().gammainc
-        reg = gammainc(k, (hi / lam) ** c) - gammainc(k, (lo / lam) ** c)
+        reg[~deep] = sc.gammainc(k, u_hi[~deep]) - sc.gammainc(k, u_lo[~deep])
         flat = np.maximum(0.0, np.minimum(b, 0.0) - a)
         return flat + np.where(hi > lo, lam * k * math.gamma(k) * reg, 0.0)
 
@@ -292,7 +302,9 @@ class Exponential(Marginal):
     def _tail_integral_arr(self, a, b):
         lo = np.maximum(a, 0.0)
         hi = np.maximum(b, lo)
-        decay = (np.exp(-self.rate * lo) - np.exp(-self.rate * hi)) / self.rate
+        r = self.rate
+        with np.errstate(invalid="ignore"):  # inf - inf on empty windows
+            decay = np.exp(-r * lo) * -np.expm1(-r * (hi - lo)) / r
         flat = np.maximum(0.0, np.minimum(b, 0.0) - a)
         return flat + np.where(hi > lo, decay, 0.0)
 

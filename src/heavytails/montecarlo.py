@@ -106,7 +106,8 @@ def _reduce_rows(rect: np.ndarray, kinds: tuple) -> np.ndarray:
 
     The running sum adds the columns left to right, exactly as a cumsum
     along each row would, so a Deterministic(n) stopped sum (a reshaped
-    slice) and the fixed-n path agree bit for bit.
+    slice reduced by that cumsum) and the fixed-n path agree bit for bit.
+    The walk suits the copula's few columns; long rows take the cumsum.
     """
     top, run, peak = (rect[:, 0].copy() for _ in range(3))
     want_run = {"sum", "runmax"} & set(kinds)
@@ -144,10 +145,17 @@ def _chunk_stats(model: DependentModel, kinds: tuple,
     flat = model.marginals[0].ppf_from_uniform(
         model.copula.sample(rng, n_blocks).ravel())
     if eff.min() == eff.max():
-        # uniform lengths: plain reshape, same arithmetic order as the
-        # fixed-length path, so a deterministic counting law reduces to it
-        # bit for bit
-        return _reduce_rows(flat.reshape(count, -1)[:, : int(eff[0])], kinds)
+        # uniform lengths: plain reshape; a row-wise cumsum adds left to
+        # right as _reduce_rows does on the fixed-length path, so a
+        # deterministic counting law reduces to it bit for bit
+        rect = flat.reshape(count, -1)[:, : int(eff[0])]
+        stat = {"max": rect.max(axis=1)} if "max" in kinds else {}
+        if {"sum", "runmax"} & set(kinds):
+            run = np.cumsum(rect, axis=1, out=rect)
+            stat["sum"] = run[:, -1]
+            if "runmax" in kinds:
+                stat["runmax"] = run.max(axis=1)
+        return np.stack([stat[k] for k in kinds])
     sizes = dim * blocks
     ends = np.cumsum(sizes)
     stops = ends - sizes + eff          # one past each replicate's last term

@@ -6,6 +6,8 @@ independently of the library code under test.
 """
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from heavytails import convolution as cv
+from heavytails.diagnostics import fh_tail
 from heavytails.distributions import (
     DiscreteAtoms,
     Exponential,
@@ -257,8 +260,9 @@ class TestTailBracket:
 
 
 def two_call_bracket(tail_fn, support_min, n, xs, step):
-    """nfold_tail_bracket_from_tail with the tails evaluated once per
-    envelope, as first written."""
+    """nfold_tail_bracket_from_tail as first written: the tails evaluated
+    once per envelope, and every product of each envelope formed in full,
+    the last one included, before its tail is read at the probes."""
     x_max = float(np.max(xs))
     clamp_k = math.ceil((x_max - (n - 1) * min(support_min, 0.0)
                          + 2.0 * step) / step)
@@ -289,8 +293,90 @@ class TestNfoldBracket:
         got = cv.nfold_tail_bracket_from_tail(tail_fn, d.support()[0], n, xs)
         assert len(calls) == 1
         want = two_call_bracket(d.tail, d.support()[0], n, xs, 200.0 / 4096.0)
-        assert [(b.lower, b.upper) for b in got] == \
-            [(b.lower, b.upper) for b in want]
+        # the last product is summed in another order: equal to rounding
+        np.testing.assert_allclose(cv.bracket_bounds(got),
+                                   cv.bracket_bounds(want), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("law", ["pareto-1.5", "pareto-1", "weibull-0.5",
+                                     "shifted-lognormal", "window-pareto-1.5"])
+    def test_probe_read_matches_the_full_last_product(self, law, n):
+        if law == "window-pareto-1.5":
+            base = Pareto(1.5, 1.0)
+
+            def tail_fn(t):  # the h = 10 window law of strong_subexponential
+                out = np.ones(len(t))
+                out[t > 0.0] = fh_tail(base, 10.0, t[t > 0.0])
+                return out
+            support_min = 0.0
+        else:
+            d = {"pareto-1.5": Pareto(1.5, 1.0), "pareto-1": Pareto(1.0, 1.0),
+                 "weibull-0.5": Weibull(0.5, 1.0),
+                 "shifted-lognormal": ShiftedBy(Lognormal(0.0, 1.0), -1.0)}[law]
+            tail_fn, support_min = d.tail, d.support()[0]
+        xs = np.geomspace(2.0, 200.0, 12)
+        got = cv.bracket_bounds(
+            cv.nfold_tail_bracket_from_tail(tail_fn, support_min, n, xs))
+        want = cv.bracket_bounds(
+            two_call_bracket(tail_fn, support_min, n, xs, 200.0 / 4096.0))
+        assert np.all(got[0] <= got[1])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_exponential_nfold_contains_gamma(self, n):
+        # the n-fold sum of unit exponentials is Gamma(n, 1)
+        xs = np.array([0.5, 2.0, 6.0, 15.0, 30.0])
+        truth = np.exp(-xs) * sum(xs ** k / math.factorial(k)
+                                  for k in range(n))
+        lower, upper = cv.bracket_bounds(
+            cv.nfold_tail_bracket(Exponential(1.0), n, xs))
+        assert np.all(lower <= truth) and np.all(truth <= upper)
+
+    @pytest.mark.parametrize("n,products", [(2, 0), (3, 2), (4, 2), (5, 4)])
+    def test_last_product_is_never_formed(self, monkeypatch, n, products):
+        # each envelope builds S_floor(n/2) and S_ceil(n/2) only
+        calls = []
+        full = np.convolve
+
+        def counted(a, b):
+            calls.append((len(a), len(b)))
+            return full(a, b)
+
+        monkeypatch.setattr(np, "convolve", counted)
+        cv.nfold_tail_bracket(Pareto(1.0, 1.0), n, np.geomspace(2.0, 200.0, 12))
+        assert len(calls) == products
+
+    def test_dense_probes_cost_no_more_than_the_full_product(self):
+        # at the 10,000-point grid cap nearly every lattice index is a probe:
+        # the blocked read must stay within the full product's memory and time
+        d = Pareto(1.0, 1.0)
+        xs = np.geomspace(2.0, 200.0, 10_000)
+        step = 200.0 / 4096.0
+        runs = {
+            "probe": lambda: cv.nfold_tail_bracket_from_tail(d.tail, 1.0, 2, xs),
+            "full": lambda: two_call_bracket(d.tail, 1.0, 2, xs, step)}
+        peaks, best = {}, {name: math.inf for name in runs}
+        for name, run in runs.items():
+            tracemalloc.start()
+            try:
+                run()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        for _ in range(7):  # alternate, so a slow spell hits both alike
+            for name, run in runs.items():
+                t0 = time.perf_counter()
+                run()
+                best[name] = min(best[name], time.perf_counter() - t0)
+        assert peaks["probe"] <= peaks["full"] + 2 * 2 ** 20, peaks
+        assert best["probe"] <= 1.2 * best["full"], best
+
+    def test_upper_envelope_wholly_in_the_overflow(self):
+        # every probe lies below the support: the upper envelope clamps all
+        # of its mass into the overflow bucket and has no finite atom left
+        for n in (2, 3):
+            brs = cv.nfold_tail_bracket(Pareto(1.0, 10.0), n, [2.0, 5.0])
+            assert [(b.lower, b.upper) for b in brs] == [(1.0, 1.0)] * 2
 
     def test_exponential_twofold_contains_gamma(self):
         # Gamma(2,1) tail at 9 is (1+9)e^-9

@@ -49,9 +49,14 @@ def ref_weibull(d, a, b):
     if b > lo:
         c, lam = d.shape, d.scale
         k = 1.0 / c
-        hi_reg = 1.0 if math.isinf(b) else float(sc.gammainc(k, (b / lam) ** c))
-        lo_reg = float(sc.gammainc(k, (lo / lam) ** c))
-        out += lam * k * math.gamma(k) * (hi_reg - lo_reg)
+        u_lo = (lo / lam) ** c
+        if math.isfinite(b) and u_lo >= k:
+            # deep windows: the lower incomplete gammas both round to 1
+            reg = float(sc.gammaincc(k, u_lo) - sc.gammaincc(k, (b / lam) ** c))
+        else:
+            hi_reg = 1.0 if math.isinf(b) else float(sc.gammainc(k, (b / lam) ** c))
+            reg = hi_reg - float(sc.gammainc(k, u_lo))
+        out += lam * k * math.gamma(k) * reg
     return out
 
 
@@ -177,6 +182,52 @@ class TestTailIntegral:
         want = [ref_atoms(base, x - shift, y - shift)
                 for x, y in zip(a.tolist(), b.tolist())]
         assert d.tail_integral(a, b).tolist() == want
+
+    @pytest.mark.parametrize("d,lo,hi,rtol", [
+        (Pareto(1.5, 1.0), 1.6e5, 1.6e5 + 3e-4, 1e-14),
+        (Pareto(2.5, 1.0), 1e3, 1e3 + 1e-6, 1e-14),
+        (Pareto(1.0, 1.0), 1e8, 1e8 + 1.0, 1e-14),
+        (Pareto(0.7, 2.0), 30.0, 31.0, 1e-14),
+        (Exponential(1.0), 30.0, 30.0 + 1e-7, 1e-14),
+        (Exponential(3.0), 0.5, 4.0, 1e-14),
+        (Weibull(0.5, 1.0), 1e4, 1e4 + 1.0, 1e-8),
+        (Weibull(0.3, 2.0), 50.0, 150.0, 1e-8),
+        (Weibull(0.5, 1.0), 1e-8, 1e-6, 1e-8),
+    ], ids=repr)
+    def test_narrow_deep_windows_keep_full_precision(self, d, lo, hi, rtol):
+        # the closed forms in 50-digit arithmetic; a difference of two nearly
+        # equal powers, exponentials or lower incomplete gammas lost up to
+        # every digit on these windows
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            a, b = mpmath.mpf(lo), mpmath.mpf(hi)
+            if isinstance(d, Pareto):
+                s, al = mpmath.mpf(d.scale), mpmath.mpf(d.alpha)
+                want = (s * mpmath.log(b / a) if d.alpha == 1.0 else
+                        s**al * (a ** (1 - al) - b ** (1 - al)) / (al - 1))
+            elif isinstance(d, Exponential):
+                r = mpmath.mpf(d.rate)
+                want = (mpmath.exp(-r * a) - mpmath.exp(-r * b)) / r
+            else:
+                c, lam = mpmath.mpf(d.shape), mpmath.mpf(d.scale)
+                want = lam / c * mpmath.gammainc(1 / c, (a / lam) ** c,
+                                                 (b / lam) ** c)
+            want = float(want)
+        assert d.tail_integral(lo, hi) == pytest.approx(want, rel=rtol, abs=0)
+
+    def test_unbounded_windows_keep_their_bytes(self):
+        # hi = inf keeps the array expressions IntegratedTail relies on
+        lo = np.array([2.0, 3.0, 40.0, 1e4])
+        inf = np.full_like(lo, math.inf)
+        old = {
+            Pareto(1.5, 2.0): 2.0**1.5 * (lo**-0.5 - inf**-0.5) / 0.5,
+            Weibull(0.5, 1.5): 1.5 * 2.0 * math.gamma(2.0) * (
+                sc.gammainc(2.0, (inf / 1.5) ** 0.5)
+                - sc.gammainc(2.0, (lo / 1.5) ** 0.5)),
+            Exponential(2.0): (np.exp(-2.0 * lo) - np.exp(-2.0 * inf)) / 2.0,
+        }
+        for d, want in old.items():
+            assert d.tail_integral(lo, math.inf).tolist() == want.tolist()
 
     def test_scalar_call_is_the_zero_dimensional_case(self):
         for d, _, _ in CLOSED:

@@ -146,6 +146,29 @@ class TestBitwiseReproducibility:
                  mc.estimate_tail(stopped, q_tau, xs, 90_000, seed=13)]
             assert a == b, q_fixed
 
+    def test_stopped_runs_walk_no_more_columns_than_the_copula(self,
+                                                               monkeypatch):
+        # the column walk of _reduce_rows costs one Python step per column:
+        # it serves the copula's rows, while a stopped slice of equal lengths
+        # takes one row-wise cumsum however long its replicates are
+        widths = []
+        walk = mc._reduce_rows
+
+        def spy(rect, kinds):
+            widths.append(rect.shape[1])
+            return walk(rect, kinds)
+
+        monkeypatch.setattr(mc, "_reduce_rows", spy)
+        d = Pareto(0.8, 1.0)
+        for tau in (Deterministic(5_000), Poisson(3.0)):
+            m = DependentModel(FGM.bivariate(1.0), (d, d), tau=tau)
+            mc.estimate_tails(m, ["SumTau", "MaxTau", "RunMaxTau"],
+                              [5.0, 500.0], 3_000, seed=13)
+            assert max(widths, default=0) <= m.dim, tau
+        plain = DependentModel(FGM.bivariate(1.0), (d, d))
+        mc.estimate_tail(plain, "SumN", [5.0], 1_000, seed=13)
+        assert widths == [plain.dim]
+
     def test_unit_weights_are_identity(self):
         m = indep_pair(Pareto(1.0, 1.0))
         xs = [4.0, 40.0]
