@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -380,7 +381,8 @@ def _write_curves(args, config: dict, curves) -> int:
              p.ratio, p.ci_low, p.ci_high, p.running_min)
             for c in curves for p in c.points]
     _write_table(args, config, CSV_COLUMNS, rows,
-                 [_curve_record(c) for c in curves])
+                 [_curve_record(c) for c in curves]
+                 if args.format == "records" else None)
     return _status(args, [(f"{c.experiment_id}: {c.verdict} "
                            f"(running min {c.running_min:.6g})", c.verdict)
                           for c in curves])
@@ -834,7 +836,11 @@ def _variant(name: str) -> str:
     return name
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use and shared, so
+    no caller may change it; parse_args fills a fresh namespace on every
+    call, so no value carries over from one main call to the next."""
     parser = _Parser(
         prog="heavytails",
         description="Tail ratio experiments for dependent heavy-tailed "

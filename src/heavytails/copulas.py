@@ -26,6 +26,7 @@ from .errors import InvalidInput, ModelConfigError
 _SURVIVAL_DIM_CAP = 16
 _TINY = np.finfo(float).tiny
 _BELOW_ONE = np.nextafter(1.0, 0.0)  # inverse transforms take u in [0, 1)
+_FGM_BATCH = 1 << 16    # rows per FGM conditional-inversion pass
 
 
 class Copula:
@@ -174,8 +175,16 @@ class FGM(Copula):
         the row's k-th uniform w in the cancellation-free form
         t = 2w / ((1 + c) + sqrt((1 + c)^2 - 4cw)). A zero prefix density
         (a zero-density vertex) gives c = 0, and c = -1 with w = 0 gives 0.
+        The uniforms are one draw; the inversion runs over row batches of
+        at most _FGM_BATCH, so its temporaries stay a few MiB whatever count.
         """
         u = rng.random((int(count), self.dim))
+        for lo in range(0, len(u), _FGM_BATCH):
+            self._invert(u[lo:lo + _FGM_BATCH])
+        return u
+
+    def _invert(self, u):
+        """The conditional inversion of sample, in place over rows u."""
         v = 1.0 - 2.0 * u
         dens = np.ones(len(u))      # density of the coordinates drawn so far
         for k in range(1, self.dim):
@@ -190,7 +199,6 @@ class FGM(Copula):
             u[:, k] = np.minimum(t, _BELOW_ONE, out=t)
             v[:, k] = 1.0 - 2.0 * t
             dens += v[:, k] * num
-        return u
 
     def subset(self, idx):
         sub = self._mat[np.ix_(idx, idx)]

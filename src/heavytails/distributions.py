@@ -213,13 +213,14 @@ class Weibull(Marginal):
         lo = np.maximum(a, 0.0)
         hi = np.maximum(b, lo)
         u_lo, u_hi = (lo / lam) ** c, (hi / lam) ** c
-        # past the mean of Gamma(k), the lower incomplete gammas of a finite
-        # window both round toward 1: take the difference of the upper ones
-        deep = np.isfinite(hi) & (u_lo >= k)
+        # past the mean of Gamma(k), the lower incomplete gammas both round
+        # toward 1: take the difference of the upper ones, which is the upper
+        # gamma itself at hi = inf (gammaincc(k, inf) = 0)
+        deep = ~np.isfinite(hi) | (u_lo >= k)
         sc = _special()
         reg = np.empty_like(lo)
         reg[deep] = sc.gammaincc(k, u_lo[deep]) - sc.gammaincc(k, u_hi[deep])
-        # regularized lower incomplete gamma; it is 1 at hi = inf
+        # a shallow finite window: regularized lower incomplete gammas
         reg[~deep] = sc.gammainc(k, u_hi[~deep]) - sc.gammainc(k, u_lo[~deep])
         flat = np.maximum(0.0, np.minimum(b, 0.0) - a)
         return flat + np.where(hi > lo, lam * k * math.gamma(k) * reg, 0.0)

@@ -27,7 +27,9 @@ _TAU_LANE = 1 << 49    # block-stream lane reserved for counting-law draws
 # overwrites the uniforms, so live float64 data per slice stays near one
 # array of that many values; the reductions then work on the values in
 # place, and a running sum, when runmax asks for one, overwrites them. At the
-# defaults that is ~32 MiB.
+# defaults that is ~32 MiB. An FGM copula adds the temporaries of its
+# inversion, which runs over copulas._FGM_BATCH rows at a time: about 5 MiB,
+# so a bivariate FGM slice peaks at 37 MiB (1.16 times its values).
 _CHUNK_VALUES = 1 << 22
 
 _KINDS = ("sum", "max", "runmax")

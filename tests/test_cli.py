@@ -198,6 +198,41 @@ def test_lognormal_curve_bytes_do_not_depend_on_workers(tmp_path):
     assert outs[0] == outs[1] and b"lognormal" in outs[0]
 
 
+def test_import_builds_no_parser():
+    # the parser is built on the first main call, not at import
+    code = ("import heavytails.cli as cli\n"
+            "print(cli.build_parser.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", code], env=FRESH_ENV,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0"]
+
+
+def test_one_parser_serves_every_call_with_a_fresh_namespace(capsys):
+    # a failed parse, --help and a seeded pooled run leave nothing behind:
+    # the unseeded run echoes seed 0 and prints a fresh interpreter's bytes
+    argv = ["theorem", "--id", "C3.1", "--samples", "256"]
+    assert run(capsys, ["theorem", "--bogus"])[0] == cli.EXIT_USAGE
+    assert run(capsys, ["--help"])[0] == cli.EXIT_OK
+    assert run(capsys, argv + ["--seed", "5", "--workers", "2"])[0] == 0
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and echoed_config(out)["seed"] == 0
+    fresh = subprocess.run([sys.executable, "-m", "heavytails.cli", *argv],
+                           env=FRESH_ENV, capture_output=True, text=True,
+                           check=True).stdout
+    assert out == fresh
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_csv_runs_build_no_records(capsys, monkeypatch):
+    # the records document is built only for --format records; the records
+    # golden hashes guard its bytes
+    def boom(curve):
+        raise AssertionError("records built for a CSV run")
+
+    monkeypatch.setattr(cli, "_curve_record", boom)
+    assert run(capsys, ["theorem", "--id", "C3.1", "--samples", "256"])[0] == 0
+
+
 class TestExitCodes:
     def test_worker_crash_exits_one_naming_its_blocks(self, tmp_path,
                                                       capsys, monkeypatch):

@@ -50,12 +50,13 @@ def ref_weibull(d, a, b):
         c, lam = d.shape, d.scale
         k = 1.0 / c
         u_lo = (lo / lam) ** c
-        if math.isfinite(b) and u_lo >= k:
+        if math.isinf(b):
+            reg = float(sc.gammaincc(k, u_lo))
+        elif u_lo >= k:
             # deep windows: the lower incomplete gammas both round to 1
             reg = float(sc.gammaincc(k, u_lo) - sc.gammaincc(k, (b / lam) ** c))
         else:
-            hi_reg = 1.0 if math.isinf(b) else float(sc.gammainc(k, (b / lam) ** c))
-            reg = hi_reg - float(sc.gammainc(k, u_lo))
+            reg = float(sc.gammainc(k, (b / lam) ** c) - sc.gammainc(k, u_lo))
         out += lam * k * math.gamma(k) * reg
     return out
 
@@ -216,18 +217,32 @@ class TestTailIntegral:
         assert d.tail_integral(lo, hi) == pytest.approx(want, rel=rtol, abs=0)
 
     def test_unbounded_windows_keep_their_bytes(self):
-        # hi = inf keeps the array expressions IntegratedTail relies on
+        # hi = inf keeps the array expressions IntegratedTail relies on;
+        # Weibull takes the upper incomplete gamma, which keeps every digit
         lo = np.array([2.0, 3.0, 40.0, 1e4])
         inf = np.full_like(lo, math.inf)
         old = {
             Pareto(1.5, 2.0): 2.0**1.5 * (lo**-0.5 - inf**-0.5) / 0.5,
             Weibull(0.5, 1.5): 1.5 * 2.0 * math.gamma(2.0) * (
-                sc.gammainc(2.0, (inf / 1.5) ** 0.5)
-                - sc.gammainc(2.0, (lo / 1.5) ** 0.5)),
+                sc.gammaincc(2.0, (lo / 1.5) ** 0.5)),
             Exponential(2.0): (np.exp(-2.0 * lo) - np.exp(-2.0 * inf)) / 2.0,
         }
         for d, want in old.items():
             assert d.tail_integral(lo, math.inf).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("x", [400.0, 1e4])
+    def test_weibull_unbounded_tail_keeps_full_precision(self, x):
+        # shape 1/2: the integral of exp(-sqrt(t / lam)) from x to infinity
+        # is 2 lam (1 + u) e^-u with u = sqrt(x / lam); at 1e4 it is 7.5e-42,
+        # far below the rounding of 1 - gammainc
+        lam = 1.0
+        u = math.sqrt(x / lam)
+        want = 2.0 * lam * (1.0 + u) * math.exp(-u)
+        d = Weibull(0.5, lam)
+        assert d.tail_integral(x, math.inf) == pytest.approx(want, rel=1e-13,
+                                                             abs=0)
+        assert IntegratedTail(d).tail(x) == pytest.approx(want, rel=1e-13,
+                                                          abs=0)
 
     def test_scalar_call_is_the_zero_dimensional_case(self):
         for d, _, _ in CLOSED:

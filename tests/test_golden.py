@@ -165,6 +165,10 @@ COMMANDS = {
 #   convolve-bracket-fourfold  csv      7c046156ce6a -> ade85c428574  3.11e-15
 #   convolve-bracket-fourfold  records  f5867170e592 -> 3f955077915f  3.11e-15
 # The class-config csv hash did not move: its printed fields kept every digit.
+#
+# No hash moved when the Weibull tail integral at hi = inf took the upper
+# incomplete gamma in place of 1 - gammainc: the golden commands reach it
+# only at lo = 0 (the mean), where both forms give exactly 1.
 COMMAND_GOLDEN = {
     ("ratio-curve", "csv"):
         (0, "42be9312a028ff5a6541adf1d39b23857a7248ff5c0ccace01e276b8caeb8bd0"),

@@ -3,11 +3,13 @@ inversion, against closed forms, the stream layout and a bisection; and the
 FGM admissibility check against a vertex-by-vertex loop."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from heavytails import copulas
 from heavytails.copulas import FGM, _vertex_values, fgm_admissible
 from heavytails.counting import _TAU_CLAMP, Zeta
 from heavytails.montecarlo import TAU_CAP
@@ -60,6 +62,28 @@ def test_fgm_consumes_exactly_dim_words_per_row(copula):
     words = ref.random(copula.dim * count)
     np.testing.assert_array_equal(u[:, 0], words[::copula.dim])
     np.testing.assert_array_equal(rng.random(4), ref.random(4))
+
+
+@pytest.mark.parametrize("copula", [
+    FGM.bivariate(0.5), FGM.bivariate(-1.0), FGM(3, (0.5, -0.2, 0.2)),
+    FGM(4, (0.2, 0.1, -0.1, 0.3, 0.15, -0.2))], ids=lambda c: str(c.coeffs))
+def test_fgm_batches_give_the_one_pass_bits(copula, monkeypatch):
+    # a count that is no multiple of the batch leaves a short last batch
+    count = (1 << 18) + 7
+    batched = copula.sample(block_stream(5, 1), count)
+    monkeypatch.setattr(copulas, "_FGM_BATCH", count)
+    assert np.array_equal(batched, copula.sample(block_stream(5, 1), count))
+
+
+def test_fgm_sampling_peaks_near_its_output():
+    # the inversion temporaries cover one batch, not all rows
+    tracemalloc.start()
+    try:
+        u = FGM.bivariate(0.5).sample(block_stream(5, 2), 1 << 21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * u.nbytes, peak / u.nbytes
 
 
 def test_fgm_degenerate_corners_give_no_nan():
