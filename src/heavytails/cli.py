@@ -661,12 +661,13 @@ def _parse_convolve(raw) -> _Parsed:
     f = _fields(raw, "convolve")
     dist_cfg = _dist_config(f["dist"])
     nfold = _integer(f["nfold"], "nfold")
-    if nfold < 2:
-        raise ConfigError("nfold must be at least 2")
+    if not 2 <= nfold <= mc.TAU_CAP:
+        raise ConfigError(f"nfold must be in [2, 2^20], got {nfold}")
     dist = build_marginal(dist_cfg, "dist")
-    points = "auto" if f["points"] is None else f["points"]
-    if isinstance(points, str) and points != "auto":
+    points = f["points"]
+    if isinstance(points, str):
         points = _parse_grid_flag(points, "points")
+    points = "auto" if points is None else points
     probes = _convolve_auto_points(dist) if points == "auto" else points
     grid = build_grid(probes, "points")
     return _Parsed({"dist": dist_cfg, "nfold": nfold, "points": points},

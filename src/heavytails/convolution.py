@@ -2,12 +2,14 @@
 
 Two paths provide ground truth for the Monte Carlo engine:
 
-* purely atomic laws convolve exactly (direct product-sum enumeration, with an
-  overflow bucket at +infinity standing in for the far tail, which is exact for
-  every probe below the truncation threshold). ``_atom_measure`` is the one
-  place a law's atom table becomes a lattice measure. The n-fold path powers it
-  in ``nfold_atoms``; the two-fold with its jump probes lives only in
-  ``exact_twofold_ratio_curve``, which also serves the ``S`` class diagnostic;
+* purely atomic laws convolve exactly (direct product-sum enumeration that
+  keeps every pair mass, with an overflow bucket at +infinity standing in for
+  the far tail, which is exact for every probe below the truncation
+  threshold), so their n-fold brackets have zero width up to rounding.
+  ``_atom_measure`` is the one place a law's atom table becomes a lattice
+  measure. The n-fold path powers it in ``nfold_atoms``; the two-fold with its
+  jump probes lives only in ``exact_twofold_ratio_curve``, which also serves
+  the ``S`` class diagnostic;
 * continuous laws are bracketed between two lattice envelopes. Rounding every
   summand's location up to the grid produces a stochastically larger variable,
   hence an upper bound on P(S_n > x); rounding down gives the lower bound.
@@ -37,7 +39,6 @@ from .errors import HeavyTailsError, InvalidInput, ResourceLimit
 
 ATOM_CAP = 1 << 22
 MERGE_TOL = 1e-12
-PRUNE_BELOW = 1e-16
 MASS_TOL = 1e-15
 # values per gathered block when the last product is read at the probes
 _PROBE_CHUNK = 1 << 18
@@ -45,16 +46,14 @@ _PROBE_CHUNK = 1 << 18
 
 @dataclass(frozen=True)
 class LatticeMeasure:
-    """Finite atom list plus an overflow bucket at +infinity and pruning slack.
+    """Finite atom list plus an overflow bucket at +infinity.
 
-    locs must be strictly increasing, masses nonnegative. slack is mass whose
-    location was discarded by pruning; tail bounds account for it.
+    locs must be strictly increasing, masses nonnegative.
     """
 
     locs: np.ndarray
     masses: np.ndarray
     inf_mass: float = 0.0
-    slack: float = 0.0
 
     def __post_init__(self):
         locs = np.asarray(self.locs, dtype=float)
@@ -65,73 +64,46 @@ class LatticeMeasure:
             raise InvalidInput("locs and masses must be 1-d arrays of equal length")
         if len(locs) and not np.all(np.diff(locs) > 0):
             raise InvalidInput("locations must be strictly increasing")
-        if np.any(masses < 0) or self.inf_mass < 0 or self.slack < 0:
+        if np.any(masses < 0) or self.inf_mass < 0:
             raise InvalidInput("masses must be nonnegative")
         if not np.all(np.isfinite(locs)):
             raise InvalidInput("locations must be finite (use inf_mass for the bucket)")
 
     def total(self) -> float:
-        return math.fsum(self.masses.tolist()) + self.inf_mass + self.slack
+        return math.fsum(self.masses.tolist()) + self.inf_mass
 
     @cached_property
     def _suffix(self):
-        if len(self.masses) == 0:
-            return np.zeros(0)
-        return np.cumsum(self.masses[::-1])[::-1]
-
-    def tail_bounds(self, x):
-        """(lower, upper) bounds on P(> x); they differ only by pruning slack."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if len(self.locs) == 0:
-            finite = np.zeros_like(xs)
-        else:
-            idx = np.searchsorted(self.locs, xs, side="right")
-            finite = np.where(idx < len(self.locs),
-                              self._suffix[np.minimum(idx, len(self.locs) - 1)], 0.0)
-        lo = finite + self.inf_mass
-        hi = np.minimum(lo + self.slack, 1.0)
-        if np.ndim(x) == 0:
-            return float(lo[0]), float(hi[0])
-        return lo, hi
+        """Mass at index i or above, with 0 past the last atom."""
+        return np.append(np.cumsum(self.masses[::-1])[::-1], 0.0)
 
     def tail(self, x):
-        """Exact tail when no pruning slack exists."""
-        lo, hi = self.tail_bounds(x)
-        if self.slack > 0.0:
-            raise InvalidInput("measure carries pruning slack; use tail_bounds")
-        return lo
+        """P(> x): a float for a scalar x, else an array."""
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        tails = (self._suffix[np.searchsorted(self.locs, xs, side="right")]
+                 + self.inf_mass)
+        return float(tails[0]) if np.ndim(x) == 0 else tails
 
 
-def convolve_atoms(a: LatticeMeasure, b: LatticeMeasure,
-                   merge_tol: float = MERGE_TOL, prune_below: float = PRUNE_BELOW,
-                   atom_cap: int = ATOM_CAP) -> LatticeMeasure:
+def convolve_atoms(a: LatticeMeasure, b: LatticeMeasure) -> LatticeMeasure:
     """Exact distribution of the independent sum, by direct product-sum.
 
-    Atoms closer than merge_tol merge; masses below prune_below are dropped
-    into slack. The overflow bucket absorbs products with either factor's
-    bucket. Total mass is conserved to 1e-15 (checked).
+    Every pair mass is kept; atoms closer than MERGE_TOL merge. The overflow
+    bucket absorbs products with either factor's bucket. Total mass is
+    conserved to 1e-15 (checked).
     """
-    if len(a.locs) * len(b.locs) > atom_cap:
+    if len(a.locs) * len(b.locs) > ATOM_CAP:
         raise ResourceLimit(f"product-sum would create {len(a.locs) * len(b.locs)} atoms "
-                            f"(cap {atom_cap})")
+                            f"(cap {ATOM_CAP})")
     sums = np.add.outer(a.locs, b.locs).ravel()
     prods = np.multiply.outer(a.masses, b.masses).ravel()
     order = np.argsort(sums, kind="stable")
-    sums, prods = sums[order], prods[order]
-
-    merged_locs, merged_masses = _merge_close(sums, prods, merge_tol)
-
-    keep = merged_masses >= prune_below
-    slack_new = float(np.sum(merged_masses[~keep]))
-    merged_locs, merged_masses = merged_locs[keep], merged_masses[keep]
-    if len(merged_locs) > atom_cap:
-        raise ResourceLimit(f"{len(merged_locs)} atoms after merge (cap {atom_cap})")
+    locs, masses = _merge_close(sums[order], prods[order], MERGE_TOL)
 
     fa = math.fsum(a.masses.tolist())
     fb = math.fsum(b.masses.tolist())
-    inf_mass = a.inf_mass * (fb + b.inf_mass + b.slack) + b.inf_mass * (fa + a.slack)
-    slack = (a.slack * (fb + b.slack) + b.slack * fa) + slack_new
-    out = LatticeMeasure(merged_locs, merged_masses, inf_mass=inf_mass, slack=slack)
+    inf_mass = a.inf_mass * (fb + b.inf_mass) + b.inf_mass * fa
+    out = LatticeMeasure(locs, masses, inf_mass=inf_mass)
     if abs(out.total() - a.total() * b.total()) > MASS_TOL * max(1.0, a.total() * b.total()):
         raise HeavyTailsError("mass conservation violated in convolve_atoms")
     return out
@@ -175,7 +147,7 @@ def nfold_atoms(m: LatticeMeasure, n: int, clamp_above: float = None) -> Lattice
             return x
         extra = float(np.sum(x.masses[cut:]))
         return LatticeMeasure(x.locs[:cut], x.masses[:cut],
-                              inf_mass=x.inf_mass + extra, slack=x.slack)
+                              inf_mass=x.inf_mass + extra)
 
     return _power(clamp(m), n, lambda a, b: clamp(convolve_atoms(a, b)))
 
@@ -265,7 +237,7 @@ def _product_tails(a: _Grid, b: _Grid, xs) -> np.ndarray:
     """P(A + B > x) at each probe, read off the two factors without forming
     their product.
 
-    K is the index the product's tail_bounds would find for x, and the tail
+    K is the index the product's tail would find for x, and the tail
     there is sum_i a_i S_B(K - i) plus the overflow, where S_B(j) is B's mass
     at index j or above. All terms are nonnegative, so the rounding stays
     relative. Each distinct K takes one row of a sliding window over the
@@ -353,7 +325,7 @@ def nfold_tail_bracket_from_tail(tail_fn, support_min: float, n: int, xs,
         g = _grid_clamp(discretize_tail(k_lo, step, lattice, side),
                         clamp_k, side)
         if n == 1:
-            tails.append(g.measure().tail_bounds(xs)[0])
+            tails.append(g.measure().tail(xs))
             continue
         mul = partial(_grid_convolve, clamp_k=clamp_k, side=side)
         half = _power(g, n // 2, mul)
@@ -380,8 +352,9 @@ def _atom_measure(d: Marginal, x_max: float, n: int):
 def nfold_tail_bracket(d: Marginal, n: int, xs, grid_step: float = None) -> list:
     """Brackets for P(X_1 + ... + X_n > x), X_i i.i.d. with law d.
 
-    Purely atomic laws take the exact path (zero-width brackets up to pruning
-    slack); continuous laws are bracketed by lattice envelopes.
+    Purely atomic laws take the exact path: every pair mass is kept, so
+    their brackets have zero width and match exact enumeration up to
+    rounding. Continuous laws are bracketed by lattice envelopes.
     """
     xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
     if n < 1:
@@ -393,7 +366,8 @@ def nfold_tail_bracket(d: Marginal, n: int, xs, grid_step: float = None) -> list
         return nfold_tail_bracket_from_tail(d.tail, s_min, n, xs_arr,
                                             grid_step=grid_step)
     m = nfold_atoms(base, n, clamp_above=x_max - (n - 1) * min(s_min, 0.0) + 0.5)
-    return _brackets(xs_arr, *m.tail_bounds(xs_arr))
+    tails = m.tail(xs_arr)
+    return _brackets(xs_arr, tails, tails)
 
 
 @dataclass(frozen=True)
@@ -418,8 +392,9 @@ def exact_twofold_ratio_curve(d: Marginal, lo: float = None, hi: float = None,
     Give either a range [lo, hi] or explicit x_points. On a range, the curve
     is probed at every atom of the sum law and of the single law (plus lo
     itself): both tails are step functions jumping only there, so this
-    captures every value the ratio takes on the interval. No pair mass is
-    pruned, so the curve stays exact however deep the range reaches.
+    captures every value the ratio takes on the interval. convolve_atoms
+    keeps every pair mass, so the curve stays exact however deep the range
+    reaches.
     """
     if x_points is not None:
         probes_in = np.unique(np.asarray(x_points, dtype=float))
@@ -431,7 +406,7 @@ def exact_twofold_ratio_curve(d: Marginal, lo: float = None, hi: float = None,
     base = _atom_measure(d, hi, 2)
     if base is None:
         raise InvalidInput("exact ratio curve requires a purely atomic law")
-    two = convolve_atoms(base, base, prune_below=0.0)
+    two = convolve_atoms(base, base)
     if x_points is not None:
         probes = probes_in
     else:

@@ -19,6 +19,7 @@ from .errors import InvalidInput
 _ZETA_EXACT_BELOW = 512
 _ZETA_STEPS = 2       # unit corrections each way after the analytic guess
 _TAU_CLAMP = 1 << 62  # int64-representable guard for astronomically large draws
+_POISSON_MAX = 1e18   # largest Poisson mean; numpy's sampler stops near 9.2e18
 
 
 def _check_count(k) -> int:
@@ -48,8 +49,8 @@ class Poisson(CountingLaw):
     lam: float
 
     def __post_init__(self):
-        if not (self.lam >= 0 and math.isfinite(self.lam)):
-            raise InvalidInput("lam must be finite and nonnegative")
+        if not 0 <= self.lam <= _POISSON_MAX:
+            raise InvalidInput(f"lam must be in [0, 1e18], got {self.lam!r}")
 
     def pmf(self, k):
         k = _check_count(k)

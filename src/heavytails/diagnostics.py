@@ -48,7 +48,6 @@ class ClassReport:
     verdict: str
     tolerance: float
     target_value: float = None
-    mode: str = "limit"
     stat_lower: np.ndarray = None
     stat_upper: np.ndarray = None
     running_min: float = None
@@ -60,19 +59,6 @@ class ClassReport:
         object.__setattr__(self, "statistics", np.asarray(self.statistics, dtype=float))
         if self.verdict not in VERDICTS:
             raise InvalidInput(f"unknown verdict {self.verdict!r}")
-
-    @property
-    def pairs(self):
-        """statistics as a list of (x, ratio) pairs."""
-        return list(zip(self.probe_grid.tolist(), self.statistics.tolist()))
-
-    def recompute_verdict(self) -> str:
-        """Re-derive the verdict from the stored fields (purity check)."""
-        lo = self.statistics if self.stat_lower is None else self.stat_lower
-        hi = self.statistics if self.stat_upper is None else self.stat_upper
-        if self.mode == "bounded":
-            return bounded_verdict(self.statistics, self.tolerance)
-        return limit_verdict(lo, hi, self.target_value, self.tolerance)
 
 
 def limit_verdict(stat_lower, stat_upper, target: float, tol: float) -> str:
@@ -176,8 +162,7 @@ def dominated(d: Marginal, y: float = 0.5, grid=None,
     grid = _probe_grid(d, grid)
     den = _nonvanishing(d.tail(grid))
     ratios = np.asarray(d.tail(grid * y), dtype=float) / den
-    return ClassReport("D", grid, ratios, bounded_verdict(ratios, tol), tol,
-                       mode="bounded")
+    return ClassReport("D", grid, ratios, bounded_verdict(ratios, tol), tol)
 
 
 def subexponential(d: Marginal, grid=None, grid_step: float = None,

@@ -503,15 +503,18 @@ class GeometricAtomMixture(_AtomTable):
         return self.q * 2.0 ** (-_MIXTURE_DEPTH)
 
 
-def _doubling_bracket(g, support_lo: float) -> tuple:
-    """(lo, hi) with g(lo) >= 0 >= g(hi) for a nonincreasing g: doubling out
-    from [min(support_lo, 0) - 1, 1]."""
-    lo, hi = min(support_lo, 0.0) - 1.0, 1.0
-    while g(hi) > 0:
-        hi *= 2.0
-    while g(lo) < 0:
-        lo = lo * 2.0 - 1.0
-    return lo, hi
+_SIGN = np.uint64(1 << 63)
+
+
+def _ordered(x: np.ndarray) -> np.ndarray:
+    """uint64 keys of float64 values, in the order of the values."""
+    bits = x.view(np.uint64)
+    return np.where(bits & _SIGN, ~bits, bits | _SIGN)
+
+
+def _unordered(keys: np.ndarray) -> np.ndarray:
+    """The float64 values of _ordered keys."""
+    return np.where(keys & _SIGN, keys ^ _SIGN, ~keys).view(np.float64)
 
 
 @dataclass(frozen=True)
@@ -526,9 +529,6 @@ class IntegratedTail(Marginal):
     def __post_init__(self):
         if not math.isfinite(self.base.pos_mean()):
             raise AssumptionViolated("integrated tail requires a finite positive-part mean")
-        # the sampler's root finder loads here, so a forked worker inherits
-        # it rather than importing it in every process
-        import scipy.optimize  # noqa: F401
 
     tags = frozenset()
 
@@ -536,18 +536,27 @@ class IntegratedTail(Marginal):
         return np.minimum(1.0, self.base.tail_integral(x, math.inf))
 
     def _ppf_arr(self, u):
-        from scipy.optimize import brentq
-
-        lo0, _ = self.base.support()
-        for i in np.ndindex(u.shape):
-            target = 1.0 - float(u[i])
-
-            def g(t):
-                return min(1.0, self.base.tail_integral(t, math.inf)) - target
-
-            lo, hi = _doubling_bracket(g, lo0)
-            u[i] = brentq(g, lo, hi, xtol=1e-12, rtol=1e-14)
+        u[:] = self._first_at_or_below(1.0 - u, self._support_lo)
         return u
+
+    def _first_at_or_below(self, targets, start: float) -> np.ndarray:
+        """Per target, the least float t >= start at which the base tail
+        integrated from t to infinity is at most the target.
+
+        A bisection over the ordered float64 bit patterns of [start, inf]:
+        always 64 rounds, one tail_integral call over the batch each, since
+        a round at least halves a span of under 2^64 patterns. The integral
+        is nonincreasing in t, and start lies at or below every answer.
+        """
+        targets = np.asarray(targets, dtype=float)
+        lo = np.full(targets.shape, _ordered(np.array([start]))[0] - 1)
+        hi = np.full(targets.shape, _ordered(np.array([math.inf]))[0])
+        for _ in range(64):
+            mid = hi - (hi - lo) // 2
+            below = self.base.tail_integral(_unordered(mid), math.inf) <= targets
+            hi = np.where(below, mid, hi)
+            lo = np.where(below, lo, mid)
+        return _unordered(hi)
 
     def mean(self):
         from scipy.integrate import quad
@@ -565,15 +574,10 @@ class IntegratedTail(Marginal):
 
     @cached_property
     def _support_lo(self):
-        from scipy.optimize import brentq
-
-        def g(t):
-            return self.base.tail_integral(t, math.inf) - 1.0
-
-        lo, hi = _doubling_bracket(g, self.base.support()[0])
-        if g(lo) == 0.0:
-            return lo
-        return brentq(g, lo, hi, xtol=1e-12)
+        # below the base support the base tail is 1, so the integral from
+        # one unit below it is at least 1
+        return float(self._first_at_or_below(
+            np.array([1.0]), self.base.support()[0] - 1.0)[0])
 
     def support(self):
         return (self._support_lo, math.inf)

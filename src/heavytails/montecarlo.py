@@ -92,9 +92,6 @@ class TailEstimate:
     seed: int
     notes: tuple = ()
 
-    def ci(self) -> tuple:
-        return tuple(map(float, wald_interval(self.p_hat, self.stderr)))
-
 
 def wald_interval(p_hat, stderr) -> tuple:
     """The 95% Wald interval p_hat -/+ Z95 stderr clipped to [0, 1],

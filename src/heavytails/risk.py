@@ -20,12 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import experiments as ex
-from . import montecarlo as mc
 from .copulas import DependentModel, FGM, Independence
 from .counting import Poisson
 from .distributions import Marginal, Pareto, ShiftedBy, quantile_grid
 from .errors import InvalidInput, ModelConfigError
-from .rng import block_stream, check_seed
+from .rng import BLOCK_SIZE, block_stream, check_seed
 
 
 @dataclass(frozen=True)
@@ -55,13 +54,6 @@ class DiscreteRiskModel:
         g = 1.0 + self.rate
         return g ** -np.arange(1, self.horizon + 1, dtype=float)
 
-    def ruin_prob(self, xs, samples: int = 1_000_000, seed: int = 0,
-                  workers: int = 1) -> list:
-        """P(ruin by the horizon) at each initial surplus in xs."""
-        return mc.estimate_tail(self.claims, mc.RunMaxN, xs, samples, seed,
-                                workers=workers,
-                                weights=self.discount_weights())
-
     def preset(self, preset_id: str = "ruin", description: str = "",
                samples: int = 1_000_000, tolerance: float = 0.15,
                x_grid=None) -> ex.Preset:
@@ -78,15 +70,16 @@ class DiscreteRiskModel:
 
         U_k = (1+rate)^k (x - sum_{j<=k} X_j (1+rate)^-j), so the path dips
         below zero exactly when the discounted running maximum beats x.
+        Replicate k is the engine's: row k % BLOCK_SIZE of block
+        k // BLOCK_SIZE.
         """
         if not (initial_surplus >= 0.0 and math.isfinite(initial_surplus)):
             raise InvalidInput("initial surplus must be finite and >= 0")
         check_seed(seed)
         if replicate < 0 or int(replicate) != replicate:
             raise InvalidInput("replicate must be a nonnegative integer")
-        rng = block_stream(seed, 0)
-        rows = self.claims.sample_vector(rng, int(replicate) + 1)
-        x_j = rows[-1]
+        block, row = divmod(int(replicate), BLOCK_SIZE)
+        x_j = self.claims.sample_vector(block_stream(seed, block), row + 1)[-1]
         discounted = np.cumsum(x_j * self.discount_weights())
         g = 1.0 + self.rate
         path = [(0, float(initial_surplus))]
@@ -140,12 +133,6 @@ class ArrivalRiskModel:
         return DependentModel(Independence(self._BLOCK_DIM),
                               tuple(net for _ in range(self._BLOCK_DIM)),
                               tau=Poisson(self.expected_count))
-
-    def ruin_prob(self, xs, samples: int = 1_000_000, seed: int = 0,
-                  workers: int = 1) -> list:
-        """P(ruin within the horizon) at each initial surplus in xs."""
-        return mc.estimate_tail(self.dependence_model(), mc.RunMaxTau, xs,
-                                samples, seed, workers=workers)
 
     def preset(self, preset_id: str = "ruin-arrival", description: str = "",
                samples: int = 1_000_000, tolerance: float = 0.15,

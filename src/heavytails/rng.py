@@ -14,6 +14,7 @@ import numpy as np
 from .errors import InvalidInput
 
 BLOCK_SIZE = 1 << 14
+MAX_SAMPLES = 1 << 36  # 2^22 blocks; the largest preset budget is 10^7
 
 _U64 = 1 << 64
 
@@ -27,12 +28,17 @@ def check_seed(seed: int) -> int:
 
 
 def check_samples(samples: int) -> int:
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise InvalidInput("samples must be a positive integer")
+    if (not isinstance(samples, (int, np.integer))
+            or not 1 <= samples <= MAX_SAMPLES):
+        raise InvalidInput(f"samples must be an integer in [1, 2^36], "
+                           f"got {samples!r}")
     return int(samples)
 
 
 def block_stream(seed: int, block_index: int) -> np.random.Generator:
     """Generator for one replicate block, keyed by (seed, block index)."""
+    if not 0 <= int(block_index) < _U64:
+        raise InvalidInput(f"block index must be in [0, 2^64), "
+                           f"got {block_index}")
     key = np.array([check_seed(seed), int(block_index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

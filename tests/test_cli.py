@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -460,6 +461,12 @@ class TestValidate:
             FGM_PARETO_MODEL, marginals=[{"family": "pareto",
                                           "alpha": 1e400}] * 2)), 64),
         ("ruin", dict(ARRIVAL_RUIN_CONFIG, horizon=0), 64),
+        # counts past what the engine can size or numpy can draw
+        ("ratio-curve", dict(RC_MC_CONFIG, samples=10 ** 23), 64),
+        ("ruin", dict(ARRIVAL_RUIN_CONFIG, intensity=1e23), 64),
+        ("convolve", {"dist": "pareto(1.5,1)", "nfold": 10 ** 23}, 64),
+        # a padded auto is auto
+        ("convolve", {"dist": "pareto(1,1)", "points": " auto"}, 0),
     ], ids=["dependence-token", "convolve-nfold", "bad-semantics",
             "ruin-preset-model", "mean-tau-without-tau",
             "exact-without-closed-form", "negative-samples",
@@ -467,7 +474,8 @@ class TestValidate:
             "theorem-model-mixed-marginals", "stopped-mixed-marginals",
             "stopped-with-weights", "weights-wrong-length",
             "stopped-without-tau", "marginal-alpha-overflow",
-            "arrival-zero-horizon"])
+            "arrival-zero-horizon", "samples-above-cap",
+            "poisson-mean-above-cap", "nfold-above-cap", "padded-auto"])
     def test_validate_agrees_with_the_command(self, tmp_path, capsys,
                                               command, config, code):
         cfg = write_json(tmp_path, "cfg.json", config)
@@ -496,7 +504,30 @@ RUNNING_CONFIGS = {"rc": "ratio-curve", "rc-weighted": "ratio-curve",
                    "rc-divergence": "ratio-curve", "discrete": "ruin",
                    "arrival": "ruin", "ruin-preset": "ruin"}
 BAD_VALUES = ["x", "", None, True, [1, 2], {}, -1, 0, 0.5, 1e400,
-              float("nan")]
+              float("nan"), 10 ** 23, " auto"]
+# the oracle commands' golden configs, and a convolve config, by name:
+# (command, config)
+ORACLE_CONFIGS = {
+    **{name: (command, GOLDEN_CONFIGS[name]) for name, command in (
+        ("class", "diagnose-class"), ("class-atoms", "diagnose-class"),
+        ("dependence", "diagnose-dependence"))},
+    "convolve": ("convolve", {"dist": "pareto(1.5,1)", "nfold": 2,
+                              "points": "auto"})}
+
+
+def _bad_leaf_configs(config):
+    """(path, value, config with that leaf set to value) for every leaf and
+    bad value; a null samples means the default budget, so it is skipped."""
+    for path in _leaves(config):
+        for value in BAD_VALUES:
+            if (path, value) == (("samples",), None):
+                continue
+            cfg = json.loads(json.dumps(config))
+            node = cfg
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            yield path, value, cfg
 
 
 class TestBadValues:
@@ -636,15 +667,8 @@ class TestBadValues:
         # worker; a null samples means the default budget, so it is skipped
         command = RUNNING_CONFIGS[name]
         disagree = []
-        for i, (path, value) in enumerate(
-                (p, v) for p in _leaves(GOLDEN_CONFIGS[name])
-                for v in BAD_VALUES if (p, v) != (("samples",), None)):
-            cfg = json.loads(json.dumps(GOLDEN_CONFIGS[name]))
-            cfg["samples"] = 256
-            node = cfg
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = value
+        for i, (path, value, cfg) in enumerate(_bad_leaf_configs(
+                dict(GOLDEN_CONFIGS[name], samples=256))):
             target = write_json(tmp_path, f"cfg{i}.json", cfg)
             code_run, _, err_run = run(capsys, [command, "--config", target])
             code_check, _, err_check = run(capsys,
@@ -654,6 +678,21 @@ class TestBadValues:
                     or (code_run == 64 and err_run != err_check)):
                 disagree.append((path, value, code_run, code_check, err_run))
         assert disagree == []
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    def test_bad_leaf_of_an_oracle_config_never_fails_internally(
+            self, tmp_path, capsys, name):
+        # validate does not run these numerics (a dependence marginal with a
+        # huge alpha exits 64 in the command only), so only the command's
+        # exit code is checked
+        command, config = ORACLE_CONFIGS[name]
+        failed = []
+        for i, (path, value, cfg) in enumerate(_bad_leaf_configs(config)):
+            target = write_json(tmp_path, f"cfg{i}.json", cfg)
+            code, _, err = run(capsys, [command, "--config", target])
+            if code not in (0, 2, 64):
+                failed.append((path, value, code, err))
+        assert failed == []
 
 
 class TestOverlay:
@@ -912,6 +951,31 @@ class TestSurplusPath:
         _, out1, _ = run(capsys, ["surplus-path", "--config", cfg,
                                   "--surplus", "12", "--replicate", "1"])
         assert out0 != out1
+
+    def test_replicate_is_the_engine_row(self, tmp_path, capsys):
+        # replicate k is row k % BLOCK_SIZE of block k // BLOCK_SIZE, so a
+        # huge one draws one block prefix, not k rows
+        cfg = write_json(tmp_path, "ruin.json", DISCRETE_RUIN_CONFIG)
+        model = cli._build_risk(DISCRETE_RUIN_CONFIG, "ruin")[0]
+        for replicate in (1, BLOCK_SIZE + 3, 10 ** 12):
+            code, out, _ = run(capsys, ["surplus-path", "--config", cfg,
+                                        "--surplus", "12", "--replicate",
+                                        str(replicate)])
+            assert code == 0
+            rows = model.claims.sample_vector(
+                mc.block_stream(2, replicate // BLOCK_SIZE),
+                replicate % BLOCK_SIZE + 1)
+            disc = np.cumsum(rows[-1] * model.discount_weights())
+            got = [float(line.split(",")[1]) for line in out.splitlines()[3:]]
+            assert got == [1.02 ** k * (12.0 - disc[k - 1]) for k in (1, 2)]
+
+    def test_replicate_past_the_block_indices(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "ruin.json", DISCRETE_RUIN_CONFIG)
+        code, _, err = run(capsys, ["surplus-path", "--config", cfg,
+                                    "--surplus", "12", "--replicate",
+                                    str(BLOCK_SIZE << 64)])
+        assert code == 64
+        assert "block index" in err
 
     def test_negative_replicate_rejected(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "ruin.json", DISCRETE_RUIN_CONFIG)

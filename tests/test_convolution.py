@@ -7,6 +7,7 @@ independently of the library code under test.
 
 import math
 import time
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -52,8 +53,9 @@ class TestLatticeMeasure:
 
     def test_tail_step_function(self):
         m = measure([(0.0, 0.25), (1.0, 0.5), (2.0, 0.25)])
-        lo, hi = m.tail_bounds(0.0)
-        assert lo == hi == 0.75
+        assert m.tail(0.0) == 0.75
+        np.testing.assert_array_equal(m.tail(np.array([0.0, 1.0, 2.0, -5.0])),
+                                      [0.75, 0.25, 0.0, 1.0])
         assert m.tail(1.0) == 0.25
         assert m.tail(2.0) == 0.0
         assert m.tail(-5.0) == 1.0
@@ -63,12 +65,11 @@ class TestLatticeMeasure:
         assert m.tail(1e12) == 0.5
         assert m.tail(-1.0) == 1.0
 
-    def test_slack_widens_bounds(self):
-        m = cv.LatticeMeasure(np.array([0.0]), np.array([0.9]), slack=0.1)
-        lo, hi = m.tail_bounds(0.5)
-        assert lo == 0.0 and hi == pytest.approx(0.1)
-        with pytest.raises(InvalidInput):
-            m.tail(0.5)
+    def test_empty_measure_has_only_its_bucket(self):
+        m = cv.LatticeMeasure(np.zeros(0), np.zeros(0), inf_mass=0.25)
+        assert m.tail(3.0) == 0.25
+        np.testing.assert_array_equal(m.tail(np.array([-1.0, 1.0])),
+                                      [0.25, 0.25])
 
 
 class TestConvolveAtoms:
@@ -171,9 +172,8 @@ class TestConvolveProperties:
         if len(all_locs):
             dist = np.min(np.abs(probes[:, None] - all_locs[None, :]), axis=1)
             probes = probes[dist > 1e-9]
-        lo_l, _ = left.tail_bounds(probes)
-        lo_r, _ = right.tail_bounds(probes)
-        np.testing.assert_allclose(lo_l, lo_r, atol=1e-11)
+        np.testing.assert_allclose(left.tail(probes), right.tail(probes),
+                                   atol=1e-11)
         assert abs(left.total() - right.total()) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -197,8 +197,8 @@ class TestFrozenMixtureCurve:
         assert 2.0 - curve.final_min > 0.05
 
     def test_deep_range_keeps_every_pair_mass(self):
-        # past 2^26 some pair masses fall below the n-fold pruning floor; the
-        # two-fold keeps them, so the curve stays exact that deep
+        # past 2^26 some pair masses fall below 1e-16; the two-fold keeps
+        # them, so the curve stays exact that deep
         d = GeometricAtomMixture()
         curve = cv.exact_twofold_ratio_curve(d, 1.0, 2.0 ** 30)
         assert curve.final_min == 1.25
@@ -273,8 +273,44 @@ def two_call_bracket(tail_fn, support_min, n, xs, step):
         g = cv._grid_clamp(cv.discretize_tail(k_lo, step, lattice, side),
                            clamp_k, side)
         env = cv._power(g, n, lambda a, b: cv._grid_convolve(a, b, clamp_k, side))
-        tails.append(env.measure().tail_bounds(xs)[0])
+        tails.append(env.measure().tail(xs))
     return cv._brackets(xs, *tails)
+
+
+def example11_nfold_tails(n, xs):
+    """P(S_n > x) for n i.i.d. copies of the example11 law, as Fractions,
+    by enumeration that shares no code with the library.
+
+    The law puts 1/4 on -5/2 and on -1/2 and 2^-(k+2) on 2^(k+1) - 1. Atoms
+    past x_max + 3n form one bucket: the other summands all exceed -3, so a
+    sum touching it lies above every probe, and so does a partial sum that
+    the summands still to come cannot pull back below x_max. Locations are
+    doubled and masses counted in units of 2^-(top+2) per summand, so the
+    enumeration runs in integers.
+    """
+    x_max = max(xs)
+    top = 0
+    while 2 ** (top + 2) - 1 <= x_max + 3 * n:
+        top += 1
+    unit = top + 2
+    atoms = {-5: 1 << (unit - 2), -1: 1 << (unit - 2)}
+    atoms.update({2 ** (k + 2) - 2: 1 << (unit - k - 2)
+                  for k in range(top + 1)})
+    dist, over = dict(atoms), 1          # the bucket holds 2^-(top+2)
+    for j in range(2, n + 1):
+        pairs = {}
+        for la, ma in dist.items():
+            for lb, mb in atoms.items():
+                pairs[la + lb] = pairs.get(la + lb, 0) + ma * mb
+        over = (over << unit) + sum(dist.values())
+        dist = {}
+        for loc, m in pairs.items():
+            if loc - 6 * (n - j) > 2 * x_max:
+                over += m
+            else:
+                dist[loc] = m
+    return [Fraction(sum(m for loc, m in dist.items() if loc > 2 * x) + over,
+                     1 << (unit * n)) for x in xs]
 
 
 class TestNfoldBracket:
@@ -423,6 +459,18 @@ class TestNfoldBracket:
         brs = cv.nfold_tail_bracket(d, 2, [10.0, 63.0, 500.0])
         for b in brs:
             assert b.width == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_atomic_nfold_is_exact_deep_in_the_tail(self, n):
+        # no pair mass is dropped, however small: the bracket has zero width
+        # and matches rational enumeration to rounding out to 2^30
+        xs = np.geomspace(2.0, 2.0 ** 30, 24)
+        lower, upper = cv.bracket_bounds(
+            cv.nfold_tail_bracket(GeometricAtomMixture(), n, xs))
+        exact = np.array([float(t) for t in
+                          example11_nfold_tails(n, xs.tolist())])
+        np.testing.assert_array_equal(lower, upper)
+        np.testing.assert_allclose(lower, exact, rtol=1e-15, atol=0)
 
     def test_atomic_binomial_exact(self):
         d = DiscreteAtoms(((0.0, 0.5), (1.0, 0.5)))

@@ -329,3 +329,30 @@ class TestInPlaceInverseTransform:
         x = it.quantile(u)
         np.testing.assert_allclose(1.0 - it.tail(x), u, rtol=1e-9)
         assert u.tolist() == [0.2, 0.7]
+
+    @pytest.mark.parametrize("base", [Pareto(2.0, 1.0), Weibull(0.5, 1.0),
+                                      ShiftedBy(Pareto(2.5, 1.0), -3.0)],
+                             ids=repr)
+    def test_integrated_tail_inverts_in_a_fixed_number_of_rounds(
+            self, monkeypatch, base):
+        it = IntegratedTail(base)
+        lo = it.support()[0]        # its own search runs once, on first use
+        calls = []
+        inner = type(base).tail_integral
+
+        def counted(self, a, b):
+            calls.append(np.size(a))
+            return inner(self, a, b)
+
+        monkeypatch.setattr(type(base), "tail_integral", counted)
+        batches = [np.array([0.5]), np.array([0.0, 1e-12, 0.5, 1.0 - 1e-12]),
+                   np.random.default_rng(5).random(1000)]
+        rounds = []
+        for u in batches:
+            calls.clear()
+            x = it.ppf_from_uniform(u.copy())
+            rounds.append(len(calls))
+            assert calls == [len(u)] * len(calls)
+            assert np.all(x >= lo)
+            assert np.all(it.tail(x) <= 1.0 - u)
+        assert rounds == [64, 64, 64]

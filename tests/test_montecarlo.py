@@ -14,7 +14,7 @@ from heavytails.copulas import Comonotone, DependentModel, FGM, Independence
 from heavytails.counting import Deterministic, Geometric1, Poisson, Zeta
 from heavytails.distributions import Exponential, Pareto, ShiftedBy
 from heavytails.errors import InvalidInput, ModelConfigError
-from heavytails.rng import BLOCK_SIZE
+from heavytails.rng import BLOCK_SIZE, MAX_SAMPLES
 
 
 def indep_pair(d):
@@ -446,6 +446,28 @@ class TestValidation:
         with pytest.raises(InvalidInput):
             mc.estimate_tail(m, "SumN", [np.inf], 100, seed=1)
 
+    def test_samples_above_the_cap(self):
+        # 2^36 replicates run 2^22 blocks; one more is refused before any
+        # array is sized
+        m = indep_pair(Pareto(1.0, 1.0))
+        assert MAX_SAMPLES == 1 << 36
+        for samples in (10 ** 23, MAX_SAMPLES + 1):
+            with pytest.raises(InvalidInput, match="2\\^36"):
+                mc.estimate_tail(m, "SumN", [1.0], samples, seed=1)
+
+    def test_block_index_outside_64_bits(self):
+        for index in (-1, 1 << 64, 10 ** 23):
+            with pytest.raises(InvalidInput, match="block index"):
+                mc.block_stream(0, index)
+        mc.block_stream(0, (1 << 64) - 1)
+
+    def test_poisson_mean_beyond_the_sampler(self):
+        # numpy's Poisson sampler stops near 9.2e18
+        assert Poisson(1e18).sample(mc.block_stream(0, 0), 2).min() > 0
+        for lam in (1e23, math.inf, math.nan, -1.0):
+            with pytest.raises(InvalidInput, match="lam"):
+                Poisson(lam)
+
     def test_bad_seed(self):
         m = indep_pair(Pareto(1.0, 1.0))
         with pytest.raises(InvalidInput):
@@ -456,9 +478,8 @@ class TestValidation:
 
 class TestTailEstimate:
     def test_ci_clipped(self):
-        e = mc.TailEstimate(1.0, 0.999, 0.01, 999, 1000, 0)
-        lo, hi = e.ci()
-        assert 0.0 <= lo <= hi <= 1.0
+        lo, hi = mc.wald_interval(0.999, 0.01)
+        assert 0.0 <= lo <= hi == 1.0
 
     def test_stderr_formula(self):
         m = indep_pair(Exponential(1.0))

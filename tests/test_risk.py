@@ -13,6 +13,14 @@ from heavytails.errors import InvalidInput, ModelConfigError
 from heavytails.rng import block_stream
 
 
+def ruin_estimates(model, xs, samples, seed):
+    """(hits, p_hat, stderr) per surplus in xs from the model's ruin preset:
+    the running-max estimate of the engine on its own claims."""
+    (curve,) = model.preset(x_grid=xs).run(samples=samples, seed=seed)
+    return [(round(p.numerator * samples), p.numerator, p.stderr)
+            for p in curve.points]
+
+
 def fgm_claims(alpha=1.0):
     return DependentModel(FGM.bivariate(1.0),
                           (Pareto(alpha, 1.0), Pareto(alpha, 1.0)))
@@ -45,22 +53,22 @@ class TestDiscreteRuinProbabilities:
         claims = fgm_claims()
         m = risk.DiscreteRiskModel(claims, rate=0.0)
         xs = [20.0, 100.0, 400.0]
-        ours = m.ruin_prob(xs, samples=200_000, seed=5)
+        ours = ruin_estimates(m, xs, samples=200_000, seed=5)
         plain = mc.estimate_tail(claims, mc.RunMaxN, xs, 200_000, 5)
-        assert [e.hits for e in ours] == [e.hits for e in plain]
+        assert [(e.hits, e.p_hat) for e in plain] == [h[:2] for h in ours]
 
     def test_single_period_ruin_is_the_claim_tail(self):
         claim = Pareto(2.0, 1.0)
         m = risk.DiscreteRiskModel(
             DependentModel(Independence(1), (claim,)), rate=0.0)
-        est = m.ruin_prob([5.0], samples=100_000, seed=4)[0]
-        assert abs(est.p_hat - claim.tail(5.0)) <= 4.0 * est.stderr
+        ((_, p_hat, stderr),) = ruin_estimates(m, [5.0], samples=100_000,
+                                               seed=4)
+        assert abs(p_hat - claim.tail(5.0)) <= 4.0 * stderr
 
     def test_ruin_nonincreasing_in_surplus(self):
         m = risk.DiscreteRiskModel(fgm_claims(), rate=0.05)
-        ests = m.ruin_prob([10.0, 30.0, 90.0, 270.0], samples=100_000,
-                           seed=7)
-        hits = [e.hits for e in ests]
+        hits = [h for h, _, _ in ruin_estimates(
+            m, [10.0, 30.0, 90.0, 270.0], samples=100_000, seed=7)]
         assert hits == sorted(hits, reverse=True)
 
     def test_higher_rate_never_increases_ruin(self):
@@ -68,12 +76,11 @@ class TestDiscreteRuinProbabilities:
         # running maximum, so with a shared seed the hit counts must drop.
         claims = fgm_claims()
         xs = [15.0, 60.0]
-        low = risk.DiscreteRiskModel(claims, rate=0.0).ruin_prob(
-            xs, samples=150_000, seed=9)
-        high = risk.DiscreteRiskModel(claims, rate=0.1).ruin_prob(
-            xs, samples=150_000, seed=9)
+        low, high = (ruin_estimates(risk.DiscreteRiskModel(claims, rate=r),
+                                    xs, samples=150_000, seed=9)
+                     for r in (0.0, 0.1))
         for lo_e, hi_e in zip(low, high):
-            assert hi_e.hits <= lo_e.hits
+            assert hi_e[0] <= lo_e[0]
 
     def test_ruin_nondecreasing_in_horizon_pathwise(self):
         claims = fgm_claims()
@@ -157,14 +164,15 @@ class TestArrivalModelBasics:
             self.arrival(horizon=-1.0)
 
     def test_zero_horizon_cannot_ruin(self):
+        # no preset here: its denominator, the expected count, is zero
         m = self.arrival(horizon=0.0)
-        ests = m.ruin_prob([0.5, 5.0], samples=50_000, seed=2)
+        ests = mc.estimate_tail(m.dependence_model(), mc.RunMaxTau,
+                                [0.5, 5.0], 50_000, 2)
         assert [e.hits for e in ests] == [0, 0]
 
     def test_ruin_nonincreasing_in_surplus(self):
-        ests = self.arrival().ruin_prob([3.0, 10.0, 40.0], samples=100_000,
-                                        seed=8)
-        hits = [e.hits for e in ests]
+        hits = [h for h, _, _ in ruin_estimates(
+            self.arrival(), [3.0, 10.0, 40.0], samples=100_000, seed=8)]
         assert hits == sorted(hits, reverse=True)
 
     def test_deterministic_count_reduces_to_fixed_running_max(self):
