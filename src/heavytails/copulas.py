@@ -184,21 +184,31 @@ class FGM(Copula):
         return u
 
     def _invert(self, u):
-        """The conditional inversion of sample, in place over rows u."""
-        v = 1.0 - 2.0 * u
-        dens = np.ones(len(u))      # density of the coordinates drawn so far
+        """The conditional inversion of sample, in place over rows u.
+
+        At k = 1 the prefix density is exactly 1 and |a_01 v_0| <= 1, so c
+        is the product itself. The last coordinate feeds no later one, so v
+        holds only the first dim - 1 columns.
+        """
+        last = self.dim - 1
+        v = 1.0 - 2.0 * u[:, :last]
+        num = c = v[:, 0] * self._mat[0, 1]
+        dens = 1.0                  # density of the coordinates drawn so far
         for k in range(1, self.dim):
-            num = v[:, :k] @ self._mat[:k, k]
-            c = np.divide(num, dens, out=np.zeros_like(num), where=dens > 0.0)
-            np.clip(c, -1.0, 1.0, out=c)
+            if k > 1:
+                num = v[:, :k] @ self._mat[:k, k]
+                c = np.divide(num, dens, out=np.zeros_like(num),
+                              where=dens > 0.0)
+                np.clip(c, -1.0, 1.0, out=c)
             w = u[:, k]
             b = 1.0 + c
             root = np.sqrt(b * b - 4.0 * c * w)
             root += b
             t = np.divide(2.0 * w, np.maximum(root, _TINY, out=root))
             u[:, k] = np.minimum(t, _BELOW_ONE, out=t)
-            v[:, k] = 1.0 - 2.0 * t
-            dens += v[:, k] * num
+            if k < last:
+                v[:, k] = 1.0 - 2.0 * t
+                dens = dens + v[:, k] * num
 
     def subset(self, idx):
         sub = self._mat[np.ix_(idx, idx)]
@@ -242,9 +252,13 @@ class DependentModel:
 
     def sample_vector(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """(count, dim) draws by inverse transform, written over the copula
-        uniforms. Each column is transformed as a contiguous copy, which the
+        uniforms. Identical marginals transform all values in one pass;
+        otherwise each column is transformed as a contiguous copy, which the
         vector kernels run faster than a strided view."""
         u = self.copula.sample(rng, count)
+        if self.identical_marginals():
+            return self.marginals[0].ppf_from_uniform(
+                u.ravel()).reshape(u.shape)
         for k, m in enumerate(self.marginals):
             u[:, k] = m.ppf_from_uniform(u[:, k].copy())
         return u

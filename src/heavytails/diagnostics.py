@@ -31,7 +31,8 @@ import numpy as np
 
 from . import convolution as cv
 from .copulas import DependentModel, joint_upper_survival
-from .distributions import IntegratedTail, Marginal, ShiftedBy, quantile_grid
+from .distributions import (_HALF_NODES, _HALF_WEIGHTS, _PASS_VALUES,
+                            Marginal, _tail_kinks, quantile_grid)
 from .errors import AssumptionViolated, InvalidInput
 
 DEFAULT_TOL = 0.05
@@ -206,38 +207,6 @@ def _sstar_integral_atomic(d: Marginal, x: float, rep) -> float:
     vals = (np.asarray(d.tail(x - mids), dtype=float)
             * np.asarray(d.tail(mids), dtype=float))
     return float(np.sum(np.diff(pts) * vals))
-
-
-def _tail_kinks(d: Marginal) -> list:
-    """Points where d's tail is not smooth: its support minimum, and the
-    kinks of the law it is built from, mapped through the construction."""
-    kinks = [d.support()[0]]
-    if isinstance(d, ShiftedBy):
-        kinks += [k + d.shift for k in _tail_kinks(d.base)]
-    elif isinstance(d, IntegratedTail):
-        kinks += _tail_kinks(d.base)
-    return sorted({k for k in kinks if math.isfinite(k)})
-
-
-def _graded_half_rule() -> tuple:
-    """10-node Gauss-Legendre panels on [0, 1/2] graded toward 0 by halving.
-
-    The panel edges are 0, 2^-36, 2^-35, ..., 2^-2, 2^-1, so a tail kink or
-    an infinite slope at the end of a piece sits in ever smaller panels.
-    Returns the nodes and weights of all panels, as offsets from the end in
-    units of the piece width.
-    """
-    t, w = np.polynomial.legendre.leggauss(10)
-    edges = np.concatenate(([0.0], 0.5 ** np.arange(36, 0, -1)))
-    lo, width = edges[:-1, None], np.diff(edges)[:, None]
-    return ((lo + 0.5 * width * (t + 1.0)).ravel(),
-            (0.5 * width * w).ravel())
-
-
-_HALF_NODES, _HALF_WEIGHTS = _graded_half_rule()
-# nodes in one pass of the pair integral, so each tail call takes at most
-# this many values (8 MiB of float64)
-_PASS_VALUES = 1 << 20
 
 
 def _sstar_half_integrals(d: Marginal, grid: np.ndarray) -> np.ndarray:

@@ -21,16 +21,20 @@ from .rng import BLOCK_SIZE, block_stream, check_samples, check_seed
 
 TAU_CAP = 1 << 20      # per-replicate cap on the simulated sequence length
 _TAU_LANE = 1 << 49    # block-stream lane reserved for counting-law draws
-# Coordinate budget per simulation slice. A slice holds at most
-# max(_CHUNK_VALUES, tau_cap rounded up to dim) coordinates, since one
-# replicate may exceed the budget on its own. The inverse transform
-# overwrites the uniforms, so live float64 data per slice stays near one
-# array of that many values; the reductions then work on the values in
-# place, and a running sum, when runmax asks for one, overwrites them. At the
-# defaults that is ~32 MiB. An FGM copula adds the temporaries of its
-# inversion, which runs over copulas._FGM_BATCH rows at a time: about 5 MiB,
-# so a bivariate FGM slice peaks at 37 MiB (1.16 times its values).
-_CHUNK_VALUES = 1 << 22
+# Coordinate budget per simulation slice, equal to TAU_CAP. A slice holds at
+# most max(_CHUNK_VALUES, tau_cap rounded up to dim) coordinates, since one
+# replicate may exceed the budget on its own; at the defaults that is one
+# capped replicate, so a smaller budget cannot lower the bound (at 2^19 and
+# 2^16 the zeta-long-stopped benchmark peaked 1.5 MB lower on 2 cores, with no
+# CPU change beyond noise). The inverse transform overwrites the uniforms, so
+# live float64 data per slice stays near one array of that many values; the
+# reductions then work on the values in place, and a running sum, when runmax
+# asks for one, overwrites them. At the defaults that is ~8 MiB (one T4.2
+# block measures 9.6 MiB). An FGM copula adds the temporaries of its
+# inversion, which runs over copulas._FGM_BATCH rows at a time: about 5 MiB (a
+# bivariate FGM block measures 13.8 MiB). Sum and max are reduced over each
+# replicate's own segment, so the budget does not move their bits.
+_CHUNK_VALUES = 1 << 20
 
 _KINDS = ("sum", "max", "runmax")
 Z95 = 1.96             # two-sided 95% standard normal quantile
@@ -123,7 +127,7 @@ def _reduce_rows(rect: np.ndarray, kinds: tuple) -> np.ndarray:
 
 def _chunk_stats(model: DependentModel, kinds: tuple,
                  rng: np.random.Generator, eff: np.ndarray,
-                 blocks: np.ndarray) -> np.ndarray:
+                 blocks: np.ndarray, uniform: bool) -> np.ndarray:
     """Statistics for one slice of replicates with per-replicate lengths eff.
 
     Lengths are served in whole copula blocks; coordinates past a replicate's
@@ -131,7 +135,10 @@ def _chunk_stats(model: DependentModel, kinds: tuple,
     draws alone) but never enter its statistic: they are overwritten in place
     with -inf before the max and with 0.0 before the sums, where adding +0.0
     is exact. Each replicate's sum is reduced over its own segment; only
-    runmax differences one chunk-wide running sum.
+    runmax differences one chunk-wide running sum. uniform says that every
+    replicate of the block has the same length. It is decided per block, not
+    per slice, so the slice budget cannot move a replicate's sum from one
+    reduction to the other.
     """
     dim = model.dim
     count = len(eff)
@@ -143,7 +150,7 @@ def _chunk_stats(model: DependentModel, kinds: tuple,
     # the inverse transform overwrites the uniforms: one array per slice
     flat = model.marginals[0].ppf_from_uniform(
         model.copula.sample(rng, n_blocks).ravel())
-    if eff.min() == eff.max():
+    if uniform:
         # uniform lengths: plain reshape; a row-wise cumsum adds left to
         # right as _reduce_rows does on the fixed-length path, so a
         # deterministic counting law reduces to it bit for bit
@@ -187,6 +194,7 @@ def _stats_stopped(model: DependentModel, kinds: tuple,
     eff = np.minimum(taus, cap)
     capped = int(np.count_nonzero(taus > cap))
     blocks = (eff + dim - 1) // dim
+    uniform = bool(eff.min() == eff.max())
     stats = np.empty((len(kinds), count))
     cum = np.cumsum(blocks * dim)
     i = 0
@@ -194,7 +202,8 @@ def _stats_stopped(model: DependentModel, kinds: tuple,
         prev = int(cum[i - 1]) if i else 0
         j = int(np.searchsorted(cum, prev + _CHUNK_VALUES, side="right"))
         j = max(j, i + 1)
-        stats[:, i:j] = _chunk_stats(model, kinds, rng, eff[i:j], blocks[i:j])
+        stats[:, i:j] = _chunk_stats(model, kinds, rng, eff[i:j], blocks[i:j],
+                                     uniform)
         i = j
     return stats, capped
 

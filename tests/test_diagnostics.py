@@ -330,6 +330,19 @@ class TestIntegratedTail:
         with pytest.raises(AssumptionViolated):
             IntegratedTail(Pareto(1.0, 1.0))
 
+    def test_strong_subexponential_window_curves(self):
+        # the window law integrates the integrated tail over [x, x + h];
+        # the figures come from an adaptive quad per window (epsrel 1.5e-8)
+        r = dg.strong_subexponential(IntegratedTail(Pareto(2.5, 1.0)))
+        assert r.verdict == "inconclusive"
+        assert r.statistics[0] == pytest.approx(2.7294382493087124, rel=1e-8)
+        assert r.statistics[-1] == pytest.approx(2.1265544716478306,
+                                                 rel=1e-8)
+        assert r.stat_lower[-1] == pytest.approx(2.1258453779614337,
+                                                 rel=1e-8)
+        assert r.stat_upper[-1] == pytest.approx(2.1272635653342276,
+                                                 rel=1e-8)
+
 
 class TestJointUpperSurvival:
     # thresholds below, inside and above the bulk of both marginals; the

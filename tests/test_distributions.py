@@ -280,6 +280,73 @@ class TestTailIntegral:
         assert got[1] == pytest.approx((1.0 - 0.5) / 0.75, rel=1e-8)
 
 
+# IntegratedTail over a base law, with the points where its tail kinks: the
+# support start (where min(1, .) sets in), then the base law's kinks
+INTEGRATED = [
+    (Pareto(2.5, 1.0), [2.0 / 3.0, 1.0]),
+    (Weibull(0.5, 1.0), [0.0]),
+    (Lognormal(0.0, 1.0), [0.0]),
+    (ShiftedBy(Pareto(2.5, 1.0), -3.0), [-2.0]),
+    (DiscreteAtoms(((1.0, 0.5), (2.0, 0.3), (5.0, 0.2))), [1.0, 2.0, 5.0]),
+]
+
+
+class TestIntegratedTailWindows:
+    @pytest.mark.parametrize("base,kinks", INTEGRATED,
+                             ids=lambda v: repr(v)[:40])
+    def test_windows_match_adaptive_quadrature(self, base, kinks):
+        integrate = pytest.importorskip("scipy.integrate")
+        it = IntegratedTail(base)
+        kinks = kinks + [it.support()[0]]
+        a = np.array([-2.0, 0.0, 0.3, 1.0, 5.0, 20.0, 0.5, 300.0])
+        b = a + np.array([3.0, 1.0, 4.0, 10.0, 100.0, 1.0, 100.0, 100.0])
+
+        def want(lo, hi):
+            pts = sorted(k for k in kinks if lo < k < hi)
+            return integrate.quad(
+                lambda t: min(1.0, base.tail_integral(t, math.inf)), lo, hi,
+                points=pts or None, epsabs=0.0, epsrel=1e-12, limit=500)[0]
+
+        np.testing.assert_allclose(
+            it.tail_integral(a, b),
+            [want(lo, hi) for lo, hi in zip(a.tolist(), b.tolist())],
+            rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("alpha,scale", [(2.5, 1.0), (3.5, 2.0),
+                                             (2.2, 1.0)])
+    def test_unbounded_windows_match_the_pareto_closed_form(self, alpha,
+                                                            scale):
+        # from c >= scale the tail is scale^a c^(1-a) / (a-1), and its
+        # integral to infinity scale^a c^(2-a) / ((a-1)(a-2))
+        it = IntegratedTail(Pareto(alpha, scale))
+        c = scale * np.array([1.0, 1.5, 40.0, 1e4])
+        want = scale**alpha * c ** (2.0 - alpha) / (
+            (alpha - 1.0) * (alpha - 2.0))
+        np.testing.assert_allclose(it.tail_integral(c, math.inf), want,
+                                   rtol=1e-9, atol=0.0)
+
+    def test_unbounded_window_on_an_exponential_fixed_point(self):
+        # the exponential law integrates to itself: the integral of e^-t
+        # from c to infinity is e^-c
+        c = np.array([0.0, 0.5, 3.0, 30.0])
+        np.testing.assert_allclose(
+            IntegratedTail(Exponential(1.0)).tail_integral(c, math.inf),
+            np.exp(-c), rtol=1e-9, atol=0.0)
+
+    def test_a_pass_takes_one_base_call(self, monkeypatch):
+        it = IntegratedTail(Pareto(2.5, 1.0))
+        it.support()        # the support start bisects once, up front
+        calls = []
+        real = Pareto.tail_integral
+        monkeypatch.setattr(
+            Pareto, "tail_integral",
+            lambda self, a, b: calls.append(1) or real(self, a, b))
+        # 400 windows of at most three pieces fit one pass of 2^20 nodes
+        xs = np.geomspace(0.5, 1e3, 400)
+        it.tail_integral(xs, np.append(xs[:-1] + 10.0, math.inf))
+        assert len(calls) == 1
+
+
 # Out-of-place inverse transforms, as they were written before the kernels
 # overwrote their input.
 OLD_PPF = [

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy import stats as ss
 
 from heavytails import montecarlo as mc
-from heavytails.copulas import Comonotone, DependentModel, FGM, Independence
+from heavytails.copulas import (Comonotone, DependentModel, FGM, Independence,
+                                _FGM_BATCH)
 from heavytails.counting import Deterministic, Geometric1, Poisson, Zeta
 from heavytails.distributions import Exponential, Pareto, ShiftedBy
 from heavytails.errors import InvalidInput, ModelConfigError
@@ -332,23 +333,54 @@ class TestSharedPass:
         with pytest.raises(InvalidInput):
             mc.estimate_tails(m, [], [1.0], 100, seed=1)
 
-    def test_stopped_block_memory_is_bounded(self):
-        # one infinite-mean Zeta block (the T4.2 model) touches about 26M
-        # coordinates in slices of _CHUNK_VALUES; the inverse transform
-        # overwrites the uniforms, so the live float64 data per slice stays
-        # near one 8 x _CHUNK_VALUES byte array (measured: 32.9 MiB, 1.03x);
-        # the bound leaves 25% for the per-replicate index arrays
-        d = Pareto(1.0, 1.0)
-        m = DependentModel(Independence(2), (d, d), tau=Zeta(1.5))
+    # the T4.2 model: an infinite-mean Zeta count over Pareto(1) pairs
+    T42 = DependentModel(Independence(2), (Pareto(1.0, 1.0),) * 2,
+                         tau=Zeta(1.5))
+
+    @pytest.mark.parametrize("model,extra", [
+        (T42, 0),
+        # FGM adds the temporaries of its inversion: about ten arrays of
+        # copulas._FGM_BATCH rows, whatever the slice size
+        (DependentModel(FGM.bivariate(0.5), (Pareto(1.0, 1.0),) * 2,
+                        tau=Zeta(1.5)), 10 * 8 * _FGM_BATCH),
+    ], ids=["T4.2", "fgm"])
+    def test_stopped_block_memory_is_bounded(self, model, extra):
+        # one infinite-mean Zeta block touches about 26M coordinates in
+        # slices of _CHUNK_VALUES; the inverse transform overwrites the
+        # uniforms, so the live float64 data per slice stays near one
+        # 8 x _CHUNK_VALUES byte array (measured: 9.6 MiB on T4.2, 13.8 MiB
+        # on FGM); the bound leaves 25% for the per-replicate index arrays
         tracemalloc.start()
         try:
-            mc._stats_stopped(m, ("max", "sum"), mc.block_stream(0, 0),
+            mc._stats_stopped(model, ("max", "sum"), mc.block_stream(0, 0),
                               mc.block_stream(0, mc._TAU_LANE),
                               mc.BLOCK_SIZE, mc.TAU_CAP)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 8 * mc._CHUNK_VALUES, peak / 2 ** 20
+        assert peak <= 1.25 * 8 * mc._CHUNK_VALUES + extra, peak / 2 ** 20
+
+    @pytest.mark.parametrize("model", [
+        T42,
+        DependentModel(Independence(2), (Pareto(1.5, 1.0),) * 2,
+                       tau=Poisson(2.0)),
+    ], ids=["T4.2", "poisson"])
+    def test_slice_budget_does_not_move_sum_or_max(self, model, monkeypatch):
+        # sum and max reduce each replicate's own segment, so how replicates
+        # are grouped into slices cannot move their bits; runmax differences
+        # a slice-wide cumsum, so it holds only while the block stays one
+        # slice, as the Poisson block (about 40k values) does at 2^20
+        kinds = ("sum", "max", "runmax")
+        got = {}
+        for budget in (1 << 22, 1 << 20, 1 << 12):
+            monkeypatch.setattr(mc, "_CHUNK_VALUES", budget)
+            got[budget], _ = mc._stats_stopped(
+                model, kinds, mc.block_stream(5, 0),
+                mc.block_stream(5, mc._TAU_LANE), mc.BLOCK_SIZE, mc.TAU_CAP)
+        for budget in (1 << 20, 1 << 12):
+            assert np.array_equal(got[budget][:2], got[1 << 22][:2]), budget
+        if isinstance(model.tau, Poisson):
+            assert np.array_equal(got[1 << 20][2], got[1 << 22][2])
 
 
 class TestPathwiseOrderings:

@@ -1,6 +1,8 @@
 """Sampler tests: FGM conditional inversion and Zeta table-plus-analytic
-inversion, against closed forms, the stream layout and a bisection; and the
-FGM admissibility check against a vertex-by-vertex loop."""
+inversion, against closed forms, the stream layout, the general inversion
+step and a bisection; the one-pass inverse transform of identical
+marginals; and the FGM admissibility check against a vertex-by-vertex
+loop."""
 
 import itertools
 import tracemalloc
@@ -10,8 +12,11 @@ import numpy as np
 import pytest
 
 from heavytails import copulas
-from heavytails.copulas import FGM, _vertex_values, fgm_admissible
+from heavytails.copulas import (DependentModel, FGM, _vertex_values,
+                                fgm_admissible)
 from heavytails.counting import _TAU_CLAMP, Zeta
+from heavytails.distributions import (DiscreteAtoms, IntegratedTail, Pareto,
+                                      ShiftedBy, Weibull)
 from heavytails.montecarlo import TAU_CAP
 from heavytails.rng import block_stream
 
@@ -73,6 +78,53 @@ def test_fgm_batches_give_the_one_pass_bits(copula, monkeypatch):
     batched = copula.sample(block_stream(5, 1), count)
     monkeypatch.setattr(copulas, "_FGM_BATCH", count)
     assert np.array_equal(batched, copula.sample(block_stream(5, 1), count))
+
+
+def general_step_inversion(copula, u):
+    """FGM conditional inversion with the general step at every coordinate:
+    the prefix density and the clipped ratio c formed even where they are
+    exact identities."""
+    a = copula.matrix
+    u = u.copy()
+    v = 1.0 - 2.0 * u
+    dens = np.ones(len(u))
+    for k in range(1, copula.dim):
+        num = v[:, :k] @ a[:k, k]
+        c = np.divide(num, dens, out=np.zeros_like(num), where=dens > 0.0)
+        np.clip(c, -1.0, 1.0, out=c)
+        w = u[:, k]
+        b = 1.0 + c
+        root = np.maximum(np.sqrt(b * b - 4.0 * c * w) + b, copulas._TINY)
+        u[:, k] = np.minimum(2.0 * w / root, copulas._BELOW_ONE)
+        v[:, k] = 1.0 - 2.0 * u[:, k]
+        dens += v[:, k] * num
+    return u
+
+
+@pytest.mark.parametrize("copula", [
+    FGM.bivariate(1.0), FGM.bivariate(-1.0), FGM.bivariate(0.3),
+    FGM(3, (0.5, -0.2, 0.2)), FGM(3, (-1.0, 0.0, 0.0)),
+    FGM(4, (0.2, 0.1, -0.1, 0.3, 0.15, -0.2))], ids=lambda c: str(c.coeffs))
+def test_fgm_inversion_equals_the_general_step(copula):
+    # at k = 1 the density is 1 and |c| <= 1, so skipping the division and
+    # the clip there, and the update after the last coordinate, moves no bit
+    count = 100_003
+    words = block_stream(9, 4).random((count, copula.dim))
+    assert np.array_equal(copula.sample(block_stream(9, 4), count),
+                          general_step_inversion(copula, words))
+
+
+@pytest.mark.parametrize("marginal", [
+    Pareto(1.5, 1.0), Weibull(0.5, 1.0), ShiftedBy(Pareto(2.0, 1.0), -3.0),
+    DiscreteAtoms(((1.0, 0.5), (2.0, 0.3), (5.0, 0.2))),
+    IntegratedTail(Pareto(2.5, 1.0))], ids=repr)
+def test_identical_marginals_transform_in_one_pass(marginal):
+    # one inverse transform over all values gives each column's bits
+    model = DependentModel(FGM(3, (0.5, -0.2, 0.2)), (marginal,) * 3)
+    u = model.copula.sample(block_stream(2, 3), 4001)
+    want = np.column_stack([marginal.ppf_from_uniform(u[:, k].copy())
+                            for k in range(3)])
+    assert np.array_equal(model.sample_vector(block_stream(2, 3), 4001), want)
 
 
 def test_fgm_sampling_peaks_near_its_output():
