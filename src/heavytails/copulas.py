@@ -39,6 +39,12 @@ class Copula:
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         raise NotImplementedError
 
+    @property
+    def words_per_row(self) -> int:
+        """Philox words that one row of sample draws: one per coordinate,
+        so count rows advance the stream by count * words_per_row."""
+        return self.dim
+
     def subset(self, idx: tuple) -> "Copula":
         """Marginal copula of the coordinates idx (order preserved)."""
         raise NotImplementedError
@@ -92,6 +98,10 @@ class Comonotone(Copula):
     def sample(self, rng, count):
         one = rng.random(int(count))
         return np.repeat(one[:, None], self.dim, axis=1)
+
+    @property
+    def words_per_row(self):
+        return 1
 
     def subset(self, idx):
         return Comonotone(len(idx))

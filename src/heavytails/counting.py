@@ -96,8 +96,10 @@ class Geometric1(CountingLaw):
         if self.p == 1.0:
             return np.ones(int(size), dtype=np.int64)
         v = 1.0 - rng.random(int(size))  # in (0, 1]
-        draws = np.ceil(np.log(v) / math.log1p(-self.p))
-        return np.maximum(draws, 1.0).astype(np.int64)
+        with np.errstate(over="ignore"):  # p near 5e-324 divides to inf
+            draws = np.ceil(np.log(v) / math.log1p(-self.p))
+        # a tiny p draws far past int64; clamp before the cast, as Zeta does
+        return np.clip(draws, 1.0, float(_TAU_CLAMP)).astype(np.int64)
 
 
 @dataclass(frozen=True)

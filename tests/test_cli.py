@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +412,24 @@ class TestValidate:
         code, out, _ = run(capsys, ["validate", "--config", cfg])
         assert code == 0
         assert "warning" in out and "divergence" in out
+
+    def test_astronomical_geometric_lengths_are_capped(self, tmp_path,
+                                                       capsys):
+        # p = 1e-300 draws lengths near 1e300: they clamp below int64 and
+        # hit the tau cap instead of wrapping to a negative length
+        model = dict(STOPPED_MODEL, tau={"family": "geometric1", "p": 1e-300})
+        cfg = write_json(tmp_path, "tiny_p.json", dict(
+            RC_MC_CONFIG, model=model, quantity="SumTau",
+            denominator={"kind": "n_tail", "n": 1}, samples=3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["ratio-curve", "--config", cfg,
+                                          "--format", "records"])
+            assert code == cli.EXIT_INCONSISTENT, err
+            notes = json.loads(out)["results"][0]["notes"]
+            assert (f"sequence length capped at {mc.TAU_CAP} in 3 of 3 "
+                    f"replicates") in notes
+            assert run(capsys, ["validate", "--config", cfg])[0] == 0
 
     def test_custom_model_hypothesis_warning(self, tmp_path, capsys):
         shifted = {"family": "shifted", "offset": -1.0,

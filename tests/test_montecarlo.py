@@ -11,11 +11,14 @@ from scipy import stats as ss
 
 from heavytails import montecarlo as mc
 from heavytails.copulas import (Comonotone, DependentModel, FGM, Independence,
-                                _FGM_BATCH)
+                                _BELOW_ONE, _FGM_BATCH)
 from heavytails.counting import Deterministic, Geometric1, Poisson, Zeta
-from heavytails.distributions import Exponential, Pareto, ShiftedBy
+from heavytails.distributions import (DiscreteAtoms, Exponential,
+                                      IntegratedTail, Lognormal, Pareto,
+                                      ShiftedBy, Weibull)
 from heavytails.errors import InvalidInput, ModelConfigError
-from heavytails.rng import BLOCK_SIZE, MAX_SAMPLES
+from heavytails.rng import (BLOCK_SIZE, MAX_SAMPLES, stream_position,
+                            stream_seek)
 
 
 def indep_pair(d):
@@ -381,6 +384,146 @@ class TestSharedPass:
             assert np.array_equal(got[budget][:2], got[1 << 22][:2]), budget
         if isinstance(model.tau, Poisson):
             assert np.array_equal(got[1 << 20][2], got[1 << 22][2])
+
+
+class TestStreamSeek:
+    @pytest.mark.parametrize("drawn", [0, 1, 3, 4, 5, 11])
+    def test_seek_equals_drawing_up_to_the_position(self, drawn):
+        # from a fresh stream (drawn = 0) and from every buffer offset
+        for target in range(drawn, drawn + 10):
+            rng = mc.block_stream(7, 3)
+            rng.random(drawn)
+            assert stream_position(rng) == drawn
+            stream_seek(rng, target)
+            ref = mc.block_stream(7, 3)
+            ref.random(target)
+            assert stream_position(rng) == target == stream_position(ref)
+            assert np.array_equal(rng.random(9), ref.random(9)), target
+
+    def test_far_seek_crosses_the_counter_word(self):
+        rng = mc.block_stream(7, 3)
+        far = 4 * (1 << 64) + 6
+        stream_seek(rng, far)
+        assert stream_position(rng) == far
+        assert rng.bit_generator.state["state"]["counter"][1] == 1
+
+    @pytest.mark.parametrize("copula", [Independence(3), Comonotone(3),
+                                        FGM.bivariate(0.5)])
+    def test_a_row_draws_words_per_row_words(self, copula):
+        rng = mc.block_stream(2, 0)
+        copula.sample(rng, 37)
+        assert stream_position(rng) == 37 * copula.words_per_row
+
+
+class TestSettledReplicates:
+    """Long stopped replicates settled against the grid end give the hits
+    that drawing them in full gives, and leave the stream where it would be.
+    """
+
+    GRID = np.geomspace(10.0, 1e4, 8)
+
+    def run_both(self, model, kinds, xs, count, cap, monkeypatch):
+        masks = []
+        real = mc._settles
+
+        def spy(*args):
+            masks.append(real(*args))
+            return masks[-1]
+
+        monkeypatch.setattr(mc, "_settles", spy)
+        got = [mc._stats_stopped(model, kinds, mc.block_stream(4, 0),
+                                 mc.block_stream(4, mc._TAU_LANE), count, cap,
+                                 top)[0]
+               for top in (float(np.max(xs)), math.inf)]
+        return got, masks[0]
+
+    @pytest.mark.parametrize("model,kinds,xs,count,cap", [
+        (TestSharedPass.T42, ("max", "sum"), GRID, BLOCK_SIZE, mc.TAU_CAP),
+        (DependentModel(FGM.bivariate(0.5), (Pareto(1.0, 1.0),) * 2,
+                        tau=Zeta(1.5)), ("max", "sum"), GRID, 4096,
+         mc.TAU_CAP),
+        (DependentModel(Comonotone(2), (Pareto(1.0, 1.0),) * 2,
+                        tau=Zeta(1.2)), ("max", "sum"), GRID, 2000, 1 << 16),
+        (DependentModel(Independence(3), (Pareto(1.0, 1.0),) * 3,
+                        tau=Zeta(1.2)), ("max", "sum"), GRID, 2000, 1 << 16),
+        (TestSharedPass.T42, ("sum",), GRID, 4096, mc.TAU_CAP),
+        (TestSharedPass.T42, ("max",), GRID, 4096, mc.TAU_CAP),
+        # negative support: the sum is never decided, the max alone settles
+        (DependentModel(Independence(2),
+                        (ShiftedBy(Pareto(2.0, 1.0), -3.0),) * 2,
+                        tau=Zeta(1.2)), ("max",), [-5.0, 2.0, 50.0], 2000,
+         1 << 16),
+    ], ids=["T4.2", "fgm", "comonotone", "independence3", "sum-alone",
+            "max-alone", "shifted"])
+    def test_hits_equal_the_full_draw(self, model, kinds, xs, count, cap,
+                                      monkeypatch):
+        xs = np.asarray(xs)
+        (settled, full), mask = self.run_both(model, kinds, xs, count, cap,
+                                              monkeypatch)
+        assert 0 < np.count_nonzero(mask) < count
+        assert np.array_equal(mc._count_hits(settled, xs),
+                              mc._count_hits(full, xs))
+        # every replicate after a settled one saw the same draws
+        assert np.array_equal(settled[:, ~mask], full[:, ~mask])
+        # a settled max is the full max or a lower bound above the grid end
+        if "max" in kinds:
+            top = settled[kinds.index("max"), mask]
+            whole = full[kinds.index("max"), mask]
+            assert np.all((top == whole) | ((top > xs.max()) & (top <= whole)))
+        if "sum" in kinds:
+            assert np.all(settled[kinds.index("sum"), mask] > xs.max())
+
+    def test_undecided_sum_settles_nothing(self, monkeypatch):
+        model = DependentModel(Independence(2),
+                               (ShiftedBy(Pareto(2.0, 1.0), -3.0),) * 2,
+                               tau=Zeta(1.2))
+        (settled, full), mask = self.run_both(
+            model, ("max", "sum"), [50.0], 2000, 1 << 16, monkeypatch)
+        assert not mask.any()
+        assert np.array_equal(settled, full)
+
+    @pytest.mark.parametrize("kinds", [("max", "sum", "runmax"), ("runmax",)])
+    def test_runmax_keeps_the_slice_path(self, kinds, monkeypatch):
+        (settled, full), mask = self.run_both(
+            TestSharedPass.T42, kinds, self.GRID, 4096, mc.TAU_CAP,
+            monkeypatch)
+        assert not mask.any()
+        assert np.array_equal(settled, full)
+
+
+class TestCountHits:
+    def test_equals_the_comparison_loop(self):
+        rng = np.random.default_rng(5)
+        stats = rng.choice([-np.inf, -1.0, 0.0, -0.0, 0.5, 2.0, 7.0, np.inf,
+                            np.nan], size=(3, 500))
+        stats[1] = rng.standard_cauchy(500)
+        stats[1, ::7] = np.nan
+        xs = np.array([2.0, -np.inf, 0.0, 7.0, 0.5, np.inf, 2.0, -1.0, -0.0,
+                       1e9, -3.0])
+        loop = np.array([[np.count_nonzero(s > x) for x in xs]
+                         for s in stats])
+        got = mc._count_hits(stats, xs)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, loop)
+
+
+# every family's inverse transform stays on its support, down to u = 0:
+# a settled stopped sum is the bound length * support()[0]
+SUPPORT_FAMILIES = MARGINALS + (
+    Weibull(0.5, 1.0), Weibull(0.3, 3.0), Lognormal(0.0, 1.0),
+    Lognormal(-2.0, 0.5), DiscreteAtoms(((0.5, 0.4), (2.0, 0.3), (7.0, 0.3))),
+    ShiftedBy(DiscreteAtoms(((0.0, 0.5), (3.0, 0.5))), -1.0),
+    IntegratedTail(Pareto(2.5, 1.0)))
+
+
+@pytest.mark.parametrize("law", SUPPORT_FAMILIES, ids=repr)
+def test_inverse_transform_respects_the_support_minimum(law):
+    u = np.concatenate(([0.0, _BELOW_ONE, 1e-300, 5e-324],
+                        np.random.default_rng(11).random(2000)))
+    lo, hi = law.support()
+    vals = law.ppf_from_uniform(u.copy())
+    assert np.all(vals >= lo), vals.min()
+    assert np.all(vals <= hi)
 
 
 class TestPathwiseOrderings:
