@@ -66,7 +66,7 @@ class Poisson(CountingLaw):
         return float(_special().gammainc(k + 1, self.lam))
 
     def sample(self, rng, size):
-        return rng.poisson(self.lam, int(size)).astype(np.int64)
+        return rng.poisson(self.lam, int(size)).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

@@ -37,12 +37,13 @@ _TAU_LANE = 1 << 49    # block-stream lane reserved for counting-law draws
 # 2^16 the zeta-long-stopped benchmark peaked 1.5 MB lower on 2 cores, with no
 # CPU change beyond noise). The inverse transform overwrites the uniforms, so
 # live float64 data per slice stays near one array of that many values; the
-# reductions then work on the values in place, and a running sum, when runmax
-# asks for one, overwrites them. At the defaults that is ~8 MiB (one T4.2
-# block measures 9.6 MiB). An FGM copula adds the temporaries of its
-# inversion, which runs over copulas._FGM_BATCH rows at a time: about 5 MiB (a
-# bivariate FGM block measures 13.8 MiB). Sum and max are reduced over each
-# replicate's own segment, so the budget does not move their bits.
+# reductions then read the values in place, and runmax adds only arrays of
+# one value per replicate (_running_max). At the defaults that is ~8 MiB (one
+# T4.2 block measures 9.6 MiB on max and sum, 8.8 MiB on runmax). An FGM
+# copula adds the temporaries of its inversion, which runs over
+# copulas._FGM_BATCH rows at a time: about 5 MiB (a bivariate FGM block
+# measures 13.8 MiB). Every statistic is reduced over each replicate's own
+# segment, so the budget moves no bit.
 _CHUNK_VALUES = 1 << 20
 # Settling (_settle). A replicate is settled only from this many padded
 # values up: below it a replicate costs little inside its slice, while in a
@@ -131,13 +132,22 @@ def wald_interval(p_hat, stderr) -> tuple:
 
 
 def _reduce_rows(rect: np.ndarray, kinds: tuple) -> np.ndarray:
-    """Per-kind row statistics of rect, one column at a time.
+    """Per-kind statistics of each row of rect, its terms added left to right.
 
-    The running sum adds the columns left to right, exactly as a cumsum
-    along each row would, so a Deterministic(n) stopped sum (a reshaped
-    slice reduced by that cumsum) and the fixed-n path agree bit for bit.
-    The walk suits the copula's few columns; long rows take the cumsum.
+    A rect with no more columns than rows is walked one column at a time,
+    which suits the copula's few columns; a wider one takes one row-wise
+    cumsum, written over rect. Both add each row left to right, so the
+    fixed-n path and a Deterministic(n) stopped slice (a reshaped slice)
+    agree bit for bit whichever branch each takes.
     """
+    if rect.shape[1] > rect.shape[0]:
+        stat = {"max": rect.max(axis=1)} if "max" in kinds else {}
+        if {"sum", "runmax"} & set(kinds):
+            run = np.cumsum(rect, axis=1, out=rect)
+            stat["sum"] = run[:, -1]
+            if "runmax" in kinds:
+                stat["runmax"] = run.max(axis=1)
+        return np.stack([stat[k] for k in kinds])
     top, run, peak = (rect[:, 0].copy() for _ in range(3))
     want_run = {"sum", "runmax"} & set(kinds)
     for col in rect.T[1:]:
@@ -151,6 +161,52 @@ def _reduce_rows(rect: np.ndarray, kinds: tuple) -> np.ndarray:
     return np.stack([stat[k] for k in kinds])
 
 
+def _running_max(flat: np.ndarray, starts: np.ndarray, eff: np.ndarray,
+                 out: np.ndarray) -> None:
+    """Write np.cumsum(seg).max() of each nonempty segment seg =
+    flat[s : s + e] into out, bit for bit, leaving out as it is for an
+    empty one; the longest few segments are overwritten.
+
+    Replicates are sorted longest first, by numpy's radix sort when the
+    lengths fit 16 bits. The first `split` of them are reduced one at a
+    time by a cumsum over their own segment; the rest are walked one column
+    at a time, column j adding term j to the running sums of the replicates
+    longer than j, which are a prefix of the sorted rest. Either way each
+    segment is added left to right, as np.cumsum adds it. `split` minimises
+    the Python steps: one per replicate alone plus one per column of the
+    longest walked one, at most twice the replicates in all.
+    """
+    # longest first: ascending top - eff in the narrowest unsigned type
+    top = int(eff.max())
+    key = eff.astype(np.min_scalar_type(top))
+    order = np.argsort(np.subtract(top, key, out=key), kind="stable")
+    lens = eff[order]
+    nonempty = int(np.count_nonzero(lens))
+    # steps[i]: i replicates alone, then lens[i] columns (0 past the last)
+    alone = min(nonempty, top)
+    steps, head = np.arange(alone + 1), lens[: alone + 1]
+    steps[: len(head)] += head
+    split = int(np.argmin(steps))
+    segs = [flat[a:a + e] for a, e in zip(starts[order[:split]].tolist(),
+                                          lens[:split].tolist())]
+    out[order[:split]] = [np.cumsum(seg, out=seg).max() for seg in segs]
+    if split == nonempty:
+        return
+    rest = lens[split:nonempty]
+    pos = starts[order[split:nonempty]]
+    run = flat[pos]
+    peak = run.copy()
+    # how many of rest are longer than j, for j = 1 .. rest[0] - 1
+    longer = len(rest) - np.searchsorted(
+        rest[::-1], np.arange(1, int(rest[0])), side="right")
+    for k in longer.tolist():
+        pos[:k] += 1
+        part = run[:k]
+        part += flat[pos[:k]]
+        np.maximum(peak[:k], part, out=peak[:k])
+    out[order[split:nonempty]] = peak
+
+
 def _chunk_stats(model: DependentModel, kinds: tuple,
                  rng: np.random.Generator, eff: np.ndarray,
                  blocks: np.ndarray, uniform: bool) -> np.ndarray:
@@ -158,13 +214,14 @@ def _chunk_stats(model: DependentModel, kinds: tuple,
 
     Lengths are served in whole copula blocks; coordinates past a replicate's
     length are generated (to keep the stream layout a function of the counting
-    draws alone) but never enter its statistic: they are overwritten in place
-    with -inf before the max and with 0.0 before the sums, where adding +0.0
-    is exact. Each replicate's sum is reduced over its own segment; only
-    runmax differences one chunk-wide running sum. uniform says that every
-    replicate of the block has the same length. It is decided per block, not
-    per slice, so the slice budget cannot move a replicate's sum from one
-    reduction to the other.
+    draws alone) but never enter its statistic. Sum and max are reduced over
+    each replicate's own segment, with those pad coordinates overwritten in
+    place by 0.0 (adding +0.0 is exact) or -inf; runmax reads only a
+    replicate's own terms (_running_max). So no statistic depends on which
+    other replicates share the slice. uniform says that every replicate of
+    the block has the same length. It is decided per block, not per slice,
+    so the slice budget cannot move a replicate's sum from one reduction to
+    the other.
     """
     dim = model.dim
     count = len(eff)
@@ -177,36 +234,28 @@ def _chunk_stats(model: DependentModel, kinds: tuple,
     flat = model.marginals[0].ppf_from_uniform(
         model.copula.sample(rng, n_blocks).ravel())
     if uniform:
-        # uniform lengths: plain reshape; a row-wise cumsum adds left to
-        # right as _reduce_rows does on the fixed-length path, so a
-        # deterministic counting law reduces to it bit for bit
-        rect = flat.reshape(count, -1)[:, : int(eff[0])]
-        stat = {"max": rect.max(axis=1)} if "max" in kinds else {}
-        if {"sum", "runmax"} & set(kinds):
-            run = np.cumsum(rect, axis=1, out=rect)
-            stat["sum"] = run[:, -1]
-            if "runmax" in kinds:
-                stat["runmax"] = run.max(axis=1)
-        return np.stack([stat[k] for k in kinds])
+        # a rectangle: each row adds left to right as on the fixed-n path,
+        # so a deterministic counting law reduces to it bit for bit
+        return _reduce_rows(flat.reshape(count, -1)[:, : int(eff[0])], kinds)
     sizes = dim * blocks
-    ends = np.cumsum(sizes)
-    stops = ends - sizes + eff          # one past each replicate's last term
-    pos = stops[:, None] + np.arange(dim)
-    pad = pos[pos < ends[:, None]]
-    nonempty = eff > 0
-    first = (ends - sizes)[nonempty]
-    if "max" in kinds:
-        flat[pad] = -math.inf
-        out[kinds.index("max"), nonempty] = np.maximum.reduceat(flat, first)
-    if {"sum", "runmax"} & set(kinds):
-        flat[pad] = 0.0
-    if "sum" in kinds:
-        out[kinds.index("sum"), nonempty] = np.add.reduceat(flat, first)
+    starts = np.cumsum(sizes) - sizes
+    if {"max", "sum"} & set(kinds):
+        nonempty = eff > 0
+        first = starts[nonempty]
+        # pad coordinates: offset j past a replicate's last term when it is
+        # short of its blocks by more than j; a replicate is short by < dim
+        stops, short = starts + eff, sizes - eff
+        pad = np.concatenate([stops[short > j] + j for j in range(dim - 1)]
+                             or [stops[:0]])
+        if "max" in kinds:
+            flat[pad] = -math.inf
+            out[kinds.index("max"), nonempty] = np.maximum.reduceat(flat,
+                                                                    first)
+        if "sum" in kinds:
+            flat[pad] = 0.0
+            out[kinds.index("sum"), nonempty] = np.add.reduceat(flat, first)
     if "runmax" in kinds:
-        cs = np.cumsum(flat, out=flat)
-        base = np.where(first > 0, cs[np.maximum(first - 1, 0)], 0.0)
-        out[kinds.index("runmax"), nonempty] = (
-            np.maximum.reduceat(cs, first) - base)
+        _running_max(flat, starts, eff, out[kinds.index("runmax")])
     return out
 
 
@@ -216,9 +265,12 @@ def _settles(model: DependentModel, kinds: tuple, eff: np.ndarray,
     _SETTLE_MIN padded values long, on a pass of max and/or sum whose sum,
     if asked for, is decided before any draw by the support bound
     length * lo (lo >= 0) over the grid end x_top. x_top = inf settles
-    nothing. runmax keeps the slice path, whose running sum spans the
-    slice, and uniform blocks keep it so that a Deterministic(n) count
-    still reduces exactly as the fixed-n path does."""
+    nothing. A pass with runmax settles nothing: the support bound does not
+    decide a running max of signed terms, whose partial sums may climb and
+    fall back, so it needs every draw (on nonnegative terms it is the sum,
+    but no preset pairs runmax with counts that long). Uniform blocks keep
+    the slice path so that a Deterministic(n) count still reduces exactly
+    as the fixed-n path does."""
     if uniform or math.isinf(x_top) or not set(kinds) <= {"max", "sum"}:
         return np.zeros(len(eff), dtype=bool)
     settle = blocks * model.dim >= _SETTLE_MIN

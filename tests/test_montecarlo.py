@@ -153,14 +153,15 @@ class TestBitwiseReproducibility:
     def test_stopped_runs_walk_no_more_columns_than_the_copula(self,
                                                                monkeypatch):
         # the column walk of _reduce_rows costs one Python step per column:
-        # it serves the copula's rows, while a stopped slice of equal lengths
-        # takes one row-wise cumsum however long its replicates are
-        widths = []
-        walk = mc._reduce_rows
+        # it serves the copula's rows, while a rect wider than it is tall,
+        # such as a stopped slice of equal long lengths, takes one row-wise
+        # cumsum however long its replicates are
+        shapes = []
+        reduce = mc._reduce_rows
 
         def spy(rect, kinds):
-            widths.append(rect.shape[1])
-            return walk(rect, kinds)
+            shapes.append(rect.shape)
+            return reduce(rect, kinds)
 
         monkeypatch.setattr(mc, "_reduce_rows", spy)
         d = Pareto(0.8, 1.0)
@@ -168,10 +169,13 @@ class TestBitwiseReproducibility:
             m = DependentModel(FGM.bivariate(1.0), (d, d), tau=tau)
             mc.estimate_tails(m, ["SumTau", "MaxTau", "RunMaxTau"],
                               [5.0, 500.0], 3_000, seed=13)
-            assert max(widths, default=0) <= m.dim, tau
+            walked = [cols for rows, cols in shapes if cols <= rows]
+            assert max(walked, default=0) <= m.dim, tau
+        assert shapes and all(cols == 5_000 for _, cols in shapes)
+        shapes.clear()
         plain = DependentModel(FGM.bivariate(1.0), (d, d))
         mc.estimate_tail(plain, "SumN", [5.0], 1_000, seed=13)
-        assert widths == [plain.dim]
+        assert shapes == [(1_000, plain.dim)]
 
     def test_unit_weights_are_identity(self):
         m = indep_pair(Pareto(1.0, 1.0))
@@ -239,33 +243,92 @@ class TestBitwiseReproducibility:
                     naive[1, k] = -np.inf if empty else seg.max()
                     naive[2, k] = 0.0 if empty else np.cumsum(seg).max()
                 i = j
-            # sums are per segment and maxima exact; the running maximum is
-            # a difference of one chunk-wide cumsum, so tiny cancellation
-            # noise against the per-segment loop is expected there
+            # sums are per segment (reduceat, not left to right, so to a
+            # relative 1e-12) and maxima exact; each running maximum adds
+            # its own segment left to right, so it is that segment's
+            # cumsum max bit for bit
             np.testing.assert_allclose(stats[0], naive[0], rtol=1e-12)
             np.testing.assert_array_equal(stats[1], naive[1])
-            np.testing.assert_allclose(stats[2], naive[2], rtol=1e-8,
-                                       atol=1e-8)
+            np.testing.assert_array_equal(stats[2], naive[2])
+
+    # seed 3, block 0 of Independence(2), Pareto(0.1, 1) and Poisson(4):
+    # Pareto(0.1) summands push a slice-wide running total to ~1e60
+    HEAVY = DependentModel(Independence(2), (Pareto(0.1, 1.0),) * 2,
+                           tau=Poisson(4.0))
+
+    def heavy_segments(self, seed):
+        taus = self.HEAVY.tau.sample(mc.block_stream(seed, mc._TAU_LANE),
+                                     mc.BLOCK_SIZE)
+        blocks = (taus + 1) // 2
+        flat = self.HEAVY.marginals[0].ppf_from_uniform(
+            self.HEAVY.copula.sample(mc.block_stream(seed, 0),
+                                     int(blocks.sum())).ravel())
+        starts = np.cumsum(2 * blocks) - 2 * blocks
+        return [flat[a:a + t] for a, t in zip(starts, taus)]
+
+    def heavy_stats(self, seed, kinds):
+        stats, _ = mc._stats_stopped(self.HEAVY, kinds,
+                                     mc.block_stream(seed, 0),
+                                     mc.block_stream(seed, mc._TAU_LANE),
+                                     mc.BLOCK_SIZE, mc.TAU_CAP)
+        return stats[0]
 
     def test_stopped_sums_keep_precision_under_very_heavy_tails(self):
-        # Pareto(0.1) summands push a chunk-wide running total to ~1e60; each
-        # replicate's sum must still be its own, as a math.fsum loop gives it
-        d = Pareto(0.1, 1.0)
-        m = DependentModel(Independence(2), (d, d), tau=Poisson(4.0))
-        seed, count, x = 3, mc.BLOCK_SIZE, 10.0
-        stats, _ = mc._stats_stopped(m, ("sum",), mc.block_stream(seed, 0),
-                                     mc.block_stream(seed, mc._TAU_LANE),
-                                     count, mc.TAU_CAP)
-        taus = m.tau.sample(mc.block_stream(seed, mc._TAU_LANE), count)
-        blocks = (taus + 1) // 2
-        flat = d.ppf_from_uniform(
-            m.copula.sample(mc.block_stream(seed, 0), int(blocks.sum())).ravel())
-        starts = np.cumsum(2 * blocks) - 2 * blocks
-        loop = np.array([math.fsum(flat[a:a + t])
-                         for a, t in zip(starts, taus)])
-        assert int(np.count_nonzero(stats[0] > x)) == int(
+        # each replicate's sum must still be its own, as a math.fsum loop
+        # gives it
+        seed, x = 3, 10.0
+        stats = self.heavy_stats(seed, ("sum",))
+        loop = np.array([math.fsum(seg) for seg in self.heavy_segments(seed)])
+        assert int(np.count_nonzero(stats > x)) == int(
             np.count_nonzero(loop > x))
-        np.testing.assert_allclose(stats[0], loop, rtol=1e-12)
+        np.testing.assert_allclose(stats, loop, rtol=1e-12)
+
+    def test_stopped_running_maxima_keep_precision_under_very_heavy_tails(
+            self):
+        # the running maximum of each replicate is its own segment's: the
+        # hits are the math.fsum loop's (a slice-wide cumsum differenced per
+        # replicate counted 664 of them), and every value is the segment's
+        # cumsum max bit for bit
+        seed, x = 3, 10.0
+        stats = self.heavy_stats(seed, ("runmax",))
+        segments = self.heavy_segments(seed)
+        exact = np.array([max((math.fsum(seg[:k]) for k in
+                               range(1, len(seg) + 1)), default=0.0)
+                          for seg in segments])
+        assert int(np.count_nonzero(stats > x)) == int(
+            np.count_nonzero(exact > x)) == 15_740
+        np.testing.assert_array_equal(stats, [
+            np.cumsum(seg).max() if len(seg) else 0.0 for seg in segments])
+
+    @pytest.mark.parametrize("kinds", [("sum", "max", "runmax"), ("runmax",)])
+    def test_running_maxima_of_hand_built_lengths(self, kinds):
+        # every length around the powers of two up to 2^12, three times
+        # each, zero-length replicates, one replicate at TAU_CAP, in shuffled
+        # order; negative summands, and dim 3 pads replicates by 1 and 2
+        powers = [1 << k for k in range(13)]
+        lengths = [0, 1] + [p + d for p in powers for d in (-1, 0, 1)]
+        eff = np.array(3 * lengths + [mc.TAU_CAP], dtype=np.int64)
+        np.random.default_rng(1).shuffle(eff)
+        model = DependentModel(Independence(3),
+                               (ShiftedBy(Pareto(2.0, 1.0), -3.0),) * 3,
+                               tau=Poisson(1.0))
+        blocks = (eff + 2) // 3
+        stats = mc._chunk_stats(model, kinds, mc.block_stream(6, 0), eff,
+                                blocks, False)
+        flat = model.marginals[0].ppf_from_uniform(model.copula.sample(
+            mc.block_stream(6, 0), int(blocks.sum())).ravel())
+        starts = np.cumsum(3 * blocks) - 3 * blocks
+        segments = [flat[a:a + t] for a, t in zip(starts, eff)]
+        runmax = [np.cumsum(seg).max() if len(seg) else 0.0
+                  for seg in segments]
+        np.testing.assert_array_equal(stats[kinds.index("runmax")], runmax)
+        if "sum" in kinds:
+            np.testing.assert_allclose(
+                stats[kinds.index("sum")],
+                [math.fsum(seg) for seg in segments], rtol=1e-12)
+            np.testing.assert_array_equal(
+                stats[kinds.index("max")],
+                [seg.max() if len(seg) else -np.inf for seg in segments])
 
 
 MARGINALS = (Pareto(0.8, 1.0), Pareto(1.5, 2.0), Exponential(1.0),
@@ -340,14 +403,17 @@ class TestSharedPass:
     T42 = DependentModel(Independence(2), (Pareto(1.0, 1.0),) * 2,
                          tau=Zeta(1.5))
 
-    @pytest.mark.parametrize("model,extra", [
-        (T42, 0),
+    @pytest.mark.parametrize("model,kinds,extra", [
+        (T42, ("max", "sum"), 0),
+        # runmax reads each replicate's terms where they lie, with a few
+        # arrays of one value per replicate
+        (T42, ("runmax",), 0),
         # FGM adds the temporaries of its inversion: about ten arrays of
         # copulas._FGM_BATCH rows, whatever the slice size
         (DependentModel(FGM.bivariate(0.5), (Pareto(1.0, 1.0),) * 2,
-                        tau=Zeta(1.5)), 10 * 8 * _FGM_BATCH),
-    ], ids=["T4.2", "fgm"])
-    def test_stopped_block_memory_is_bounded(self, model, extra):
+                        tau=Zeta(1.5)), ("max", "sum"), 10 * 8 * _FGM_BATCH),
+    ], ids=["T4.2", "T4.2-runmax", "fgm"])
+    def test_stopped_block_memory_is_bounded(self, model, kinds, extra):
         # one infinite-mean Zeta block touches about 26M coordinates in
         # slices of _CHUNK_VALUES; the inverse transform overwrites the
         # uniforms, so the live float64 data per slice stays near one
@@ -355,7 +421,7 @@ class TestSharedPass:
         # on FGM); the bound leaves 25% for the per-replicate index arrays
         tracemalloc.start()
         try:
-            mc._stats_stopped(model, ("max", "sum"), mc.block_stream(0, 0),
+            mc._stats_stopped(model, kinds, mc.block_stream(0, 0),
                               mc.block_stream(0, mc._TAU_LANE),
                               mc.BLOCK_SIZE, mc.TAU_CAP)
             _, peak = tracemalloc.get_traced_memory()
@@ -368,11 +434,9 @@ class TestSharedPass:
         DependentModel(Independence(2), (Pareto(1.5, 1.0),) * 2,
                        tau=Poisson(2.0)),
     ], ids=["T4.2", "poisson"])
-    def test_slice_budget_does_not_move_sum_or_max(self, model, monkeypatch):
-        # sum and max reduce each replicate's own segment, so how replicates
-        # are grouped into slices cannot move their bits; runmax differences
-        # a slice-wide cumsum, so it holds only while the block stays one
-        # slice, as the Poisson block (about 40k values) does at 2^20
+    def test_slice_budget_moves_no_statistic(self, model, monkeypatch):
+        # every statistic reduces each replicate's own segment, so how
+        # replicates are grouped into slices cannot move a bit
         kinds = ("sum", "max", "runmax")
         got = {}
         for budget in (1 << 22, 1 << 20, 1 << 12):
@@ -381,9 +445,7 @@ class TestSharedPass:
                 model, kinds, mc.block_stream(5, 0),
                 mc.block_stream(5, mc._TAU_LANE), mc.BLOCK_SIZE, mc.TAU_CAP)
         for budget in (1 << 20, 1 << 12):
-            assert np.array_equal(got[budget][:2], got[1 << 22][:2]), budget
-        if isinstance(model.tau, Poisson):
-            assert np.array_equal(got[1 << 20][2], got[1 << 22][2])
+            np.testing.assert_array_equal(got[budget], got[1 << 22])
 
 
 class TestStreamSeek:
