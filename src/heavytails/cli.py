@@ -428,6 +428,8 @@ _SCHEMAS = {
     "diagnose-class": (("dist",), {"checks": None, "grid": None}),
     "diagnose-dependence": (("model",), {"checks": None, "pair": (0, 1)}),
     "convolve": (("dist",), {"nfold": 2, "points": "auto"}),
+    # on top of a discrete risk config
+    "surplus-path": ((), {"surplus": None, "replicate": 0}),
 }
 
 
@@ -449,7 +451,8 @@ def _fields(raw, kind: str) -> dict:
 _FLAG_FIELDS = {"id": "theorem_id", "preset": "preset", "dist": "dist",
                 "model": "model", "nfold": "nfold", "points": "points",
                 "check": "checks", "grid": "grid", "seed": "seed",
-                "samples": "samples"}
+                "samples": "samples", "surplus": "surplus",
+                "replicate": "replicate"}
 
 
 def _overlay(args) -> dict:
@@ -701,12 +704,15 @@ def _convolve_rows(dist, nfold: int, probes, grid) -> list:
         return [tuple(map(float, row)) for row in rows]
 
 
-def _build_risk(raw: dict, context: str):
+def _build_risk(raw: dict, context: str, extra=None):
+    """The risk model a config names and its fields, with the optional
+    fields of extra (name -> default) taken too."""
     kind = raw.get("risk")
     if kind not in ("discrete", "arrival"):
         raise ConfigError(f"{context}: 'risk' must be 'discrete' or "
                           f"'arrival'")
-    f = _take(raw, context, *_SCHEMAS[kind])
+    required, optional = _SCHEMAS[kind]
+    f = _take(raw, context, required, {**optional, **(extra or {})})
     if kind == "discrete":
         claims = build_model(f["claims"], context + ".claims")
         rate = _convert(float, f["rate"], "rate")
@@ -733,10 +739,42 @@ def _parse_ruin(raw) -> _Parsed:
     return _curve_plan(f, preset, "ruin")
 
 
+def _parse_surplus_path(raw) -> _Parsed:
+    model, f = _build_risk(raw, "surplus-path config",
+                           _SCHEMAS["surplus-path"][1])
+    if not isinstance(model, risk_mod.DiscreteRiskModel):
+        raise ConfigError("surplus-path only applies to the discrete model")
+    if f["surplus"] is None:
+        raise ConfigError("surplus-path needs --surplus or a surplus field")
+    surplus = _convert(float, f["surplus"], "surplus")
+    replicate = _integer(f["replicate"], "replicate")
+    seed = _resolve(f, "seed", 0)
+    echo = {k: v for k, v in f.items()
+            if k not in ("samples", "grid", "tolerance")}
+    echo.update({"seed": seed, "surplus": surplus, "replicate": replicate})
+
+    def run(workers):
+        with _config_errors("surplus-path"):
+            return model.surplus_path(surplus, seed=seed,
+                                      replicate=replicate)
+    return _Parsed(echo, run, _write_surplus_path)
+
+
+def _write_surplus_path(args, config: dict, path) -> int:
+    _write_table(args, config, ("period", "surplus"),
+                 [(str(k), u) for k, u in path],
+                 [{"period": k, "surplus": u} for k, u in path])
+    ruined = min(u for _, u in path) < 0
+    return _status(args, [(f"surplus-path: "
+                           f"{'ruined' if ruined else 'survived'}", None)])
+
+
 def _validate_warnings(raw: dict) -> tuple:
     """Parse a config as the command its keys point to; its advisories."""
     if "theorem_id" in raw:
         parse = _parse_theorem
+    elif "surplus" in raw:
+        parse = _parse_surplus_path
     elif "risk" in raw or "preset" in raw:
         parse = _parse_ruin
     elif "model" in raw:
@@ -746,8 +784,8 @@ def _validate_warnings(raw: dict) -> tuple:
                  else _parse_class)
     else:
         raise ConfigError("cannot tell what this config drives: expected "
-                          "theorem_id, risk/preset, model+quantity, model, "
-                          "or dist")
+                          "theorem_id, surplus, risk/preset, model+quantity, "
+                          "model, or dist")
     return parse(raw).warnings
 
 
@@ -763,28 +801,6 @@ def cmd_run(args) -> int:
     parsed = args.parse(cfg)
     return parsed.write(args, parsed.echo,
                         parsed.run(getattr(args, "workers", 1)))
-
-
-def cmd_surplus_path(args) -> int:
-    model, f = _build_risk(_overlay(args), "surplus-path config")
-    if not isinstance(model, risk_mod.DiscreteRiskModel):
-        raise ConfigError("surplus-path only applies to the discrete model")
-    if args.surplus is None:
-        raise ConfigError("surplus-path needs --surplus")
-    seed = _resolve(f, "seed", 0)
-    with _config_errors("surplus-path"):
-        path = model.surplus_path(args.surplus, seed=seed,
-                                  replicate=args.replicate)
-    echo = {k: v for k, v in f.items()
-            if k not in ("samples", "seed", "grid", "tolerance")}
-    echo.update({"seed": seed, "surplus": float(args.surplus),
-                 "replicate": args.replicate})
-    _write_table(args, echo, ("period", "surplus"),
-                 [(str(k), u) for k, u in path],
-                 [{"period": k, "surplus": u} for k, u in path])
-    ruined = min(u for _, u in path) < 0
-    return _status(args, [(f"surplus-path: "
-                           f"{'ruined' if ruined else 'survived'}", None)])
 
 
 def cmd_list_presets(args) -> int:
@@ -905,9 +921,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="one simulated surplus trajectory")
     p.add_argument("--config", required=True)
     p.add_argument("--surplus", type=float)
-    p.add_argument("--replicate", type=int, default=0)
+    p.add_argument("--replicate", type=int, help="default 0")
     _add_common(p, samples=False, workers=False)
-    p.set_defaults(fn=cmd_surplus_path)
+    p.set_defaults(fn=cmd_run, parse=_parse_surplus_path)
 
     p = subs.add_parser("list-presets", help="catalog of named presets")
     _add_common(p, seed=False, samples=False, workers=False)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copulas import DependentModel
+from .copulas import _FGM_BATCH, DependentModel
 from .errors import InvalidInput, ModelConfigError, WorkerCrashed
 from .rng import (BLOCK_SIZE, block_stream, check_samples, check_seed,
                   stream_position, stream_seek)
@@ -52,10 +52,10 @@ _SETTLE_MIN = 1 << 14
 # A settling max is drawn in pieces of _PIECE_FIRST rows, doubling up to
 # _PIECE_MAX. The first piece is small because a heavy tail usually tops the
 # grid end within a few thousand values; the last size is one FGM inversion
-# batch (copulas._FGM_BATCH), so a piece holds at most 2^16 rows and a
-# replicate takes at most 4 doubling pieces, then pieces of 2^16 rows.
+# batch, so a piece holds at most 2^16 rows and a replicate takes at most 4
+# doubling pieces, then pieces of 2^16 rows.
 _PIECE_FIRST = 1 << 12
-_PIECE_MAX = 1 << 16
+_PIECE_MAX = _FGM_BATCH
 # A sum of n <= _SUM_TERMS nonnegative float64 terms, in any order, rounds
 # to at least (1 - n 2^-53) times the exact sum, so a bound that tops the
 # grid end by the relative margin _SUM_MARGIN (2^-30 > 2^21 * 2^-53, plus
@@ -132,22 +132,8 @@ def wald_interval(p_hat, stderr) -> tuple:
 
 
 def _reduce_rows(rect: np.ndarray, kinds: tuple) -> np.ndarray:
-    """Per-kind statistics of each row of rect, its terms added left to right.
-
-    A rect with no more columns than rows is walked one column at a time,
-    which suits the copula's few columns; a wider one takes one row-wise
-    cumsum, written over rect. Both add each row left to right, so the
-    fixed-n path and a Deterministic(n) stopped slice (a reshaped slice)
-    agree bit for bit whichever branch each takes.
-    """
-    if rect.shape[1] > rect.shape[0]:
-        stat = {"max": rect.max(axis=1)} if "max" in kinds else {}
-        if {"sum", "runmax"} & set(kinds):
-            run = np.cumsum(rect, axis=1, out=rect)
-            stat["sum"] = run[:, -1]
-            if "runmax" in kinds:
-                stat["runmax"] = run.max(axis=1)
-        return np.stack([stat[k] for k in kinds])
+    """Per-kind statistics of each row of a fixed-length block, walked one
+    column at a time, so each row adds its terms left to right."""
     top, run, peak = (rect[:, 0].copy() for _ in range(3))
     want_run = {"sum", "runmax"} & set(kinds)
     for col in rect.T[1:]:
@@ -209,41 +195,33 @@ def _running_max(flat: np.ndarray, starts: np.ndarray, eff: np.ndarray,
 
 def _chunk_stats(model: DependentModel, kinds: tuple,
                  rng: np.random.Generator, eff: np.ndarray,
-                 blocks: np.ndarray, uniform: bool) -> np.ndarray:
-    """Statistics for one slice of replicates with per-replicate lengths eff.
+                 sizes: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Statistics for one slice of replicates: replicate i has eff[i]
+    terms in sizes[i] padded values (whole copula rows) from offset
+    starts[i] of the slice's values.
 
-    Lengths are served in whole copula blocks; coordinates past a replicate's
-    length are generated (to keep the stream layout a function of the counting
-    draws alone) but never enter its statistic. Sum and max are reduced over
-    each replicate's own segment, with those pad coordinates overwritten in
-    place by 0.0 (adding +0.0 is exact) or -inf; runmax reads only a
-    replicate's own terms (_running_max). So no statistic depends on which
-    other replicates share the slice. uniform says that every replicate of
-    the block has the same length. It is decided per block, not per slice,
-    so the slice budget cannot move a replicate's sum from one reduction to
-    the other.
+    Coordinates past a replicate's length are generated (to keep the stream
+    layout a function of the counting draws alone) but never enter its
+    statistic. Sum and max are reduced over each replicate's own segment by
+    reduceat, with those pad coordinates overwritten in place by 0.0
+    (adding +0.0 is exact) or -inf; runmax reads only a replicate's own
+    terms (_running_max). So no statistic depends on which other replicates
+    share the slice or the block.
     """
     dim = model.dim
-    count = len(eff)
-    n_blocks = int(blocks.sum())
-    out = np.empty((len(kinds), count))
+    out = np.empty((len(kinds), len(eff)))
     out[:] = [[-math.inf if k == "max" else 0.0] for k in kinds]
-    if n_blocks == 0:
+    rows = int(starts[-1] + sizes[-1]) // dim
+    if rows == 0:
         return out
     # the inverse transform overwrites the uniforms: one array per slice
     flat = model.marginals[0].ppf_from_uniform(
-        model.copula.sample(rng, n_blocks).ravel())
-    if uniform:
-        # a rectangle: each row adds left to right as on the fixed-n path,
-        # so a deterministic counting law reduces to it bit for bit
-        return _reduce_rows(flat.reshape(count, -1)[:, : int(eff[0])], kinds)
-    sizes = dim * blocks
-    starts = np.cumsum(sizes) - sizes
+        model.copula.sample(rng, rows).ravel())
     if {"max", "sum"} & set(kinds):
         nonempty = eff > 0
         first = starts[nonempty]
         # pad coordinates: offset j past a replicate's last term when it is
-        # short of its blocks by more than j; a replicate is short by < dim
+        # short of its rows by more than j; a replicate is short by < dim
         stops, short = starts + eff, sizes - eff
         pad = np.concatenate([stops[short > j] + j for j in range(dim - 1)]
                              or [stops[:0]])
@@ -260,20 +238,18 @@ def _chunk_stats(model: DependentModel, kinds: tuple,
 
 
 def _settles(model: DependentModel, kinds: tuple, eff: np.ndarray,
-             blocks: np.ndarray, uniform: bool, x_top: float) -> np.ndarray:
-    """Which replicates _settle takes: those of a ragged block at least
-    _SETTLE_MIN padded values long, on a pass of max and/or sum whose sum,
-    if asked for, is decided before any draw by the support bound
-    length * lo (lo >= 0) over the grid end x_top. x_top = inf settles
-    nothing. A pass with runmax settles nothing: the support bound does not
-    decide a running max of signed terms, whose partial sums may climb and
-    fall back, so it needs every draw (on nonnegative terms it is the sum,
-    but no preset pairs runmax with counts that long). Uniform blocks keep
-    the slice path so that a Deterministic(n) count still reduces exactly
-    as the fixed-n path does."""
-    if uniform or math.isinf(x_top) or not set(kinds) <= {"max", "sum"}:
+             sizes: np.ndarray, x_top: float) -> np.ndarray:
+    """Which replicates _settle takes: those at least _SETTLE_MIN padded
+    values long, on a pass of max and/or sum whose sum, if asked for, is
+    decided before any draw by the support bound length * lo (lo >= 0) over
+    the grid end x_top. x_top = inf settles nothing. A pass with runmax
+    settles nothing: the support bound does not decide a running max of
+    signed terms, whose partial sums may climb and fall back, so it needs
+    every draw (on nonnegative terms it is the sum, but no preset pairs
+    runmax with counts that long)."""
+    if math.isinf(x_top) or not set(kinds) <= {"max", "sum"}:
         return np.zeros(len(eff), dtype=bool)
-    settle = blocks * model.dim >= _SETTLE_MIN
+    settle = sizes >= _SETTLE_MIN
     if "sum" in kinds:
         lo = model.marginals[0].support()[0]
         settle &= ((lo >= 0.0) & (eff <= _SUM_TERMS)
@@ -323,26 +299,30 @@ def _stats_stopped(model: DependentModel, kinds: tuple,
         raise ModelConfigError("counting law produced a negative length")
     eff = np.minimum(taus, cap)
     capped = int(np.count_nonzero(taus > cap))
-    blocks = (eff + dim - 1) // dim
-    uniform = bool(eff.min() == eff.max())
+    # the block's layout: replicate i fills sizes[i] values (whole copula
+    # rows) ending at cum[i]
+    sizes = (eff + dim - 1) // dim * dim
+    cum = np.cumsum(sizes)
+    starts = cum - sizes
     stats = np.empty((len(kinds), count))
     # the settled replicates' indices, then count as a sentinel
     marks = np.append(np.flatnonzero(
-        _settles(model, kinds, eff, blocks, uniform, x_top)), count)
-    cum = np.cumsum(blocks * dim)
+        _settles(model, kinds, eff, sizes, x_top)), count)
     i = 0
     while i < count:
         nxt = int(marks[np.searchsorted(marks, i)])
         if nxt == i:
             stats[:, i] = _settle(model, kinds, rng, int(eff[i]),
-                                  int(blocks[i]), x_top)
+                                  int(sizes[i]) // dim, x_top)
             i += 1
             continue
-        prev = int(cum[i - 1]) if i else 0
+        prev = int(starts[i])
         j = int(np.searchsorted(cum, prev + _CHUNK_VALUES, side="right"))
         j = min(max(j, i + 1), nxt)
-        stats[:, i:j] = _chunk_stats(model, kinds, rng, eff[i:j], blocks[i:j],
-                                     uniform)
+        # offsets into the slice's values: a view when it starts the block
+        part = starts[i:j] - prev if prev else starts[i:j]
+        stats[:, i:j] = _chunk_stats(model, kinds, rng, eff[i:j],
+                                     sizes[i:j], part)
         i = j
     return stats, capped
 

@@ -76,13 +76,13 @@ COMMAND_SCHEMAS = {
     "diagnose-class": ("diagnose-class",),
     "diagnose-dependence": ("diagnose-dependence",),
     "convolve": ("convolve",), "ruin": ("ruin", "discrete", "arrival"),
-    "surplus-path": ("discrete", "arrival"), "list-presets": (),
+    "surplus-path": ("surplus-path", "discrete", "arrival"),
+    "list-presets": (),
     "validate": (),
 }
 
 # flag dests that steer a run but name no config field
-RUN_ONLY = {"help", "config", "out", "format", "workers", "surplus",
-            "replicate", "variant"}
+RUN_ONLY = {"help", "config", "out", "format", "workers", "variant"}
 
 
 def write_json(tmp_path, name, payload):
@@ -151,6 +151,19 @@ class TestRoundTrip:
         assert run(capsys, ["theorem", "--config", cfg,
                             "--out", str(out2)])[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_surplus_path_echo_rerun(self, tmp_path, capsys):
+        cfg1 = write_json(tmp_path, "ruin.json", DISCRETE_RUIN_CONFIG)
+        code, out1, _ = run(capsys, ["surplus-path", "--config", cfg1,
+                                     "--surplus", "12", "--replicate", "3"])
+        assert code == 0
+        echo = echoed_config(out1)
+        assert echo["surplus"] == 12.0 and echo["replicate"] == 3
+        cfg2 = write_json(tmp_path, "echo.json", echo)
+        assert run(capsys, ["validate", "--config", cfg2])[0] == 0
+        code, out2, _ = run(capsys, ["surplus-path", "--config", cfg2])
+        assert code == 0
+        assert out2 == out1
 
 
 LAZY_ROOTS = ("scipy", "yaml", "multiprocessing", "concurrent")
@@ -1000,6 +1013,19 @@ class TestSurplusPath:
         cfg = write_json(tmp_path, "ruin.json", DISCRETE_RUIN_CONFIG)
         assert run(capsys, ["surplus-path", "--config", cfg,
                             "--surplus", "12", "--replicate", "-1"])[0] == 64
+
+    @pytest.mark.parametrize("field,value", [
+        ("surplus", "lots"), ("surplus", [12]), ("replicate", 1.5),
+        ("replicate", True), ("replicate", "one")])
+    def test_bad_config_value_exits_64(self, tmp_path, capsys, field,
+                                       value):
+        cfg = write_json(tmp_path, "sp.json", dict(
+            DISCRETE_RUIN_CONFIG, **{"surplus": 12.0, field: value}))
+        for argv in (["surplus-path", "--config", cfg],
+                     ["validate", "--config", cfg]):
+            code, _, err = run(capsys, argv)
+            assert code == 64, argv
+            assert field in err and "unknown" not in err
 
     def test_missing_surplus_flag(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "ruin.json", DISCRETE_RUIN_CONFIG)

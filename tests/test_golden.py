@@ -74,6 +74,17 @@ CONFIGS = {
                       "semantics": "divergence", "divergence_bound": 60.0,
                       "grid": {"lo": 5.0, "hi": 500.0, "points": 6},
                       "samples": 20_000, "seed": 7},
+    # equal lengths in every block: each stopped sum reduces as a ragged
+    # block's does, and the hits are the fixed-n ones
+    "rc-deterministic": {"model": {"copula": {"family": "independence",
+                                              "dim": 3},
+                                   "marginals": [PARETO11] * 3,
+                                   "tau": {"family": "deterministic",
+                                           "n": 3}},
+                         "quantity": "SumTau",
+                         "denominator": {"kind": "n_tail", "n": 3},
+                         "grid": {"lo": 5.0, "hi": 500.0, "points": 8},
+                         "samples": 20_000, "seed": 13},
     "class": {"dist": {"family": "weibull", "shape": 0.5},
               "checks": "L,D,S",
               "grid": {"lo": 2.0, "hi": 400.0, "points": 10}},
@@ -109,6 +120,8 @@ COMMANDS = {
     "ratio-curve-weighted": ["ratio-curve", "--config", "{rc-weighted}"],
     "ratio-curve-divergence": ["ratio-curve", "--config",
                                "{rc-divergence}"],
+    "ratio-curve-deterministic": ["ratio-curve", "--config",
+                                  "{rc-deterministic}"],
     "class-token": ["diagnose-class", "--dist", "pareto(1.5,1)",
                     "--check", "all"],
     "class-config": ["diagnose-class", "--config", "{class}"],
@@ -182,6 +195,10 @@ COMMAND_GOLDEN = {
         (2, "f1f93797052c1dc7f67cbf74ef894f1e86e27c8836b953c3978f6ad25072ae72"),
     ("ratio-curve-divergence", "records"):
         (2, "a5aaf55f6301414418e6cb1b409130c11d0aec3e1fba6fadaadcd300f5657d3b"),
+    ("ratio-curve-deterministic", "csv"):
+        (0, "62d9c87bf5988bf00f82d0ad0925fe3a491c4220deb21db734a74095c16a2792"),
+    ("ratio-curve-deterministic", "records"):
+        (0, "db4a01376ab03b3aeab35279a5d1fdc85f95beb7bf94b7a2a94e40ace6fc81c3"),
     ("class-token", "csv"):
         (0, "1943bff6fbbf17fe40fe5ad4b6b5a645c47d0099b61198a8bd842a783f6fae65"),
     ("class-token", "records"):

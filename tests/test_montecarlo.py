@@ -1,6 +1,8 @@
 """Monte Carlo engine tests: oracles, bitwise reproducibility, stream layout."""
 
+import inspect
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -137,42 +139,67 @@ class TestBitwiseReproducibility:
         assert a.hits != c.hits  # equal only with probability ~ 1/sqrt(N)
 
     def test_deterministic_tau_reduces_to_fixed(self):
+        # Deterministic(n) on an n-dimensional copula draws the fixed-n
+        # rows: max and runmax are the fixed-n values bit for bit, and sums
+        # (reduceat's order, not left to right) agree to rounding, so every
+        # hit count is the fixed-n one
         d = Pareto(0.8, 1.0)
-        plain = DependentModel(FGM.bivariate(1.0), (d, d))
-        stopped = DependentModel(FGM.bivariate(1.0), (d, d),
-                                 tau=Deterministic(2))
         xs = [5.0, 50.0, 500.0]
-        for q_fixed, q_tau in (("SumN", "SumTau"), ("MaxN", "MaxTau"),
-                               ("RunMaxN", "RunMaxTau")):
-            a = [e.hits for e in
-                 mc.estimate_tail(plain, q_fixed, xs, 90_000, seed=13)]
-            b = [e.hits for e in
-                 mc.estimate_tail(stopped, q_tau, xs, 90_000, seed=13)]
-            assert a == b, q_fixed
+        for copula in [FGM.bivariate(1.0)] + [Independence(n)
+                                              for n in range(2, 7)]:
+            plain = DependentModel(copula, (d,) * copula.dim)
+            stopped = DependentModel(copula, (d,) * copula.dim,
+                                     tau=Deterministic(copula.dim))
+            for q_fixed, q_tau in (("SumN", "SumTau"), ("MaxN", "MaxTau"),
+                                   ("RunMaxN", "RunMaxTau")):
+                a = [e.hits for e in
+                     mc.estimate_tail(plain, q_fixed, xs, 90_000, seed=13)]
+                b = [e.hits for e in
+                     mc.estimate_tail(stopped, q_tau, xs, 90_000, seed=13)]
+                assert a == b, (copula, q_fixed)
 
-    def test_stopped_runs_walk_no_more_columns_than_the_copula(self,
-                                                               monkeypatch):
-        # the column walk of _reduce_rows costs one Python step per column:
-        # it serves the copula's rows, while a rect wider than it is tall,
-        # such as a stopped slice of equal long lengths, takes one row-wise
-        # cumsum however long its replicates are
-        shapes = []
+    def test_stopped_runs_walk_no_more_columns_than_their_replicates(
+            self, monkeypatch):
+        # the column walk of _reduce_rows costs one Python step per column,
+        # so only the fixed-length path, with the copula's few columns,
+        # calls it; a stopped runmax walks columns in _running_max, at most
+        # one per replicate of its slice, so equal long lengths are not
+        # walked one column per term
+        shapes, walks = [], []
         reduce = mc._reduce_rows
 
         def spy(rect, kinds):
             shapes.append(rect.shape)
             return reduce(rect, kinds)
 
+        src, first = inspect.getsourcelines(mc._running_max)
+        step = first + next(i for i, line in enumerate(src)
+                            if "pos[:k] += 1" in line)
+
+        def local(frame, event, arg):
+            if event == "line" and frame.f_lineno == step:
+                walks[-1][1] += 1
+            return local
+
+        def trace(frame, event, arg):
+            if frame.f_code is mc._running_max.__code__:
+                walks.append([len(frame.f_locals["eff"]), 0])
+                return local
+            return None
+
         monkeypatch.setattr(mc, "_reduce_rows", spy)
         d = Pareto(0.8, 1.0)
         for tau in (Deterministic(5_000), Poisson(3.0)):
             m = DependentModel(FGM.bivariate(1.0), (d, d), tau=tau)
-            mc.estimate_tails(m, ["SumTau", "MaxTau", "RunMaxTau"],
-                              [5.0, 500.0], 3_000, seed=13)
-            walked = [cols for rows, cols in shapes if cols <= rows]
-            assert max(walked, default=0) <= m.dim, tau
-        assert shapes and all(cols == 5_000 for _, cols in shapes)
-        shapes.clear()
+            sys.settrace(trace)
+            try:
+                mc.estimate_tails(m, ["SumTau", "MaxTau", "RunMaxTau"],
+                                  [5.0, 500.0], 3_000, seed=13)
+            finally:
+                sys.settrace(None)
+            assert walks and all(cols <= reps for reps, cols in walks), tau
+            walks.clear()
+        assert shapes == []
         plain = DependentModel(FGM.bivariate(1.0), (d, d))
         mc.estimate_tail(plain, "SumN", [5.0], 1_000, seed=13)
         assert shapes == [(1_000, plain.dim)]
@@ -251,6 +278,29 @@ class TestBitwiseReproducibility:
             np.testing.assert_array_equal(stats[1], naive[1])
             np.testing.assert_array_equal(stats[2], naive[2])
 
+    @pytest.mark.parametrize("model", [
+        DependentModel(Independence(2), (Pareto(0.8, 1.0),) * 2,
+                       tau=Poisson(6.0)),
+        DependentModel(FGM.bivariate(0.5), (Pareto(0.8, 1.0),) * 2,
+                       tau=Poisson(6.0)),
+        DependentModel(Independence(3),
+                       (ShiftedBy(Pareto(2.0, 1.0), -3.0),) * 3,
+                       tau=Poisson(6.0)),
+    ], ids=["independence", "fgm", "dim3"])
+    def test_a_replicate_reduces_alone_as_among_others(self, model):
+        # replicate 0 draws the same length and values from the same
+        # streams whether its block holds 1 replicate (a one-replicate last
+        # block) or 500, and each statistic reads only its own draws, so
+        # all three are equal bit for bit
+        kinds = ("sum", "max", "runmax")
+        for seed in range(40):
+            alone, among = (
+                mc._stats_stopped(model, kinds, mc.block_stream(seed, 0),
+                                  mc.block_stream(seed, mc._TAU_LANE),
+                                  count, mc.TAU_CAP)[0][:, 0]
+                for count in (1, 500))
+            np.testing.assert_array_equal(alone, among, err_msg=str(seed))
+
     # seed 3, block 0 of Independence(2), Pareto(0.1, 1) and Poisson(4):
     # Pareto(0.1) summands push a slice-wide running total to ~1e60
     HEAVY = DependentModel(Independence(2), (Pareto(0.1, 1.0),) * 2,
@@ -312,12 +362,12 @@ class TestBitwiseReproducibility:
         model = DependentModel(Independence(3),
                                (ShiftedBy(Pareto(2.0, 1.0), -3.0),) * 3,
                                tau=Poisson(1.0))
-        blocks = (eff + 2) // 3
+        sizes = (eff + 2) // 3 * 3
+        starts = np.cumsum(sizes) - sizes
         stats = mc._chunk_stats(model, kinds, mc.block_stream(6, 0), eff,
-                                blocks, False)
+                                sizes, starts)
         flat = model.marginals[0].ppf_from_uniform(model.copula.sample(
-            mc.block_stream(6, 0), int(blocks.sum())).ravel())
-        starts = np.cumsum(3 * blocks) - 3 * blocks
+            mc.block_stream(6, 0), int(sizes.sum()) // 3).ravel())
         segments = [flat[a:a + t] for a, t in zip(starts, eff)]
         runmax = [np.cumsum(seg).max() if len(seg) else 0.0
                   for seg in segments]
