@@ -681,26 +681,20 @@ def _parse_convolve(raw) -> _Parsed:
 def _convolve_rows(dist, nfold: int, probes, grid) -> list:
     """(x, lower, upper, single tail, ratio bounds, running min) rows.
 
-    The exact two-fold probes a lo/hi span at every jump of both tails.
+    An atomic two-fold probes a lo/hi span at every jump of both tails.
     """
     with _config_errors("convolve"):
-        if nfold == 2 and dist.truncated_atoms(float("inf")) is not None:
-            curve = conv.exact_twofold_ratio_curve(dist, **(
-                {"lo": float(probes["lo"]), "hi": float(probes["hi"])}
-                if isinstance(probes, dict) else {"x_points": grid}))
-            rows = zip(curve.xs, curve.numerators, curve.numerators,
-                       curve.denominators, curve.ratios, curve.ratios,
-                       curve.running_min)
-        else:
-            lower, upper = conv.bracket_bounds(
-                conv.nfold_tail_bracket(dist, nfold, grid))
-            tails = dist.tail(grid)
-            if np.any(tails <= 0):
-                raise InvalidInput("single tail vanishes on the grid; "
-                                   "shorten it")
-            rows = zip(grid, lower, upper, tails, lower / tails,
-                       upper / tails,
-                       np.minimum.accumulate(0.5 * (lower + upper) / tails))
+        if (nfold == 2 and isinstance(probes, dict)
+                and dist.truncated_atoms(float("inf")) is not None):
+            grid = conv.tail_jumps(dist, float(probes["lo"]),
+                                   float(probes["hi"]))
+        lower, upper = conv.nfold_tail_bracket(dist, nfold, grid)
+        tails = dist.tail(grid)
+        if np.any(tails <= 0):
+            raise InvalidInput("single tail vanishes on the grid; "
+                               "shorten it")
+        rows = zip(grid, lower, upper, tails, lower / tails, upper / tails,
+                   np.minimum.accumulate(0.5 * (lower + upper) / tails))
         return [tuple(map(float, row)) for row in rows]
 
 

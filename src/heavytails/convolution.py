@@ -1,15 +1,16 @@
 """Deterministic convolution oracles: lattice measures and n-fold tail brackets.
 
-Two paths provide ground truth for the Monte Carlo engine:
+Every bracket comes back in one format: two float arrays (lower, upper) on
+the probes, lower <= P(S_n > x) <= upper, both clamped to 1. Two paths fill
+it:
 
 * purely atomic laws convolve exactly (direct product-sum enumeration that
   keeps every pair mass, with an overflow bucket at +infinity standing in for
   the far tail, which is exact for every probe below the truncation
-  threshold), so their n-fold brackets have zero width up to rounding.
-  ``_atom_measure`` is the one place a law's atom table becomes a lattice
-  measure. The n-fold path powers it in ``nfold_atoms``; the two-fold with its
-  jump probes lives only in ``exact_twofold_ratio_curve``, which also serves
-  the ``S`` class diagnostic;
+  threshold), so lower equals upper up to rounding. ``_atom_measure`` is the
+  one place a law's atom table becomes a lattice measure, and ``nfold_atoms``
+  powers it. The exact two-fold ratio curve is the n = 2 case probed at
+  ``tail_jumps``, every atom of the single and the pair law in a range;
 * continuous laws are bracketed between two lattice envelopes. Rounding every
   summand's location up to the grid produces a stochastically larger variable,
   hence an upper bound on P(S_n > x); rounding down gives the lower bound.
@@ -152,39 +153,29 @@ def nfold_atoms(m: LatticeMeasure, n: int, clamp_above: float = None) -> Lattice
     return _power(clamp(m), n, lambda a, b: clamp(convolve_atoms(a, b)))
 
 
-@dataclass(frozen=True)
-class TailBracket:
-    """Certified bounds: lower <= P(S_n > x) <= upper."""
-
-    x: float
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper <= 1.0 + 1e-12):
-            raise InvalidInput(f"bracket out of order at x={self.x}: "
-                               f"[{self.lower}, {self.upper}]")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
+def _bracket(xs, lows, highs) -> tuple:
+    """(lower, upper) arrays on the probes xs: both ends clamped to 1, since
+    an envelope tail can round a few ulps above it, and put in order."""
+    lower = np.minimum(np.minimum(lows, highs), 1.0)
+    upper = np.minimum(np.maximum(highs, lows), 1.0)
+    bad = ~((0.0 <= lower) & (lower <= upper))  # a NaN tail fails too
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise InvalidInput(f"bracket out of order at x={xs[i]}: "
+                           f"[{lower[i]}, {upper[i]}]")
+    return lower, upper
 
 
-def bracket_bounds(brackets) -> tuple:
-    """(lower, upper) arrays of a list of brackets."""
-    return (np.array([b.lower for b in brackets]),
-            np.array([b.upper for b in brackets]))
-
-
-def _brackets(xs, lows, highs) -> list:
-    # both ends clamped to 1: an envelope tail can round a few ulps above it
-    return [TailBracket(float(x), float(min(lo, hi, 1.0)),
-                        float(min(max(hi, lo), 1.0)))
-            for x, lo, hi in zip(xs, lows, highs)]
+def _probes(xs, n: int) -> np.ndarray:
+    """xs as a float array, after the checks every n-fold bracket shares."""
+    if n < 1:
+        raise InvalidInput("n must be at least 1")
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if xs.size == 0:
+        raise InvalidInput("need at least one probe")
+    if not np.all(np.isfinite(xs)):
+        raise InvalidInput("probes must be finite")
+    return xs
 
 
 @dataclass(frozen=True)
@@ -235,20 +226,25 @@ def _grid_clamp(g: _Grid, clamp_k: int, side: str) -> _Grid:
 
 def _product_tails(a: _Grid, b: _Grid, xs) -> np.ndarray:
     """P(A + B > x) at each probe, read off the two factors without forming
-    their product.
+    their product, unless the probes are so dense that forming it costs less.
 
     K is the index the product's tail would find for x, and the tail
     there is sum_i a_i S_B(K - i) plus the overflow, where S_B(j) is B's mass
     at index j or above. All terms are nonnegative, so the rounding stays
     relative. Each distinct K takes one row of a sliding window over the
     padded S_B, and the rows are gathered in blocks of at most _PROBE_CHUNK
-    values, one matrix-vector product per block.
+    values, one matrix-vector product per block. A gathered value costs
+    about three product terms, so past 3/4 * len(B) probes the product is
+    formed and its tail read instead.
     """
     inf_mass = _overflow(a, b)
     la, lb = len(a.masses), len(b.masses)
     if la == 0 or lb == 0:
         return np.full(len(xs), inf_mass)
     locs = (a.k0 + b.k0 + np.arange(la + lb - 1)) * a.step
+    if 4 * len(xs) > 3 * lb:
+        return LatticeMeasure(locs, np.convolve(a.masses, b.masses),
+                              inf_mass).tail(xs)
     ks, where = np.unique(np.searchsorted(locs, xs, side="right"),
                           return_inverse=True)
     suffix = np.cumsum(b.masses[::-1])[::-1]
@@ -306,10 +302,11 @@ def discretize_tail(k_lo: int, step: float, tails, side: str) -> _Grid:
 
 
 def nfold_tail_bracket_from_tail(tail_fn, support_min: float, n: int, xs,
-                                 grid_step: float = None) -> list:
-    """Brackets for P(S_n > x) when S_n sums n i.i.d. copies of a law
-    given by its tail function with support bounded below by support_min."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+                                 grid_step: float = None) -> tuple:
+    """(lower, upper) arrays: lower <= P(S_n > x) <= upper at each probe x,
+    where S_n sums n i.i.d. copies of a law given by its tail function with
+    support bounded below by support_min."""
+    xs = _probes(xs, n)
     if not math.isfinite(support_min):
         raise InvalidInput("support must be bounded below")
     x_max = float(np.max(xs))
@@ -333,7 +330,7 @@ def nfold_tail_bracket_from_tail(tail_fn, support_min: float, n: int, xs,
         # the clamp moves mass only above every probe: the last product
         # needs none
         tails.append(_product_tails(half, rest, xs))
-    return _brackets(xs, *tails)
+    return _bracket(xs, *tails)
 
 
 def _atom_measure(d: Marginal, x_max: float, n: int):
@@ -349,74 +346,36 @@ def _atom_measure(d: Marginal, x_max: float, n: int):
                           np.asarray(masses, dtype=float), inf_mass=overflow)
 
 
-def nfold_tail_bracket(d: Marginal, n: int, xs, grid_step: float = None) -> list:
-    """Brackets for P(X_1 + ... + X_n > x), X_i i.i.d. with law d.
+def nfold_tail_bracket(d: Marginal, n: int, xs, grid_step: float = None) -> tuple:
+    """(lower, upper) arrays: lower <= P(X_1 + ... + X_n > x) <= upper at
+    each probe x, X_i i.i.d. with law d.
 
     Purely atomic laws take the exact path: every pair mass is kept, so
-    their brackets have zero width and match exact enumeration up to
-    rounding. Continuous laws are bracketed by lattice envelopes.
+    lower equals upper and matches exact enumeration up to rounding.
+    Continuous laws are bracketed by lattice envelopes.
     """
-    xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
-    if n < 1:
-        raise InvalidInput("n must be at least 1")
-    x_max = float(np.max(xs_arr))
+    xs = _probes(xs, n)
+    x_max = float(np.max(xs))
     s_min = d.support()[0]
     base = _atom_measure(d, x_max, n)
     if base is None:
-        return nfold_tail_bracket_from_tail(d.tail, s_min, n, xs_arr,
+        return nfold_tail_bracket_from_tail(d.tail, s_min, n, xs,
                                             grid_step=grid_step)
     m = nfold_atoms(base, n, clamp_above=x_max - (n - 1) * min(s_min, 0.0) + 0.5)
-    tails = m.tail(xs_arr)
-    return _brackets(xs_arr, tails, tails)
+    tails = m.tail(xs)
+    return _bracket(xs, tails, tails)
 
 
-@dataclass(frozen=True)
-class ExactRatioCurve:
-    """Exact two-fold ratio curve r(x) = P(S_2 > x) / P(X > x) on atom probes."""
+def tail_jumps(d: Marginal, lo: float, hi: float) -> np.ndarray:
+    """lo and every atom of d and of its two-fold law in [lo, hi], sorted.
 
-    xs: np.ndarray
-    numerators: np.ndarray
-    denominators: np.ndarray
-    ratios: np.ndarray
-    running_min: np.ndarray
-
-    @property
-    def final_min(self) -> float:
-        return float(self.running_min[-1])
-
-
-def exact_twofold_ratio_curve(d: Marginal, lo: float = None, hi: float = None,
-                              x_points=None) -> ExactRatioCurve:
-    """Exact r(x) = P(X_1 + X_2 > x) / P(X > x) for an atomic law.
-
-    Give either a range [lo, hi] or explicit x_points. On a range, the curve
-    is probed at every atom of the sum law and of the single law (plus lo
-    itself): both tails are step functions jumping only there, so this
-    captures every value the ratio takes on the interval. convolve_atoms
-    keeps every pair mass, so the curve stays exact however deep the range
-    reaches.
+    Both tails are step functions that jump only there, so a two-fold
+    bracket probed at these points sees every value the ratio
+    P(X_1 + X_2 > x) / P(X > x) takes on [lo, hi]. A law without atoms
+    gives lo alone.
     """
-    if x_points is not None:
-        probes_in = np.unique(np.asarray(x_points, dtype=float))
-        if len(probes_in) == 0:
-            raise InvalidInput("x_points must be nonempty")
-        hi = float(probes_in[-1])
-    elif lo is None or hi is None:
-        raise InvalidInput("give either x_points or both lo and hi")
     base = _atom_measure(d, hi, 2)
     if base is None:
-        raise InvalidInput("exact ratio curve requires a purely atomic law")
-    two = convolve_atoms(base, base)
-    if x_points is not None:
-        probes = probes_in
-    else:
-        probes = np.unique(np.concatenate((
-            two.locs[(two.locs >= lo) & (two.locs <= hi)],
-            base.locs[(base.locs >= lo) & (base.locs <= hi)],
-            [lo])))
-    num = two.tail(probes)
-    den = np.asarray(d.tail(probes), dtype=float)
-    if np.any(den <= 0):
-        raise InvalidInput("single tail vanishes on the probe range")
-    ratios = num / den
-    return ExactRatioCurve(probes, num, den, ratios, np.minimum.accumulate(ratios))
+        return np.array([float(lo)])
+    locs = np.concatenate((convolve_atoms(base, base).locs, base.locs))
+    return np.unique(np.append(locs[(locs >= lo) & (locs <= hi)], lo))

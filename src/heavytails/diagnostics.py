@@ -180,17 +180,10 @@ def subexponential(d: Marginal, grid=None, grid_step: float = None,
     confined to narrow windows between round grid points are still observed.
     """
     grid = _probe_grid(d, grid, positive=True)
+    grid = np.unique(np.concatenate((grid, cv.tail_jumps(
+        d, float(np.min(grid)), float(np.max(grid))))))
     den = _nonvanishing(d.tail(grid))
-    if d.truncated_atoms(math.inf) is None:
-        num_lo, num_hi = cv.bracket_bounds(
-            cv.nfold_tail_bracket(d, 2, grid, grid_step=grid_step))
-    else:
-        jumps = cv.exact_twofold_ratio_curve(
-            d, lo=float(np.min(grid)), hi=float(np.max(grid))).xs
-        curve = cv.exact_twofold_ratio_curve(
-            d, x_points=np.concatenate((grid, jumps)))
-        grid, den = curve.xs, curve.denominators
-        num_lo, num_hi = curve.numerators, np.minimum(curve.numerators, 1.0)
+    num_lo, num_hi = cv.nfold_tail_bracket(d, 2, grid, grid_step=grid_step)
     r_lo, r_hi = num_lo / den, num_hi / den
     mid = 0.5 * (r_lo + r_hi)
     return ClassReport("S", grid, mid, limit_verdict(r_lo, r_hi, 2.0, tol), tol,
@@ -306,8 +299,8 @@ def strong_subexponential(d: Marginal, h_grid=(1.0, 10.0, 100.0), grid=None,
 
         den = _nonvanishing(fh_tail(d, h, grid),
                             f"window tail vanishes on the grid for h={h}")
-        lo, hi = cv.bracket_bounds(cv.nfold_tail_bracket_from_tail(
-            window_tail, 0.0, 2, grid, grid_step=grid_step))
+        lo, hi = cv.nfold_tail_bracket_from_tail(window_tail, 0.0, 2, grid,
+                                                 grid_step=grid_step)
         lo, hi = lo / den, hi / den
         curves[f"h={h:g}"] = 0.5 * (lo + hi)
         dev = np.abs(0.5 * (lo + hi) - 2.0)

@@ -115,22 +115,22 @@ class RatioCurve:
         return np.array([p.x for p in self.points])
 
 
-def _has_closed_form(model: DependentModel, quantity: mc.Quantity,
-                     weights=None) -> bool:
-    """Copula algebra gives the tail of an unweighted fixed-length max of up
-    to three coordinates and of a comonotone sum of identical marginals."""
-    return weights is None and not quantity.stopped and (
-        (quantity.kind == "max" and model.dim <= 3)
-        or (quantity.kind == "sum" and isinstance(model.copula, Comonotone)
-            and model.identical_marginals()))
-
-
-def _exact_numerator(model: DependentModel, quantity: mc.Quantity, xs):
-    """Closed-form tail of a statistic that _has_closed_form admits."""
-    if quantity.kind == "max":
-        u = np.column_stack([1.0 - m.tail(xs) for m in model.marginals])
-        return np.clip(1.0 - model.copula.cdf(u), 0.0, 1.0)
-    return model.marginals[0].tail(xs / model.dim)
+def _closed_form(model: DependentModel, quantity: mc.Quantity,
+                 weights=None):
+    """The tail xs -> P(stat > x) that copula algebra gives, else None: for
+    an unweighted fixed-length max of up to three coordinates and for a
+    comonotone sum of identical marginals."""
+    if weights is not None or quantity.stopped:
+        return None
+    if quantity.kind == "max" and model.dim <= 3:
+        def tail(xs):
+            u = np.column_stack([1.0 - m.tail(xs) for m in model.marginals])
+            return np.clip(1.0 - model.copula.cdf(u), 0.0, 1.0)
+        return tail
+    if (quantity.kind == "sum" and isinstance(model.copula, Comonotone)
+            and model.identical_marginals()):
+        return lambda xs: model.marginals[0].tail(xs / model.dim)
+    return None
 
 
 def check_run_options(numerator: str, tolerance: float,
@@ -150,7 +150,7 @@ def check_run_options(numerator: str, tolerance: float,
         # an empty grid runs the denominator's model checks, nothing more
         claim.denominator.values(model, ())
         quantity = mc.parse_quantity(claim.quantity)
-        closed = _has_closed_form(model, quantity, weights)
+        closed = _closed_form(model, quantity, weights) is not None
         if numerator == "exact" and not closed:
             raise InvalidInput(
                 f"no closed form for {quantity.token} on this model")
@@ -385,8 +385,9 @@ class Preset:
                 used_samples = samples
                 notes.extend(ests[0].notes)
             else:
-                num, se, used_samples = (_exact_numerator(model, quantity, xs),
-                                         np.zeros(len(xs)), 0)
+                num, se, used_samples = (
+                    _closed_form(model, quantity, self.weights)(xs),
+                    np.zeros(len(xs)), 0)
                 notes.append(
                     "numerator computed exactly, stderr identically zero")
             curves.append(_grade(

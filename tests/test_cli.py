@@ -334,7 +334,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli.conv, "exact_twofold_ratio_curve", boom)
+        monkeypatch.setattr(cli.conv, "nfold_tail_bracket", boom)
         code, _, err = run(capsys, ["convolve", "--dist", "example11"])
         assert code == 1
         assert "internal error" in err

@@ -183,39 +183,48 @@ class TestConvolveProperties:
         assert abs(out.total() - a.total() * b.total()) <= 1e-14
 
 
+def twofold_ratios(d, xs):
+    """(two-fold tails, ratios) of an atomic law at the probes xs; the
+    bracket of an atomic law has zero width."""
+    lower, upper = cv.nfold_tail_bracket(d, 2, xs)
+    np.testing.assert_array_equal(lower, upper)
+    return lower, lower / d.tail(xs)
+
+
 class TestFrozenMixtureCurve:
     """Regression constants from the rational-arithmetic oracle."""
 
     def test_running_min_is_five_quarters(self):
         d = GeometricAtomMixture()
-        curve = cv.exact_twofold_ratio_curve(d, 1.0, 2047.0)
-        assert curve.final_min == 1.25
-        i = int(np.argmin(curve.ratios))
-        assert curve.xs[i] == 2.5
+        xs = cv.tail_jumps(d, 1.0, 2047.0)
+        _, ratios = twofold_ratios(d, xs)
+        final_min = np.minimum.accumulate(ratios)[-1]
+        assert final_min == 1.25
+        i = int(np.argmin(ratios))
+        assert xs[i] == 2.5
         # margin to the subexponential limit value 2
-        assert 2.0 - curve.final_min == 0.75
-        assert 2.0 - curve.final_min > 0.05
+        assert 2.0 - final_min == 0.75
+        assert 2.0 - final_min > 0.05
 
     def test_deep_range_keeps_every_pair_mass(self):
         # past 2^26 some pair masses fall below 1e-16; the two-fold keeps
         # them, so the curve stays exact that deep
         d = GeometricAtomMixture()
-        curve = cv.exact_twofold_ratio_curve(d, 1.0, 2.0 ** 30)
-        assert curve.final_min == 1.25
+        _, ratios = twofold_ratios(d, cv.tail_jumps(d, 1.0, 2.0 ** 30))
+        assert np.minimum.accumulate(ratios)[-1] == 1.25
 
     def test_late_window_minimum(self):
         d = GeometricAtomMixture()
-        curve = cv.exact_twofold_ratio_curve(d, 205.0, 2047.0)
-        assert curve.final_min == 383.0 / 256.0
+        _, ratios = twofold_ratios(d, cv.tail_jumps(d, 205.0, 2047.0))
+        assert np.minimum.accumulate(ratios)[-1] == 383.0 / 256.0
 
     def test_ratio_constant_on_flat_pieces(self):
         # both tails are flat strictly between atoms; the nearest jumps around
         # these probes are the pair atoms at 16 = 15+1 and 18 = 15+3
         d = GeometricAtomMixture()
-        c = cv.exact_twofold_ratio_curve(d, 1.0, 2047.0,
-                                         x_points=[16.2, 17.0, 17.9, 18.5])
-        assert c.ratios[0] == c.ratios[1] == c.ratios[2]
-        assert c.ratios[3] < c.ratios[2]
+        _, ratios = twofold_ratios(d, np.array([16.2, 17.0, 17.9, 18.5]))
+        assert ratios[0] == ratios[1] == ratios[2]
+        assert ratios[3] < ratios[2]
 
     def test_non_long_tail_witness(self):
         d = GeometricAtomMixture()
@@ -231,32 +240,57 @@ class TestFrozenMixtureCurve:
         atoms.append((2.0 ** (depth + 1) - 1.0, 2.0 ** -depth))  # close the law
         d = DiscreteAtoms(atoms)
         x = 2.0 * 511.0 - 2.0  # just below twice the n=8 atom
-        c = cv.exact_twofold_ratio_curve(d, x_points=[x])
+        nums, ratios = twofold_ratios(d, np.array([x]))
         brute_num = sum(ma * mb
                         for la, ma in atoms for lb, mb in atoms if la + lb > x)
         brute_den = sum(m for l, m in atoms if l > x)
-        assert c.numerators[0] == pytest.approx(brute_num, rel=1e-13)
-        assert c.ratios[0] == pytest.approx(brute_num / brute_den, rel=1e-13)
+        assert nums[0] == pytest.approx(brute_num, rel=1e-13)
+        assert ratios[0] == pytest.approx(brute_num / brute_den, rel=1e-13)
 
-    def test_requires_atomic_law(self):
-        with pytest.raises(InvalidInput):
-            cv.exact_twofold_ratio_curve(Exponential(1.0), 1.0, 10.0)
+    def test_jumps_are_the_atoms_of_both_laws(self):
+        d = DiscreteAtoms(((0.0, 0.5), (1.0, 0.25), (3.0, 0.25)))
+        np.testing.assert_array_equal(cv.tail_jumps(d, 0.5, 4.0),
+                                      [0.5, 1.0, 2.0, 3.0, 4.0])
+
+    def test_law_without_atoms_jumps_only_at_lo(self):
+        np.testing.assert_array_equal(
+            cv.tail_jumps(Exponential(1.0), 1.0, 10.0), [1.0])
 
 
-class TestTailBracket:
-    def test_invariant_enforced(self):
-        with pytest.raises(InvalidInput):
-            cv.TailBracket(1.0, 0.5, 0.4)
+class TestBracketFormat:
+    def test_nan_tail_rejected(self):
+        for lows, highs in (([np.nan], [0.4]), ([0.4], [np.nan])):
+            with pytest.raises(InvalidInput, match="x=1.0"):
+                cv._bracket(np.array([1.0]), np.array(lows),
+                            np.array(highs))
 
     def test_envelope_tails_rounding_above_one_are_clamped(self):
-        above = 1.0 + 2.0 ** -52
-        (b,) = cv._brackets([4.64], [above], [above])
-        assert (b.lower, b.upper) == (1.0, 1.0)
+        above = np.array([1.0 + 2.0 ** -52])
+        lower, upper = cv._bracket(np.array([4.64]), above, above)
+        assert (lower[0], upper[0]) == (1.0, 1.0)
 
-    def test_width_and_midpoint(self):
-        b = cv.TailBracket(1.0, 0.2, 0.4)
-        assert b.width == pytest.approx(0.2)
-        assert b.midpoint == pytest.approx(0.3)
+    def test_ends_put_in_order(self):
+        lower, upper = cv._bracket(np.array([1.0]), np.array([0.5]),
+                                   np.array([0.4]))
+        assert (lower[0], upper[0]) == (0.4, 0.5)
+
+    @pytest.mark.parametrize("call", [
+        lambda xs: cv.nfold_tail_bracket(Exponential(1.0), 2, xs),
+        lambda xs: cv.nfold_tail_bracket(GeometricAtomMixture(), 2, xs),
+        lambda xs: cv.nfold_tail_bracket_from_tail(
+            Exponential(1.0).tail, 0.0, 2, xs)],
+        ids=["lattice", "atomic", "from-tail"])
+    @pytest.mark.parametrize("xs", [[], [math.inf], [5.0, math.nan],
+                                    [-math.inf, 5.0]],
+                             ids=["empty", "inf", "nan", "minus-inf"])
+    def test_bad_probes_rejected(self, call, xs):
+        with pytest.raises(InvalidInput):
+            call(xs)
+
+    def test_from_tail_rejects_n_zero(self):
+        with pytest.raises(InvalidInput, match="n must be at least 1"):
+            cv.nfold_tail_bracket_from_tail(Pareto(1.0, 1.0).tail, 1.0, 0,
+                                            [5.0])
 
 
 def two_call_bracket(tail_fn, support_min, n, xs, step):
@@ -274,7 +308,7 @@ def two_call_bracket(tail_fn, support_min, n, xs, step):
                            clamp_k, side)
         env = cv._power(g, n, lambda a, b: cv._grid_convolve(a, b, clamp_k, side))
         tails.append(env.measure().tail(xs))
-    return cv._brackets(xs, *tails)
+    return cv._bracket(xs, *tails)
 
 
 def example11_nfold_tails(n, xs):
@@ -330,8 +364,7 @@ class TestNfoldBracket:
         assert len(calls) == 1
         want = two_call_bracket(d.tail, d.support()[0], n, xs, 200.0 / 4096.0)
         # the last product is summed in another order: equal to rounding
-        np.testing.assert_allclose(cv.bracket_bounds(got),
-                                   cv.bracket_bounds(want), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("law", ["pareto-1.5", "pareto-1", "weibull-0.5",
@@ -351,10 +384,8 @@ class TestNfoldBracket:
                  "shifted-lognormal": ShiftedBy(Lognormal(0.0, 1.0), -1.0)}[law]
             tail_fn, support_min = d.tail, d.support()[0]
         xs = np.geomspace(2.0, 200.0, 12)
-        got = cv.bracket_bounds(
-            cv.nfold_tail_bracket_from_tail(tail_fn, support_min, n, xs))
-        want = cv.bracket_bounds(
-            two_call_bracket(tail_fn, support_min, n, xs, 200.0 / 4096.0))
+        got = cv.nfold_tail_bracket_from_tail(tail_fn, support_min, n, xs)
+        want = two_call_bracket(tail_fn, support_min, n, xs, 200.0 / 4096.0)
         assert np.all(got[0] <= got[1])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
@@ -364,8 +395,7 @@ class TestNfoldBracket:
         xs = np.array([0.5, 2.0, 6.0, 15.0, 30.0])
         truth = np.exp(-xs) * sum(xs ** k / math.factorial(k)
                                   for k in range(n))
-        lower, upper = cv.bracket_bounds(
-            cv.nfold_tail_bracket(Exponential(1.0), n, xs))
+        lower, upper = cv.nfold_tail_bracket(Exponential(1.0), n, xs)
         assert np.all(lower <= truth) and np.all(truth <= upper)
 
     @pytest.mark.parametrize("n,products", [(2, 0), (3, 2), (4, 2), (5, 4)])
@@ -411,21 +441,22 @@ class TestNfoldBracket:
         # every probe lies below the support: the upper envelope clamps all
         # of its mass into the overflow bucket and has no finite atom left
         for n in (2, 3):
-            brs = cv.nfold_tail_bracket(Pareto(1.0, 10.0), n, [2.0, 5.0])
-            assert [(b.lower, b.upper) for b in brs] == [(1.0, 1.0)] * 2
+            lower, upper = cv.nfold_tail_bracket(Pareto(1.0, 10.0), n,
+                                                 [2.0, 5.0])
+            assert list(zip(lower, upper)) == [(1.0, 1.0)] * 2
 
     def test_exponential_twofold_contains_gamma(self):
         # Gamma(2,1) tail at 9 is (1+9)e^-9
         truth = 10.0 * math.exp(-9.0)
-        (b,) = cv.nfold_tail_bracket(Exponential(1.0), 2, [9.0])
-        assert b.lower <= truth <= b.upper
-        assert b.width / truth < 0.02
+        (lower,), (upper,) = cv.nfold_tail_bracket(Exponential(1.0), 2, [9.0])
+        assert lower <= truth <= upper
+        assert (upper - lower) / truth < 0.02
 
     def test_exponential_threefold_contains_gamma(self):
         x = 12.0
         truth = (1.0 + x + x * x / 2.0) * math.exp(-x)
-        (b,) = cv.nfold_tail_bracket(Exponential(1.0), 3, [x])
-        assert b.lower <= truth <= b.upper
+        (lower,), (upper,) = cv.nfold_tail_bracket(Exponential(1.0), 3, [x])
+        assert lower <= truth <= upper
 
     def test_pareto_twofold_against_quadrature(self):
         # split on whether X2 > x-1 (then X1 >= 1 already pushes the sum past x):
@@ -435,8 +466,9 @@ class TestNfoldBracket:
             part, _ = integrate.quad(
                 lambda y: d.tail(x - y) * 1.5 * y ** -2.5, 1.0, x - 1.0)
             truth = part + d.tail(x - 1.0)
-            (b,) = cv.nfold_tail_bracket(d, 2, [x], grid_step=x / 8192.0)
-            assert b.lower <= truth <= b.upper
+            (lower,), (upper,) = cv.nfold_tail_bracket(d, 2, [x],
+                                                       grid_step=x / 8192.0)
+            assert lower <= truth <= upper
 
     def test_pareto_one_ratio_refines_toward_two(self):
         # independent two-fold of a unit-slope power tail: the refined bracket
@@ -447,26 +479,27 @@ class TestNfoldBracket:
         for x in (1000.0, 10000.0):
             widths = []
             for step in (x / 1024.0, x / 4096.0):
-                (b,) = cv.nfold_tail_bracket(d, 2, [x], grid_step=step)
-                widths.append(b.width)
+                (lower,), (upper,) = cv.nfold_tail_bracket(d, 2, [x],
+                                                           grid_step=step)
+                widths.append(upper - lower)
             assert widths[1] <= widths[0] + 1e-15
-            offsets.append(abs(b.midpoint / (2.0 * d.tail(x)) - 1.0))
+            midpoint = 0.5 * (lower + upper)
+            offsets.append(abs(midpoint / (2.0 * d.tail(x)) - 1.0))
             assert offsets[-1] < 0.02
         assert offsets[1] < offsets[0]
 
     def test_atomic_path_zero_width(self):
         d = GeometricAtomMixture()
-        brs = cv.nfold_tail_bracket(d, 2, [10.0, 63.0, 500.0])
-        for b in brs:
-            assert b.width == 0.0
+        lower, upper = cv.nfold_tail_bracket(d, 2, [10.0, 63.0, 500.0])
+        for width in upper - lower:
+            assert width == 0.0
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_atomic_nfold_is_exact_deep_in_the_tail(self, n):
         # no pair mass is dropped, however small: the bracket has zero width
         # and matches rational enumeration to rounding out to 2^30
         xs = np.geomspace(2.0, 2.0 ** 30, 24)
-        lower, upper = cv.bracket_bounds(
-            cv.nfold_tail_bracket(GeometricAtomMixture(), n, xs))
+        lower, upper = cv.nfold_tail_bracket(GeometricAtomMixture(), n, xs)
         exact = np.array([float(t) for t in
                           example11_nfold_tails(n, xs.tolist())])
         np.testing.assert_array_equal(lower, upper)
@@ -474,9 +507,9 @@ class TestNfoldBracket:
 
     def test_atomic_binomial_exact(self):
         d = DiscreteAtoms(((0.0, 0.5), (1.0, 0.5)))
-        b15, b25 = cv.nfold_tail_bracket(d, 3, [1.5, 2.5])
-        assert b15.lower == b15.upper == 0.5
-        assert b25.lower == b25.upper == 0.125
+        (lo15, lo25), (hi15, hi25) = cv.nfold_tail_bracket(d, 3, [1.5, 2.5])
+        assert lo15 == hi15 == 0.5
+        assert lo25 == hi25 == 0.125
 
     def test_monotone_refinement_never_widens(self):
         probes = [3.0, 6.0, 9.0]
@@ -485,19 +518,21 @@ class TestNfoldBracket:
         for d in fams:
             prev = None
             for step in (0.05, 0.025, 0.0125):
-                brs = cv.nfold_tail_bracket(d, 2, probes, grid_step=step)
+                lower, upper = cv.nfold_tail_bracket(d, 2, probes,
+                                                     grid_step=step)
                 if prev is not None:
-                    for old, new in zip(prev, brs):
-                        assert new.width <= old.width + 1e-15
-                        assert old.lower - 1e-15 <= new.lower
-                        assert new.upper <= old.upper + 1e-15
-                prev = brs
+                    old_lower, old_upper = prev
+                    assert np.all(upper - lower
+                                  <= old_upper - old_lower + 1e-15)
+                    assert np.all(old_lower - 1e-15 <= lower)
+                    assert np.all(upper <= old_upper + 1e-15)
+                prev = lower, upper
 
     def test_shifted_support_handled(self):
         d = ShiftedBy(Exponential(1.0), -2.0)
         truth = 10.0 * math.exp(-9.0)  # shift by -4 total: P(S+(-4) > 5) = Gamma tail at 9
-        (b,) = cv.nfold_tail_bracket(d, 2, [5.0], grid_step=0.002)
-        assert b.lower <= truth <= b.upper
+        (lower,), (upper,) = cv.nfold_tail_bracket(d, 2, [5.0], grid_step=0.002)
+        assert lower <= truth <= upper
 
     def test_bracket_contains_monte_carlo(self):
         # sampling cross-check on several built-in families
@@ -514,9 +549,9 @@ class TestNfoldBracket:
             draws = d.sample(rng, n_samples * n).reshape(n_samples, n).sum(axis=1)
             p_hat = float(np.mean(draws > x))
             se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / n_samples)
-            (b,) = cv.nfold_tail_bracket(d, n, [x])
-            assert b.lower - 4 * se <= p_hat <= b.upper + 4 * se, (
-                f"{type(d).__name__}: mc={p_hat} bracket=({b.lower},{b.upper})")
+            (lower,), (upper,) = cv.nfold_tail_bracket(d, n, [x])
+            assert lower - 4 * se <= p_hat <= upper + 4 * se, (
+                f"{type(d).__name__}: mc={p_hat} bracket=({lower},{upper})")
 
     def test_rejects_n_zero(self):
         with pytest.raises(InvalidInput):
