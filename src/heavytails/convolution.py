@@ -93,13 +93,11 @@ def convolve_atoms(a: LatticeMeasure, b: LatticeMeasure) -> LatticeMeasure:
     bucket absorbs products with either factor's bucket. Total mass is
     conserved to 1e-15 (checked).
     """
-    if len(a.locs) * len(b.locs) > ATOM_CAP:
-        raise ResourceLimit(f"product-sum would create {len(a.locs) * len(b.locs)} atoms "
-                            f"(cap {ATOM_CAP})")
-    sums = np.add.outer(a.locs, b.locs).ravel()
-    prods = np.multiply.outer(a.masses, b.masses).ravel()
+    sums = _pair_sums(a, b).ravel()
     order = np.argsort(sums, kind="stable")
-    locs, masses = _merge_close(sums[order], prods[order], MERGE_TOL)
+    sums, prods = sums[order], np.multiply.outer(a.masses, b.masses).ravel()[order]
+    starts = _merge_starts(sums, MERGE_TOL)
+    locs, masses = sums[starts], np.add.reduceat(prods, starts)
 
     fa = math.fsum(a.masses.tolist())
     fb = math.fsum(b.masses.tolist())
@@ -110,14 +108,20 @@ def convolve_atoms(a: LatticeMeasure, b: LatticeMeasure) -> LatticeMeasure:
     return out
 
 
-def _merge_close(sorted_locs, masses, tol):
-    if len(sorted_locs) == 0:
-        return sorted_locs, masses
+def _pair_sums(a: LatticeMeasure, b: LatticeMeasure) -> np.ndarray:
+    """a.locs[i] + b.locs[j] at [i, j], within the atom cap."""
+    if len(a.locs) * len(b.locs) > ATOM_CAP:
+        raise ResourceLimit(f"product-sum would create {len(a.locs) * len(b.locs)} atoms "
+                            f"(cap {ATOM_CAP})")
+    return np.add.outer(a.locs, b.locs)
+
+
+def _merge_starts(sorted_locs, tol) -> np.ndarray:
+    """Index of the first atom of each run of atoms less than tol apart."""
     new_group = np.empty(len(sorted_locs), dtype=bool)
-    new_group[0] = True
+    new_group[:1] = True
     np.greater(np.diff(sorted_locs), tol, out=new_group[1:])
-    starts = np.flatnonzero(new_group)
-    return sorted_locs[starts], np.add.reduceat(masses, starts)
+    return np.flatnonzero(new_group)
 
 
 def _power(base, n: int, mul):
@@ -226,25 +230,20 @@ def _grid_clamp(g: _Grid, clamp_k: int, side: str) -> _Grid:
 
 def _product_tails(a: _Grid, b: _Grid, xs) -> np.ndarray:
     """P(A + B > x) at each probe, read off the two factors without forming
-    their product, unless the probes are so dense that forming it costs less.
+    their product.
 
     K is the index the product's tail would find for x, and the tail
     there is sum_i a_i S_B(K - i) plus the overflow, where S_B(j) is B's mass
     at index j or above. All terms are nonnegative, so the rounding stays
     relative. Each distinct K takes one row of a sliding window over the
     padded S_B, and the rows are gathered in blocks of at most _PROBE_CHUNK
-    values, one matrix-vector product per block. A gathered value costs
-    about three product terms, so past 3/4 * len(B) probes the product is
-    formed and its tail read instead.
+    values, one matrix-vector product per block.
     """
     inf_mass = _overflow(a, b)
     la, lb = len(a.masses), len(b.masses)
     if la == 0 or lb == 0:
         return np.full(len(xs), inf_mass)
     locs = (a.k0 + b.k0 + np.arange(la + lb - 1)) * a.step
-    if 4 * len(xs) > 3 * lb:
-        return LatticeMeasure(locs, np.convolve(a.masses, b.masses),
-                              inf_mass).tail(xs)
     ks, where = np.unique(np.searchsorted(locs, xs, side="right"),
                           return_inverse=True)
     suffix = np.cumsum(b.masses[::-1])[::-1]
@@ -372,10 +371,13 @@ def tail_jumps(d: Marginal, lo: float, hi: float) -> np.ndarray:
     Both tails are step functions that jump only there, so a two-fold
     bracket probed at these points sees every value the ratio
     P(X_1 + X_2 > x) / P(X > x) takes on [lo, hi]. A law without atoms
-    gives lo alone.
+    gives lo alone. The pair sums up to hi are merged as convolve_atoms
+    merges them, but carry no masses: the bracket forms the pair law.
     """
     base = _atom_measure(d, hi, 2)
     if base is None:
         return np.array([float(lo)])
-    locs = np.concatenate((convolve_atoms(base, base).locs, base.locs))
+    sums = _pair_sums(base, base)
+    sums = np.sort(sums[np.triu(sums <= hi)])  # symmetric: one half holds all
+    locs = np.concatenate((sums[_merge_starts(sums, MERGE_TOL)], base.locs))
     return np.unique(np.append(locs[(locs >= lo) & (locs <= hi)], lo))

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from heavytails import cli
 from heavytails import convolution as cv
 from heavytails.diagnostics import fh_tail
 from heavytails.distributions import (
@@ -255,6 +256,32 @@ class TestFrozenMixtureCurve:
     def test_law_without_atoms_jumps_only_at_lo(self):
         np.testing.assert_array_equal(
             cv.tail_jumps(Exponential(1.0), 1.0, 10.0), [1.0])
+
+    def test_jumps_are_the_atoms_convolve_atoms_forms(self):
+        # sums such as 0.1 + 0.2 and 0.3 lie within MERGE_TOL: the jumps
+        # merge them as the pair law does
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            locs = np.sort(rng.choice(np.arange(-5, 60), 12, replace=False))
+            d = DiscreteAtoms(tuple((0.1 * k, 1.0 / 12) for k in locs))
+            lo, hi = sorted(rng.uniform(-1.0, 12.0, 2))
+            base = cv._atom_measure(d, hi, 2)
+            atoms = np.concatenate((cv.convolve_atoms(base, base).locs,
+                                    base.locs))
+            want = np.unique(np.append(
+                atoms[(atoms >= lo) & (atoms <= hi)], lo))
+            np.testing.assert_array_equal(cv.tail_jumps(d, lo, hi), want)
+
+    def test_span_forms_the_pair_law_once(self, monkeypatch, capsys):
+        # the jumps need only the pair sums; the bracket forms the pair law
+        calls = []
+        form = cv.convolve_atoms
+        monkeypatch.setattr(cv, "convolve_atoms",
+                            lambda a, b: calls.append(1) or form(a, b))
+        assert cli.main(["convolve", "--dist", "example11",
+                         "--points", "1:2047:24"]) == 0
+        assert "2047.0," in capsys.readouterr().out
+        assert len(calls) == 1
 
 
 class TestBracketFormat:
