@@ -30,21 +30,24 @@ from .rng import (BLOCK_SIZE, block_stream, check_samples, check_seed,
 
 TAU_CAP = 1 << 20      # per-replicate cap on the simulated sequence length
 _TAU_LANE = 1 << 49    # block-stream lane reserved for counting-law draws
-# Coordinate budget per simulation slice, equal to TAU_CAP. A slice holds at
-# most max(_CHUNK_VALUES, tau_cap rounded up to dim) coordinates, since one
-# replicate may exceed the budget on its own; at the defaults that is one
-# capped replicate, so a smaller budget cannot lower the bound (at 2^19 and
-# 2^16 the zeta-long-stopped benchmark peaked 1.5 MB lower on 2 cores, with no
-# CPU change beyond noise). The inverse transform overwrites the uniforms, so
-# live float64 data per slice stays near one array of that many values; the
-# reductions then read the values in place, and runmax adds only arrays of
-# one value per replicate (_running_max). At the defaults that is ~8 MiB (one
-# T4.2 block measures 9.6 MiB on max and sum, 8.8 MiB on runmax). An FGM
+# Coordinate budget per simulation slice. A slice holds at most
+# max(_CHUNK_VALUES, tau_cap rounded up to dim) coordinates, since one
+# replicate may exceed the budget on its own, so at the defaults the bound is
+# one capped replicate whatever the budget. The budget sets the size of the
+# arrays a long block keeps allocating, and the allocator keeps a larger
+# heap after serving larger arrays; the calling process, which runs a share
+# of the blocks itself (_pool_results), keeps that heap from one estimate to
+# the next (zeta-long-stopped peak_rss_mb, BENCH_22.json). The inverse
+# transform overwrites the uniforms, so live float64 data per slice stays
+# near one array of its values; the reductions then read the values in
+# place, and runmax adds only arrays of one value per replicate
+# (_running_max). At the defaults the bound is ~8 MiB (one T4.2 block with
+# nothing settled measures 9.6 MiB on max and sum, 8.8 MiB on runmax). An FGM
 # copula adds the temporaries of its inversion, which runs over
 # copulas._FGM_BATCH rows at a time: about 5 MiB (a bivariate FGM block
 # measures 13.8 MiB). Every statistic is reduced over each replicate's own
 # segment, so the budget moves no bit.
-_CHUNK_VALUES = 1 << 20
+_CHUNK_VALUES = 1 << 16
 # Settling (_settle). A replicate is settled only from this many padded
 # values up: below it a replicate costs little inside its slice, while in a
 # T4.2 block the ~100 replicates this long hold 94 % of the values.
@@ -391,15 +394,20 @@ def _worker(payload, conn) -> None:
 
 
 def _pool_results(payloads, n_blocks: int) -> list:
-    """_run_blocks on each payload in its own forked process, in payload
-    order. A payload whose process sends nothing or exits non-zero is lost,
-    and WorkerCrashed names the blocks of each lost payload. An exception
-    raised in a worker is raised here, the first in payload order."""
-    import multiprocessing as mp
-    ctx = mp.get_context("fork")
+    """_run_blocks on each payload, in payload order: the first in this
+    process, each other in its own forked process, started before the first
+    runs. One payload forks nothing. A forked payload whose process sends
+    nothing or exits non-zero is lost, and WorkerCrashed names the blocks of
+    each lost payload, ahead of any exception. Otherwise an exception raised
+    on a payload is raised here, the first in payload order. An exception
+    that is not an Exception (KeyboardInterrupt, SystemExit) on the first
+    payload propagates at once, and every forked process is killed."""
+    if len(payloads) > 1:
+        import multiprocessing as mp
+        ctx = mp.get_context("fork")
     jobs, replies = [], []
     try:
-        for p in payloads:
+        for p in payloads[1:]:
             recv, send = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_worker, args=(p, send), daemon=True)
             proc.start()
@@ -407,6 +415,10 @@ def _pool_results(payloads, n_blocks: int) -> list:
             # and the workers forked later do not inherit one either
             send.close()
             jobs.append((proc, recv))
+        try:
+            replies.append(_run_blocks(payloads[0]))
+        except Exception as err:
+            replies.append(err)
         for proc, recv in jobs:
             try:
                 reply = recv.recv()
@@ -473,6 +485,12 @@ def estimate_tails(model: DependentModel, quantities, xs, samples: int,
     rows (one list of TailEstimate per quantity) equal separate
     estimate_tail calls bit for bit. They depend only on (model, quantities,
     weights, xs, samples, seed), never on the worker count.
+
+    The blocks are dealt round-robin to min(workers, blocks) shares. This
+    process runs the first share and forks one process for each other
+    (_pool_results), so workers=1 forks nothing. A hard crash in the first
+    share (a signal, os._exit) ends this process, as at workers=1; one in
+    a forked share raises WorkerCrashed.
     """
     quantities, weights = check_pass(model, quantities, weights)
     stopped = quantities[0].stopped
@@ -498,10 +516,8 @@ def estimate_tails(model: DependentModel, quantities, xs, samples: int,
         for w in range(n_payloads)
     ]
 
-    # one payload runs in process; more share a pool, one process each
     hits, capped = np.zeros((len(kinds), len(xs)), dtype=np.int64), 0
-    for h, k in (_pool_results(payloads, n_blocks) if n_payloads > 1
-                 else map(_run_blocks, payloads)):
+    for h, k in _pool_results(payloads, n_blocks):
         hits += h
         capped += k
 

@@ -98,6 +98,12 @@ def ref_shifted(ref, base, shift):
     return lambda d, a, b: ref(base, a - shift, b - shift)
 
 
+def param_id(v):
+    """A test id that is the same in every run: a function's name, else the
+    first 40 characters of the repr (a function's repr holds its address)."""
+    return getattr(v, "__name__", None) or repr(v)[:40]
+
+
 def windows(rng, start, n=400):
     """Random windows: across the support start, deep and narrow, zero
     width, and unbounded.
@@ -165,7 +171,7 @@ def test_building_a_lognormal_loads_scipy_special():
 
 
 class TestTailIntegral:
-    @pytest.mark.parametrize("d,ref,start", CLOSED, ids=lambda v: repr(v)[:40])
+    @pytest.mark.parametrize("d,ref,start", CLOSED, ids=param_id)
     def test_closed_forms_match_the_scalar_reference(self, d, ref, start):
         # numpy's vector pow, exp and log may differ from libm by an ulp, and
         # lo^(1-a) - hi^(1-a) amplifies that on deep, narrow windows
@@ -176,7 +182,7 @@ class TestTailIntegral:
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
         assert np.all(got[b == a] == 0.0)
 
-    @pytest.mark.parametrize("d,start", ATOMIC, ids=lambda v: repr(v)[:40])
+    @pytest.mark.parametrize("d,start", ATOMIC, ids=param_id)
     def test_atom_tables_match_the_per_window_sum_bit_for_bit(self, d, start):
         a, b = windows(np.random.default_rng(8), start)
         base, shift = (d.base, d.shift) if isinstance(d, ShiftedBy) else (d, 0.0)
@@ -293,7 +299,7 @@ INTEGRATED = [
 
 class TestIntegratedTailWindows:
     @pytest.mark.parametrize("base,kinks", INTEGRATED,
-                             ids=lambda v: repr(v)[:40])
+                             ids=param_id)
     def test_windows_match_adaptive_quadrature(self, base, kinks):
         integrate = pytest.importorskip("scipy.integrate")
         it = IntegratedTail(base)
@@ -363,7 +369,7 @@ OLD_PPF = [
 
 
 class TestInPlaceInverseTransform:
-    @pytest.mark.parametrize("d,old", OLD_PPF, ids=lambda v: repr(v)[:40])
+    @pytest.mark.parametrize("d,old", OLD_PPF, ids=param_id)
     def test_engine_hook_overwrites_the_uniforms_with_the_old_bits(self, d, old):
         u = np.random.default_rng(3).random(50_000)
         u[:3] = (0.0, 0.5, np.nextafter(1.0, 0.0))
@@ -372,14 +378,14 @@ class TestInPlaceInverseTransform:
         assert got is u
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("d,old", OLD_PPF, ids=lambda v: repr(v)[:40])
+    @pytest.mark.parametrize("d,old", OLD_PPF, ids=param_id)
     def test_strided_column_is_overwritten_in_place(self, d, old):
         u = np.random.default_rng(4).random((1000, 3))
         want = old(d, u[:, 1].copy())
         d.ppf_from_uniform(u[:, 1])
         assert np.array_equal(u[:, 1], want)
 
-    @pytest.mark.parametrize("d,old", OLD_PPF, ids=lambda v: repr(v)[:40])
+    @pytest.mark.parametrize("d,old", OLD_PPF, ids=param_id)
     def test_quantile_and_sample_keep_the_caller_data(self, d, old):
         u = np.array([0.1, 0.5, 0.99])
         kept = u.copy()

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from heavytails import cli, risk
+from heavytails.rng import BLOCK_SIZE
 
 SAMPLES = 16_400
 SEED = 5
@@ -44,6 +45,20 @@ def test_preset_csv_bytes_are_frozen(capsys, preset_id, workers):
     out = capsys.readouterr().out
     assert code in (cli.EXIT_OK, cli.EXIT_INCONSISTENT), code
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[preset_id]
+
+
+def test_three_worker_stopped_bytes_are_frozen(capsys):
+    # three blocks at three workers: the caller runs block 0 and two forked
+    # workers run blocks 1 and 2; the bytes are the one-worker bytes
+    argv = ["theorem", "--id", "T4.2", "--samples", str(2 * BLOCK_SIZE + 16),
+            "--seed", str(SEED)]
+    outs = []
+    for workers in ("1", "3"):
+        assert cli.main(argv + ["--workers", workers]) == cli.EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[1].encode()).hexdigest() == (
+        "9dd8851b91eaa5ffd751a16da08fa36d8a956435d4923c9d45850acbc290a909")
 
 
 # Every other command, in both output formats, at budgets small enough that

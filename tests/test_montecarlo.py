@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import os
 import sys
 import tracemalloc
 
@@ -18,7 +19,8 @@ from heavytails.counting import Deterministic, Geometric1, Poisson, Zeta
 from heavytails.distributions import (DiscreteAtoms, Exponential,
                                       IntegratedTail, Lognormal, Pareto,
                                       ShiftedBy, Weibull)
-from heavytails.errors import InvalidInput, ModelConfigError
+from heavytails.errors import (InvalidInput, ModelConfigError,
+                               WorkerCrashed)
 from heavytails.rng import (BLOCK_SIZE, MAX_SAMPLES, stream_position,
                             stream_seek)
 
@@ -87,8 +89,8 @@ class TestBitwiseReproducibility:
                    mc.estimate_tail(m, "SumN", xs, 120_000, seed=5, workers=w)]
             assert got == base, w
 
-    def test_huge_worker_count_starts_one_process_per_block(self,
-                                                            monkeypatch):
+    def test_huge_worker_count_forks_one_process_per_block_but_the_first(
+            self, monkeypatch):
         from multiprocessing.context import ForkProcess
         real = ForkProcess.start
         started = []
@@ -105,7 +107,48 @@ class TestBitwiseReproducibility:
         one = mc.estimate_tails(*args, workers=1)
         assert started == []
         assert mc.estimate_tails(*args, workers=10 ** 9) == one
-        assert len(started) == 2
+        # the caller runs block 0 itself
+        assert len(started) == 1
+
+    def test_interrupt_in_the_callers_share_kills_every_worker(
+            self, monkeypatch):
+        import multiprocessing as mp
+        import time
+        real = mc._simulate_block
+
+        def interrupted_on_block_zero(*args):
+            if args[6] == 0:        # the caller's own share
+                raise KeyboardInterrupt
+            time.sleep(60)          # a forked worker still running
+            return real(*args)
+
+        monkeypatch.setattr(mc, "_simulate_block", interrupted_on_block_zero)
+        m = indep_pair(Pareto(0.8, 1.0))
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            mc.estimate_tail(m, "SumN", [10.0], 3 * BLOCK_SIZE, seed=3,
+                             workers=3)
+        assert time.monotonic() - t0 < 30
+        assert mp.active_children() == []
+
+    def test_a_lost_worker_outranks_the_callers_exception(self,
+                                                          monkeypatch):
+        real = mc._simulate_block
+
+        def fail_both_shares(*args):
+            if args[6] == 0:        # the caller's share raises
+                raise ModelConfigError("block 0 failed")
+            if args[6] == 1:        # the forked worker dies mid-run
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(mc, "_simulate_block", fail_both_shares)
+        m = indep_pair(Pareto(0.8, 1.0))
+        with pytest.raises(WorkerCrashed) as info:
+            mc.estimate_tail(m, "SumN", [10.0], 4 * BLOCK_SIZE, seed=3,
+                             workers=2)
+        msg = str(info.value)
+        assert "blocks 1-3 step 2 of 4" in msg and "blocks 0-2" not in msg
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_error_reaches_the_caller(self, workers):
@@ -465,10 +508,11 @@ class TestSharedPass:
     ], ids=["T4.2", "T4.2-runmax", "fgm"])
     def test_stopped_block_memory_is_bounded(self, model, kinds, extra):
         # one infinite-mean Zeta block touches about 26M coordinates in
-        # slices of _CHUNK_VALUES; the inverse transform overwrites the
-        # uniforms, so the live float64 data per slice stays near one
-        # 8 x _CHUNK_VALUES byte array (measured: 9.6 MiB on T4.2, 13.8 MiB
-        # on FGM); the bound leaves 25% for the per-replicate index arrays
+        # slices of at most max(_CHUNK_VALUES, TAU_CAP) values, a capped
+        # replicate filling one alone; the inverse transform overwrites the
+        # uniforms, so the live float64 data per slice stays near one array
+        # of that many values (measured: 9.6 MiB on T4.2, 13.8 MiB on FGM);
+        # the bound leaves 25% for the per-replicate index arrays
         tracemalloc.start()
         try:
             mc._stats_stopped(model, kinds, mc.block_stream(0, 0),
@@ -477,7 +521,8 @@ class TestSharedPass:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 8 * mc._CHUNK_VALUES + extra, peak / 2 ** 20
+        slice_values = max(mc._CHUNK_VALUES, mc.TAU_CAP)
+        assert peak <= 1.25 * 8 * slice_values + extra, peak / 2 ** 20
 
     @pytest.mark.parametrize("model", [
         T42,
@@ -489,12 +534,12 @@ class TestSharedPass:
         # replicates are grouped into slices cannot move a bit
         kinds = ("sum", "max", "runmax")
         got = {}
-        for budget in (1 << 22, 1 << 20, 1 << 12):
+        for budget in (1 << 22, 1 << 20, 1 << 16, 1 << 12):
             monkeypatch.setattr(mc, "_CHUNK_VALUES", budget)
             got[budget], _ = mc._stats_stopped(
                 model, kinds, mc.block_stream(5, 0),
                 mc.block_stream(5, mc._TAU_LANE), mc.BLOCK_SIZE, mc.TAU_CAP)
-        for budget in (1 << 20, 1 << 12):
+        for budget in (1 << 20, 1 << 16, 1 << 12):
             np.testing.assert_array_equal(got[budget], got[1 << 22])
 
 
