@@ -557,17 +557,6 @@ def _preset_plan(f: dict, key: str, registry: dict, noun: str) -> _Parsed:
     return _curve_plan(f, preset, model=model, warnings=warnings, x_grid=grid)
 
 
-_MIXTURE_ATOM_GRID = tuple(float(2 ** (n + 1)) - 1.5 for n in range(1, 11))
-
-
-def _class_default_grid(dist, check: str):
-    if isinstance(dist, (GeometricAtomMixture, DiscreteAtoms)):
-        if check in ("L", "D"):
-            return np.asarray(_MIXTURE_ATOM_GRID)
-        return np.geomspace(1.0, 2047.0, 24)
-    return None
-
-
 # class check -> diagnostics function
 _CLASS_CHECKS = {"L": "long_tail", "D": "dominated", "S": "subexponential",
                  "Sstar": "sstar", "SstarStrong": "strong_subexponential"}
@@ -613,11 +602,9 @@ def _parse_class(raw) -> _Parsed:
     def run(workers):
         reports = []
         for check in checks:
-            use = grid if grid is not None else _class_default_grid(dist,
-                                                                    check)
             try:
                 reports.append((check, getattr(diag, _CLASS_CHECKS[check])(
-                    dist, grid=use)))
+                    dist, grid=grid)))
             except HeavyTailsError as err:
                 reports.append((check, str(err)))
         return reports
@@ -693,8 +680,9 @@ def _convolve_rows(dist, nfold: int, probes, grid) -> list:
         if np.any(tails <= 0):
             raise InvalidInput("single tail vanishes on the grid; "
                                "shorten it")
-        rows = zip(grid, lower, upper, tails, lower / tails, upper / tails,
-                   np.minimum.accumulate(0.5 * (lower + upper) / tails))
+        r_lo, r_hi, mid = conv.ratio_bracket(lower, upper, tails)
+        rows = zip(grid, lower, upper, tails, r_lo, r_hi,
+                   np.minimum.accumulate(mid))
         return [tuple(map(float, row)) for row in rows]
 
 

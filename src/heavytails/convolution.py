@@ -365,6 +365,13 @@ def nfold_tail_bracket(d: Marginal, n: int, xs, grid_step: float = None) -> tupl
     return _bracket(xs, tails, tails)
 
 
+def ratio_bracket(lower, upper, tail) -> tuple:
+    """(lower / tail, upper / tail, their mean): a bracket of P(S_n > x) as
+    bounds on the ratio to a tail, with the midpoint that curves report."""
+    r_lo, r_hi = lower / tail, upper / tail
+    return r_lo, r_hi, 0.5 * (r_lo + r_hi)
+
+
 def tail_jumps(d: Marginal, lo: float, hi: float) -> np.ndarray:
     """lo and every atom of d and of its two-fold law in [lo, hi], sorted.
 

@@ -31,8 +31,9 @@ import numpy as np
 
 from . import convolution as cv
 from .copulas import DependentModel, joint_upper_survival
-from .distributions import (_HALF_NODES, _HALF_WEIGHTS, _PASS_VALUES,
-                            Marginal, _tail_kinks, quantile_grid)
+from .distributions import (_HALF_NODES, _HALF_WEIGHTS, DiscreteAtoms,
+                            GeometricAtomMixture, Marginal, _kinked_integrals,
+                            _tail_kinks, quantile_grid)
 from .errors import AssumptionViolated, InvalidInput
 
 DEFAULT_TOL = 0.05
@@ -122,8 +123,21 @@ def bounded_verdict(statistics, tol: float) -> str:
     return "inconclusive"
 
 
-def _probe_grid(d: Marginal, grid=None, positive: bool = False, **window):
-    """The given grid, else the quantile window of d's tail."""
+# Default grids of the class checks for the atomic families, whose tails
+# move only at atoms: L and D probe just below the atoms 2^(n+1) - 1 of the
+# example11 mixture, where its tail halves, and the other checks take 24
+# points over its first eleven atoms, [1, 2047].
+_MIXTURE_ATOM_GRID = tuple(float(2 ** (n + 1)) - 1.5 for n in range(1, 11))
+_ATOM_SPAN = tuple(np.geomspace(1.0, 2047.0, 24))
+
+
+def _probe_grid(d: Marginal, grid=None, positive: bool = False, atoms=None,
+                **window):
+    """The given grid; else atoms, if given, for an atomic family; else the
+    quantile window of d's tail."""
+    if grid is None and atoms is not None and isinstance(
+            d, (DiscreteAtoms, GeometricAtomMixture)):
+        grid = atoms
     grid = np.asarray(grid if grid is not None else quantile_grid((d,), **window),
                       dtype=float)
     if positive and np.any(grid <= 0):
@@ -147,7 +161,7 @@ def long_tail(d: Marginal, y: float = 1.0, grid=None,
     # stretched-exponential shapes is still above a 5% band at the
     # quantile window the convolution checks use; this check costs two
     # tail evaluations per point, so probe much deeper by default
-    grid = _probe_grid(d, grid, hi_u=1.0 - 1e-8)
+    grid = _probe_grid(d, grid, atoms=_MIXTURE_ATOM_GRID, hi_u=1.0 - 1e-8)
     den = _nonvanishing(d.tail(grid))
     ratios = np.asarray(d.tail(grid + y), dtype=float) / den
     return ClassReport("L", grid, ratios,
@@ -160,7 +174,7 @@ def dominated(d: Marginal, y: float = 0.5, grid=None,
     """Dominated variation: F̄(xy)/F̄(x) stays bounded as x grows (0 < y < 1)."""
     if not 0 < y < 1:
         raise InvalidInput("y must lie in (0, 1)")
-    grid = _probe_grid(d, grid)
+    grid = _probe_grid(d, grid, atoms=_MIXTURE_ATOM_GRID)
     den = _nonvanishing(d.tail(grid))
     ratios = np.asarray(d.tail(grid * y), dtype=float) / den
     return ClassReport("D", grid, ratios, bounded_verdict(ratios, tol), tol)
@@ -179,63 +193,39 @@ def subexponential(d: Marginal, grid=None, grid_step: float = None,
     both the single and the pair law inside the probed range, so ratio dips
     confined to narrow windows between round grid points are still observed.
     """
-    grid = _probe_grid(d, grid, positive=True)
+    grid = _probe_grid(d, grid, positive=True, atoms=_ATOM_SPAN)
     grid = np.unique(np.concatenate((grid, cv.tail_jumps(
         d, float(np.min(grid)), float(np.max(grid))))))
     den = _nonvanishing(d.tail(grid))
-    num_lo, num_hi = cv.nfold_tail_bracket(d, 2, grid, grid_step=grid_step)
-    r_lo, r_hi = num_lo / den, num_hi / den
-    mid = 0.5 * (r_lo + r_hi)
+    r_lo, r_hi, mid = cv.ratio_bracket(
+        *cv.nfold_tail_bracket(d, 2, grid, grid_step=grid_step), den)
     return ClassReport("S", grid, mid, limit_verdict(r_lo, r_hi, 2.0, tol), tol,
                        target_value=2.0, stat_lower=r_lo, stat_upper=r_hi,
                        running_min=float(np.minimum.accumulate(mid)[-1]))
 
 
-def _sstar_integral_atomic(d: Marginal, x: float, rep) -> float:
-    locs, _, _ = rep
-    locs = np.asarray(locs, dtype=float)
-    pts = np.concatenate(([0.0, x], locs, x - locs))
-    pts = np.unique(np.clip(pts[(pts >= 0.0) & (pts <= x)], 0.0, x))
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    vals = (np.asarray(d.tail(x - mids), dtype=float)
-            * np.asarray(d.tail(mids), dtype=float))
-    return float(np.sum(np.diff(pts) * vals))
-
-
 def _sstar_half_integrals(d: Marginal, grid: np.ndarray) -> np.ndarray:
-    """∫₀^{x/2} F̄(x-y)F̄(y)dy for every x in grid, in array passes.
+    """∫₀^{x/2} F̄(x-y)F̄(y)dy for every x in grid, by _kinked_integrals.
 
-    [0, x/2] is split where either factor has a kink (y = k and y = x - k
-    for each tail kink k), and each piece is integrated by the composite
-    rule graded toward both of its ends. A pass holds at most _PASS_VALUES
-    nodes and makes two tail calls, one per factor.
+    [0, x/2] is cut where either factor has a kink (y = k and y = x - k for
+    each tail kink k). A continuous law takes the graded rule to depth 36
+    toward both ends of each piece. Between the cuts of an atomic law both
+    factors are constant, so one midpoint node per piece is exact.
     """
     kinks = np.asarray(_tail_kinks(d))
-    xs = grid[:, None]
     # a negative x integrates over [x/2, 0] and counts with a minus sign
-    lo, hi = np.minimum(xs / 2.0, 0.0), np.maximum(xs / 2.0, 0.0)
-    cuts = np.concatenate((lo, hi, np.tile(kinks, (len(grid), 1)),
-                           xs - kinks), axis=1)
-    cuts = np.sort(np.clip(cuts, lo, hi), axis=1)
-    a, b = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
-    owner = np.repeat(np.arange(len(grid)), cuts.shape[1] - 1)
-    keep = b > a
-    a, b, owner = a[keep], b[keep], owner[keep]
-    x = grid[owner]
-    weights = np.concatenate((_HALF_WEIGHTS, _HALF_WEIGHTS))
-    step = max(1, _PASS_VALUES // len(weights))
-    half = np.zeros(len(grid))
-    for s in range(0, len(a), step):
-        pa, pb, px = (v[s:s + step, None] for v in (a, b, x))
-        width = pb - pa
-        y = np.concatenate((pa + width * _HALF_NODES,
-                            pb - width * _HALF_NODES), axis=1)
-        vals = d._tail_arr(y.ravel())
-        np.subtract(px, y, out=y)
-        vals *= d._tail_arr(y.ravel())
-        sums = vals.reshape(y.shape) @ weights * width[:, 0]
-        half += np.bincount(owner[s:s + step], sums, minlength=len(grid))
-    return np.sign(grid) * half
+    lo, hi = np.minimum(grid / 2.0, 0.0), np.maximum(grid / 2.0, 0.0)
+    cuts = np.concatenate((np.broadcast_to(kinks, (len(grid), len(kinks))),
+                           grid[:, None] - kinks), axis=1)
+    rule = ((np.array([0.5]), np.array([0.5])) if d.truncated_atoms(math.inf)
+            is not None else (_HALF_NODES, _HALF_WEIGHTS))
+
+    def integrand(y, rows):
+        vals = d.tail(y)
+        vals *= d.tail(np.subtract(grid[rows], y, out=y))
+        return vals
+
+    return np.sign(grid) * _kinked_integrals(integrand, lo, hi, cuts, *rule)
 
 
 def sstar(d: Marginal, grid=None, tol: float = DEFAULT_TOL) -> ClassReport:
@@ -245,16 +235,9 @@ def sstar(d: Marginal, grid=None, tol: float = DEFAULT_TOL) -> ClassReport:
     m_plus = d.pos_mean()
     if not (0 < m_plus < math.inf):
         raise AssumptionViolated("positive-part mean must be finite and positive")
-    grid = _probe_grid(d, grid)
+    grid = _probe_grid(d, grid, atoms=_ATOM_SPAN)
     den = _nonvanishing(2.0 * m_plus * np.asarray(d.tail(grid), dtype=float))
-    x_max = float(np.max(grid))
-    rep = d.truncated_atoms(x_max + 1.0)
-    if rep is not None:
-        vals = np.array([_sstar_integral_atomic(d, float(x), rep)
-                         for x in grid])
-    else:
-        vals = 2.0 * _sstar_half_integrals(d, grid)
-    ratios = vals / den
+    ratios = 2.0 * _sstar_half_integrals(d, grid) / den
     return ClassReport("Sstar", grid, ratios,
                        limit_verdict(ratios, ratios, 1.0, tol), tol,
                        target_value=1.0)
@@ -285,11 +268,8 @@ def strong_subexponential(d: Marginal, h_grid=(1.0, 10.0, 100.0), grid=None,
     h_grid = tuple(float(h) for h in h_grid)
     if any(h < 1.0 for h in h_grid) or not h_grid:
         raise InvalidInput("h_grid entries must be at least 1")
-    grid = _probe_grid(d, grid, positive=True)
-    curves = {}
-    worst_lo = None
-    worst_hi = None
-    worst_dev = None
+    grid = _probe_grid(d, grid, positive=True, atoms=_ATOM_SPAN)
+    curves, brackets = {}, []
     for h in h_grid:
         def window_tail(t, h=h):
             # the window law lives on [0, inf): its tail is 1 at t <= 0
@@ -299,19 +279,14 @@ def strong_subexponential(d: Marginal, h_grid=(1.0, 10.0, 100.0), grid=None,
 
         den = _nonvanishing(fh_tail(d, h, grid),
                             f"window tail vanishes on the grid for h={h}")
-        lo, hi = cv.nfold_tail_bracket_from_tail(window_tail, 0.0, 2, grid,
-                                                 grid_step=grid_step)
-        lo, hi = lo / den, hi / den
-        curves[f"h={h:g}"] = 0.5 * (lo + hi)
-        dev = np.abs(0.5 * (lo + hi) - 2.0)
-        if worst_dev is None:
-            worst_lo, worst_hi, worst_dev = lo, hi, dev
-        else:
-            take = dev > worst_dev
-            worst_lo = np.where(take, lo, worst_lo)
-            worst_hi = np.where(take, hi, worst_hi)
-            worst_dev = np.maximum(dev, worst_dev)
-    mid = 0.5 * (worst_lo + worst_hi)
+        brackets.append(cv.ratio_bracket(*cv.nfold_tail_bracket_from_tail(
+            window_tail, 0.0, 2, grid, grid_step=grid_step), den))
+        curves[f"h={h:g}"] = brackets[-1][2]
+    # (lower, upper, mid) at the h farthest from 2, the first h on a tie
+    stacked = np.array(brackets)
+    worst = np.argmax(np.abs(stacked[:, 2] - 2.0), axis=0)
+    worst_lo, worst_hi, mid = np.take_along_axis(
+        stacked, worst[None, None, :], axis=0)[0]
     return ClassReport("SstarStrong", grid, mid,
                        limit_verdict(worst_lo, worst_hi, 2.0, tol), tol,
                        target_value=2.0, stat_lower=worst_lo,

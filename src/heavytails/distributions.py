@@ -68,6 +68,68 @@ _WINDOW_NODES, _WINDOW_WEIGHTS = _graded_half_rule(12)
 # nodes in one pass of a fixed-node integral, so each tail call takes at most
 # this many values (8 MiB of float64)
 _PASS_VALUES = 1 << 20
+# the rule on a piece [c, inf): nodes y in (0, 1], graded toward y = 0 and
+# then toward y = 1, at t = c + L (y^-4 - 1), where dt/dy = -4 L y^-5
+_LOG_Y = np.concatenate((np.log(_HALF_NODES), np.log1p(-_HALF_NODES)))
+_FAR_STRETCH, _FAR_DECAY = np.expm1(-4.0 * _LOG_Y), np.exp(-5.0 * _LOG_Y)
+_FAR_WEIGHTS = np.concatenate((_HALF_WEIGHTS, _HALF_WEIGHTS))
+
+
+def _kinked_integrals(integrand, lo, hi, cuts, nodes, weights) -> np.ndarray:
+    """The integral of integrand over each window [lo[i], hi[i]], split at
+    the cuts of row i that fall inside it; cuts broadcasts to one row per
+    window.
+
+    A finite piece takes the rule (nodes, weights) of _graded_half_rule
+    toward both of its ends. A piece [c, inf) is mapped onto y in (0, 1] by
+    t = c + L (y^-4 - 1), L = max(|c|, 1), and takes the rule to depth 36:
+    an integrand decaying like t^-beta becomes y^(4 beta - 5) near y = 0,
+    bounded for beta >= 5/4, and the panels graded toward y = 0 are
+    ratio-16 panels in t out to about 1e43 L.
+
+    integrand(t, rows) takes the nodes of one pass as rows of k =
+    2 len(nodes) nodes, and the window of each row as a column, and returns
+    its values in t's shape; it may overwrite t. A finite piece fills one
+    row and an unbounded one 720 / k rows, so k must divide 720 (2, 240 and
+    720 do). A pass holds whole windows, as many as fit in _PASS_VALUES
+    nodes were every piece unbounded. Each piece and then each window is
+    summed along its own row, so a window's bits never depend on the
+    others.
+    """
+    k = 2 * len(nodes)
+    far_rows = len(_FAR_WEIGHTS) // k
+    lo, hi = lo[:, None], hi[:, None]
+    cuts = np.broadcast_to(cuts, (len(lo), np.shape(cuts)[-1]))
+    cuts = np.sort(np.clip(np.concatenate((lo, hi, cuts), axis=1), lo, hi),
+                   axis=1)
+    lo, hi = cuts[:, :-1], cuts[:, 1:]      # pieces, one row per window
+    near_w = np.concatenate((weights, weights))
+    step = max(1, _PASS_VALUES // (lo.shape[1] * len(_FAR_WEIGHTS)))
+    out = np.empty(len(cuts))
+    for s in range(0, len(cuts), step):
+        keep = hi[s:s + step] > lo[s:s + step]
+        rows = np.nonzero(keep)[0]
+        pa, pb = lo[s:s + step][keep], hi[s:s + step][keep]
+        far = np.isinf(pb)
+        x, y, c = pa[~far, None], pb[~far, None], pa[far, None]
+        width, scale = y - x, np.maximum(np.abs(c), 1.0)
+        offsets = width * nodes
+        t = np.empty((len(x) + len(c) * far_rows, k))
+        np.add(x, offsets, out=t[:len(x), :len(nodes)])
+        np.subtract(y, offsets, out=t[:len(x), len(nodes):])
+        t[len(x):] = (c + scale * _FAR_STRETCH).reshape(-1, k)
+        g = integrand(t, s + np.concatenate(
+            (rows[~far], np.repeat(rows[far], far_rows)))[:, None])
+        # row sums rather than a matrix product, whose rounding may
+        # depend on the number of rows: a window's bits must not
+        sums = np.empty(len(pa))
+        near = np.multiply(g[:len(x)], near_w, out=g[:len(x)])
+        sums[~far] = np.sum(near, axis=1) * width[:, 0]
+        jac = 4.0 * scale * _FAR_DECAY
+        sums[far] = np.sum(g[len(x):].reshape(jac.shape) * jac
+                           * _FAR_WEIGHTS, axis=1)
+        out[s:s + step] = np.bincount(rows, sums, minlength=len(keep))
+    return out
 
 
 def _apply(fn, x):
@@ -603,54 +665,18 @@ class IntegratedTail(Marginal):
         return (self._support_lo, math.inf)
 
     def _tail_integral_arr(self, a, b):
-        """The tail integrated over each window [a, b] in array passes of at
-        most _PASS_VALUES nodes, one base tail_integral call per pass.
+        """The tail integrated over each window [a, b] by _kinked_integrals,
+        one base tail_integral call per pass.
 
         Each window is cut at the tail's kinks (_tail_kinks), among them
         _support_lo, where min(1, .) sets in. The tail has slope at most 1
-        in magnitude, so a finite piece takes the graded rule to depth 12
-        toward both of its ends. A piece [c, inf) is mapped onto y in (0, 1]
-        by t = c + L (y^-4 - 1), L = max(|c|, 1), and takes the rule to
-        depth 36: a tail decaying like t^-beta becomes y^(4 beta - 5) near
-        y = 0, bounded for beta >= 5/4, and the panels graded toward y = 0
-        are ratio-16 panels in t out to about 1e43 L.
+        in magnitude, so a finite piece takes the graded rule to depth 12.
         """
-        kinks = np.asarray(_tail_kinks(self))
-        lo, hi = a[:, None], b[:, None]
-        cuts = np.sort(np.clip(np.concatenate(
-            (lo, hi, np.broadcast_to(kinks, (len(a), len(kinks)))), axis=1),
-            lo, hi), axis=1)
-        lo, hi = cuts[:, :-1], cuts[:, 1:]      # pieces, one row per window
-        near_w = np.concatenate((_WINDOW_WEIGHTS, _WINDOW_WEIGHTS))
-        far_w = np.concatenate((_HALF_WEIGHTS, _HALF_WEIGHTS))
-        # log y at the far nodes graded toward y = 0, then toward y = 1
-        log_y = np.concatenate((np.log(_HALF_NODES), np.log1p(-_HALF_NODES)))
-        # whole windows per pass, so a window's sum never spans two passes
-        step = max(1, _PASS_VALUES // (lo.shape[1] * len(far_w)))
-        out = np.empty(len(a))
-        for s in range(0, len(a), step):
-            keep = hi[s:s + step] > lo[s:s + step]
-            pa, pb = lo[s:s + step][keep], hi[s:s + step][keep]
-            far = np.isinf(pb)
-            scale = np.maximum(np.abs(pa[far]), 1.0)[:, None]
-            t_far = pa[far, None] + scale * np.expm1(-4.0 * log_y)
-            x, y = pa[~far, None], pb[~far, None]
-            width = y - x
-            t_near = np.concatenate((x + width * _WINDOW_NODES,
-                                     y - width * _WINDOW_NODES), axis=1)
-            g = np.minimum(1.0, self.base.tail_integral(
-                np.concatenate((t_near.ravel(), t_far.ravel())), math.inf))
-            # row sums rather than a matrix product, whose rounding may
-            # depend on the number of rows: a window's bits must not
-            sums = np.empty(len(pa))
-            near = g[:t_near.size].reshape(t_near.shape)
-            sums[~far] = np.sum(near * near_w, axis=1) * width[:, 0]
-            jac = 4.0 * scale * np.exp(-5.0 * log_y)
-            sums[far] = np.sum(g[t_near.size:].reshape(t_far.shape) * jac
-                               * far_w, axis=1)
-            out[s:s + step] = np.bincount(np.nonzero(keep)[0], sums,
-                                          minlength=len(keep))
-        return out
+        return _kinked_integrals(
+            lambda t, rows: np.minimum(1.0,
+                                       self.base.tail_integral(t, math.inf)),
+            a, b, np.asarray(_tail_kinks(self)),
+            _WINDOW_NODES, _WINDOW_WEIGHTS)
 
 
 def _tail_kinks(d: Marginal) -> list:

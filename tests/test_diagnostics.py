@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from heavytails import diagnostics as dg
 from heavytails.copulas import (FGM, Comonotone, DependentModel, Independence,
                                 joint_upper_survival)
 from heavytails.distributions import (
+    DiscreteAtoms,
     Exponential,
     GeometricAtomMixture,
     IntegratedTail,
@@ -182,7 +184,6 @@ class TestSstar:
 
     def test_atomic_exact_path(self):
         # finite atom law inside its support: statistic computed piecewise-exactly
-        from heavytails.distributions import DiscreteAtoms
         d = DiscreteAtoms(((1.0, 0.5), (2.0, 0.25), (4.0, 0.25)))
         r = dg.sstar(d, np.array([2.5, 3.0, 3.5]))
         x = 3.5
@@ -245,6 +246,65 @@ def test_sstar_memory_is_bounded_on_the_largest_grid():
         tracemalloc.stop()
     assert np.all(np.isfinite(r.statistics))
     assert peak < 64 * 2 ** 20, peak / 2 ** 20
+
+
+# the atom laws of the class-atoms and dense-atoms golden configs, each with
+# its golden grid
+CLASS_ATOMS = DiscreteAtoms(((0.5, 0.4), (2.0, 0.3), (7.0, 0.2), (40.0, 0.1)))
+DENSE_ATOMS = DiscreteAtoms(tuple((k / 10, 0.005) for k in range(1, 201)))
+ATOM_GRIDS = [(CLASS_ATOMS, np.geomspace(1.0, 30.0, 8)),
+              (DENSE_ATOMS, np.geomspace(1.0, 15.0, 8))]
+
+
+@pytest.mark.parametrize("d,grid", [
+    (Pareto(1.5, 1.0), None), (Weibull(0.5, 1.0), None),
+    (Lognormal(0.0, 1.0), None), (ShiftedBy(Pareto(2.5, 1.0), -1.0), None),
+    ATOM_GRIDS[1]], ids=["pareto", "weibull", "lognormal", "shifted", "atoms"])
+def test_sstar_point_does_not_depend_on_its_neighbours(d, grid):
+    r = dg.sstar(d, grid=grid)
+    g = r.probe_grid
+    alone = [dg.sstar(d, grid=g[i:i + 1]).statistics[0] for i in range(len(g))]
+    assert r.statistics.tolist() == alone
+
+
+def fraction_sstar(atoms, x):
+    """Exact ∫₀ˣ F̄(x-y)F̄(y)dy / (2 m⁺ F̄(x)) of a finite atom law, in
+    rationals: both factors are constant between the points 0, x, every
+    atom and x minus every atom."""
+    atoms = [(Fraction(l), Fraction(m)) for l, m in atoms]
+    x = Fraction(x)
+
+    def tail(t):
+        return sum((m for l, m in atoms if l > t), Fraction(0))
+
+    pts = sorted({p for l, _ in atoms for p in (l, x - l) if 0 < p < x}
+                 | {Fraction(0), x})
+    integral = sum(((b - a) * tail((a + b) / 2) * tail(x - (a + b) / 2)
+                    for a, b in zip(pts, pts[1:])), Fraction(0))
+    m_plus = sum((l * m for l, m in atoms if l > 0), Fraction(0))
+    return integral / (2 * m_plus * tail(x))
+
+
+@pytest.mark.parametrize("d,grid", ATOM_GRIDS, ids=["class-atoms",
+                                                    "dense-atoms"])
+def test_atomic_sstar_matches_a_rational_enumeration(d, grid):
+    r = dg.sstar(d, grid=grid)
+    exact = np.array([float(fraction_sstar(d.atoms, x)) for x in grid])
+    # measured 1.7e-16 (class-atoms) and 4.3e-16 (dense-atoms)
+    np.testing.assert_allclose(r.statistics, exact, rtol=1e-14, atol=0.0)
+
+
+def test_atomic_laws_default_to_the_atom_grids():
+    mixture = GeometricAtomMixture()
+    for check in (dg.long_tail, dg.dominated):
+        assert check(mixture).probe_grid.tolist() == [
+            2.0 ** (n + 1) - 1.5 for n in range(1, 11)]
+    span = np.geomspace(1.0, 2047.0, 24)
+    np.testing.assert_array_equal(
+        dg.strong_subexponential(mixture).probe_grid, span)
+    assert np.isin(span, dg.subexponential(mixture).probe_grid).all()
+    far = DiscreteAtoms(((1.0, 0.5), (4096.0, 0.5)))
+    np.testing.assert_array_equal(dg.sstar(far).probe_grid, span)
 
 
 class TestWindowLaw:

@@ -128,6 +128,8 @@ CONFIGS = {
     "dense-atoms": {"dist": {"family": "atoms",
                              "atoms": [[k / 10, 0.005] for k in range(1, 201)]},
                     "grid": {"lo": 1.0, "hi": 15.0, "points": 8}},
+    "integrated-tail": {"dist": {"family": "integrated_tail",
+                                 "base": {"family": "pareto", "alpha": 2.5}}},
 }
 
 COMMANDS = {
@@ -149,6 +151,10 @@ COMMANDS = {
                         "--check", "all"],
     "class-dense-atoms": ["diagnose-class", "--config", "{dense-atoms}",
                           "--check", "SstarStrong"],
+    # IntegratedTail's own tail integrals under every check
+    "class-integrated-tail": ["diagnose-class", "--config",
+                              "{integrated-tail}", "--check", "all",
+                              "--grid", "2:400:10"],
     "dependence-token": ["diagnose-dependence", "--model", "fgm-pareto",
                          "--check", "both"],
     "dependence-config": ["diagnose-dependence", "--config", "{dependence}"],
@@ -194,6 +200,23 @@ COMMANDS = {
 #   convolve-bracket-fourfold  records  f5867170e592 -> 3f955077915f  3.11e-15
 # The class-config csv hash did not move: its printed fields kept every digit.
 #
+# Six more moved on purpose later, with no verdict or exit code. Sstar sums
+# each quadrature piece along its own row, in one kink-cut helper shared
+# with IntegratedTail, where it took a matrix-vector product whose rounding
+# depended on the other grid points (class-lognormal: the Sstar end
+# statistic). convolve forms the midpoint ratio as the mean of the two
+# printed ratio columns, as subexponential and strong_subexponential do,
+# where it divided the mean bracket by the tail; the running minimum moved
+# in 5 of 16 rows of each. Old -> new, as above:
+#   class-lognormal            csv      390f0f1bedd2 -> 12b8017a0833  1.70e-16
+#   class-lognormal            records  ba162b2668dc -> 2233d99e4633  1.70e-16
+#   convolve-bracket           csv      203b44fdf934 -> 113025846259  2.11e-16
+#   convolve-bracket           records  46ad7957a722 -> 2c33d50aca92  2.11e-16
+#   convolve-bracket-fourfold  csv      ade85c428574 -> eab916f0df47  2.18e-16
+#   convolve-bracket-fourfold  records  3f955077915f -> c0ea7b82f7ad  2.18e-16
+# class-integrated-tail was recorded before that helper existed and did not
+# move: IntegratedTail kept every bit.
+#
 # No hash moved when the Weibull tail integral at hi = inf took the upper
 # incomplete gamma in place of 1 - gammainc: the golden commands reach it
 # only at lo = 0 (the mean), where both forms give exactly 1.
@@ -235,13 +258,17 @@ COMMAND_GOLDEN = {
     ("class-weibull", "records"):
         (2, "0e41bb1d789bb90bd39a4cbfa995fad435ee12d35cd5bb9158d81bc8da23a7ee"),
     ("class-lognormal", "csv"):
-        (2, "390f0f1bedd2117f2f414d9bc4fe56c17e5286075f1594ba4ee900eb80aea6c1"),
+        (2, "12b8017a08337fb4646477013f25f3c85e2d195e624ab40f578a85a123e79d75"),
     ("class-lognormal", "records"):
-        (2, "ba162b2668dc0cde9df495c88f3a5a57c8fd813c8ed63b8093e1a84d714bfdff"),
+        (2, "2233d99e46332d8c776fcb59a55de1e4536cdee8625891f7051d5d1edbf4d7b5"),
     ("class-dense-atoms", "csv"):
         (2, "63977ec3659325d22558f7c7bb40c740e0fb469c8acc9fb33100b8a63715720d"),
     ("class-dense-atoms", "records"):
         (2, "f0a079fe099f4d5307ff2377e2906f832af6cd63811fe8b7ec05ecfe567ad7cc"),
+    ("class-integrated-tail", "csv"):
+        (0, "cf79e4ee61a9ec72c729c3d8cacdeaea995dc4da58381ebafba0e60f98689aee"),
+    ("class-integrated-tail", "records"):
+        (0, "088944819089d49f884dfbac34fb5db4a864d758da8c7be9594a86a64ea238e6"),
     ("dependence-token", "csv"):
         (0, "f1e768025ac2951780e1c3da05f77983ce1bc66c07887f163bfb670903ee5991"),
     ("dependence-token", "records"):
@@ -255,9 +282,9 @@ COMMAND_GOLDEN = {
     ("convolve-exact", "records"):
         (0, "343c0f95a9b9d566161487997ac25640cb6c30a3ac06652e3808b58dda87fb8a"),
     ("convolve-bracket", "csv"):
-        (0, "203b44fdf934d5c812214087452f48e5a192fd16b6c3d9a2339439c2e058f18b"),
+        (0, "113025846259cbf0c43f7d4a0310b3709bc82a8b4f85fb9ca830d00d615080a8"),
     ("convolve-bracket", "records"):
-        (0, "46ad7957a722d8bdc4bdecee2b8b58e78c63168509e6e13dfef6e6370c4cbb2b"),
+        (0, "2c33d50aca924dbd900f208ba4847599a9b2bdbd0e53f5e081e4c278b1b282af"),
     ("convolve-exact-points", "csv"):
         (0, "04efb1abc5e29b9d88604582affb9418fb07be047a5303497f9ab0111989ca56"),
     ("convolve-exact-points", "records"):
@@ -267,9 +294,9 @@ COMMAND_GOLDEN = {
     ("convolve-exact-range", "records"):
         (0, "9aec99364017e9dce2310972933ed5445de2d24f77868c0b46c04db1dfc4f70f"),
     ("convolve-bracket-fourfold", "csv"):
-        (0, "ade85c428574603fe501fc27873c4691534026d7800c80c1bad71667fb84571c"),
+        (0, "eab916f0df4750cfa551f1655fa539a560288e3a2fcf73791c863683f93daef3"),
     ("convolve-bracket-fourfold", "records"):
-        (0, "3f955077915fb21834b0c96509487ac6fa1f26d7b8acba94d68b5c3376411ec2"),
+        (0, "c0ea7b82f7ad62072a5e3c08814c0337f1960ef5a0e5d128edd9cc6fd2153b52"),
     ("ruin-discrete", "csv"):
         (0, "b6529bedf37ede65dc92ff31eab5c197166bec8c845509f69878b5baf60518e2"),
     ("ruin-discrete", "records"):
