@@ -1,8 +1,14 @@
 """Counting laws for randomly stopped sums: pmf, mean, tail, and sampling.
 
 All samplers are driven by a numpy Generator so that one stream state yields
-one output sequence; Deterministic draws consume no randomness at all, which
-lets a Deterministic(n) stopped sum reproduce the fixed-n estimate bitwise.
+one output sequence. Every random draw is one inversion of one uniform, so a
+law moves its stream by exactly one 64-bit word per draw: Poisson (a cdf
+table with a guide table, for means up to 2^16), Geometric1 (a closed form)
+and Zeta (a table, else a closed form with fixed unit corrections). A
+Poisson mean above 2^16 keeps numpy's sampler, whose word count depends on
+the draw. Deterministic and Geometric1(1) draws consume no randomness at all,
+which lets a Deterministic(n) stopped sum reproduce the fixed-n estimate
+bitwise.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ _ZETA_EXACT_BELOW = 512
 _ZETA_STEPS = 2       # unit corrections each way after the analytic guess
 _TAU_CLAMP = 1 << 62  # int64-representable guard for astronomically large draws
 _POISSON_MAX = 1e18   # largest Poisson mean; numpy's sampler stops near 9.2e18
+_POISSON_TABLE_MAX = float(1 << 16)  # larger means keep numpy's sampler
+_CUT_MASS = 2.0 ** -53  # most mass each end of a Poisson table drops
 
 
 def _check_count(k) -> int:
@@ -65,8 +73,53 @@ class Poisson(CountingLaw):
         k = _check_count(k)
         return float(_special().gammainc(k + 1, self.lam))
 
+    @cached_property
+    def _table(self):
+        """(cdf, guide, start): cdf[j] = P(tau <= start + j), in float64.
+
+        The pmf is built by its ratio recurrence outward from the mode m,
+        over 10 sqrt(lam) + 30 steps each way (beyond them lies less than
+        1e-23 of mass for every mean up to 2^16), and normalised by the sum
+        of the terms it keeps. Up to m the cdf sums the pmf from below; past
+        m it is 1 minus the sum from above, so both tails keep their
+        relative precision. Two cuts each drop less than 2^-53 of mass:
+        below, the terms under `start`, whose mass start takes (none while
+        e^-lam >= 2^-53); above, the terms past the first entry whose float
+        cdf is 1. Up to mean 2^16 the entries stay within 4e-16 of the
+        incomplete gamma function. guide[i] = #{j : cdf[j] <= i / M} over
+        M >= 16 len(cdf) buckets, a power of two so that u * M is exact.
+        """
+        lam, m = self.lam, math.floor(self.lam)
+        steps = math.ceil(10.0 * math.sqrt(lam) + 30.0)
+        lo = max(0, m - steps)
+        down = np.cumprod(np.arange(m, lo, -1.0) / lam)[::-1] if m > lo else []
+        up = np.cumprod(lam / np.arange(m + 1.0, m + steps + 1.0))
+        below = np.cumsum(np.concatenate((down, [1.0])))
+        above = np.cumsum(up[::-1])[::-1]  # above[j]: terms m + 1 + j and up
+        total = below[-1] + above[0]
+        cdf = np.concatenate((below / total,
+                              1.0 - np.append(above[1:], 0.0) / total))
+        first = int(np.searchsorted(cdf, _CUT_MASS))
+        cdf = cdf[first:int(np.searchsorted(cdf, 1.0)) + 1]
+        buckets = 1 << max(10, (16 * len(cdf) - 1).bit_length())
+        guide = np.searchsorted(cdf, np.arange(buckets) / buckets,
+                                side="right")
+        return cdf, guide.astype(np.int64), lo + first
+
     def sample(self, rng, size):
-        return rng.poisson(self.lam, int(size)).astype(np.int64, copy=False)
+        """Inversion of one uniform u per draw: tau = start + #{j : cdf[j]
+        <= u}. The guide entry of u's bucket is that count wherever the
+        next table entry lies above u; the few other draws take one
+        searchsorted. Means above 2^16 draw from numpy's sampler."""
+        if self.lam > _POISSON_TABLE_MAX:
+            return rng.poisson(self.lam, int(size)).astype(np.int64,
+                                                           copy=False)
+        cdf, guide, start = self._table
+        u = rng.random(int(size))
+        k = guide[(u * len(guide)).astype(np.intp)]
+        miss = np.flatnonzero(cdf[k] <= u)
+        k[miss] = np.searchsorted(cdf, u[miss], side="right")
+        return k + start
 
 
 @dataclass(frozen=True)

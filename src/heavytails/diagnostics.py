@@ -32,8 +32,8 @@ import numpy as np
 from . import convolution as cv
 from .copulas import DependentModel, joint_upper_survival
 from .distributions import (_HALF_NODES, _HALF_WEIGHTS, DiscreteAtoms,
-                            GeometricAtomMixture, Marginal, _kinked_integrals,
-                            _tail_kinks, quantile_grid)
+                            GeometricAtomMixture, Marginal, ShiftedBy,
+                            _kinked_integrals, _tail_kinks, quantile_grid)
 from .errors import AssumptionViolated, InvalidInput
 
 DEFAULT_TOL = 0.05
@@ -132,12 +132,16 @@ _ATOM_SPAN = tuple(np.geomspace(1.0, 2047.0, 24))
 
 
 def _probe_grid(d: Marginal, grid=None, positive: bool = False, atoms=None,
-                **window):
-    """The given grid; else atoms, if given, for an atomic family; else the
-    quantile window of d's tail."""
+                shifted: bool = False, **window):
+    """The given grid; else atoms, if given, for an atomic family (with
+    shifted, also for a ShiftedBy of one, moved by its total offset); else
+    the quantile window of d's tail."""
+    base, offset = d, 0.0
+    while shifted and isinstance(base, ShiftedBy):
+        base, offset = base.base, offset + base.shift
     if grid is None and atoms is not None and isinstance(
-            d, (DiscreteAtoms, GeometricAtomMixture)):
-        grid = atoms
+            base, (DiscreteAtoms, GeometricAtomMixture)):
+        grid = np.asarray(atoms) + offset
     grid = np.asarray(grid if grid is not None else quantile_grid((d,), **window),
                       dtype=float)
     if positive and np.any(grid <= 0):
@@ -161,7 +165,8 @@ def long_tail(d: Marginal, y: float = 1.0, grid=None,
     # stretched-exponential shapes is still above a 5% band at the
     # quantile window the convolution checks use; this check costs two
     # tail evaluations per point, so probe much deeper by default
-    grid = _probe_grid(d, grid, atoms=_MIXTURE_ATOM_GRID, hi_u=1.0 - 1e-8)
+    grid = _probe_grid(d, grid, atoms=_MIXTURE_ATOM_GRID, shifted=True,
+                       hi_u=1.0 - 1e-8)
     den = _nonvanishing(d.tail(grid))
     ratios = np.asarray(d.tail(grid + y), dtype=float) / den
     return ClassReport("L", grid, ratios,
@@ -174,7 +179,7 @@ def dominated(d: Marginal, y: float = 0.5, grid=None,
     """Dominated variation: F̄(xy)/F̄(x) stays bounded as x grows (0 < y < 1)."""
     if not 0 < y < 1:
         raise InvalidInput("y must lie in (0, 1)")
-    grid = _probe_grid(d, grid, atoms=_MIXTURE_ATOM_GRID)
+    grid = _probe_grid(d, grid, atoms=_MIXTURE_ATOM_GRID, shifted=True)
     den = _nonvanishing(d.tail(grid))
     ratios = np.asarray(d.tail(grid * y), dtype=float) / den
     return ClassReport("D", grid, ratios, bounded_verdict(ratios, tol), tol)

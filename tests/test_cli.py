@@ -892,6 +892,21 @@ class TestDiagnoseClass:
         assert row[1] == "inconsistent"
         assert float(row[2]) == 0.5
 
+    @pytest.mark.parametrize("offset", [1.0, -0.75])
+    def test_shifted_atom_mixture_fails_long_tail_exactly(self, tmp_path,
+                                                          capsys, offset):
+        # the atom grid moves with the law; the quantile grid would land on
+        # the shifted atoms, where the statistic reads 1
+        cfg = write_json(tmp_path, "shifted.json", {"dist": {
+            "family": "shifted", "base": {"family": "example11"},
+            "offset": offset}})
+        code, out, _ = run(capsys, ["diagnose-class", "--config", cfg,
+                                    "--check", "L"])
+        assert code == 2
+        row = out.splitlines()[2].split(",")
+        assert row[1] == "inconsistent"
+        assert float(row[2]) == 0.5
+
     def test_infinite_mean_makes_integrated_checks_unavailable(self,
                                                                capsys):
         code, out, _ = run(capsys, ["diagnose-class", "--dist",

@@ -5,6 +5,7 @@ were derived by scripts/mixture_ratio_margin.py in exact rational arithmetic,
 independently of the library code under test.
 """
 
+import gc
 import math
 import time
 from fractions import Fraction
@@ -456,11 +457,20 @@ class TestNfoldBracket:
                 peaks[name] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        for _ in range(7):  # alternate, so a slow spell hits both alike
-            for name, run in runs.items():
-                t0 = time.perf_counter()
-                run()
-                best[name] = min(best[name], time.perf_counter() - t0)
+        # alternate, swapping the order each round, so a slow spell or a
+        # cache left warm by the other side hits both alike; no collection
+        # runs inside a timed call
+        order = list(runs)
+        gc.disable()
+        try:
+            for _ in range(25):
+                order.reverse()
+                for name in order:
+                    t0 = time.perf_counter()
+                    runs[name]()
+                    best[name] = min(best[name], time.perf_counter() - t0)
+        finally:
+            gc.enable()
         assert peaks["probe"] <= peaks["full"] + 2 * 2 ** 20, peaks
         assert best["probe"] <= 1.2 * best["full"], best
 

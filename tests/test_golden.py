@@ -18,6 +18,15 @@ from heavytails.rng import BLOCK_SIZE
 SAMPLES = 16_400
 SEED = 5
 
+# The Poisson-stopped presets moved on purpose, with no exit code: a Poisson
+# length is now one uniform inverted through a cdf table, where numpy's
+# sampler took a data-dependent number of words. Old -> new (first 12 hex
+# digits), the same at one and two workers:
+#   T4.3    0a3ba017b8f3 -> 350814668518
+#   T4.4i   936e4dd2a88c -> b63474034443
+#   T4.4ii  6b012334e066 -> 35b1aac8cb90
+#   C5.2    82d7f86d6214 -> 56183b2262f8
+
 GOLDEN = {
     "T3.1": "c9cdae6b50156ddda2cd6a0c01152dd33501bc542db9962048194f0707541587",
     "T3.2": "5d6df27a4081e3fb96710eb61c1560cca838e661e7dd9df75fbcf631d914c455",
@@ -25,11 +34,11 @@ GOLDEN = {
     "C3.1": "ec2e252cf24474e703869fc68adab8ee73e48b212b1ba64aa271096280fdeed5",
     "T4.1": "cbb1af950a7ac28eeb849249510a8483a8eb889fa4bb0777f376eb492b8cc46d",
     "T4.2": "71e6ad7c58a25090334bffa9276fb9e7f9340fcd4e48e2d42903ba5c48696bef",
-    "T4.3": "0a3ba017b8f3093e47d558b3ad15defd82c9b996bad958b670ef66684c0c6699",
-    "T4.4i": "936e4dd2a88cdf5f67b0ecdf6863683463c0a0fcb1ee54bc5df4bc63f65ee71e",
-    "T4.4ii": "6b012334e06654b1e288a35c8216063df1107230170d58b28b5460cfa8f84c21",
+    "T4.3": "350814668518bf0b8bec3708b444bc97bdc4aeefe13847a3d9df8deef7fe1831",
+    "T4.4i": "b63474034443e0f6668aeb140c194c07e4c4bbc581e607a2cfdccf57ca3a00bc",
+    "T4.4ii": "35b1aac8cb9033102164d390751d8c01c736c9fb9ec20929f54374428723a34e",
     "C5.1": "3fc6b4cc0700fa14d3a48303ff2ac4a5764ebb7f3f7fe28a113e3f3d9328d15a",
-    "C5.2": "82d7f86d6214cef23ca2683a569d0076f50a10d05da95b2f15b8348ff69d6445",
+    "C5.2": "56183b2262f8bb28c64468399921c8c3329e9fbfa0c3b131df889e259c5b31fb",
 }
 
 
@@ -217,6 +226,15 @@ COMMANDS = {
 # class-integrated-tail was recorded before that helper existed and did not
 # move: IntegratedTail kept every bit.
 #
+# Four more moved on purpose, with no exit code: the ruin runs stopped at a
+# Poisson number of claims, whose lengths are now drawn by table inversion
+# of one uniform each (the presets above moved for the same reason). Old ->
+# new, as above, the same at one and two workers:
+#   ruin-arrival               csv      439b98b362fe -> 4ed43288fd88
+#   ruin-arrival               records  36ade651d4d6 -> 77b71ced3f52
+#   ruin-preset-config         csv      dbf00016d1f3 -> e5e16ff58c07
+#   ruin-preset-config         records  4f0ab2518625 -> dddf77c92cdc
+#
 # No hash moved when the Weibull tail integral at hi = inf took the upper
 # incomplete gamma in place of 1 - gammainc: the golden commands reach it
 # only at lo = 0 (the mean), where both forms give exactly 1.
@@ -302,17 +320,17 @@ COMMAND_GOLDEN = {
     ("ruin-discrete", "records"):
         (0, "58c536f5074db40d94da7e75a1cda747e7374fe65d9adbd4d27505c3f46fc72a"),
     ("ruin-arrival", "csv"):
-        (0, "439b98b362fef514749aa101bf046c5d1419c27c02b838e694f5c99b1a0b5a40"),
+        (0, "4ed43288fd8866348fbdcb426fe05a20d7abdf28eded9d3c63e3e0786e2d4d6c"),
     ("ruin-arrival", "records"):
-        (0, "36ade651d4d6fea1cd8cf22d0ef0d74096a325320dc754003fabc7289b34f017"),
+        (0, "77b71ced3f52dcdc1215f6e41bd37b25478f6e57b1b2a0a0a88c5bd13804bbf5"),
     ("ruin-preset", "csv"):
         (0, "09a0c3c5a0ad71cccb597ad37c73ec70ea0d3cceff5ad9674fd2fe5542a945d2"),
     ("ruin-preset", "records"):
         (0, "8238673bd9bc2f355eaf4a5080a8276af3cde2b992106ed4b14aa837e41754a5"),
     ("ruin-preset-config", "csv"):
-        (0, "dbf00016d1f3a9d8898a93b8b419095177072f923f994de793909d37c4ba40e7"),
+        (0, "e5e16ff58c0717e2070eea86f082a7a1567255ac8eaaefe0becb646344786929"),
     ("ruin-preset-config", "records"):
-        (0, "4f0ab25186259012e7239ff9bed6e2c5a7f40a873615e728b1f6b747e77314fc"),
+        (0, "dddf77c92cdce5eab0aeb6aef0d8e4869951879444ebf00afc9849e5920d637b"),
     ("surplus-path", "csv"):
         (0, "b12a7951fcea162c2c448ffd38ee1cf53cf2552b352b1fdedca8125913545cf2"),
     ("surplus-path", "records"):

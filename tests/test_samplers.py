@@ -1,24 +1,28 @@
-"""Sampler tests: FGM conditional inversion and Zeta table-plus-analytic
-inversion, against closed forms, the stream layout, the general inversion
-step and a bisection; the one-pass inverse transform of identical
-marginals; and the FGM admissibility check against a vertex-by-vertex
-loop."""
+"""Sampler tests: FGM conditional inversion, Zeta table-plus-analytic
+inversion and Poisson table inversion, against closed forms, the stream
+layout, the general inversion step, a bisection and the incomplete gamma
+function; the one-pass inverse transform of identical marginals; and the
+FGM admissibility check against a vertex-by-vertex loop."""
 
 import itertools
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy import special as sc
+from scipy import stats
 
 from heavytails import copulas
 from heavytails.copulas import (DependentModel, FGM, _vertex_values,
                                 fgm_admissible)
-from heavytails.counting import _TAU_CLAMP, Zeta
+from heavytails.counting import (_POISSON_TABLE_MAX, _TAU_CLAMP,
+                                 Deterministic, Geometric1, Poisson, Zeta)
 from heavytails.distributions import (DiscreteAtoms, IntegratedTail, Pareto,
                                       ShiftedBy, Weibull)
 from heavytails.montecarlo import TAU_CAP
-from heavytails.rng import block_stream
+from heavytails.rng import block_stream, stream_position
 
 N = 2_000_000
 
@@ -205,6 +209,96 @@ def test_zeta_sample_is_seeded_and_in_range():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         Zeta(1.01).sample(block_stream(4, 1), 10_000)
+
+
+POISSON_MEANS = [0.0, 0.3, 2.0, 6.0, 100.0, _POISSON_TABLE_MAX]
+
+
+@pytest.mark.parametrize("lam", POISSON_MEANS)
+def test_poisson_draws_invert_the_table(lam):
+    # the guide lookup settles each draw as a search of the whole table
+    # does, on the entries themselves, the bucket edges j / M and the
+    # uniforms one ulp either side of both
+    p = Poisson(lam)
+    cdf, guide, start = p._table
+    edges = np.arange(len(guide)) / len(guide)
+    u = np.concatenate((cdf, edges, block_stream(19, 0).random(N // 4),
+                        [np.nextafter(1.0, 0.0)]))
+    u = np.concatenate((u, np.nextafter(u, 0.0), np.nextafter(u, 2.0)))
+    u = u[u < 1.0]
+    got = p.sample(Fixed(u), len(u))
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(
+        got, start + np.searchsorted(cdf, u, side="right"))
+
+
+@pytest.mark.parametrize("lam", POISSON_MEANS)
+def test_poisson_table_is_the_incomplete_gamma_cdf(lam):
+    cdf, _, start = Poisson(lam)._table
+    k = start + np.arange(len(cdf))
+    want = sc.gammaincc(k + 1, lam) if lam else np.ones(len(k))
+    np.testing.assert_allclose(cdf, want, rtol=0.0, atol=1e-12)
+    assert np.all(np.diff(cdf) >= 0) and cdf[-1] == 1.0
+
+
+@pytest.mark.parametrize("lam", [2.0, 100.0, _POISSON_TABLE_MAX])
+def test_poisson_table_cuts_drop_less_than_half_an_ulp(lam):
+    # P(tau < start) and P(tau > the last entry), in 40-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    cdf, _, start = Poisson(lam)._table
+    last = start + len(cdf) - 1
+    with mpmath.workdps(40):
+        below = (mpmath.gammainc(start, lam, mpmath.inf, regularized=True)
+                 if start else 0)
+        above = mpmath.gammainc(last + 1, 0, lam, regularized=True)
+    assert below < 2.0 ** -53 and above < 2.0 ** -53
+    assert (start > 0) == (lam > 36.8)  # e^-lam < 2^-53
+
+
+@pytest.mark.parametrize("lam", [2.0, 100.0])
+def test_poisson_pmf_passes_a_chi_square_test(lam):
+    draws = Poisson(lam).sample(block_stream(23, 0), N)
+    dist = stats.poisson(lam)
+    # one bin per value with at least 50 expected draws, one per tail
+    ks = np.flatnonzero(N * dist.pmf(np.arange(int(4 * lam) + 40)) >= 50)
+    lo, hi = int(ks[0]), int(ks[-1])
+    observed = np.concatenate((
+        [np.count_nonzero(draws < lo)],
+        np.bincount(draws[(draws >= lo) & (draws <= hi)] - lo,
+                    minlength=hi - lo + 1),
+        [np.count_nonzero(draws > hi)]))
+    expected = N * np.concatenate(([dist.cdf(lo - 1)],
+                                   dist.pmf(np.arange(lo, hi + 1)),
+                                   [dist.sf(hi)]))
+    if lo == 0:  # no lower tail bin
+        observed, expected = observed[1:], expected[1:]
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    assert stats.chi2.sf(chi2, len(observed) - 1) > 1e-3, chi2
+    assert abs(draws.mean() - lam) < 4.0 * math.sqrt(lam / N)
+
+
+def test_poisson_means_above_the_cap_keep_numpys_sampler():
+    lam = _POISSON_TABLE_MAX + 1.0
+    p = Poisson(lam)
+    got = p.sample(block_stream(5, 0), 10_000)
+    assert "_table" not in vars(p)
+    assert got.dtype == np.int64 and got.min() >= 0
+    np.testing.assert_array_equal(got,
+                                  block_stream(5, 0).poisson(lam, 10_000))
+    assert abs(got.mean() - lam) < 4.0 * math.sqrt(lam / 10_000)
+
+
+@pytest.mark.parametrize("law, words", [
+    (Poisson(0.0), 1), (Poisson(0.3), 1), (Poisson(4.0), 1),
+    (Poisson(100.0), 1), (Poisson(_POISSON_TABLE_MAX), 1),
+    (Geometric1(0.3), 1), (Geometric1(1e-300), 1), (Zeta(1.01), 1),
+    (Zeta(1.5), 1), (Deterministic(5), 0), (Geometric1(1.0), 0)],
+    ids=repr)
+def test_counting_laws_draw_a_fixed_word_count(law, words):
+    for size in (1, 7, 16_384):
+        rng = block_stream(9, 1)
+        law.sample(rng, size)
+        assert stream_position(rng) == words * size
 
 
 def admissible_by_loop(a):
