@@ -493,37 +493,29 @@ def _parse_ratio_curve(raw) -> _Parsed:
     with _config_errors("weights", *_BAD_VALUE):
         weights = (None if f["weights"] is None
                    else tuple(float(w) for w in f["weights"]))
-    predicted, tolerance, divergence_bound = (
-        _convert(float, f[key], key)
-        for key in ("predicted", "tolerance", "divergence_bound"))
+    # these config fields are the experiment options of the same name
+    options = {key: _convert(float, f[key], key)
+               for key in ("predicted", "tolerance", "divergence_bound")}
+    options.update((key, str(f[key]))
+                   for key in ("semantics", "experiment_id", "numerator"))
     with _config_errors("ratio-curve"):
-        claim = ex.Claim(mc.parse_quantity(str(f["quantity"])).token,
-                         str(f["semantics"]), denominator, predicted)
-        preset = ex.Preset(
-            str(f["experiment_id"]), "", lambda: model, (claim,), tolerance,
-            1_000_000, x_grid=grid, weights=weights,
-            numerator=str(f["numerator"]), divergence_bound=divergence_bound)
-    warnings = ()
-    if (model.tau is not None and not math.isfinite(model.tau.mean())
-            and f["semantics"] != "divergence"):
-        warnings = (
-            "the counting law has infinite mean but the experiment uses "
-            "'%s' semantics; ratios against any finite denominator "
-            "diverge, switch to divergence semantics" % f["semantics"],)
-    return _curve_plan(f, preset, "ratio-curve", warnings=warnings)
+        preset = ex.experiment(model, str(f["quantity"]), denominator, grid,
+                               weights=weights, **options)
+    return _curve_plan(f, preset, "ratio-curve")
 
 
 def _curve_plan(f: dict, preset, context: str = None, model=None,
-                warnings=(), x_grid=None) -> _Parsed:
+                x_grid=None) -> _Parsed:
     """Run a preset's curves at the config's seed and samples, checked now
-    on the model and grid they run on; library errors of the check and of
-    the run name context when one is given."""
+    on the model and grid they run on; the check's notes are the advisories.
+    Library errors of the check and of the run name context if one is given."""
     seed = _resolve(f, "seed", 0)
     samples = _resolve(f, "samples", preset.samples)
     errors = ((lambda: _config_errors(context)) if context
               else contextlib.nullcontext)
     with errors():
-        preset.check(preset.build() if model is None else model, x_grid)
+        _, checked = preset.check(
+            preset.build() if model is None else model, x_grid)
 
     def run(workers):
         with errors():
@@ -531,7 +523,9 @@ def _curve_plan(f: dict, preset, context: str = None, model=None,
                               workers=workers, x_grid=x_grid)
 
     return _Parsed({**f, "seed": seed, "samples": samples}, run,
-                   _write_curves, warnings)
+                   _write_curves,
+                   tuple(dict.fromkeys(n for _, _, notes in checked
+                                       for n in notes)))
 
 
 def _parse_theorem(raw) -> _Parsed:
@@ -547,14 +541,11 @@ def _preset_plan(f: dict, key: str, registry: dict, noun: str) -> _Parsed:
     pid = f[key]
     if not isinstance(pid, str) or pid not in registry:
         raise ConfigError(f"unknown {noun} {pid!r}; have {list(registry)}")
-    preset = registry[pid]
-    model, warnings = None, ()
+    preset, model = registry[pid], None
     if f.get("model") is not None:
         preset.check_custom_model()
         model = build_model(f["model"])
-        warnings = tuple(f"{pid} hypotheses unverified: {issue}"
-                         for issue in preset.hypothesis_issues(model))
-    return _curve_plan(f, preset, model=model, warnings=warnings, x_grid=grid)
+    return _curve_plan(f, preset, model=model, x_grid=grid)
 
 
 # class check -> diagnostics function

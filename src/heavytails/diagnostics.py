@@ -31,7 +31,7 @@ import numpy as np
 
 from . import convolution as cv
 from .copulas import DependentModel, joint_upper_survival
-from .distributions import (_HALF_NODES, _HALF_WEIGHTS, DiscreteAtoms,
+from .distributions import (_HALF_NODES, _HALF_WEIGHTS,
                             GeometricAtomMixture, Marginal, ShiftedBy,
                             _kinked_integrals, _tail_kinks, quantile_grid)
 from .errors import AssumptionViolated, InvalidInput
@@ -123,25 +123,36 @@ def bounded_verdict(statistics, tol: float) -> str:
     return "inconclusive"
 
 
-# Default grids of the class checks for the atomic families, whose tails
-# move only at atoms: L and D probe just below the atoms 2^(n+1) - 1 of the
-# example11 mixture, where its tail halves, and the other checks take 24
-# points over its first eleven atoms, [1, 2047].
+# example11's default grids: L and D probe just below its atoms
+# 2^(n+1) - 1, where its tail halves, and the other checks take 24 points
+# over its first eleven atoms, [1, 2047]
 _MIXTURE_ATOM_GRID = tuple(float(2 ** (n + 1)) - 1.5 for n in range(1, 11))
 _ATOM_SPAN = tuple(np.geomspace(1.0, 2047.0, 24))
 
 
-def _probe_grid(d: Marginal, grid=None, positive: bool = False, atoms=None,
-                shifted: bool = False, **window):
-    """The given grid; else atoms, if given, for an atomic family (with
-    shifted, also for a ShiftedBy of one, moved by its total offset); else
-    the quantile window of d's tail."""
+def _probe_grid(d: Marginal, grid=None, positive: bool = False,
+                below_atoms: bool = False, **window):
+    """The given grid; else an atomic law's atom grid (with below_atoms the
+    L and D one); else the quantile window of d's tail.
+
+    example11, shifted or not, takes the grids above moved by the total
+    shift. A finite law's L and D probe just below each positive atom, by
+    0.5 or by half the gap to the previous one when that is smaller, and
+    its other checks 24 geometric points from the first positive atom to
+    the last L and D point.
+    """
     base, offset = d, 0.0
-    while shifted and isinstance(base, ShiftedBy):
+    while isinstance(base, ShiftedBy):
         base, offset = base.base, offset + base.shift
-    if grid is None and atoms is not None and isinstance(
-            base, (DiscreteAtoms, GeometricAtomMixture)):
-        grid = np.asarray(atoms) + offset
+    atoms = d.truncated_atoms(math.inf) if grid is None else None
+    if atoms is not None and isinstance(base, GeometricAtomMixture):
+        grid = offset + np.asarray(_MIXTURE_ATOM_GRID if below_atoms
+                                   else _ATOM_SPAN)
+    elif atoms is not None and np.any(atoms[0] > 0):
+        locs = atoms[0][atoms[0] > 0]
+        grid = locs - np.minimum(0.5, np.diff(locs, prepend=-np.inf) / 2)
+        if not below_atoms and grid[-1] > locs[0]:
+            grid = np.geomspace(locs[0], grid[-1], 24)
     grid = np.asarray(grid if grid is not None else quantile_grid((d,), **window),
                       dtype=float)
     if positive and np.any(grid <= 0):
@@ -165,8 +176,7 @@ def long_tail(d: Marginal, y: float = 1.0, grid=None,
     # stretched-exponential shapes is still above a 5% band at the
     # quantile window the convolution checks use; this check costs two
     # tail evaluations per point, so probe much deeper by default
-    grid = _probe_grid(d, grid, atoms=_MIXTURE_ATOM_GRID, shifted=True,
-                       hi_u=1.0 - 1e-8)
+    grid = _probe_grid(d, grid, below_atoms=True, hi_u=1.0 - 1e-8)
     den = _nonvanishing(d.tail(grid))
     ratios = np.asarray(d.tail(grid + y), dtype=float) / den
     return ClassReport("L", grid, ratios,
@@ -179,7 +189,7 @@ def dominated(d: Marginal, y: float = 0.5, grid=None,
     """Dominated variation: F̄(xy)/F̄(x) stays bounded as x grows (0 < y < 1)."""
     if not 0 < y < 1:
         raise InvalidInput("y must lie in (0, 1)")
-    grid = _probe_grid(d, grid, atoms=_MIXTURE_ATOM_GRID, shifted=True)
+    grid = _probe_grid(d, grid, below_atoms=True)
     den = _nonvanishing(d.tail(grid))
     ratios = np.asarray(d.tail(grid * y), dtype=float) / den
     return ClassReport("D", grid, ratios, bounded_verdict(ratios, tol), tol)
@@ -198,7 +208,7 @@ def subexponential(d: Marginal, grid=None, grid_step: float = None,
     both the single and the pair law inside the probed range, so ratio dips
     confined to narrow windows between round grid points are still observed.
     """
-    grid = _probe_grid(d, grid, positive=True, atoms=_ATOM_SPAN)
+    grid = _probe_grid(d, grid, positive=True)
     grid = np.unique(np.concatenate((grid, cv.tail_jumps(
         d, float(np.min(grid)), float(np.max(grid))))))
     den = _nonvanishing(d.tail(grid))
@@ -240,7 +250,7 @@ def sstar(d: Marginal, grid=None, tol: float = DEFAULT_TOL) -> ClassReport:
     m_plus = d.pos_mean()
     if not (0 < m_plus < math.inf):
         raise AssumptionViolated("positive-part mean must be finite and positive")
-    grid = _probe_grid(d, grid, atoms=_ATOM_SPAN)
+    grid = _probe_grid(d, grid)
     den = _nonvanishing(2.0 * m_plus * np.asarray(d.tail(grid), dtype=float))
     ratios = 2.0 * _sstar_half_integrals(d, grid) / den
     return ClassReport("Sstar", grid, ratios,
@@ -273,7 +283,7 @@ def strong_subexponential(d: Marginal, h_grid=(1.0, 10.0, 100.0), grid=None,
     h_grid = tuple(float(h) for h in h_grid)
     if any(h < 1.0 for h in h_grid) or not h_grid:
         raise InvalidInput("h_grid entries must be at least 1")
-    grid = _probe_grid(d, grid, positive=True, atoms=_ATOM_SPAN)
+    grid = _probe_grid(d, grid, positive=True)
     curves, brackets = {}, []
     for h in h_grid:
         def window_tail(t, h=h):

@@ -10,9 +10,9 @@ Every family exposes the same small surface:
 * ``sample(rng, size)``    inverse-transform draws from a numpy Generator,
 * ``truncated_atoms(threshold)``  exact atomic representation when one exists.
 
-Class tags are declared hints about heavy-tail class membership (tokens
-L, D, S, Sstar, SstarStrong, HeavyK); diagnostics never read them, they only
-label families for catalogs and preset validation.
+Class tags are declared hints about heavy-tail class membership: L for
+long-tailed and D for dominatedly varying. Diagnostics never read them; the
+theorem presets' hypotheses do (experiments.HYPOTHESES).
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ from .errors import AssumptionViolated, InvalidInput
 
 TAG_LONG = "L"
 TAG_DOMINATED = "D"
-TAG_SUBEXP = "S"
-TAG_SSTAR = "Sstar"
-TAG_SSTAR_STRONG = "SstarStrong"
-TAG_HEAVY = "HeavyK"
 
 
 def _special():
@@ -221,12 +217,7 @@ class Pareto(Marginal):
         _require(self.alpha > 0, "alpha must be positive")
         _require(0 < self.scale < math.inf, "scale must be positive and finite")
 
-    @property
-    def tags(self):
-        base = {TAG_LONG, TAG_DOMINATED, TAG_SUBEXP, TAG_HEAVY}
-        if self.alpha > 1:
-            base |= {TAG_SSTAR, TAG_SSTAR_STRONG}
-        return frozenset(base)
+    tags = frozenset({TAG_LONG, TAG_DOMINATED})
 
     def _tail_arr(self, x):
         return np.where(x <= self.scale, 1.0,
@@ -274,7 +265,7 @@ class Weibull(Marginal):
         _require(0 < self.shape < 1, "shape must lie in (0, 1)")
         _require(0 < self.scale < math.inf, "scale must be positive and finite")
 
-    tags = frozenset({TAG_LONG, TAG_SUBEXP, TAG_SSTAR, TAG_SSTAR_STRONG, TAG_HEAVY})
+    tags = frozenset({TAG_LONG})
 
     def _tail_arr(self, x):
         return np.where(x <= 0, 1.0, np.exp(-np.maximum(x, 0.0) ** self.shape / self.scale**self.shape))
@@ -325,7 +316,7 @@ class Lognormal(Marginal):
         # than importing it in every process
         _special()
 
-    tags = frozenset({TAG_LONG, TAG_SUBEXP, TAG_SSTAR, TAG_SSTAR_STRONG, TAG_HEAVY})
+    tags = frozenset({TAG_LONG})
 
     def _tail_arr(self, x):
         out = np.ones_like(x)
@@ -367,8 +358,6 @@ class Exponential(Marginal):
 
     def __post_init__(self):
         _require(self.rate > 0, "rate must be positive")
-
-    tags = frozenset()
 
     def _tail_arr(self, x):
         return np.where(x <= 0, 1.0, np.exp(-self.rate * np.maximum(x, 0.0)))
@@ -473,8 +462,6 @@ class DiscreteAtoms(_AtomTable):
         total = math.fsum(m for _, m in self.atoms)
         _require(abs(total - 1.0) <= 1e-12, f"atom masses must sum to 1, got {total}")
 
-    tags = frozenset()
-
     @cached_property
     def _table(self):
         locs = np.array([l for l, _ in self.atoms])
@@ -557,8 +544,6 @@ class GeometricAtomMixture(_AtomTable):
         _require(any(-3.0 < l <= -2.0 for l, _ in self.sigma_atoms),
                  "sigma must put positive mass in (-3, -2]")
 
-    tags = frozenset({TAG_HEAVY})
-
     @cached_property
     def _table(self):
         # merged atom table: sigma atoms weighted 1-q, then rho atoms weighted q
@@ -615,8 +600,6 @@ class IntegratedTail(Marginal):
     def __post_init__(self):
         if not math.isfinite(self.base.pos_mean()):
             raise AssumptionViolated("integrated tail requires a finite positive-part mean")
-
-    tags = frozenset()
 
     def _tail_arr(self, x):
         return np.minimum(1.0, self.base.tail_integral(x, math.inf))

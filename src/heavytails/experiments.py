@@ -5,6 +5,12 @@ the curve against a predicted limit. Limits come in three flavors: "lim"
 (the curve must settle inside a tolerance band), "liminf" (the running
 minimum must come down to the band without falling through it), and
 "divergence" (the curve must climb past a preset bound).
+
+A theorem preset names the hypotheses it assumes from one table,
+HYPOTHESES, which writes each issue once. Preset.check turns a custom
+model's issues, and an infinite-mean count under any semantics but
+divergence, into notes: the run records them on its curves, and the CLI's
+validate prints them.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ import numpy as np
 from . import montecarlo as mc
 from .copulas import Comonotone, DependentModel, FGM, Independence
 from .counting import CountingLaw, Geometric1, Poisson, Zeta
-from .distributions import Pareto, ShiftedBy, quantile_grid
+from .distributions import (TAG_DOMINATED, TAG_LONG, Pareto, ShiftedBy,
+                            quantile_grid)
 from .errors import AssumptionViolated, InvalidInput, ModelConfigError
 
 SEMANTICS = ("lim", "liminf", "divergence")
@@ -133,34 +140,6 @@ def _closed_form(model: DependentModel, quantity: mc.Quantity,
     return None
 
 
-def check_run_options(numerator: str, tolerance: float,
-                      model: DependentModel = None, claims=(),
-                      weights=None) -> list:
-    """Reject a numerator mode or tolerance that no experiment can use, and
-    claims that cannot run on model: a denominator the model lacks the parts
-    for, an exact numerator without a closed form, or simulated claims that
-    break the engine's pass rule (mc.check_pass). Returns, per claim,
-    whether the numerator mode leaves it to simulation."""
-    if numerator not in ("auto", "mc", "exact"):
-        raise InvalidInput("numerator must be auto, mc, or exact")
-    if not (tolerance > 0.0):
-        raise InvalidInput("tolerance must be positive")
-    simulated = []
-    for claim in claims:
-        # an empty grid runs the denominator's model checks, nothing more
-        claim.denominator.values(model, ())
-        quantity = mc.parse_quantity(claim.quantity)
-        closed = _closed_form(model, quantity, weights) is not None
-        if numerator == "exact" and not closed:
-            raise InvalidInput(
-                f"no closed form for {quantity.token} on this model")
-        simulated.append(numerator == "mc" or not closed)
-    if any(simulated):
-        mc.check_pass(model, [c.quantity for c, sim in zip(claims, simulated)
-                              if sim], weights)
-    return simulated
-
-
 def _verdict_lim(ratios, ci_lo, ci_hi, predicted, tol, rel_err_end):
     notes = []
     if not math.isfinite(rel_err_end):
@@ -236,13 +215,13 @@ def _grade(claim, experiment_id: str, xs, den, num, se, used_samples: int,
                       int(seed), tuple(notes))
 
 
-def run_experiment(model: DependentModel, quantity, denominator: Denominator,
-                   x_grid=None, samples: int = 1_000_000, seed: int = 0,
-                   workers: int = 1, *, predicted: float = 1.0,
-                   semantics: str = "lim", tolerance: float = 0.05,
-                   experiment_id: str = "custom", numerator: str = "auto",
-                   weights=None, divergence_bound: float = 10.0) -> RatioCurve:
-    """Assemble one ratio curve and grade it: the run of a one-claim Preset.
+def experiment(model: DependentModel, quantity, denominator: Denominator,
+               x_grid=None, samples: int = 1_000_000, *,
+               predicted: float = 1.0, semantics: str = "lim",
+               tolerance: float = 0.05, experiment_id: str = "custom",
+               numerator: str = "auto", weights=None,
+               divergence_bound: float = 10.0) -> Preset:
+    """The one-claim Preset of a ratio curve of quantity on model.
 
     numerator: "auto" uses closed-form copula algebra when the quantity
     admits it (unweighted max of up to three coordinates; comonotone
@@ -251,10 +230,18 @@ def run_experiment(model: DependentModel, quantity, denominator: Denominator,
     """
     claim = Claim(mc.parse_quantity(quantity).token, semantics, denominator,
                   predicted)
-    preset = Preset(experiment_id, "", lambda: model, (claim,), tolerance,
-                    samples, x_grid=x_grid, weights=weights,
-                    numerator=numerator, divergence_bound=divergence_bound)
-    return preset.run(seed=seed, workers=workers)[0]
+    return Preset(experiment_id, "", lambda: model, (claim,), tolerance,
+                  samples, x_grid=x_grid, weights=weights,
+                  numerator=numerator, divergence_bound=divergence_bound)
+
+
+def run_experiment(model: DependentModel, quantity, denominator: Denominator,
+                   x_grid=None, samples: int = 1_000_000, seed: int = 0,
+                   workers: int = 1, **options) -> RatioCurve:
+    """Assemble one ratio curve and grade it: the run of the Preset that
+    experiment builds from the same arguments and keyword options."""
+    return experiment(model, quantity, denominator, x_grid, samples,
+                      **options).run(seed=seed, workers=workers)[0]
 
 
 def divergence_certificate(tau: CountingLaw, bound: float,
@@ -307,17 +294,18 @@ class Preset:
     claims: tuple
     tolerance: float
     samples: int
-    hypotheses: object = None  # (model) -> tuple of hypothesis issues
+    hypotheses: tuple = None   # names in HYPOTHESES; None takes no custom model
     grid_hi_u: float = 1.0 - 1e-4
     x_grid: tuple = None       # fixed grid, used as given when set
     weights: tuple = None      # per-coordinate weights of the fixed-length sums
-    numerator: str = "auto"    # "auto", "mc" or "exact"; see run_experiment
+    numerator: str = "auto"    # "auto", "mc" or "exact"; see experiment
     divergence_bound: float = 10.0
 
-    def hypothesis_issues(self, model) -> tuple:
-        if self.hypotheses is None:
-            return ()
-        return tuple(self.hypotheses(model))
+    def __post_init__(self):
+        if self.numerator not in ("auto", "mc", "exact"):
+            raise InvalidInput("numerator must be auto, mc, or exact")
+        if not (self.tolerance > 0.0):
+            raise InvalidInput("tolerance must be positive")
 
     def check_custom_model(self) -> None:
         """Reject a custom model: without hypotheses there is nothing to
@@ -328,25 +316,55 @@ class Preset:
                 f"use the ruin command with a config")
 
     def check(self, model: DependentModel, x_grid=None) -> tuple:
-        """Reject options, claims and grids that cannot run on model, as the
-        run does, so a config can be checked without running it.
+        """What a run on model does, rejecting what it cannot run, so a
+        config can be checked without running it.
 
         The grid is x_grid, else the preset's own, else the quantile grid
-        of the marginals. Returns, per claim, whether it is simulated, then
-        the grid and, per claim, the denominators on it.
+        of the marginals; it must be finite and increasing. A claim fails
+        if its denominator lacks parts of the model or vanishes on the
+        grid, if an exact numerator has no closed form, or if it is
+        simulated against the engine's pass rule (mc.check_pass).
+
+        Returns the grid and, per claim, (exact, denominator, notes): the
+        closed-form tail xs -> P(stat > x), None when the run simulates
+        the claim; the denominator on the grid; the advisories its curve
+        records.
         """
-        simulated = check_run_options(self.numerator, self.tolerance, model,
-                                      self.claims, self.weights)
         if x_grid is None:
             x_grid = (self.x_grid if self.x_grid is not None else
                       quantile_grid(model.marginals, hi_u=self.grid_hi_u))
         xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
         if np.any(~np.isfinite(xs)) or np.any(np.diff(xs) <= 0):
             raise InvalidInput("x grid must be finite and strictly increasing")
-        dens = [c.denominator.values(model, xs) for c in self.claims]
-        if any(np.any(den <= 0) for den in dens):
-            raise InvalidInput("denominator vanishes on the grid")
-        return simulated, xs, dens
+        issues = [issue for name in self.hypotheses or ()
+                  for issue in HYPOTHESES[name](model)]
+        advice = (("hypotheses unverified: " + "; ".join(issues),)
+                  if issues else ())
+        infinite = (model.tau is not None
+                    and not math.isfinite(model.tau.mean()))
+        checked, simulated = [], []
+        for claim in self.claims:
+            den = claim.denominator.values(model, xs)
+            if np.any(den <= 0):
+                raise InvalidInput("denominator vanishes on the grid")
+            quantity = mc.parse_quantity(claim.quantity)
+            exact = (None if self.numerator == "mc"
+                     else _closed_form(model, quantity, self.weights))
+            if self.numerator == "exact" and exact is None:
+                raise InvalidInput(
+                    f"no closed form for {quantity.token} on this model")
+            notes = advice
+            if infinite and claim.semantics != "divergence":
+                notes += (f"the counting law has infinite mean but the "
+                          f"experiment uses '{claim.semantics}' semantics; "
+                          f"ratios against any finite denominator diverge, "
+                          f"switch to divergence semantics",)
+            if exact is None:
+                simulated.append(claim.quantity)
+            checked.append((exact, den, notes))
+        if simulated:
+            mc.check_pass(model, simulated, self.weights)
+        return xs, checked
 
     def run(self, model: DependentModel = None, samples: int = None,
             seed: int = 0, workers: int = 1, x_grid=None) -> list:
@@ -354,40 +372,30 @@ class Preset:
 
         The numerators without a closed form share one simulation pass.
         """
-        custom = model is not None
-        if custom:
+        if model is not None:
             self.check_custom_model()
         else:
             model = self.build()
         samples = self.samples if samples is None else int(samples)
-        issues = self.hypothesis_issues(model)
-        if issues and not custom:
-            raise ModelConfigError(
-                f"preset {self.preset_id} violates its own hypotheses: "
-                f"{issues}")
-        simulated, xs, dens = self.check(model, x_grid)
+        xs, checked = self.check(model, x_grid)
 
-        quantities = [mc.parse_quantity(c.quantity) for c in self.claims]
+        simulated = [mc.parse_quantity(claim.quantity) for claim, (exact, _, _)
+                     in zip(self.claims, checked) if exact is None]
         rows = iter(mc.estimate_tails(
-            model, [q for q, sim in zip(quantities, simulated) if sim], xs,
-            samples, seed, workers=workers, weights=self.weights)
-            if any(simulated) else ())
+            model, simulated, xs, samples, seed, workers=workers,
+            weights=self.weights) if simulated else ())
         many = len(self.claims) > 1
         curves = []
-        for claim, quantity, sim, den in zip(self.claims, quantities,
-                                             simulated, dens):
-            notes = (["hypotheses unverified: " + "; ".join(issues)]
-                     if issues else [])
-            if sim:
+        for claim, (exact, den, notes) in zip(self.claims, checked):
+            notes = list(notes)
+            if exact is None:
                 ests = next(rows)
                 num = np.array([e.p_hat for e in ests])
                 se = np.array([e.stderr for e in ests])
                 used_samples = samples
                 notes.extend(ests[0].notes)
             else:
-                num, se, used_samples = (
-                    _closed_form(model, quantity, self.weights)(xs),
-                    np.zeros(len(xs)), 0)
+                num, se, used_samples = exact(xs), np.zeros(len(xs)), 0
                 notes.append(
                     "numerator computed exactly, stderr identically zero")
             curves.append(_grade(
@@ -397,73 +405,50 @@ class Preset:
         return curves
 
 
-def _check_fgm_long(model):
-    issues = []
-    if not isinstance(model.copula, (FGM, Independence)):
-        issues.append("copula is not of the bounded-density family")
-    for m in model.marginals:
-        if "L" not in m.tags:
-            issues.append(f"{type(m).__name__} is not declared long-tailed")
-    return issues
+def _whole(issue: str, holds):
+    """A hypothesis on the whole model: issue unless holds(model)."""
+    return lambda model: () if holds(model) else (issue,)
 
 
-def _check_dominated(model):
-    issues = list(_check_fgm_long(model))
-    for m in model.marginals:
-        if "D" not in m.tags:
-            issues.append(
-                f"{type(m).__name__} is not declared dominatedly varying")
-        if m.support()[0] < 0:
-            issues.append(f"{type(m).__name__} is not nonnegative")
-    return issues
+def _each(issue: str, holds):
+    """A hypothesis on each marginal: issue, after the marginal's family
+    name, for every marginal d without holds(d)."""
+    return lambda model: tuple(f"{type(d).__name__} {issue}"
+                               for d in model.marginals if not holds(d))
 
 
-def _check_stopped_light(model):
-    issues = []
-    if model.tau is None:
-        issues.append("no counting law")
-    elif not math.isfinite(model.tau.mean()):
-        issues.append("counting law must have a finite mean here")
-    if not model.identical_marginals():
-        issues.append("marginals must be identical")
-    return issues
+# each maps a model m to the issues it breaks; a count's mean is judged
+# only when there is a count
+HYPOTHESES = {
+    "bounded_density": _whole(
+        "copula is not of the bounded-density family",
+        lambda m: isinstance(m.copula, (FGM, Independence))),
+    "long_tailed": _each("is not declared long-tailed",
+                         lambda d: TAG_LONG in d.tags),
+    "dominated": _each("is not declared dominatedly varying",
+                       lambda d: TAG_DOMINATED in d.tags),
+    "nonnegative": _each("is not nonnegative", lambda d: d.support()[0] >= 0),
+    "counting_law": _whole("no counting law", lambda m: m.tau is not None),
+    "finite_mean_count": _whole(
+        "counting law must have a finite mean here",
+        lambda m: m.tau is None or math.isfinite(m.tau.mean())),
+    "infinite_mean_count": _whole(
+        "divergence needs an infinite-mean counting law",
+        lambda m: m.tau is None or not math.isfinite(m.tau.mean())),
+    "identical_marginals": _whole("marginals must be identical",
+                                  lambda m: m.identical_marginals()),
+    "negative_drift": _whole("summand mean must be negative",
+                             lambda m: m.marginals[0].mean() < 0),
+    "nonnegative_drift": _whole(
+        "this variant assumes a nonnegative summand mean",
+        lambda m: not m.marginals[0].mean() < 0),
+    "independent_blocks": _whole(
+        "uniform density bound over all lengths needs independent blocks",
+        lambda m: isinstance(m.copula, Independence)),
+}
 
-
-def _check_t44i(model):
-    issues = list(_check_stopped_light(model))
-    m = model.marginals[0]
-    if m.mean() >= 0:
-        issues.append("summand mean must be negative")
-    if not isinstance(model.copula, Independence):
-        issues.append("uniform density bound over all lengths needs "
-                      "independent blocks")
-    return issues
-
-
-def _check_t44ii(model):
-    issues = []
-    if model.tau is None:
-        issues.append("no counting law")
-    if not model.identical_marginals():
-        issues.append("marginals must be identical")
-    m = model.marginals[0]
-    if math.isfinite(m.mean()) and m.mean() < 0:
-        issues.append("this variant assumes a nonnegative summand mean")
-    if not isinstance(model.copula, Independence):
-        issues.append("uniform density bound over all lengths needs "
-                      "independent blocks")
-    return issues
-
-
-def _check_t42(model):
-    issues = []
-    if model.tau is None:
-        issues.append("no counting law")
-    elif math.isfinite(model.tau.mean()):
-        issues.append("divergence needs an infinite-mean counting law")
-    if not model.identical_marginals():
-        issues.append("marginals must be identical")
-    return issues
+_FGM_LONG = ("bounded_density", "long_tailed")
+_LIGHT_STOPPED = ("counting_law", "finite_mean_count", "identical_marginals")
 
 
 _SUM_TAILS = Denominator("sum_tails")
@@ -481,7 +466,7 @@ PRESETS = {
             (Pareto(0.8, 1.0), Pareto(0.8, 1.5), Pareto(0.8, 2.0))),
         (Claim("SumN", "lim", _SUM_TAILS), Claim("RunMaxN", "lim",
                                                  _SUM_TAILS)),
-        tolerance=0.10, samples=2_000_000, hypotheses=_check_fgm_long),
+        tolerance=0.10, samples=2_000_000, hypotheses=_FGM_LONG),
     "T3.2": Preset(
         "T3.2",
         "bivariate dependent sum with mixed power indices: the running "
@@ -490,7 +475,8 @@ PRESETS = {
                                (Pareto(0.8, 1.0), Pareto(1.2, 1.0))),
         (Claim("SumN", "liminf", _SUM_TAILS), Claim("RunMaxN", "liminf",
                                                     _SUM_TAILS)),
-        tolerance=0.10, samples=1_000_000, hypotheses=_check_dominated),
+        tolerance=0.10, samples=1_000_000,
+        hypotheses=_FGM_LONG + ("dominated", "nonnegative")),
     "T3.3": Preset(
         "T3.3",
         "bivariate dependent maximum, exact copula algebra: ratio to the "
@@ -498,7 +484,7 @@ PRESETS = {
         lambda: DependentModel(FGM.bivariate(1.0),
                                (Pareto(1.5, 1.0), Pareto(1.5, 1.0))),
         (Claim("MaxN", "lim", _SUM_TAILS),),
-        tolerance=0.05, samples=1_000_000, hypotheses=_check_fgm_long),
+        tolerance=0.05, samples=1_000_000, hypotheses=_FGM_LONG),
     "C3.1": Preset(
         "C3.1",
         "identical heavy marginals under positive dependence: sum and "
@@ -507,7 +493,7 @@ PRESETS = {
                                (Pareto(0.8, 1.0), Pareto(0.8, 1.0))),
         (Claim("SumN", "lim", Denominator("n_tail", n=2)),
          Claim("RunMaxN", "lim", Denominator("n_tail", n=2))),
-        tolerance=0.075, samples=10_000_000, hypotheses=_check_fgm_long),
+        tolerance=0.075, samples=10_000_000, hypotheses=_FGM_LONG),
     "T4.1": Preset(
         "T4.1",
         "geometrically stopped sum of independent blocks: ratio to "
@@ -516,7 +502,7 @@ PRESETS = {
                                (Pareto(0.8, 1.0), Pareto(0.8, 1.0)),
                                tau=Geometric1(0.5)),
         (Claim("SumTau", "lim", _MEAN_TAU),),
-        tolerance=0.15, samples=10_000_000, hypotheses=_check_stopped_light),
+        tolerance=0.15, samples=10_000_000, hypotheses=_LIGHT_STOPPED),
     "T4.2": Preset(
         "T4.2",
         "infinite-mean stopping: ratios to the bare tail climb past any "
@@ -526,7 +512,8 @@ PRESETS = {
                                tau=Zeta(1.5)),
         (Claim("MaxTau", "divergence", _BARE_TAIL),
          Claim("SumTau", "divergence", _BARE_TAIL)),
-        tolerance=0.15, samples=200_000, hypotheses=_check_t42),
+        tolerance=0.15, samples=200_000, hypotheses=(
+            "counting_law", "infinite_mean_count", "identical_marginals")),
     "T4.3": Preset(
         "T4.3",
         "randomly stopped maximum with a finite-mean count: ratio to "
@@ -535,7 +522,7 @@ PRESETS = {
                                (Pareto(1.5, 1.0), Pareto(1.5, 1.0)),
                                tau=Poisson(2.0)),
         (Claim("MaxTau", "lim", _MEAN_TAU),),
-        tolerance=0.10, samples=1_000_000, hypotheses=_check_stopped_light),
+        tolerance=0.10, samples=1_000_000, hypotheses=_LIGHT_STOPPED),
     "T4.4i": Preset(
         "T4.4i",
         "negative-drift random walk stopped at an independent count: the "
@@ -549,7 +536,8 @@ PRESETS = {
             tau=Poisson(2.0)),
         (Claim("RunMaxTau", "lim", _MEAN_TAU),
          Claim("SumTau", "lim", _MEAN_TAU)),
-        tolerance=0.20, samples=10_000_000, hypotheses=_check_t44i),
+        tolerance=0.20, samples=10_000_000,
+        hypotheses=_LIGHT_STOPPED + ("negative_drift", "independent_blocks")),
     "T4.4ii": Preset(
         "T4.4ii",
         "nonnegative-mean summands with a light-tailed count: same "
@@ -559,7 +547,9 @@ PRESETS = {
                                tau=Poisson(2.0)),
         (Claim("RunMaxTau", "lim", _MEAN_TAU),
          Claim("SumTau", "lim", _MEAN_TAU)),
-        tolerance=0.15, samples=4_000_000, hypotheses=_check_t44ii,
+        tolerance=0.15, samples=4_000_000, hypotheses=(
+            "counting_law", "identical_marginals", "nonnegative_drift",
+            "independent_blocks"),
         grid_hi_u=1.0 - 1e-5),
 }
 

@@ -64,6 +64,29 @@ DISCRETE_RUIN_CONFIG = {
 }
 
 
+# an infinite-mean count under lim semantics: the ratios diverge
+ZETA_LIM_CONFIG = {
+    "model": dict(STOPPED_MODEL, tau={"family": "zeta", "s": 1.5}),
+    "quantity": "SumTau", "denominator": {"kind": "n_tail", "n": 1},
+    "grid": {"lo": 5.0, "hi": 500.0, "points": 6},
+    "samples": 20_000, "seed": 7,
+}
+
+INFINITE_MEAN_ADVISORY = (
+    "the counting law has infinite mean but the experiment uses 'lim' "
+    "semantics; ratios against any finite denominator diverge, switch to "
+    "divergence semantics")
+
+# a T4.4i custom model whose summands drift upward, against its hypotheses
+_UP_DRIFT = {"family": "shifted", "offset": -1.0,
+             "base": {"family": "pareto", "alpha": 2.0, "scale": 1.0}}
+T44I_CUSTOM_CONFIG = {
+    "theorem_id": "T4.4i", "samples": 20_000,
+    "model": dict(STOPPED_MODEL, marginals=[_UP_DRIFT, _UP_DRIFT],
+                  tau={"family": "poisson", "mean": 2.0}),
+}
+
+
 ARRIVAL_RUIN_CONFIG = {
     "risk": "arrival",
     "claim_size": {"family": "pareto", "alpha": 2.0, "scale": 1.0},
@@ -445,18 +468,47 @@ class TestValidate:
             assert run(capsys, ["validate", "--config", cfg])[0] == 0
 
     def test_custom_model_hypothesis_warning(self, tmp_path, capsys):
-        shifted = {"family": "shifted", "offset": -1.0,
-                   "base": {"family": "pareto", "alpha": 2.0, "scale": 1.0}}
-        model = {
-            "copula": {"family": "independence", "dim": 2},
-            "marginals": [shifted, shifted],
-            "tau": {"family": "poisson", "mean": 2.0},
-        }
-        cfg = write_json(tmp_path, "t44i.json",
-                         {"theorem_id": "T4.4i", "model": model})
+        cfg = write_json(tmp_path, "t44i.json", T44I_CUSTOM_CONFIG)
         code, out, _ = run(capsys, ["validate", "--config", cfg])
         assert code == 0
-        assert "hypotheses unverified" in out
+        # one warning, though both claims record it
+        assert out.splitlines() == [
+            "warning: hypotheses unverified: summand mean must be negative",
+            f"{cfg}: ok (1 warning)"]
+
+    def test_infinite_mean_advisory_reaches_the_run(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "zeta.json", ZETA_LIM_CONFIG)
+        code, out, err = run(capsys, ["ratio-curve", "--config", cfg,
+                                      "--format", "records"])
+        assert code in (0, 2) and "Traceback" not in err
+        [result] = json.loads(out)["results"]
+        assert result["notes"][0] == INFINITE_MEAN_ADVISORY
+
+    # notes only a run can write: the tau cap, the closed form, and the
+    # verdict's sample advice
+    RUN_ONLY = ("sequence length capped", "numerator computed exactly",
+                "grid-end stderr", "no tail hits")
+
+    @pytest.mark.parametrize("command, config", [
+        ("ratio-curve", GOLDEN_CONFIGS["rc-divergence"]),
+        ("ratio-curve", ZETA_LIM_CONFIG),
+        ("theorem", T44I_CUSTOM_CONFIG),
+    ], ids=["rc-divergence", "zeta-lim", "t44i-custom"])
+    def test_validate_warns_what_the_run_records(self, tmp_path, capsys,
+                                                 command, config):
+        cfg = write_json(tmp_path, "cfg.json", config)
+        code, out, _ = run(capsys, ["validate", "--config", cfg])
+        assert code == 0
+        warnings = [line[len("warning: "):] for line in out.splitlines()
+                    if line.startswith("warning: ")]
+        code, out, _ = run(capsys, [command, "--config", cfg, "--format",
+                                    "records"])
+        assert code in (0, 2)
+        for result in json.loads(out)["results"]:
+            notes = result["notes"]
+            assert notes[:len(warnings)] == warnings
+            assert all(n.startswith(self.RUN_ONLY)
+                       for n in notes[len(warnings):]), notes
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "extra.json",
@@ -891,6 +943,21 @@ class TestDiagnoseClass:
         row = out.splitlines()[2].split(",")
         assert row[1] == "inconsistent"
         assert float(row[2]) == 0.5
+
+    def test_finite_atom_law_reads_every_check_on_its_own_grid(
+            self, tmp_path, capsys):
+        # example11's default grids run past the last atom, where the tail
+        # vanishes; the law's own atoms give every check a grid
+        cfg = write_json(tmp_path, "atoms.json", {
+            "dist": GOLDEN_CONFIGS["class-atoms"]["dist"]})
+        code, out, _ = run(capsys, ["diagnose-class", "--config", cfg,
+                                    "--check", "all"])
+        assert code == 2
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        assert [row[0] for row in rows] == list(cli._CLASS_CHECKS)
+        assert "unavailable" not in [row[1] for row in rows]
+        # bounded support: one step past the last probe the tail is zero
+        assert rows[0][1:3] == ["inconsistent", "0.0"]
 
     @pytest.mark.parametrize("offset", [1.0, -0.75])
     def test_shifted_atom_mixture_fails_long_tail_exactly(self, tmp_path,

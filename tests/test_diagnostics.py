@@ -303,8 +303,37 @@ def test_atomic_laws_default_to_the_atom_grids():
     np.testing.assert_array_equal(
         dg.strong_subexponential(mixture).probe_grid, span)
     assert np.isin(span, dg.subexponential(mixture).probe_grid).all()
-    far = DiscreteAtoms(((1.0, 0.5), (4096.0, 0.5)))
-    np.testing.assert_array_equal(dg.sstar(far).probe_grid, span)
+    # a finite law probes its own atoms: L and D 0.5 below each positive
+    # one, or half the gap to the previous one when that is smaller, and
+    # the others 24 points from the first to the last L and D point
+    far = DiscreteAtoms(((-1.0, 0.25), (1.0, 0.25), (1.4, 0.25),
+                         (4096.0, 0.25)))
+    for check in (dg.long_tail, dg.dominated):
+        np.testing.assert_allclose(check(far).probe_grid, [0.5, 1.2, 4095.5],
+                                   rtol=1e-15)
+    np.testing.assert_allclose(dg.sstar(far).probe_grid,
+                               np.geomspace(1.0, 4095.5, 24), rtol=1e-15)
+    # a shift moves the atoms, and the grids are read off the moved ones
+    shifted = ShiftedBy(far, -1.2)
+    np.testing.assert_allclose(dg.long_tail(shifted).probe_grid,
+                               [-0.3, 4094.3], rtol=1e-15)
+    np.testing.assert_allclose(dg.sstar(shifted).probe_grid,
+                               np.geomspace(0.2, 4094.3, 24), rtol=1e-15)
+
+
+@pytest.mark.parametrize("offset", [0.0, 3.0, -0.25])
+@pytest.mark.parametrize("d", [CLASS_ATOMS, DENSE_ATOMS],
+                         ids=["class-atoms", "dense-atoms"])
+def test_finite_atom_laws_read_every_check_on_their_own_grids(d, offset):
+    # example11's grids run past the last atom, where every tail vanishes
+    law = ShiftedBy(d, offset) if offset else d
+    checks = (dg.long_tail, dg.dominated, dg.subexponential, dg.sstar,
+              dg.strong_subexponential)
+    verdicts = [check(law).verdict for check in checks]
+    assert all(v in dg.VERDICTS for v in verdicts), verdicts
+    # bounded support: the tail one step past the last L point is zero
+    lt = dg.long_tail(law)
+    assert lt.verdict == "inconsistent" and lt.statistics[-1] == 0.0
 
 
 class TestWindowLaw:
@@ -532,15 +561,13 @@ class TestDependenceDiagnostics:
 
 class TestClassHierarchy:
     def test_sstar_tagged_families_pass_weaker_diagnostics(self):
-        # families tagged with the integral class must never be refuted by the
-        # weaker diagnostics; slow convergers may read inconclusive, the
-        # power laws must read consistent outright
+        # these families belong to the integral class S*, so the weaker
+        # diagnostics must never refute them; slow convergers may read
+        # inconclusive, the power laws must read consistent outright
         fams = [Pareto(1.5, 1.0), Pareto(2.0, 1.0), Lognormal(0.0, 1.0),
                 Weibull(0.4, 1.0), Weibull(0.5, 1.0)]
         deep = np.geomspace(10.0, 3000.0, 24)
         for d in fams:
-            if "Sstar" not in d.tags:
-                continue
             # the default quantile window can be too shallow for a strict
             # call (hazards like ln x / x decay slowly); it must never refute
             assert dg.subexponential(d).verdict != "inconsistent", repr(d)

@@ -10,8 +10,8 @@ from heavytails import experiments as ex
 from heavytails import montecarlo as mc
 from heavytails.copulas import Comonotone, DependentModel, FGM, Independence
 from heavytails.counting import Geometric1, Poisson, Zeta
-from heavytails.distributions import (DiscreteAtoms, Pareto, ShiftedBy,
-                                      quantile_grid)
+from heavytails.distributions import (DiscreteAtoms, Exponential, Pareto,
+                                      ShiftedBy, Weibull, quantile_grid)
 from heavytails.errors import AssumptionViolated, InvalidInput
 from heavytails.risk import run_preset
 
@@ -93,13 +93,19 @@ class TestDenominators:
             assert np.array_equal(den.values(model, xs), want), den.kind
 
     def test_claim_and_run_options_reject_bad_values(self):
+        den = ex.Denominator("sum_tails")
         with pytest.raises(InvalidInput, match="semantics"):
-            ex.Claim("SumN", "bogus", ex.Denominator("sum_tails"))
+            ex.Claim("SumN", "bogus", den)
+        # the options are checked when the experiment is built, before it
+        # sees a model or a grid
+        model = pareto_pair(1.0)
         with pytest.raises(InvalidInput, match="numerator"):
-            ex.check_run_options("maybe", 0.05)
+            ex.experiment(model, "SumN", den, numerator="maybe",
+                          tolerance=0.05)
         with pytest.raises(InvalidInput, match="tolerance"):
-            ex.check_run_options("auto", 0.0)
-        ex.check_run_options("mc", 0.05)
+            ex.experiment(model, "SumN", den, numerator="auto",
+                          tolerance=0.0)
+        ex.experiment(model, "SumN", den, numerator="mc", tolerance=0.05)
 
 
 class TestComonotoneSumExact:
@@ -340,7 +346,8 @@ class TestTheoremSuite:
 
     def test_presets_satisfy_their_own_hypotheses(self):
         for tid, preset in ex.PRESETS.items():
-            assert preset.hypothesis_issues(preset.build()) == (), tid
+            _, checked = preset.check(preset.build())
+            assert all(notes == () for _, _, notes in checked), tid
 
     def test_single_claim_uses_bare_id(self):
         c = run_preset("T4.1", samples=50_000, seed=11)
@@ -395,6 +402,78 @@ class TestTheoremSuite:
                             tau=Geometric1(0.7))
         c = run_preset("T4.1", model=ok, samples=20_000, seed=2)[0]
         assert not any(n.startswith("hypotheses unverified") for n in c.notes)
+
+
+def test_run_experiment_records_the_infinite_mean_advisory():
+    model = DependentModel(Independence(2),
+                           (Pareto(1.0, 1.0), Pareto(1.0, 1.0)),
+                           tau=Zeta(1.5))
+    curve = ex.run_experiment(model, "SumTau", ex.Denominator("n_tail", n=1),
+                              x_grid=np.geomspace(5.0, 500.0, 6),
+                              samples=20_000, seed=7)
+    assert curve.notes[0].startswith(
+        "the counting law has infinite mean but the experiment uses 'lim' "
+        "semantics")
+
+
+_PARETO = Pareto(2.0, 1.0)
+_STOPPED = DependentModel(Independence(2), (_PARETO, _PARETO),
+                          tau=Poisson(2.0))
+
+# hypothesis -> (a preset that assumes it, a model that breaks it alone
+# among that preset's hypotheses, the one issue it yields)
+BROKEN = {
+    "bounded_density": ("T3.3", DependentModel(
+        Comonotone(2), (_PARETO, _PARETO)),
+        "copula is not of the bounded-density family"),
+    "long_tailed": ("T3.3", DependentModel(
+        FGM.bivariate(1.0), (_PARETO, Exponential(1.0))),
+        "Exponential is not declared long-tailed"),
+    "dominated": ("T3.2", DependentModel(
+        FGM.bivariate(1.0), (Weibull(0.5, 1.0), _PARETO)),
+        "Weibull is not declared dominatedly varying"),
+    "nonnegative": ("T3.2", DependentModel(
+        FGM.bivariate(1.0), (_PARETO, ShiftedBy(_PARETO, -2.0))),
+        "ShiftedBy is not nonnegative"),
+    "counting_law": ("T4.2", DependentModel(
+        Independence(2), (_PARETO, _PARETO)), "no counting law"),
+    "finite_mean_count": ("T4.1", dataclasses.replace(_STOPPED, tau=Zeta(1.5)),
+                          "counting law must have a finite mean here"),
+    "infinite_mean_count": ("T4.2", _STOPPED,
+                            "divergence needs an infinite-mean counting law"),
+    "identical_marginals": ("T4.1", dataclasses.replace(
+        _STOPPED, marginals=(_PARETO, Pareto(1.5, 1.0))),
+        "marginals must be identical"),
+    "negative_drift": ("T4.4i", _STOPPED, "summand mean must be negative"),
+    "nonnegative_drift": ("T4.4ii", dataclasses.replace(
+        _STOPPED, marginals=(ShiftedBy(_PARETO, -3.0),) * 2),
+        "this variant assumes a nonnegative summand mean"),
+    "independent_blocks": ("T4.4ii", dataclasses.replace(
+        _STOPPED, copula=FGM.bivariate(0.5)),
+        "uniform density bound over all lengths needs independent blocks"),
+}
+
+
+def test_every_hypothesis_is_broken_below():
+    assert sorted(BROKEN) == sorted(ex.HYPOTHESES)
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_each_hypothesis_yields_exactly_its_own_issue(name):
+    preset_id, model, issue = BROKEN[name]
+    preset = ex.PRESETS[preset_id]
+    assert name in preset.hypotheses
+    assert ex.HYPOTHESES[name](model) == (issue,)
+    issues = [i for n in preset.hypotheses for i in ex.HYPOTHESES[n](model)]
+    assert issues == [issue]
+
+
+def test_per_marginal_hypotheses_name_each_marginal_that_breaks_them():
+    model = DependentModel(Independence(3), (
+        Exponential(1.0), _PARETO, DiscreteAtoms(((1.0, 0.5), (2.0, 0.5)))))
+    assert ex.HYPOTHESES["long_tailed"](model) == (
+        "Exponential is not declared long-tailed",
+        "DiscreteAtoms is not declared long-tailed")
 
 
 class TestDivergenceCertificate:
