@@ -41,8 +41,9 @@ class Copula:
 
     @property
     def words_per_row(self) -> int:
-        """Philox words that one row of sample draws: one per coordinate,
-        so count rows advance the stream by count * words_per_row."""
+        """64-bit stream words that one row of sample draws: one per
+        coordinate, so count rows move the stream by count * words_per_row
+        words, and bit_generator.advance of that many skips them."""
         return self.dim
 
     def subset(self, idx: tuple) -> "Copula":

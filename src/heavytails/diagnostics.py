@@ -127,7 +127,7 @@ def bounded_verdict(statistics, tol: float) -> str:
 # 2^(n+1) - 1, where its tail halves, and the other checks take 24 points
 # over its first eleven atoms, [1, 2047]
 _MIXTURE_ATOM_GRID = tuple(float(2 ** (n + 1)) - 1.5 for n in range(1, 11))
-_ATOM_SPAN = tuple(np.geomspace(1.0, 2047.0, 24))
+_ATOM_SPAN_END = 2047.0
 
 
 def _probe_grid(d: Marginal, grid=None, positive: bool = False,
@@ -136,18 +136,26 @@ def _probe_grid(d: Marginal, grid=None, positive: bool = False,
     L and D one); else the quantile window of d's tail.
 
     example11, shifted or not, takes the grids above moved by the total
-    shift. A finite law's L and D probe just below each positive atom, by
-    0.5 or by half the gap to the previous one when that is smaller, and
-    its other checks 24 geometric points from the first positive atom to
-    the last L and D point.
+    shift, except that the span of its other checks starts at the first
+    atom of rho the shift leaves positive, so a shift below -1 does not
+    probe at or below zero. A finite law's L and D probe just below each
+    positive atom, by 0.5 or by half the gap to the previous one when that
+    is smaller, and its other checks 24 geometric points from the first
+    positive atom to the last L and D point.
     """
     base, offset = d, 0.0
     while isinstance(base, ShiftedBy):
         base, offset = base.base, offset + base.shift
     atoms = d.truncated_atoms(math.inf) if grid is None else None
     if atoms is not None and isinstance(base, GeometricAtomMixture):
-        grid = offset + np.asarray(_MIXTURE_ATOM_GRID if below_atoms
-                                   else _ATOM_SPAN)
+        if below_atoms:
+            grid = offset + np.asarray(_MIXTURE_ATOM_GRID)
+        else:
+            locs = base.truncated_atoms(math.inf)[0]
+            rho = locs[(locs >= 1.0) & (locs + offset > 0)]
+            first = rho[0] if len(rho) else 1.0
+            grid = offset + np.geomspace(first, max(first, _ATOM_SPAN_END),
+                                         24)
     elif atoms is not None and np.any(atoms[0] > 0):
         locs = atoms[0][atoms[0] > 0]
         grid = locs - np.minimum(0.5, np.diff(locs, prepend=-np.inf) / 2)

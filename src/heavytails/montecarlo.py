@@ -10,10 +10,10 @@ assignment.
 A long stopped replicate whose hits the grid end already decides is settled
 rather than drawn in full (_settle): its sum, when a bound from the support
 tops the grid end, is that bound, and its max is drawn in pieces only until
-a value tops the grid end. The block's stream then seeks past the words the
-replicate would have drawn, so every later replicate sees the same draws and
-every hit count is the one the full draw gives; only the settled
-statistics themselves are bounds instead of values.
+a value tops the grid end. The block's stream then advances past the words
+the replicate's undrawn rows would have taken, so every later replicate sees
+the same draws and every hit count is the one the full draw gives; only the
+settled statistics themselves are bounds instead of values.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import numpy as np
 
 from .copulas import _FGM_BATCH, DependentModel
 from .errors import InvalidInput, ModelConfigError, WorkerCrashed
-from .rng import (BLOCK_SIZE, block_stream, check_samples, check_seed,
-                  stream_position, stream_seek)
+from .rng import BLOCK_SIZE, block_stream, check_samples, check_seed
 
 TAU_CAP = 1 << 20      # per-replicate cap on the simulated sequence length
 _TAU_LANE = 1 << 49    # block-stream lane reserved for counting-law draws
@@ -270,14 +269,14 @@ def _settle(model: DependentModel, kinds: tuple, rng: np.random.Generator,
     value tops x_top or the replicate ends, so it is the exact max or a
     lower bound above x_top; either way it tops every threshold exactly when
     the full max does. A NaN value stops the draw and stays the max, as in
-    the slice reduction.
+    the slice reduction. The rows the pieces left undrawn are skipped by
+    advancing rng copula.words_per_row words per row.
     """
-    start = stream_position(rng)
-    stat = {}
+    stat, done = {}, 0
     if "sum" in kinds:
         stat["sum"] = length * model.marginals[0].support()[0]
     if "max" in kinds:
-        top, done, piece = -math.inf, 0, _PIECE_FIRST
+        top, piece = -math.inf, _PIECE_FIRST
         while done < rows and top <= x_top:
             n = min(piece, rows - done)
             vals = model.marginals[0].ppf_from_uniform(
@@ -286,7 +285,7 @@ def _settle(model: DependentModel, kinds: tuple, rng: np.random.Generator,
             done += n
             piece = min(2 * piece, _PIECE_MAX)
         stat["max"] = top
-    stream_seek(rng, start + rows * model.copula.words_per_row)
+    rng.bit_generator.advance((rows - done) * model.copula.words_per_row)
     return [stat[k] for k in kinds]
 
 

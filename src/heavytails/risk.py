@@ -71,7 +71,8 @@ class DiscreteRiskModel:
         U_k = (1+rate)^k (x - sum_{j<=k} X_j (1+rate)^-j), so the path dips
         below zero exactly when the discounted running maximum beats x.
         Replicate k is the engine's: row k % BLOCK_SIZE of block
-        k // BLOCK_SIZE.
+        k // BLOCK_SIZE, drawn after advancing that block's stream past the
+        rows before it.
         """
         if not (initial_surplus >= 0.0 and math.isfinite(initial_surplus)):
             raise InvalidInput("initial surplus must be finite and >= 0")
@@ -79,7 +80,9 @@ class DiscreteRiskModel:
         if replicate < 0 or int(replicate) != replicate:
             raise InvalidInput("replicate must be a nonnegative integer")
         block, row = divmod(int(replicate), BLOCK_SIZE)
-        x_j = self.claims.sample_vector(block_stream(seed, block), row + 1)[-1]
+        rng = block_stream(seed, block)
+        rng.bit_generator.advance(row * self.claims.copula.words_per_row)
+        x_j = self.claims.sample_vector(rng, 1)[0]
         discounted = np.cumsum(x_j * self.discount_weights())
         g = 1.0 + self.rate
         path = [(0, float(initial_surplus))]

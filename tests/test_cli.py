@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heavytails import cli
+from heavytails import diagnostics as dg
 from heavytails import experiments as ex
 from heavytails import montecarlo as mc
 from heavytails.risk import RISK_PRESETS
@@ -974,6 +975,23 @@ class TestDiagnoseClass:
         assert row[1] == "inconsistent"
         assert float(row[2]) == 0.5
 
+    def test_atom_mixture_shifted_below_minus_one_reads_s_verdicts(
+            self, tmp_path, capsys):
+        # a shift of -3 moves rho's atoms 1 and 3 to or below zero; the
+        # span of S and SstarStrong starts at the first atom left positive,
+        # so neither probes at or below zero. Sstar needs a finite mean.
+        cfg = write_json(tmp_path, "shifted.json", {"dist": {
+            "family": "shifted", "base": {"family": "example11"},
+            "offset": -3}})
+        code, out, _ = run(capsys, ["diagnose-class", "--config", cfg,
+                                    "--check", "all"])
+        assert code == 2
+        verdicts = {row.split(",")[0]: row.split(",")[1]
+                    for row in out.splitlines()[2:]}
+        assert verdicts["S"] in dg.VERDICTS
+        assert verdicts["SstarStrong"] in dg.VERDICTS
+        assert verdicts["Sstar"] == "unavailable"
+
     def test_infinite_mean_makes_integrated_checks_unavailable(self,
                                                                capsys):
         code, out, _ = run(capsys, ["diagnose-class", "--dist",
@@ -1068,7 +1086,8 @@ class TestSurplusPath:
 
     def test_replicate_is_the_engine_row(self, tmp_path, capsys):
         # replicate k is row k % BLOCK_SIZE of block k // BLOCK_SIZE, so a
-        # huge one draws one block prefix, not k rows
+        # huge one draws one row of one block, not k rows; the row is the
+        # last of the block prefix drawn in full
         cfg = write_json(tmp_path, "ruin.json", DISCRETE_RUIN_CONFIG)
         model = cli._build_risk(DISCRETE_RUIN_CONFIG, "ruin")[0]
         for replicate in (1, BLOCK_SIZE + 3, 10 ** 12):

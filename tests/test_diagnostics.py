@@ -321,6 +321,21 @@ def test_atomic_laws_default_to_the_atom_grids():
                                np.geomspace(0.2, 4094.3, 24), rtol=1e-15)
 
 
+@pytest.mark.parametrize("offset, first", [
+    (0.5, 1.0), (3.0, 1.0), (-0.75, 1.0), (-1.0, 3.0), (-3.0, 7.0)])
+def test_shifted_atom_mixture_span_starts_at_its_first_positive_atom(
+        offset, first):
+    # the span of S, Sstar and SstarStrong runs from the first atom of rho
+    # the shift leaves positive to 2047, moved by the shift: a shift above
+    # -1 moves [1, 2047] whole, as before
+    law = ShiftedBy(GeometricAtomMixture(), offset)
+    span = offset + np.geomspace(first, 2047.0, 24)
+    np.testing.assert_array_equal(
+        dg.strong_subexponential(law).probe_grid, span)
+    assert np.isin(span, dg.subexponential(law).probe_grid).all()
+    assert span[0] > 0.0
+
+
 @pytest.mark.parametrize("offset", [0.0, 3.0, -0.25])
 @pytest.mark.parametrize("d", [CLASS_ATOMS, DENSE_ATOMS],
                          ids=["class-atoms", "dense-atoms"])

@@ -3,8 +3,11 @@
 Each preset runs through cli.main at a small budget (two blocks, so the
 two-worker run really splits work) and a fixed seed. A refactor of the
 engine or the experiments must keep every byte; only a documented change to
-the draws may regenerate these hashes. They were frozen with numpy 2.4 on
-x86-64 Linux; float formatting and libm are the platform-dependent parts.
+the draws may regenerate these hashes. The Monte Carlo hashes are those of
+numpy's PCG64DXSM block streams, seeded SeedSequence(seed,
+spawn_key=(block,)) (rng.block_stream); test_montecarlo.TestBlockStream pins
+the first words of those streams. They were frozen with numpy 2.4 on x86-64
+Linux; float formatting and libm are the platform-dependent parts.
 """
 
 import hashlib
@@ -27,18 +30,34 @@ SEED = 5
 #   T4.4ii  6b012334e066 -> 35b1aac8cb90
 #   C5.2    82d7f86d6214 -> 56183b2262f8
 
+# Every simulated preset moved on purpose when the block streams went from
+# Philox to PCG64DXSM, with no exit code; T3.3 is a closed form and kept
+# its bytes. Old -> new, the same at one and two workers:
+#   C3.1    ec2e252cf244 -> b723b95fb4f0
+#   C5.1    3fc6b4cc0700 -> 78f6cfcee8ea
+#   C5.2    56183b2262f8 -> 298dd252a4cc
+#   T3.1    c9cdae6b5015 -> f8158dbd9dbd
+#   T3.2    5d6df27a4081 -> 51985c65da1a
+#   T4.1    cbb1af950a7a -> 526f8aa9ebed
+#   T4.2    71e6ad7c58a2 -> db095f05ea38
+#   T4.3    350814668518 -> b1785de793da
+#   T4.4i   b63474034443 -> cfffa1bbd607
+#   T4.4ii  35b1aac8cb90 -> ef2451eae9e1
+# The three-worker T4.2 run below moved with them:
+# 9dd8851b91ea -> d7f762b83f76.
+
 GOLDEN = {
-    "T3.1": "c9cdae6b50156ddda2cd6a0c01152dd33501bc542db9962048194f0707541587",
-    "T3.2": "5d6df27a4081e3fb96710eb61c1560cca838e661e7dd9df75fbcf631d914c455",
+    "T3.1": "f8158dbd9dbd5573108e4601898f031f554bc40c3012cd364bc7fb7638a20c8e",
+    "T3.2": "51985c65da1a2cb433e7843cf2fc1dcb5313c6f691a3a0f77c568c7fb0208685",
     "T3.3": "976da7ddeddf90129dba22c2c14472768c73d0c7c65674a335f2cab06874c6b9",
-    "C3.1": "ec2e252cf24474e703869fc68adab8ee73e48b212b1ba64aa271096280fdeed5",
-    "T4.1": "cbb1af950a7ac28eeb849249510a8483a8eb889fa4bb0777f376eb492b8cc46d",
-    "T4.2": "71e6ad7c58a25090334bffa9276fb9e7f9340fcd4e48e2d42903ba5c48696bef",
-    "T4.3": "350814668518bf0b8bec3708b444bc97bdc4aeefe13847a3d9df8deef7fe1831",
-    "T4.4i": "b63474034443e0f6668aeb140c194c07e4c4bbc581e607a2cfdccf57ca3a00bc",
-    "T4.4ii": "35b1aac8cb9033102164d390751d8c01c736c9fb9ec20929f54374428723a34e",
-    "C5.1": "3fc6b4cc0700fa14d3a48303ff2ac4a5764ebb7f3f7fe28a113e3f3d9328d15a",
-    "C5.2": "56183b2262f8bb28c64468399921c8c3329e9fbfa0c3b131df889e259c5b31fb",
+    "C3.1": "b723b95fb4f0218df9c5bbb7e995e28d9527faa5067e7029af63a699afc0dd28",
+    "T4.1": "526f8aa9ebed0ffbdf6f40d9d4a371384197136f6b6d5a7b09c592bd98ed7185",
+    "T4.2": "db095f05ea38ec23ac3648726729ea8828443f67f2310ac3bd94f6874e51cb94",
+    "T4.3": "b1785de793daa0639254a976f42e53a74ecab2688d5ae4a7aa843d4aba0ca384",
+    "T4.4i": "cfffa1bbd6074e0aaf434bb29f31a4031d76f02f86bb1a6c6bb7bbc085a56396",
+    "T4.4ii": "ef2451eae9e108372d9f204db4232c8f156d685394175bd4241103010390d17c",
+    "C5.1": "78f6cfcee8eaad222759ce9eb6ef01c4053fb60e70947efe6e04cf4817a7bb2f",
+    "C5.2": "298dd252a4cc351fa189bb6973a39cb10beca8684f2745399c43655caa639339",
 }
 
 
@@ -67,7 +86,7 @@ def test_three_worker_stopped_bytes_are_frozen(capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert hashlib.sha256(outs[1].encode()).hexdigest() == (
-        "9dd8851b91eaa5ffd751a16da08fa36d8a956435d4923c9d45850acbc290a909")
+        "d7f762b83f76dcb56da6e9aa5f142e34fa5e512461aec426b6cbcdbdbdae5d1a")
 
 
 # Every other command, in both output formats, at budgets small enough that
@@ -235,26 +254,53 @@ COMMANDS = {
 #   ruin-preset-config         csv      dbf00016d1f3 -> e5e16ff58c07
 #   ruin-preset-config         records  4f0ab2518625 -> dddf77c92cdc
 #
+# Every simulating command moved on purpose when the block streams went
+# from Philox to PCG64DXSM; no oracle, diagnostic or listing moved. Old ->
+# new, as above:
+#   ratio-curve-deterministic  csv      62d9c87bf598 -> 805fa6099524
+#   ratio-curve-deterministic  records  db4a01376ab0 -> 30277b37ed70
+#   ratio-curve-divergence     csv      f1f93797052c -> 9dc45153a276
+#   ratio-curve-divergence     records  a5aaf55f6301 -> 35f44b52292b
+#   ratio-curve-weighted       csv      5d47e28429eb -> 695320e77808  exit 0 -> 2
+#   ratio-curve-weighted       records  ef335fed6f51 -> 4c74daffd162  exit 0 -> 2
+#   ratio-curve                csv      42be9312a028 -> c7f9266befa0
+#   ratio-curve                records  1a78a1286e2f -> f3bf060a5b29
+#   ruin-arrival               csv      4ed43288fd88 -> ef07a4de5c1e
+#   ruin-arrival               records  77b71ced3f52 -> 769f2d2a2046
+#   ruin-discrete              csv      b6529bedf37e -> 859bf654c261
+#   ruin-discrete              records  58c536f5074d -> 1e5fec367154
+#   ruin-preset-config         csv      e5e16ff58c07 -> 9189af488101
+#   ruin-preset-config         records  dddf77c92cdc -> 89a956f3772c
+#   ruin-preset                csv      09a0c3c5a0ad -> 16314b446868
+#   ruin-preset                records  8238673bd9bc -> b27af51b44c5
+#   surplus-path               csv      b12a7951fcea -> 4c3096a2fe81
+#   surplus-path               records  a4c030a20dfa -> 097824f299dc
+# ratio-curve-weighted now exits 2. Its sum_tails denominator sums the
+# unweighted marginal tails, so for weights (1, 0.5) on Pareto(1) the
+# ratio tends to 0.75, not the predicted 1. The end ratio reads 0.69 with
+# an interval of [0.51, 0.87]; the old draws read 0.96, whose interval
+# just reached down to 0.75.
+#
 # No hash moved when the Weibull tail integral at hi = inf took the upper
 # incomplete gamma in place of 1 - gammainc: the golden commands reach it
 # only at lo = 0 (the mean), where both forms give exactly 1.
 COMMAND_GOLDEN = {
     ("ratio-curve", "csv"):
-        (0, "42be9312a028ff5a6541adf1d39b23857a7248ff5c0ccace01e276b8caeb8bd0"),
+        (0, "c7f9266befa0ace6bdfc9cb7774ed897868aefc184dafcbf1cd902e16af2feea"),
     ("ratio-curve", "records"):
-        (0, "1a78a1286e2f3710c53582498bf0b1c90bf3a48b182481d99855dee4b3fb2a4c"),
+        (0, "f3bf060a5b29975083280ed6c86c12b837b59f2ddc0da326de78f768fe6da2f4"),
     ("ratio-curve-weighted", "csv"):
-        (0, "5d47e28429eb038b607a89d116d44d19cebc7152d414eec1626696b8f7de5930"),
+        (2, "695320e77808e09cda0b75bcae813f0fc96a6fe6c5da01ef31e8ba8e90541503"),
     ("ratio-curve-weighted", "records"):
-        (0, "ef335fed6f51785ee86fc03559c5510e602730c0b6279a3a1a8f8b50dba661a3"),
+        (2, "4c74daffd162154ca94e5c6b44e123bb31c93dc443884b4836813e53bbedd4a7"),
     ("ratio-curve-divergence", "csv"):
-        (2, "f1f93797052c1dc7f67cbf74ef894f1e86e27c8836b953c3978f6ad25072ae72"),
+        (2, "9dc45153a2765c50c5d0cac5e9ca9510db3706b49f28652244a198076a32101b"),
     ("ratio-curve-divergence", "records"):
-        (2, "a5aaf55f6301414418e6cb1b409130c11d0aec3e1fba6fadaadcd300f5657d3b"),
+        (2, "35f44b52292bdf8eefefc3e827cb1fa19d03a7be071555b51e3e29ac72e61a4b"),
     ("ratio-curve-deterministic", "csv"):
-        (0, "62d9c87bf5988bf00f82d0ad0925fe3a491c4220deb21db734a74095c16a2792"),
+        (0, "805fa6099524f4aad18b041ae1255a115d00bf6d4bb7f5f4ce59b0214b0b1d05"),
     ("ratio-curve-deterministic", "records"):
-        (0, "db4a01376ab03b3aeab35279a5d1fdc85f95beb7bf94b7a2a94e40ace6fc81c3"),
+        (0, "30277b37ed7000ad0f3293e587fa93d9ef9265bfaae04bba6ad5eca595306687"),
     ("class-token", "csv"):
         (0, "1943bff6fbbf17fe40fe5ad4b6b5a645c47d0099b61198a8bd842a783f6fae65"),
     ("class-token", "records"):
@@ -316,25 +362,25 @@ COMMAND_GOLDEN = {
     ("convolve-bracket-fourfold", "records"):
         (0, "c0ea7b82f7ad62072a5e3c08814c0337f1960ef5a0e5d128edd9cc6fd2153b52"),
     ("ruin-discrete", "csv"):
-        (0, "b6529bedf37ede65dc92ff31eab5c197166bec8c845509f69878b5baf60518e2"),
+        (0, "859bf654c2616a5be72420d54e3d4a35d8c12282c8c11a51b4471f9a64a023f3"),
     ("ruin-discrete", "records"):
-        (0, "58c536f5074db40d94da7e75a1cda747e7374fe65d9adbd4d27505c3f46fc72a"),
+        (0, "1e5fec367154ad048ad3144027ab06a0afffb07dcd69f6cdda905cfbf22834c1"),
     ("ruin-arrival", "csv"):
-        (0, "4ed43288fd8866348fbdcb426fe05a20d7abdf28eded9d3c63e3e0786e2d4d6c"),
+        (0, "ef07a4de5c1e0c890737b3604d69944f5c5d35c74a7a94a21acc287f081a572e"),
     ("ruin-arrival", "records"):
-        (0, "77b71ced3f52dcdc1215f6e41bd37b25478f6e57b1b2a0a0a88c5bd13804bbf5"),
+        (0, "769f2d2a20463e123b0b9c97c011dda1f72615719fd728ae0e8f96fe91591014"),
     ("ruin-preset", "csv"):
-        (0, "09a0c3c5a0ad71cccb597ad37c73ec70ea0d3cceff5ad9674fd2fe5542a945d2"),
+        (0, "16314b4468685b1fac91b7810dd31b43265e8216a091cc3f6bddf6f873804fc9"),
     ("ruin-preset", "records"):
-        (0, "8238673bd9bc2f355eaf4a5080a8276af3cde2b992106ed4b14aa837e41754a5"),
+        (0, "b27af51b44c502f6442d7a285a97fa49f77e321846b735797c81ccd67934d1c4"),
     ("ruin-preset-config", "csv"):
-        (0, "e5e16ff58c0717e2070eea86f082a7a1567255ac8eaaefe0becb646344786929"),
+        (0, "9189af4881014613fa812d6bd1bbd6fa3fdd2d206744ef03930bc7c31cbc60f9"),
     ("ruin-preset-config", "records"):
-        (0, "dddf77c92cdce5eab0aeb6aef0d8e4869951879444ebf00afc9849e5920d637b"),
+        (0, "89a956f3772cd0ce9e7b54caa03f592339afdb17d7d86a9102bf98207ec4f76c"),
     ("surplus-path", "csv"):
-        (0, "b12a7951fcea162c2c448ffd38ee1cf53cf2552b352b1fdedca8125913545cf2"),
+        (0, "4c3096a2fe8174ab81811bf437f5facbc14f91d775cdcb42138b70550a6ac920"),
     ("surplus-path", "records"):
-        (0, "a4c030a20dfad2c6a2b84d004125e3f57cccfb2ce056538c145d1a37d63f41a3"),
+        (0, "097824f299dc894c81989ede026bae00193e20d0bd92a7d3b9c8d5583a49722c"),
     ("list-presets", "csv"):
         (0, "4044ac2c5334a71470b1b0280a303d969ba4480fad0413f7f41491f53eebe11d"),
     ("list-presets", "records"):

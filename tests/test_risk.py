@@ -6,11 +6,11 @@ import pytest
 from heavytails import experiments as ex
 from heavytails import montecarlo as mc
 from heavytails import risk
-from heavytails.copulas import DependentModel, FGM, Independence
+from heavytails.copulas import Comonotone, DependentModel, FGM, Independence
 from heavytails.counting import Deterministic, Geometric1
 from heavytails.distributions import Pareto, ShiftedBy
 from heavytails.errors import InvalidInput, ModelConfigError
-from heavytails.rng import block_stream
+from heavytails.rng import BLOCK_SIZE, block_stream
 
 
 def ruin_estimates(model, xs, samples, seed):
@@ -110,6 +110,23 @@ class TestSurplusPath:
             rows = claims.sample_vector(block_stream(3, 0), rep + 1)
             disc = np.cumsum(rows[-1] * m.discount_weights())
             assert ruined == bool(disc.max() > surplus)
+
+    @pytest.mark.parametrize("claims", [
+        fgm_claims(),
+        DependentModel(Comonotone(3), (Pareto(1.0, 1.0), Pareto(2.0, 1.0),
+                                       ShiftedBy(Pareto(1.5, 1.0), -1.0)))],
+        ids=["fgm", "comonotone"])
+    @pytest.mark.parametrize("replicate", [0, 1, BLOCK_SIZE - 1, BLOCK_SIZE])
+    def test_replicate_is_the_row_drawn_in_full(self, claims, replicate):
+        # the path advances its block's stream past the rows before its
+        # own and draws one row: the last row of the whole block prefix
+        m = risk.DiscreteRiskModel(claims, rate=0.05)
+        block, row = divmod(replicate, BLOCK_SIZE)
+        x_j = claims.sample_vector(block_stream(3, block), row + 1)[-1]
+        disc = np.cumsum(x_j * m.discount_weights())
+        want = [(0, 12.0)] + [(k, float(1.05 ** k * (12.0 - disc[k - 1])))
+                              for k in range(1, m.horizon + 1)]
+        assert m.surplus_path(12.0, seed=3, replicate=replicate) == want
 
     def test_path_validation(self):
         m = risk.DiscreteRiskModel(fgm_claims(), rate=0.05)
