@@ -57,14 +57,24 @@ class Denominator:
             return f"discounted(rate={self.rate:g})"
         return self.kind
 
-    def values(self, model: DependentModel, xs) -> np.ndarray:
+    def values(self, model: DependentModel, xs, weights=None) -> np.ndarray:
         """The denominator on the grid xs: the sum of the marginal tails,
         n times the first tail, the expected count times the first tail, or
-        the sum of the tails at inflated thresholds x(1+rate)^k, k >= 1."""
+        the sum of the tails at inflated thresholds x(1+rate)^k, k >= 1.
+
+        With weights w, the sum of the marginal tails is that of the
+        weighted terms w_i X_i with w_i > 0, the sum of the tails at x / w_i;
+        it needs a positive weight."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         first = model.marginals[0]
         if self.kind == "sum_tails":
-            return sum(m.tail(xs) for m in model.marginals)
+            # x / 1.0 == x: unweighted tails keep their bits
+            weights = (1.0,) * model.dim if weights is None else weights
+            if not any(w > 0 for w in weights):
+                raise InvalidInput(
+                    "a weighted sum_tails denominator needs a positive weight")
+            return sum(m.tail(xs / w)
+                       for m, w in zip(model.marginals, weights) if w > 0)
         if self.kind == "n_tail":
             return float(self.n) * first.tail(xs)
         if self.kind == "mean_tau_tail":
@@ -344,7 +354,7 @@ class Preset:
                     and not math.isfinite(model.tau.mean()))
         checked, simulated = [], []
         for claim in self.claims:
-            den = claim.denominator.values(model, xs)
+            den = claim.denominator.values(model, xs, self.weights)
             if np.any(den <= 0):
                 raise InvalidInput("denominator vanishes on the grid")
             quantity = mc.parse_quantity(claim.quantity)

@@ -10,10 +10,13 @@ assignment.
 A long stopped replicate whose hits the grid end already decides is settled
 rather than drawn in full (_settle): its sum, when a bound from the support
 tops the grid end, is that bound, and its max is drawn in pieces only until
-a value tops the grid end. The block's stream then advances past the words
-the replicate's undrawn rows would have taken, so every later replicate sees
-the same draws and every hit count is the one the full draw gives; only the
-settled statistics themselves are bounds instead of values.
+a value tops the grid end. A piece's max is read in uniform space: the
+quantile function is nondecreasing, so max F^-1(u_i) = F^-1(max u_i), and
+only the uniforms next to the largest are transformed (_MAX_WINDOW). The
+block's stream then advances past the words the replicate's undrawn rows
+would have taken, so every later replicate sees the same draws and every
+hit count is the one the full draw gives; only the settled statistics
+themselves are bounds instead of values.
 """
 
 from __future__ import annotations
@@ -54,10 +57,20 @@ _SETTLE_MIN = 1 << 14
 # A settling max is drawn in pieces of _PIECE_FIRST rows, doubling up to
 # _PIECE_MAX. The first piece is small because a heavy tail usually tops the
 # grid end within a few thousand values; the last size is one FGM inversion
-# batch, so a piece holds at most 2^16 rows and a replicate takes at most 4
-# doubling pieces, then pieces of 2^16 rows.
-_PIECE_FIRST = 1 << 12
+# batch, so a piece holds at most 2^16 rows and a replicate takes at most 5
+# doubling pieces, then pieces of 2^16 rows. On 2 cores a piece of n
+# bivariate rows costs about 9 us + 5.6 ns n, and over T4.2 blocks that
+# total is least for a first piece of 2^11 to 3 * 2^10 rows (2^12 draws 13 %
+# more rows in 24 % fewer pieces, 2 % more time; BENCH_27.json).
+_PIECE_FIRST = 1 << 11
 _PIECE_MAX = _FGM_BATCH
+# A settling piece transforms only its uniforms within _MAX_WINDOW of its
+# largest. A float quantile may step down where the exact one rises (ndtri
+# makes Lognormal's do so on runs of adjacent floats), but no step spans
+# 2.8e-16 in u, and test_quantile_reach_is_far_inside_the_max_window holds
+# every family below _MAX_WINDOW / 1024. So no uniform below the window
+# maps above the largest one's value: the candidates' max is the piece's.
+_MAX_WINDOW = 2.0 ** -40
 # A sum of n <= _SUM_TERMS nonnegative float64 terms, in any order, rounds
 # to at least (1 - n 2^-53) times the exact sum, so a bound that tops the
 # grid end by the relative margin _SUM_MARGIN (2^-30 > 2^21 * 2^-53, plus
@@ -268,7 +281,10 @@ def _settle(model: DependentModel, kinds: tuple, rng: np.random.Generator,
     is drawn in pieces (_PIECE_FIRST rows, doubling to _PIECE_MAX) until a
     value tops x_top or the replicate ends, so it is the exact max or a
     lower bound above x_top; either way it tops every threshold exactly when
-    the full max does. A NaN value stops the draw and stays the max, as in
+    the full max does. A piece is drawn as uniforms, and only those within
+    _MAX_WINDOW of its largest go through the inverse transform: their
+    largest value is the piece's max, the same float the transform of every
+    uniform gives. A NaN among them stops the draw and stays the max, as in
     the slice reduction. The rows the pieces left undrawn are skipped by
     advancing rng copula.words_per_row words per row.
     """
@@ -279,9 +295,9 @@ def _settle(model: DependentModel, kinds: tuple, rng: np.random.Generator,
         top, piece = -math.inf, _PIECE_FIRST
         while done < rows and top <= x_top:
             n = min(piece, rows - done)
-            vals = model.marginals[0].ppf_from_uniform(
-                model.copula.sample(rng, n).ravel())
-            top = np.maximum(top, vals[: length - done * model.dim].max())
+            u = model.copula.sample(rng, n).ravel()[: length - done * model.dim]
+            cand = u[u >= u.max() - _MAX_WINDOW]
+            top = model.marginals[0].ppf_from_uniform(cand).max(initial=top)
             done += n
             piece = min(2 * piece, _PIECE_MAX)
         stat["max"] = top
@@ -354,12 +370,19 @@ def _simulate_block(model, kinds, stopped, weights, xs, seed, block_index,
         tau_rng = block_stream(seed, _TAU_LANE + block_index)
         stats, capped = _stats_stopped(model, kinds, rng, tau_rng, count,
                                        cap, float(xs.max()))
-    else:
-        vals = model.sample_vector(rng, count)
-        if weights is not None:
-            vals = vals * weights
-        stats, capped = _reduce_rows(vals, kinds), 0
-    return _count_hits(stats, xs), capped
+        return _count_hits(stats, xs), capped
+    vals = model.sample_vector(rng, count)
+    if weights is not None:
+        vals = vals * weights
+    # on nonnegative terms the running sum never falls, so the running max
+    # is the sum up to the sign of a zero, and takes the sum's hits
+    nonnegative = (all(m.support()[0] >= 0 for m in model.marginals)
+                   and (weights is None or bool(np.all(weights >= 0))))
+    read = tuple("sum" if k == "runmax" and nonnegative else k
+                 for k in kinds)
+    rows = tuple(dict.fromkeys(read))
+    hits = _count_hits(_reduce_rows(vals, rows), xs)
+    return hits[[rows.index(k) for k in read]], 0
 
 
 def _run_blocks(payload):

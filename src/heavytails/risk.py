@@ -166,7 +166,7 @@ class _MeanCountClaimTail:
     def describe(self) -> str:
         return f"mean_count_x_claim_tail(count={self.expected_count:g})"
 
-    def values(self, model, xs) -> np.ndarray:
+    def values(self, model, xs, weights=None) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         return self.expected_count * self.claim_size.tail(xs)
 

@@ -540,6 +540,9 @@ class TestValidate:
         ("ratio-curve", dict(RC_MC_CONFIG, model=STOPPED_MODEL,
                              quantity="SumTau", weights=[1.0, 1.0]), 64),
         ("ratio-curve", dict(RC_MC_CONFIG, weights=[1.0, 1.0, 1.0]), 64),
+        # the weighted terms' tails sum over the positive weights only
+        ("ratio-curve", dict(RC_MC_CONFIG, weights=[0.0, -1.0],
+                             denominator={"kind": "sum_tails"}), 64),
         ("ratio-curve", dict(RC_MC_CONFIG, quantity="SumTau"), 64),
         # the denominators vanish on the grid the run would use
         ("ratio-curve", dict(RC_MC_CONFIG, model=dict(
@@ -558,7 +561,7 @@ class TestValidate:
             "negative-seed", "theorem-model-without-tau",
             "theorem-model-mixed-marginals", "stopped-mixed-marginals",
             "stopped-with-weights", "weights-wrong-length",
-            "stopped-without-tau", "marginal-alpha-overflow",
+            "weights-none-positive", "stopped-without-tau", "marginal-alpha-overflow",
             "arrival-zero-horizon", "samples-above-cap",
             "poisson-mean-above-cap", "nfold-above-cap", "padded-auto"])
     def test_validate_agrees_with_the_command(self, tmp_path, capsys,

@@ -80,6 +80,30 @@ class TestDenominators:
         want = [sum(m.tail(x) for m in model.marginals) for x in xs]
         assert np.allclose(got, want, rtol=1e-15)
 
+    def test_weighted_sum_tails_are_the_weighted_terms_tails(self):
+        model = DependentModel(FGM(3, (0.5, 0.5, 0.5)),
+                               (Pareto(0.8, 1.0), Pareto(1.2, 1.5),
+                                Pareto(2.0, 2.0)))
+        xs = np.array([10.0, 100.0])
+        den = ex.Denominator("sum_tails")
+        # P(w X > x) = tail(x / w) for w > 0, and 0 deep in the tail else
+        got = den.values(model, xs, (2.0, 0.0, -1.0))
+        assert np.array_equal(got, model.marginals[0].tail(xs / 2.0))
+        assert np.array_equal(den.values(model, xs, (1.0, 1.0, 1.0)),
+                              den.values(model, xs))
+        with pytest.raises(InvalidInput, match="positive weight"):
+            den.values(model, xs, (0.0, -1.0, -0.0))
+
+    def test_weighted_fgm_pareto_curve_reads_consistent(self):
+        # X1 + X2 / 2 on unit-index Pareto: tail 1.5 / x against a weighted
+        # denominator of 1 / x + 0.5 / x, so the ratio tends to one
+        curve = ex.run_experiment(
+            pareto_pair(1.0), "SumN", ex.Denominator("sum_tails"),
+            x_grid=np.geomspace(5.0, 500.0, 8), samples=20_000, seed=13,
+            weights=(1.0, 0.5), numerator="mc")
+        assert curve.points[-1].denominator == pytest.approx(1.5 / 500.0)
+        assert curve.verdict == "consistent"
+
     def test_grid_values_equal_pointwise_values_bit_for_bit(self):
         model = DependentModel(Independence(3),
                                (Pareto(0.8, 1.0), Pareto(1.2, 1.5),

@@ -246,6 +246,39 @@ class TestBitwiseReproducibility:
         mc.estimate_tail(plain, "SumN", [5.0], 1_000, seed=13)
         assert shapes == [(1_000, plain.dim)]
 
+    @pytest.mark.parametrize("model,weights", [
+        (indep_pair(Pareto(1.0, 1.0)), None),
+        (DependentModel(FGM.bivariate(1.0), (Pareto(0.8, 1.0),
+                                              Weibull(0.5, 1.0))), None),
+        (DependentModel(Independence(3), (Exponential(1.0),) * 3),
+         [2.0, 0.0, -0.0]),
+        # signed terms: the running max is walked
+        (indep_pair(ShiftedBy(Pareto(2.0, 1.0), -3.0)), None),
+        (indep_pair(Pareto(1.0, 1.0)), [1.0, -0.5]),
+    ], ids=["pareto", "fgm-mixed", "exponential-weighted", "shifted",
+            "negative-weight"])
+    def test_runmax_hits_equal_the_column_walk(self, model, weights,
+                                               monkeypatch):
+        # on nonnegative terms the runmax row takes the sum's hits
+        xs = np.array([-1.0, 0.0, 0.5, 3.0, 40.0])
+        kinds = ("max", "runmax", "sum")
+        weights = None if weights is None else np.asarray(weights)
+        vals = model.sample_vector(mc.block_stream(8, 3), 5000)
+        if weights is not None:
+            vals = vals * weights
+        want = mc._count_hits(mc._reduce_rows(vals, kinds), xs)
+        walked = []
+        reduce = mc._reduce_rows
+        monkeypatch.setattr(mc, "_reduce_rows", lambda rect, ks: (
+            walked.append(ks), reduce(rect, ks))[1])
+        for ks in (kinds, ("runmax",), ("runmax", "max")):
+            got, _ = mc._simulate_block(model, ks, False, weights, xs, 8, 3,
+                                        5000, mc.TAU_CAP)
+            assert np.array_equal(got, want[[kinds.index(k) for k in ks]])
+        signed = weights is not None and weights.min() < 0
+        signed |= model.marginals[0].support()[0] < 0
+        assert ("runmax" in walked[1]) == signed
+
     def test_unit_weights_are_identity(self):
         m = indep_pair(Pareto(1.0, 1.0))
         xs = [4.0, 40.0]
@@ -628,8 +661,12 @@ class TestSettledReplicates:
                         (ShiftedBy(Pareto(2.0, 1.0), -3.0),) * 2,
                         tau=Zeta(1.2)), ("max",), [-5.0, 2.0, 50.0], 2000,
          1 << 16),
+        # a float quantile that steps down by a few ulps here and there
+        (DependentModel(Independence(2), (Lognormal(0.0, 1.0),) * 2,
+                        tau=Zeta(1.2)), ("max",), [1.0, 5.0, 20.0], 2000,
+         1 << 16),
     ], ids=["T4.2", "fgm", "comonotone", "independence3", "sum-alone",
-            "max-alone", "shifted"])
+            "max-alone", "shifted", "lognormal"])
     def test_hits_equal_the_full_draw(self, model, kinds, xs, count, cap,
                                       monkeypatch):
         xs = np.asarray(xs)
@@ -656,6 +693,36 @@ class TestSettledReplicates:
             model, ("max", "sum"), [50.0], 2000, 1 << 16, monkeypatch)
         assert not mask.any()
         assert np.array_equal(settled, full)
+
+    def test_a_nan_value_stops_the_pieces_and_stays_the_max(self,
+                                                            monkeypatch):
+        # the first piece's largest uniform maps to NaN; without it no
+        # value tops the grid end and every piece would be drawn
+        bad = Independence(2).sample(mc.block_stream(4, 0),
+                                     mc._PIECE_FIRST).max()
+
+        class NanAtOne(Pareto):
+            def _ppf_arr(self, u):
+                hit = u == bad
+                out = super()._ppf_arr(u)
+                out[hit] = math.nan
+                return out
+
+        model = DependentModel(Independence(2), (NanAtOne(1.0, 1.0),) * 2,
+                               tau=Zeta(1.5))
+        pieces = []
+        sample = Independence.sample
+        monkeypatch.setattr(Independence, "sample", lambda self, g, n: (
+            pieces.append(n), sample(self, g, n))[1])
+        rows = 8 * mc._PIECE_MAX
+        rng = mc.block_stream(4, 0)
+        got = mc._settle(model, ("max",), rng, 2 * rows, rows, 1e300)
+        assert math.isnan(got[0])
+        assert pieces == [mc._PIECE_FIRST]
+        # the skip leaves the stream where drawing every row would
+        whole = mc.block_stream(4, 0)
+        whole.random(2 * rows)
+        assert rng.random() == whole.random()
 
     @pytest.mark.parametrize("kinds", [("max", "sum", "runmax"), ("runmax",)])
     def test_runmax_keeps_the_slice_path(self, kinds, monkeypatch):
@@ -689,6 +756,51 @@ SUPPORT_FAMILIES = MARGINALS + (
     Lognormal(-2.0, 0.5), DiscreteAtoms(((0.5, 0.4), (2.0, 0.3), (7.0, 0.3))),
     ShiftedBy(DiscreteAtoms(((0.0, 0.5), (3.0, 0.5))), -1.0),
     IntegratedTail(Pareto(2.5, 1.0)))
+
+
+def quantile_reach(law, u) -> float:
+    """The widest u' - u over u < u' in the array u whose values decrease:
+    how far in u the inverse transform fails to be nondecreasing."""
+    u = np.unique(u)
+    vals = law.ppf_from_uniform(u.copy())
+    top = np.maximum.accumulate(vals)
+    drops = np.flatnonzero(top[:-1] > vals[1:]) + 1
+    if not len(drops):
+        return 0.0
+    # the first uniform whose value lies above each dropped one
+    first = np.searchsorted(top, vals[drops], side="right")
+    return float(np.max(u[drops] - u[first]))
+
+
+@pytest.mark.parametrize("law", SUPPORT_FAMILIES, ids=repr)
+def test_quantile_reach_is_far_inside_the_max_window(law):
+    # a settled max transforms only the uniforms within _MAX_WINDOW of a
+    # piece's largest, which is exact while every decrease of the float
+    # quantile spans less than that in u. IntegratedTail bisects 64 rounds
+    # per value, about 7 us, so it takes the coarser grid; on the fine one
+    # it measures no decrease either.
+    bits, draws = ((14, 1 << 16) if isinstance(law, IntegratedTail)
+                   else (20, 10 ** 6))
+    grid = np.concatenate(([0.0, _BELOW_ONE],
+                           np.arange(1 << bits) / 2.0 ** bits))
+    grid = np.concatenate((grid, np.nextafter(grid, 0.0),
+                           np.nextafter(grid, 1.0)))
+    grid = grid[(grid >= 0.0) & (grid < 1.0)]
+    for u in (grid, np.random.default_rng(23).random(draws)):
+        assert quantile_reach(law, u) < mc._MAX_WINDOW / 1024
+
+
+def test_quantile_reach_sees_a_decrease():
+    class Dips(Pareto):
+        def _ppf_arr(self, u):
+            dip = (u > 0.5) & (u < 0.5 + 1e-9)
+            out = super()._ppf_arr(u)
+            out[dip] = 1.0
+            return out
+
+    u = np.array([0.25, 0.5, 0.5 + 2e-10, 0.5 + 5e-10, 0.75])
+    assert quantile_reach(Dips(1.0, 1.0), u) == pytest.approx(5e-10 + 0.25)
+    assert quantile_reach(Pareto(1.0, 1.0), u) == 0.0
 
 
 @pytest.mark.parametrize("law", SUPPORT_FAMILIES, ids=repr)
