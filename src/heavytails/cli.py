@@ -440,7 +440,7 @@ class _Parsed(NamedTuple):
     echo: dict
     run: object                 # (workers) -> what the command writes
     write: object               # (args, echo, result) -> exit code
-    warnings: tuple = ()
+    warnings: object = tuple    # () -> the advisories, for validate
 
 
 def _fields(raw, kind: str) -> dict:
@@ -506,26 +506,29 @@ def _parse_ratio_curve(raw) -> _Parsed:
 
 def _curve_plan(f: dict, preset, context: str = None, model=None,
                 x_grid=None) -> _Parsed:
-    """Run a preset's curves at the config's seed and samples, checked now
-    on the model and grid they run on; the check's notes are the advisories.
-    Library errors of the check and of the run name context if one is given."""
+    """Run a preset's curves at the config's seed and samples on the model
+    and grid given; the run checks them first (Preset.check), and the
+    advisories are that check's notes. Library errors of the check and of
+    the run name context if one is given."""
     seed = _resolve(f, "seed", 0)
     samples = _resolve(f, "samples", preset.samples)
     errors = ((lambda: _config_errors(context)) if context
               else contextlib.nullcontext)
-    with errors():
-        _, checked = preset.check(
-            preset.build() if model is None else model, x_grid)
 
     def run(workers):
         with errors():
             return preset.run(model=model, samples=samples, seed=seed,
                               workers=workers, x_grid=x_grid)
 
+    def warnings():
+        with errors():
+            _, checked = preset.check(
+                preset.build() if model is None else model, x_grid)
+        return tuple(dict.fromkeys(n for _, _, notes in checked
+                                   for n in notes))
+
     return _Parsed({**f, "seed": seed, "samples": samples}, run,
-                   _write_curves,
-                   tuple(dict.fromkeys(n for _, _, notes in checked
-                                       for n in notes)))
+                   _write_curves, warnings)
 
 
 def _parse_theorem(raw) -> _Parsed:
@@ -759,7 +762,7 @@ def _validate_warnings(raw: dict) -> tuple:
         raise ConfigError("cannot tell what this config drives: expected "
                           "theorem_id, surplus, risk/preset, model+quantity, "
                           "model, or dist")
-    return parse(raw).warnings
+    return parse(raw).warnings()
 
 
 # ----------------------------------------------------------------- commands --

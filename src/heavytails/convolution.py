@@ -237,7 +237,9 @@ def _product_tails(a: _Grid, b: _Grid, xs) -> np.ndarray:
     at index j or above. All terms are nonnegative, so the rounding stays
     relative. Each distinct K takes one row of a sliding window over the
     padded S_B, and the rows are gathered in blocks of at most _PROBE_CHUNK
-    values, one matrix-vector product per block.
+    values, one matrix-vector product per block. The cut c comes from each
+    block's last K, so a probe's value can move in its last bits (up to
+    ~1e-15 relative) with the other probes that share its block.
     """
     inf_mass = _overflow(a, b)
     la, lb = len(a.masses), len(b.masses)

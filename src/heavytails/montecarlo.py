@@ -7,6 +7,9 @@ draws, when a stopped quantity needs them, from a separate lane keyed
 the estimate is bitwise identical for any worker count and any block-to-worker
 assignment.
 
+A running max of nonnegative terms is their sum up to the sign of a zero,
+so estimate_tails reads it from the sum's hits on both paths.
+
 A long stopped replicate whose hits the grid end already decides is settled
 rather than drawn in full (_settle): its sum, when a bound from the support
 tops the grid end, is that bound, and its max is drawn in pieces only until
@@ -230,8 +233,7 @@ def _chunk_stats(model: DependentModel, kinds: tuple,
     if rows == 0:
         return out
     # the inverse transform overwrites the uniforms: one array per slice
-    flat = model.marginals[0].ppf_from_uniform(
-        model.copula.sample(rng, rows).ravel())
+    flat = model.sample_vector(rng, rows).ravel()
     if {"max", "sum"} & set(kinds):
         nonempty = eff > 0
         first = starts[nonempty]
@@ -258,10 +260,9 @@ def _settles(model: DependentModel, kinds: tuple, eff: np.ndarray,
     values long, on a pass of max and/or sum whose sum, if asked for, is
     decided before any draw by the support bound length * lo (lo >= 0) over
     the grid end x_top. x_top = inf settles nothing. A pass with runmax
-    settles nothing: the support bound does not decide a running max of
-    signed terms, whose partial sums may climb and fall back, so it needs
-    every draw (on nonnegative terms it is the sum, but no preset pairs
-    runmax with counts that long)."""
+    settles nothing: it holds runmax only on signed terms (estimate_tails),
+    whose partial sums may climb and fall back, so the support bound does
+    not decide it and it needs every draw."""
     if math.isinf(x_top) or not set(kinds) <= {"max", "sum"}:
         return np.zeros(len(eff), dtype=bool)
     settle = sizes >= _SETTLE_MIN
@@ -374,15 +375,7 @@ def _simulate_block(model, kinds, stopped, weights, xs, seed, block_index,
     vals = model.sample_vector(rng, count)
     if weights is not None:
         vals = vals * weights
-    # on nonnegative terms the running sum never falls, so the running max
-    # is the sum up to the sign of a zero, and takes the sum's hits
-    nonnegative = (all(m.support()[0] >= 0 for m in model.marginals)
-                   and (weights is None or bool(np.all(weights >= 0))))
-    read = tuple("sum" if k == "runmax" and nonnegative else k
-                 for k in kinds)
-    rows = tuple(dict.fromkeys(read))
-    hits = _count_hits(_reduce_rows(vals, rows), xs)
-    return hits[[rows.index(k) for k in read]], 0
+    return _count_hits(_reduce_rows(vals, kinds), xs), 0
 
 
 def _run_blocks(payload):
@@ -506,7 +499,11 @@ def estimate_tails(model: DependentModel, quantities, xs, samples: int,
     The quantities must pass check_pass. Each block is drawn once, so the
     rows (one list of TailEstimate per quantity) equal separate
     estimate_tail calls bit for bit. They depend only on (model, quantities,
-    weights, xs, samples, seed), never on the worker count.
+    weights, xs, samples, seed), never on the worker count. A runmax of
+    nonnegative terms (every marginal's support minimum at least 0, no
+    weight negative) reads the sum's hits, fixed-length or stopped: the
+    running sum never falls, so the running max is the sum up to the sign
+    of a zero, and it settles as the sum does (_settles).
 
     The blocks are dealt round-robin to min(workers, blocks) shares. This
     process runs the first share and forks one process for each other
@@ -526,7 +523,11 @@ def estimate_tails(model: DependentModel, quantities, xs, samples: int,
     if stopped and (not isinstance(tau_cap, (int, np.integer)) or tau_cap < 1):
         raise InvalidInput("tau_cap must be a positive integer")
 
-    kinds = tuple(dict.fromkeys(q.kind for q in quantities))
+    nonnegative = (all(m.support()[0] >= 0 for m in model.marginals)
+                   and (weights is None or bool(np.all(weights >= 0))))
+    read = [("sum" if q.kind == "runmax" and nonnegative else q.kind)
+            for q in quantities]
+    kinds = tuple(dict.fromkeys(read))
     n_blocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
     counts = np.full(n_blocks, BLOCK_SIZE, dtype=np.int64)
     counts[-1] = samples - BLOCK_SIZE * (n_blocks - 1)
@@ -552,7 +553,7 @@ def estimate_tails(model: DependentModel, quantities, xs, samples: int,
     return [[TailEstimate(float(x), float(p[k, i]), float(se[k, i]),
                           int(hits[k, i]), samples, seed, notes)
              for i, x in enumerate(xs)]
-            for k in (kinds.index(q.kind) for q in quantities)]
+            for k in (kinds.index(r) for r in read)]
 
 
 def estimate_tail(model: DependentModel, quantity, xs, samples: int,

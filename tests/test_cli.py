@@ -511,6 +511,23 @@ class TestValidate:
             assert all(n.startswith(self.RUN_ONLY)
                        for n in notes[len(warnings):]), notes
 
+    @pytest.mark.parametrize("argv", [
+        ["theorem", "--id", "T3.3"],
+        ["ruin", "--preset", "C5.1", "--samples", "20000"],
+        ["ratio-curve", "--config", "rc.json"],
+    ], ids=["theorem", "ruin", "ratio-curve"])
+    def test_a_curve_run_checks_once(self, tmp_path, capsys, monkeypatch,
+                                     argv):
+        # the run's own check yields the advisories; parsing checks nothing
+        argv = [write_json(tmp_path, a, RC_MC_CONFIG) if a == "rc.json"
+                else a for a in argv]
+        calls = []
+        check = ex.Preset.check
+        monkeypatch.setattr(ex.Preset, "check", lambda self, *a: (
+            calls.append(self.preset_id), check(self, *a))[1])
+        code, _, _ = run(capsys, argv)
+        assert code in (0, 2) and len(calls) == 1, calls
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "extra.json",
                          {"theorem_id": "T4.1", "extra": 1})

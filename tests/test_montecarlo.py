@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as ss
 
+from heavytails import experiments as ex
 from heavytails import montecarlo as mc
 from heavytails.copulas import (Comonotone, DependentModel, FGM, Independence,
                                 _BELOW_ONE, _FGM_BATCH)
@@ -206,7 +207,8 @@ class TestBitwiseReproducibility:
         # so only the fixed-length path, with the copula's few columns,
         # calls it; a stopped runmax walks columns in _running_max, at most
         # one per replicate of its slice, so equal long lengths are not
-        # walked one column per term
+        # walked one column per term. The terms are signed, so the runmax
+        # is walked rather than read from the sum
         shapes, walks = [], []
         reduce = mc._reduce_rows
 
@@ -230,7 +232,7 @@ class TestBitwiseReproducibility:
             return None
 
         monkeypatch.setattr(mc, "_reduce_rows", spy)
-        d = Pareto(0.8, 1.0)
+        d = ShiftedBy(Pareto(0.8, 1.0), -2.0)
         for tau in (Deterministic(5_000), Poisson(3.0)):
             m = DependentModel(FGM.bivariate(1.0), (d, d), tau=tau)
             sys.settrace(trace)
@@ -259,11 +261,12 @@ class TestBitwiseReproducibility:
             "negative-weight"])
     def test_runmax_hits_equal_the_column_walk(self, model, weights,
                                                monkeypatch):
-        # on nonnegative terms the runmax row takes the sum's hits
+        # on nonnegative terms estimate_tails reads RunMaxN from the sum's
+        # hits, which must be the hits of the walked running max
         xs = np.array([-1.0, 0.0, 0.5, 3.0, 40.0])
         kinds = ("max", "runmax", "sum")
         weights = None if weights is None else np.asarray(weights)
-        vals = model.sample_vector(mc.block_stream(8, 3), 5000)
+        vals = model.sample_vector(mc.block_stream(8, 0), 5000)
         if weights is not None:
             vals = vals * weights
         want = mc._count_hits(mc._reduce_rows(vals, kinds), xs)
@@ -271,9 +274,11 @@ class TestBitwiseReproducibility:
         reduce = mc._reduce_rows
         monkeypatch.setattr(mc, "_reduce_rows", lambda rect, ks: (
             walked.append(ks), reduce(rect, ks))[1])
+        token = {"max": "MaxN", "runmax": "RunMaxN", "sum": "SumN"}
         for ks in (kinds, ("runmax",), ("runmax", "max")):
-            got, _ = mc._simulate_block(model, ks, False, weights, xs, 8, 3,
-                                        5000, mc.TAU_CAP)
+            rows = mc.estimate_tails(model, [token[k] for k in ks], xs, 5000,
+                                     seed=8, weights=weights)
+            got = [[e.hits for e in row] for row in rows]
             assert np.array_equal(got, want[[kinds.index(k) for k in ks]])
         signed = weights is not None and weights.min() < 0
         signed |= model.marginals[0].support()[0] < 0
@@ -573,6 +578,49 @@ class TestSharedPass:
                 mc.block_stream(5, mc._TAU_LANE), mc.BLOCK_SIZE, mc.TAU_CAP)
         for budget in (1 << 20, 1 << 16, 1 << 12):
             np.testing.assert_array_equal(got[budget], got[1 << 22])
+
+
+class TestNonnegativeRunningMax:
+    """A running max of nonnegative terms reads the sum's hits on the
+    stopped path too: it walks no running max, and a long replicate
+    settles as the sum does."""
+
+    T44II = ex.PRESETS["T4.4ii"].build()
+
+    def spy(self, monkeypatch):
+        walks, settled = [], []
+        walk, settle = mc._running_max, mc._settle
+        monkeypatch.setattr(mc, "_running_max", lambda *a: (
+            walks.append(len(a[2])), walk(*a))[1])
+        monkeypatch.setattr(mc, "_settle", lambda model, kinds, *a: (
+            settled.append(kinds), settle(model, kinds, *a))[1])
+        return walks, settled
+
+    def test_stopped_runmax_takes_the_sum_hits(self, monkeypatch):
+        xs = np.geomspace(3.0, 300.0, 8)
+        # one block's running maxima, walked
+        stats, _ = mc._stats_stopped(
+            self.T44II, ("runmax",), mc.block_stream(5, 0),
+            mc.block_stream(5, mc._TAU_LANE), BLOCK_SIZE, mc.TAU_CAP)
+        walked = mc._count_hits(stats, xs)[0].tolist()
+        walks, _ = self.spy(monkeypatch)
+        runmax, total = mc.estimate_tails(self.T44II, ["RunMaxTau", "SumTau"],
+                                          xs, BLOCK_SIZE, seed=5)
+        alone = mc.estimate_tail(self.T44II, "RunMaxTau", xs, BLOCK_SIZE,
+                                 seed=5)
+        assert walks == []
+        assert ([e.hits for e in runmax] == [e.hits for e in alone]
+                == [e.hits for e in total] == walked)
+
+    def test_zeta_stopped_runmax_settles(self, monkeypatch):
+        walks, settled = self.spy(monkeypatch)
+        grid = np.geomspace(10.0, 1e4, 8)
+        runmax = mc.estimate_tail(TestSharedPass.T42, "RunMaxTau", grid,
+                                  4096, seed=4)
+        assert walks == [] and settled and set(settled) == {("sum",)}
+        total = mc.estimate_tail(TestSharedPass.T42, "SumTau", grid, 4096,
+                                 seed=4)
+        assert runmax == total
 
 
 class TestStreamAdvance:
