@@ -299,21 +299,8 @@ def _fmt(value) -> str:
 
 def _curve_record(curve) -> dict:
     limit = curve.predicted_limit
-    return {
-        "experiment_id": curve.experiment_id,
-        "quantity": curve.quantity,
-        "denominator": curve.denominator,
-        "semantics": curve.semantics,
-        "predicted_limit": (float(limit) if math.isfinite(limit)
-                            else str(limit)),
-        "tolerance": curve.tolerance,
-        "verdict": curve.verdict,
-        "running_min": curve.running_min,
-        "samples": curve.samples,
-        "seed": curve.seed,
-        "notes": list(curve.notes),
-        "points": [asdict(p) for p in curve.points],
-    }
+    return {**asdict(curve), "running_min": curve.running_min,
+            "predicted_limit": limit if math.isfinite(limit) else str(limit)}
 
 
 def _report_rows(reports) -> list:
@@ -332,7 +319,7 @@ def _report_rows(reports) -> list:
                               if len(rep.statistics) else math.nan),
             "target": None if target is None else float(target),
             "tolerance": rep.tolerance, "running_min": rep.running_min,
-            "notes": list(rep.notes)})
+            "notes": []})
     return rows
 
 
@@ -601,6 +588,8 @@ def _parse_class(raw) -> _Parsed:
                     dist, grid=grid)))
             except HeavyTailsError as err:
                 reports.append((check, str(err)))
+            except ArithmeticError as err:
+                reports.append((check, f"{type(err).__name__}: {err}"))
         return reports
 
     return _Parsed({"dist": dist_cfg, "checks": checks, "grid": f["grid"]},

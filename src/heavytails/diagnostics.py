@@ -54,7 +54,6 @@ class ClassReport:
     stat_upper: np.ndarray = None
     running_min: float = None
     curves: dict = None
-    notes: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "probe_grid", np.asarray(self.probe_grid, dtype=float))

@@ -89,8 +89,12 @@ class Denominator:
                     "against the bare tail instead")
             return et * first.tail(xs)
         g = 1.0 + self.rate
-        return sum(m.tail(xs * g ** (k + 1))
-                   for k, m in enumerate(model.marginals))
+        try:
+            return sum(m.tail(xs * g ** (k + 1))
+                       for k, m in enumerate(model.marginals))
+        except OverflowError:
+            raise InvalidInput(f"discounted rate {self.rate:g} overflows "
+                               f"(1+rate)^k") from None
 
 
 @dataclass(frozen=True)

@@ -364,8 +364,11 @@ def _count_hits(stats: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.array(hits, dtype=np.int64)
 
 
-def _simulate_block(model, kinds, stopped, weights, xs, seed, block_index,
-                    count, cap):
+def _simulate_block(model, kinds, stopped, weights, xs, seed, samples, cap,
+                    block_index):
+    """(hits, capped) of block block_index of the `samples` replicates:
+    BLOCK_SIZE replicates, fewer in the last block."""
+    count = min(BLOCK_SIZE, samples - BLOCK_SIZE * block_index)
     rng = block_stream(seed, block_index)
     if stopped:
         tau_rng = block_stream(seed, _TAU_LANE + block_index)
@@ -378,62 +381,51 @@ def _simulate_block(model, kinds, stopped, weights, xs, seed, block_index,
     return _count_hits(_reduce_rows(vals, kinds), xs), 0
 
 
-def _run_blocks(payload):
-    (model, kinds, stopped, weights, xs, seed, indices, counts, cap) = payload
-    hits = np.zeros((len(kinds), len(xs)), dtype=np.int64)
-    capped = 0
-    for b, c in zip(indices, counts):
-        h, k = _simulate_block(model, kinds, stopped, weights, xs, seed, b, c,
-                               cap)
-        hits += h
-        capped += k
-    return hits, capped
+def _block_span(share: range) -> str:
+    """'blocks 1-7 step 2' for a range of block indices."""
+    if len(share) == 1:
+        return f"block {share[0]}"
+    step = f" step {share.step}" if share.step > 1 else ""
+    return f"blocks {share[0]}-{share[-1]}{step}"
 
 
-def _block_span(indices) -> str:
-    """'blocks 1-7 step 2' for an arithmetic run of block indices."""
-    first, last = int(indices[0]), int(indices[-1])
-    if first == last:
-        return f"block {first}"
-    step = int(indices[1] - indices[0])
-    return f"blocks {first}-{last}" + (f" step {step}" if step > 1 else "")
-
-
-def _worker(payload, conn) -> None:
-    """Send _run_blocks(payload), or the exception it raised, to conn."""
+def _reply(run, share):
+    """run(share), or the Exception it raised."""
     try:
-        reply = _run_blocks(payload)
+        return run(share)
     except Exception as err:
-        reply = err
-    conn.send(reply)
+        return err
 
 
-def _pool_results(payloads, n_blocks: int) -> list:
-    """_run_blocks on each payload, in payload order: the first in this
+def _worker(run, share, conn) -> None:
+    conn.send(_reply(run, share))
+
+
+def _pool_results(run, shares, what: str) -> list:
+    """run(share) for each share, in share order: the first in this
     process, each other in its own forked process, started before the first
-    runs. One payload forks nothing. A forked payload whose process sends
+    runs. One share forks nothing. A forked share whose process sends
     nothing or exits non-zero is lost, and WorkerCrashed names the blocks of
-    each lost payload, ahead of any exception. Otherwise an exception raised
-    on a payload is raised here, the first in payload order. An exception
-    that is not an Exception (KeyboardInterrupt, SystemExit) on the first
-    payload propagates at once, and every forked process is killed."""
-    if len(payloads) > 1:
+    each lost share (_block_span) of `what`, ahead of any exception.
+    Otherwise an Exception raised on a share is raised here, the first in
+    share order. An exception that is not an Exception (KeyboardInterrupt,
+    SystemExit) on the first share propagates at once, and every forked
+    process is killed."""
+    if len(shares) > 1:
         import multiprocessing as mp
         ctx = mp.get_context("fork")
     jobs, replies = [], []
     try:
-        for p in payloads[1:]:
+        for share in shares[1:]:
             recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker, args=(p, send), daemon=True)
+            proc = ctx.Process(target=_worker, args=(run, share, send),
+                               daemon=True)
             proc.start()
             # with no write end left here, a dead worker's pipe reads EOF,
             # and the workers forked later do not inherit one either
             send.close()
             jobs.append((proc, recv))
-        try:
-            replies.append(_run_blocks(payloads[0]))
-        except Exception as err:
-            replies.append(err)
+        replies.append(_reply(run, shares[0]))
         for proc, recv in jobs:
             try:
                 reply = recv.recv()
@@ -447,11 +439,10 @@ def _pool_results(payloads, n_blocks: int) -> list:
             if proc.is_alive():
                 proc.kill()
                 proc.join()
-    lost = [_block_span(p[6]) for p, r in zip(payloads, replies) if r is None]
+    lost = [_block_span(s) for s, r in zip(shares, replies) if r is None]
     if lost:
-        raise WorkerCrashed(
-            f"a worker process died; {' and '.join(lost)} of {n_blocks} "
-            f"(seed {payloads[0][5]}) returned no result")
+        raise WorkerCrashed(f"a worker process died; {' and '.join(lost)} "
+                            f"of {what} returned no result")
     for reply in replies:
         if isinstance(reply, Exception):
             raise reply
@@ -505,7 +496,9 @@ def estimate_tails(model: DependentModel, quantities, xs, samples: int,
     running sum never falls, so the running max is the sum up to the sign
     of a zero, and it settles as the sum does (_settles).
 
-    The blocks are dealt round-robin to min(workers, blocks) shares. This
+    The blocks are dealt round-robin to W = min(workers, blocks) shares:
+    share w is range(w, blocks, W). Each share runs _simulate_block once
+    per block, and every block's (hits, capped) is summed here. This
     process runs the first share and forks one process for each other
     (_pool_results), so workers=1 forks nothing. A hard crash in the first
     share (a signal, os._exit) ends this process, as at workers=1; one in
@@ -529,20 +522,17 @@ def estimate_tails(model: DependentModel, quantities, xs, samples: int,
             for q in quantities]
     kinds = tuple(dict.fromkeys(read))
     n_blocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
-    counts = np.full(n_blocks, BLOCK_SIZE, dtype=np.int64)
-    counts[-1] = samples - BLOCK_SIZE * (n_blocks - 1)
-    indices = np.arange(n_blocks)
-    n_payloads = min(int(workers), n_blocks)
-    payloads = [
-        (model, kinds, stopped, weights, xs, seed, indices[w::n_payloads],
-         counts[w::n_payloads], int(tau_cap))
-        for w in range(n_payloads)
-    ]
+    n_shares = min(int(workers), n_blocks)
+    args = (model, kinds, stopped, weights, xs, seed, samples, int(tau_cap))
 
-    hits, capped = np.zeros((len(kinds), len(xs)), dtype=np.int64), 0
-    for h, k in _pool_results(payloads, n_blocks):
-        hits += h
-        capped += k
+    def run(share):
+        return [_simulate_block(*args, b) for b in share]
+
+    shares = [range(w, n_blocks, n_shares) for w in range(n_shares)]
+    replies = _pool_results(run, shares, f"{n_blocks} (seed {seed})")
+    blocks = [block for reply in replies for block in reply]
+    hits = np.sum([h for h, _ in blocks], axis=0)
+    capped = sum(k for _, k in blocks)
 
     notes = ()
     if capped:

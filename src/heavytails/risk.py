@@ -45,6 +45,12 @@ class DiscreteRiskModel:
                 "a fixed-horizon model cannot carry a counting law")
         if not (math.isfinite(self.rate) and self.rate > -1.0):
             raise InvalidInput("rate must be a finite number above -1")
+        g = 1.0 + self.rate
+        try:    # the surplus path grows like g^k, the weights like g^-k
+            max(g, 1.0 / g) ** self.horizon
+        except OverflowError:
+            raise InvalidInput(f"rate {self.rate:g} overflows (1+rate)^k over "
+                               f"{self.horizon} periods") from None
 
     @property
     def horizon(self) -> int:

@@ -64,6 +64,10 @@ DISCRETE_RUIN_CONFIG = {
     "seed": 2,
 }
 
+# 200 periods: (1 + rate)^k overflows a float within them for rate 100
+CLAIMS_200 = {"copula": {"family": "independence", "dim": 200},
+              "marginals": [PARETO11] * 200}
+
 
 # an infinite-mean count under lim semantics: the ratios diverge
 ZETA_LIM_CONFIG = {
@@ -278,7 +282,7 @@ class TestExitCodes:
         real = mc._simulate_block
 
         def crash_on_block_one(*args):
-            if args[6] == 1:        # the forked worker dies mid-run
+            if args[-1] == 1:       # the forked worker dies mid-run
                 os._exit(3)
             return real(*args)
 
@@ -685,6 +689,17 @@ class TestBadValues:
         ("diagnose-dependence", {"model": "fgm-pareto", "pair": [0, 1.5]},
          "pair"),
         ("convolve", {"dist": "example11", "nfold": 2.6}, "nfold"),
+        # (1 + rate)^k overflows a float within the horizon
+        ("ruin", dict(DISCRETE_RUIN_CONFIG, rate=1e300), "rate"),
+        ("ruin", dict(DISCRETE_RUIN_CONFIG, rate=100, claims=CLAIMS_200),
+         "rate"),
+        ("surplus-path", dict(DISCRETE_RUIN_CONFIG, rate=1e300, surplus=1.0),
+         "rate"),
+        ("surplus-path", dict(DISCRETE_RUIN_CONFIG, rate=100,
+                              claims=CLAIMS_200, surplus=1.0), "rate"),
+        ("ratio-curve", dict(RC_MC_CONFIG, denominator={"kind": "discounted",
+                                                        "rate": 1e300}),
+         "rate"),
     ])
     def test_config_value(self, tmp_path, capsys, command, config, field):
         cfg = write_json(tmp_path, "bad.json", config)
@@ -1020,6 +1035,20 @@ class TestDiagnoseClass:
         row = out.splitlines()[2].split(",")
         assert row[1] == "unavailable"
         assert row[3] == ""
+
+    @pytest.mark.parametrize("dist, check", [
+        ("pareto(1.5,1e300)", "Sstar"),
+        ("pareto(1.5,1e300)", "SstarStrong"),
+        ("lognormal(1e300,1)", "Sstar"),
+    ])
+    def test_float_overflow_makes_a_check_unavailable(self, capsys, dist,
+                                                      check):
+        code, out, _ = run(capsys, ["diagnose-class", "--dist", dist,
+                                    "--check", check, "--format", "records"])
+        assert code == 0
+        [row] = json.loads(out)["results"]
+        assert row["verdict"] == "unavailable"
+        assert row["notes"][0].startswith("OverflowError")
 
     def test_grid_flag_forms(self, capsys):
         assert run(capsys, ["diagnose-class", "--dist", "pareto(1.5,1)",

@@ -117,7 +117,7 @@ class TestBitwiseReproducibility:
         real = mc._simulate_block
 
         def interrupted_on_block_zero(*args):
-            if args[6] == 0:        # the caller's own share
+            if args[-1] == 0:       # the caller's own share
                 raise KeyboardInterrupt
             time.sleep(60)          # a forked worker still running
             return real(*args)
@@ -136,9 +136,9 @@ class TestBitwiseReproducibility:
         real = mc._simulate_block
 
         def fail_both_shares(*args):
-            if args[6] == 0:        # the caller's share raises
+            if args[-1] == 0:       # the caller's share raises
                 raise ModelConfigError("block 0 failed")
-            if args[6] == 1:        # the forked worker dies mid-run
+            if args[-1] == 1:       # the forked worker dies mid-run
                 os._exit(3)
             return real(*args)
 
