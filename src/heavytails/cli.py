@@ -212,12 +212,10 @@ def build_model(cfg, context="model"):
 
 
 def build_denominator(cfg, context="denominator"):
-    f = _take(cfg, context, ("kind",), {"n": None, "rate": None})
+    f = _take(cfg, context, ("kind",), {"n": None})
     n = None if f["n"] is None else _integer(f["n"], context + ".n")
-    rate = (None if f["rate"] is None
-            else _convert(float, f["rate"], context + ".rate"))
     with _config_errors(context, *_BAD_VALUE):
-        return ex.Denominator(str(f["kind"]), n=n, rate=rate)
+        return ex.Denominator(str(f["kind"]), n=n)
 
 
 # the most points a lo/hi grid spans; the presets use at most 101

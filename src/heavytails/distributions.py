@@ -11,8 +11,9 @@ Every family exposes the same small surface:
 * ``truncated_atoms(threshold)``  exact atomic representation when one exists.
 
 Class tags are declared hints about heavy-tail class membership: L for
-long-tailed and D for dominatedly varying. Diagnostics never read them; the
-theorem presets' hypotheses do (experiments.HYPOTHESES).
+long-tailed and D for dominatedly varying; a shifted or integrated law keeps
+its base's tags. Diagnostics never read them; the theorem presets'
+hypotheses do (experiments.HYPOTHESES).
 """
 
 from __future__ import annotations
@@ -527,6 +528,8 @@ class ShiftedBy(Marginal):
 
 
 _MIXTURE_DEPTH = 200  # atoms tabulated; the suffix beyond carries mass 2^-200
+# sigma: a finite atom law on [-3, 0) with positive mass in (-3, -2]
+_SIGMA_ATOMS = ((-2.5, 0.5), (-0.5, 0.5))
 
 
 @dataclass(frozen=True)
@@ -534,29 +537,22 @@ class GeometricAtomMixture(_AtomTable):
     """Mixture q*rho + (1-q)*sigma of a sparse unbounded atom law and a negative part.
 
     rho puts mass 2^-(n+1) on 2^(n+1)-1 for n >= 0, so its tail halves exactly
-    at every atom: heavy (no exponential moment) yet not long-tailed. sigma is
-    a finite atom law on [-3, 0) with positive mass in (-3, -2]. Config name:
-    ``example11``.
+    at every atom: heavy (no exponential moment), dominatedly varying (the
+    tail at most doubles when x halves), yet not long-tailed. sigma is the
+    atom law _SIGMA_ATOMS. Config name: ``example11``.
     """
 
     q: float = 0.5
-    sigma_atoms: tuple = ((-2.5, 0.5), (-0.5, 0.5))
+    tags = frozenset({TAG_DOMINATED})
 
     def __post_init__(self):
         _require(0 < self.q < 1, "q must lie strictly between 0 and 1")
-        object.__setattr__(self, "sigma_atoms", _normalize_atoms(self.sigma_atoms))
-        total = math.fsum(m for _, m in self.sigma_atoms)
-        _require(abs(total - 1.0) <= 1e-12, "sigma atom masses must sum to 1")
-        _require(all(-3.0 <= l < 0.0 for l, _ in self.sigma_atoms),
-                 "sigma atoms must lie in [-3, 0)")
-        _require(any(-3.0 < l <= -2.0 for l, _ in self.sigma_atoms),
-                 "sigma must put positive mass in (-3, -2]")
 
     @cached_property
     def _table(self):
         # merged atom table: sigma atoms weighted 1-q, then rho atoms weighted q
-        locs = [l for l, _ in self.sigma_atoms]
-        masses = [(1.0 - self.q) * m for _, m in self.sigma_atoms]
+        locs = [l for l, _ in _SIGMA_ATOMS]
+        masses = [(1.0 - self.q) * m for _, m in _SIGMA_ATOMS]
         for n in range(_MIXTURE_DEPTH):
             locs.append(float(2 ** (n + 1) - 1))
             masses.append(self.q * 2.0 ** (-(n + 1)))
@@ -565,7 +561,7 @@ class GeometricAtomMixture(_AtomTable):
         cdf = np.cumsum(masses)
         # suffix tails: exact dyadic remainders for the rho section
         suffix = np.empty_like(masses)
-        ns = len(self.sigma_atoms)
+        ns = len(_SIGMA_ATOMS)
         suffix[ns:] = self.q * 2.0 ** (-np.arange(1, _MIXTURE_DEPTH + 1))
         sig_suffix = np.concatenate((np.cumsum(masses[:ns][::-1])[::-1][1:], [0.0]))
         suffix[:ns] = sig_suffix + self.q
@@ -575,7 +571,7 @@ class GeometricAtomMixture(_AtomTable):
         return math.inf  # the rho part has divergent mean
 
     def support(self):
-        return (float(self.sigma_atoms[0][0]), math.inf)
+        return (_SIGMA_ATOMS[0][0], math.inf)
 
     @property
     def _beyond(self):
@@ -600,7 +596,9 @@ def _unordered(keys: np.ndarray) -> np.ndarray:
 class IntegratedTail(Marginal):
     """Law with tail min(1, integral of base tail from x to infinity).
 
-    Requires the base law to have a finite positive-part mean.
+    Requires the base law to have a finite positive-part mean. It keeps
+    the base's tags: the integrated tail of a long-tailed (dominatedly
+    varying) base with finite mean is long-tailed (dominatedly varying).
     """
 
     base: Marginal
@@ -608,6 +606,10 @@ class IntegratedTail(Marginal):
     def __post_init__(self):
         if not math.isfinite(self.base.pos_mean()):
             raise AssumptionViolated("integrated tail requires a finite positive-part mean")
+
+    @property
+    def tags(self):
+        return self.base.tags
 
     def _tail_arr(self, x):
         return np.minimum(1.0, self.base.tail_integral(x, math.inf))
@@ -685,16 +687,19 @@ def _tail_kinks(d: Marginal) -> list:
     return sorted({k for k in kinks if math.isfinite(k)})
 
 
-def quantile_grid(marginals, n: int = 24,
-                  hi_u: float = 1.0 - 1e-4) -> np.ndarray:
-    """Geometric grid spanning the marginals' upper tail decades.
+def quantile_grid(marginals, hi_u: float = 1.0 - 1e-4) -> np.ndarray:
+    """Geometric grid of 24 points spanning the marginals' upper tail decades.
 
     The low end is the largest 0.9-quantile across marginals, so every
     coordinate is already in its tail; the high end is the largest
     hi_u-quantile, so the heaviest tail reaches its deep-asymptotic regime.
+    A top quantile that overflows the floats is an error.
     """
-    lo = max(max(float(m.quantile(0.9)) for m in marginals), 1e-9)
-    hi = max(float(m.quantile(hi_u)) for m in marginals)
+    with np.errstate(over="ignore"):
+        lo = max(max(float(m.quantile(0.9)) for m in marginals), 1e-9)
+        hi = max(float(m.quantile(hi_u)) for m in marginals)
     if hi <= lo:
         hi = lo * 100.0
-    return np.geomspace(lo, hi, int(n))
+    if not math.isfinite(hi):
+        raise InvalidInput("the default grid's top quantile overflows")
+    return np.geomspace(lo, hi, 24)

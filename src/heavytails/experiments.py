@@ -36,9 +36,8 @@ class Denominator:
 
     kind: str
     n: int = None
-    rate: float = None
 
-    _KINDS = ("sum_tails", "n_tail", "mean_tau_tail", "discounted")
+    _KINDS = ("sum_tails", "n_tail", "mean_tau_tail")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -46,25 +45,20 @@ class Denominator:
         if self.kind == "n_tail" and (self.n is None or int(self.n) != self.n
                                       or self.n < 1):
             raise InvalidInput("n_tail needs a positive integer n")
-        if self.kind == "discounted" and (self.rate is None
-                                          or not self.rate > -1.0):
-            raise InvalidInput("discounted needs a rate above -1")
 
     def describe(self) -> str:
         if self.kind == "n_tail":
             return f"n_tail(n={self.n})"
-        if self.kind == "discounted":
-            return f"discounted(rate={self.rate:g})"
         return self.kind
 
     def values(self, model: DependentModel, xs, weights=None) -> np.ndarray:
         """The denominator on the grid xs: the sum of the marginal tails,
-        n times the first tail, the expected count times the first tail, or
-        the sum of the tails at inflated thresholds x(1+rate)^k, k >= 1.
+        n times the first tail, or the expected count times the first tail.
 
         With weights w, the sum of the marginal tails is that of the
         weighted terms w_i X_i with w_i > 0, the sum of the tails at x / w_i;
-        it needs a positive weight."""
+        it needs a positive weight. Discount weights (1+r)^-k make it the
+        discounted tail sum of discrete-time ruin."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         first = model.marginals[0]
         if self.kind == "sum_tails":
@@ -77,24 +71,16 @@ class Denominator:
                        for m, w in zip(model.marginals, weights) if w > 0)
         if self.kind == "n_tail":
             return float(self.n) * first.tail(xs)
-        if self.kind == "mean_tau_tail":
-            if model.tau is None:
-                raise ModelConfigError(
-                    "mean_tau_tail denominator needs a counting law")
-            et = model.tau.mean()
-            if not math.isfinite(et):
-                raise AssumptionViolated(
-                    "the counting law has infinite mean: ratios against its "
-                    "expected count diverge, use a divergence-mode experiment "
-                    "against the bare tail instead")
-            return et * first.tail(xs)
-        g = 1.0 + self.rate
-        try:
-            return sum(m.tail(xs * g ** (k + 1))
-                       for k, m in enumerate(model.marginals))
-        except OverflowError:
-            raise InvalidInput(f"discounted rate {self.rate:g} overflows "
-                               f"(1+rate)^k") from None
+        if model.tau is None:
+            raise ModelConfigError(
+                "mean_tau_tail denominator needs a counting law")
+        et = model.tau.mean()
+        if not math.isfinite(et):
+            raise AssumptionViolated(
+                "the counting law has infinite mean: ratios against its "
+                "expected count diverge, use a divergence-mode experiment "
+                "against the bare tail instead")
+        return et * first.tail(xs)
 
 
 @dataclass(frozen=True)

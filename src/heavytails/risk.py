@@ -63,9 +63,8 @@ class DiscreteRiskModel:
     def preset(self, preset_id: str = "ruin", description: str = "",
                samples: int = 1_000_000, tolerance: float = 0.15,
                x_grid=None) -> ex.Preset:
-        """Ruin probability over the sum of discounted claim tails."""
-        claim = ex.Claim("RunMaxN", "lim",
-                         ex.Denominator("discounted", rate=self.rate))
+        """Ruin over sum_tails at the discount weights, sum F̄_k(x(1+r)^k)."""
+        claim = ex.Claim("RunMaxN", "lim", ex.Denominator("sum_tails"))
         return ex.Preset(preset_id, description, lambda: self.claims,
                          (claim,), tolerance, samples, x_grid=x_grid,
                          weights=tuple(self.discount_weights()))

@@ -481,6 +481,26 @@ class TestValidate:
             "warning: hypotheses unverified: summand mean must be negative",
             f"{cfg}: ok (1 warning)"]
 
+    # an integrated tail keeps its base's tags, and example11 is dominatedly
+    # varying but not long-tailed
+    @pytest.mark.parametrize("theorem, marginal, issues", [
+        ("C3.1", {"family": "integrated_tail",
+                  "base": {"family": "pareto", "alpha": 2.5}}, []),
+        ("T3.2", {"family": "example11"},
+         ["GeometricAtomMixture is not declared long-tailed"] * 2
+         + ["GeometricAtomMixture is not nonnegative"] * 2),
+    ], ids=["integrated-tail", "example11"])
+    def test_custom_model_warns_only_the_tags_it_lacks(
+            self, tmp_path, capsys, theorem, marginal, issues):
+        cfg = write_json(tmp_path, "custom.json", {
+            "theorem_id": theorem, "samples": 20_000,
+            "model": dict(FGM_PARETO_MODEL, marginals=[marginal] * 2)})
+        code, out, _ = run(capsys, ["validate", "--config", cfg])
+        assert code == 0
+        assert out.splitlines() == (
+            [f"warning: hypotheses unverified: {'; '.join(issues)}",
+             f"{cfg}: ok (1 warning)"] if issues else [f"{cfg}: ok"])
+
     def test_infinite_mean_advisory_reaches_the_run(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "zeta.json", ZETA_LIM_CONFIG)
         code, out, err = run(capsys, ["ratio-curve", "--config", cfg,
@@ -697,6 +717,8 @@ class TestBadValues:
          "rate"),
         ("surplus-path", dict(DISCRETE_RUIN_CONFIG, rate=100,
                               claims=CLAIMS_200, surplus=1.0), "rate"),
+        # a denominator takes no rate: a discounted curve is sum_tails over
+        # discount weights
         ("ratio-curve", dict(RC_MC_CONFIG, denominator={"kind": "discounted",
                                                         "rate": 1e300}),
          "rate"),
@@ -979,6 +1001,21 @@ class TestDiagnoseClass:
         row = out.splitlines()[2].split(",")
         assert row[1] == "inconsistent"
         assert float(row[2]) == 0.5
+
+    @pytest.mark.parametrize("dist", ["lognormal(1e300,1)", "pareto(1e-300,1)"])
+    def test_overflowing_default_grid_reads_unavailable(self, capsys, dist):
+        # the top quantile overflows the floats: the grid checks say so,
+        # quietly, and Sstar keeps its own reason
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["diagnose-class", "--dist", dist,
+                                          "--check", "all", "--format",
+                                          "records"])
+        assert (code, err, caught) == (0, "", [])
+        notes = {r["check"]: r["notes"] for r in json.loads(out)["results"]}
+        for check in ("L", "D", "S", "SstarStrong"):
+            assert notes[check] == ["the default grid's top quantile overflows"]
+        assert "overflows" not in notes["Sstar"][0]
 
     def test_finite_atom_law_reads_every_check_on_its_own_grid(
             self, tmp_path, capsys):

@@ -38,18 +38,17 @@ class TestDenominators:
                 ex.Denominator("n_tail", n=n)
 
     def test_discounted_geometric_thresholds(self):
-        # Five identical unit-index tails at thresholds x*1.05^k telescope
-        # into x^{-1} * sum of 1.05^{-k}; check against the explicit sum.
+        # Five identical unit-index tails under discount weights 1.05^-k,
+        # at thresholds x*1.05^k, telescope into x^{-1} * sum of 1.05^{-k};
+        # check against the explicit sum.
         model = DependentModel(Independence(5),
                                tuple(Pareto(1.0, 1.0) for _ in range(5)))
-        den = ex.Denominator("discounted", rate=0.05)
+        den = ex.Denominator("sum_tails")
+        weights = tuple(1.05 ** -k for k in range(1, 6))
         for x in (5.0, 50.0, 500.0):
             want = sum(1.05 ** -k for k in range(1, 6)) / x
-            assert den.values(model, x)[0] == pytest.approx(want, rel=1e-14)
-
-    def test_discounted_rejects_rate_at_minus_one(self):
-        with pytest.raises(InvalidInput):
-            ex.Denominator("discounted", rate=-1.0)
+            assert den.values(model, x, weights)[0] == pytest.approx(
+                want, rel=1e-14)
 
     def test_mean_tau_tail_geometric(self):
         f = Pareto(0.8, 1.0)
@@ -110,11 +109,15 @@ class TestDenominators:
                                 ShiftedBy(Pareto(2.0, 1.0), -1.0)),
                                tau=Geometric1(0.25))
         xs = np.geomspace(0.5, 5e4, 37)
-        for den in (ex.Denominator("sum_tails"), ex.Denominator("n_tail", n=3),
-                    ex.Denominator("mean_tau_tail"),
-                    ex.Denominator("discounted", rate=0.05)):
-            want = np.array([den.values(model, float(x))[0] for x in xs])
-            assert np.array_equal(den.values(model, xs), want), den.kind
+        discount = tuple(1.05 ** -k for k in range(1, 4))
+        for den, weights in ((ex.Denominator("sum_tails"), None),
+                             (ex.Denominator("n_tail", n=3), None),
+                             (ex.Denominator("mean_tau_tail"), None),
+                             (ex.Denominator("sum_tails"), discount)):
+            want = np.array([den.values(model, float(x), weights)[0]
+                             for x in xs])
+            assert np.array_equal(den.values(model, xs, weights),
+                                  want), den.kind
 
     def test_claim_and_run_options_reject_bad_values(self):
         den = ex.Denominator("sum_tails")

@@ -143,7 +143,7 @@ class TestDiscreteRuinCurve:
         m = risk.DiscreteRiskModel(fgm_claims(), rate=0.05)
         curve = m.preset(x_grid=np.geomspace(10.0, 1e3, 6),
                          samples=50_000).run(seed=11)[0]
-        assert curve.denominator == "discounted(rate=0.05)"
+        assert curve.denominator == "sum_tails"
         for p in curve.points:
             want = 1.0 / (1.05 * p.x) + 1.0 / (1.1025 * p.x)
             assert p.denominator == pytest.approx(want, rel=1e-14)
