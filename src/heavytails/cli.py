@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import math
 import sys
 from dataclasses import asdict
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -86,16 +86,7 @@ def load_config(path: str) -> dict:
 
 
 def canonical_json(cfg: dict) -> str:
-    return json.dumps(cfg, sort_keys=True, separators=(",", ":"),
-                      default=_json_fallback)
-
-
-def _json_fallback(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    return json.dumps(cfg, sort_keys=True, separators=(",", ":"))
 
 
 @contextlib.contextmanager
@@ -190,23 +181,15 @@ def build_marginal(cfg, context="marginal"):
     return _build_family(_MARGINALS, cfg, context)
 
 
-def build_copula(cfg, context="copula"):
-    return _build_family(_COPULAS, cfg, context)
-
-
-def build_counting(cfg, context="tau"):
-    return _build_family(_COUNTING, cfg, context)
-
-
 def build_model(cfg, context="model"):
     f = _take(cfg, context, ("copula", "marginals"), {"tau": None})
-    copula = build_copula(f["copula"], context + ".copula")
+    copula = _build_family(_COPULAS, f["copula"], context + ".copula")
     if not isinstance(f["marginals"], (list, tuple)) or not f["marginals"]:
         raise ConfigError(f"{context}.marginals: expected a nonempty list")
     marginals = tuple(build_marginal(m, f"{context}.marginals[{i}]")
                       for i, m in enumerate(f["marginals"]))
-    tau = None if f["tau"] is None else build_counting(f["tau"],
-                                                       context + ".tau")
+    tau = None if f["tau"] is None else _build_family(
+        _COUNTING, f["tau"], context + ".tau")
     with _config_errors(context, *_BAD_VALUE):
         return DependentModel(copula, marginals, tau=tau)
 
@@ -342,7 +325,7 @@ def _write_table(args, config: dict, columns, rows, results=None):
         if results is None:
             results = [dict(zip(columns, row)) for row in rows]
         text = json.dumps({"config": config, "results": results}, indent=2,
-                          sort_keys=True, default=_json_fallback) + "\n"
+                          sort_keys=True) + "\n"
     else:
         lines = [f"# config={canonical_json(config)}", ",".join(columns)]
         lines += [",".join(c if isinstance(c, str) else _fmt(c) for c in row)
@@ -432,25 +415,20 @@ def _fields(raw, kind: str) -> dict:
     return _take(raw, f"{kind} config", *_SCHEMAS[kind])
 
 
-# flag dest -> the config field it overrides; every other flag is run-only
-_FLAG_FIELDS = {"id": "theorem_id", "preset": "preset", "dist": "dist",
-                "model": "model", "nfold": "nfold", "points": "points",
-                "check": "checks", "grid": "grid", "seed": "seed",
-                "samples": "samples", "surplus": "surplus",
-                "replicate": "replicate"}
+# the parsed arguments that steer a run; every other dest is a config field
+_RUN_ONLY = ("command", "fn", "config", "out", "format", "workers", "variant")
 
 
 def _overlay(args) -> dict:
     """The --config mapping (or {}) with every given flag laid over the
-    field it names; a grid string is parsed and checked here, its errors
-    naming the flag."""
+    field its dest names; a grid string is parsed and checked here, its
+    errors naming the flag."""
     cfg = load_config(args.config) if args.config else {}
-    for dest, field in _FLAG_FIELDS.items():
-        value = getattr(args, dest, None)
-        if value is None:
+    for field, value in vars(args).items():
+        if value is None or field in _RUN_ONLY:
             continue
-        if dest in ("grid", "points"):
-            flag = "--" + dest
+        if field in ("grid", "points"):
+            flag = "--" + field
             value = _parse_grid_flag(value, flag)
             build_grid(value, flag, flag)   # its value errors name the flag
         cfg[field] = value
@@ -754,14 +732,14 @@ def _validate_warnings(raw: dict) -> tuple:
 
 # ----------------------------------------------------------------- commands --
 
-def cmd_run(args) -> int:
-    """Parse the command's config and flags as one mapping, run it, and
-    write what it returns."""
+def cmd_run(parse, args) -> int:
+    """Parse the command's config and flags as one mapping with parse, run
+    it, and write what it returns."""
     cfg = _overlay(args)
     if not cfg:
         raise ConfigError(f"{args.command} needs --config or the flags "
                           f"that name its fields; see --help")
-    parsed = args.parse(cfg)
+    parsed = parse(cfg)
     return parsed.write(args, parsed.echo,
                         parsed.run(getattr(args, "workers", 1)))
 
@@ -797,18 +775,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub, seed=True, samples=True, workers=True):
-    sub.add_argument("--out", help="write the table here instead of stdout")
-    sub.add_argument("--format", choices=("csv", "records"), default="csv")
-    if seed:
-        sub.add_argument("--seed", type=int, default=None,
-                         help="overrides the config seed (default 0)")
-    if samples:
-        sub.add_argument("--samples", type=int, default=None)
-    if workers:
-        sub.add_argument("--workers", type=int, default=1)
-
-
 def _variant(name: str) -> str:
     if name != "default":
         raise argparse.ArgumentTypeError(
@@ -816,7 +782,66 @@ def _variant(name: str) -> str:
     return name
 
 
-@functools.cache
+# flags as (option, argparse keywords); a flag's dest is the config field
+# it overrides, or one of _RUN_ONLY
+_CONFIG, _REQUIRED_CONFIG = ("--config", {}), ("--config", {"required": True})
+_OUTPUT = (("--out", {"help": "write the table here instead of stdout"}),
+           ("--format", {"choices": ("csv", "records"), "default": "csv"}))
+_SEED = ("--seed", {"type": int,
+                    "help": "overrides the config seed (default 0)"})
+# a Monte Carlo command's output and sampling flags
+_SAMPLED = _OUTPUT + (_SEED, ("--samples", {"type": int}),
+                      ("--workers", {"type": int, "default": 1}))
+
+
+# command -> (help, what main calls with the parsed arguments, flags in
+# --help order)
+_COMMANDS = {
+    "ratio-curve": ("run one configured ratio experiment",
+                    partial(cmd_run, _parse_ratio_curve),
+                    (_REQUIRED_CONFIG,) + _SAMPLED),
+    "theorem": ("run a named preset experiment",
+                partial(cmd_run, _parse_theorem), (
+        ("--id", {"dest": "theorem_id", "metavar": "ID",
+                  "help": "preset id, e.g. T4.1 or C5.2"}),
+        ("--preset", {"dest": "variant", "type": _variant,
+                      "help": "preset variant (only 'default')"}),
+        ("--config",
+         {"help": "optional config with theorem_id/model overrides"}),
+    ) + _SAMPLED),
+    "diagnose-class": ("closed-form heavy-tail class checks",
+                       partial(cmd_run, _parse_class), (
+        ("--dist", {"help": "e.g. pareto(1.5,1) or example11"}), _CONFIG,
+        ("--check", {"dest": "checks", "metavar": "CHECK", "help":
+                     "comma list from L,D,S,Sstar,SstarStrong or 'all'"}),
+        ("--grid", {"help": "lo:hi:n, x1,x2,..., or auto"}),
+    ) + _OUTPUT),
+    "diagnose-dependence": ("tail-dependence hypothesis checks",
+                            partial(cmd_run, _parse_dependence), (
+        ("--model", {"help": "token: " + ", ".join(sorted(_MODEL_TOKENS))}),
+        _CONFIG, ("--check", {"dest": "checks", "metavar": "CHECK",
+                              "help": "H1, H2, or both"}),
+    ) + _OUTPUT),
+    "convolve": ("n-fold tail against the single tail",
+                 partial(cmd_run, _parse_convolve), (
+        ("--dist", {"help": "e.g. example11 or pareto(1,1)"}), _CONFIG,
+        ("--nfold", {"type": int, "help": "default 2"}),
+        ("--points", {"help": "auto (default), lo:hi:n, or x1,x2,..."}),
+    ) + _OUTPUT),
+    "ruin": ("finite-horizon ruin ratio curve", partial(cmd_run, _parse_ruin),
+             (("--preset", {"help": "C5.1 or C5.2"}), _CONFIG) + _SAMPLED),
+    "surplus-path": ("one simulated surplus trajectory",
+                     partial(cmd_run, _parse_surplus_path), (
+        _REQUIRED_CONFIG, ("--surplus", {"type": float}),
+        ("--replicate", {"type": int, "help": "default 0"}),
+    ) + _OUTPUT + (_SEED,)),
+    "list-presets": ("catalog of named presets", cmd_list_presets, _OUTPUT),
+    "validate": ("schema and hypothesis checks for a config", cmd_validate,
+                 (_REQUIRED_CONFIG,)),
+}
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use and shared, so
     no caller may change it; parse_args fills a fresh namespace on every
@@ -830,73 +855,11 @@ def build_parser() -> argparse.ArgumentParser:
                "Inconclusive verdicts exit 0; read them from the output. "
                "A flag overrides the config field it names.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("ratio-curve",
-                        help="run one configured ratio experiment")
-    p.add_argument("--config", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_run, parse=_parse_ratio_curve)
-
-    p = subs.add_parser("theorem", help="run a named preset experiment")
-    p.add_argument("--id", help="preset id, e.g. T4.1 or C5.2")
-    p.add_argument("--preset", dest="variant", type=_variant,
-                   help="preset variant (only 'default')")
-    p.add_argument("--config",
-                   help="optional config with theorem_id/model overrides")
-    _add_common(p)
-    p.set_defaults(fn=cmd_run, parse=_parse_theorem)
-
-    p = subs.add_parser("diagnose-class",
-                        help="closed-form heavy-tail class checks")
-    p.add_argument("--dist", help="e.g. pareto(1.5,1) or example11")
-    p.add_argument("--config")
-    p.add_argument("--check",
-                   help="comma list from L,D,S,Sstar,SstarStrong or 'all'")
-    p.add_argument("--grid", help="lo:hi:n, x1,x2,..., or auto")
-    _add_common(p, seed=False, samples=False, workers=False)
-    p.set_defaults(fn=cmd_run, parse=_parse_class)
-
-    p = subs.add_parser("diagnose-dependence",
-                        help="tail-dependence hypothesis checks")
-    p.add_argument("--model",
-                   help="token: " + ", ".join(sorted(_MODEL_TOKENS)))
-    p.add_argument("--config")
-    p.add_argument("--check", help="H1, H2, or both")
-    _add_common(p, seed=False, samples=False, workers=False)
-    p.set_defaults(fn=cmd_run, parse=_parse_dependence)
-
-    p = subs.add_parser("convolve",
-                        help="n-fold tail against the single tail")
-    p.add_argument("--dist", help="e.g. example11 or pareto(1,1)")
-    p.add_argument("--config")
-    p.add_argument("--nfold", type=int, help="default 2")
-    p.add_argument("--points", help="auto (default), lo:hi:n, or x1,x2,...")
-    _add_common(p, seed=False, samples=False, workers=False)
-    p.set_defaults(fn=cmd_run, parse=_parse_convolve)
-
-    p = subs.add_parser("ruin", help="finite-horizon ruin ratio curve")
-    p.add_argument("--preset", help="C5.1 or C5.2")
-    p.add_argument("--config")
-    _add_common(p)
-    p.set_defaults(fn=cmd_run, parse=_parse_ruin)
-
-    p = subs.add_parser("surplus-path",
-                        help="one simulated surplus trajectory")
-    p.add_argument("--config", required=True)
-    p.add_argument("--surplus", type=float)
-    p.add_argument("--replicate", type=int, help="default 0")
-    _add_common(p, samples=False, workers=False)
-    p.set_defaults(fn=cmd_run, parse=_parse_surplus_path)
-
-    p = subs.add_parser("list-presets", help="catalog of named presets")
-    _add_common(p, seed=False, samples=False, workers=False)
-    p.set_defaults(fn=cmd_list_presets)
-
-    p = subs.add_parser("validate",
-                        help="schema and hypothesis checks for a config")
-    p.add_argument("--config", required=True)
-    p.set_defaults(fn=cmd_validate)
-
+    for name, (text, fn, flags) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=text)
+        for option, keywords in flags:
+            sub.add_argument(option, **keywords)
+        sub.set_defaults(fn=fn)
     return parser
 
 

@@ -157,11 +157,14 @@ def nfold_atoms(m: LatticeMeasure, n: int, clamp_above: float = None) -> Lattice
     return _power(clamp(m), n, lambda a, b: clamp(convolve_atoms(a, b)))
 
 
-def _bracket(xs, lows, highs) -> tuple:
+def _bracket(xs, lows, highs, support_min: float = -math.inf) -> tuple:
     """(lower, upper) arrays on the probes xs: both ends clamped to 1, since
-    an envelope tail can round a few ulps above it, and put in order."""
+    an envelope tail can round a few ulps above it, and put in order. Below
+    support_min, the infimum of the sum's values, both ends are exactly 1."""
     lower = np.minimum(np.minimum(lows, highs), 1.0)
     upper = np.minimum(np.maximum(highs, lows), 1.0)
+    certain = xs < support_min
+    lower[certain] = upper[certain] = 1.0
     bad = ~((0.0 <= lower) & (lower <= upper))  # a NaN tail fails too
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -331,7 +334,7 @@ def nfold_tail_bracket_from_tail(tail_fn, support_min: float, n: int, xs,
         # the clamp moves mass only above every probe: the last product
         # needs none
         tails.append(_product_tails(half, rest, xs))
-    return _bracket(xs, *tails)
+    return _bracket(xs, *tails, n * support_min)
 
 
 def _atom_measure(d: Marginal, x_max: float, n: int):
@@ -364,7 +367,7 @@ def nfold_tail_bracket(d: Marginal, n: int, xs, grid_step: float = None) -> tupl
                                             grid_step=grid_step)
     m = nfold_atoms(base, n, clamp_above=x_max - (n - 1) * min(s_min, 0.0) + 0.5)
     tails = m.tail(xs)
-    return _bracket(xs, tails, tails)
+    return _bracket(xs, tails, tails, n * s_min)
 
 
 def ratio_bracket(lower, upper, tail) -> tuple:

@@ -341,7 +341,11 @@ class Lognormal(Marginal):
         return np.exp(u, out=u)
 
     def mean(self):
-        return math.exp(self.mu + 0.5 * self.sigma**2)
+        try:
+            return math.exp(self.mu + 0.5 * self.sigma**2)
+        except OverflowError:
+            raise OverflowError("lognormal mean exp(mu + sigma^2/2) "
+                                "exceeds the largest float") from None
 
     def support(self):
         return (0.0, math.inf)

@@ -113,6 +113,12 @@ COMMAND_SCHEMAS = {
 RUN_ONLY = {"help", "config", "out", "format", "workers", "variant"}
 
 
+def subcommands() -> dict:
+    """Command name -> its subparser."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def write_json(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -345,6 +351,31 @@ class TestExitCodes:
     def test_missing_required_flag(self, capsys):
         code, _, _ = run(capsys, ["ratio-curve"])
         assert code == 64
+
+    @pytest.mark.parametrize("argv, message", [
+        (["theorem"], "theorem needs --config or the flags that name its "
+                      "fields; see --help"),
+        (["theorem", "--seed", "3"],
+         "theorem needs --id or a theorem_id config field"),
+        (["diagnose-class", "--dist", "pareto(1.5"],
+         "distribution token 'pareto(1.5': missing ')'"),
+        (["diagnose-class", "--dist", "pareto(1,2,3)"],
+         "pareto takes 1..2 arguments, got 3"),
+        (["ratio-curve", "--config", "empty-marginals.json"],
+         "model.marginals: expected a nonempty list"),
+        (["convolve", "--dist", "exponential(1)", "--points", "100,800"],
+         "convolve: single tail vanishes on the grid; shorten it"),
+        (["diagnose-class"], "diagnose-class needs --config or the flags "
+                             "that name its fields; see --help"),
+    ], ids=["theorem-bare", "theorem-no-id", "token-open", "token-arity",
+            "no-marginals", "vanishing-tail", "class-bare"])
+    def test_bad_input_exits_64_naming_it(self, tmp_path, capsys, argv,
+                                          message):
+        if "--config" in argv:
+            model = dict(FGM_PARETO_MODEL, marginals=[])
+            argv = argv[:-1] + [write_json(tmp_path, argv[-1], dict(
+                RC_MC_CONFIG, model=model))]
+        assert run(capsys, argv)[::2] == (64, f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", [[]] + [[c] for c in COMMAND_SCHEMAS],
                              ids=["top"] + list(COMMAND_SCHEMAS))
@@ -866,17 +897,38 @@ class TestOverlay:
         assert out.splitlines()[2].startswith("C5.1,")
 
     def test_every_flag_overrides_a_schema_field_or_is_run_only(self):
-        subs = next(a for a in cli.build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction))
-        assert sorted(subs.choices) == sorted(COMMAND_SCHEMAS)
-        for command, sub in subs.choices.items():
+        assert sorted(subcommands()) == sorted(COMMAND_SCHEMAS)
+        for command, sub in subcommands().items():
             fields = {key for kind in COMMAND_SCHEMAS[command]
                       for key in (cli._SCHEMAS[kind][0]
                                   + tuple(cli._SCHEMAS[kind][1]))}
             for action in sub._actions:
                 if action.dest not in RUN_ONLY:
-                    assert cli._FLAG_FIELDS[action.dest] in fields, (
-                        command, action.option_strings)
+                    assert action.dest in fields, (command,
+                                                   action.option_strings)
+
+    # each command's option strings besides -h/--help, in --help order
+    COMMAND_OPTIONS = {
+        "ratio-curve": "--config --out --format --seed --samples --workers",
+        "theorem": "--id --preset --config --out --format --seed --samples "
+                   "--workers",
+        "diagnose-class": "--dist --config --check --grid --out --format",
+        "diagnose-dependence": "--model --config --check --out --format",
+        "convolve": "--dist --config --nfold --points --out --format",
+        "ruin": "--preset --config --out --format --seed --samples "
+                "--workers",
+        "surplus-path": "--config --surplus --replicate --out --format "
+                        "--seed",
+        "list-presets": "--out --format",
+        "validate": "--config",
+    }
+
+    def test_each_command_takes_its_option_strings(self):
+        got = {command: " ".join(option for action in sub._actions
+                                 for option in action.option_strings
+                                 if option not in ("-h", "--help"))
+               for command, sub in subcommands().items()}
+        assert got == self.COMMAND_OPTIONS
 
     def test_short_token_echoes_only_what_it_spells(self, capsys):
         _, out, _ = run(capsys, ["diagnose-class", "--dist", "pareto(1.5)",
@@ -911,6 +963,13 @@ class TestInputOutputPaths:
         code, _, err = run(capsys, ["validate", "--config", str(path)])
         assert code == 64
         assert "cannot read config" in err and str(path) in err
+
+    def test_config_that_is_neither_json_nor_yaml(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("model: [unclosed\n")
+        code, _, err = run(capsys, ["ratio-curve", "--config", str(path)])
+        assert code == 64
+        assert "is neither JSON nor YAML" in err and str(path) in err
 
     def test_grid_points_above_the_cap(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "cap.json", {
@@ -1086,6 +1145,16 @@ class TestDiagnoseClass:
         [row] = json.loads(out)["results"]
         assert row["verdict"] == "unavailable"
         assert row["notes"][0].startswith("OverflowError")
+
+    def test_lognormal_mean_overflow_names_the_mean(self, capsys):
+        code, out, err = run(capsys, ["diagnose-class", "--dist",
+                                      "lognormal(1e300,1)", "--check",
+                                      "Sstar", "--format", "records"])
+        assert (code, err) == (0, "")
+        [row] = json.loads(out)["results"]
+        assert row["notes"] == ["OverflowError: lognormal mean "
+                                "exp(mu + sigma^2/2) exceeds the largest "
+                                "float"]
 
     def test_grid_flag_forms(self, capsys):
         assert run(capsys, ["diagnose-class", "--dist", "pareto(1.5,1)",

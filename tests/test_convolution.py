@@ -28,6 +28,7 @@ from heavytails.distributions import (
     Pareto,
     ShiftedBy,
     Weibull,
+    quantile_grid,
 )
 from heavytails.errors import InvalidInput, ResourceLimit
 from heavytails.rng import block_stream
@@ -593,3 +594,21 @@ class TestNfoldBracket:
     def test_rejects_n_zero(self):
         with pytest.raises(InvalidInput):
             cv.nfold_tail_bracket(Exponential(1.0), 0, [1.0])
+
+    def test_probes_below_the_sums_support_read_exactly_one(self):
+        # every probe lies below 4 s_min = 7.330, where P(S_4 > x) = 1; the
+        # lattice envelopes alone round them to 1 - 2^-52 and 1 - 2^-51
+        m = Pareto(2.9003145623136812, 1.832593139475015)
+        xs = quantile_grid((m,), hi_u=1 - 1e-3)[6:9]
+        assert np.all(xs < 4 * m.support()[0])
+        lower, upper = cv.nfold_tail_bracket(m, 4, xs)
+        assert lower.tolist() == upper.tolist() == [1.0, 1.0, 1.0]
+
+    def test_atomic_probes_below_the_sums_support_read_exactly_one(self):
+        # S_3 is at least 3, and equals it with probability 0.3^3; the
+        # summed masses alone round the probes below 3 to 1 - 2^-53
+        d = DiscreteAtoms(((1.0, 0.3), (2.0, 0.3), (3.0, 0.4)))
+        lower, upper = cv.nfold_tail_bracket(d, 3, [1.0, 2.5, 3.0, 9.0])
+        assert lower.tolist()[:2] == upper.tolist()[:2] == [1.0, 1.0]
+        assert lower[2] == upper[2] == pytest.approx(1.0 - 0.3 ** 3)
+        assert lower[3] == upper[3] == 0.0

@@ -1,6 +1,8 @@
-"""The README's examples run: the Library code and every command line that
-needs no config file, each at a small sample budget."""
+"""The README's examples run: the Library code, every command line that
+needs no config file and the minimal YAML config, each at a small sample
+budget."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -60,3 +62,24 @@ def test_command_line_runs(capsys, line):
     err = capsys.readouterr().err
     assert code in (cli.EXIT_OK, cli.EXIT_INCONSISTENT), err
     assert "Traceback" not in err
+
+
+def test_yaml_config_runs_as_its_json(tmp_path, capsys):
+    # the minimal ratio-curve config, as the README shows it and in JSON
+    [text] = _blocks(_section("Command line"), "yaml")
+    pareto = {"family": "pareto", "alpha": 0.8, "scale": 1.0}
+    as_json = {"model": {"copula": {"family": "fgm", "coeffs": [1.0]},
+                         "marginals": [pareto, pareto]},
+               "quantity": "SumN", "denominator": {"kind": "n_tail", "n": 2},
+               "samples": 1000000, "seed": 7}
+    outputs = []
+    for name, body in (("experiment.yaml", text),
+                       ("experiment.json", json.dumps(as_json))):
+        path = tmp_path / name
+        path.write_text(body, encoding="utf-8")
+        code = cli.main(["ratio-curve", "--config", str(path), "--samples",
+                         str(SAMPLES)])
+        captured = capsys.readouterr()
+        assert code in (cli.EXIT_OK, cli.EXIT_INCONSISTENT), captured.err
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
