@@ -28,6 +28,14 @@ from .distributions import (TAG_DOMINATED, TAG_LONG, Pareto, ShiftedBy,
 from .errors import AssumptionViolated, InvalidInput, ModelConfigError
 
 SEMANTICS = ("lim", "liminf", "divergence")
+Z95 = 1.96             # two-sided 95% standard normal quantile
+
+
+def wald_interval(p_hat, stderr) -> tuple:
+    """The 95% Wald interval p_hat -/+ Z95 stderr clipped to [0, 1],
+    elementwise."""
+    return (np.maximum(p_hat - Z95 * stderr, 0.0),
+            np.minimum(p_hat + Z95 * stderr, 1.0))
 
 
 @dataclass(frozen=True)
@@ -166,10 +174,10 @@ def _verdict_liminf(ratios, stderrs_rel, predicted, tol):
     band_lo, band_hi = predicted * (1.0 - tol), predicted * (1.0 + tol)
     run = np.minimum.accumulate(ratios)
     i_min = int(np.argmin(ratios))
-    noise_min = mc.Z95 * stderrs_rel[i_min] * max(ratios[i_min], 0.0)
+    noise_min = Z95 * stderrs_rel[i_min] * max(ratios[i_min], 0.0)
     if run[-1] + noise_min < band_lo:
         return "inconsistent"
-    witness = ratios - mc.Z95 * stderrs_rel * np.abs(ratios)
+    witness = ratios - Z95 * stderrs_rel * np.abs(ratios)
     if run[-1] >= band_lo - noise_min and np.any(witness <= band_hi):
         return "consistent"
     return "inconclusive"
@@ -189,7 +197,7 @@ def _grade(claim, experiment_id: str, xs, den, num, se, used_samples: int,
     """Ratio curve of one claim's numerator over its denominator, graded."""
     predicted, semantics = claim.predicted, claim.semantics
     ratios = num / den
-    lo, hi = mc.wald_interval(num, se)
+    lo, hi = wald_interval(num, se)
     ci_lo, ci_hi = lo / den, hi / den
     run = np.minimum.accumulate(ratios)
     rel = np.where(num > 0, se / np.maximum(num, 1e-300), np.inf)
@@ -381,19 +389,19 @@ class Preset:
 
         simulated = [mc.parse_quantity(claim.quantity) for claim, (exact, _, _)
                      in zip(self.claims, checked) if exact is None]
-        rows = iter(mc.estimate_tails(
+        hits, run_notes = (mc.estimate_tails(
             model, simulated, xs, samples, seed, workers=workers,
-            weights=self.weights) if simulated else ())
+            weights=self.weights) if simulated else ((), ()))
+        rows = iter(hits)
         many = len(self.claims) > 1
         curves = []
         for claim, (exact, den, notes) in zip(self.claims, checked):
             notes = list(notes)
             if exact is None:
-                ests = next(rows)
-                num = np.array([e.p_hat for e in ests])
-                se = np.array([e.stderr for e in ests])
+                num = next(rows) / samples
+                se = np.sqrt(num * (1.0 - num) / samples)
                 used_samples = samples
-                notes.extend(ests[0].notes)
+                notes.extend(run_notes)
             else:
                 num, se, used_samples = exact(xs), np.zeros(len(xs)), 0
                 notes.append(

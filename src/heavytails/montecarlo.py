@@ -36,7 +36,7 @@ from .rng import BLOCK_SIZE, block_stream, check_samples, check_seed
 TAU_CAP = 1 << 20      # per-replicate cap on the simulated sequence length
 _TAU_LANE = 1 << 49    # block-stream lane reserved for counting-law draws
 # Coordinate budget per simulation slice. A slice holds at most
-# max(_CHUNK_VALUES, tau_cap rounded up to dim) coordinates, since one
+# max(_CHUNK_VALUES, TAU_CAP rounded up to dim) coordinates, since one
 # replicate may exceed the budget on its own, so at the defaults the bound is
 # one capped replicate whatever the budget. The budget sets the size of the
 # arrays a long block keeps allocating, and the allocator keeps a larger
@@ -82,7 +82,6 @@ _SUM_TERMS = 1 << 21
 _SUM_MARGIN = 2.0 ** -30
 
 _KINDS = ("sum", "max", "runmax")
-Z95 = 1.96             # two-sided 95% standard normal quantile
 
 
 @dataclass(frozen=True)
@@ -127,26 +126,6 @@ def parse_quantity(token) -> Quantity:
         raise InvalidInput(
             f"unknown quantity {token!r}; expected one of {sorted(QUANTITIES)}"
         ) from None
-
-
-@dataclass(frozen=True)
-class TailEstimate:
-    """One threshold's estimate: p_hat = hits / samples with binomial stderr."""
-
-    x: float
-    p_hat: float
-    stderr: float
-    hits: int
-    samples: int
-    seed: int
-    notes: tuple = ()
-
-
-def wald_interval(p_hat, stderr) -> tuple:
-    """The 95% Wald interval p_hat -/+ Z95 stderr clipped to [0, 1],
-    elementwise."""
-    return (np.maximum(p_hat - Z95 * stderr, 0.0),
-            np.minimum(p_hat + Z95 * stderr, 1.0))
 
 
 def _reduce_rows(rect: np.ndarray, kinds: tuple) -> np.ndarray:
@@ -364,7 +343,7 @@ def _count_hits(stats: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.array(hits, dtype=np.int64)
 
 
-def _simulate_block(model, kinds, stopped, weights, xs, seed, samples, cap,
+def _simulate_block(model, kinds, stopped, weights, xs, seed, samples,
                     block_index):
     """(hits, capped) of block block_index of the `samples` replicates:
     BLOCK_SIZE replicates, fewer in the last block."""
@@ -373,7 +352,7 @@ def _simulate_block(model, kinds, stopped, weights, xs, seed, samples, cap,
     if stopped:
         tau_rng = block_stream(seed, _TAU_LANE + block_index)
         stats, capped = _stats_stopped(model, kinds, rng, tau_rng, count,
-                                       cap, float(xs.max()))
+                                       TAU_CAP, float(xs.max()))
         return _count_hits(stats, xs), capped
     vals = model.sample_vector(rng, count)
     if weights is not None:
@@ -483,18 +462,23 @@ def check_pass(model: DependentModel, quantities, weights=None) -> tuple:
 
 
 def estimate_tails(model: DependentModel, quantities, xs, samples: int,
-                   seed: int, workers: int = 1, weights=None,
-                   tau_cap: int = TAU_CAP) -> list:
-    """Estimate P(stat > x) for several quantities from one shared pass.
+                   seed: int, workers: int = 1, weights=None) -> tuple:
+    """Count, for several quantities from one shared pass, the replicates
+    whose statistic exceeds each threshold.
 
-    The quantities must pass check_pass. Each block is drawn once, so the
-    rows (one list of TailEstimate per quantity) equal separate
-    estimate_tail calls bit for bit. They depend only on (model, quantities,
-    weights, xs, samples, seed), never on the worker count. A runmax of
-    nonnegative terms (every marginal's support minimum at least 0, no
-    weight negative) reads the sum's hits, fixed-length or stopped: the
-    running sum never falls, so the running max is the sum up to the sign
-    of a zero, and it settles as the sum does (_settles).
+    Returns (hits, notes): hits[k, i] is the int64 number of the `samples`
+    replicates whose quantity k tops xs[i], one row per quantity in request
+    order, and notes is a tuple of the run's remarks (sequence lengths
+    capped at TAU_CAP). The caller forms rates and intervals from them.
+
+    The quantities must pass check_pass. Each block is drawn once, so every
+    row equals a separate estimate_tail call bit for bit. The counts depend
+    only on (model, quantities, weights, xs, samples, seed), never on the
+    worker count. A runmax of nonnegative terms (every marginal's support
+    minimum at least 0, no weight negative) reads the sum's hits,
+    fixed-length or stopped: the running sum never falls, so the running
+    max is the sum up to the sign of a zero, and it settles as the sum does
+    (_settles).
 
     The blocks are dealt round-robin to W = min(workers, blocks) shares:
     share w is range(w, blocks, W). Each share runs _simulate_block once
@@ -513,8 +497,6 @@ def estimate_tails(model: DependentModel, quantities, xs, samples: int,
     samples = check_samples(samples)
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise InvalidInput("workers must be a positive integer")
-    if stopped and (not isinstance(tau_cap, (int, np.integer)) or tau_cap < 1):
-        raise InvalidInput("tau_cap must be a positive integer")
 
     nonnegative = (all(m.support()[0] >= 0 for m in model.marginals)
                    and (weights is None or bool(np.all(weights >= 0))))
@@ -523,7 +505,7 @@ def estimate_tails(model: DependentModel, quantities, xs, samples: int,
     kinds = tuple(dict.fromkeys(read))
     n_blocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
     n_shares = min(int(workers), n_blocks)
-    args = (model, kinds, stopped, weights, xs, seed, samples, int(tau_cap))
+    args = (model, kinds, stopped, weights, xs, seed, samples)
 
     def run(share):
         return [_simulate_block(*args, b) for b in share]
@@ -536,23 +518,15 @@ def estimate_tails(model: DependentModel, quantities, xs, samples: int,
 
     notes = ()
     if capped:
-        notes = (f"sequence length capped at {int(tau_cap)} in {capped} "
+        notes = (f"sequence length capped at {TAU_CAP} in {capped} "
                  f"of {samples} replicates",)
-    p = hits / samples
-    se = np.sqrt(p * (1.0 - p) / samples)
-    return [[TailEstimate(float(x), float(p[k, i]), float(se[k, i]),
-                          int(hits[k, i]), samples, seed, notes)
-             for i, x in enumerate(xs)]
-            for k in (kinds.index(r) for r in read)]
+    return hits[[kinds.index(r) for r in read]], notes
 
 
 def estimate_tail(model: DependentModel, quantity, xs, samples: int,
-                  seed: int, workers: int = 1, weights=None,
-                  tau_cap: int = TAU_CAP) -> list:
-    """Estimate P(stat > x) for every x in xs from `samples` replicates.
-
-    Returns one TailEstimate per threshold: the one-quantity case of
-    estimate_tails.
-    """
-    return estimate_tails(model, (quantity,), xs, samples, seed, workers,
-                          weights, tau_cap)[0]
+                  seed: int, workers: int = 1, weights=None) -> tuple:
+    """(hits, notes) of one quantity: hits[i] counts the replicates whose
+    statistic tops xs[i]; the one-quantity case of estimate_tails."""
+    hits, notes = estimate_tails(model, (quantity,), xs, samples, seed,
+                                 workers, weights)
+    return hits[0], notes

@@ -56,6 +56,27 @@ class TestVerdictLogic:
     def test_bounded_growth_inconsistent(self):
         assert dg.bounded_verdict(np.geomspace(1, 1e6, 20), 0.05) == "inconsistent"
 
+    def test_empty_curve_inconclusive(self):
+        assert dg.limit_verdict([], [], 1.0, 0.05) == "inconclusive"
+
+    def test_inside_band_drifting_outward_inconclusive(self):
+        # the last quarter, 0.99 then 1.04, sits inside [0.95, 1.05], but
+        # its error grows from 0.01 to 0.04, by more than tol / 2 = 0.025
+        stats = np.array([1.2, 1.1, 1.05, 1.02, 1.0, 0.99, 0.99, 1.04])
+        assert dg.limit_verdict(stats, stats, 1.0, 0.05) == "inconclusive"
+
+    @pytest.mark.parametrize("stats", [
+        [], [2.0],
+        # the base, the 60% point, is stats[2] of five
+        [1.0, 1.0, math.inf, 1.0, 1.0], [1.0, 1.0, math.nan, 1.0, 1.0],
+        [1.0, 1.0, 0.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0, 1.0],
+        # the end is 1.2 times the base: above 1 + tol, below 1.5
+        [1.0, 1.0, 1.0, 1.0, 1.2],
+    ], ids=["empty", "one-point", "inf-base", "nan-base", "zero-base",
+            "negative-base", "between"])
+    def test_bounded_undecided_inconclusive(self, stats):
+        assert dg.bounded_verdict(stats, 0.05) == "inconclusive"
+
     def test_report_purity(self):
         # each verdict is its grader's, re-derived from the report's fields
         r = dg.long_tail(Pareto(1.0, 1.0))

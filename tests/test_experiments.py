@@ -408,6 +408,33 @@ class TestTheoremSuite:
                 model=model, x_grid=curve.grid, samples=20_000, seed=4)
             assert alone == curve
 
+    @pytest.mark.parametrize("preset_id", ["C3.1", "T4.4i"])
+    def test_curves_form_rates_from_the_engine_hits(self, preset_id,
+                                                    monkeypatch):
+        # the engine returns int64 hit counts, one row per simulated claim;
+        # each curve's numerator is hits / n and its stderr the binomial
+        # one, bit for bit
+        returned = []
+        real = mc.estimate_tails
+
+        def spy(*args, **kwargs):
+            returned.append(real(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(mc, "estimate_tails", spy)
+        n = 4096
+        curves = ex.PRESETS[preset_id].run(samples=n, seed=3)
+        [(hits, notes)] = returned
+        assert notes == ()
+        assert hits.dtype == np.int64
+        assert hits.shape == (len(curves), len(curves[0].points))
+        for row, curve in zip(hits, curves):
+            p_hat = row / n
+            assert curve.samples == n
+            assert [p.numerator for p in curve.points] == p_hat.tolist()
+            assert [p.stderr for p in curve.points] == np.sqrt(
+                p_hat * (1.0 - p_hat) / n).tolist()
+
     def test_reduced_sample_run_consistent(self):
         c = run_preset("T4.1", samples=200_000, seed=11)[0]
         assert c.verdict == "consistent"

@@ -29,6 +29,20 @@ def indep_pair(d):
     return DependentModel(Independence(2), (d, d))
 
 
+def rates(hits, samples):
+    """p_hat = hits / samples and its binomial stderr, as the grader forms
+    them from the engine's counts."""
+    p_hat = hits / samples
+    return p_hat, np.sqrt(p_hat * (1.0 - p_hat) / samples)
+
+
+def listed(result):
+    """An engine result (hits, notes) with the counts as nested lists, so
+    two results compare with ==."""
+    hits, notes = result
+    return hits.tolist(), notes
+
+
 class TestQuantity:
     def test_tokens_round_trip(self):
         for token in ("SumN", "MaxN", "RunMaxN", "SumTau", "MaxTau",
@@ -44,35 +58,57 @@ class TestQuantity:
             mc.Quantity("median", False)
 
 
+class TestHitCounts:
+    @pytest.mark.parametrize("model,quantities", [
+        (indep_pair(Pareto(0.8, 1.0)), ["SumN", "MaxN", "RunMaxN", "SumN"]),
+        (DependentModel(Independence(2), (Pareto(0.8, 1.0),) * 2,
+                        tau=Poisson(2.0)), ["RunMaxTau", "MaxTau"]),
+    ], ids=["fixed", "stopped"])
+    def test_one_int64_row_per_quantity_in_request_order(self, model,
+                                                         quantities):
+        xs = [0.5, 3.0, 40.0, 400.0, 4000.0]
+        hits, notes = mc.estimate_tails(model, quantities, xs, 3000, seed=2)
+        assert hits.dtype == np.int64
+        assert hits.shape == (len(quantities), len(xs))
+        assert notes == ()
+        for q, row in zip(quantities, hits):
+            alone, _ = mc.estimate_tail(model, q, xs, 3000, seed=2)
+            assert alone.dtype == np.int64 and alone.shape == (len(xs),)
+            assert row.tolist() == alone.tolist(), q
+
+
 class TestEstimateAgainstOracles:
     def test_gamma_convolution(self):
         m = indep_pair(Exponential(1.0))
         xs = [2.0, 5.0, 8.0]
-        for e in mc.estimate_tail(m, "SumN", xs, 200_000, seed=7):
-            true = float(ss.gamma(2).sf(e.x))
-            assert abs(e.p_hat - true) <= 4.0 * max(e.stderr, 1e-9), e.x
+        hits, _ = mc.estimate_tail(m, "SumN", xs, 200_000, seed=7)
+        for x, p_hat, stderr in zip(xs, *rates(hits, 200_000)):
+            true = float(ss.gamma(2).sf(x))
+            assert abs(p_hat - true) <= 4.0 * max(stderr, 1e-9), x
 
     def test_independent_max(self):
         d = Pareto(1.5, 1.0)
         m = indep_pair(d)
         xs = [3.0, 10.0, 30.0]
-        for e in mc.estimate_tail(m, "MaxN", xs, 200_000, seed=9):
-            true = 1.0 - (1.0 - float(d.tail(e.x))) ** 2
-            assert abs(e.p_hat - true) <= 4.0 * max(e.stderr, 1e-9), e.x
+        hits, _ = mc.estimate_tail(m, "MaxN", xs, 200_000, seed=9)
+        for x, p_hat, stderr in zip(xs, *rates(hits, 200_000)):
+            true = 1.0 - (1.0 - float(d.tail(x))) ** 2
+            assert abs(p_hat - true) <= 4.0 * max(stderr, 1e-9), x
 
     def test_comonotone_sum_halving(self):
         d = Pareto(1.0, 1.0)
         m = DependentModel(Comonotone(2), (d, d))
         xs = [4.0, 10.0]
-        for e in mc.estimate_tail(m, "SumN", xs, 200_000, seed=21):
-            true = float(d.tail(e.x / 2.0))  # the pair is 2 X1
-            assert abs(e.p_hat - true) <= 4.0 * max(e.stderr, 1e-9), e.x
+        hits, _ = mc.estimate_tail(m, "SumN", xs, 200_000, seed=21)
+        for x, p_hat, stderr in zip(xs, *rates(hits, 200_000)):
+            true = float(d.tail(x / 2.0))  # the pair is 2 X1
+            assert abs(p_hat - true) <= 4.0 * max(stderr, 1e-9), x
 
     def test_mean_over_seeds_unbiased(self):
         m = indep_pair(Exponential(1.0))
         x = 5.0
         true = float(ss.gamma(2).sf(x))
-        ps = [mc.estimate_tail(m, "SumN", [x], 50_000, seed=s)[0].p_hat
+        ps = [mc.estimate_tail(m, "SumN", [x], 50_000, seed=s)[0][0] / 50_000
               for s in range(5)]
         pooled_se = np.sqrt(true * (1 - true) / (5 * 50_000))
         assert abs(np.mean(ps) - true) <= 4.0 * pooled_se
@@ -82,11 +118,11 @@ class TestBitwiseReproducibility:
     def test_worker_count_invariance(self):
         m = indep_pair(Pareto(0.8, 1.0))
         xs = [10.0, 100.0, 1000.0]
-        base = [e.hits for e in
-                mc.estimate_tail(m, "SumN", xs, 120_000, seed=5, workers=1)]
+        base = mc.estimate_tail(m, "SumN", xs, 120_000, seed=5,
+                                workers=1)[0].tolist()
         for w in (2, 3, 8):
-            got = [e.hits for e in
-                   mc.estimate_tail(m, "SumN", xs, 120_000, seed=5, workers=w)]
+            got = mc.estimate_tail(m, "SumN", xs, 120_000, seed=5,
+                                   workers=w)[0].tolist()
             assert got == base, w
 
     def test_huge_worker_count_forks_one_process_per_block_but_the_first(
@@ -104,9 +140,9 @@ class TestBitwiseReproducibility:
         monkeypatch.setattr(ForkProcess, "start", recording)
         m = indep_pair(Pareto(0.8, 1.0))
         args = (m, ["SumN", "RunMaxN"], [10.0, 100.0], 2 * BLOCK_SIZE, 9)
-        one = mc.estimate_tails(*args, workers=1)
+        one = listed(mc.estimate_tails(*args, workers=1))
         assert started == []
-        assert mc.estimate_tails(*args, workers=10 ** 9) == one
+        assert listed(mc.estimate_tails(*args, workers=10 ** 9)) == one
         # the caller runs block 0 itself
         assert len(started) == 1
 
@@ -150,6 +186,22 @@ class TestBitwiseReproducibility:
         msg = str(info.value)
         assert "blocks 1-3 step 2 of 4" in msg and "blocks 0-2" not in msg
 
+    def test_a_lost_one_block_share_is_named_alone(self, monkeypatch):
+        real = mc._simulate_block
+
+        def die_on_block_one(*args):
+            if args[-1] == 1:       # the forked worker's only block
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(mc, "_simulate_block", die_on_block_one)
+        m = indep_pair(Pareto(0.8, 1.0))
+        with pytest.raises(WorkerCrashed) as info:
+            mc.estimate_tail(m, "SumN", [10.0], 2 * BLOCK_SIZE, seed=3,
+                             workers=2)
+        assert str(info.value) == ("a worker process died; block 1 of 2 "
+                                   "(seed 3) returned no result")
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_error_reaches_the_caller(self, workers):
         class NegativeLength(Geometric1):
@@ -167,19 +219,19 @@ class TestBitwiseReproducibility:
         d = Pareto(0.8, 1.0)
         m = DependentModel(Independence(2), (d, d), tau=Geometric1(0.5))
         xs = [20.0, 200.0]
-        base = [e.hits for e in
-                mc.estimate_tail(m, "SumTau", xs, 100_000, seed=31, workers=1)]
-        got = [e.hits for e in
-               mc.estimate_tail(m, "SumTau", xs, 100_000, seed=31, workers=4)]
+        base = mc.estimate_tail(m, "SumTau", xs, 100_000, seed=31,
+                                workers=1)[0].tolist()
+        got = mc.estimate_tail(m, "SumTau", xs, 100_000, seed=31,
+                               workers=4)[0].tolist()
         assert got == base
 
     def test_same_seed_same_hits_different_seed_not(self):
         m = indep_pair(Exponential(1.0))
-        a = mc.estimate_tail(m, "SumN", [3.0], 100_000, seed=1)[0]
-        b = mc.estimate_tail(m, "SumN", [3.0], 100_000, seed=1)[0]
-        c = mc.estimate_tail(m, "SumN", [3.0], 100_000, seed=2)[0]
-        assert a.hits == b.hits
-        assert a.hits != c.hits  # equal only with probability ~ 1/sqrt(N)
+        a = mc.estimate_tail(m, "SumN", [3.0], 100_000, seed=1)[0][0]
+        b = mc.estimate_tail(m, "SumN", [3.0], 100_000, seed=1)[0][0]
+        c = mc.estimate_tail(m, "SumN", [3.0], 100_000, seed=2)[0][0]
+        assert a == b
+        assert a != c  # equal only with probability ~ 1/sqrt(N)
 
     def test_deterministic_tau_reduces_to_fixed(self):
         # Deterministic(n) on an n-dimensional copula draws the fixed-n
@@ -195,10 +247,10 @@ class TestBitwiseReproducibility:
                                      tau=Deterministic(copula.dim))
             for q_fixed, q_tau in (("SumN", "SumTau"), ("MaxN", "MaxTau"),
                                    ("RunMaxN", "RunMaxTau")):
-                a = [e.hits for e in
-                     mc.estimate_tail(plain, q_fixed, xs, 90_000, seed=13)]
-                b = [e.hits for e in
-                     mc.estimate_tail(stopped, q_tau, xs, 90_000, seed=13)]
+                a = mc.estimate_tail(plain, q_fixed, xs, 90_000,
+                                     seed=13)[0].tolist()
+                b = mc.estimate_tail(stopped, q_tau, xs, 90_000,
+                                     seed=13)[0].tolist()
                 assert a == b, (copula, q_fixed)
 
     def test_stopped_runs_walk_no_more_columns_than_their_replicates(
@@ -276,9 +328,8 @@ class TestBitwiseReproducibility:
             walked.append(ks), reduce(rect, ks))[1])
         token = {"max": "MaxN", "runmax": "RunMaxN", "sum": "SumN"}
         for ks in (kinds, ("runmax",), ("runmax", "max")):
-            rows = mc.estimate_tails(model, [token[k] for k in ks], xs, 5000,
-                                     seed=8, weights=weights)
-            got = [[e.hits for e in row] for row in rows]
+            got, _ = mc.estimate_tails(model, [token[k] for k in ks], xs,
+                                       5000, seed=8, weights=weights)
             assert np.array_equal(got, want[[kinds.index(k) for k in ks]])
         signed = weights is not None and weights.min() < 0
         signed |= model.marginals[0].support()[0] < 0
@@ -287,14 +338,12 @@ class TestBitwiseReproducibility:
     def test_unit_weights_are_identity(self):
         m = indep_pair(Pareto(1.0, 1.0))
         xs = [4.0, 40.0]
-        a = [e.hits for e in
-             mc.estimate_tail(m, "RunMaxN", xs, 80_000, seed=3)]
-        b = [e.hits for e in
-             mc.estimate_tail(m, "RunMaxN", xs, 80_000, seed=3,
-                              weights=[1.0, 1.0])]
+        a = mc.estimate_tail(m, "RunMaxN", xs, 80_000, seed=3)[0].tolist()
+        b = mc.estimate_tail(m, "RunMaxN", xs, 80_000, seed=3,
+                             weights=[1.0, 1.0])[0].tolist()
         assert a == b
 
-    def test_counting_lane_is_separate(self):
+    def test_counting_lane_is_separate(self, monkeypatch):
         # capping every length at 1 makes Geometric1 and Deterministic(1)
         # simulate the same statistic; the copula stream must not have been
         # perturbed by how many counting draws were consumed
@@ -302,10 +351,9 @@ class TestBitwiseReproducibility:
         g = DependentModel(Independence(2), (d, d), tau=Geometric1(0.5))
         one = DependentModel(Independence(2), (d, d), tau=Deterministic(1))
         xs = [3.0, 30.0]
-        a = [e.hits for e in
-             mc.estimate_tail(g, "SumTau", xs, 60_000, seed=8, tau_cap=1)]
-        b = [e.hits for e in
-             mc.estimate_tail(one, "SumTau", xs, 60_000, seed=8, tau_cap=1)]
+        monkeypatch.setattr(mc, "TAU_CAP", 1)
+        a = mc.estimate_tail(g, "SumTau", xs, 60_000, seed=8)[0].tolist()
+        b = mc.estimate_tail(one, "SumTau", xs, 60_000, seed=8)[0].tolist()
         assert a == b
 
     def test_ragged_segments_match_naive_loop(self):
@@ -318,6 +366,10 @@ class TestBitwiseReproducibility:
             DependentModel(Independence(3),
                            (ShiftedBy(Pareto(2.0, 1.0), -3.0),) * 3,
                            tau=Poisson(0.3)),
+            # one column: a replicate fills its rows exactly, so no value
+            # is a pad
+            DependentModel(Independence(1), (Pareto(0.8, 1.0),),
+                           tau=Geometric1(0.3)),
         )
         seed, count, cap = 19, 3000, mc.TAU_CAP
         kinds = ("sum", "max", "runmax")
@@ -509,17 +561,19 @@ class TestSharedPass:
     @given(case=shared_pass_cases())
     def test_shared_pass_matches_separate_calls(self, case):
         xs = [-1.0, 0.5, 3.0, 40.0]
-        shared = mc.estimate_tails(case["model"], case["quantities"], xs,
-                                   case["samples"], case["seed"],
-                                   workers=case["workers"],
-                                   weights=case["weights"],
-                                   tau_cap=case["tau_cap"])
-        assert len(shared) == len(case["quantities"])
-        for q, row in zip(case["quantities"], shared):
-            alone = mc.estimate_tail(case["model"], q, xs, case["samples"],
-                                     case["seed"], weights=case["weights"],
-                                     tau_cap=case["tau_cap"])
-            assert row == alone, q
+        # forked workers inherit the patched cap
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "TAU_CAP", case["tau_cap"])
+            shared, notes = mc.estimate_tails(
+                case["model"], case["quantities"], xs, case["samples"],
+                case["seed"], workers=case["workers"],
+                weights=case["weights"])
+            assert len(shared) == len(case["quantities"])
+            for q, row in zip(case["quantities"], shared):
+                alone = mc.estimate_tail(case["model"], q, xs,
+                                         case["samples"], case["seed"],
+                                         weights=case["weights"])
+                assert (row.tolist(), notes) == listed(alone), q
 
     def test_mixed_stopped_and_fixed_rejected(self):
         d = Pareto(1.0, 1.0)
@@ -604,22 +658,22 @@ class TestNonnegativeRunningMax:
             mc.block_stream(5, mc._TAU_LANE), BLOCK_SIZE, mc.TAU_CAP)
         walked = mc._count_hits(stats, xs)[0].tolist()
         walks, _ = self.spy(monkeypatch)
-        runmax, total = mc.estimate_tails(self.T44II, ["RunMaxTau", "SumTau"],
-                                          xs, BLOCK_SIZE, seed=5)
-        alone = mc.estimate_tail(self.T44II, "RunMaxTau", xs, BLOCK_SIZE,
-                                 seed=5)
+        (runmax, total), _ = mc.estimate_tails(
+            self.T44II, ["RunMaxTau", "SumTau"], xs, BLOCK_SIZE, seed=5)
+        alone, _ = mc.estimate_tail(self.T44II, "RunMaxTau", xs, BLOCK_SIZE,
+                                    seed=5)
         assert walks == []
-        assert ([e.hits for e in runmax] == [e.hits for e in alone]
-                == [e.hits for e in total] == walked)
+        assert (runmax.tolist() == alone.tolist() == total.tolist()
+                == walked)
 
     def test_zeta_stopped_runmax_settles(self, monkeypatch):
         walks, settled = self.spy(monkeypatch)
         grid = np.geomspace(10.0, 1e4, 8)
-        runmax = mc.estimate_tail(TestSharedPass.T42, "RunMaxTau", grid,
-                                  4096, seed=4)
+        runmax = listed(mc.estimate_tail(TestSharedPass.T42, "RunMaxTau",
+                                         grid, 4096, seed=4))
         assert walks == [] and settled and set(settled) == {("sum",)}
-        total = mc.estimate_tail(TestSharedPass.T42, "SumTau", grid, 4096,
-                                 seed=4)
+        total = listed(mc.estimate_tail(TestSharedPass.T42, "SumTau", grid,
+                                        4096, seed=4))
         assert runmax == total
 
 
@@ -868,18 +922,18 @@ class TestPathwiseOrderings:
         d = Pareto(1.2, 1.0)
         m = DependentModel(FGM.bivariate(1.0), (d, d))
         xs = [5.0, 20.0, 80.0]
-        sums = mc.estimate_tail(m, "SumN", xs, 100_000, seed=27)
-        runs = mc.estimate_tail(m, "RunMaxN", xs, 100_000, seed=27)
-        maxs = mc.estimate_tail(m, "MaxN", xs, 100_000, seed=27)
+        sums, _ = mc.estimate_tail(m, "SumN", xs, 100_000, seed=27)
+        runs, _ = mc.estimate_tail(m, "RunMaxN", xs, 100_000, seed=27)
+        maxs, _ = mc.estimate_tail(m, "MaxN", xs, 100_000, seed=27)
         for s, r, x in zip(sums, runs, maxs):
-            assert r.hits >= s.hits >= x.hits
+            assert r >= s >= x
 
     def test_geometric_unit_probability_collapses_quantities(self):
         # p=1 forces tau == 1, where sum, max and running max all equal X1
         d = Pareto(1.5, 1.0)
         m = DependentModel(Independence(2), (d, d), tau=Geometric1(1.0))
         xs = [2.0, 8.0]
-        got = {q: [e.hits for e in mc.estimate_tail(m, q, xs, 60_000, seed=4)]
+        got = {q: mc.estimate_tail(m, q, xs, 60_000, seed=4)[0].tolist()
                for q in ("SumTau", "MaxTau", "RunMaxTau")}
         assert got["SumTau"] == got["MaxTau"] == got["RunMaxTau"]
 
@@ -889,33 +943,34 @@ class TestStoppedEdgeCases:
         d = Pareto(1.0, 1.0)
         m = DependentModel(Independence(2), (d, d), tau=Poisson(0.0))
         for q in ("SumTau", "MaxTau", "RunMaxTau"):
-            e = mc.estimate_tail(m, q, [0.5], 10_000, seed=2)[0]
-            assert e.hits == 0, q
+            hits, _ = mc.estimate_tail(m, q, [0.5], 10_000, seed=2)
+            assert hits[0] == 0, q
 
-    def test_zeta_cap_is_reported(self):
+    def test_zeta_cap_is_reported(self, monkeypatch):
         d = Pareto(0.8, 1.0)
         m = DependentModel(Independence(2), (d, d), tau=Zeta(1.5))
-        e = mc.estimate_tail(m, "MaxTau", [50.0], 20_000, seed=17,
-                             tau_cap=1 << 12)[0]
-        assert e.notes and "capped" in e.notes[0]
+        monkeypatch.setattr(mc, "TAU_CAP", 1 << 12)
+        _, notes = mc.estimate_tail(m, "MaxTau", [50.0], 20_000, seed=17)
+        assert notes and "capped" in notes[0]
 
-    def test_zeta_maxtau_dominates_single_tail(self):
+    def test_zeta_maxtau_dominates_single_tail(self, monkeypatch):
         # tau >= 1 always, so the stopped max is stochastically above one draw
         d = Pareto(0.8, 1.0)
         m = DependentModel(Independence(2), (d, d), tau=Zeta(1.5))
         x = 50.0
-        e = mc.estimate_tail(m, "MaxTau", [x], 20_000, seed=23,
-                             tau_cap=1 << 12)[0]
-        assert e.p_hat > float(d.tail(x))
+        monkeypatch.setattr(mc, "TAU_CAP", 1 << 12)
+        hits, _ = mc.estimate_tail(m, "MaxTau", [x], 20_000, seed=23)
+        assert hits[0] / 20_000 > float(d.tail(x))
 
     def test_poisson_sumtau_wald_mean(self):
         # E S_tau = E tau * E X for independent stopping: check via moderate x
         d = Exponential(1.0)
         m = DependentModel(Independence(2), (d, d), tau=Poisson(2.0))
         # P(S_tau > 0) = P(tau >= 1) = 1 - e^-2 with positive summands
-        e = mc.estimate_tail(m, "SumTau", [1e-12], 100_000, seed=29)[0]
+        hits, _ = mc.estimate_tail(m, "SumTau", [1e-12], 100_000, seed=29)
+        (p_hat,), (stderr,) = rates(hits, 100_000)
         true = 1.0 - np.exp(-2.0)
-        assert abs(e.p_hat - true) <= 4.0 * max(e.stderr, 1e-9)
+        assert abs(p_hat - true) <= 4.0 * max(stderr, 1e-9)
 
 
 class TestValidation:
@@ -988,21 +1043,26 @@ class TestValidation:
 
 class TestTailEstimate:
     def test_ci_clipped(self):
-        lo, hi = mc.wald_interval(0.999, 0.01)
+        lo, hi = ex.wald_interval(0.999, 0.01)
         assert 0.0 <= lo <= hi == 1.0
 
     def test_stderr_formula(self):
+        # the engine counts hits; the grader forms p_hat and its stderr
         m = indep_pair(Exponential(1.0))
-        e = mc.estimate_tail(m, "SumN", [3.0], 40_000, seed=6)[0]
-        assert e.p_hat == e.hits / e.samples
+        (hits,), _ = mc.estimate_tail(m, "SumN", [3.0], 40_000, seed=6)
+        (e,) = ex.run_experiment(m, "SumN", ex.Denominator("n_tail", n=2),
+                                 x_grid=[3.0], samples=40_000,
+                                 seed=6).points
+        assert e.numerator == hits / 40_000
         assert e.stderr == pytest.approx(
-            np.sqrt(e.p_hat * (1 - e.p_hat) / e.samples), rel=1e-12)
+            np.sqrt(e.numerator * (1 - e.numerator) / 40_000), rel=1e-12)
 
     def test_shifted_negative_mean_runmax(self):
         # net-claim style marginals with mean -1: running max still finite
         # and the tail estimate is a probability
         z = ShiftedBy(Pareto(2.0, 1.0), -3.0)
         m = DependentModel(Independence(2), (z, z), tau=Poisson(2.0))
-        e = mc.estimate_tail(m, "RunMaxTau", [5.0], 50_000, seed=41)[0]
-        assert 0.0 <= e.p_hat <= 1.0
-        assert e.p_hat < 0.2  # deep in the tail of a mean-negative walk
+        (hits,), _ = mc.estimate_tail(m, "RunMaxTau", [5.0], 50_000, seed=41)
+        p_hat = hits / 50_000
+        assert 0.0 <= p_hat <= 1.0
+        assert p_hat < 0.2  # deep in the tail of a mean-negative walk
