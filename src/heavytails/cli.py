@@ -486,7 +486,7 @@ def _curve_plan(f: dict, preset, context: str = None, model=None,
     def warnings():
         with errors():
             _, checked = preset.check(
-                preset.build() if model is None else model, x_grid)
+                preset.model if model is None else model, x_grid)
         return tuple(dict.fromkeys(n for _, _, notes in checked
                                    for n in notes))
 
@@ -514,9 +514,11 @@ def _preset_plan(f: dict, key: str, registry: dict, noun: str) -> _Parsed:
     return _curve_plan(f, preset, model=model, x_grid=grid)
 
 
-# class check -> diagnostics function
-_CLASS_CHECKS = {"L": "long_tail", "D": "dominated", "S": "subexponential",
-                 "Sstar": "sstar", "SstarStrong": "strong_subexponential"}
+# check -> diagnostics function, for diagnose-class and diagnose-dependence
+_CLASS_CHECKS = {"L": diag.long_tail, "D": diag.dominated,
+                 "S": diag.subexponential, "Sstar": diag.sstar,
+                 "SstarStrong": diag.strong_subexponential}
+_DEPENDENCE_CHECKS = {"H1": diag.h1_report, "H2": diag.h2_report}
 
 
 def _checks(value, allowed, everything: str, kind: str, have: str) -> list:
@@ -527,6 +529,19 @@ def _checks(value, allowed, everything: str, kind: str, have: str) -> list:
         if c not in allowed:
             raise ConfigError(f"unknown {kind} check {c!r}; have {have}")
     return checks
+
+
+def _report_plan(echo: dict, report) -> _Parsed:
+    """Report each of the echo's checks, or why it cannot run."""
+    def report_or_reason(check):
+        try:
+            return report(check)
+        except HeavyTailsError as err:
+            return str(err)
+        except ArithmeticError as err:
+            return f"{type(err).__name__}: {err}"
+    return _Parsed(echo, lambda workers: [
+        (c, report_or_reason(c)) for c in echo["checks"]], _write_reports)
 
 
 def _dist_config(dist):
@@ -555,21 +570,8 @@ def _parse_class(raw) -> _Parsed:
                      f"{tuple(_CLASS_CHECKS)} or 'all'")
     dist = build_marginal(dist_cfg, "dist")
     grid = build_grid(f["grid"])
-
-    def run(workers):
-        reports = []
-        for check in checks:
-            try:
-                reports.append((check, getattr(diag, _CLASS_CHECKS[check])(
-                    dist, grid=grid)))
-            except HeavyTailsError as err:
-                reports.append((check, str(err)))
-            except ArithmeticError as err:
-                reports.append((check, f"{type(err).__name__}: {err}"))
-        return reports
-
-    return _Parsed({"dist": dist_cfg, "checks": checks, "grid": f["grid"]},
-                   run, _write_reports)
+    return _report_plan({"dist": dist_cfg, "checks": checks, "grid": f["grid"]},
+                        lambda c: _CLASS_CHECKS[c](dist, grid=grid))
 
 
 def _parse_dependence(raw) -> _Parsed:
@@ -583,27 +585,30 @@ def _parse_dependence(raw) -> _Parsed:
     with _config_errors("pair", *_BAD_VALUE):
         i, j = (_integer(v, "pair") for v in f["pair"])
     pair = (i, j)
-    checks = _checks(f["checks"], ("H1", "H2"), "both", "dependence",
-                     "H1, H2, or both")
+    checks = _checks(f["checks"], tuple(_DEPENDENCE_CHECKS), "both",
+                     "dependence", "H1, H2, or both")
     model = build_model(model_cfg)
     diag.check_pair(model, pair)
-    return _Parsed(
+    return _report_plan(
         {"model": model_cfg, "checks": checks, "pair": list(pair)},
-        lambda workers: [(check, (diag.h1_report if check == "H1"
-                                  else diag.h2_report)(model, pair=pair))
-                         for check in checks], _write_reports)
+        lambda c: _DEPENDENCE_CHECKS[c](model, pair=pair))
 
 
 def _convolve_auto_points(dist):
     rep = dist.truncated_atoms(float("inf"))
-    hi = float(dist.quantile(1.0 - 1e-3))
+    with np.errstate(over="ignore"):
+        hi = float(dist.quantile(1.0 - 1e-3))
+    if not math.isfinite(hi):
+        raise InvalidInput("the default grid's top quantile overflows")
     if rep is not None:
         locs = np.asarray(rep[0], dtype=float)
         pos = locs[locs > 0]
-        lo = float(2 * pos[0]) if len(pos) else 1.0
-        return {"lo": min(lo, hi / 4), "hi": max(hi, 4 * lo)}
-    lo = float(dist.quantile(0.9))
-    return {"lo": max(lo, 1e-9), "hi": max(hi, lo * 4), "points": 16}
+        if not len(pos):
+            raise InvalidInput("auto points need a positive atom")
+        lo = float(2 * pos[0])
+        return {"lo": min(lo, hi / 4) if hi > 0 else lo, "hi": max(hi, 4 * lo)}
+    lo = max(float(dist.quantile(0.9)), 1e-9)
+    return {"lo": lo, "hi": max(hi, lo * 4), "points": 16}
 
 
 def _parse_convolve(raw) -> _Parsed:

@@ -6,11 +6,13 @@ the curve against a predicted limit. Limits come in three flavors: "lim"
 minimum must come down to the band without falling through it), and
 "divergence" (the curve must climb past a preset bound).
 
-A theorem preset names the hypotheses it assumes from one table,
-HYPOTHESES, which writes each issue once. Preset.check turns a custom
-model's issues, and an infinite-mean count under any semantics but
-divergence, into notes: the run records them on its curves, and the CLI's
-validate prints them.
+A preset carries its built model and parsed claims. Preset.check rejects
+a custom model that breaks what the run enforces, such as a stopped
+quantity without a counting law. A theorem preset also names the
+advisory hypotheses it assumes from one table, HYPOTHESES, which writes
+each issue once; Preset.check turns a custom model's issues, and an
+infinite-mean count under any semantics but divergence, into notes that
+the run records on its curves and the CLI's validate prints.
 """
 
 from __future__ import annotations
@@ -217,7 +219,7 @@ def _grade(claim, experiment_id: str, xs, den, num, se, used_samples: int,
                    float(lo), float(hi), float(rm))
         for x, n_, s, d, r_, lo, hi, rm
         in zip(xs, num, se, den, ratios, ci_lo, ci_hi, run))
-    return RatioCurve(experiment_id, mc.parse_quantity(claim.quantity).token,
+    return RatioCurve(experiment_id, claim.quantity.token,
                       claim.denominator.describe(), points, float(predicted),
                       semantics, float(tolerance), verdict, used_samples,
                       int(seed), tuple(notes))
@@ -236,11 +238,10 @@ def experiment(model: DependentModel, quantity, denominator: Denominator,
     identical sums) and Monte Carlo otherwise; "mc" forces simulation;
     "exact" demands the closed form and raises if there is none.
     """
-    claim = Claim(mc.parse_quantity(quantity).token, semantics, denominator,
-                  predicted)
-    return Preset(experiment_id, "", lambda: model, (claim,), tolerance,
-                  samples, x_grid=x_grid, weights=weights,
-                  numerator=numerator, divergence_bound=divergence_bound)
+    claim = Claim(quantity, semantics, denominator, predicted)
+    return Preset(experiment_id, "", model, (claim,), tolerance, samples,
+                  x_grid=x_grid, weights=weights, numerator=numerator,
+                  divergence_bound=divergence_bound)
 
 
 def run_experiment(model: DependentModel, quantity, denominator: Denominator,
@@ -281,12 +282,13 @@ def divergence_certificate(tau: CountingLaw, bound: float,
 
 @dataclass(frozen=True)
 class Claim:
-    quantity: str
+    quantity: mc.Quantity      # given as one or by its token, e.g. "SumTau"
     semantics: str
     denominator: Denominator
     predicted: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "quantity", mc.parse_quantity(self.quantity))
         if self.semantics not in SEMANTICS:
             raise InvalidInput(f"semantics must be one of {SEMANTICS}")
 
@@ -298,7 +300,7 @@ class Preset:
 
     preset_id: str
     description: str
-    build: object              # () -> DependentModel
+    model: DependentModel      # what a run uses unless given its own
     claims: tuple
     tolerance: float
     samples: int
@@ -355,12 +357,11 @@ class Preset:
             den = claim.denominator.values(model, xs, self.weights)
             if np.any(den <= 0):
                 raise InvalidInput("denominator vanishes on the grid")
-            quantity = mc.parse_quantity(claim.quantity)
             exact = (None if self.numerator == "mc"
-                     else _closed_form(model, quantity, self.weights))
+                     else _closed_form(model, claim.quantity, self.weights))
             if self.numerator == "exact" and exact is None:
                 raise InvalidInput(
-                    f"no closed form for {quantity.token} on this model")
+                    f"no closed form for {claim.quantity.token} on this model")
             notes = advice
             if infinite and claim.semantics != "divergence":
                 notes += (f"the counting law has infinite mean but the "
@@ -383,11 +384,11 @@ class Preset:
         if model is not None:
             self.check_custom_model()
         else:
-            model = self.build()
+            model = self.model
         samples = self.samples if samples is None else int(samples)
         xs, checked = self.check(model, x_grid)
 
-        simulated = [mc.parse_quantity(claim.quantity) for claim, (exact, _, _)
+        simulated = [claim.quantity for claim, (exact, _, _)
                      in zip(self.claims, checked) if exact is None]
         hits, run_notes = (mc.estimate_tails(
             model, simulated, xs, samples, seed, workers=workers,
@@ -407,7 +408,7 @@ class Preset:
                 notes.append(
                     "numerator computed exactly, stderr identically zero")
             curves.append(_grade(
-                claim, f"{self.preset_id}:{claim.quantity}" if many
+                claim, f"{self.preset_id}:{claim.quantity.token}" if many
                 else self.preset_id, xs, den, num, se, used_samples, notes,
                 self.tolerance, self.divergence_bound, seed))
         return curves
@@ -436,15 +437,9 @@ HYPOTHESES = {
     "dominated": _each("is not declared dominatedly varying",
                        lambda d: TAG_DOMINATED in d.tags),
     "nonnegative": _each("is not nonnegative", lambda d: d.support()[0] >= 0),
-    "counting_law": _whole("no counting law", lambda m: m.tau is not None),
-    "finite_mean_count": _whole(
-        "counting law must have a finite mean here",
-        lambda m: m.tau is None or math.isfinite(m.tau.mean())),
     "infinite_mean_count": _whole(
         "divergence needs an infinite-mean counting law",
         lambda m: m.tau is None or not math.isfinite(m.tau.mean())),
-    "identical_marginals": _whole("marginals must be identical",
-                                  lambda m: m.identical_marginals()),
     "negative_drift": _whole("summand mean must be negative",
                              lambda m: m.marginals[0].mean() < 0),
     "nonnegative_drift": _whole(
@@ -456,7 +451,6 @@ HYPOTHESES = {
 }
 
 _FGM_LONG = ("bounded_density", "long_tailed")
-_LIGHT_STOPPED = ("counting_law", "finite_mean_count", "identical_marginals")
 
 
 _SUM_TAILS = Denominator("sum_tails")
@@ -469,7 +463,7 @@ PRESETS = {
         "T3.1",
         "trivariate positive-dependence sum and running max against the sum "
         "of three power tails",
-        lambda: DependentModel(
+        DependentModel(
             FGM(3, (0.5, 0.5, 0.5)),
             (Pareto(0.8, 1.0), Pareto(0.8, 1.5), Pareto(0.8, 2.0))),
         (Claim("SumN", "lim", _SUM_TAILS), Claim("RunMaxN", "lim",
@@ -479,8 +473,8 @@ PRESETS = {
         "T3.2",
         "bivariate dependent sum with mixed power indices: the running "
         "minimum of the ratio settles at one",
-        lambda: DependentModel(FGM.bivariate(1.0),
-                               (Pareto(0.8, 1.0), Pareto(1.2, 1.0))),
+        DependentModel(FGM.bivariate(1.0),
+                       (Pareto(0.8, 1.0), Pareto(1.2, 1.0))),
         (Claim("SumN", "liminf", _SUM_TAILS), Claim("RunMaxN", "liminf",
                                                     _SUM_TAILS)),
         tolerance=0.10, samples=1_000_000,
@@ -489,16 +483,16 @@ PRESETS = {
         "T3.3",
         "bivariate dependent maximum, exact copula algebra: ratio to the "
         "tail sum tends to one",
-        lambda: DependentModel(FGM.bivariate(1.0),
-                               (Pareto(1.5, 1.0), Pareto(1.5, 1.0))),
+        DependentModel(FGM.bivariate(1.0),
+                       (Pareto(1.5, 1.0), Pareto(1.5, 1.0))),
         (Claim("MaxN", "lim", _SUM_TAILS),),
         tolerance=0.05, samples=1_000_000, hypotheses=_FGM_LONG),
     "C3.1": Preset(
         "C3.1",
         "identical heavy marginals under positive dependence: sum and "
         "running max both look like n copies of one tail",
-        lambda: DependentModel(FGM.bivariate(1.0),
-                               (Pareto(0.8, 1.0), Pareto(0.8, 1.0))),
+        DependentModel(FGM.bivariate(1.0),
+                       (Pareto(0.8, 1.0), Pareto(0.8, 1.0))),
         (Claim("SumN", "lim", Denominator("n_tail", n=2)),
          Claim("RunMaxN", "lim", Denominator("n_tail", n=2))),
         tolerance=0.075, samples=10_000_000, hypotheses=_FGM_LONG),
@@ -506,38 +500,37 @@ PRESETS = {
         "T4.1",
         "geometrically stopped sum of independent blocks: ratio to "
         "(expected count) x (one tail) tends to one",
-        lambda: DependentModel(Independence(2),
-                               (Pareto(0.8, 1.0), Pareto(0.8, 1.0)),
-                               tau=Geometric1(0.5)),
+        DependentModel(Independence(2),
+                       (Pareto(0.8, 1.0), Pareto(0.8, 1.0)),
+                       tau=Geometric1(0.5)),
         (Claim("SumTau", "lim", _MEAN_TAU),),
-        tolerance=0.15, samples=10_000_000, hypotheses=_LIGHT_STOPPED),
+        tolerance=0.15, samples=10_000_000, hypotheses=()),
     "T4.2": Preset(
         "T4.2",
         "infinite-mean stopping: ratios to the bare tail climb past any "
         "bound (certified by an exact partial sum)",
-        lambda: DependentModel(Independence(2),
-                               (Pareto(1.0, 1.0), Pareto(1.0, 1.0)),
-                               tau=Zeta(1.5)),
+        DependentModel(Independence(2),
+                       (Pareto(1.0, 1.0), Pareto(1.0, 1.0)),
+                       tau=Zeta(1.5)),
         (Claim("MaxTau", "divergence", _BARE_TAIL),
          Claim("SumTau", "divergence", _BARE_TAIL)),
-        tolerance=0.15, samples=200_000, hypotheses=(
-            "counting_law", "infinite_mean_count", "identical_marginals")),
+        tolerance=0.15, samples=200_000, hypotheses=("infinite_mean_count",)),
     "T4.3": Preset(
         "T4.3",
         "randomly stopped maximum with a finite-mean count: ratio to "
         "(expected count) x (one tail) tends to one",
-        lambda: DependentModel(FGM.bivariate(1.0),
-                               (Pareto(1.5, 1.0), Pareto(1.5, 1.0)),
-                               tau=Poisson(2.0)),
+        DependentModel(FGM.bivariate(1.0),
+                       (Pareto(1.5, 1.0), Pareto(1.5, 1.0)),
+                       tau=Poisson(2.0)),
         (Claim("MaxTau", "lim", _MEAN_TAU),),
-        tolerance=0.10, samples=1_000_000, hypotheses=_LIGHT_STOPPED),
+        tolerance=0.10, samples=1_000_000, hypotheses=()),
     "T4.4i": Preset(
         "T4.4i",
         "negative-drift random walk stopped at an independent count: the "
         "running maximum's tail looks like (expected count) x (one tail); "
         "exceedances against the drift are rare events, so this preset "
         "carries the suite's widest tolerance",
-        lambda: DependentModel(
+        DependentModel(
             Independence(2),
             (ShiftedBy(Pareto(2.0, 1.0), -3.0),
              ShiftedBy(Pareto(2.0, 1.0), -3.0)),
@@ -545,19 +538,17 @@ PRESETS = {
         (Claim("RunMaxTau", "lim", _MEAN_TAU),
          Claim("SumTau", "lim", _MEAN_TAU)),
         tolerance=0.20, samples=10_000_000,
-        hypotheses=_LIGHT_STOPPED + ("negative_drift", "independent_blocks")),
+        hypotheses=("negative_drift", "independent_blocks")),
     "T4.4ii": Preset(
         "T4.4ii",
         "nonnegative-mean summands with a light-tailed count: same "
         "(expected count) x (one tail) asymptotics",
-        lambda: DependentModel(Independence(2),
-                               (Pareto(2.0, 1.0), Pareto(2.0, 1.0)),
-                               tau=Poisson(2.0)),
+        DependentModel(Independence(2),
+                       (Pareto(2.0, 1.0), Pareto(2.0, 1.0)),
+                       tau=Poisson(2.0)),
         (Claim("RunMaxTau", "lim", _MEAN_TAU),
          Claim("SumTau", "lim", _MEAN_TAU)),
-        tolerance=0.15, samples=4_000_000, hypotheses=(
-            "counting_law", "identical_marginals", "nonnegative_drift",
-            "independent_blocks"),
+        tolerance=0.15, samples=4_000_000,
+        hypotheses=("nonnegative_drift", "independent_blocks"),
         grid_hi_u=1.0 - 1e-5),
 }
-

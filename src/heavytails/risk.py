@@ -65,8 +65,8 @@ class DiscreteRiskModel:
                x_grid=None) -> ex.Preset:
         """Ruin over sum_tails at the discount weights, sum F̄_k(x(1+r)^k)."""
         claim = ex.Claim("RunMaxN", "lim", ex.Denominator("sum_tails"))
-        return ex.Preset(preset_id, description, lambda: self.claims,
-                         (claim,), tolerance, samples, x_grid=x_grid,
+        return ex.Preset(preset_id, description, self.claims, (claim,),
+                         tolerance, samples, x_grid=x_grid,
                          weights=tuple(self.discount_weights()))
 
     def surplus_path(self, initial_surplus: float, seed: int,
@@ -157,7 +157,7 @@ class ArrivalRiskModel:
             x_grid = tuple(quantile_grid((self.claim_size,)))
         claim = ex.Claim("RunMaxTau", "lim", _MeanCountClaimTail(
             self.claim_size, self.expected_count))
-        return ex.Preset(preset_id, description, self.dependence_model,
+        return ex.Preset(preset_id, description, self.dependence_model(),
                          (claim,), tolerance, samples, x_grid=x_grid)
 
 

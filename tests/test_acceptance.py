@@ -220,7 +220,7 @@ def test_criterion_08_two_period_ruin_matches_discounted_tails():
 
     # with no interest the ruin event is the plain running-max exceedance,
     # and the estimates agree bit for bit on a shared seed
-    claims = preset.build()
+    claims = preset.model
     flat = DiscreteRiskModel(claims, rate=0.0)
     xs = np.geomspace(10.0, 1000.0, 6)
     [a] = flat.preset(x_grid=xs).run(samples=1_000_000, seed=42,
@@ -285,7 +285,7 @@ def test_criterion_10_class_diagnostics_match_ground_truth():
 
 def test_criterion_11_worker_count_and_config_echo_reproducibility(tmp_path):
     # identical hit counts no matter how the blocks are distributed
-    model = ex.PRESETS["C3.1"].build()
+    model = ex.PRESETS["C3.1"].model
     xs = quantile_grid(model.marginals)
     one, _ = mc.estimate_tail(model, "SumN", xs, 10_000_000, seed=0,
                               workers=1)

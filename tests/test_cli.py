@@ -92,6 +92,18 @@ T44I_CUSTOM_CONFIG = {
 }
 
 
+# stopped models that break what a stopped run enforces
+_NO_COUNT = {k: v for k, v in STOPPED_MODEL.items() if k != "tau"}
+_ZETA_COUNT = dict(STOPPED_MODEL, tau={"family": "zeta", "s": 1.5})
+_NEEDS_COUNT = "mean_tau_tail denominator needs a counting law"
+_NEEDS_FINITE_MEAN = (
+    "the counting law has infinite mean: ratios against its expected count "
+    "diverge, use a divergence-mode experiment against the bare tail instead")
+_NEEDS_IDENTICAL = (
+    "stopped quantities need identical marginals: the sequence extends past "
+    "the copula dimension with fresh blocks")
+
+
 ARRIVAL_RUIN_CONFIG = {
     "risk": "arrival",
     "claim_size": {"family": "pareto", "alpha": 2.0, "scale": 1.0},
@@ -594,6 +606,37 @@ class TestValidate:
         assert code == 64
         assert "cannot tell" in err
 
+    @pytest.mark.parametrize("theorem, model, message", [
+        ("T4.1", _NO_COUNT, _NEEDS_COUNT),
+        ("T4.1", _ZETA_COUNT, _NEEDS_FINITE_MEAN),
+        ("T4.1", MIXED_STOPPED_MODEL, _NEEDS_IDENTICAL),
+        ("T4.2", _NO_COUNT,
+         "stopped quantities need a counting law on the model"),
+        ("T4.2", dict(MIXED_STOPPED_MODEL, tau=_ZETA_COUNT["tau"]),
+         _NEEDS_IDENTICAL),
+        ("T4.3", _NO_COUNT, _NEEDS_COUNT),
+        ("T4.3", _ZETA_COUNT, _NEEDS_FINITE_MEAN),
+        ("T4.3", MIXED_STOPPED_MODEL, _NEEDS_IDENTICAL),
+        ("T4.4i", _NO_COUNT, _NEEDS_COUNT),
+        ("T4.4i", _ZETA_COUNT, _NEEDS_FINITE_MEAN),
+        ("T4.4i", MIXED_STOPPED_MODEL, _NEEDS_IDENTICAL),
+        ("T4.4ii", _NO_COUNT, _NEEDS_COUNT),
+        ("T4.4ii", MIXED_STOPPED_MODEL, _NEEDS_IDENTICAL),
+    ], ids=["T4.1-no-count", "T4.1-infinite-mean", "T4.1-mixed",
+            "T4.2-no-count", "T4.2-mixed", "T4.3-no-count",
+            "T4.3-infinite-mean", "T4.3-mixed", "T4.4i-no-count",
+            "T4.4i-infinite-mean", "T4.4i-mixed", "T4.4ii-no-count",
+            "T4.4ii-mixed"])
+    def test_custom_model_breaking_what_the_run_enforces_exits_64(
+            self, tmp_path, capsys, theorem, model, message):
+        # the run's own check rejects it with the engine's or the
+        # denominator's message; no hypothesis note is written for it
+        cfg = write_json(tmp_path, "cfg.json",
+                         {"theorem_id": theorem, "model": model})
+        for command in ("theorem", "validate"):
+            assert run(capsys, [command, "--config", cfg]) == (
+                64, "", f"error: {message}\n"), command
+
     @pytest.mark.parametrize("command, config, code", [
         ("diagnose-dependence", {"model": "fgm-pareto", "checks": "H1"}, 0),
         ("convolve", {"dist": "pareto(1.5,1)", "nfold": 3}, 0),
@@ -1036,6 +1079,27 @@ class TestConvolve:
         xs = [float(line.split(",")[0]) for line in out.splitlines()[2:]]
         assert xs == [2.5, 6.5, 14.5]
 
+    # the first law lives below the probes' 1e-9 floor and the last below
+    # its one positive atom, so the single tail vanishes on the auto probes
+    @pytest.mark.parametrize("dist, message", [
+        ("exponential(1e300)",
+         "convolve: single tail vanishes on the grid; shorten it"),
+        ("lognormal(0,1e3)", "the default grid's top quantile overflows"),
+        ("pareto(1e-300,1)", "the default grid's top quantile overflows"),
+        ({"family": "atoms", "atoms": [[-1.0, 0.5], [0.0, 0.5]]},
+         "auto points need a positive atom"),
+        ({"family": "atoms", "atoms": [[0.0, 0.9995], [1.0, 0.0005]]},
+         "convolve: single tail vanishes on the grid; shorten it"),
+    ], ids=["exponential-tiny", "lognormal-overflow", "pareto-overflow",
+            "atoms-nonpositive", "atoms-top-quantile-zero"])
+    def test_auto_points_name_the_real_failure(self, tmp_path, capsys, dist,
+                                               message):
+        cfg = write_json(tmp_path, "cfg.json", {"dist": dist})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run(capsys, ["convolve", "--config", cfg])
+        assert (result, caught) == ((64, "", f"error: {message}\n"), [])
+
 
 class TestDiagnoseClass:
     def test_power_tail_core_checks_pass(self, capsys):
@@ -1194,6 +1258,25 @@ class TestDiagnoseDependence:
                                     "gauss-pareto"])
         assert code == 64
         assert "unknown model token" in err
+
+    def test_a_check_that_cannot_run_reads_unavailable(self, tmp_path,
+                                                       capsys):
+        # H2 conditions on the atom law's tail, which vanishes on its grid;
+        # H1 still reports
+        cfg = write_json(tmp_path, "dep.json", {
+            "model": {"copula": {"family": "independence"},
+                      "marginals": [PARETO11, {"family": "atoms", "atoms":
+                                               [[1.0, 0.5], [2.0, 0.5]]}]},
+            "checks": "H1,H2"})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["diagnose-dependence", "--config",
+                                          cfg, "--format", "records"])
+        assert (code, err, caught) == (0, "", [])
+        rows = {r["check"]: r for r in json.loads(out)["results"]}
+        assert rows["H1"]["verdict"] == "consistent"
+        assert (rows["H2"]["verdict"], rows["H2"]["notes"]) == (
+            "unavailable", ["conditioning tail vanishes on the grid"])
 
 
 class TestRuinCli:

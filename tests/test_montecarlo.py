@@ -639,7 +639,7 @@ class TestNonnegativeRunningMax:
     stopped path too: it walks no running max, and a long replicate
     settles as the sum does."""
 
-    T44II = ex.PRESETS["T4.4ii"].build()
+    T44II = ex.PRESETS["T4.4ii"].model
 
     def spy(self, monkeypatch):
         walks, settled = [], []

@@ -234,6 +234,6 @@ class TestPresetCatalog:
         assert risk.run_preset("T3.3") == ex.PRESETS["T3.3"].run()
         assert risk.run_preset("C5.2", samples=20_000, seed=3) == (
             risk.RISK_PRESETS["C5.2"].run(samples=20_000, seed=3))
-        model = risk.RISK_PRESETS["C5.1"].build()
+        model = risk.RISK_PRESETS["C5.1"].model
         with pytest.raises(InvalidInput, match="custom model"):
             risk.run_preset("C5.1", model=model)
