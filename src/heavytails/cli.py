@@ -281,6 +281,7 @@ def _fmt(value) -> str:
 def _curve_record(curve) -> dict:
     limit = curve.predicted_limit
     return {**asdict(curve), "running_min": curve.running_min,
+            "equivalent": curve.equivalent,
             "predicted_limit": limit if math.isfinite(limit) else str(limit)}
 
 

@@ -205,6 +205,8 @@ class FGM(Copula):
         v = 1.0 - 2.0 * u[:, :last]
         num = c = v[:, 0] * self._mat[0, 1]
         dens = 1.0                  # density of the coordinates drawn so far
+        # each step writes its intermediates into these, not fresh arrays
+        root, t = np.empty(len(u)), np.empty(len(u))
         for k in range(1, self.dim):
             if k > 1:
                 num = v[:, :k] @ self._mat[:k, k]
@@ -213,10 +215,17 @@ class FGM(Copula):
                 np.clip(c, -1.0, 1.0, out=c)
             w = u[:, k]
             b = 1.0 + c
-            root = np.sqrt(b * b - 4.0 * c * w)
+            np.multiply(4.0, c, out=t)
+            t *= w                                  # 4 c w
+            np.multiply(b, b, out=root)
+            root -= t
+            np.sqrt(root, out=root)
             root += b
-            t = np.divide(2.0 * w, np.maximum(root, _TINY, out=root))
-            u[:, k] = np.minimum(t, _BELOW_ONE, out=t)
+            np.maximum(root, _TINY, out=root)
+            np.multiply(2.0, w, out=t)
+            t /= root
+            np.minimum(t, _BELOW_ONE, out=t)
+            u[:, k] = t
             if k < last:
                 v[:, k] = 1.0 - 2.0 * t
                 dens = dens + v[:, k] * num

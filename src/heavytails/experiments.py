@@ -124,6 +124,19 @@ class RatioCurve:
         return self.points[-1].running_min
 
     @property
+    def equivalent(self):
+        """For a lim claim, whether every graded point's 95% interval lies
+        inside the band predicted * (1 -/+ tolerance), the two one-sided
+        tests; None for other semantics. The verdict asks only that each
+        interval meet the band."""
+        if self.semantics != "lim":
+            return None
+        lo = self.predicted_limit * (1.0 - self.tolerance)
+        hi = self.predicted_limit * (1.0 + self.tolerance)
+        return all(lo <= p.ci_low and p.ci_high <= hi
+                   for p in self.points[-_graded(len(self.points)):])
+
+    @property
     def ratios(self) -> np.ndarray:
         return np.array([p.ratio for p in self.points])
 
@@ -150,6 +163,11 @@ def _closed_form(model: DependentModel, quantity: mc.Quantity,
     return None
 
 
+def _graded(points: int) -> int:
+    """How many points at the grid end a lim claim is graded on."""
+    return max(2, points // 4)
+
+
 def _verdict_lim(ratios, ci_lo, ci_hi, predicted, tol, rel_err_end):
     notes = []
     if not math.isfinite(rel_err_end):
@@ -163,7 +181,7 @@ def _verdict_lim(ratios, ci_lo, ci_hi, predicted, tol, rel_err_end):
             f"roughly {factor:.0f}x more samples would pin the verdict")
         return "inconclusive", tuple(notes)
     band_lo, band_hi = predicted * (1.0 - tol), predicted * (1.0 + tol)
-    k = max(2, len(ratios) // 4)
+    k = _graded(len(ratios))
     intersects = (ci_hi[-k:] >= band_lo) & (ci_lo[-k:] <= band_hi)
     if intersects.all():
         return "consistent", tuple(notes)

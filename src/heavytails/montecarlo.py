@@ -5,7 +5,9 @@ b draws its copula uniforms from the stream keyed (seed, b) and its counting
 draws, when a stopped quantity needs them, from a separate lane keyed
 (seed, _TAU_LANE + b). Per-block integer hit counts are summed at the end, so
 the estimate is bitwise identical for any worker count and any block-to-worker
-assignment.
+assignment. The worker count is a ceiling: a pass forks a process for a
+share only when each share would draw at least _SHARE_VALUES values
+(_share_count), so a small pass runs in the caller alone.
 
 A running max of nonnegative terms is their sum up to the sign of a zero,
 so estimate_tails reads it from the sum's hits on both paths.
@@ -80,6 +82,16 @@ _MAX_WINDOW = 2.0 ** -40
 # the rounding of the bound itself) decides the hit whatever the draws.
 _SUM_TERMS = 1 << 21
 _SUM_MARGIN = 2.0 ** -30
+# Values each share must draw to repay forking a process for it
+# (_share_count). A forked child shares the caller's pages copy-on-write, so
+# while one is alive every page either process writes is copied, and a
+# small pass runs slower forked. On 2 cores (scripts/pool_crossover.py, with
+# and without perfbench's host reference between runs) two forked workers
+# took 1.2-2.4 times one worker's wall time on a C3.1 pass of 2^17 samples
+# (2^18 values), 0.8-1.8 times at 2^18 and 0.7-0.9 times at 2^19, where
+# this floor first forks it; C5.2 and T4.4i, 3 values a replicate, took
+# 0.6-0.9 times at 2^19.
+_SHARE_VALUES = 1 << 19
 
 _KINDS = ("sum", "max", "runmax")
 
@@ -130,18 +142,22 @@ def parse_quantity(token) -> Quantity:
 
 def _reduce_rows(rect: np.ndarray, kinds: tuple) -> np.ndarray:
     """Per-kind statistics of each row of a fixed-length block, walked one
-    column at a time, so each row adds its terms left to right."""
-    top, run, peak = (rect[:, 0].copy() for _ in range(3))
-    want_run = {"sum", "runmax"} & set(kinds)
+    column at a time, so each row adds its terms left to right. Each
+    statistic is written in its own row of the result; runmax without sum
+    keeps its running sum in one more array."""
+    out = np.empty((len(kinds), len(rect)))
+    out[:] = rect[:, 0]
+    stat = dict(zip(kinds, out))
+    top, peak = stat.get("max"), stat.get("runmax")
+    run = stat.get("sum", None if peak is None else rect[:, 0].copy())
     for col in rect.T[1:]:
-        if "max" in kinds:
+        if top is not None:
             np.maximum(top, col, out=top)
-        if want_run:
+        if run is not None:
             run += col
-        if "runmax" in kinds:
+        if peak is not None:
             np.maximum(peak, run, out=peak)
-    stat = {"max": top, "sum": run, "runmax": peak}
-    return np.stack([stat[k] for k in kinds])
+    return out
 
 
 def _running_max(flat: np.ndarray, starts: np.ndarray, eff: np.ndarray,
@@ -428,6 +444,18 @@ def _pool_results(run, shares, what: str) -> list:
     return replies
 
 
+def _share_count(model: DependentModel, stopped: bool, samples: int,
+                 workers: int, n_blocks: int) -> int:
+    """W = min(workers, blocks, max(1, floor(samples * v / _SHARE_VALUES))),
+    v the values a replicate draws: model.dim on a fixed-length pass, and
+    min(E[tau] + dim - 1, TAU_CAP) on a stopped one, so an infinite-mean
+    count always forks."""
+    per = (min(model.tau.mean() + model.dim - 1, TAU_CAP) if stopped
+           else model.dim)
+    return min(int(workers), n_blocks, max(1, int(samples * per
+                                                  // _SHARE_VALUES)))
+
+
 def check_pass(model: DependentModel, quantities, weights=None) -> tuple:
     """The engine's rule for quantities sharing one simulation pass on model.
 
@@ -480,13 +508,16 @@ def estimate_tails(model: DependentModel, quantities, xs, samples: int,
     max is the sum up to the sign of a zero, and it settles as the sum does
     (_settles).
 
-    The blocks are dealt round-robin to W = min(workers, blocks) shares:
-    share w is range(w, blocks, W). Each share runs _simulate_block once
-    per block, and every block's (hits, capped) is summed here. This
-    process runs the first share and forks one process for each other
-    (_pool_results), so workers=1 forks nothing. A hard crash in the first
-    share (a signal, os._exit) ends this process, as at workers=1; one in
-    a forked share raises WorkerCrashed.
+    The blocks are dealt round-robin to W shares: share w is
+    range(w, blocks, W). W is min(workers, blocks, max(1,
+    floor(samples * v / _SHARE_VALUES))), v the values one replicate
+    draws (_share_count), so workers is a ceiling and a pass too small to
+    repay a fork runs in this process alone. Each share runs
+    _simulate_block once per block, and every block's (hits, capped) is
+    summed here. This process runs the first share and forks one process
+    for each other (_pool_results), so W = 1 forks nothing. A hard crash
+    in the first share (a signal, os._exit) ends this process, as at
+    workers=1; one in a forked share raises WorkerCrashed.
     """
     quantities, weights = check_pass(model, quantities, weights)
     stopped = quantities[0].stopped
@@ -504,7 +535,7 @@ def estimate_tails(model: DependentModel, quantities, xs, samples: int,
             for q in quantities]
     kinds = tuple(dict.fromkeys(read))
     n_blocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
-    n_shares = min(int(workers), n_blocks)
+    n_shares = _share_count(model, stopped, samples, workers, n_blocks)
     args = (model, kinds, stopped, weights, xs, seed, samples)
 
     def run(share):

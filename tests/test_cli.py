@@ -172,7 +172,10 @@ class TestRoundTrip:
         assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path, capsys):
+    def test_worker_count_does_not_change_bytes(self, tmp_path, capsys,
+                                                monkeypatch):
+        # each share forks however few values it draws
+        monkeypatch.setattr(mc, "_SHARE_VALUES", 1)
         cfg = write_json(tmp_path, "rc.json", RC_MC_CONFIG)
         out1 = tmp_path / "w1.csv"
         out6 = tmp_path / "w6.csv"
@@ -246,13 +249,18 @@ def test_pareto_runs_load_no_scipy():
 
 
 def test_lognormal_curve_bytes_do_not_depend_on_workers(tmp_path):
-    # scipy.special loads when the law is built, before any worker forks
+    # scipy.special loads when the law is built, before any worker forks;
+    # every share forks however few values it draws
     cfg = write_json(tmp_path, "ln.json", dict(RC_MC_CONFIG, model=dict(
         FGM_PARETO_MODEL, marginals=[{"family": "lognormal", "mu": 0.0,
                                       "sigma": 1.0}] * 2),
         samples=4 * BLOCK_SIZE))
-    outs = [subprocess.run([sys.executable, "-m", "heavytails.cli",
-                            "ratio-curve", "--config", cfg, "--workers", w],
+    code = ("import sys\n"
+            "from heavytails import cli, montecarlo\n"
+            "montecarlo._SHARE_VALUES = 1\n"
+            "sys.exit(cli.main(sys.argv[1:]))")
+    outs = [subprocess.run([sys.executable, "-c", code, "ratio-curve",
+                            "--config", cfg, "--workers", w],
                            env=FRESH_ENV, capture_output=True,
                            check=True).stdout
             for w in ("1", "2")]
@@ -298,6 +306,8 @@ class TestExitCodes:
     def test_worker_crash_exits_one_naming_its_blocks(self, tmp_path,
                                                       capsys, monkeypatch):
         real = mc._simulate_block
+        # each share forks however few values it draws
+        monkeypatch.setattr(mc, "_SHARE_VALUES", 1)
 
         def crash_on_block_one(*args):
             if args[-1] == 1:       # the forked worker dies mid-run

@@ -13,7 +13,7 @@ from heavytails.counting import Geometric1, Poisson, Zeta
 from heavytails.distributions import (DiscreteAtoms, Exponential, Pareto,
                                       ShiftedBy, Weibull, quantile_grid)
 from heavytails.errors import AssumptionViolated, InvalidInput
-from heavytails.risk import run_preset
+from heavytails.risk import presets, run_preset
 
 
 def pareto_pair(alpha, copula=None):
@@ -259,7 +259,8 @@ class TestExactVersusMonteCarlo:
 class TestVerdictSemantics:
     """Graded on exact constant curves, so the outcomes are deterministic."""
 
-    def _constant_two_curve(self, **kw):
+    @staticmethod
+    def _constant_two_curve(**kw):
         model = pareto_pair(1.0, Comonotone(2))
         xs = np.array([4.0 ** k for k in range(1, 7)])
         return ex.run_experiment(model, "SumN",
@@ -330,6 +331,54 @@ class TestVerdictSemantics:
         with pytest.raises(InvalidInput):
             ex.run_experiment(model, "SumN", ex.Denominator("n_tail", n=1),
                               x_grid=np.array([5.0]), samples=1000)
+
+
+class TestEquivalence:
+    """equivalent: every graded interval inside the band, out of band of
+    the verdict, which asks only that each interval meet it."""
+
+    curve = staticmethod(TestVerdictSemantics._constant_two_curve)
+
+    def test_exact_curve_inside_the_band(self):
+        assert self.curve(predicted=2.0, tolerance=0.05).equivalent is True
+        assert self.curve(predicted=1.0, tolerance=0.05).equivalent is False
+
+    def test_only_lim_claims_carry_it(self):
+        for semantics in ("liminf", "divergence"):
+            curve = self.curve(predicted=2.0, tolerance=0.05,
+                               semantics=semantics)
+            assert curve.equivalent is None, semantics
+
+    def test_only_the_graded_points_count_and_the_edges_are_inside(self):
+        curve = self.curve(predicted=2.0, tolerance=0.5)
+        points = list(curve.points)
+        assert len(points) == 6      # graded on the last max(2, 6 // 4) = 2
+
+        def with_interval(i, lo, hi):
+            moved = points.copy()
+            moved[i] = dataclasses.replace(points[i], ci_low=lo, ci_high=hi)
+            return dataclasses.replace(curve, points=tuple(moved))
+
+        below, above = np.nextafter(1.0, 0.0), np.nextafter(3.0, 4.0)
+        assert with_interval(3, 0.1, 9.0).equivalent is True
+        assert with_interval(4, 1.0, 3.0).equivalent is True
+        assert with_interval(4, below, 3.0).equivalent is False
+        assert with_interval(5, 1.0, above).equivalent is False
+
+    def test_each_presets_value_at_its_own_budget(self):
+        # seed 0, workers 2: T3.1 holds 4 of its 6 graded intervals inside
+        # the band, T4.3 2 of 6 and T4.4ii 3 of 6; all read consistent
+        want = {"T3.1:SumN": False, "T3.1:RunMaxN": False,
+                "T3.2:SumN": None, "T3.2:RunMaxN": None, "T3.3": True,
+                "C3.1:SumN": True, "C3.1:RunMaxN": True, "T4.1": True,
+                "T4.2:MaxTau": None, "T4.2:SumTau": None, "T4.3": False,
+                "T4.4i:RunMaxTau": True, "T4.4i:SumTau": True,
+                "T4.4ii:RunMaxTau": False, "T4.4ii:SumTau": False,
+                "C5.1": True, "C5.2": True}
+        curves = [c for preset_id in presets()
+                  for c in run_preset(preset_id, seed=0, workers=2)]
+        assert {c.experiment_id: c.equivalent for c in curves} == want
+        assert {c.verdict for c in curves} == {"consistent"}
 
 
 class TestSampleSizeGate:

@@ -302,23 +302,36 @@ COMMANDS = {
 #   ruin-discrete              csv      859bf654c261 -> 50f0c7550ec4  2.23e-16
 #   ruin-discrete              records  1e5fec367154 -> ec65afaab681  2.23e-16
 #   ruin-preset                records  b27af51b44c5 -> 11bbe6a6b0a9  name only
+#
+# Eight records hashes moved, with no csv byte, verdict or exit code, when
+# each curve's record gained its `equivalent` field (true when every graded
+# interval lies inside the band, null off a lim claim); parsed, each new
+# document minus that field equals the old one. Old -> new, with its value:
+#   ratio-curve                records  f3bf060a5b29 -> 0defe87fdb9e  false
+#   ratio-curve-deterministic  records  30277b37ed70 -> 2b4cff0f97d4  false
+#   ratio-curve-divergence     records  35f44b52292b -> 3889be82da0b  null
+#   ratio-curve-weighted       records  df383a015009 -> 8157dc39e2c5  false
+#   ruin-arrival               records  769f2d2a2046 -> fd5f81241d8e  false
+#   ruin-discrete              records  ec65afaab681 -> cca47aafc8a2  false
+#   ruin-preset                records  11bbe6a6b0a9 -> 69b7f113371b  false
+#   ruin-preset-config         records  89a956f3772c -> 7ea1fd907216  false
 COMMAND_GOLDEN = {
     ("ratio-curve", "csv"):
         (0, "c7f9266befa0ace6bdfc9cb7774ed897868aefc184dafcbf1cd902e16af2feea"),
     ("ratio-curve", "records"):
-        (0, "f3bf060a5b29975083280ed6c86c12b837b59f2ddc0da326de78f768fe6da2f4"),
+        (0, "0defe87fdb9ec1d66a90e99bf700b7a9b748ae0ae0f7882ddc02e8c1181ebc0e"),
     ("ratio-curve-weighted", "csv"):
         (0, "6c8728bb7251fccea52863b91ee1df87dcd0f62da5b42cd0bcdd725b90ba3f79"),
     ("ratio-curve-weighted", "records"):
-        (0, "df383a01500929e88348dd7fd153fb7b4ef69e7e2e4daca0b382fb7d646868a4"),
+        (0, "8157dc39e2c5c3d7508e9375c619df2b6f899ec800e007129ba7c40d8bae6992"),
     ("ratio-curve-divergence", "csv"):
         (2, "9dc45153a2765c50c5d0cac5e9ca9510db3706b49f28652244a198076a32101b"),
     ("ratio-curve-divergence", "records"):
-        (2, "35f44b52292bdf8eefefc3e827cb1fa19d03a7be071555b51e3e29ac72e61a4b"),
+        (2, "3889be82da0b1a21570e9381d60cade63712feae5f6f5f273189a5aa249f349b"),
     ("ratio-curve-deterministic", "csv"):
         (0, "805fa6099524f4aad18b041ae1255a115d00bf6d4bb7f5f4ce59b0214b0b1d05"),
     ("ratio-curve-deterministic", "records"):
-        (0, "30277b37ed7000ad0f3293e587fa93d9ef9265bfaae04bba6ad5eca595306687"),
+        (0, "2b4cff0f97d4919c08b7e5796fdda3a0142a127fa1b77a24550c33247dacda1e"),
     ("class-token", "csv"):
         (0, "1943bff6fbbf17fe40fe5ad4b6b5a645c47d0099b61198a8bd842a783f6fae65"),
     ("class-token", "records"):
@@ -382,19 +395,19 @@ COMMAND_GOLDEN = {
     ("ruin-discrete", "csv"):
         (0, "50f0c7550ec4b3ee7b127d04de2983c59328c8538e887d78ce0a6dde1d3a93d9"),
     ("ruin-discrete", "records"):
-        (0, "ec65afaab681964adf30015725a8a8a02804dcd9ebe3f3c801a8f7ba9221d722"),
+        (0, "cca47aafc8a2871504e1dbbcb394bd02c2b3dc51653288ef8fc277378b98d6b1"),
     ("ruin-arrival", "csv"):
         (0, "ef07a4de5c1e0c890737b3604d69944f5c5d35c74a7a94a21acc287f081a572e"),
     ("ruin-arrival", "records"):
-        (0, "769f2d2a20463e123b0b9c97c011dda1f72615719fd728ae0e8f96fe91591014"),
+        (0, "fd5f81241d8ec4dad44a65e39a2c691deb57a63222e98c207594869e0aaaf2de"),
     ("ruin-preset", "csv"):
         (0, "16314b4468685b1fac91b7810dd31b43265e8216a091cc3f6bddf6f873804fc9"),
     ("ruin-preset", "records"):
-        (0, "11bbe6a6b0a928c46f6802a9f2d487e3775cea18a5df8f7a6996943ac9d305c0"),
+        (0, "69b7f113371b854d1a2862eda12bf874b9f8dc4ef5c7ad71e048fb1643439684"),
     ("ruin-preset-config", "csv"):
         (0, "9189af4881014613fa812d6bd1bbd6fa3fdd2d206744ef03930bc7c31cbc60f9"),
     ("ruin-preset-config", "records"):
-        (0, "89a956f3772cd0ce9e7b54caa03f592339afdb17d7d86a9102bf98207ec4f76c"),
+        (0, "7ea1fd9072163bc89c8c56fe060953a24e68b02f57a324f059973a9d45cd21fd"),
     ("surplus-path", "csv"):
         (0, "4c3096a2fe8174ab81811bf437f5facbc14f91d775cdcb42138b70550a6ac920"),
     ("surplus-path", "records"):

@@ -36,6 +36,31 @@ def rates(hits, samples):
     return p_hat, np.sqrt(p_hat * (1.0 - p_hat) / samples)
 
 
+@pytest.fixture
+def every_share_forks(monkeypatch):
+    """Each share gets its own process however few values it draws; forked
+    workers inherit the patch."""
+    monkeypatch.setattr(mc, "_SHARE_VALUES", 1)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The list of processes the pool starts, appended as each starts."""
+    from multiprocessing.context import ForkProcess
+    real = ForkProcess.start
+    started = []
+
+    def recording(proc):
+        started.append(proc)
+        # no test here forks more than three: fail before a runaway worker
+        # count could start many more
+        assert len(started) <= 3, len(started)
+        return real(proc)
+
+    monkeypatch.setattr(ForkProcess, "start", recording)
+    return started
+
+
 def listed(result):
     """An engine result (hits, notes) with the counts as nested lists, so
     two results compare with ==."""
@@ -115,7 +140,7 @@ class TestEstimateAgainstOracles:
 
 
 class TestBitwiseReproducibility:
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, every_share_forks):
         m = indep_pair(Pareto(0.8, 1.0))
         xs = [10.0, 100.0, 1000.0]
         base = mc.estimate_tail(m, "SumN", xs, 120_000, seed=5,
@@ -126,28 +151,17 @@ class TestBitwiseReproducibility:
             assert got == base, w
 
     def test_huge_worker_count_forks_one_process_per_block_but_the_first(
-            self, monkeypatch):
-        from multiprocessing.context import ForkProcess
-        real = ForkProcess.start
-        started = []
-
-        def recording(proc):
-            started.append(proc)
-            # fail before that many processes could start
-            assert len(started) <= 2, len(started)
-            return real(proc)
-
-        monkeypatch.setattr(ForkProcess, "start", recording)
+            self, every_share_forks, forks):
         m = indep_pair(Pareto(0.8, 1.0))
         args = (m, ["SumN", "RunMaxN"], [10.0, 100.0], 2 * BLOCK_SIZE, 9)
         one = listed(mc.estimate_tails(*args, workers=1))
-        assert started == []
+        assert forks == []
         assert listed(mc.estimate_tails(*args, workers=10 ** 9)) == one
         # the caller runs block 0 itself
-        assert len(started) == 1
+        assert len(forks) == 1
 
     def test_interrupt_in_the_callers_share_kills_every_worker(
-            self, monkeypatch):
+            self, monkeypatch, every_share_forks):
         import multiprocessing as mp
         import time
         real = mc._simulate_block
@@ -167,8 +181,8 @@ class TestBitwiseReproducibility:
         assert time.monotonic() - t0 < 30
         assert mp.active_children() == []
 
-    def test_a_lost_worker_outranks_the_callers_exception(self,
-                                                          monkeypatch):
+    def test_a_lost_worker_outranks_the_callers_exception(
+            self, monkeypatch, every_share_forks):
         real = mc._simulate_block
 
         def fail_both_shares(*args):
@@ -186,7 +200,8 @@ class TestBitwiseReproducibility:
         msg = str(info.value)
         assert "blocks 1-3 step 2 of 4" in msg and "blocks 0-2" not in msg
 
-    def test_a_lost_one_block_share_is_named_alone(self, monkeypatch):
+    def test_a_lost_one_block_share_is_named_alone(self, monkeypatch,
+                                                   every_share_forks):
         real = mc._simulate_block
 
         def die_on_block_one(*args):
@@ -203,7 +218,8 @@ class TestBitwiseReproducibility:
                                    "(seed 3) returned no result")
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_worker_error_reaches_the_caller(self, workers):
+    def test_worker_error_reaches_the_caller(self, workers,
+                                             every_share_forks):
         class NegativeLength(Geometric1):
             def sample(self, rng, size):
                 return -super().sample(rng, size)
@@ -215,7 +231,7 @@ class TestBitwiseReproducibility:
             mc.estimate_tail(m, "SumTau", [1.0], 2 * BLOCK_SIZE, seed=3,
                              workers=workers)
 
-    def test_worker_invariance_stopped(self):
+    def test_worker_invariance_stopped(self, every_share_forks):
         d = Pareto(0.8, 1.0)
         m = DependentModel(Independence(2), (d, d), tau=Geometric1(0.5))
         xs = [20.0, 200.0]
@@ -513,6 +529,115 @@ class TestBitwiseReproducibility:
                 [seg.max() if len(seg) else -np.inf for seg in segments])
 
 
+class TestShareCount:
+    """workers is a ceiling: a share forks only when every share draws at
+    least _SHARE_VALUES values, and the hits never depend on it."""
+
+    C31 = ex.PRESETS["C3.1"]
+    T42 = ex.PRESETS["T4.2"]
+
+    def c31_pass(self, workers):
+        xs = ex.quantile_grid(self.C31.model.marginals)
+        return listed(mc.estimate_tails(
+            self.C31.model, [c.quantity for c in self.C31.claims], xs,
+            262_144, 0, workers=workers))
+
+    def test_the_rule(self):
+        fixed = indep_pair(Pareto(1.0, 1.0))
+        poisson = DependentModel(Independence(2), (Pareto(1.0, 1.0),) * 2,
+                                 tau=Poisson(2.0))
+        g = mc._SHARE_VALUES
+        # (model, stopped, samples, workers, blocks) -> shares
+        assert mc._share_count(fixed, False, g // 2 - 1, 8, 64) == 1
+        assert mc._share_count(fixed, False, g // 2, 8, 64) == 1
+        assert mc._share_count(fixed, False, g, 8, 64) == 2
+        assert mc._share_count(fixed, False, 8 * g, 8, 64) == 8
+        assert mc._share_count(fixed, False, 8 * g, 8, 5) == 5
+        assert mc._share_count(fixed, False, 8 * g, 3, 64) == 3
+        # a Poisson(2) pair draws E[tau] + dim - 1 = 3 values a replicate
+        assert mc._share_count(poisson, True, g // 3, 8, 64) == 1
+        assert mc._share_count(poisson, True, g, 8, 64) == 3
+        # an infinite-mean count draws up to TAU_CAP values: it always forks
+        assert mc._share_count(self.T42.model, True, 2, 8, 1) == 1
+        assert mc._share_count(self.T42.model, True, 2, 8, 2) == 2
+
+    def test_c31_at_its_benchmark_budget_forks_nothing(self, forks):
+        one = self.c31_pass(workers=1)
+        assert self.c31_pass(workers=2) == one
+        assert forks == []
+
+    @pytest.mark.parametrize("workers,forked", [(2, 1), (3, 2), (8, 3)])
+    def test_c31_below_a_lower_floor_forks_w_minus_one(self, monkeypatch,
+                                                       forks, workers,
+                                                       forked):
+        one = self.c31_pass(workers=1)
+        assert forks == []
+        # 2^18 replicates of 2 values hold 4 shares of 2^17 values
+        monkeypatch.setattr(mc, "_SHARE_VALUES", 1 << 17)
+        assert self.c31_pass(workers) == one
+        assert len(forks) == forked
+
+    def test_an_infinite_mean_count_at_two_blocks_forks_one(self, forks):
+        args = (self.T42.model, [c.quantity for c in self.T42.claims],
+                ex.quantile_grid(self.T42.model.marginals), 2 * BLOCK_SIZE, 0)
+        one = listed(mc.estimate_tails(*args, workers=1))
+        assert forks == []
+        assert listed(mc.estimate_tails(*args, workers=2)) == one
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("model,quantities", [
+        (indep_pair(Pareto(0.8, 1.0)), ["SumN", "MaxN"]),
+        (DependentModel(Independence(2), (Pareto(0.8, 1.0),) * 2,
+                        tau=Poisson(2.0)), ["SumTau", "MaxTau"]),
+    ], ids=["fixed", "stopped"])
+    def test_bytes_do_not_depend_on_workers_on_either_side_of_the_floor(
+            self, monkeypatch, forks, model, quantities):
+        # at 2^17 values a share, 3 blocks make one share and 12 blocks
+        # make three, for 2 and 3 values a replicate alike
+        monkeypatch.setattr(mc, "_SHARE_VALUES", 1 << 17)
+        xs = [1.5, 10.0, 100.0, 1000.0]
+        for blocks, shares in ((3, 1), (12, 3)):
+            samples = blocks * BLOCK_SIZE
+            one = listed(mc.estimate_tails(model, quantities, xs, samples,
+                                           seed=4, workers=1))
+            for workers in (2, 3):
+                forks.clear()
+                got = mc.estimate_tails(model, quantities, xs, samples,
+                                        seed=4, workers=workers)
+                assert listed(got) == one, (blocks, workers)
+                assert len(forks) == min(workers, shares) - 1
+
+    @pytest.mark.parametrize("outcome", ["return", "error", "lost",
+                                         "interrupt"])
+    def test_no_child_is_left_behind(self, monkeypatch, every_share_forks,
+                                     outcome):
+        real = mc._simulate_block
+
+        def block(*args):
+            if outcome == "error":
+                raise ModelConfigError("every block fails")
+            if outcome == "lost" and args[-1] == 1:
+                os._exit(3)
+            if outcome == "interrupt" and args[-1] == 0:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(mc, "_simulate_block", block)
+        raised = {"return": None, "error": ModelConfigError,
+                  "lost": WorkerCrashed, "interrupt": KeyboardInterrupt}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        m = indep_pair(Pareto(0.8, 1.0))
+        args = (m, "SumN", [10.0], 3 * BLOCK_SIZE, 3)
+        if raised[outcome] is None:
+            mc.estimate_tail(*args, workers=3)
+        else:
+            with pytest.raises(raised[outcome]):
+                mc.estimate_tail(*args, workers=3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 MARGINALS = (Pareto(0.8, 1.0), Pareto(1.5, 2.0), Exponential(1.0),
              ShiftedBy(Pareto(2.0, 1.0), -3.0))
 COUNTING = (Poisson(2.0), Poisson(0.3), Geometric1(0.4), Zeta(1.5),
@@ -561,9 +686,10 @@ class TestSharedPass:
     @given(case=shared_pass_cases())
     def test_shared_pass_matches_separate_calls(self, case):
         xs = [-1.0, 0.5, 3.0, 40.0]
-        # forked workers inherit the patched cap
+        # forked workers inherit the patched cap, and every share forks
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mc, "TAU_CAP", case["tau_cap"])
+            patch.setattr(mc, "_SHARE_VALUES", 1)
             shared, notes = mc.estimate_tails(
                 case["model"], case["quantities"], xs, case["samples"],
                 case["seed"], workers=case["workers"],

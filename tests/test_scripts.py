@@ -50,3 +50,15 @@ def test_exact_twofold_matches_the_rational_oracle(capsys):
         assert lower == upper == float(num)
         assert single == float(den)
         assert r_lo == r_hi == float(num / den)
+
+
+def test_pool_crossover_prints_one_row_per_sample_count(capsys):
+    script = load_script("pool_crossover")
+    assert script.main(["--id", "C3.1", "--lo", "14", "--hi", "15",
+                        "--reps", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "samples,blocks,rule_shares,wall_1_ms,wall_w_ms,ratio"
+    rows = [line.split(",") for line in lines[2:]]
+    assert [row[:3] for row in rows] == [["16384", "1", "1"],
+                                         ["32768", "2", "1"]]
+    assert all(float(cell) > 0 for row in rows for cell in row[3:])
