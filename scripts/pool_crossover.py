@@ -2,14 +2,17 @@
 
 For each sample count 2^lo .. 2^hi (2^16 .. 2^21 by default) this runs
 `theorem --id ID --samples N` in this process at workers 1 and at
---workers W, and prints the median wall time of --reps runs of each, their
-ratio, and the share count the engine's rule (montecarlo._share_count)
-picks at that size. The W runs fork min(W, blocks) shares whatever the
-rule says, so the ratio shows where a fork starts to repay itself on this
-host: montecarlo._SHARE_VALUES is set from where it crosses 1. Every
-workers-1 run comes before the first fork, since a run that follows a
-forked one in the same process is slower (C3.1 at 2^18 samples on 2 cores:
-28.6 ms interleaved with forked runs, 20.2 ms before any).
+--workers W, and prints the median wall time of --reps runs of each, the
+median minor page faults of a run (this process and its forked workers),
+the ratio of the wall times, and the share count the engine's rule
+(montecarlo._share_count) picks at that size. The W runs fork min(W,
+blocks) shares whatever the rule says, so the ratio shows where a fork
+starts to repay itself on this host: montecarlo._SHARE_VALUES is set from
+where it crosses 1. Every workers-1 run comes before the first fork, since
+a run that follows a forked one in the same process is slower (C3.1 at
+2^18 samples on 2 cores: 28.6 ms interleaved with forked runs, 20.2 ms
+before any): while a forked child lives, the caller's first write to each
+page it held takes a fault, which the faults columns show.
 
     python3 scripts/pool_crossover.py --id C3.1 --workers 2
 """
@@ -17,6 +20,7 @@ forked one in the same process is slower (C3.1 at 2^18 samples on 2 cores:
 import argparse
 import contextlib
 import io
+import resource
 import statistics
 import sys
 import time
@@ -27,17 +31,26 @@ from heavytails.risk import presets
 from heavytails.rng import BLOCK_SIZE
 
 
-def wall_s(preset_id, samples, seed, workers) -> float:
-    """Seconds of one in-process CLI run, its output discarded."""
+def minor_faults() -> int:
+    """Minor page faults so far of this process and its reaped children."""
+    return sum(resource.getrusage(who).ru_minflt
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+
+
+def wall_s(preset_id, samples, seed, workers) -> tuple:
+    """(seconds, minor page faults) of one in-process CLI run, its output
+    discarded."""
     argv = ["theorem", "--id", preset_id, "--samples", str(samples),
             "--seed", str(seed), "--workers", str(workers)]
     with contextlib.redirect_stdout(io.StringIO()):
+        faults = minor_faults()
         t0 = time.perf_counter()
         code = cli.main(argv)
         elapsed = time.perf_counter() - t0
+        faults = minor_faults() - faults
     if code not in (cli.EXIT_OK, cli.EXIT_INCONSISTENT):
         raise SystemExit(f"{' '.join(argv)} exited {code}")
-    return elapsed
+    return elapsed, faults
 
 
 @contextlib.contextmanager
@@ -79,17 +92,20 @@ def main(argv=None):
     for workers in (1, args.workers):
         with forced_fork():
             for samples in sizes:
-                medians[workers, samples] = statistics.median(
-                    wall_s(args.id, samples, args.seed + rep, workers)
-                    for rep in range(args.reps))
-    print("samples,blocks,rule_shares,wall_1_ms,wall_w_ms,ratio")
+                runs = [wall_s(args.id, samples, args.seed + rep, workers)
+                        for rep in range(args.reps)]
+                medians[workers, samples] = [statistics.median(col)
+                                             for col in zip(*runs)]
+    print("samples,blocks,rule_shares,wall_1_ms,faults_1,wall_w_ms,faults_w,"
+          "ratio")
     for samples in sizes:
         blocks = -(-samples // BLOCK_SIZE)
         shares = mc._share_count(preset.model, stopped, samples,
                                  args.workers, blocks)
-        one, many = medians[1, samples], medians[args.workers, samples]
-        print(f"{samples},{blocks},{shares},{1e3 * one:.2f},"
-              f"{1e3 * many:.2f},{many / one:.2f}")
+        one, one_faults = medians[1, samples]
+        many, many_faults = medians[args.workers, samples]
+        print(f"{samples},{blocks},{shares},{1e3 * one:.2f},{one_faults:g},"
+              f"{1e3 * many:.2f},{many_faults:g},{many / one:.2f}")
     return 0
 
 

@@ -53,7 +53,7 @@ def main(argv=None):
             end = curve.ratios[-1]
             print(f"{curve.experiment_id:<{width}} {curve.verdict:<13}"
                   f" end ratio {end:9.4f}   running min {curve.running_min:9.4f}"
-                  f"   {elapsed:6.1f}s")
+                  f"   {elapsed:7.3f}s")
             for note in curve.notes:
                 print(f"{'':<{width}}   note: {note}")
             if curve.verdict == "inconsistent":

@@ -36,7 +36,10 @@ class Copula:
         """C(u) for u in [0,1]^dim; accepts a vector or a batch (m, dim)."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, count: int,
+               out: np.ndarray = None) -> np.ndarray:
+        """(count, dim) uniforms; written into out, a C-contiguous (count,
+        dim) float array, when one is given."""
         raise NotImplementedError
 
     @property
@@ -77,8 +80,8 @@ class Independence(Copula):
         arr = self._check_u(u)
         return self._ret(u, np.prod(arr, axis=1))
 
-    def sample(self, rng, count):
-        return rng.random((int(count), self.dim))
+    def sample(self, rng, count, out=None):
+        return rng.random((int(count), self.dim), out=out)
 
     def subset(self, idx):
         return Independence(len(idx))
@@ -96,9 +99,12 @@ class Comonotone(Copula):
         arr = self._check_u(u)
         return self._ret(u, np.min(arr, axis=1))
 
-    def sample(self, rng, count):
+    def sample(self, rng, count, out=None):
         one = rng.random(int(count))
-        return np.repeat(one[:, None], self.dim, axis=1)
+        if out is None:
+            out = np.empty((len(one), self.dim))
+        out[:] = one[:, None]
+        return out
 
     @property
     def words_per_row(self):
@@ -177,7 +183,7 @@ class FGM(Copula):
         quad = 0.5 * np.einsum("bi,ij,bj->b", w, self._mat, w)
         return self._ret(u, np.prod(arr, axis=1) * (1.0 + quad))
 
-    def sample(self, rng, count):
+    def sample(self, rng, count, out=None):
         """Sequential conditional inversion: exactly dim uniforms per row.
 
         Given U_1..U_{k-1}, U_k has density 1 + c (1 - 2u) on [0, 1] with
@@ -189,7 +195,7 @@ class FGM(Copula):
         The uniforms are one draw; the inversion runs over row batches of
         at most _FGM_BATCH, so its temporaries stay a few MiB whatever count.
         """
-        u = rng.random((int(count), self.dim))
+        u = rng.random((int(count), self.dim), out=out)
         for lo in range(0, len(u), _FGM_BATCH):
             self._invert(u[lo:lo + _FGM_BATCH])
         return u

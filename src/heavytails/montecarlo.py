@@ -21,7 +21,9 @@ only the uniforms next to the largest are transformed (_MAX_WINDOW). The
 block's stream then advances past the words the replicate's undrawn rows
 would have taken, so every later replicate sees the same draws and every
 hit count is the one the full draw gives; only the settled statistics
-themselves are bounds instead of values.
+themselves are bounds instead of values. A settled replicate holds no
+values of its slice, so a slice of about _CHUNK_VALUES values fills across
+settled replicates and is reduced once (_stats_stopped).
 """
 
 from __future__ import annotations
@@ -40,20 +42,29 @@ _TAU_LANE = 1 << 49    # block-stream lane reserved for counting-law draws
 # Coordinate budget per simulation slice. A slice holds at most
 # max(_CHUNK_VALUES, TAU_CAP rounded up to dim) coordinates, since one
 # replicate may exceed the budget on its own, so at the defaults the bound is
-# one capped replicate whatever the budget. The budget sets the size of the
-# arrays a long block keeps allocating, and the allocator keeps a larger
-# heap after serving larger arrays; the calling process, which runs a share
-# of the blocks itself (_pool_results), keeps that heap from one estimate to
-# the next (zeta-long-stopped peak_rss_mb, BENCH_22.json). The inverse
-# transform overwrites the uniforms, so live float64 data per slice stays
-# near one array of its values; the reductions then read the values in
-# place, and runmax adds only arrays of one value per replicate
-# (_running_max). At the defaults the bound is ~8 MiB (one T4.2 block with
-# nothing settled measures 9.6 MiB on max and sum, 8.8 MiB on runmax). An FGM
-# copula adds the temporaries of its inversion, which runs over
-# copulas._FGM_BATCH rows at a time: about 5 MiB (a bivariate FGM block
-# measures 13.8 MiB). Every statistic is reduced over each replicate's own
-# segment, so the budget moves no bit.
+# one capped replicate whatever the budget. A block draws every slice into
+# one buffer of at most that many values and at most its own unsettled
+# values, so a light block's buffer is its values. The budget sets the size
+# of that buffer in a long block, and the allocator keeps a larger heap
+# after serving larger arrays; the calling process, which runs a share of
+# the blocks itself (_pool_results), keeps that heap from one estimate to
+# the next (zeta-long-stopped peak_rss_mb, BENCH_22.json). Page faults are
+# part of a block's time. While a forked child lives, the caller's first
+# write to each page it held takes a fault: T4.2 block 0, run again in a
+# process that holds a heap, takes 0 minor faults alone and about 830 with
+# an idle forked child alive (352-384 and about 1,030 when each slice and
+# piece was a fresh array). And each per-replicate array of a block,
+# 2^14 * 8 B = 128 KiB, is exactly glibc's default mmap threshold, so the
+# allocation pattern decides whether a block's arrays come from fresh
+# pages. The inverse transform overwrites the uniforms, so live float64
+# data per slice stays near one array of its values; the reductions then
+# read the values in place, and runmax adds only arrays of one value per
+# replicate (_running_max). At the defaults the bound is ~8 MiB (one T4.2
+# block with nothing settled measures 8.7 MiB on max and sum and on
+# runmax). An FGM copula adds the temporaries of its inversion, which runs
+# over copulas._FGM_BATCH rows at a time: about 3 MiB (a bivariate FGM
+# block measures 11.2 MiB). Every statistic is reduced over each
+# replicate's own segment, so the budget moves no bit.
 _CHUNK_VALUES = 1 << 16
 # Settling (_settle). A replicate is settled only from this many padded
 # values up: below it a replicate costs little inside its slice, while in a
@@ -206,12 +217,13 @@ def _running_max(flat: np.ndarray, starts: np.ndarray, eff: np.ndarray,
     out[order[split:nonempty]] = peak
 
 
-def _chunk_stats(model: DependentModel, kinds: tuple,
-                 rng: np.random.Generator, eff: np.ndarray,
-                 sizes: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Statistics for one slice of replicates: replicate i has eff[i]
-    terms in sizes[i] padded values (whole copula rows) from offset
-    starts[i] of the slice's values.
+def _reduce_slice(model: DependentModel, kinds: tuple, flat: np.ndarray,
+                  eff: np.ndarray, sizes: np.ndarray, starts: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Write into out, one row per kind, the statistics of one slice of
+    replicates: replicate i has eff[i] terms in sizes[i] padded values
+    (whole copula rows) from offset starts[i] of flat, which holds the
+    slice's copula uniforms and is overwritten with their values.
 
     Coordinates past a replicate's length are generated (to keep the stream
     layout a function of the counting draws alone) but never enter its
@@ -222,13 +234,10 @@ def _chunk_stats(model: DependentModel, kinds: tuple,
     share the slice or the block.
     """
     dim = model.dim
-    out = np.empty((len(kinds), len(eff)))
     out[:] = [[-math.inf if k == "max" else 0.0] for k in kinds]
-    rows = int(starts[-1] + sizes[-1]) // dim
-    if rows == 0:
-        return out
-    # the inverse transform overwrites the uniforms: one array per slice
-    flat = model.sample_vector(rng, rows).ravel()
+    if len(flat) == 0:
+        return
+    flat = model.marginals[0].ppf_from_uniform(flat)
     if {"max", "sum"} & set(kinds):
         nonempty = eff > 0
         first = starts[nonempty]
@@ -246,7 +255,6 @@ def _chunk_stats(model: DependentModel, kinds: tuple,
             out[kinds.index("sum"), nonempty] = np.add.reduceat(flat, first)
     if "runmax" in kinds:
         _running_max(flat, starts, eff, out[kinds.index("runmax")])
-    return out
 
 
 def _settles(model: DependentModel, kinds: tuple, eff: np.ndarray,
@@ -269,9 +277,11 @@ def _settles(model: DependentModel, kinds: tuple, eff: np.ndarray,
 
 
 def _settle(model: DependentModel, kinds: tuple, rng: np.random.Generator,
-            length: int, rows: int, x_top: float) -> list:
+            length: int, rows: int, x_top: float,
+            piece_buf: np.ndarray) -> list:
     """Statistics of one replicate of `length` terms in `rows` copula rows
-    that _settles chose, leaving rng where drawing all rows would.
+    that _settles chose, leaving rng where drawing all rows would. A max
+    draws its pieces into piece_buf, which holds min(rows, _PIECE_MAX) rows.
 
     The sum is the support bound length * lo, which tops x_top. The max
     is drawn in pieces (_PIECE_FIRST rows, doubling to _PIECE_MAX) until a
@@ -291,7 +301,9 @@ def _settle(model: DependentModel, kinds: tuple, rng: np.random.Generator,
         top, piece = -math.inf, _PIECE_FIRST
         while done < rows and top <= x_top:
             n = min(piece, rows - done)
-            u = model.copula.sample(rng, n).ravel()[: length - done * model.dim]
+            u = model.copula.sample(
+                rng, n, out=piece_buf[: n * model.dim].reshape(n, -1)
+            ).ravel()[: length - done * model.dim]
             cand = u[u >= u.max() - _MAX_WINDOW]
             top = model.marginals[0].ppf_from_uniform(cand).max(initial=top)
             done += n
@@ -304,39 +316,65 @@ def _settle(model: DependentModel, kinds: tuple, rng: np.random.Generator,
 def _stats_stopped(model: DependentModel, kinds: tuple,
                    rng: np.random.Generator, tau_rng: np.random.Generator,
                    count: int, cap: int, x_top: float = math.inf) -> tuple:
-    """(statistics, capped) for count stopped replicates. Replicates that
-    _settles picks against the grid end x_top are settled one at a time;
-    the rest run in slices of about _CHUNK_VALUES values between them."""
+    """(statistics, capped) for count stopped replicates.
+
+    Replicates that _settles picks against the grid end x_top are settled
+    (_settle) and hold no values; the rest fill slices of about
+    _CHUNK_VALUES values in block order, across the settled ones. Each run
+    of unsettled replicates is drawn into the slice's buffer in stream
+    order, the settled replicate that ends the run is drawn next, and the
+    slice is reduced once when the next replicate does not fit or the block
+    ends (_reduce_slice). A replicate above the budget is a slice alone."""
     dim = model.dim
     taus = np.asarray(model.tau.sample(tau_rng, count), dtype=np.int64)
     if np.any(taus < 0):
         raise ModelConfigError("counting law produced a negative length")
-    eff = np.minimum(taus, cap)
     capped = int(np.count_nonzero(taus > cap))
-    # the block's layout: replicate i fills sizes[i] values (whole copula
-    # rows) ending at cum[i]
+    eff = np.minimum(taus, cap, out=taus)
+    # replicate i fills sizes[i] values (whole copula rows)
     sizes = (eff + dim - 1) // dim * dim
-    cum = np.cumsum(sizes)
-    starts = cum - sizes
+    settle = _settles(model, kinds, eff, sizes, x_top)
+    marks = np.flatnonzero(settle).tolist()
+    lengths, rows, pieces = [], [], 0
+    if marks:
+        lengths, rows = eff[settle].tolist(), (sizes[settle] // dim).tolist()
+        # a settled replicate holds no values of its slice
+        eff[settle] = sizes[settle] = 0
+        if "max" in kinds:
+            pieces = min(_PIECE_MAX, max(rows)) * dim
+    # the slices' layout: replicate i holds edges[i] : edges[i + 1]
+    edges = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(sizes, out=edges[1:])
+    # one allocation holds the slice buffer, then the piece buffer
+    room = min(int(edges[-1]), max(_CHUNK_VALUES, int(sizes.max())))
+    buf = np.empty(room + pieces)
+    piece_buf = buf[room:]
     stats = np.empty((len(kinds), count))
-    # the settled replicates' indices, then count as a sentinel
-    marks = np.append(np.flatnonzero(
-        _settles(model, kinds, eff, sizes, x_top)), count)
-    i = 0
+    marks.append(count)     # a sentinel past the last replicate
+    i = k = 0
     while i < count:
-        nxt = int(marks[np.searchsorted(marks, i)])
-        if nxt == i:
-            stats[:, i] = _settle(model, kinds, rng, int(eff[i]),
-                                  int(sizes[i]) // dim, x_top)
-            i += 1
-            continue
-        prev = int(starts[i])
-        j = int(np.searchsorted(cum, prev + _CHUNK_VALUES, side="right"))
-        j = min(max(j, i + 1), nxt)
+        prev = int(edges[i])
+        j = max(int(np.searchsorted(edges, prev + _CHUNK_VALUES,
+                                    side="right")) - 1, i + 1)
+        flat = buf[: int(edges[j]) - prev]
+        settled, a = [], i
+        while a < j:
+            s = min(marks[k], j)
+            lo, hi = int(edges[a]) - prev, int(edges[s]) - prev
+            if hi > lo:
+                model.copula.sample(rng, (hi - lo) // dim,
+                                    out=flat[lo:hi].reshape(-1, dim))
+            if s < j:
+                settled.append((s, _settle(model, kinds, rng, lengths[k],
+                                           rows[k], x_top, piece_buf)))
+                k += 1
+            a = s + 1
         # offsets into the slice's values: a view when it starts the block
-        part = starts[i:j] - prev if prev else starts[i:j]
-        stats[:, i:j] = _chunk_stats(model, kinds, rng, eff[i:j],
-                                     sizes[i:j], part)
+        part = edges[i:j] - prev if prev else edges[i:j]
+        _reduce_slice(model, kinds, flat, eff[i:j], sizes[i:j], part,
+                      stats[:, i:j])
+        for s, stat in settled:
+            stats[:, s] = stat
         i = j
     return stats, capped
 

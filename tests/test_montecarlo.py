@@ -22,6 +22,7 @@ from heavytails.distributions import (DiscreteAtoms, Exponential,
                                       ShiftedBy, Weibull)
 from heavytails.errors import (InvalidInput, ModelConfigError,
                                WorkerCrashed)
+from heavytails.risk import RISK_PRESETS as RISK
 from heavytails.rng import BLOCK_SIZE, MAX_SAMPLES
 
 
@@ -512,10 +513,12 @@ class TestBitwiseReproducibility:
                                tau=Poisson(1.0))
         sizes = (eff + 2) // 3 * 3
         starts = np.cumsum(sizes) - sizes
-        stats = mc._chunk_stats(model, kinds, mc.block_stream(6, 0), eff,
-                                sizes, starts)
+        rows = int(sizes.sum()) // 3
+        stats = np.empty((len(kinds), len(eff)))
+        mc._reduce_slice(model, kinds, model.copula.sample(
+            mc.block_stream(6, 0), rows).ravel(), eff, sizes, starts, stats)
         flat = model.marginals[0].ppf_from_uniform(model.copula.sample(
-            mc.block_stream(6, 0), int(sizes.sum()) // 3).ravel())
+            mc.block_stream(6, 0), rows).ravel())
         segments = [flat[a:a + t] for a, t in zip(starts, eff)]
         runmax = [np.cumsum(seg).max() if len(seg) else 0.0
                   for seg in segments]
@@ -722,14 +725,28 @@ class TestSharedPass:
         # copulas._FGM_BATCH rows, whatever the slice size
         (DependentModel(FGM.bivariate(0.5), (Pareto(1.0, 1.0),) * 2,
                         tau=Zeta(1.5)), ("max", "sum"), 10 * 8 * _FGM_BATCH),
-    ], ids=["T4.2", "T4.2-runmax", "fgm"])
+        # a light count's block is one slice smaller than the budget, held
+        # in one buffer of its own values; the rest is arrays of one value
+        # per replicate: the lengths, the layout, the statistics and
+        # runmax's walk (measured: 1.50 MiB on C5.2, 2.05 MiB on T4.4i,
+        # 0.31 MiB of values each)
+        (RISK["C5.2"].model, ("runmax",), 8 * 8 * BLOCK_SIZE),
+        (ex.PRESETS["T4.4i"].model, ("runmax", "sum"), 12 * 8 * BLOCK_SIZE),
+    ], ids=["T4.2", "T4.2-runmax", "fgm", "C5.2-runmax", "T4.4i"])
     def test_stopped_block_memory_is_bounded(self, model, kinds, extra):
         # one infinite-mean Zeta block touches about 26M coordinates in
         # slices of at most max(_CHUNK_VALUES, TAU_CAP) values, a capped
         # replicate filling one alone; the inverse transform overwrites the
         # uniforms, so the live float64 data per slice stays near one array
-        # of that many values (measured: 9.6 MiB on T4.2, 13.8 MiB on FGM);
-        # the bound leaves 25% for the per-replicate index arrays
+        # of that many values (measured: 8.7 MiB on T4.2, 11.2 MiB on FGM);
+        # the bound leaves 25% for the per-replicate index arrays. A block
+        # smaller than a slice is held to about two arrays of its own
+        # values, not to the budget.
+        taus = model.tau.sample(mc.block_stream(0, mc._TAU_LANE),
+                                mc.BLOCK_SIZE)
+        dim = model.dim
+        values = int(np.sum((np.minimum(taus, mc.TAU_CAP) + dim - 1)
+                            // dim * dim))
         tracemalloc.start()
         try:
             mc._stats_stopped(model, kinds, mc.block_stream(0, 0),
@@ -739,7 +756,8 @@ class TestSharedPass:
         finally:
             tracemalloc.stop()
         slice_values = max(mc._CHUNK_VALUES, mc.TAU_CAP)
-        assert peak <= 1.25 * 8 * slice_values + extra, peak / 2 ** 20
+        bound = 8 * min(1.25 * slice_values, 2 * values) + extra
+        assert peak <= bound, (peak / 2 ** 20, bound / 2 ** 20)
 
     @pytest.mark.parametrize("model", [
         T42,
@@ -758,6 +776,37 @@ class TestSharedPass:
                 mc.block_stream(5, mc._TAU_LANE), mc.BLOCK_SIZE, mc.TAU_CAP)
         for budget in (1 << 20, 1 << 16, 1 << 12):
             np.testing.assert_array_equal(got[budget], got[1 << 22])
+
+    def test_slices_span_settled_replicates(self, monkeypatch):
+        # against T4.2's grid end a block settles its longest replicates,
+        # and the slices fill across them: at 2^22 the block reduces in one
+        # slice, at 2^12 in many, and every statistic keeps its bits; the
+        # hits are those of the full draw
+        grid = TestSettledReplicates.GRID
+        (_, full), mask = TestSettledReplicates().run_both(
+            self.T42, ("max", "sum"), grid, mc.BLOCK_SIZE, mc.TAU_CAP,
+            monkeypatch)
+        reduce, slices = mc._reduce_slice, []
+        monkeypatch.setattr(mc, "_reduce_slice", lambda *a: (
+            slices.append(len(a[3])), reduce(*a))[1])
+        got, reduced = {}, {}
+        for budget in (1 << 22, 1 << 16, 1 << 12):
+            monkeypatch.setattr(mc, "_CHUNK_VALUES", budget)
+            slices.clear()
+            got[budget], _ = mc._stats_stopped(
+                self.T42, ("max", "sum"), mc.block_stream(4, 0),
+                mc.block_stream(4, mc._TAU_LANE), mc.BLOCK_SIZE, mc.TAU_CAP,
+                float(grid.max()))
+            assert sum(slices) == mc.BLOCK_SIZE
+            reduced[budget] = len(slices)
+        # fewer slices at the default budget than settled replicates
+        assert reduced[1 << 22] == 1
+        assert reduced[1 << 16] < np.count_nonzero(mask) < reduced[1 << 12]
+        for budget in (1 << 16, 1 << 12):
+            np.testing.assert_array_equal(got[budget], got[1 << 22])
+        np.testing.assert_array_equal(got[1 << 22][:, ~mask], full[:, ~mask])
+        assert np.array_equal(mc._count_hits(got[1 << 22], grid),
+                              mc._count_hits(full, grid))
 
 
 class TestNonnegativeRunningMax:
@@ -940,11 +989,13 @@ class TestSettledReplicates:
                                tau=Zeta(1.5))
         pieces = []
         sample = Independence.sample
-        monkeypatch.setattr(Independence, "sample", lambda self, g, n: (
-            pieces.append(n), sample(self, g, n))[1])
+        monkeypatch.setattr(Independence, "sample",
+                            lambda self, g, n, out=None: (
+                                pieces.append(n), sample(self, g, n, out))[1])
         rows = 8 * mc._PIECE_MAX
         rng = mc.block_stream(4, 0)
-        got = mc._settle(model, ("max",), rng, 2 * rows, rows, 1e300)
+        got = mc._settle(model, ("max",), rng, 2 * rows, rows, 1e300,
+                         np.empty(2 * mc._PIECE_MAX))
         assert math.isnan(got[0])
         assert pieces == [mc._PIECE_FIRST]
         # the skip leaves the stream where drawing every row would

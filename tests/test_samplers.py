@@ -15,8 +15,8 @@ from scipy import special as sc
 from scipy import stats
 
 from heavytails import copulas
-from heavytails.copulas import (DependentModel, FGM, _vertex_values,
-                                fgm_admissible)
+from heavytails.copulas import (Comonotone, DependentModel, FGM,
+                                Independence, _vertex_values, fgm_admissible)
 from heavytails.counting import (_POISSON_TABLE_MAX, _TAU_CLAMP,
                                  Deterministic, Geometric1, Poisson, Zeta)
 from heavytails.distributions import (DiscreteAtoms, IntegratedTail, Pareto,
@@ -33,10 +33,13 @@ class Fixed:
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
 
-    def random(self, shape):
+    def random(self, shape, out=None):
         assert self.u.shape == (shape if isinstance(shape, tuple)
                                 else (shape,))
-        return self.u.copy()
+        if out is None:
+            return self.u.copy()
+        out[:] = self.u
+        return out
 
 
 FGMS = [FGM.bivariate(1.0), FGM.bivariate(-1.0), FGM(3, (0.5, -0.2, 0.2)),
@@ -82,6 +85,25 @@ def test_fgm_batches_give_the_one_pass_bits(copula, monkeypatch):
     batched = copula.sample(block_stream(5, 1), count)
     monkeypatch.setattr(copulas, "_FGM_BATCH", count)
     assert np.array_equal(batched, copula.sample(block_stream(5, 1), count))
+
+
+@pytest.mark.parametrize("copula", [
+    Independence(2), Comonotone(3), FGM.bivariate(0.5),
+    FGM(3, (0.5, -0.2, 0.2))], ids=repr)
+def test_sample_into_a_view_gives_the_same_rows_and_words(copula):
+    # rows drawn in two calls into views of one buffer are the rows of one
+    # call, and the stream stops where it does
+    buf = np.full(3 * 1000 * copula.dim, np.nan)
+    head = buf[: 400 * copula.dim].reshape(400, -1)
+    tail = buf[400 * copula.dim: 1000 * copula.dim].reshape(600, -1)
+    rng = block_stream(7, 2)
+    assert copula.sample(rng, 400, out=head) is head
+    assert copula.sample(rng, 600, out=tail) is tail
+    ref = block_stream(7, 2)
+    assert np.array_equal(buf[: 1000 * copula.dim],
+                          copula.sample(ref, 1000).ravel())
+    assert np.isnan(buf[1000 * copula.dim:]).all()
+    assert rng.random() == ref.random()
 
 
 def general_step_inversion(copula, u):

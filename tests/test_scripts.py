@@ -57,8 +57,11 @@ def test_pool_crossover_prints_one_row_per_sample_count(capsys):
     assert script.main(["--id", "C3.1", "--lo", "14", "--hi", "15",
                         "--reps", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1] == "samples,blocks,rule_shares,wall_1_ms,wall_w_ms,ratio"
+    assert lines[1] == ("samples,blocks,rule_shares,wall_1_ms,faults_1,"
+                        "wall_w_ms,faults_w,ratio")
     rows = [line.split(",") for line in lines[2:]]
     assert [row[:3] for row in rows] == [["16384", "1", "1"],
                                          ["32768", "2", "1"]]
-    assert all(float(cell) > 0 for row in rows for cell in row[3:])
+    # wall times and their ratio are positive; a run may take no fault
+    assert all(float(row[k]) > 0 for row in rows for k in (3, 5, 7))
+    assert all(float(row[k]) >= 0 for row in rows for k in (4, 6))
