@@ -128,7 +128,9 @@ def fgm_admissible(a) -> tuple:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput("coefficient matrix must be square")
-    if not np.allclose(a, a.T, atol=0.0):
+    if not np.all(np.isfinite(a)):
+        raise InvalidInput("coefficients must be finite")
+    if np.any(a != a.T):
         raise InvalidInput("coefficient matrix must be symmetric")
     if np.any(np.diag(a) != 0.0):
         raise InvalidInput("coefficient matrix must have zero diagonal")

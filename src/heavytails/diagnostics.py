@@ -11,8 +11,8 @@ Convolution-backed statistics carry certified brackets, and a verdict is only
 issued when the whole bracket lands on one side of the band; a too-coarse grid
 therefore reads ``inconclusive``, never silently wrong.
 
-These graders differ on purpose from the ratio-curve graders in
-``experiments`` (``_verdict_lim`` and its siblings). A diagnostic statistic is
+These graders differ on purpose from the ratio-curve grader in
+``experiments`` (``_verdict``). A diagnostic statistic is
 a closed form or a certified bracket, so its error is bounded, not random: a
 point counts only when its whole bracket lies inside the band, and
 ``consistent`` also asks that the error not drift outward. An experiment

@@ -4,7 +4,9 @@ Each experiment divides P(stat > x) by a closed-form denominator and grades
 the curve against a predicted limit. Limits come in three flavors: "lim"
 (the curve must settle inside a tolerance band), "liminf" (the running
 minimum must come down to the band without falling through it), and
-"divergence" (the curve must climb past a preset bound).
+"divergence" (the curve must climb past a preset bound). Every verdict
+reads only the ratio and the interval the CSV prints, and a curve with no
+tail hits at its grid end reads inconclusive.
 
 A preset carries its built model and parsed claims. Preset.check rejects
 a custom model that breaks what the run enforces, such as a stopped
@@ -18,6 +20,7 @@ the run records on its curves and the CLI's validate prints.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +55,12 @@ class Denominator:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise InvalidInput(f"denominator kind must be one of {self._KINDS}")
-        if self.kind == "n_tail" and (self.n is None or int(self.n) != self.n
-                                      or self.n < 1):
-            raise InvalidInput("n_tail needs a positive integer n")
+        if self.kind == "n_tail":
+            n = self.n
+            if (isinstance(n, bool) or not isinstance(n, numbers.Real)
+                    or not 1 <= n < math.inf or int(n) != n):
+                raise InvalidInput("n_tail needs a positive integer n")
+            object.__setattr__(self, "n", int(n))
 
     def describe(self) -> str:
         if self.kind == "n_tail":
@@ -168,47 +174,27 @@ def _graded(points: int) -> int:
     return max(2, points // 4)
 
 
-def _verdict_lim(ratios, ci_lo, ci_hi, predicted, tol, rel_err_end):
-    notes = []
-    if not math.isfinite(rel_err_end):
-        notes.append("no tail hits at the grid end; "
-                     "increase samples or shorten the grid")
-        return "inconclusive", tuple(notes)
-    if rel_err_end > 0.25:
-        factor = (rel_err_end / 0.25) ** 2
-        notes.append(
-            f"grid-end stderr is {rel_err_end:.0%} of the estimate; "
-            f"roughly {factor:.0f}x more samples would pin the verdict")
-        return "inconclusive", tuple(notes)
-    band_lo, band_hi = predicted * (1.0 - tol), predicted * (1.0 + tol)
-    k = _graded(len(ratios))
-    intersects = (ci_hi[-k:] >= band_lo) & (ci_lo[-k:] <= band_hi)
-    if intersects.all():
-        return "consistent", tuple(notes)
-    if not intersects.any():
-        return "inconsistent", tuple(notes)
-    return "inconclusive", tuple(notes)
-
-
-def _verdict_liminf(ratios, stderrs_rel, predicted, tol):
-    band_lo, band_hi = predicted * (1.0 - tol), predicted * (1.0 + tol)
-    run = np.minimum.accumulate(ratios)
-    i_min = int(np.argmin(ratios))
-    noise_min = Z95 * stderrs_rel[i_min] * max(ratios[i_min], 0.0)
-    if run[-1] + noise_min < band_lo:
+def _verdict(semantics, ratios, ci_lo, ci_hi, predicted, tol, bound):
+    """The verdict from the ratio and its 95% interval alone: inconsistent
+    if the claim's refuting test holds, else consistent if its confirming
+    test holds. lim: no graded interval meets the band, or every one does.
+    liminf: the interval at the curve's minimum lies below the band, or
+    some interval reaches the band's top. divergence: the grid-end interval
+    lies below the bound, or above it."""
+    if semantics == "divergence":
+        refuted, confirmed = ci_hi[-1] < bound, ci_lo[-1] > bound
+    else:
+        band_lo, band_hi = predicted * (1.0 - tol), predicted * (1.0 + tol)
+        if semantics == "lim":
+            k = _graded(len(ci_lo))
+            meets = (ci_hi[-k:] >= band_lo) & (ci_lo[-k:] <= band_hi)
+            refuted, confirmed = not meets.any(), meets.all()
+        else:
+            refuted = ci_hi[int(np.argmin(ratios))] < band_lo
+            confirmed = np.any(ci_lo <= band_hi)
+    if refuted:
         return "inconsistent"
-    witness = ratios - Z95 * stderrs_rel * np.abs(ratios)
-    if run[-1] >= band_lo - noise_min and np.any(witness <= band_hi):
-        return "consistent"
-    return "inconclusive"
-
-
-def _verdict_divergence(ratios, ci_lo, ci_hi, bound):
-    if ci_lo[-1] > bound:
-        return "consistent"
-    if ci_hi[-1] < bound:
-        return "inconsistent"
-    return "inconclusive"
+    return "consistent" if confirmed else "inconclusive"
 
 
 def _grade(claim, experiment_id: str, xs, den, num, se, used_samples: int,
@@ -220,16 +206,22 @@ def _grade(claim, experiment_id: str, xs, den, num, se, used_samples: int,
     lo, hi = wald_interval(num, se)
     ci_lo, ci_hi = lo / den, hi / den
     run = np.minimum.accumulate(ratios)
-    rel = np.where(num > 0, se / np.maximum(num, 1e-300), np.inf)
 
-    if semantics == "lim":
-        verdict, vnotes = _verdict_lim(ratios, ci_lo, ci_hi, predicted,
-                                       tolerance, float(rel[-1]))
-        notes.extend(vnotes)
-    elif semantics == "liminf":
-        verdict = _verdict_liminf(ratios, rel, predicted, tolerance)
+    if num[-1] == 0:
+        # numerators fall with x, so no point past the grid end has hits
+        verdict = "inconclusive"
+        notes.append("no tail hits at the grid end; "
+                     "increase samples or shorten the grid")
+    elif semantics == "lim" and se[-1] / num[-1] > 0.25:
+        rel_end = float(se[-1] / num[-1])
+        verdict = "inconclusive"
+        notes.append(f"grid-end stderr is {rel_end:.0%} of the estimate; "
+                     f"roughly {(rel_end / 0.25) ** 2:.0f}x more samples "
+                     f"would pin the verdict")
     else:
-        verdict = _verdict_divergence(ratios, ci_lo, ci_hi, divergence_bound)
+        verdict = _verdict(semantics, ratios, ci_lo, ci_hi, predicted,
+                           tolerance, divergence_bound)
+    if semantics == "divergence":
         predicted = math.inf
 
     points = tuple(
@@ -348,9 +340,9 @@ class Preset:
         config can be checked without running it.
 
         The grid is x_grid, else the preset's own, else the quantile grid
-        of the marginals; it must be finite and increasing. A claim fails
-        if its denominator lacks parts of the model or vanishes on the
-        grid, if an exact numerator has no closed form, or if it is
+        of the marginals; it must be nonempty, finite and increasing. A
+        claim fails if its denominator lacks parts of the model or vanishes
+        on the grid, if an exact numerator has no closed form, or if it is
         simulated against the engine's pass rule (mc.check_pass).
 
         Returns the grid and, per claim, (exact, denominator, notes): the
@@ -362,8 +354,9 @@ class Preset:
             x_grid = (self.x_grid if self.x_grid is not None else
                       quantile_grid(model.marginals, hi_u=self.grid_hi_u))
         xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-        if np.any(~np.isfinite(xs)) or np.any(np.diff(xs) <= 0):
-            raise InvalidInput("x grid must be finite and strictly increasing")
+        if not xs.size or np.any(~np.isfinite(xs)) or np.any(np.diff(xs) <= 0):
+            raise InvalidInput(
+                "x grid must be nonempty, finite and strictly increasing")
         issues = [issue for name in self.hypotheses or ()
                   for issue in HYPOTHESES[name](model)]
         advice = (("hypotheses unverified: " + "; ".join(issues),)

@@ -333,6 +333,20 @@ class TestExitCodes:
         assert code == 0
         assert err == ""
 
+    def test_starved_divergence_run_is_inconclusive_and_exits_zero(
+            self, capsys):
+        # 16 replicates leave no hit at T4.2's grid end: no evidence either
+        # way, so neither curve reads inconsistent
+        code, out, err = run(capsys, ["theorem", "--id", "T4.2", "--samples",
+                                      "16", "--seed", "1", "--format",
+                                      "records"])
+        assert (code, err) == (0, "")
+        results = json.loads(out)["results"]
+        assert [r["points"][-1]["numerator"] for r in results] == [0.0, 0.0]
+        assert [(r["verdict"], r["notes"]) for r in results] == [
+            ("inconclusive", ["no tail hits at the grid end; increase "
+                              "samples or shorten the grid"])] * 2
+
     def test_preset_variant_gate(self, capsys):
         code, _, err = run(capsys, ["theorem", "--id", "T3.3",
                                     "--preset", "weird"])

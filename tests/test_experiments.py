@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,9 +34,15 @@ class TestDenominators:
         assert got[0] == pytest.approx(0.3, rel=1e-15)
 
     def test_n_tail_rejects_bad_n(self):
-        for n in (0, 2.5):
-            with pytest.raises(InvalidInput):
+        for n in (0, 2.5, True, math.nan, math.inf, "2", None):
+            with pytest.raises(InvalidInput,
+                               match="n_tail needs a positive integer n"):
                 ex.Denominator("n_tail", n=n)
+
+    def test_n_tail_stores_an_integer(self):
+        for n in (2, 2.0, np.int64(2), np.float64(2.0)):
+            den = ex.Denominator("n_tail", n=n)
+            assert type(den.n) is int and den.describe() == "n_tail(n=2)"
 
     def test_discounted_geometric_thresholds(self):
         # Five identical unit-index tails under discount weights 1.05^-k,
@@ -331,6 +338,72 @@ class TestVerdictSemantics:
         with pytest.raises(InvalidInput):
             ex.run_experiment(model, "SumN", ex.Denominator("n_tail", n=1),
                               x_grid=np.array([5.0]), samples=1000)
+
+
+NO_HITS = "no tail hits at the grid end; increase samples or shorten the grid"
+
+
+def _relative_error_liminf(ratios, rel, predicted, tol):
+    """The liminf rule as first written, on relative stderrs rel = se / num:
+    kept as the reference the interval rule restates."""
+    band_lo, band_hi = predicted * (1.0 - tol), predicted * (1.0 + tol)
+    run = np.minimum.accumulate(ratios)
+    i_min = int(np.argmin(ratios))
+    noise_min = ex.Z95 * rel[i_min] * max(ratios[i_min], 0.0)
+    if run[-1] + noise_min < band_lo:
+        return "inconsistent"
+    witness = ratios - ex.Z95 * rel * np.abs(ratios)
+    if run[-1] >= band_lo - noise_min and np.any(witness <= band_hi):
+        return "consistent"
+    return "inconclusive"
+
+
+class TestIntervalVerdicts:
+    """Every verdict reads the printed interval; no hits at the grid end
+    reads inconclusive under every semantics."""
+
+    def test_liminf_restates_the_relative_error_rule(self):
+        # curves with hits at every point, predicted > 0 and no ci_high
+        # clipped at 1, where (num -/+ Z95 se) / den is ratio -/+ Z95 rel
+        # ratio
+        rng = np.random.default_rng(20011)
+        seen = set()
+        for _ in range(5000):
+            points = int(rng.integers(2, 13))
+            samples = int(rng.integers(100, 10 ** 6))
+            hits = np.sort(rng.integers(1, samples // 50 + 2, points))[::-1]
+            num = hits / samples
+            se = np.sqrt(num * (1.0 - num) / samples)
+            predicted = float(rng.uniform(0.2, 5.0))
+            tol = float(rng.uniform(0.01, 0.3))
+            den = num / (predicted * np.exp(rng.normal(0.0, 0.3, points)))
+            lo, hi = ex.wald_interval(num, se)
+            assert np.all(num + ex.Z95 * se < 1.0)
+            ratios = num / den
+            got = ex._verdict("liminf", ratios, lo / den, hi / den,
+                              predicted, tol, None)
+            assert got == _relative_error_liminf(ratios, se / num, predicted,
+                                                 tol)
+            seen.add(got)
+        assert seen == {"consistent", "inconsistent", "inconclusive"}
+
+    def test_zero_hit_liminf_curves_are_inconclusive_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curves = ex.PRESETS["T3.2"].run(samples=16400, seed=0)
+        assert [c.verdict for c in curves] == ["inconclusive"] * 2
+        assert all(c.points[-1].numerator == 0 for c in curves)
+        assert all(c.notes[-1] == NO_HITS for c in curves)
+
+    @pytest.mark.parametrize("semantics", ex.SEMANTICS)
+    def test_no_hits_at_the_grid_end_is_inconclusive(self, semantics):
+        curve = ex.run_experiment(
+            pareto_pair(1.0, Independence(2)), "SumN",
+            ex.Denominator("n_tail", n=1), x_grid=[2.0, 1e9], samples=1000,
+            seed=0, semantics=semantics, divergence_bound=0.5)
+        assert [p.numerator > 0 for p in curve.points] == [True, False]
+        assert curve.verdict == "inconclusive"
+        assert curve.notes == (NO_HITS,)
 
 
 class TestEquivalence:

@@ -8,8 +8,10 @@ import pytest
 
 from heavytails import convolution as conv
 from heavytails import diagnostics as dg
-from heavytails.copulas import (Comonotone, DependentModel, Independence,
-                                fgm_admissible, joint_upper_survival)
+from heavytails import experiments as ex
+from heavytails.copulas import (FGM, Comonotone, DependentModel,
+                                Independence, fgm_admissible,
+                                joint_upper_survival)
 from heavytails.counting import Deterministic, Geometric1
 from heavytails.distributions import DiscreteAtoms, IntegratedTail, Pareto
 from heavytails.errors import AssumptionViolated, InvalidInput, ResourceLimit
@@ -32,6 +34,15 @@ BAD_INPUTS = {
     "fgm-nonzero-diagonal": (
         lambda: fgm_admissible(np.eye(2)),
         InvalidInput, "coefficient matrix must have zero diagonal"),
+    "fgm-off-by-4e-6": (
+        lambda: fgm_admissible(np.array([[0.0, 0.5], [0.500004, 0.0]])),
+        InvalidInput, "coefficient matrix must be symmetric"),
+    "fgm-nan-coefficient": (
+        lambda: FGM.bivariate(math.nan), InvalidInput,
+        "coefficients must be finite"),
+    "preset-empty-grid": (
+        lambda: ex.PRESETS["T3.3"].run(x_grid=[]), InvalidInput,
+        "x grid must be nonempty, finite and strictly increasing"),
     "model-marginal-not-marginal": (
         lambda: DependentModel(Independence(1), ("pareto",)),
         InvalidInput, "marginals must be Marginal instances"),

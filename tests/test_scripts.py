@@ -28,6 +28,25 @@ def test_run_all_presets_prints_one_line_per_curve(capsys):
     assert all(" end ratio " in line for line in curve_lines)
 
 
+def test_run_all_presets_notes_curves_without_grid_end_hits(capsys):
+    # at 16,400 samples T3.2's grid end has no hits: both its curves say
+    # so, and nothing reaches stderr; T4.2's curves have hits
+    script = load_script("run_all_presets")
+    assert script.main(["--samples", "16400", "--only", "T3.2,T4.2",
+                        "--seed", "0"]) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == ""
+    assert [line.split()[:2] for line in lines if not line[0].isspace()] == [
+        ["T3.2:SumN", "inconclusive"], ["T3.2:RunMaxN", "inconclusive"],
+        ["T4.2:MaxTau", "consistent"], ["T4.2:SumTau", "consistent"]]
+    note = "note: no tail hits at the grid end"
+    assert [line.strip().startswith(note) for line, before
+            in zip(lines[1:], lines) if before.startswith("T3.2")] == [True,
+                                                                      True]
+    assert sum(note in line for line in lines) == 2
+
+
 def test_exact_twofold_matches_the_rational_oracle(capsys):
     # mixture_ratio_margin.py derives the 5/4 constant in Fraction
     # arithmetic; the convolve command must reproduce its every probe and
