@@ -1,4 +1,4 @@
-"""Copulas, dependent random vectors, and joint survival algebra.
+"""Copulas, dependent random vectors, and their joint upper survival.
 
 Three copula kinds cover the dependence range the experiments need:
 Independence, Comonotone (perfect positive dependence, not absolutely
@@ -13,7 +13,6 @@ coordinate, no rejection and no data-dependent loop.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +22,6 @@ from .counting import CountingLaw
 from .distributions import Marginal
 from .errors import InvalidInput, ModelConfigError
 
-_SURVIVAL_DIM_CAP = 16
 _TINY = np.finfo(float).tiny
 _BELOW_ONE = np.nextafter(1.0, 0.0)  # inverse transforms take u in [0, 1)
 _FGM_BATCH = 1 << 16    # rows per FGM conditional-inversion pass
@@ -33,7 +31,9 @@ class Copula:
     dim: int
 
     def cdf(self, u):
-        """C(u) for u in [0,1]^dim; accepts a vector or a batch (m, dim)."""
+        """C(u) for u in [0,1]^dim; accepts a vector or a batch (m, dim).
+        joint_upper_survival reads C(1 - u) as the survival at u, which
+        holds for a radially symmetric copula only."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, count: int,
@@ -48,10 +48,6 @@ class Copula:
         coordinate, so count rows move the stream by count * words_per_row
         words, and bit_generator.advance of that many skips them."""
         return self.dim
-
-    def subset(self, idx: tuple) -> "Copula":
-        """Marginal copula of the coordinates idx (order preserved)."""
-        raise NotImplementedError
 
     def _check_u(self, u):
         arr = np.asarray(u, dtype=float)
@@ -83,9 +79,6 @@ class Independence(Copula):
     def sample(self, rng, count, out=None):
         return rng.random((int(count), self.dim), out=out)
 
-    def subset(self, idx):
-        return Independence(len(idx))
-
 
 @dataclass(frozen=True)
 class Comonotone(Copula):
@@ -109,9 +102,6 @@ class Comonotone(Copula):
     @property
     def words_per_row(self):
         return 1
-
-    def subset(self, idx):
-        return Comonotone(len(idx))
 
 
 def _vertex_values(a: np.ndarray) -> tuple:
@@ -238,11 +228,6 @@ class FGM(Copula):
                 v[:, k] = 1.0 - 2.0 * t
                 dens = dens + v[:, k] * num
 
-    def subset(self, idx):
-        sub = self._mat[np.ix_(idx, idx)]
-        tri = tuple(sub[i, j] for i in range(len(idx)) for j in range(i + 1, len(idx)))
-        return FGM(len(idx), tri)
-
 
 @dataclass(frozen=True)
 class DependentModel:
@@ -274,10 +259,6 @@ class DependentModel:
     def identical_marginals(self) -> bool:
         return all(m == self.marginals[0] for m in self.marginals[1:])
 
-    def subset(self, idx: tuple) -> "DependentModel":
-        return DependentModel(self.copula.subset(idx),
-                              tuple(self.marginals[i] for i in idx), self.tau)
-
     def sample_vector(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """(count, dim) draws by inverse transform, written over the copula
         uniforms. Identical marginals transform all values in one pass;
@@ -293,22 +274,19 @@ class DependentModel:
 
 
 def joint_upper_survival(model: DependentModel, xs):
-    """P(X_1 > x_1, ..., X_n > x_n) by inclusion-exclusion over copula
-    marginals. xs is one threshold vector, giving a float, or a batch
-    (m, n), giving m values; each subset's own copula cdf serves the batch."""
+    """P(X_1 > x_1, ..., X_n > x_n) as the copula's cdf at the marginal tails.
+
+    X_k > x_k exactly when U_k > F_k(x_k), and a radially symmetric copula,
+    as every one here is, has P(U > u) = C(1 - u): one cdf call, exact
+    however deep the tails. A copula without that symmetry must bring its
+    own survival. A threshold of -inf leaves its coordinate out (its tail is
+    1 there). xs is one threshold vector, giving a float, or a batch (m, n),
+    giving m values.
+    """
     xs = np.asarray(xs, dtype=float)
-    n = model.dim
-    if xs.ndim not in (1, 2) or xs.shape[-1] != n:
+    if xs.ndim not in (1, 2) or xs.shape[-1] != model.dim:
         raise InvalidInput(f"need one threshold per coordinate, got shape {xs.shape}")
-    if n > _SURVIVAL_DIM_CAP:
-        raise InvalidInput(f"survival algebra capped at {_SURVIVAL_DIM_CAP} dimensions")
     rows = np.atleast_2d(xs)
-    u = np.column_stack([m.cdf(rows[:, k]) for k, m in enumerate(model.marginals)])
-    total = np.ones(len(rows))
-    for r in range(1, n + 1):
-        sign = (-1.0) ** r
-        for subset in itertools.combinations(range(n), r):
-            # a copula's one-dimensional marginals are uniform
-            total += sign * (u[:, subset[0]] if r == 1
-                             else model.copula.subset(subset).cdf(u[:, subset]))
-    return Copula._ret(xs, np.clip(total, 0.0, 1.0))
+    tails = np.column_stack([m.tail(rows[:, k])
+                             for k, m in enumerate(model.marginals)])
+    return Copula._ret(xs, model.copula.cdf(tails))

@@ -25,6 +25,7 @@ simulated curves on noise or pass brackets that do not certify the limit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +163,10 @@ def _probe_grid(d: Marginal, grid=None, positive: bool = False,
             grid = np.geomspace(locs[0], grid[-1], 24)
     grid = np.asarray(grid if grid is not None else quantile_grid((d,), **window),
                       dtype=float)
+    if (grid.ndim != 1 or not grid.size or not np.all(np.isfinite(grid))
+            or np.any(np.diff(grid) <= 0)):
+        raise InvalidInput(
+            "x grid must be nonempty, finite and strictly increasing")
     if positive and np.any(grid <= 0):
         raise InvalidInput("grid must be positive")
     return grid
@@ -174,13 +179,15 @@ def _nonvanishing(tail, message: str = "tail vanishes on the grid"):
     return tail
 
 
+# L and D cost two tail evaluations per point, so they probe much deeper
+# than the convolution checks: L converges at the hazard rate, and D on a
+# shifted law only where the shift is small against x
+_DEEP_WINDOW = {"below_atoms": True, "hi_u": 1.0 - 1e-8}
+
+
 def long_tail(d: Marginal, grid=None, tol: float = DEFAULT_TOL) -> ClassReport:
     """Translation insensitivity: F̄(x+1)/F̄(x) -> 1."""
-    # the statistic converges at the hazard rate, which for
-    # stretched-exponential shapes is still above a 5% band at the
-    # quantile window the convolution checks use; this check costs two
-    # tail evaluations per point, so probe much deeper by default
-    grid = _probe_grid(d, grid, below_atoms=True, hi_u=1.0 - 1e-8)
+    grid = _probe_grid(d, grid, **_DEEP_WINDOW)
     den = _nonvanishing(d.tail(grid))
     ratios = np.asarray(d.tail(grid + 1.0), dtype=float) / den
     return ClassReport("L", grid, ratios,
@@ -190,7 +197,7 @@ def long_tail(d: Marginal, grid=None, tol: float = DEFAULT_TOL) -> ClassReport:
 
 def dominated(d: Marginal, grid=None, tol: float = DEFAULT_TOL) -> ClassReport:
     """Dominated variation: F̄(x/2)/F̄(x) stays bounded as x grows."""
-    grid = _probe_grid(d, grid, below_atoms=True)
+    grid = _probe_grid(d, grid, **_DEEP_WINDOW)
     den = _nonvanishing(d.tail(grid))
     ratios = np.asarray(d.tail(grid * 0.5), dtype=float) / den
     return ClassReport("D", grid, ratios, bounded_verdict(ratios, tol), tol)
@@ -306,11 +313,25 @@ def strong_subexponential(d: Marginal, grid=None, grid_step: float = None,
 
 
 def check_pair(model: DependentModel, pair) -> tuple:
-    i, j = int(pair[0]), int(pair[1])
-    if i == j or not (0 <= i < model.dim) or not (0 <= j < model.dim):
+    """(i, j), two distinct coordinates of model; a fraction, a boolean or
+    a string is rejected, never truncated."""
+    coords = [int(v) if isinstance(v, numbers.Real)
+              and not isinstance(v, (bool, np.bool_))
+              and float(v).is_integer() else -1 for v in pair]
+    if (len(coords) != 2 or coords[0] == coords[1]
+            or not all(0 <= c < model.dim for c in coords)):
         raise InvalidInput(f"pair {pair} is not two distinct coordinates "
                            f"of a {model.dim}-dimensional model")
-    return i, j
+    return tuple(coords)
+
+
+def _pair_survival(model: DependentModel, pair: tuple, s, t) -> np.ndarray:
+    """P(X_i > s, X_j > t) elementwise, read off the whole model: every
+    other coordinate takes threshold -inf, where its tail is 1, so the
+    copula's cdf there is the pair's own copula."""
+    xs = np.full((len(s), model.dim), -np.inf)
+    xs[:, pair[0]], xs[:, pair[1]] = s, t
+    return joint_upper_survival(model, xs)
 
 
 def h1_report(model: DependentModel, pair=(0, 1), grid=None,
@@ -318,10 +339,9 @@ def h1_report(model: DependentModel, pair=(0, 1), grid=None,
     """Pairwise quasi-asymptotic independence:
     P(X_i>x, X_j>x) / (F̄_i(x)+F̄_j(x)) -> 0 along the diagonal."""
     i, j = check_pair(model, pair)
-    sub = model.subset((i, j))
-    di, dj = sub.marginals
+    di, dj = model.marginals[i], model.marginals[j]
     grid = _probe_grid(di, grid)
-    joint = joint_upper_survival(sub, np.column_stack((grid, grid)))
+    joint = _pair_survival(model, (i, j), grid, grid)
     stats = joint / _nonvanishing(di.tail(grid) + dj.tail(grid),
                                   "both tails vanish on the grid")
     return ClassReport("H1", grid, stats, limit_verdict(stats, stats, 0.0, tol),
@@ -340,16 +360,15 @@ def h2_report(model: DependentModel, pair=(0, 1), grid=None,
     off-diagonals); the reported statistic at x is the worst ray.
     """
     i, j = check_pair(model, pair)
-    sub = model.subset((i, j))
-    di, dj = sub.marginals
+    di, dj = model.marginals[i], model.marginals[j]
     grid = _probe_grid(di, grid, positive=True)
     curves = {}
     for a, b in _H2_RAYS:
         s, t = a * grid, b * grid
         tail_j = _nonvanishing(dj.tail(t),
                                "conditioning tail vanishes on the grid")
-        upper_both = joint_upper_survival(sub, np.column_stack((s, t)))
-        upper_mixed = joint_upper_survival(sub, np.column_stack((-s, t)))
+        upper_both = _pair_survival(model, (i, j), s, t)
+        upper_mixed = _pair_survival(model, (i, j), -s, t)
         # P(X_i <= -s, X_j > t) = F̄_j(t) - P(X_i > -s, X_j > t)
         curves[f"ray={a:g}:{b:g}"] = (
             upper_both + (tail_j - upper_mixed)) / tail_j

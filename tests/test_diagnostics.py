@@ -1,7 +1,10 @@
 """Diagnostics tests: closed forms, independent quadrature oracles, verdict logic."""
 
+import itertools
 import math
 import tracemalloc
+import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -9,14 +12,15 @@ import pytest
 from scipy import integrate
 
 from heavytails import diagnostics as dg
-from heavytails.copulas import (FGM, Comonotone, DependentModel, Independence,
-                                joint_upper_survival)
+from heavytails.copulas import (FGM, Comonotone, Copula, DependentModel,
+                                Independence, joint_upper_survival)
 from heavytails.distributions import (
     DiscreteAtoms,
     Exponential,
     GeometricAtomMixture,
     IntegratedTail,
     Lognormal,
+    Marginal,
     Pareto,
     ShiftedBy,
     Weibull,
@@ -133,6 +137,17 @@ class TestDominated:
 
     def test_lognormal_unbounded(self):
         assert dg.dominated(Lognormal(0.0, 1.0)).verdict == "inconsistent"
+
+    def test_shifted_pareto_is_not_refuted(self):
+        # T4.4i's marginal: F̄(x/2)/F̄(x) = ((x + 3)/(x/2 + 3))^2 rises to
+        # 2^2 from below, so on the deep window it ends within 0.1% of its
+        # bound and never reads as growth
+        r = dg.dominated(ShiftedBy(Pareto(2.0, 1.0), -3.0))
+        assert r.verdict != "inconsistent"
+        x = r.probe_grid[-1]
+        assert x > 9990.0
+        assert r.statistics[-1] == pytest.approx(
+            ((x + 3.0) / (x / 2.0 + 3.0)) ** 2, rel=1e-12)
 
 
 class TestSubexponential:
@@ -520,6 +535,82 @@ class TestJointUpperSurvival:
                 joint_upper_survival(model, xs)
 
 
+    @pytest.mark.parametrize("x", [1e5, 1e6])
+    def test_fgm_deep_tail_keeps_full_relative_precision(self, x):
+        # the joint tail is of the order of F̄^2, far below the O(1) terms
+        # an inclusion-exclusion over the cdf would cancel
+        d = Pareto(1.5, 1.0)
+        model = DependentModel(FGM.bivariate(1.0), (d, d))
+        s, t = d.tail(x), d.tail(2.0 * x)
+        u, v = 1.0 - s, 1.0 - t
+        assert joint_upper_survival(model, [x, 2.0 * x]) == pytest.approx(
+            s * t * (1.0 + u * v), rel=1e-12, abs=0)
+
+
+def _inclusion_exclusion_survival(copula, u):
+    """P(U_1 > u_1, ..., U_n > u_n) as the alternating sum over coordinate
+    sets of the copula's cdf, with the coordinates outside each set held at
+    1: a rule for any copula, kept here as the reference."""
+    total = np.ones(len(u))
+    for r in range(1, copula.dim + 1):
+        for idx in itertools.combinations(range(copula.dim), r):
+            held = np.ones_like(u)
+            held[:, idx] = u[:, idx]
+            total += (-1.0) ** r * copula.cdf(held)
+    return total
+
+
+def _concrete_subclasses(cls):
+    for sub in cls.__subclasses__():
+        if not sub.__name__.startswith("_"):
+            yield sub
+        yield from _concrete_subclasses(sub)
+
+
+# joint_upper_survival reads the cdf at the tails, which is the survival
+# only for a radially symmetric copula: a copula added without that
+# symmetry fails here and must bring its own survival
+RADIALLY_SYMMETRIC = (Independence(3), Comonotone(3), FGM.bivariate(-1.0),
+                      FGM(3, (0.5, -0.3, 0.2)))
+
+
+def test_radial_symmetry_covers_every_copula():
+    assert ({type(c) for c in RADIALLY_SYMMETRIC}
+            == set(_concrete_subclasses(Copula)))
+
+
+@pytest.mark.parametrize("copula", RADIALLY_SYMMETRIC, ids=repr)
+def test_cdf_at_one_minus_u_is_the_survival(copula):
+    u = np.random.default_rng(7).random((200, copula.dim))
+    np.testing.assert_allclose(copula.cdf(1.0 - u),
+                               _inclusion_exclusion_survival(copula, u),
+                               rtol=0, atol=1e-14)
+
+
+# every family, with a composite over each continuous base
+EVERY_MARGINAL = (
+    Pareto(1.5, 1.0), Weibull(0.5, 1.0), Lognormal(0.0, 1.0), Exponential(1.0),
+    DiscreteAtoms(((-1.0, 0.5), (2.0, 0.5))), GeometricAtomMixture(),
+    ShiftedBy(Pareto(2.0, 1.0), -3.0), IntegratedTail(Pareto(2.5, 1.0)),
+    IntegratedTail(Weibull(0.5, 1.0)), IntegratedTail(Lognormal(0.0, 1.0)),
+    IntegratedTail(Exponential(1.0)),
+)
+
+
+def test_tail_at_minus_infinity_covers_every_marginal():
+    assert ({type(d) for d in EVERY_MARGINAL}
+            == set(_concrete_subclasses(Marginal)))
+
+
+@pytest.mark.parametrize("d", EVERY_MARGINAL, ids=repr)
+def test_tail_at_minus_infinity_is_exactly_one(d):
+    # the pair diagnostics hold every other coordinate at -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert d.tail(-math.inf) == 1.0
+        assert d.tail(np.full(3, -math.inf)).tolist() == [1.0] * 3
+
+
 class TestDependenceDiagnostics:
     def test_fgm_h1_closed_form(self):
         d = Pareto(1.5, 1.0)
@@ -527,12 +618,41 @@ class TestDependenceDiagnostics:
         model = DependentModel(FGM.bivariate(a), (d, d))
         grid = np.geomspace(5.0, 500.0, 12)
         r = dg.h1_report(model, (0, 1), grid)
-        u = 1.0 - np.asarray(d.tail(grid), dtype=float)
-        expected = (1.0 - u) * (1.0 + a * u * u) / 2.0
-        # inclusion-exclusion in the survival evaluation cancels near u=1,
-        # leaving absolute noise around 1e-13
-        np.testing.assert_allclose(r.statistics, expected, rtol=1e-6, atol=1e-12)
+        t = np.asarray(d.tail(grid), dtype=float)
+        expected = t * (1.0 + a * (1.0 - t) ** 2) / 2.0
+        np.testing.assert_allclose(r.statistics, expected, rtol=1e-14)
         assert r.verdict == "consistent"
+
+    def test_h1_at_the_config_grid_end_is_exact(self):
+        # the golden dependence config: FGM(0.5) between Pareto(1) and
+        # Pareto(1.5), whose tails at x are 1/x and x^-1.5, so H1 is
+        # t1 t2 (1 + a (1 - t1)(1 - t2)) / (t1 + t2), here to 60 digits
+        p1, p15 = Pareto(1.0, 1.0), Pareto(1.5, 1.0)
+        model = DependentModel(FGM(3, (0.5, 0.5, 0.5)), (p1, p1, p15))
+        r = dg.h1_report(model, (0, 2))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x = Decimal(float(r.probe_grid[-1]))
+            t1, t2 = 1 / x, 1 / (x * x.sqrt())
+            exact = float(t1 * t2 * (1 + Decimal("0.5") * (1 - t1) * (1 - t2))
+                          / (t1 + t2))
+        assert r.statistics[-1] == pytest.approx(exact, rel=1e-15, abs=0)
+        assert exact == pytest.approx(1.485098514900746e-06, rel=1e-15, abs=0)
+
+    def test_pair_read_equals_the_two_coordinate_model(self):
+        # the third coordinate, at -inf, leaves the pair's own copula: the
+        # reports equal those of a model built from the pair alone
+        d, e = Pareto(1.5, 1.0), ShiftedBy(Pareto(2.0, 1.0), -1.0)
+        for whole, alone in ((FGM(3, (0.5, -0.3, 0.2)), FGM.bivariate(-0.3)),
+                             (Independence(3), Independence(2)),
+                             (Comonotone(3), Comonotone(2))):
+            model = DependentModel(whole, (d, Pareto(1.0, 1.0), e))
+            pair = DependentModel(alone, (d, e))
+            for report in (dg.h1_report, dg.h2_report):
+                got, want = report(model, (0, 2)), report(pair, (0, 1))
+                assert np.array_equal(got.statistics, want.statistics)
+                for ray in (got.curves or {}):
+                    assert np.array_equal(got.curves[ray], want.curves[ray])
 
     def test_independence_h1_half_tail(self):
         d = Pareto(1.5, 1.0)

@@ -17,6 +17,7 @@ from heavytails.distributions import DiscreteAtoms, IntegratedTail, Pareto
 from heavytails.errors import AssumptionViolated, InvalidInput, ResourceLimit
 
 UNIT = Pareto(1.0, 1.0)
+UNIT_TRIPLE = DependentModel(Independence(3), (UNIT,) * 3)
 ONE_ATOM = conv.LatticeMeasure(np.array([1.0]), np.array([1.0]))
 
 BAD_INPUTS = {
@@ -46,10 +47,35 @@ BAD_INPUTS = {
     "model-marginal-not-marginal": (
         lambda: DependentModel(Independence(1), ("pareto",)),
         InvalidInput, "marginals must be Marginal instances"),
-    "survival-above-16-dims": (
-        lambda: joint_upper_survival(
-            DependentModel(Independence(17), (UNIT,) * 17), np.ones(17)),
-        InvalidInput, "survival algebra capped at 16 dimensions"),
+    "pair-fractional-first": (
+        lambda: dg.check_pair(UNIT_TRIPLE, (0.7, 2)), InvalidInput,
+        "pair (0.7, 2) is not two distinct coordinates of a 3-dimensional "
+        "model"),
+    "pair-fractional-second": (
+        lambda: dg.h1_report(UNIT_TRIPLE, (0, 2.9)), InvalidInput,
+        "pair (0, 2.9) is not two distinct coordinates of a 3-dimensional "
+        "model"),
+    "pair-boolean": (
+        lambda: dg.h2_report(UNIT_TRIPLE, (True, 2)), InvalidInput,
+        "pair (True, 2) is not two distinct coordinates of a 3-dimensional "
+        "model"),
+    "pair-string": (
+        lambda: dg.check_pair(UNIT_TRIPLE, ("0", 2)), InvalidInput,
+        "pair ('0', 2) is not two distinct coordinates of a 3-dimensional "
+        "model"),
+    "diagnostic-decreasing-grid": (
+        lambda: dg.long_tail(Pareto(1.5, 1.0), grid=[100.0, 10.0, 1.0]),
+        InvalidInput,
+        "x grid must be nonempty, finite and strictly increasing"),
+    "diagnostic-repeated-grid": (
+        lambda: dg.dominated(UNIT, grid=[2.0, 2.0, 3.0]), InvalidInput,
+        "x grid must be nonempty, finite and strictly increasing"),
+    "diagnostic-empty-grid": (
+        lambda: dg.h1_report(UNIT_TRIPLE, grid=[]), InvalidInput,
+        "x grid must be nonempty, finite and strictly increasing"),
+    "diagnostic-infinite-grid": (
+        lambda: dg.subexponential(UNIT, grid=[2.0, math.inf]), InvalidInput,
+        "x grid must be nonempty, finite and strictly increasing"),
     "quantile-0": (
         lambda: UNIT.quantile(0.0), InvalidInput,
         "quantile requires 0 < u < 1"),
@@ -104,6 +130,14 @@ def test_a_single_copula_point_gives_a_float():
     assert type(got) is float and got == 0.125
     got = Comonotone(2).cdf(np.array([[0.5, 0.25], [1.0, 1.0]]))
     assert got.tolist() == [0.25, 1.0]
+
+
+def test_survival_takes_any_dimension():
+    # twenty coordinates, each above 2 with probability exactly 1/2
+    model = DependentModel(Independence(20), (UNIT,) * 20)
+    assert joint_upper_survival(model, np.full(20, 2.0)) == 2.0 ** -20
+    model = DependentModel(Comonotone(20), (UNIT,) * 20)
+    assert joint_upper_survival(model, np.full(20, 2.0)) == 0.5
 
 
 def test_deterministic_pmf_on_both_sides_of_n():
