@@ -21,16 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import convolution as conv
-from . import diagnostics as diag
-from . import experiments as ex
-from . import montecarlo as mc
-from . import risk as risk_mod
-from .copulas import Comonotone, DependentModel, FGM, Independence
-from .counting import Deterministic, Geometric1, Poisson, Zeta
 from .distributions import (DiscreteAtoms, Exponential, GeometricAtomMixture,
                             IntegratedTail, Lognormal, Pareto, ShiftedBy,
-                            Weibull)
+                            Weibull, _increasing_grid)
 from .errors import ConfigError, HeavyTailsError, InvalidInput, WorkerCrashed
 from .rng import check_samples, check_seed
 
@@ -135,17 +128,21 @@ _MARGINALS = {
     "shifted": (ShiftedBy, ("base", "offset"), {}),
     "integrated_tail": (IntegratedTail, ("base",), {}),
 }
-_COPULAS = {
-    "fgm": (FGM, ("dim", "coeffs"), {"dim": 2}),
-    "independence": (Independence, ("dim",), {"dim": 2}),
-    "comonotone": (Comonotone, ("dim",), {"dim": 2}),
-}
-_COUNTING = {
-    "poisson": (Poisson, ("mean",), {}),
-    "geometric1": (Geometric1, ("p",), {}),
-    "zeta": (Zeta, ("s",), {}),
-    "deterministic": (Deterministic, ("n",), {}),
-}
+
+
+@cache
+def _model_families() -> tuple:
+    """The copula and the counting family tables, built on the first model
+    build, so a command that builds no model loads neither module."""
+    from .copulas import Comonotone, FGM, Independence
+    from .counting import Deterministic, Geometric1, Poisson, Zeta
+    return ({"fgm": (FGM, ("dim", "coeffs"), {"dim": 2}),
+             "independence": (Independence, ("dim",), {"dim": 2}),
+             "comonotone": (Comonotone, ("dim",), {"dim": 2})},
+            {"poisson": (Poisson, ("mean",), {}),
+             "geometric1": (Geometric1, ("p",), {}),
+             "zeta": (Zeta, ("s",), {}),
+             "deterministic": (Deterministic, ("n",), {})})
 
 
 def _field(key: str, value, context: str):
@@ -182,19 +179,22 @@ def build_marginal(cfg, context="marginal"):
 
 
 def build_model(cfg, context="model"):
+    from .copulas import DependentModel
+    copulas, counting = _model_families()
     f = _take(cfg, context, ("copula", "marginals"), {"tau": None})
-    copula = _build_family(_COPULAS, f["copula"], context + ".copula")
+    copula = _build_family(copulas, f["copula"], context + ".copula")
     if not isinstance(f["marginals"], (list, tuple)) or not f["marginals"]:
         raise ConfigError(f"{context}.marginals: expected a nonempty list")
     marginals = tuple(build_marginal(m, f"{context}.marginals[{i}]")
                       for i, m in enumerate(f["marginals"]))
     tau = None if f["tau"] is None else _build_family(
-        _COUNTING, f["tau"], context + ".tau")
+        counting, f["tau"], context + ".tau")
     with _config_errors(context, *_BAD_VALUE):
         return DependentModel(copula, marginals, tau=tau)
 
 
 def build_denominator(cfg, context="denominator"):
+    from . import experiments as ex
     f = _take(cfg, context, ("kind",), {"n": None})
     n = None if f["n"] is None else _integer(f["n"], context + ".n")
     with _config_errors(context, *_BAD_VALUE):
@@ -203,6 +203,8 @@ def build_denominator(cfg, context="denominator"):
 
 # the most points a lo/hi grid spans; the presets use at most 101
 MAX_GRID_POINTS = 10_000
+# the largest n-fold convolve computes
+_MAX_NFOLD = 1 << 20
 
 
 def build_grid(cfg, context="grid", points_context=None):
@@ -226,12 +228,12 @@ def build_grid(cfg, context="grid", points_context=None):
         return np.geomspace(lo, hi, n)
     if isinstance(cfg, (list, tuple)):
         with _config_errors(context, *_BAD_VALUE):
-            xs = np.asarray([float(v) for v in cfg])
-        if (len(xs) == 0 or np.any(np.diff(xs) <= 0)
-                or not np.all(np.isfinite(xs))):
+            xs = [float(v) for v in cfg]
+        try:
+            return _increasing_grid(xs)
+        except InvalidInput:
             raise ConfigError(f"{context}: explicit grid must be finite, "
-                              f"strictly increasing and nonempty")
-        return xs
+                              f"strictly increasing and nonempty") from None
     raise ConfigError(f"{context}: expected a mapping with lo/hi or a list")
 
 
@@ -450,6 +452,7 @@ def _resolve(config: dict, key: str, default):
 
 
 def _parse_ratio_curve(raw) -> _Parsed:
+    from . import experiments as ex
     f = _fields(raw, "ratio-curve")
     model = build_model(f["model"])
     denominator = build_denominator(f["denominator"])
@@ -496,6 +499,7 @@ def _curve_plan(f: dict, preset, context: str = None, model=None,
 
 
 def _parse_theorem(raw) -> _Parsed:
+    from . import risk as risk_mod
     f = _fields(raw, "theorem")
     if not f["theorem_id"]:
         raise ConfigError("theorem needs --id or a theorem_id config field")
@@ -515,11 +519,11 @@ def _preset_plan(f: dict, key: str, registry: dict, noun: str) -> _Parsed:
     return _curve_plan(f, preset, model=model, x_grid=grid)
 
 
-# check -> diagnostics function, for diagnose-class and diagnose-dependence
-_CLASS_CHECKS = {"L": diag.long_tail, "D": diag.dominated,
-                 "S": diag.subexponential, "Sstar": diag.sstar,
-                 "SstarStrong": diag.strong_subexponential}
-_DEPENDENCE_CHECKS = {"H1": diag.h1_report, "H2": diag.h2_report}
+# check -> the diagnostics function it calls, for diagnose-class and
+# diagnose-dependence; looked up when called
+_CLASS_CHECKS = {"L": "long_tail", "D": "dominated", "S": "subexponential",
+                 "Sstar": "sstar", "SstarStrong": "strong_subexponential"}
+_DEPENDENCE_CHECKS = {"H1": "h1_report", "H2": "h2_report"}
 
 
 def _checks(value, allowed, everything: str, kind: str, have: str) -> list:
@@ -565,6 +569,7 @@ def _parse_grid_flag(text: str, name: str):
 
 
 def _parse_class(raw) -> _Parsed:
+    from . import diagnostics as diag
     f = _fields(raw, "diagnose-class")
     dist_cfg = _dist_config(f["dist"])
     checks = _checks(f["checks"], tuple(_CLASS_CHECKS), "all", "class",
@@ -572,10 +577,12 @@ def _parse_class(raw) -> _Parsed:
     dist = build_marginal(dist_cfg, "dist")
     grid = build_grid(f["grid"])
     return _report_plan({"dist": dist_cfg, "checks": checks, "grid": f["grid"]},
-                        lambda c: _CLASS_CHECKS[c](dist, grid=grid))
+                        lambda c: getattr(diag, _CLASS_CHECKS[c])(
+                            dist, grid=grid))
 
 
 def _parse_dependence(raw) -> _Parsed:
+    from . import diagnostics as diag
     f = _fields(raw, "diagnose-dependence")
     model_cfg = f["model"]
     if isinstance(model_cfg, str):
@@ -592,7 +599,7 @@ def _parse_dependence(raw) -> _Parsed:
     diag.check_pair(model, pair)
     return _report_plan(
         {"model": model_cfg, "checks": checks, "pair": list(pair)},
-        lambda c: _DEPENDENCE_CHECKS[c](model, pair=pair))
+        lambda c: getattr(diag, _DEPENDENCE_CHECKS[c])(model, pair=pair))
 
 
 def _convolve_auto_points(dist):
@@ -616,7 +623,7 @@ def _parse_convolve(raw) -> _Parsed:
     f = _fields(raw, "convolve")
     dist_cfg = _dist_config(f["dist"])
     nfold = _integer(f["nfold"], "nfold")
-    if not 2 <= nfold <= mc.TAU_CAP:
+    if not 2 <= nfold <= _MAX_NFOLD:
         raise ConfigError(f"nfold must be in [2, 2^20], got {nfold}")
     dist = build_marginal(dist_cfg, "dist")
     points = f["points"]
@@ -635,6 +642,7 @@ def _convolve_rows(dist, nfold: int, probes, grid) -> list:
 
     An atomic two-fold probes a lo/hi span at every jump of both tails.
     """
+    from . import convolution as conv
     with _config_errors("convolve"):
         if (nfold == 2 and isinstance(probes, dict)
                 and dist.truncated_atoms(float("inf")) is not None):
@@ -654,6 +662,7 @@ def _convolve_rows(dist, nfold: int, probes, grid) -> list:
 def _build_risk(raw: dict, context: str, extra=None):
     """The risk model a config names and its fields, with the optional
     fields of extra (name -> default) taken too."""
+    from . import risk as risk_mod
     kind = raw.get("risk")
     if kind not in ("discrete", "arrival"):
         raise ConfigError(f"{context}: 'risk' must be 'discrete' or "
@@ -675,6 +684,7 @@ def _build_risk(raw: dict, context: str, extra=None):
 
 
 def _parse_ruin(raw) -> _Parsed:
+    from . import risk as risk_mod
     if "preset" in raw:
         return _preset_plan(_fields(raw, "ruin"), "preset",
                             risk_mod.RISK_PRESETS, "ruin preset")
@@ -687,6 +697,7 @@ def _parse_ruin(raw) -> _Parsed:
 
 
 def _parse_surplus_path(raw) -> _Parsed:
+    from . import risk as risk_mod
     model, f = _build_risk(raw, "surplus-path config",
                            _SCHEMAS["surplus-path"][1])
     if not isinstance(model, risk_mod.DiscreteRiskModel):
@@ -751,6 +762,7 @@ def cmd_run(parse, args) -> int:
 
 
 def cmd_list_presets(args) -> int:
+    from . import risk as risk_mod
     rows = [(pid, p.description) for pid, p in risk_mod.presets().items()]
     if args.format == "records":
         text = json.dumps({"presets": [{"id": i, "description": d}

@@ -35,7 +35,7 @@ from functools import cached_property, partial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .distributions import Marginal
+from .distributions import Marginal, _sorted_unique
 from .errors import HeavyTailsError, InvalidInput, ResourceLimit
 
 ATOM_CAP = 1 << 22
@@ -249,8 +249,8 @@ def _product_tails(a: _Grid, b: _Grid, xs) -> np.ndarray:
     if la == 0 or lb == 0:
         return np.full(len(xs), inf_mass)
     locs = (a.k0 + b.k0 + np.arange(la + lb - 1)) * a.step
-    ks, where = np.unique(np.searchsorted(locs, xs, side="right"),
-                          return_inverse=True)
+    idx = np.searchsorted(locs, xs, side="right")
+    ks = _sorted_unique(idx)
     suffix = np.cumsum(b.masses[::-1])[::-1]
     # padded[p] = S_B(p - la + 1): B's total below index 0, nothing past its end
     padded = np.concatenate((np.full(la - 1, suffix[0]), suffix, np.zeros(la)))
@@ -265,7 +265,12 @@ def _product_tails(a: _Grid, b: _Grid, xs) -> np.ndarray:
         block = ks[i:i + per_block]
         c = max(0, la - int(block[-1]))
         tails[i:i + per_block] = rows[block, c:] @ reverse[c:] + heads[c]
-    return tails[where] + inf_mass
+    # each probe's position in ks, read off a table over every index a
+    # probe can find: a scatter, cheaper than a search per probe, built
+    # after the blocks are freed so it adds nothing to the peak
+    rank = np.empty(len(locs) + 1, dtype=np.intp)
+    rank[ks] = np.arange(len(ks))
+    return tails[rank[idx]] + inf_mass
 
 
 def lattice_tails(tail_fn, lo: float, hi: float, step: float) -> tuple:
@@ -392,4 +397,4 @@ def tail_jumps(d: Marginal, lo: float, hi: float) -> np.ndarray:
     sums = _pair_sums(base, base)
     sums = np.sort(sums[np.triu(sums <= hi)])  # symmetric: one half holds all
     locs = np.concatenate((sums[_merge_starts(sums, MERGE_TOL)], base.locs))
-    return np.unique(np.append(locs[(locs >= lo) & (locs <= hi)], lo))
+    return _sorted_unique(np.append(locs[(locs >= lo) & (locs <= hi)], lo))

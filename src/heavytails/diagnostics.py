@@ -32,9 +32,10 @@ import numpy as np
 
 from . import convolution as cv
 from .copulas import DependentModel, joint_upper_survival
-from .distributions import (_HALF_NODES, _HALF_WEIGHTS,
-                            GeometricAtomMixture, Marginal, ShiftedBy,
-                            _kinked_integrals, _tail_kinks, quantile_grid)
+from .distributions import (GeometricAtomMixture, Marginal, ShiftedBy,
+                            _graded_half_rule, _increasing_grid,
+                            _kinked_integrals, _sorted_unique, _tail_kinks,
+                            quantile_grid)
 from .errors import AssumptionViolated, InvalidInput
 
 DEFAULT_TOL = 0.05
@@ -161,12 +162,8 @@ def _probe_grid(d: Marginal, grid=None, positive: bool = False,
         grid = locs - np.minimum(0.5, np.diff(locs, prepend=-np.inf) / 2)
         if not below_atoms and grid[-1] > locs[0]:
             grid = np.geomspace(locs[0], grid[-1], 24)
-    grid = np.asarray(grid if grid is not None else quantile_grid((d,), **window),
-                      dtype=float)
-    if (grid.ndim != 1 or not grid.size or not np.all(np.isfinite(grid))
-            or np.any(np.diff(grid) <= 0)):
-        raise InvalidInput(
-            "x grid must be nonempty, finite and strictly increasing")
+    grid = _increasing_grid(grid if grid is not None
+                            else quantile_grid((d,), **window))
     if positive and np.any(grid <= 0):
         raise InvalidInput("grid must be positive")
     return grid
@@ -217,7 +214,7 @@ def subexponential(d: Marginal, grid=None, grid_step: float = None,
     confined to narrow windows between round grid points are still observed.
     """
     grid = _probe_grid(d, grid, positive=True)
-    grid = np.unique(np.concatenate((grid, cv.tail_jumps(
+    grid = _sorted_unique(np.concatenate((grid, cv.tail_jumps(
         d, float(np.min(grid)), float(np.max(grid))))))
     den = _nonvanishing(d.tail(grid))
     r_lo, r_hi, mid = cv.ratio_bracket(
@@ -241,7 +238,7 @@ def _sstar_half_integrals(d: Marginal, grid: np.ndarray) -> np.ndarray:
     cuts = np.concatenate((np.broadcast_to(kinks, (len(grid), len(kinks))),
                            grid[:, None] - kinks), axis=1)
     rule = ((np.array([0.5]), np.array([0.5])) if d.truncated_atoms(math.inf)
-            is not None else (_HALF_NODES, _HALF_WEIGHTS))
+            is not None else _graded_half_rule(36))
 
     def integrand(y, rows):
         vals = d.tail(y)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -43,13 +43,16 @@ def _require(cond: bool, msg: str) -> None:
         raise InvalidInput(msg)
 
 
+@cache
 def _graded_half_rule(depth: int) -> tuple:
     """10-node Gauss-Legendre panels on [0, 1/2] graded toward 0 by halving.
 
     The panel edges are 0, 2^-depth, 2^-(depth-1), ..., 2^-2, 2^-1, so a
     tail kink or an infinite slope at the end of a piece sits in ever
     smaller panels. Returns the nodes and weights of all panels, as offsets
-    from the end in units of the piece width.
+    from the end in units of the piece width. Built on first use, since
+    numpy.polynomial costs every command its import; callers share the
+    arrays and must not write to them.
     """
     t, w = np.polynomial.legendre.leggauss(10)
     edges = np.concatenate(([0.0], 0.5 ** np.arange(depth, 0, -1)))
@@ -58,20 +61,22 @@ def _graded_half_rule(depth: int) -> tuple:
             (0.5 * width * w).ravel())
 
 
-_HALF_NODES, _HALF_WEIGHTS = _graded_half_rule(36)
-# the shallower rule for pieces of a finite window whose integrand has
-# bounded slope at both ends (IntegratedTail)
-_WINDOW_NODES, _WINDOW_WEIGHTS = _graded_half_rule(12)
 # nodes in one pass of a fixed-node integral, so each tail call takes at most
 # this many values (2 MiB of float64). A window's bits do not depend on its
 # pass; 20,000 IntegratedTail(Pareto(2.5, 1)) windows run fastest at 2^18
 # to 2^19 (0.19 s, against 0.21 s at 2^20 and 0.36 s at 2^21; BENCH_27.json)
 _PASS_VALUES = 1 << 18
-# the rule on a piece [c, inf): nodes y in (0, 1], graded toward y = 0 and
-# then toward y = 1, at t = c + L (y^-4 - 1), where dt/dy = -4 L y^-5
-_LOG_Y = np.concatenate((np.log(_HALF_NODES), np.log1p(-_HALF_NODES)))
-_FAR_STRETCH, _FAR_DECAY = np.expm1(-4.0 * _LOG_Y), np.exp(-5.0 * _LOG_Y)
-_FAR_WEIGHTS = np.concatenate((_HALF_WEIGHTS, _HALF_WEIGHTS))
+
+
+@cache
+def _far_rule() -> tuple:
+    """(stretch, decay, weights): the rule on a piece [c, inf), nodes y in
+    (0, 1] graded toward y = 0 and then toward y = 1, at t = c + L (y^-4 -
+    1), where dt/dy = -4 L y^-5."""
+    nodes, weights = _graded_half_rule(36)
+    log_y = np.concatenate((np.log(nodes), np.log1p(-nodes)))
+    return (np.expm1(-4.0 * log_y), np.exp(-5.0 * log_y),
+            np.concatenate((weights, weights)))
 
 
 def _kinked_integrals(integrand, lo, hi, cuts, nodes, weights) -> np.ndarray:
@@ -96,14 +101,15 @@ def _kinked_integrals(integrand, lo, hi, cuts, nodes, weights) -> np.ndarray:
     others.
     """
     k = 2 * len(nodes)
-    far_rows = len(_FAR_WEIGHTS) // k
+    far_stretch, far_decay, far_weights = _far_rule()
+    far_rows = len(far_weights) // k
     lo, hi = lo[:, None], hi[:, None]
     cuts = np.broadcast_to(cuts, (len(lo), np.shape(cuts)[-1]))
     cuts = np.sort(np.clip(np.concatenate((lo, hi, cuts), axis=1), lo, hi),
                    axis=1)
     lo, hi = cuts[:, :-1], cuts[:, 1:]      # pieces, one row per window
     near_w = np.concatenate((weights, weights))
-    step = max(1, _PASS_VALUES // (lo.shape[1] * len(_FAR_WEIGHTS)))
+    step = max(1, _PASS_VALUES // (lo.shape[1] * len(far_weights)))
     out = np.empty(len(cuts))
     for s in range(0, len(cuts), step):
         keep = hi[s:s + step] > lo[s:s + step]
@@ -116,7 +122,7 @@ def _kinked_integrals(integrand, lo, hi, cuts, nodes, weights) -> np.ndarray:
         t = np.empty((len(x) + len(c) * far_rows, k))
         np.add(x, offsets, out=t[:len(x), :len(nodes)])
         np.subtract(y, offsets, out=t[:len(x), len(nodes):])
-        t[len(x):] = (c + scale * _FAR_STRETCH).reshape(-1, k)
+        t[len(x):] = (c + scale * far_stretch).reshape(-1, k)
         g = integrand(t, s + np.concatenate(
             (rows[~far], np.repeat(rows[far], far_rows)))[:, None])
         # row sums rather than a matrix product, whose rounding may
@@ -124,11 +130,32 @@ def _kinked_integrals(integrand, lo, hi, cuts, nodes, weights) -> np.ndarray:
         sums = np.empty(len(pa))
         near = np.multiply(g[:len(x)], near_w, out=g[:len(x)])
         sums[~far] = np.sum(near, axis=1) * width[:, 0]
-        jac = 4.0 * scale * _FAR_DECAY
+        jac = 4.0 * scale * far_decay
         sums[far] = np.sum(g[len(x):].reshape(jac.shape) * jac
-                           * _FAR_WEIGHTS, axis=1)
+                           * far_weights, axis=1)
         out[s:s + step] = np.bincount(rows, sums, minlength=len(keep))
     return out
+
+
+def _sorted_unique(values) -> np.ndarray:
+    """np.unique of a 1-d array holding no NaN, by np.unique's own sort and
+    mask: np.unique reads numpy.ma, whose import costs a command ~11 ms."""
+    out = np.sort(values)
+    keep = np.empty(len(out), dtype=bool)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
+def _increasing_grid(xs) -> np.ndarray:
+    """xs as a float array, checked to be 1-d, nonempty, finite and
+    strictly increasing."""
+    xs = np.asarray(xs, dtype=float)
+    if (xs.ndim != 1 or not xs.size or not np.all(np.isfinite(xs))
+            or np.any(np.diff(xs) <= 0)):
+        raise InvalidInput(
+            "x grid must be nonempty, finite and strictly increasing")
+    return xs
 
 
 def _apply(fn, x):
@@ -454,7 +481,7 @@ class _AtomTable(Marginal):
         # each atom inside the window
         heights = np.concatenate(([1.0], suffix))
         live = b > a
-        for m in np.unique(inner[live]):
+        for m in _sorted_unique(inner[live]):
             rows = np.flatnonzero(live & (inner == m))
             steps = first[rows, None] + np.arange(m + 1)
             pts = np.empty((len(rows), m + 2))
@@ -672,8 +699,7 @@ class IntegratedTail(Marginal):
         return _kinked_integrals(
             lambda t, rows: np.minimum(1.0,
                                        self.base.tail_integral(t, math.inf)),
-            a, b, np.asarray(_tail_kinks(self)),
-            _WINDOW_NODES, _WINDOW_WEIGHTS)
+            a, b, np.asarray(_tail_kinks(self)), *_graded_half_rule(12))
 
 
 def _tail_kinks(d: Marginal) -> list:

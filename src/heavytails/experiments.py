@@ -19,6 +19,7 @@ the run records on its curves and the CLI's validate prints.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -26,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import montecarlo as mc
-from .copulas import Comonotone, DependentModel, FGM, Independence
+from .copulas import (Comonotone, DependentModel, FGM, Independence,
+                      joint_upper_survival)
 from .counting import CountingLaw, Geometric1, Poisson, Zeta
 from .distributions import (TAG_DOMINATED, TAG_LONG, Pareto, ShiftedBy,
-                            quantile_grid)
+                            _increasing_grid, quantile_grid)
 from .errors import AssumptionViolated, InvalidInput, ModelConfigError
 
 SEMANTICS = ("lim", "liminf", "divergence")
@@ -155,13 +157,25 @@ def _closed_form(model: DependentModel, quantity: mc.Quantity,
                  weights=None):
     """The tail xs -> P(stat > x) that copula algebra gives, else None: for
     an unweighted fixed-length max of up to three coordinates and for a
-    comonotone sum of identical marginals."""
+    comonotone sum of identical marginals.
+
+    The max takes inclusion-exclusion over the joint upper tails of the
+    coordinate subsets, at most seven terms, each an exact cdf call at the
+    marginal tails (joint_upper_survival) and each no larger than the
+    tails; 1 - C(F(x)) would cancel to nothing deep in the tail.
+    """
     if weights is not None or quantity.stopped:
         return None
     if quantity.kind == "max" and model.dim <= 3:
         def tail(xs):
-            u = np.column_stack([1.0 - m.tail(xs) for m in model.marginals])
-            return np.clip(1.0 - model.copula.cdf(u), 0.0, 1.0)
+            out = np.zeros(len(xs))
+            for size in range(1, model.dim + 1):
+                for coords in itertools.combinations(range(model.dim), size):
+                    at = np.full((len(xs), model.dim), -np.inf)
+                    at[:, coords] = xs[:, None]
+                    term = joint_upper_survival(model, at)
+                    out = out + term if size % 2 else out - term
+            return np.clip(out, 0.0, 1.0)
         return tail
     if (quantity.kind == "sum" and isinstance(model.copula, Comonotone)
             and model.identical_marginals()):
@@ -353,10 +367,7 @@ class Preset:
         if x_grid is None:
             x_grid = (self.x_grid if self.x_grid is not None else
                       quantile_grid(model.marginals, hi_u=self.grid_hi_u))
-        xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-        if not xs.size or np.any(~np.isfinite(xs)) or np.any(np.diff(xs) <= 0):
-            raise InvalidInput(
-                "x grid must be nonempty, finite and strictly increasing")
+        xs = _increasing_grid(np.atleast_1d(x_grid))
         issues = [issue for name in self.hypotheses or ()
                   for issue in HYPOTHESES[name](model)]
         advice = (("hypotheses unverified: " + "; ".join(issues),)

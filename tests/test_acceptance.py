@@ -150,7 +150,7 @@ def test_criterion_04_dependent_sum_tail_is_twice_one_tail():
 
     x_end = curve.grid[-1]
     assert x_end == pytest.approx(Pareto(0.8, 1.0).quantile(1.0 - 1e-4),
-                                  rel=1e-12)
+                                  rel=1e-12, abs=0)
     bare = 2.0 * curve.ratios[-1]    # denominator is 2 F-bar
     assert 1.85 <= bare <= 2.15
     assert curve.verdict == "consistent"
@@ -209,11 +209,11 @@ def test_criterion_07_negative_drift_running_max():
 def test_criterion_08_two_period_ruin_matches_discounted_tails():
     preset = RISK_PRESETS["C5.1"]
     [curve] = preset.run(samples=10_000_000, seed=0, workers=WORKERS)
-    assert curve.grid[-1] == pytest.approx(1000.0, rel=1e-12)
+    assert curve.grid[-1] == pytest.approx(1000.0, rel=1e-12, abs=0)
 
     p_end = curve.points[-1]
     expected_denom = 1.0 / (1.05 * 1000.0) + 1.0 / (1.05 ** 2 * 1000.0)
-    assert p_end.denominator == pytest.approx(expected_denom, rel=1e-12)
+    assert p_end.denominator == pytest.approx(expected_denom, rel=1e-12, abs=0)
     end = p_end.ratio
     assert abs(end - 1.0) <= 0.15
     assert curve.verdict == "consistent"
@@ -269,7 +269,7 @@ def test_criterion_10_class_diagnostics_match_ground_truth():
     x_end = exp_report.probe_grid[-1]
     stat_end = exp_report.statistics[-1]
     # the exponential twofold ratio is exactly 1+x, which runs away
-    assert stat_end == pytest.approx(1.0 + x_end, rel=1e-2)
+    assert stat_end == pytest.approx(1.0 + x_end, rel=1e-2, abs=0)
 
     atom_grid = np.array([2.0 ** (n + 1) - 1.5 for n in range(1, 11)])
     mix_report = diag.long_tail(GeometricAtomMixture(), grid=atom_grid)

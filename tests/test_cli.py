@@ -5,6 +5,7 @@ and the output formats are tested exactly as a shell user would see them.
 """
 
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -221,11 +222,11 @@ FRESH_ENV = dict(os.environ,
                  PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
 
 
-def _loaded_after(code):
-    """Run code in a fresh interpreter, then list the loaded modules under
-    LAZY_ROOTS."""
-    probe = (code + "\nimport sys; print(sorted(m for m in sys.modules "
-             f"if m.split('.')[0] in {LAZY_ROOTS!r}))")
+def _loaded_after(code, roots=LAZY_ROOTS):
+    """Run code in a fresh interpreter, then list the loaded modules that
+    are, or sit under, one of roots."""
+    probe = (code + "\nimport sys; print(sorted(m for m in sys.modules if "
+             f"any(m == r or m.startswith(r + '.') for r in {roots!r})))")
     done = subprocess.run([sys.executable, "-c", probe], env=FRESH_ENV,
                           capture_output=True, text=True, check=True)
     return done.stdout.splitlines()[-1]
@@ -246,6 +247,44 @@ def test_pareto_runs_load_no_scipy():
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv) == 0, argv")
     assert _loaded_after(code) == "[]"
+
+
+# what a fresh main(argv) loads: the heavytails modules besides the ones
+# every command needs, and the numpy submodules with an import cost of their
+# own (numpy.ma, which np.unique reads; numpy.polynomial, for the
+# Gauss-Legendre nodes of the integral checks)
+_ALWAYS = ["heavytails", "heavytails.cli", "heavytails.distributions",
+           "heavytails.errors", "heavytails.rng"]
+_MODEL = ["heavytails.copulas", "heavytails.counting"]
+_SIMULATION = ["heavytails.experiments", "heavytails.montecarlo",
+               "heavytails.risk"]
+_CHECKS = ["heavytails.convolution", "heavytails.diagnostics"]
+
+
+@pytest.mark.parametrize("argv, modules, numpy_parts", [
+    (None, [], []),
+    (["--help"], [], []),
+    (["convolve", "--dist", "example11", "--nfold", "2"],
+     ["heavytails.convolution"], []),
+    (["diagnose-class", "--dist", "pareto(1.5,1)", "--check", "all"],
+     _CHECKS + _MODEL, ["numpy.polynomial"]),
+    (["theorem", "--id", "T3.3"], _MODEL + _SIMULATION, []),
+    (["ruin", "--preset", "C5.2", "--samples", "256"], _MODEL + _SIMULATION,
+     []),
+], ids=["import", "help", "convolve", "diagnose-class", "theorem", "ruin"])
+def test_each_command_loads_only_what_it_runs(argv, modules, numpy_parts):
+    code = "import heavytails.cli"
+    if argv is not None:
+        code = ("import contextlib, io\n"
+                "from heavytails import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert cli.main({argv!r}) == 0")
+    loaded = ast.literal_eval(_loaded_after(
+        code, ("heavytails", "numpy.ma", "numpy.polynomial")))
+    assert [m for m in loaded if m.startswith("heavytails")] == sorted(
+        _ALWAYS + modules)
+    assert [m for m in ("numpy.ma", "numpy.polynomial")
+            if m in loaded] == numpy_parts
 
 
 def test_lognormal_curve_bytes_do_not_depend_on_workers(tmp_path):
@@ -429,7 +468,8 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli.conv, "nfold_tail_bracket", boom)
+        # the cli reads the module attribute when the command runs
+        monkeypatch.setattr("heavytails.convolution.nfold_tail_bracket", boom)
         code, _, err = run(capsys, ["convolve", "--dist", "example11"])
         assert code == 1
         assert "internal error" in err

@@ -106,7 +106,7 @@ class TestLongTail:
         grid = np.geomspace(10.0, 1000.0, 13)  # hits 1000 exactly
         r = dg.long_tail(Pareto(1.0, 1.0), grid)
         assert r.verdict == "consistent"
-        assert r.statistics[-1] == pytest.approx(1000.0 / 1001.0, rel=1e-12)
+        assert r.statistics[-1] == pytest.approx(1000.0 / 1001.0, rel=1e-12, abs=0)
 
     def test_exponential_memoryless(self):
         r = dg.long_tail(Exponential(1.0))
@@ -133,7 +133,7 @@ class TestDominated:
         # closed form of the end statistic: exp(sqrt(x)(1 - sqrt(1/2)))
         x = r.probe_grid[-1]
         expected = math.exp(math.sqrt(x) * (1.0 - math.sqrt(0.5)))
-        assert r.statistics[-1] == pytest.approx(expected, rel=1e-10)
+        assert r.statistics[-1] == pytest.approx(expected, rel=1e-10, abs=0)
 
     def test_lognormal_unbounded(self):
         assert dg.dominated(Lognormal(0.0, 1.0)).verdict == "inconsistent"
@@ -147,7 +147,7 @@ class TestDominated:
         x = r.probe_grid[-1]
         assert x > 9990.0
         assert r.statistics[-1] == pytest.approx(
-            ((x + 3.0) / (x / 2.0 + 3.0)) ** 2, rel=1e-12)
+            ((x + 3.0) / (x / 2.0 + 3.0)) ** 2, rel=1e-12, abs=0)
 
 
 class TestSubexponential:
@@ -197,7 +197,7 @@ class TestSstar:
         x = 50.0
         r = dg.sstar(d, np.array([20.0, 30.0, x]))
         integral = r.statistics[-1] * 2.0 * d.pos_mean() * d.tail(x)
-        assert integral == pytest.approx(simpson_self_integral(d, x), rel=1e-6)
+        assert integral == pytest.approx(simpson_self_integral(d, x), rel=1e-6, abs=0)
 
     def test_exponential_grows(self):
         grid = np.geomspace(2.0, 30.0, 10)
@@ -382,7 +382,7 @@ def test_finite_atom_laws_read_every_check_on_their_own_grids(d, offset):
 class TestWindowLaw:
     def test_fh_closed_form(self):
         got = dg.fh_tail(Pareto(2.0, 1.0), 1.0, 10.0)
-        assert got == pytest.approx(1.0 / 10.0 - 1.0 / 11.0, rel=1e-12)
+        assert got == pytest.approx(1.0 / 10.0 - 1.0 / 11.0, rel=1e-12, abs=0)
 
     def test_fh_upper_bound(self):
         for d in (Pareto(1.5, 1.0), Weibull(0.5, 1.0), Exponential(1.0)):
@@ -436,11 +436,11 @@ class TestIntegratedTail:
     def test_exponential_fixed_point(self):
         it = IntegratedTail(Exponential(1.0))
         for x in (0.5, 2.0, 5.0):
-            assert it.tail(x) == pytest.approx(math.exp(-x), rel=1e-12)
+            assert it.tail(x) == pytest.approx(math.exp(-x), rel=1e-12, abs=0)
 
     def test_pareto_reciprocal(self):
         it = IntegratedTail(Pareto(2.0, 1.0))
-        assert it.tail(5.0) == pytest.approx(0.2, rel=1e-12)
+        assert it.tail(5.0) == pytest.approx(0.2, rel=1e-12, abs=0)
         assert it.tail(0.5) == 1.0
 
     def test_tail_convex_on_tail_region(self):
@@ -462,13 +462,13 @@ class TestIntegratedTail:
         # the figures come from an adaptive quad per window (epsrel 1.5e-8)
         r = dg.strong_subexponential(IntegratedTail(Pareto(2.5, 1.0)))
         assert r.verdict == "inconclusive"
-        assert r.statistics[0] == pytest.approx(2.7294382493087124, rel=1e-8)
+        assert r.statistics[0] == pytest.approx(2.7294382493087124, rel=1e-8, abs=0)
         assert r.statistics[-1] == pytest.approx(2.1265544716478306,
-                                                 rel=1e-8)
+                                                 rel=1e-8, abs=0)
         assert r.stat_lower[-1] == pytest.approx(2.1258453779614337,
-                                                 rel=1e-8)
+                                                 rel=1e-8, abs=0)
         assert r.stat_upper[-1] == pytest.approx(2.1272635653342276,
-                                                 rel=1e-8)
+                                                 rel=1e-8, abs=0)
 
 
 class TestJointUpperSurvival:

@@ -1,6 +1,7 @@
 """Marginal kernels: array tail integrals and in-place inverse transforms
 against scalar references written out from the closed forms."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -283,7 +284,7 @@ class TestTailIntegral:
                                 for x, y in zip(a.tolist(), b.tolist())]
         assert got[2] == 0.0
         # from x >= 1 the tail is 1 / (1.5 x^1.5), its integral 1 / (0.75 sqrt x)
-        assert got[1] == pytest.approx((1.0 - 0.5) / 0.75, rel=1e-8)
+        assert got[1] == pytest.approx((1.0 - 0.5) / 0.75, rel=1e-8, abs=0)
 
 
 # IntegratedTail over a base law, with the points where its tail kinks: the
@@ -429,3 +430,30 @@ class TestInPlaceInverseTransform:
             assert np.all(x >= lo)
             assert np.all(it.tail(x) <= 1.0 - u)
         assert rounds == [64, 64, 64]
+
+
+@pytest.mark.parametrize("values", [
+    np.array([5, 3, 3, 0, -2, 5, 7, 3], dtype=np.intp),
+    np.array([2.5, -0.0, 1.0, 0.0, 2.5, -1.0, 0.0, -0.0, 1.0]),
+    np.array([0.0, -0.0, 0.0]),
+    np.array([], dtype=float),
+    np.array([], dtype=np.intp),
+])
+def test_sorted_unique_is_np_unique(values):
+    # values, dtype and signed zeros, and the inverse a caller forms by
+    # searchsorted, as convolution._product_tails does
+    got = distributions._sorted_unique(values)
+    want, inverse = np.unique(values, return_inverse=True)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+    assert np.signbit(got).tolist() == np.signbit(want).tolist()
+    assert np.searchsorted(got, values).tolist() == inverse.tolist()
+
+
+def test_quadrature_tables_keep_their_bytes():
+    # the depth 36 and depth 12 graded rules, then the rule on [c, inf)
+    tables = (distributions._graded_half_rule(36)
+              + distributions._graded_half_rule(12) + distributions._far_rule())
+    assert [len(a) for a in tables] == [360, 360, 120, 120, 720, 720, 720]
+    assert hashlib.sha256(b"".join(a.tobytes() for a in tables)).hexdigest() \
+        == "04c6c023a5691c037d27c258aaf49e01d61ae857f8c630165ec9d226e7c6d090"

@@ -31,7 +31,7 @@ class TestDenominators:
         # 3 * (1/10) for a unit-scale power tail with index one
         got = ex.Denominator("n_tail", n=3).values(single(Pareto(1.0, 1.0)),
                                                    10.0)
-        assert got[0] == pytest.approx(0.3, rel=1e-15)
+        assert got[0] == pytest.approx(0.3, rel=1e-15, abs=0)
 
     def test_n_tail_rejects_bad_n(self):
         for n in (0, 2.5, True, math.nan, math.inf, "2", None):
@@ -55,7 +55,7 @@ class TestDenominators:
         for x in (5.0, 50.0, 500.0):
             want = sum(1.05 ** -k for k in range(1, 6)) / x
             assert den.values(model, x, weights)[0] == pytest.approx(
-                want, rel=1e-14)
+                want, rel=1e-14, abs=0)
 
     def test_mean_tau_tail_geometric(self):
         f = Pareto(0.8, 1.0)
@@ -196,6 +196,17 @@ class TestExactMaxCurve:
         np.testing.assert_allclose(c.ratios, want, rtol=1e-10)
         assert c.verdict == "consistent"
         assert abs(c.ratios[-1] - 1.0) <= 6e-4
+
+    def test_deep_fgm_max_keeps_its_relative_precision(self):
+        # P(max > x) = 2t - C(t, t) for FGM(1), t the Pareto(1.5) tail;
+        # 1 - C(F(x)) read 0 at 1e11
+        model = pareto_pair(1.5, FGM.bivariate(1.0))
+        tail = ex._closed_form(model, mc.parse_quantity("MaxN"))
+        xs = np.array([1e6, 1e8, 1e11])
+        t = Pareto(1.5, 1.0).tail(xs)
+        want = 2.0 * t - t * t - (1.0 - t) ** 2 * t * t
+        assert tail(xs).tolist() == pytest.approx(want.tolist(), rel=1e-14,
+                                                  abs=0)
 
     def test_monotone_approach_over_last_decade(self):
         c = run_preset("T3.3", seed=0)[0]
@@ -689,6 +700,6 @@ class TestDefaultGrid:
         xs = quantile_grid(model.marginals)
         assert len(xs) == 24
         assert xs[0] == pytest.approx(Pareto(0.8, 1.0).quantile(0.9),
-                                      rel=1e-12)
+                                      rel=1e-12, abs=0)
         assert xs[-1] == pytest.approx(Pareto(0.8, 1.0).quantile(1 - 1e-4),
-                                       rel=1e-12)
+                                       rel=1e-12, abs=0)

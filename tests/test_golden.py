@@ -46,10 +46,16 @@ SEED = 5
 # The three-worker T4.2 run below moved with them:
 # 9dd8851b91ea -> d7f762b83f76.
 
+# T3.3's closed form moved in its last digits, with no verdict or exit code,
+# when P(max > x) became inclusion-exclusion over the joint upper tails in
+# place of 1 - C(F(x)), which cancels; largest relative change of a printed
+# field 2.24e-13. Old -> new, the same at one and two workers:
+#   T3.3    976da7ddeddf -> c3c5263f0e54
+
 GOLDEN = {
     "T3.1": "f8158dbd9dbd5573108e4601898f031f554bc40c3012cd364bc7fb7638a20c8e",
     "T3.2": "51985c65da1a2cb433e7843cf2fc1dcb5313c6f691a3a0f77c568c7fb0208685",
-    "T3.3": "976da7ddeddf90129dba22c2c14472768c73d0c7c65674a335f2cab06874c6b9",
+    "T3.3": "c3c5263f0e54ba22cf7a48a746fe13ec825c89d997a90a5bc00f1b908bd67ebb",
     "C3.1": "b723b95fb4f0218df9c5bbb7e995e28d9527faa5067e7029af63a699afc0dd28",
     "T4.1": "526f8aa9ebed0ffbdf6f40d9d4a371384197136f6b6d5a7b09c592bd98ed7185",
     "T4.2": "db095f05ea38ec23ac3648726729ea8828443f67f2310ac3bd94f6874e51cb94",

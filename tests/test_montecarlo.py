@@ -1232,7 +1232,7 @@ class TestTailEstimate:
                                  seed=6).points
         assert e.numerator == hits / 40_000
         assert e.stderr == pytest.approx(
-            np.sqrt(e.numerator * (1 - e.numerator) / 40_000), rel=1e-12)
+            np.sqrt(e.numerator * (1 - e.numerator) / 40_000), rel=1e-12, abs=0)
 
     def test_shifted_negative_mean_runmax(self):
         # net-claim style marginals with mean -1: running max still finite

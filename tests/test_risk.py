@@ -147,7 +147,7 @@ class TestDiscreteRuinCurve:
         assert curve.denominator == "sum_tails"
         for p in curve.points:
             want = 1.0 / (1.05 * p.x) + 1.0 / (1.1025 * p.x)
-            assert p.denominator == pytest.approx(want, rel=1e-14)
+            assert p.denominator == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_reduced_sample_preset_consistent(self):
         [curve] = risk.RISK_PRESETS["C5.1"].run(samples=500_000, seed=11)
@@ -165,8 +165,8 @@ class TestArrivalModelBasics:
     def test_net_claim_has_negative_drift(self):
         m = self.arrival()
         # mean claim 2, premium per claim 2.2, so the net drift is -0.2
-        assert m.premium_per_claim == pytest.approx(2.2, rel=1e-15)
-        assert m.net_claim().mean() == pytest.approx(-0.2, rel=1e-12)
+        assert m.premium_per_claim == pytest.approx(2.2, rel=1e-15, abs=0)
+        assert m.net_claim().mean() == pytest.approx(-0.2, rel=1e-12, abs=0)
         assert m.expected_count == 2.0
 
     def test_validation(self):
@@ -213,7 +213,7 @@ class TestArrivalRuinCurve:
         curve = m.preset(x_grid=np.geomspace(5.0, 100.0, 5),
                          samples=50_000).run(seed=11)[0]
         for p in curve.points:
-            assert p.denominator == pytest.approx(2.0 / p.x ** 2, rel=1e-14)
+            assert p.denominator == pytest.approx(2.0 / p.x ** 2, rel=1e-14, abs=0)
 
     def test_reduced_sample_preset_consistent(self):
         [curve] = risk.RISK_PRESETS["C5.2"].run(samples=500_000, seed=11)
