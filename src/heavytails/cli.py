@@ -130,21 +130,6 @@ _MARGINALS = {
 }
 
 
-@cache
-def _model_families() -> tuple:
-    """The copula and the counting family tables, built on the first model
-    build, so a command that builds no model loads neither module."""
-    from .copulas import Comonotone, FGM, Independence
-    from .counting import Deterministic, Geometric1, Poisson, Zeta
-    return ({"fgm": (FGM, ("dim", "coeffs"), {"dim": 2}),
-             "independence": (Independence, ("dim",), {"dim": 2}),
-             "comonotone": (Comonotone, ("dim",), {"dim": 2})},
-            {"poisson": (Poisson, ("mean",), {}),
-             "geometric1": (Geometric1, ("p",), {}),
-             "zeta": (Zeta, ("s",), {}),
-             "deterministic": (Deterministic, ("n",), {})})
-
-
 def _field(key: str, value, context: str):
     """Convert one family field; plain numeric fields are floats."""
     if key == "base":
@@ -179,8 +164,15 @@ def build_marginal(cfg, context="marginal"):
 
 
 def build_model(cfg, context="model"):
-    from .copulas import DependentModel
-    copulas, counting = _model_families()
+    from .copulas import Comonotone, DependentModel, FGM, Independence
+    from .counting import Deterministic, Geometric1, Poisson, Zeta
+    copulas = {"fgm": (FGM, ("dim", "coeffs"), {"dim": 2}),
+               "independence": (Independence, ("dim",), {"dim": 2}),
+               "comonotone": (Comonotone, ("dim",), {"dim": 2})}
+    counting = {"poisson": (Poisson, ("mean",), {}),
+                "geometric1": (Geometric1, ("p",), {}),
+                "zeta": (Zeta, ("s",), {}),
+                "deterministic": (Deterministic, ("n",), {})}
     f = _take(cfg, context, ("copula", "marginals"), {"tau": None})
     copula = _build_family(copulas, f["copula"], context + ".copula")
     if not isinstance(f["marginals"], (list, tuple)) or not f["marginals"]:

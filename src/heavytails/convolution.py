@@ -18,7 +18,7 @@ it:
   and halving the step refines both envelopes monotonically. Each envelope
   of S_n is built only as far as its two halves, S_floor(n/2) and
   S_ceil(n/2); the last product is read at the probes alone, off the two
-  factors, and formed only when the probes hit nearly every lattice index.
+  factors, and never formed.
 
 Supports must be bounded below. Mass above x_max - (n-1) * min(support, 0)
 is clamped to the top of the grid (lower envelope) or to the overflow bucket
@@ -43,10 +43,6 @@ MERGE_TOL = 1e-12
 MASS_TOL = 1e-15
 # values per gathered block when the last product is read at the probes
 _PROBE_CHUNK = 1 << 18
-# distinct probe indices, as a share of the second factor's length, past
-# which the full last product is cheaper than its rows (2 cores, 1k-16k
-# atoms: the two cost the same between about 0.6 and 0.7)
-_DENSE_SHARE = 0.75
 
 
 @dataclass(frozen=True)
@@ -236,8 +232,8 @@ def _grid_clamp(g: _Grid, clamp_k: int, side: str) -> _Grid:
 
 
 def _product_tails(a: _Grid, b: _Grid, xs) -> np.ndarray:
-    """P(A + B > x) at each probe, read off the two factors, without forming
-    their product unless the probes are dense.
+    """P(A + B > x) at each probe, read off the two factors without forming
+    their product.
 
     K is the index the product's tail would find for x, and the tail
     there is sum_i a_i S_B(K - i) plus the overflow, where S_B(j) is B's mass
@@ -247,10 +243,6 @@ def _product_tails(a: _Grid, b: _Grid, xs) -> np.ndarray:
     values, one matrix-vector product per block. The cut c comes from each
     block's last K, so a probe's value can move in its last bits (up to
     ~1e-15 relative) with the other probes that share its block.
-
-    When the distinct K number more than _DENSE_SHARE of B's length, the
-    rows cost more than the whole product: the product is formed by
-    np.convolve and its suffix sums read at K instead.
     """
     inf_mass = _overflow(a, b)
     la, lb = len(a.masses), len(b.masses)
@@ -259,10 +251,6 @@ def _product_tails(a: _Grid, b: _Grid, xs) -> np.ndarray:
     locs = (a.k0 + b.k0 + np.arange(la + lb - 1)) * a.step
     idx = np.searchsorted(locs, xs, side="right")
     ks = _sorted_unique(idx)
-    if len(ks) > _DENSE_SHARE * lb:
-        product = np.convolve(a.masses, b.masses)
-        tails = np.append(np.cumsum(product[::-1])[::-1], 0.0)
-        return tails[idx] + inf_mass
     suffix = np.cumsum(b.masses[::-1])[::-1]
     # padded[p] = S_B(p - la + 1): B's total below index 0, nothing past its end
     padded = np.concatenate((np.full(la - 1, suffix[0]), suffix, np.zeros(la)))

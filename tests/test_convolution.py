@@ -454,18 +454,6 @@ class TestNfoldBracket:
         assert [g.tolist() for g in got] == [lower[at].tolist(),
                                              upper[at].tolist()]
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_dense_probes_read_the_full_last_product(self, n):
-        # probes on nearly every lattice index take the formed product; all
-        # lie above n * support_min, where the bracket is not pinned to 1
-        d = Pareto(1.0, 1.0)
-        xs = np.geomspace(3.0, 200.0, 10_000)
-        cells = np.unique(np.floor(xs / (200.0 / 4096.0)))
-        assert len(cells) > cv._DENSE_SHARE * 4096
-        got = cv.nfold_tail_bracket_from_tail(d.tail, 1.0, n, xs)
-        want = two_call_bracket(d.tail, 1.0, n, xs, 200.0 / 4096.0)
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
-
     def test_dense_probes_cost_no_more_than_the_full_product(self):
         # at the 10,000-point grid cap nearly every lattice index is a probe:
         # the blocked read must stay within the full product's memory and time
